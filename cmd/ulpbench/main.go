@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -124,7 +125,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ulpbench:", err)
 			os.Exit(1)
 		}
-	} else if err := run(*exp, *csvPrefix, recs); err != nil {
+	} else if err := run(os.Stdout, *exp, *csvPrefix, recs); err != nil {
 		fmt.Fprintln(os.Stderr, "ulpbench:", err)
 		os.Exit(1)
 	}
@@ -214,8 +215,9 @@ func runContention(quick bool, recs *[]bench.Record) error {
 	return nil
 }
 
-func run(exp, csvPrefix string, recs *[]bench.Record) error {
-	w := os.Stdout
+// run renders the named experiment (or all of them) to w, exactly as
+// `ulpbench -exp` prints it.
+func run(w io.Writer, exp, csvPrefix string, recs *[]bench.Record) error {
 	all := exp == "all"
 	matched := false
 

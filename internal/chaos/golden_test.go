@@ -1,0 +1,109 @@
+package chaos_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/blt"
+	"repro/internal/chaos"
+	"repro/internal/metrics"
+	"repro/internal/probe"
+	usync "repro/internal/sync"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
+
+// goldenProbes are the probe programs the host-time benchmark's chaos
+// workload attaches: fire counters on the hottest points plus an SLO.
+const goldenProbes = "count:points=syscall:enter+futex:wait+sched:switch;slo:p99_us=20000"
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := "testdata/" + name + ".golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("%s differs at line %d:\n  got:  %q\n  want: %q", path, i+1, gl, wl)
+		}
+	}
+}
+
+// TestChaosGolden pins supervised, probed chaos runs to committed
+// output: the digest, every fault spec's hit/fire counts, the probe
+// reports and the full metrics dump, for seeds 1-4 on both machines
+// under both idle policies. A rerun of the same code (the determinism
+// tests) cannot catch a refactor that shifts the schedule the same way
+// every time; this can.
+func TestChaosGolden(t *testing.T) {
+	probes, err := probe.ParseSpecs(goldenProbes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, m := range arch.Machines() {
+		for _, idle := range []blt.IdlePolicy{blt.BusyWait, blt.Blocking} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				reg := metrics.NewRegistry()
+				cfg := chaos.Config{
+					Machine: m, Seed: seed, Idle: idle,
+					ULPs: 32, Ops: 300, Signals: 16,
+					Supervise: true, Probes: probes, Metrics: reg,
+				}
+				d, stats, err := chaos.RunWithStats(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s seed %d: %v", m.Name, idle, seed, err)
+				}
+				fmt.Fprintf(&b, "== %s/%s seed=%d\ndigest end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d\n",
+					m.Name, idle, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans)
+				for _, s := range stats {
+					fmt.Fprintf(&b, "stat %s\n", s)
+				}
+				if err := reg.Dump(&b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	checkGolden(t, "chaos", b.String())
+}
+
+// TestLockChaosGolden pins one lock-chaos digest per lock algorithm.
+func TestLockChaosGolden(t *testing.T) {
+	var b bytes.Buffer
+	for _, lock := range usync.Names() {
+		d, err := chaos.RunLock(chaos.LockConfig{Lock: lock, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", lock, err)
+		}
+		fmt.Fprintf(&b, "%s end=%d counter=%d syscalls=%d ctxsw=%d injections=%d futex=%+v\n",
+			lock, int64(d.EndTime), d.Counter, d.Syscalls, d.CtxSwitch, d.Injections, d.Futex)
+	}
+	checkGolden(t, "locks", b.String())
+}

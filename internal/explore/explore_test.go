@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -218,15 +219,20 @@ func TestStockScenarioDigestDeterminism(t *testing.T) {
 
 // TestProbesDoNotPerturbExploration pins the probe plane's determinism
 // contract inside the explorer: attaching observe-only stock probes
-// (fire counters across the hot attach points plus an SLO aggregator
+// (fire counters at every attach point plus an SLO aggregator
 // with a generous bound) to every scenario kernel must leave the
 // decision digest of the default schedule byte-identical to the bare
 // run. Any probe that consumed randomness, reordered events or charged
 // virtual time would shift a tie-break somewhere in these schedules and
 // surface here as a digest mismatch.
 func TestProbesDoNotPerturbExploration(t *testing.T) {
-	specs, err := probe.ParseSpecs(
-		"count:points=syscall:enter+sched:dispatch+futex:wait+futex:wake+task:spawn+task:exit;slo:p99_us=1000000")
+	// A fire counter at every attach point, including the ones whose
+	// verdicts decide (fault:site, task:admit, task:restart, ...).
+	var names []string
+	for _, p := range probe.Points() {
+		names = append(names, p.String())
+	}
+	specs, err := probe.ParseSpecs("count:points=" + strings.Join(names, "+") + ";slo:p99_us=1000000")
 	if err != nil {
 		t.Fatalf("ParseSpecs: %v", err)
 	}

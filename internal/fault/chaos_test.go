@@ -112,16 +112,26 @@ func TestChaosFaultFreeBaseline(t *testing.T) {
 	}
 }
 
+// everyPointCount is a count probe spec attached at every attach
+// point: an observer at the points whose verdicts decide (fault:site,
+// task:admit, task:restart, ...) must decide nothing.
+func everyPointCount() string {
+	names := make([]string, 0, len(probe.Points()))
+	for _, p := range probe.Points() {
+		names = append(names, p.String())
+	}
+	return "count:points=" + strings.Join(names, "+")
+}
+
 // TestChaosProbesPreserveDigest is the byte-identity guard for the
-// probe plane: observe-only stock probes (fire counters across the hot
-// attach points, an SLO aggregator with a generous bound) attached to a
-// chaos run must reproduce the bare run's digest exactly — attaching
+// probe plane: observe-only stock probes (fire counters at every attach
+// point, an SLO aggregator with a generous bound) attached to a chaos
+// run must reproduce the bare run's digest exactly — attaching
 // observability must not move a single event. A throttle probe, by
 // contrast, is *supposed* to perturb the schedule; the contract there is
 // that the perturbed digest is still a pure function of the seed.
 func TestChaosProbesPreserveDigest(t *testing.T) {
-	observe, err := probe.ParseSpecs(
-		"count:points=syscall:enter+sched:dispatch+futex:wait+futex:wake+fault:site+task:exit;slo:p99_us=1000000")
+	observe, err := probe.ParseSpecs(everyPointCount() + ";slo:p99_us=1000000")
 	if err != nil {
 		t.Fatal(err)
 	}
