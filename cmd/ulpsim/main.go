@@ -367,7 +367,7 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 			return err
 		}
 		plane = fault.NewPlane(seed, specs)
-		k.SetFaultPlane(plane)
+		plane.Attach(k.Probes())
 	}
 	var atts []*probe.Attachment
 	if probeStr != "" {
@@ -380,14 +380,13 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 	var rec *timeline.Recorder
 	if showTimeline {
 		rec = timeline.New()
-		k.SetTimeline(rec)
+		rec.Attach(k.Probes())
 	}
 	var sup *supervise.Plane
 	if superviseOn {
 		sup = supervise.New(k, supervise.Config{
 			StallHorizon: sim.FromUS(stallUS),
 			Seed:         seed,
-			Metrics:      reg,
 		})
 		sup.Install()
 	}

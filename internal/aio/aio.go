@@ -21,7 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 )
 
 // ErrInProgress is returned by Return before the request completes
@@ -37,9 +36,10 @@ var ErrClosed = errors.New("aio: context closed")
 // aiocbs with it). The next submission respawns a helper.
 var ErrHelperDied = errors.New("aio: helper thread died")
 
-// ErrQuarantined is returned by Submit once the context's restart
-// budget is exhausted (supervision plane installed, helper kept dying):
-// the machine degrades this tenant instead of thrashing on respawns.
+// ErrQuarantined is returned by Submit once task:restart refused the
+// helper for good (the supervisor's restart budget is exhausted, the
+// helper kept dying): the machine degrades this tenant instead of
+// thrashing on respawns.
 var ErrQuarantined = errors.New("aio: helper quarantined (restart budget exhausted)")
 
 // killedExitStatus is the fault-killed helper's thread exit status
@@ -92,12 +92,7 @@ type Context struct {
 	closed    bool
 	dead      bool // the helper was fault-killed; respawn on next Submit
 
-	// restart, when a supervision plane is installed, is the context's
-	// respawn budget: backoff-delayed, quarantining after repeated
-	// deaths. Nil without a plane — respawn is then immediate and
-	// unbounded, the pre-supervision behavior.
-	restart     *supervise.Restarter
-	quarantined bool
+	quarantined bool // task:restart refused the helper for good
 
 	// Stats.
 	submitted, completed, respawns uint64
@@ -118,9 +113,6 @@ func New(owner *kernel.Task) (*Context, error) {
 	if reg := owner.Kernel().Metrics(); reg != nil {
 		c.mDepth = reg.Histogram("aio.queue_depth")
 		c.mRespawns = reg.Counter("aio.respawns")
-	}
-	if p := supervise.ForKernel(owner.Kernel()); p != nil {
-		c.restart = p.Restarter("aio." + owner.Name())
 	}
 	return c, nil
 }
@@ -151,9 +143,10 @@ func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, 
 	if c.dead {
 		// The previous helper was fault-killed; reap it and grow the
 		// pool back, exactly as glibc does after a pool thread exits.
-		// Under a supervision plane the regrowth is budgeted: the
-		// respawn waits out a jittered exponential backoff, and once the
-		// budget is spent the context quarantines instead of thrashing.
+		// task:restart (Site = "aio.<owner>") may budget the regrowth:
+		// a Delay is a backoff to wait out first, and Drop quarantines
+		// the context instead of thrashing. With no verdict the respawn
+		// is immediate.
 		t.Join(c.helper)
 		c.helper = nil
 		c.dead = false
@@ -161,15 +154,13 @@ func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, 
 		if c.mRespawns != nil {
 			c.mRespawns.Inc()
 		}
-		if c.restart != nil {
-			delay, ok := c.restart.Next(k.Engine().Now())
-			if !ok {
-				c.quarantined = true
-				return nil, ErrQuarantined
-			}
-			if delay > 0 {
-				t.Nanosleep(delay)
-			}
+		v := k.RestartVerdict(t, "aio."+c.owner.Name(), 1)
+		if v.Drop {
+			c.quarantined = true
+			return nil, ErrQuarantined
+		}
+		if v.Delay > 0 {
+			t.Nanosleep(v.Delay)
 		}
 	}
 	if c.helper == nil {

@@ -17,7 +17,7 @@ func runFaults(t *testing.T, seed uint64, specs []fault.Spec, body func(task *ke
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	plane := fault.NewPlane(seed, specs)
-	k.SetFaultPlane(plane)
+	plane.Attach(k.Probes())
 	task := k.NewTask("main", k.NewAddressSpace(), func(task *kernel.Task) int {
 		body(task)
 		return 0

@@ -217,7 +217,7 @@ func chaosFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 			{Site: fault.SiteFutexSpurious, Prob: 0.05, TaskPrefix: "cfw"},
 			{Site: fault.SiteFutexWait, Prob: 0.02, Err: "eintr", TaskPrefix: "cfw"},
 		})
-		k.SetFaultPlane(plane)
+		plane.Attach(k.Probes())
 		sup := supervise.New(k, supervise.Config{Seed: chaosScaleSeed})
 		sup.Install()
 		space := root.Space()

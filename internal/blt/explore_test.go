@@ -172,9 +172,9 @@ func coupleVsHostDeathScenario() explore.Scenario {
 			e.SetTrapPanics(true)
 			defer e.Shutdown()
 			k := kernel.New(e, arch.Wallaby())
-			k.SetFaultPlane(fault.NewPlane(7, []fault.Spec{
+			fault.NewPlane(7, []fault.Spec{
 				{Site: fault.SiteKCKill, Nth: 1, TaskPrefix: "kc.victim"},
-			}))
+			}).Attach(k.Probes())
 			prog := func(bystander bool) *loader.Image {
 				name := "victim"
 				if bystander {

@@ -18,7 +18,7 @@ func runPoolFaults(t *testing.T, cfg Config, seed uint64, specs []fault.Spec,
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	plane := fault.NewPlane(seed, specs)
-	k.SetFaultPlane(plane)
+	plane.Attach(k.Probes())
 	root := k.NewTask("root", k.NewAddressSpace(), func(task *kernel.Task) int {
 		pool, err := NewPool(task, cfg)
 		if err != nil {
@@ -247,7 +247,7 @@ func TestFaultDeterminism(t *testing.T) {
 			{Site: fault.SiteFutexLostWake, Prob: 0.4},
 			{Site: fault.SiteSchedDelay, Prob: 0.3, DelayUS: 20},
 		})
-		k.SetFaultPlane(plane)
+		plane.Attach(k.Probes())
 		root := k.NewTask("root", k.NewAddressSpace(), func(task *kernel.Task) int {
 			pool, err := NewPool(task, testConfig(Blocking))
 			if err != nil {

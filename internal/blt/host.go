@@ -6,7 +6,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/probe"
-	"repro/internal/supervise"
 	"repro/internal/uctx"
 )
 
@@ -25,13 +24,6 @@ type KCHost struct {
 	name string
 	core int // the syscall core the KC is pinned to
 
-	// restart, when a supervision plane is installed, is this KC's
-	// respawn budget: a fault-killed KC is recreated (backoff-delayed,
-	// quarantining after repeated kills) instead of bouncing every
-	// couple request forever. Nil without a plane — the KC then stays
-	// dead, the pre-supervision behavior.
-	restart *supervise.Restarter
-
 	// queue holds BLTs whose UC wants to run coupled on this KC
 	// (couple requests, plus the initial KLT run at creation).
 	queue []*BLT
@@ -42,6 +34,9 @@ type KCHost struct {
 	lastExit  int
 	dead      bool // the KC task has returned; no further adoption
 	killed    bool // the KC died by fault injection (kc_kill)
+	// restartable: task:restart opted the host in at creation (the
+	// supervisor's restart budget), and has not quarantined it since.
+	restartable bool
 
 	// running is the BLT currently coupled and executing on this KC.
 	running *BLT
@@ -105,29 +100,32 @@ func (h *KCHost) enqueueCoupled(b *BLT, carrier *kernel.Task) {
 }
 
 // canRespawn reports whether a dead KC may come back: only fault-killed
-// KCs with restart budget left qualify. A KC that exited naturally (all
-// residents done) stays dead, like any exited process.
+// KCs that are still restartable qualify. A KC that exited naturally
+// (all residents done) stays dead, like any exited process.
 func (h *KCHost) canRespawn() bool {
-	return h.killed && h.restart != nil && !h.restart.Quarantined()
+	return h.killed && h.restartable
 }
 
-// tryRespawn brings a fault-killed KC back under the supervision plane's
-// restart budget: the requesting carrier waits out a jittered
-// exponential backoff, then a fresh trampoline context and a new kernel
-// task (same name, same syscall core) replace the dead ones. The
-// post-sleep dead re-check matters: several carriers can observe the
-// same death, and whoever respawns first covers the rest. On budget
-// exhaustion or thread-limit rejection the host stays dead and callers
-// fall through to the bounce path.
+// tryRespawn asks task:restart (Site = the KC's name) whether a
+// fault-killed KC comes back. A positive Delay grants it: the requesting
+// carrier waits out that backoff, then a fresh trampoline context and a
+// new kernel task (same name, same syscall core) replace the dead ones.
+// The post-sleep dead re-check matters: several carriers can observe
+// the same death, and whoever respawns first covers the rest. Drop
+// quarantines the KC; the zero verdict (no supervisor) leaves it dead,
+// as does a thread-limit rejection, and callers fall through to the
+// bounce path.
 func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	p := h.pool
-	delay, ok := h.restart.Next(p.kern.Engine().Now())
-	if !ok {
-		return // quarantined: this KC will not be coming back
+	v := p.kern.RestartVerdict(carrier, h.task.Name(), 1)
+	if v.Drop {
+		h.restartable = false // quarantined: this KC will not be coming back
+		return
 	}
-	if delay > 0 {
-		carrier.Nanosleep(delay)
+	if v.Delay <= 0 {
+		return
 	}
+	carrier.Nanosleep(v.Delay)
 	if !h.dead {
 		return // a concurrent requester respawned it while we slept
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 	"repro/internal/uctx"
 )
 
@@ -359,9 +358,6 @@ func (p *Pool) newHost(name string) (*KCHost, error) {
 	if err := h.slot.init(p, p.creator); err != nil {
 		return nil, err
 	}
-	if pl := supervise.ForKernel(p.kern); pl != nil {
-		h.restart = pl.Restarter("kc." + name)
-	}
 	// The trampoline context gets its own (small) stack.
 	tcStack, err := p.creator.Space().Mmap(TrampolineStackBytes, semProt,
 		"tc."+name+".stack", false, nil)
@@ -371,6 +367,7 @@ func (p *Pool) newHost(name string) (*KCHost, error) {
 	h.tcStack = tcStack
 	h.tc = uctx.New("tc."+name, h.tcBody)
 	h.task = p.creator.ClonePinned("kc."+name, p.cfg.CloneFlags, core, h.main)
+	h.restartable = p.kern.RestartVerdict(p.creator, h.task.Name(), 0).Delay > 0
 	p.hosts = append(p.hosts, h)
 	return h, nil
 }

@@ -236,14 +236,13 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 		k.SetMetrics(cfg.Metrics)
 	}
 	plane := fault.NewPlane(cfg.Seed, cfg.Specs)
-	k.SetFaultPlane(plane)
+	plane.Attach(k.Probes())
 	atts := probe.AttachSpecs(k.Probes(), cfg.Probes)
 	var sup *supervise.Plane
 	if cfg.Supervise {
 		sup = supervise.New(k, supervise.Config{
 			StallHorizon: cfg.StallHorizon,
 			Seed:         cfg.Seed,
-			Metrics:      cfg.Metrics,
 		})
 		sup.Install()
 	}

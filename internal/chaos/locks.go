@@ -88,7 +88,7 @@ func RunLock(cfg LockConfig) (LockDigest, error) {
 	e := sim.New()
 	k := kernel.New(e, cfg.Machine)
 	plane := fault.NewPlane(cfg.Seed, cfg.Specs)
-	k.SetFaultPlane(plane)
+	plane.Attach(k.Probes())
 
 	var counter uint64
 	var setupErr error

@@ -21,6 +21,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/loader"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -162,9 +163,8 @@ func Boot(k *kernel.Kernel, cfg Config, main func(rt *Runtime) int) (*kernel.Tas
 		}
 		rt.pool = pool
 		if cfg.Audit {
-			rt.installAuditor()
+			defer k.Probes().Detach(rt.attachAuditor())
 		}
-		defer k.SetAuditor(nil)
 		return main(rt)
 	})
 	k.Start(task, 0)
@@ -205,29 +205,30 @@ var auditedSyscalls = map[string]bool{
 	"wait": true, "kill": true, "sigaction": true, "sigprocmask": true,
 }
 
-// installAuditor hooks the kernel's system-call path: any audited call
-// executed by a scheduler KC while it is stepping a decoupled UC is a
-// consistency violation (the call hit the scheduler's kernel state, not
-// the ULP's).
-func (rt *Runtime) installAuditor() {
+// attachAuditor attaches the consistency audit at syscall:enter: any
+// audited call executed by a scheduler KC while it is stepping a
+// decoupled UC is a consistency violation (the call hit the scheduler's
+// kernel state, not the ULP's).
+func (rt *Runtime) attachAuditor() *probe.Program {
 	scheds := rt.pool.Schedulers()
-	rt.kern.SetAuditor(func(t *kernel.Task, name string) {
-		if !auditedSyscalls[name] {
-			return
+	return rt.kern.Probes().Attach("audit", func(c *probe.Ctx) probe.Verdict {
+		if !auditedSyscalls[c.Site] {
+			return probe.Verdict{}
 		}
 		for _, s := range scheds {
-			if s.Task() == t {
+			if s.Task() == c.Task {
 				if b := s.Running(); b != nil {
-					v := Violation{ULP: b.Name(), Syscall: name, PID: t.TGID()}
+					v := Violation{ULP: b.Name(), Syscall: c.Site, PID: c.Task.TGID()}
 					if rt.cfg.AuditPanic {
 						panic(fmt.Sprintf("core: consistency violation: %s issued %s on KC pid %d", v.ULP, v.Syscall, v.PID))
 					}
 					rt.violations = append(rt.violations, v)
 				}
-				return
+				break
 			}
 		}
-	})
+		return probe.Verdict{}
+	}, probe.PSyscallEnter)
 }
 
 // ULP is one user-level process.

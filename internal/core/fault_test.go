@@ -20,7 +20,7 @@ func bootFaults(t *testing.T, cfg Config, seed uint64, specs []fault.Spec,
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	plane := fault.NewPlane(seed, specs)
-	k.SetFaultPlane(plane)
+	plane.Attach(k.Probes())
 	if _, err := Boot(k, cfg, func(rt *Runtime) int {
 		status := main(rt)
 		rt.Shutdown()

@@ -125,7 +125,7 @@ func PingPong(mk func() *arch.Machine, rounds int) Scenario {
 			defer e.Shutdown()
 			k := newKernel(e, mk())
 			tl := timeline.New()
-			k.SetTimeline(tl)
+			tl.Attach(k.Probes())
 			handoffs := 0
 			var timedErr error
 			root := k.NewTask("pingpong-root", k.NewAddressSpace(), func(t *kernel.Task) int {
@@ -300,7 +300,7 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 			defer e.Shutdown()
 			k := newKernel(e, mk())
 			tl := timeline.New()
-			k.SetTimeline(tl)
+			tl.Attach(k.Probes())
 			// Ranks hold at a start gate until every Spawn has returned:
 			// the M:N sharers adopt the lower ranks' original KCs, and a
 			// primary that exits before its sharer is adopted makes Spawn

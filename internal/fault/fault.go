@@ -1,13 +1,14 @@
 // Package fault is the deterministic fault-injection plane for the
-// simulated ULP-PiP stack. It implements kernel.FaultPlane: a set of
-// Specs, each naming an injection site in the kernel/runtime and a firing
-// rule (probability, nth hit, or every-nth hit), driven by per-spec
-// SplitMix64 streams derived from one seed. The same (seed, specs) pair
-// therefore reproduces the exact same fault schedule in virtual time, no
-// matter how many other specs are active — which is what makes chaos
-// failures replayable from a single seed.
+// simulated ULP-PiP stack: a probe program at the kernel's fault:site
+// and fault:armed points. A Plane is a set of Specs, each naming an
+// injection site in the kernel/runtime and a firing rule (probability,
+// nth hit, or every-nth hit), driven by per-spec SplitMix64 streams
+// derived from one seed. The same (seed, specs) pair therefore
+// reproduces the exact same fault schedule in virtual time, no matter
+// how many other specs are active — which is what makes chaos failures
+// replayable from a single seed.
 //
-// Sites (see kernel.FaultPlane for the contract at each):
+// Sites (see internal/kernel/fault.go for the verdict at each):
 //
 //	open, write, read, futex_wait   transient syscall errors (err=...)
 //	futex_spurious                  spurious futex wakeup (EAGAIN)
@@ -22,12 +23,14 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -173,7 +176,7 @@ func (s *Spec) setOption(key, val string) error {
 	switch key {
 	case "prob":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) {
 			return fmt.Errorf("prob must be in [0,1], got %q", val)
 		}
 		s.Prob = f
@@ -204,14 +207,16 @@ func (s *Spec) setOption(key, val string) error {
 		}
 	case "delay_us":
 		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("delay_us must be an integer, got %q", val)
+		if err != nil || n > maxDelayUS {
+			return fmt.Errorf("delay_us must be an integer <= %d, got %q", maxDelayUS, val)
 		}
 		s.DelayUS = n
 	case "factor":
+		// The factor scales picosecond costs: beyond MaxInt64 even a 1ps
+		// cost would overflow the clock (and Inf/NaN convert to garbage).
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 1 {
-			return fmt.Errorf("factor must be >= 1, got %q", val)
+		if err != nil || !(f >= 1 && f < math.MaxInt64) {
+			return fmt.Errorf("factor must be finite, >= 1 and < 2^63, got %q", val)
 		}
 		s.Factor = f
 	case "task":
@@ -252,6 +257,10 @@ func (s *Spec) validate() error {
 	return nil
 }
 
+// maxDelayUS is the longest sched_delay whose picosecond value fits the
+// int64 clock.
+const maxDelayUS = uint64(math.MaxInt64 / sim.Microsecond)
+
 // injErr maps a spec's Err to the kernel error it injects.
 func (s *Spec) injErr() error {
 	switch s.Err {
@@ -275,7 +284,7 @@ type armed struct {
 // matches reports whether the spec applies to this task (site already
 // checked by the caller). A nil task (no current task at the site) only
 // matches unrestricted specs.
-func (a *armed) matches(t *kernel.Task) bool {
+func (a *armed) matches(t probe.Task) bool {
 	if a.TaskPrefix == "" {
 		return true
 	}
@@ -305,19 +314,17 @@ func (a *armed) decide() bool {
 	return fire
 }
 
-// Plane is a deterministic kernel.FaultPlane built from a seed and specs.
+// Plane is a deterministic fault plane built from a seed and specs. It
+// acts only once attached to a kernel's probe registry (Attach).
 type Plane struct {
-	seed  uint64
 	specs []*armed
 }
-
-var _ kernel.FaultPlane = (*Plane)(nil)
 
 // NewPlane builds a plane. Spec i draws from stream splitmix(seed, i), so
 // per-spec schedules are independent and stable under spec reordering of
 // *other* sites.
 func NewPlane(seed uint64, specs []Spec) *Plane {
-	p := &Plane{seed: seed}
+	p := &Plane{}
 	for i, s := range specs {
 		p.specs = append(p.specs, &armed{
 			Spec: s,
@@ -335,11 +342,39 @@ func mix(seed, lane uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Seed returns the plane's seed.
-func (p *Plane) Seed() uint64 { return p.seed }
+// Attach attaches the plane to r as a probe program at fault:site and
+// fault:armed and returns its handle (Registry.Detach removes it). Attach
+// before the simulation runs for deterministic schedules; where several
+// programs can fail the same site, attach order decides whose Err wins.
+func (p *Plane) Attach(r *probe.Registry) *probe.Program {
+	return r.Attach("fault", p.fire, probe.PFaultSite, probe.PFaultArmed)
+}
 
-// SyscallError implements kernel.FaultPlane.
-func (p *Plane) SyscallError(t *kernel.Task, site string) error {
+// fire is the plane's probe program: it answers each site with the
+// verdict the kernel applies there (Err for syscall sites, Drop for
+// spurious wakes, lost wakes and kills, Delay for sched_delay, Scale for
+// fs_slow; Drop at fault:armed means armed).
+func (p *Plane) fire(c *probe.Ctx) probe.Verdict {
+	if c.Point == probe.PFaultArmed {
+		return probe.Verdict{Drop: p.isArmed(c.Task, c.Site)}
+	}
+	switch c.Site {
+	case SiteFutexLostWake:
+		// The decision is about the waiter (spec task scoping keys on
+		// it); the firing task is the waker.
+		return probe.Verdict{Drop: p.boolSite(c.Waiter, c.Site)}
+	case SiteFutexSpurious, SiteKCKill, SiteSchedKill, SiteAIOHelperKill:
+		return probe.Verdict{Drop: p.boolSite(c.Task, c.Site)}
+	case SiteSchedDelay:
+		return probe.Verdict{Delay: p.extraDelay(c.Task, c.Site)}
+	case SiteFSSlow:
+		return probe.Verdict{Scale: p.ioScale(c.Task, c.Site)}
+	}
+	return probe.Verdict{Err: p.syscallError(c.Task, c.Site)}
+}
+
+// syscallError decides a syscall site: the injected error, or nil.
+func (p *Plane) syscallError(t probe.Task, site string) error {
 	for _, a := range p.specs {
 		if a.Site == site && a.matches(t) && a.decide() {
 			return a.injErr()
@@ -348,22 +383,8 @@ func (p *Plane) SyscallError(t *kernel.Task, site string) error {
 	return nil
 }
 
-// FutexSpurious implements kernel.FaultPlane.
-func (p *Plane) FutexSpurious(t *kernel.Task, addr uint64) bool {
-	return p.boolSite(t, SiteFutexSpurious)
-}
-
-// FutexDropWake implements kernel.FaultPlane.
-func (p *Plane) FutexDropWake(waiter *kernel.Task, addr uint64) bool {
-	return p.boolSite(waiter, SiteFutexLostWake)
-}
-
-// TaskShouldDie implements kernel.FaultPlane.
-func (p *Plane) TaskShouldDie(t *kernel.Task, site string) bool {
-	return p.boolSite(t, site)
-}
-
-func (p *Plane) boolSite(t *kernel.Task, site string) bool {
+// boolSite decides a yes/no site (spurious wake, lost wake, kill).
+func (p *Plane) boolSite(t probe.Task, site string) bool {
 	fire := false
 	for _, a := range p.specs {
 		if a.Site == site && a.matches(t) && a.decide() {
@@ -375,20 +396,29 @@ func (p *Plane) boolSite(t *kernel.Task, site string) bool {
 	return fire
 }
 
-// ExtraDelay implements kernel.FaultPlane.
-func (p *Plane) ExtraDelay(t *kernel.Task, site string) sim.Duration {
+// extraDelay sums the delays of every matching spec that fires,
+// saturating at the longest representable duration.
+func (p *Plane) extraDelay(t probe.Task, site string) sim.Duration {
 	var d sim.Duration
 	for _, a := range p.specs {
 		if a.Site == site && a.matches(t) && a.decide() {
-			d += sim.Duration(a.DelayUS) * sim.Microsecond
+			add := sim.Duration(math.MaxInt64)
+			if a.DelayUS <= maxDelayUS {
+				add = sim.Duration(a.DelayUS) * sim.Microsecond
+			}
+			if d > math.MaxInt64-add {
+				d = math.MaxInt64
+			} else {
+				d += add
+			}
 		}
 	}
 	return d
 }
 
-// IOScale implements kernel.FaultPlane. fs_slow is a standing condition:
-// every matching spec's factor applies to every matching I/O.
-func (p *Plane) IOScale(t *kernel.Task, site string) float64 {
+// ioScale is the fs_slow factor: a standing condition, so every matching
+// spec's factor applies to every matching I/O.
+func (p *Plane) ioScale(t probe.Task, site string) float64 {
 	f := 1.0
 	for _, a := range p.specs {
 		if a.Site == site && a.Factor > 1 && a.matches(t) {
@@ -398,10 +428,10 @@ func (p *Plane) IOScale(t *kernel.Task, site string) float64 {
 	return f
 }
 
-// Armed implements kernel.FaultPlane: true when some spec could ever fire
-// for (task, site). Consumes no randomness and registers no hit, so
-// recovery code may call it freely without perturbing schedules.
-func (p *Plane) Armed(t *kernel.Task, site string) bool {
+// isArmed reports whether some spec could ever fire for (task, site).
+// It consumes no randomness and registers no hit, so recovery code may
+// ask freely without perturbing schedules.
+func (p *Plane) isArmed(t probe.Task, site string) bool {
 	for _, a := range p.specs {
 		if a.Site == site && a.matches(t) {
 			return true

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -21,69 +22,23 @@ var (
 	ErrTimedOut = errors.New("kernel: futex wait timed out (ETIMEDOUT)")
 )
 
-// FaultPlane is the kernel's fault-injection hook, implemented by
-// internal/fault. Every method is consulted from a deterministic point in
-// virtual time, so a plane driven by a seeded RNG reproduces the same
-// fault schedule for the same (seed, spec) pair. A nil plane (the
-// default) costs one pointer comparison per site and changes nothing.
+// Fault injection is a probe program at fault:site / fault:armed (the
+// seeded plane in internal/fault attaches there). The sites the runtime
+// stack fires, kept as plain strings so lower layers need not import
+// internal/fault:
 //
-// Site names used by the runtime stack (kept as plain strings so lower
-// layers need not import internal/fault):
+//	"open", "write", "read", "futex_wait"  — transient syscall errors (Err)
+//	"futex_spurious"  — a futex wait returns EAGAIN without sleeping (Drop)
+//	"futex_lost_wake" — a futex wake is dropped; Waiter = its target (Drop)
+//	"kc_kill"         — an idle original KC dies in its trampoline (Drop)
+//	"sched_kill"      — a scheduler KC dies between dispatches (Drop)
+//	"aio_helper_kill" — the AIO helper thread dies between requests (Drop)
+//	"sched_delay"     — extra scheduler latency before a UC dispatch (Delay)
+//	"fs_slow"         — file I/O bandwidth degradation factor (Scale)
 //
-//	"open", "write", "read", "futex_wait"  — transient syscall errors
-//	"futex_spurious"  — a futex wait returns EAGAIN without sleeping
-//	"futex_lost_wake" — a futex wake is dropped (waiter stays blocked)
-//	"kc_kill"         — an idle original KC dies in its trampoline
-//	"sched_kill"      — a scheduler KC dies between dispatches
-//	"aio_helper_kill" — the AIO helper thread dies between requests
-//	"sched_delay"     — extra scheduler latency before a UC dispatch
-//	"fs_slow"         — file I/O bandwidth degradation factor
-type FaultPlane interface {
-	// SyscallError, when non-nil, makes the system-call at the named site
-	// fail with that error (ErrInterrupted, ErrTryAgain or ErrNoSpace)
-	// before performing any work.
-	SyscallError(t *Task, site string) error
-	// FutexSpurious reports whether this futex wait should return
-	// ErrFutexAgain spuriously instead of blocking.
-	FutexSpurious(t *Task, addr uint64) bool
-	// FutexDropWake reports whether the wakeup destined for waiter should
-	// be lost (the waiter stays blocked; the waker believes it woke one).
-	FutexDropWake(waiter *Task, addr uint64) bool
-	// TaskShouldDie reports whether the task visiting the named site
-	// should terminate now (KC, scheduler or helper death).
-	TaskShouldDie(t *Task, site string) bool
-	// ExtraDelay returns additional latency to impose at the named site
-	// (0 = none).
-	ExtraDelay(t *Task, site string) sim.Duration
-	// IOScale returns a multiplicative factor for I/O costs at the named
-	// site (1 = undisturbed).
-	IOScale(t *Task, site string) float64
-	// Armed reports whether any spec could ever fire for (task, site) —
-	// without consuming randomness. Recovery paths use it to decide
-	// whether to arm timed waits; unarmed tasks keep the exact fault-free
-	// event schedule.
-	Armed(t *Task, site string) bool
-}
-
-// SetFaultPlane installs a fault-injection plane (nil clears it) by
-// attaching the stock fault probe at fault:site / fault:armed. Must be
-// set before the simulation runs for deterministic schedules.
-func (k *Kernel) SetFaultPlane(fp FaultPlane) {
-	k.faults = fp
-	if k.faultProg != nil {
-		k.probes.Detach(k.faultProg)
-		k.faultProg = nil
-	}
-	if fp == nil {
-		return
-	}
-	k.faultProg = k.probes.Attach("fault", (&stockFaults{fp: fp}).fire,
-		probe.PFaultSite, probe.PFaultArmed)
-}
-
-// Faults returns the installed fault plane, or nil. Probe programs
-// attached directly at fault:site do not appear here.
-func (k *Kernel) Faults() FaultPlane { return k.faults }
+// Every fire happens at a deterministic point in virtual time, so a
+// program driven by a seeded RNG reproduces the same fault schedule for
+// the same seed. With nothing attached each site costs one length check.
 
 // faultSyscall consults fault:site at a syscall site; nil when nothing
 // is attached or no program vetoes.
@@ -101,7 +56,8 @@ func (k *Kernel) faultSyscall(t *Task, site string) error {
 	return err
 }
 
-// faultIOScale folds the fs-degradation factor into an I/O cost.
+// faultIOScale folds the fs-degradation factor into an I/O cost,
+// saturating at the longest representable duration.
 func (k *Kernel) faultIOScale(t *Task, cost sim.Duration) sim.Duration {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return cost
@@ -110,7 +66,10 @@ func (k *Kernel) faultIOScale(t *Task, cost sim.Duration) sim.Duration {
 	c.Site = "fs_slow"
 	c.Task = t
 	if f := k.probes.Fire(c).Scale; f > 1 {
-		return sim.Duration(float64(cost) * f)
+		if scaled := float64(cost) * f; scaled < math.MaxInt64 {
+			return sim.Duration(scaled)
+		}
+		return math.MaxInt64
 	}
 	return cost
 }

@@ -153,26 +153,19 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 			return ErrFutexAgain
 		}
 	}
-	key := futexKey{t.space.ID, addr}
-	if k.super != nil {
+	if k.probes.Attached(probe.PTaskAdmit) {
 		// Admission runs against a non-creating lookup: rejecting the
 		// wait must not leave an empty queue populating the table.
-		waiters := 0
-		if q0 := k.futexes.lookup(key); q0 != nil {
-			waiters = q0.Len()
+		err := k.admit(t, "futex_wait", k.FutexWaiters(t.space.ID, addr))
+		if err == nil && timeout > 0 {
+			err = k.admit(t, "futex_timer", 0)
 		}
-		if err := k.super.AdmitFutexWait(t, waiters); err != nil {
+		if err != nil {
 			k.sysExit(t, fr)
 			return err
 		}
-		if timeout > 0 {
-			if err := k.super.AdmitTimer(t); err != nil {
-				k.sysExit(t, fr)
-				return err
-			}
-		}
 	}
-	q := k.futexes.queue(key)
+	q := k.futexes.queue(futexKey{t.space.ID, addr})
 	if timeout > 0 {
 		// block() below will bump waitSeq to exactly this value (nothing
 		// can block in between: After only schedules a callback). The
@@ -188,8 +181,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 		k.engine.After(timeout, k.getFutexTimer(t, t.waitSeq+1).fn)
 	}
 	k.fxStats.Blocked++
-	k.noteWait(t, WaitFutex, addr, nil)
-	switch k.block(t, q) {
+	switch k.block(t, q, WaitFutex, addr, nil) {
 	case WakeInterrupted:
 		k.fxStats.Interrupted++
 		k.sysExit(t, fr)
@@ -308,10 +300,11 @@ func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) b
 // the sleep's waitSeq, not its queue) and are thereafter woken by wakes
 // on addr2; the transfer itself creates addr2's table entry only because
 // actual sleepers arrive on it, so the create-on-wait table discipline
-// is preserved. Each move is gated by the supervisor's waiters-per-word
-// admission against the destination queue — sleepers the cap rejects
-// simply stay on addr, as with a partial requeue. addr2 must differ from
-// addr (EINVAL, as in Linux).
+// is preserved. Each move is gated by a task:admit "futex_wait" fire
+// against the destination queue (the supervisor's waiters-per-word cap)
+// — sleepers it rejects simply stay on addr, as with a partial requeue.
+// A moved sleeper's WaitAddr follows it to addr2. addr2 must differ
+// from addr (EINVAL, as in Linux).
 func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint64) (int, error) {
 	k := t.kernel
 	fr := k.sysEnter(t, "futex_requeue")
@@ -344,23 +337,18 @@ func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint6
 			// Admission runs against a non-creating lookup and the entry is
 			// created only once a sleeper is actually admitted: a rejected
 			// move must not leave an empty queue populating the table.
-			waiters2 := 0
-			if q0 := k.futexes.lookup(key2); q0 != nil {
-				waiters2 = q0.Len()
-			}
+			waiters2 := k.FutexWaiters(t.space.ID, addr2)
 			var q2 *WaitQueue
 			for moved < nMove {
 				w := q.head
 				if w == nil {
 					break
 				}
-				if k.super != nil {
-					if k.super.AdmitFutexWait(w, waiters2) != nil {
-						// Destination word is at its waiters-per-word cap.
-						// Later sleepers would see the same full queue, so
-						// the excess stays on addr — a partial requeue.
-						break
-					}
+				if k.admit(w, "futex_wait", waiters2) != nil {
+					// Destination word is at its waiters-per-word cap.
+					// Later sleepers would see the same full queue, so
+					// the excess stays on addr — a partial requeue.
+					break
 				}
 				if q2 == nil {
 					q2 = k.futexes.queue(key2)
@@ -368,14 +356,9 @@ func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint6
 				q.unlink(w)
 				q2.push(w)
 				w.blockedOn = q2
-				if k.super != nil {
-					// The sleeper now waits on addr2: refresh the wait
-					// annotation and tell the supervision plane, so the
-					// wait-for graph's futex edges follow the move instead
-					// of resolving the old word forever.
-					w.waitAddr = addr2
-					k.super.OnFutexRequeue(w, addr2)
-				}
+				// The sleeper now waits on addr2; the wait-for graph reads
+				// the annotation live, so its futex edge follows the move.
+				w.waitAddr = addr2
 				waiters2++
 				moved++
 			}
@@ -484,9 +467,6 @@ func (ft *futexTimer) fire() {
 			c.Task = t
 		}
 		k.probes.Fire(c)
-	}
-	if k.super != nil {
-		k.super.OnTimerFired(t)
 	}
 	// The sleep is identified by its waitSeq — bumped by every blocking
 	// wait on any path — so a stale timer can never wake a later sleep,

@@ -22,11 +22,9 @@ import (
 func TestFutexRequeueWakeHalfRunsLostWakeSite(t *testing.T) {
 	e, k := newKernel()
 	var src uint64
-	k.SetFaultPlane(&stubPlane{
-		// Eat only wakes aimed at "doomed" on the source word; the drain
-		// wakes on the destination word must go through.
-		drop: func(w *Task, a uint64) bool { return w.Name() == "doomed" && a == src },
-	})
+	// Eat only wakes aimed at "doomed" on the source word; the drain
+	// wakes on the destination word must go through.
+	dropWakes(k, func(w *Task, a uint64) bool { return w.Name() == "doomed" && a == src })
 	space := k.NewAddressSpace()
 	a, err := space.Mmap(8, semProt, "rq-src", true, nil)
 	if err != nil {

@@ -8,8 +8,14 @@
 // system-calls, per-process kernel state, the TLS register — lives here.
 // System-call consistency (the paper's §V-B) is a property *about* this
 // kernel: a system-call must execute on the kernel context owning the
-// right PID/FD table. The kernel provides an audit hook so the ULP layer
-// can prove it preserves that property.
+// right PID/FD table. Every system-call fires the syscall:enter probe
+// point with the executing task, where the ULP layer attaches an audit
+// that proves it preserves that property.
+//
+// Optional planes (fault injection, metrics, tracing, the consistency
+// audit, scheduling timelines, supervision) all attach to the kernel as
+// probe programs (see probes.go and internal/probe); SchedPolicy is the
+// one other extension point, because it decides dispatch order.
 package kernel
 
 import (
@@ -57,25 +63,10 @@ type Kernel struct {
 	futexTimers []*futexTimer
 	sleepTimers []*sleepTimer
 
-	// auditor, when set, observes every system-call with the executing
-	// task; the ULP layer uses it to verify system-call consistency.
-	auditor func(t *Task, name string)
-
-	// faults, when set, is the fault-injection plane (see fault.go).
-	faults FaultPlane
-
-	// super, when set, is the supervision plane (see supervise.go):
-	// wait-for-graph bookkeeping hooks plus resource-limit admission.
-	super Supervisor
-
 	// policy, when set, is the pluggable dispatch plane (see policy.go):
 	// core placement, enqueue position and pick-next order route through
 	// it; nil is the built-in FIFO scheduler.
 	policy SchedPolicy
-
-	// timeline, when set, receives one record per contiguous span a
-	// task occupies a core (see SetTimeline).
-	timeline TimelineRecorder
 
 	// metrics, when set, is the registry the kernel publishes into. The
 	// per-site handles live in the stock metrics probe (see probes.go),
@@ -84,12 +75,11 @@ type Kernel struct {
 	metrics *metrics.Registry
 
 	// probes is the programmable attach-point layer (see probes.go and
-	// internal/probe): every fault/metrics/trace site fires through it.
-	// The stock programs below shim the legacy planes; their handles are
-	// kept for detach on re-set.
+	// internal/probe): every observing or vetoing plane attaches here.
+	// The kernel's own stock programs keep their handles for detach on
+	// re-set.
 	probes      *probe.Registry
 	metricsProg *probe.Program
-	faultProg   *probe.Program
 	traceProg   *probe.Program
 
 	// Stats.
@@ -202,19 +192,6 @@ func (k *Kernel) NewAddressSpace() *mem.AddressSpace {
 	})
 }
 
-// SetAuditor installs the system-call audit hook (nil clears it).
-func (k *Kernel) SetAuditor(fn func(t *Task, name string)) { k.auditor = fn }
-
-// TimelineRecorder receives scheduling spans: task occupied core from
-// start to end (virtual time). The internal/timeline package implements
-// it; ulpsim's -timeline flag renders the result.
-type TimelineRecorder interface {
-	RecordSpan(core int, task string, pid int, start, end sim.Time)
-}
-
-// SetTimeline installs a scheduling-span recorder (nil clears it).
-func (k *Kernel) SetTimeline(tl TimelineRecorder) { k.timeline = tl }
-
 // SetMetrics installs a metrics registry (nil clears it) by attaching
 // the stock metrics probe, which resolves its handles once. Install
 // before the simulation runs; the probe only observes (zero verdicts),
@@ -254,15 +231,17 @@ func (k *Kernel) noteRun(c *Core) {
 	c.runStart = k.engine.Now()
 }
 
-// noteStop closes the current span on core c (if any) and reports it.
+// noteStop fires sched:stop as t leaves core c, closing the span that
+// began at its dispatch.
 func (k *Kernel) noteStop(c *Core, t *Task) {
-	if k.timeline == nil || t == nil {
+	if !k.probes.Attached(probe.PSchedStop) {
 		return
 	}
-	end := k.engine.Now()
-	if end > c.runStart {
-		k.timeline.RecordSpan(c.id, t.name, t.pid, c.runStart, end)
-	}
+	pc := k.probes.Begin(probe.PSchedStop, k.engine.Now())
+	pc.Task = t
+	pc.Val = int64(c.id)
+	pc.Dur = pc.Now.Sub(c.runStart)
+	k.probes.Fire(pc)
 }
 
 // Task returns the task with the given PID, or nil.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/fs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -542,9 +543,13 @@ func TestKillBadPID(t *testing.T) {
 func TestSyscallAuditorSeesCaller(t *testing.T) {
 	_, k := newKernel()
 	var audited []string
-	k.SetAuditor(func(task *Task, name string) {
-		audited = append(audited, name)
-	})
+	k.Probes().Attach("audit", func(c *probe.Ctx) probe.Verdict {
+		if c.Task.Name() != "main" {
+			t.Errorf("syscall:enter for %s saw task %s, want the caller", c.Site, c.Task.Name())
+		}
+		audited = append(audited, c.Site)
+		return probe.Verdict{}
+	}, probe.PSyscallEnter)
 	runMain(t, k, func(task *Task) int {
 		task.Getpid()
 		fd, _ := task.Open("/x", fs.OCreate|fs.OWrOnly)

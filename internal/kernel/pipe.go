@@ -71,8 +71,7 @@ func (w *PipeWriter) Write(t *Task, data []byte) (int, error) {
 		if space == 0 {
 			// Buffer full: sleep until a reader drains it.
 			t.Charge(k.machine.Costs.SyscallEntry)
-			k.noteWait(t, WaitPipeWrite, 0, nil)
-			k.block(t, &p.writeq)
+			k.block(t, &p.writeq, WaitPipeWrite, 0, nil)
 			k.sysExit(t, fr)
 			continue
 		}
@@ -119,8 +118,7 @@ func (r *PipeReader) Read(t *Task, buf []byte) (int, error) {
 			return 0, nil // EOF
 		}
 		t.Charge(k.machine.Costs.SyscallEntry)
-		k.noteWait(t, WaitPipeRead, 0, nil)
-		k.block(t, &p.readq)
+		k.block(t, &p.readq, WaitPipeRead, 0, nil)
 		k.sysExit(t, fr)
 	}
 }

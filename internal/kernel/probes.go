@@ -6,24 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
-// The kernel owns three stock probe programs that reimplement the
-// pre-probe wiring over the attach-point layer:
+// The kernel owns two stock probe programs:
 //
-//	fault    — attached by SetFaultPlane; consults the FaultPlane at
-//	           fault:site / fault:armed and translates its answers into
-//	           verdicts (Err for syscall sites, Drop for kills and wake
-//	           loss, Delay for sched_delay, Scale for fs_slow).
-//	metrics  — attached by SetMetrics; the registry handles previously
-//	           cached on the Kernel, resolved once and updated in place
-//	           so the metrics-on syscall path stays allocation-free.
+//	metrics  — attached by SetMetrics; registry handles resolved once
+//	           and updated in place so the metrics-on syscall path
+//	           stays allocation-free.
 //	trace    — attached in lockstep with the engine's tracer; forwards
 //	           trace:* points into the tracer ring and renders fired
 //	           faults as "fault" instants.
 //
-// With all three attached in stock configuration the observable output
-// (metrics dumps, chaos digests, Chrome traces) is byte-identical to
-// the pre-probe wiring; with none attached every site costs one length
-// check. Custom programs attach beside them through Probes().
+// Every other plane is a program its own package attaches through
+// Probes(): the fault plane at fault:site / fault:armed, the
+// consistency audit at syscall:enter, the timeline at sched:stop and
+// the supervisor at the task:* points. With nothing attached every
+// site costs one length check.
 
 // Probes returns the kernel's probe registry (never nil). User programs
 // attach here; the registry is consulted at every instrumented site.
@@ -43,16 +39,6 @@ func (k *Kernel) tracerChanged(tr *sim.Tracer) {
 	k.traceProg = k.probes.Attach("trace", st.fire,
 		probe.PTraceLog, probe.PTraceInstant, probe.PSpanBegin,
 		probe.PSpanEnd, probe.PFaultFired)
-}
-
-// taskOf unwraps the concrete task behind a probe context's Task field
-// (nil when the site had no task context).
-func taskOf(pt probe.Task) *Task {
-	if pt == nil {
-		return nil
-	}
-	t, _ := pt.(*Task)
-	return t
 }
 
 // probeMeta builds trace metadata from a fire context: the task's
@@ -87,8 +73,7 @@ func (k *Kernel) noteSwitch(t *Task) {
 
 // FaultShouldDie consults fault:site at a kill site (kc_kill,
 // sched_kill, aio_helper_kill): true means the task visiting the site
-// dies now. Runtime layers call this where they previously consulted
-// FaultPlane.TaskShouldDie; any program attached to fault:site can kill.
+// dies now. Any program attached to fault:site can kill.
 func (k *Kernel) FaultShouldDie(t *Task, site string) bool {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return false
@@ -130,6 +115,25 @@ func (k *Kernel) FaultArmed(t *Task, site string) bool {
 	return k.probes.Fire(c).Drop
 }
 
+// RestartVerdict consults task:restart for the entity named name
+// ("kc.<name>", "aio.<owner>"), on behalf of task t, reporting failures
+// new failures (1 when it was fault-killed, 0 to register it): Drop
+// quarantines it, a positive Delay grants a restart after that backoff,
+// and the zero verdict (nothing attached, or only observers) leaves the
+// caller's unsupervised default.
+func (k *Kernel) RestartVerdict(t *Task, name string, failures int) probe.Verdict {
+	if !k.probes.Attached(probe.PTaskRestart) {
+		return probe.Verdict{}
+	}
+	c := k.probes.Begin(probe.PTaskRestart, k.engine.Now())
+	c.Site = name
+	c.Val = int64(failures)
+	if t != nil {
+		c.Task = t
+	}
+	return k.probes.Fire(c)
+}
+
 // faultFired announces an injection that fired: the fault:fired point
 // carries the site, the injected error (syscall sites) and the legacy
 // message, which the stock metrics and trace probes turn into the
@@ -147,37 +151,6 @@ func (k *Kernel) faultFired(t *Task, site string, err error, format string, args
 	c.Format = format
 	c.Args = args
 	k.probes.Fire(c)
-}
-
-// stockFaults adapts a FaultPlane to the probe plane.
-type stockFaults struct {
-	fp FaultPlane
-}
-
-func (s *stockFaults) fire(c *probe.Ctx) probe.Verdict {
-	switch c.Point {
-	case probe.PFaultSite:
-		switch c.Site {
-		case "futex_spurious":
-			return probe.Verdict{Drop: s.fp.FutexSpurious(taskOf(c.Task), c.Addr)}
-		case "futex_lost_wake":
-			// The decision is about the waiter (spec task scoping keys on
-			// it); the firing task is the waker.
-			return probe.Verdict{Drop: s.fp.FutexDropWake(taskOf(c.Waiter), c.Addr)}
-		case "kc_kill", "sched_kill", "aio_helper_kill":
-			return probe.Verdict{Drop: s.fp.TaskShouldDie(taskOf(c.Task), c.Site)}
-		case "sched_delay":
-			return probe.Verdict{Delay: s.fp.ExtraDelay(taskOf(c.Task), c.Site)}
-		case "fs_slow":
-			return probe.Verdict{Scale: s.fp.IOScale(taskOf(c.Task), c.Site)}
-		default:
-			// Syscall sites (open, write, read, futex_wait).
-			return probe.Verdict{Err: s.fp.SyscallError(taskOf(c.Task), c.Site)}
-		}
-	case probe.PFaultArmed:
-		return probe.Verdict{Drop: s.fp.Armed(taskOf(c.Task), c.Site)}
-	}
-	return probe.Verdict{}
 }
 
 // stockTrace forwards trace points into the tracer ring. Formatting

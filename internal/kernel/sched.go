@@ -100,8 +100,12 @@ func (k *Kernel) makeRunnable(t *Task, latency sim.Duration) {
 	if t.state != TaskNew && t.state != TaskBlocked {
 		panic(fmt.Sprintf("kernel: makeRunnable of %s in state %v", pidString(t), t.state))
 	}
-	if k.super != nil && t.state == TaskBlocked {
-		k.super.OnUnblock(t)
+	if t.state == TaskBlocked {
+		if k.probes.Attached(probe.PTaskWake) {
+			c := k.probes.Begin(probe.PTaskWake, k.engine.Now())
+			c.Task = t
+			k.probes.Fire(c)
+		}
 		t.waitClass, t.waitAddr, t.waitTarget = WaitNone, 0, nil
 	}
 	t.blockedOn = nil
@@ -156,11 +160,14 @@ func (k *Kernel) scheduleNext(c *Core) {
 
 // block suspends the calling task (which must be t itself, running) on
 // the given wait queue (nil for anonymous sleeps) and schedules the next
-// task on its core. It returns the reason the task was woken.
-func (k *Kernel) block(t *Task, q *WaitQueue) WakeReason {
+// task on its core. The sleep is annotated with its class plus the futex
+// word or join target that classifies it (the supervisor's wait-for
+// graph reads them). It returns the reason the task was woken.
+func (k *Kernel) block(t *Task, q *WaitQueue, class WaitClass, addr uint64, target *Task) WakeReason {
 	if t.state != TaskRunning {
 		panic(fmt.Sprintf("kernel: block of non-running %s", pidString(t)))
 	}
+	t.waitClass, t.waitAddr, t.waitTarget = class, addr, target
 	t.state = TaskBlocked
 	t.wakeReason = WakeNormal
 	// Every blocking wait bumps waitSeq, regardless of the path taken
@@ -173,8 +180,10 @@ func (k *Kernel) block(t *Task, q *WaitQueue) WakeReason {
 		q.push(t)
 		t.blockedOn = q
 	}
-	if k.super != nil {
-		k.super.OnBlock(t)
+	if k.probes.Attached(probe.PTaskBlock) {
+		pc := k.probes.Begin(probe.PTaskBlock, k.engine.Now())
+		pc.Task = t
+		k.probes.Fire(pc)
 	}
 	c := t.core
 	k.noteStop(c, t)
@@ -239,9 +248,6 @@ func (k *Kernel) exitTask(t *Task, status int) {
 		c.Task = t
 		c.Val = int64(status)
 		k.probes.Fire(c)
-	}
-	if k.super != nil {
-		k.super.OnExit(t)
 	}
 	if k.tracing() {
 		k.trace("exit %s status=%d", pidString(t), status)
@@ -370,8 +376,7 @@ func (t *Task) Nanosleep(d sim.Duration) (sim.Duration, error) {
 	st := k.getSleepTimer()
 	deadline := k.engine.Now().Add(d)
 	k.engine.After(d, st.fn)
-	k.noteWait(t, WaitSleep, 0, nil)
-	reason := k.block(t, &st.q)
+	reason := k.block(t, &st.q, WaitSleep, 0, nil)
 	k.sysExit(t, fr)
 	if reason == WakeInterrupted {
 		remaining := deadline.Sub(k.engine.Now())
@@ -414,8 +419,7 @@ func (t *Task) Wait() (pid, status int, err error) {
 			k.sysExit(t, fr)
 			return 0, 0, ErrNoChild
 		}
-		k.noteWait(t, WaitChild, 0, nil)
-		if reason := k.block(t, &t.childWait); reason == WakeInterrupted {
+		if reason := k.block(t, &t.childWait, WaitChild, 0, nil); reason == WakeInterrupted {
 			k.sysExit(t, fr)
 			return 0, 0, ErrInterrupted
 		}
@@ -429,8 +433,7 @@ func (t *Task) Join(target *Task) int {
 	fr := k.sysEnter(t, "join")
 	t.Charge(k.machine.Costs.SyscallEntry)
 	for !target.exited {
-		k.noteWait(t, WaitJoin, 0, target)
-		k.block(t, &target.doneQ)
+		k.block(t, &target.doneQ, WaitJoin, 0, target)
 	}
 	k.sysExit(t, fr)
 	return target.exitCode

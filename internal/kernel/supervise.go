@@ -1,10 +1,15 @@
 package kernel
 
-import "errors"
+import (
+	"errors"
 
-// Resource-limit errors reported by the supervised admission sites. They
-// model the errno a real kernel returns when an rlimit is hit, so
-// callers degrade gracefully instead of growing without bound.
+	"repro/internal/probe"
+)
+
+// Resource-limit errors a task:admit program (the supervisor) returns at
+// the admission sites. They model the errno a real kernel returns when
+// an rlimit is hit, so callers degrade gracefully instead of growing
+// without bound.
 var (
 	// ErrThreadLimit is EAGAIN from clone(2): the per-process thread cap.
 	ErrThreadLimit = errors.New("kernel: thread limit reached (EAGAIN)")
@@ -55,68 +60,22 @@ func (c WaitClass) String() string {
 	return "?"
 }
 
-// Supervisor observes task lifecycle transitions and gates resource
-// admission. internal/supervise implements it; the kernel only knows
-// this interface (like FaultPlane) so the dependency points outward.
-//
-// Install before the simulation runs. With no supervisor installed every
-// hook site costs one nil check and nothing else — no events are
-// scheduled and no fields are written, so supervised-off runs are
-// byte-identical to builds that predate the hooks.
-//
-// Hooks run inside the kernel's scheduling paths: they must not charge
-// time, block, or call back into the kernel's scheduling entry points.
-type Supervisor interface {
-	// OnBlock fires after t transitions to TaskBlocked, with its wait
-	// annotations (WaitClass and friends) set.
-	OnBlock(t *Task)
-	// OnUnblock fires when a blocked t is made runnable again (wake,
-	// timeout, signal), before its wait annotations are discarded.
-	OnUnblock(t *Task)
-	// OnClone fires after child is created by parent (any clone path).
-	OnClone(parent, child *Task)
-	// OnExit fires at the start of task teardown.
-	OnExit(t *Task)
-	// OnTimerFired fires when a timed futex wait's timer expires
-	// (whether or not the sleep is still live), balancing AdmitTimer.
-	OnTimerFired(t *Task)
-	// OnFutexRequeue fires when FutexRequeue transfers the still-blocked
-	// sleeper t onto the wait queue of addr, after the task's wait
-	// annotation has been updated — the plane must refresh its wait
-	// record so futex edges in the wait-for graph follow the move.
-	OnFutexRequeue(t *Task, addr uint64)
-	// AdmitThread gates TryClone: non-nil (ErrThreadLimit) rejects.
-	AdmitThread(parent *Task) error
-	// AdmitFD gates Open: non-nil (ErrFDLimit) rejects.
-	AdmitFD(t *Task) error
-	// AdmitTimer gates arming a futex-wait timeout and counts it armed.
-	AdmitTimer(t *Task) error
-	// AdmitFutexWait gates a futex sleep given the word's current waiter
-	// count.
-	AdmitFutexWait(t *Task, waiters int) error
-}
-
-// SetSupervisor installs the supervision plane (nil clears it). Must be
-// set before the simulation runs: the plane's watchdog schedules engine
-// events, so installing it mid-run would perturb event ordering
-// relative to a run that had it from the start.
-func (k *Kernel) SetSupervisor(s Supervisor) { k.super = s }
-
-// Supervisor returns the installed supervision plane, or nil.
-func (k *Kernel) Supervisor() Supervisor { return k.super }
-
-// noteWait annotates the calling task's imminent block so the
-// supervision plane can classify it. A no-op without a supervisor: the
-// annotations are read only by OnBlock.
-func (k *Kernel) noteWait(t *Task, class WaitClass, addr uint64, target *Task) {
-	if k.super == nil {
-		return
+// admit fires task:admit for t at the named admission site (Val = n);
+// a non-nil Err verdict rejects the admission. Callers fire it before
+// creating any state, so a rejection leaves nothing behind.
+func (k *Kernel) admit(t *Task, site string, n int) error {
+	if !k.probes.Attached(probe.PTaskAdmit) {
+		return nil
 	}
-	t.waitClass, t.waitAddr, t.waitTarget = class, addr, target
+	c := k.probes.Begin(probe.PTaskAdmit, k.engine.Now())
+	c.Site = site
+	c.Task = t
+	c.Val = int64(n)
+	return k.probes.Fire(c).Err
 }
 
-// WaitClass reports what kind of sleep the task is in (valid while
-// blocked with a supervisor installed; WaitNone otherwise).
+// WaitClass reports what kind of sleep the task is in (WaitNone unless
+// blocked). The annotations are live: a requeue updates WaitAddr.
 func (t *Task) WaitClass() WaitClass { return t.waitClass }
 
 // WaitAddr reports the futex word a WaitFutex sleep is on.
@@ -133,19 +92,18 @@ func (t *Task) SetSupervisionTag(v any) { t.supTag = v }
 func (t *Task) SupervisionTag() any { return t.supTag }
 
 // TryClone is Clone with graceful resource-limit failure: when a
-// supervisor caps per-process threads, it returns ErrThreadLimit
+// task:admit program rejects the "clone" admission (the supervisor's
+// per-process thread cap), it returns that error (ErrThreadLimit)
 // instead of spawning — before any cost is charged, as a real clone(2)
-// failing with EAGAIN would. Without a supervisor it never fails.
+// failing with EAGAIN would. With nothing attached it never fails.
 func (t *Task) TryClone(name string, flags CloneFlags, body TaskBody) (*Task, error) {
 	return t.TryClonePinned(name, flags, -1, body)
 }
 
 // TryClonePinned is ClonePinned with graceful resource-limit failure.
 func (t *Task) TryClonePinned(name string, flags CloneFlags, core int, body TaskBody) (*Task, error) {
-	if s := t.kernel.super; s != nil {
-		if err := s.AdmitThread(t); err != nil {
-			return nil, err
-		}
+	if err := t.kernel.admit(t, "clone", 0); err != nil {
+		return nil, err
 	}
 	return t.ClonePinned(name, flags, core, body), nil
 }

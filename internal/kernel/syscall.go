@@ -10,16 +10,12 @@ import (
 // semProt is the protection for semaphore words.
 const semProt = mem.ProtRead | mem.ProtWrite
 
-// countSyscall records bookkeeping common to all system-calls and feeds
-// the audit hook. It does not charge time; each call charges its own
-// documented cost.
+// countSyscall records bookkeeping common to all system-calls. It does
+// not charge time; each call charges its own documented cost.
 func (k *Kernel) countSyscall(t *Task, name string) {
 	k.syscalls++
 	k.syscallCounts[name]++
 	t.nSyscalls++
-	if k.auditor != nil {
-		k.auditor(t, name)
-	}
 }
 
 // sysFrame carries the observability state opened by sysEnter across a
@@ -146,11 +142,9 @@ func (t *Task) Open(path string, flags fs.OpenFlags) (int, error) {
 		return -1, err
 	}
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.OpenCost)
-	if k.super != nil {
-		if err := k.super.AdmitFD(t); err != nil {
-			k.sysExit(t, fr)
-			return -1, err
-		}
+	if err := k.admit(t, "open", 0); err != nil {
+		k.sysExit(t, fr)
+		return -1, err
 	}
 	f, err := k.fs.Open(path, flags)
 	if err != nil {

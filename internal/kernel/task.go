@@ -126,9 +126,10 @@ type Task struct {
 	// a later sleep — even one re-armed on the very same queue.
 	waitSeq uint64
 
-	// Supervision annotations, written only with a Supervisor installed:
-	// what kind of sleep the task is in (plus the futex word or join
-	// target that classifies it), and the plane's opaque per-task record.
+	// Wait annotations, set by block and cleared on wake: what kind of
+	// sleep the task is in (plus the futex word or join target that
+	// classifies it). supTag is the supervision plane's opaque per-task
+	// record.
 	waitClass  WaitClass
 	waitAddr   uint64
 	waitTarget *Task
@@ -322,9 +323,6 @@ func (t *Task) ClonePinned(name string, flags CloneFlags, core int, body TaskBod
 	child.tlsReg = t.tlsReg
 	t.appendChild(child)
 	k.tasks[pid] = child
-	if k.super != nil {
-		k.super.OnClone(t, child)
-	}
 	if k.tracing() {
 		k.trace("clone %s -> %s (flags=%b)", pidString(t), pidString(child), flags)
 	}

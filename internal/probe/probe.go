@@ -39,8 +39,11 @@ import (
 // Point names one attach point. The zero value is invalid.
 type Point uint8
 
-// Attach points. The fault/metrics/trace columns of the old wiring map
-// onto these as three stock programs (see internal/kernel).
+// Attach points. Every optional plane is a program at some of them: the
+// fault plane (internal/fault), the stock metrics and trace programs
+// (internal/kernel), the consistency audit (internal/core), the
+// scheduling timeline (internal/timeline) and the supervisor
+// (internal/supervise).
 const (
 	pInvalid Point = iota
 
@@ -58,6 +61,10 @@ const (
 	PSchedDispatch
 	// PSchedSwitch fires on a kernel-level context switch.
 	PSchedSwitch
+	// PSchedStop fires when a task leaves a CPU core: it blocks, exits
+	// or yields. Task = the departing task, Val = the core, Dur = the
+	// time since the task's dispatch took effect (the occupancy span).
+	PSchedStop
 	// PSchedULT fires when a BLT scheduler dispatches a user context.
 	// Verdict.Delay is charged to the carrier before the swap.
 	PSchedULT
@@ -87,6 +94,30 @@ const (
 	PTaskSpawn
 	// PTaskExit fires when a task terminates. Val = exit status.
 	PTaskExit
+	// PTaskBlock fires when a running task blocks, after its wait
+	// annotations (the task's WaitClass, WaitAddr and WaitTarget) are
+	// set. Task = the sleeper.
+	PTaskBlock
+	// PTaskWake fires when a blocked task is made runnable (wake,
+	// timeout or signal), before its wait annotations are cleared.
+	PTaskWake
+	// PTaskAdmit fires where the kernel admits a new resource, before any
+	// state is created. Site = "clone" (Task = the parent), "open",
+	// "futex_wait" (Val = the word's current waiter count; also fired for
+	// each sleeper a requeue would move) or "futex_timer" (arming a timed
+	// futex wait). An Err verdict rejects the admission with that error.
+	PTaskAdmit
+	// PTaskRestart fires when a runtime layer decides whether to restart
+	// a fault-killed entity. Site = its name ("kc.<name>" for a KC host,
+	// "aio.<owner>" for an AIO helper), Val = 1 (one failure). Drop
+	// quarantines the entity for good; a positive Delay grants a restart
+	// after that backoff. The zero verdict keeps the unsupervised
+	// behaviour: a killed KC stays dead and an AIO helper respawns at
+	// once. A KC host also fires it once at creation with Val = 0, which
+	// records no failure: a positive Delay there marks the host
+	// restartable; otherwise couple requests to it fail fast once it is
+	// killed.
+	PTaskRestart
 	// PSignal fires when a signal is delivered. Val = signal number,
 	// Task = receiving task.
 	PSignal
@@ -133,6 +164,7 @@ var pointNames = [NumPoints]string{
 	PSyscallExit:   "syscall:exit",
 	PSchedDispatch: "sched:dispatch",
 	PSchedSwitch:   "sched:switch",
+	PSchedStop:     "sched:stop",
 	PSchedULT:      "sched:ult",
 	PSchedSteal:    "sched:steal",
 	PFutexWait:     "futex:wait",
@@ -144,6 +176,10 @@ var pointNames = [NumPoints]string{
 	PTimerFire:     "timer:fire",
 	PTaskSpawn:     "task:spawn",
 	PTaskExit:      "task:exit",
+	PTaskBlock:     "task:block",
+	PTaskWake:      "task:wake",
+	PTaskAdmit:     "task:admit",
+	PTaskRestart:   "task:restart",
 	PSignal:        "signal:deliver",
 	PTLSLoad:       "tls:load",
 	PFaultSite:     "fault:site",

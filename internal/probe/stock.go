@@ -11,10 +11,11 @@ import (
 
 // This file holds the user-facing stock probes — the programs `ulpsim
 // -probe` can attach by name — and the spec syntax that configures them.
-// (The fault/metrics/trace planes are also stock probes, but they are
-// owned by internal/kernel and attached through SetFaultPlane /
-// SetMetrics / the engine's tracer hook, since they shim pre-existing
-// kernel APIs.)
+// The other planes are programs too, each attached by its own package:
+// faults (fault.Plane.Attach), metrics and tracing (kernel.SetMetrics and
+// the engine's tracer hook), the consistency audit (core, with
+// Config.Audit), timelines (timeline.Recorder.Attach) and supervision
+// (supervise.Plane.Install).
 //
 // Spec syntax mirrors -faults: semicolon-separated probes, each
 // "name:key=val,key=val,...". Example:

@@ -4,14 +4,16 @@
 // and seeded exponential-backoff restart budgets for the runtime layers
 // that respawn fault-killed helpers.
 //
-// The plane implements kernel.Supervisor. It keeps a wait-for graph over
-// every blocked task — join waits point at their target, futex waits
-// point at the task whose TID the word holds (the FUTEX_LOCK_PI owner
-// convention), pipe/sleep/child waits are leaves — and a periodic
-// watchdog tick walks it: cycles are reported as deadlocks, tasks
+// The plane is a probe program on the kernel's task points. It keeps a
+// wait-for graph over every blocked task (task:block / task:wake) — join
+// waits point at their target, futex waits point at the task whose TID
+// the word holds (the FUTEX_LOCK_PI owner convention), pipe/sleep/child
+// waits are leaves — and a periodic watchdog tick walks it, reading each
+// task's wait annotations live: cycles are reported as deadlocks, tasks
 // blocked past the stall horizon as stalls. All bookkeeping is intrusive
 // (one pooled record per blocked task, doubly linked in block order), so
-// a healthy tick allocates nothing.
+// a healthy tick allocates nothing. Limits answer task:admit and restart
+// budgets answer task:restart.
 //
 // Everything is virtual-time and seeded: two runs of the same workload
 // with the same plane configuration make identical decisions. With the
@@ -24,6 +26,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -74,8 +77,6 @@ type Config struct {
 	// Seed feeds the restart jitter RNG (per-restarter lanes are derived
 	// from it and the restarter name).
 	Seed uint64
-	// Metrics, when set, receives supervise.* counters.
-	Metrics *metrics.Registry
 }
 
 // Stall is one task flagged blocked past the stall horizon.
@@ -97,13 +98,12 @@ type Deadlock struct {
 
 // waitRec is the plane's per-blocked-task wait-graph node: pooled,
 // intrusively linked in block order, attached to the task through its
-// supervision tag.
+// supervision tag. The wait itself (class, futex word, join target) is
+// read from the task's live annotations, so a requeued sleeper's edge
+// follows it to the new word.
 type waitRec struct {
-	t      *kernel.Task
-	class  kernel.WaitClass
-	addr   uint64
-	target *kernel.Task
-	since  sim.Time
+	t     *kernel.Task
+	since sim.Time
 
 	stalled    bool
 	deadlocked bool
@@ -112,7 +112,7 @@ type waitRec struct {
 	prev, next *waitRec
 }
 
-// Plane implements kernel.Supervisor.
+// Plane is the supervision plane: a probe program plus the watchdog.
 type Plane struct {
 	k   *kernel.Kernel
 	e   *sim.Engine
@@ -138,7 +138,7 @@ type Plane struct {
 	deadlocks  []Deadlock
 	scratch    []*waitRec // cycle-walk path, reused across ticks
 
-	restarters  []*Restarter
+	restarts    map[string]*Restarter // by entity name
 	quarantines uint64
 
 	tickFn func()
@@ -149,7 +149,8 @@ type Plane struct {
 	mRestarts, mQuarantines     *metrics.Counter
 }
 
-// New creates a plane for the kernel. Call Install before the
+// New creates a plane for the kernel; its supervise.* counters go to
+// the kernel's metrics registry, if any. Call Install before the
 // simulation runs.
 func New(k *kernel.Kernel, cfg Config) *Plane {
 	if cfg.Tick == 0 {
@@ -160,10 +161,11 @@ func New(k *kernel.Kernel, cfg Config) *Plane {
 	}
 	cfg.Restart = cfg.Restart.withDefaults()
 	p := &Plane{
-		k:       k,
-		e:       k.Engine(),
-		cfg:     cfg,
-		scratch: make([]*waitRec, 0, 64),
+		k:        k,
+		e:        k.Engine(),
+		cfg:      cfg,
+		scratch:  make([]*waitRec, 0, 64),
+		restarts: make(map[string]*Restarter),
 	}
 	p.tickFn = p.tick
 	if cfg.Limits.MaxThreads > 0 {
@@ -172,7 +174,7 @@ func New(k *kernel.Kernel, cfg Config) *Plane {
 	if cfg.Limits.MaxTimers > 0 {
 		p.timers = make(map[*kernel.Task]int)
 	}
-	if reg := cfg.Metrics; reg != nil {
+	if reg := k.Metrics(); reg != nil {
 		p.mTicks = reg.Counter("supervise.ticks")
 		p.mStalls = reg.Counter("supervise.stalls")
 		p.mDeadlocks = reg.Counter("supervise.deadlocks")
@@ -186,19 +188,28 @@ func New(k *kernel.Kernel, cfg Config) *Plane {
 	return p
 }
 
-// ForKernel returns the plane installed on k, or nil. Runtime layers
-// (blt, aio) use it to find their restart budgets.
-func ForKernel(k *kernel.Kernel) *Plane {
-	p, _ := k.Supervisor().(*Plane)
-	return p
-}
-
-// Install attaches the plane to its kernel and arms the watchdog. Must
-// run before the simulation does: the watchdog schedules engine events,
-// and supervised runs are only reproducible when the plane ticks from
-// virtual time zero.
+// Install attaches the plane to its kernel's probe registry and arms
+// the watchdog. It attaches only the points its configuration uses:
+// task:block, task:wake and task:restart always, task:admit with any
+// limit, and the clone/exit/timer bookkeeping only for the limits that
+// need it. Must run before the simulation does: the watchdog schedules
+// engine events, and supervised runs are only reproducible when the
+// plane ticks from virtual time zero.
 func (p *Plane) Install() {
-	p.k.SetSupervisor(p)
+	points := []probe.Point{probe.PTaskBlock, probe.PTaskWake, probe.PTaskRestart}
+	if p.cfg.Limits != (Limits{}) {
+		points = append(points, probe.PTaskAdmit)
+	}
+	if p.kids != nil {
+		points = append(points, probe.PTaskSpawn)
+	}
+	if p.kids != nil || p.timers != nil {
+		points = append(points, probe.PTaskExit)
+	}
+	if p.timers != nil {
+		points = append(points, probe.PTimerFire)
+	}
+	p.k.Probes().Attach("supervise", p.fire, points...)
 	if p.cfg.Tick > 0 {
 		p.e.After(p.cfg.Tick, p.tickFn)
 	}
@@ -207,10 +218,38 @@ func (p *Plane) Install() {
 // Config returns the effective (defaulted) configuration.
 func (p *Plane) Config() Config { return p.cfg }
 
-// --- kernel.Supervisor hooks -------------------------------------------
+// fire is the plane's probe program.
+func (p *Plane) fire(c *probe.Ctx) probe.Verdict {
+	t, _ := c.Task.(*kernel.Task)
+	switch c.Point {
+	case probe.PTaskBlock:
+		p.onBlock(t, c.Now)
+	case probe.PTaskWake:
+		p.onWake(t)
+	case probe.PTaskSpawn:
+		p.kids[c.Waiter.(*kernel.Task)]++ // Waiter = the parent
+	case probe.PTaskExit:
+		p.onExit(t)
+	case probe.PTimerFire:
+		if c.Site == "futex" {
+			p.timerFired(t)
+		}
+	case probe.PTaskAdmit:
+		return probe.Verdict{Err: p.admit(t, c.Site, int(c.Val))}
+	case probe.PTaskRestart:
+		if c.Val == 0 {
+			// A registration: the entity is restartable, its first
+			// backoff centred on the policy's base.
+			return probe.Verdict{Delay: p.cfg.Restart.Base}
+		}
+		delay, ok := p.restarter(c.Site).Next(c.Now)
+		return probe.Verdict{Drop: !ok, Delay: delay}
+	}
+	return probe.Verdict{}
+}
 
-// OnBlock implements kernel.Supervisor.
-func (p *Plane) OnBlock(t *kernel.Task) {
+// onBlock links a wait-graph record for t, blocked since now.
+func (p *Plane) onBlock(t *kernel.Task, now sim.Time) {
 	rec := p.free
 	if rec != nil {
 		p.free = rec.next
@@ -219,10 +258,7 @@ func (p *Plane) OnBlock(t *kernel.Task) {
 		rec = &waitRec{}
 	}
 	rec.t = t
-	rec.class = t.WaitClass()
-	rec.addr = t.WaitAddr()
-	rec.target = t.WaitTarget()
-	rec.since = p.e.Now()
+	rec.since = now
 	rec.prev = p.tail
 	if p.tail != nil {
 		p.tail.next = rec
@@ -234,8 +270,8 @@ func (p *Plane) OnBlock(t *kernel.Task) {
 	t.SetSupervisionTag(rec)
 }
 
-// OnUnblock implements kernel.Supervisor.
-func (p *Plane) OnUnblock(t *kernel.Task) {
+// onWake unlinks t's wait-graph record and returns it to the freelist.
+func (p *Plane) onWake(t *kernel.Task) {
 	rec, _ := t.SupervisionTag().(*waitRec)
 	if rec == nil {
 		return
@@ -252,20 +288,13 @@ func (p *Plane) OnUnblock(t *kernel.Task) {
 		p.tail = rec.prev
 	}
 	p.nblocked--
-	rec.t, rec.target, rec.prev = nil, nil, nil
+	rec.t, rec.prev = nil, nil
 	rec.next = p.free
 	p.free = rec
 }
 
-// OnClone implements kernel.Supervisor.
-func (p *Plane) OnClone(parent, child *kernel.Task) {
-	if p.kids != nil {
-		p.kids[parent]++
-	}
-}
-
-// OnExit implements kernel.Supervisor.
-func (p *Plane) OnExit(t *kernel.Task) {
+// onExit drops an exiting task's limit bookkeeping.
+func (p *Plane) onExit(t *kernel.Task) {
 	if p.kids != nil {
 		if parent := t.Parent(); parent != nil {
 			if n := p.kids[parent]; n <= 1 {
@@ -281,11 +310,9 @@ func (p *Plane) OnExit(t *kernel.Task) {
 	}
 }
 
-// OnTimerFired implements kernel.Supervisor.
-func (p *Plane) OnTimerFired(t *kernel.Task) {
-	if p.timers == nil {
-		return
-	}
+// timerFired releases the pending-timer slot a timed futex wait's timer
+// held (whether or not the sleep was still live), balancing admitTimer.
+func (p *Plane) timerFired(t *kernel.Task) {
 	if n, ok := p.timers[t]; ok {
 		if n <= 1 {
 			delete(p.timers, t)
@@ -295,18 +322,22 @@ func (p *Plane) OnTimerFired(t *kernel.Task) {
 	}
 }
 
-// OnFutexRequeue implements kernel.Supervisor: a requeued sleeper now
-// waits on the destination word, so its wait-graph record must name it —
-// otherwise the watchdog keeps resolving the futex edge through the old
-// word and a deadlock formed across the requeue goes undetected.
-func (p *Plane) OnFutexRequeue(t *kernel.Task, addr uint64) {
-	if rec, _ := t.SupervisionTag().(*waitRec); rec != nil {
-		rec.addr = addr
+// admit answers a task:admit fire at the named site.
+func (p *Plane) admit(t *kernel.Task, site string, waiters int) error {
+	switch site {
+	case "clone":
+		return p.admitThread(t)
+	case "open":
+		return p.admitFD(t)
+	case "futex_wait":
+		return p.admitFutexWait(waiters)
+	case "futex_timer":
+		return p.admitTimer(t)
 	}
+	return nil
 }
 
-// AdmitThread implements kernel.Supervisor.
-func (p *Plane) AdmitThread(parent *kernel.Task) error {
+func (p *Plane) admitThread(parent *kernel.Task) error {
 	if p.kids == nil || p.kids[parent] < p.cfg.Limits.MaxThreads {
 		return nil
 	}
@@ -317,8 +348,7 @@ func (p *Plane) AdmitThread(parent *kernel.Task) error {
 	return kernel.ErrThreadLimit
 }
 
-// AdmitFD implements kernel.Supervisor.
-func (p *Plane) AdmitFD(t *kernel.Task) error {
+func (p *Plane) admitFD(t *kernel.Task) error {
 	if p.cfg.Limits.MaxFDs <= 0 || t.FDTable().Len() < p.cfg.Limits.MaxFDs {
 		return nil
 	}
@@ -329,8 +359,8 @@ func (p *Plane) AdmitFD(t *kernel.Task) error {
 	return kernel.ErrFDLimit
 }
 
-// AdmitTimer implements kernel.Supervisor.
-func (p *Plane) AdmitTimer(t *kernel.Task) error {
+// admitTimer gates arming a futex-wait timeout and counts it armed.
+func (p *Plane) admitTimer(t *kernel.Task) error {
 	if p.timers == nil {
 		return nil
 	}
@@ -345,8 +375,7 @@ func (p *Plane) AdmitTimer(t *kernel.Task) error {
 	return nil
 }
 
-// AdmitFutexWait implements kernel.Supervisor.
-func (p *Plane) AdmitFutexWait(t *kernel.Task, waiters int) error {
+func (p *Plane) admitFutexWait(waiters int) error {
 	if p.cfg.Limits.MaxFutexWaiters <= 0 || waiters < p.cfg.Limits.MaxFutexWaiters {
 		return nil
 	}
@@ -392,12 +421,12 @@ func (p *Plane) scanStalls(now sim.Time) {
 		if len(p.stalls) < maxStallRecords {
 			p.stalls = append(p.stalls, Stall{
 				At: now, Since: rec.since,
-				PID: rec.t.PID(), Task: rec.t.Name(), Class: rec.class,
+				PID: rec.t.PID(), Task: rec.t.Name(), Class: rec.t.WaitClass(),
 			})
 		}
 		if tr := p.e.Tracer(); tr != nil {
 			tr.Add(now, "supervise", "stall: %s(pid=%d) blocked in %s for %v",
-				rec.t.Name(), rec.t.PID(), rec.class, now.Sub(rec.since))
+				rec.t.Name(), rec.t.PID(), rec.t.WaitClass(), now.Sub(rec.since))
 		}
 	}
 }
@@ -446,15 +475,15 @@ func (p *Plane) scanCycles(now sim.Time) {
 // edge resolves rec's wait-for edge, or nil for a leaf.
 func (p *Plane) edge(rec *waitRec) *waitRec {
 	var holder *kernel.Task
-	switch rec.class {
+	switch rec.t.WaitClass() {
 	case kernel.WaitJoin:
-		holder = rec.target
+		holder = rec.t.WaitTarget()
 	case kernel.WaitFutex:
 		space := rec.t.Space()
 		if space == nil {
 			return nil
 		}
-		v, err := space.ReadU64(rec.addr, nil)
+		v, err := space.ReadU64(rec.t.WaitAddr(), nil)
 		if err != nil || v == 0 || v > uint64(1<<31) {
 			return nil
 		}

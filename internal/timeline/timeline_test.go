@@ -40,7 +40,7 @@ func TestKernelSpansCoverTaskRuntime(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	rec := New()
-	k.SetTimeline(rec)
+	rec.Attach(k.Probes())
 	task := k.NewTask("worker", k.NewAddressSpace(), func(task *kernel.Task) int {
 		task.Compute(100 * sim.Microsecond)
 		task.Nanosleep(50 * sim.Microsecond)
@@ -80,7 +80,7 @@ func TestTimelineShowsFig6Partitioning(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	rec := New()
-	k.SetTimeline(rec)
+	rec.Attach(k.Probes())
 	prog := &loader.Image{
 		Name: "w", PIE: true, TextSize: 4096,
 		Symbols: []loader.Symbol{{Name: "x", Size: 8}},
@@ -152,7 +152,7 @@ func TestSpansMatchMetricsUnderStealingAndPreemption(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	rec := New()
-	k.SetTimeline(rec)
+	rec.Attach(k.Probes())
 	reg := metrics.NewRegistry()
 	k.SetMetrics(reg)
 	prog := &loader.Image{

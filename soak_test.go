@@ -70,7 +70,7 @@ func runMultiTenant(t *testing.T, specs []ulppip.FaultSpec) soakResult {
 	var plane *ulppip.FaultPlane
 	if specs != nil {
 		plane = ulppip.NewFaultPlane(11, specs)
-		k.SetFaultPlane(plane)
+		plane.Attach(k.Probes())
 	}
 
 	// MPIRun drives engine.Run itself, so it must start last: the other

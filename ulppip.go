@@ -241,10 +241,10 @@ type (
 // NewTaskRuntime creates a tasking runtime owned by the creator task.
 var NewTaskRuntime = tasking.New
 
-// Scheduling timelines (install with Kernel.SetTimeline).
+// Scheduling timelines (attach with Timeline.Attach(kernel.Probes())).
 type (
-	// TimelineRecorder accumulates per-core occupancy spans.
-	TimelineRecorder = timeline.Recorder
+	// Timeline accumulates per-core occupancy spans.
+	Timeline = timeline.Recorder
 	// TimelineSpan is one contiguous occupancy of a core by a task.
 	TimelineSpan = timeline.Span
 )
@@ -267,8 +267,8 @@ var NewAIO = aio.New
 // before the operation completes.
 var AIOInProgress = aio.ErrInProgress
 
-// Deterministic fault injection (install with Kernel.SetFaultPlane; see
-// DESIGN.md §6).
+// Deterministic fault injection (attach with
+// FaultPlane.Attach(kernel.Probes()); see DESIGN.md §6).
 type (
 	// FaultSpec is one fault-injection rule: a site, a firing rule and
 	// an optional task-name scope.
