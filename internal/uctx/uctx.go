@@ -11,6 +11,19 @@
 // (c.Carrier().Getpid() etc.). Exactly one goroutine is ever active, so
 // the engine's determinism is preserved.
 //
+// swap_ctx comes in two forms. Step is the carrier's: its goroutine
+// resumes a context and waits until the context — or any context that
+// context transferred to — yields or exits. Save and Transfer are the
+// two halves of swap_ctx as a context calls them: Save saves the caller,
+// and Transfer loads the next context on the same carrier straight from
+// the caller's goroutine, so a context-to-context switch costs one
+// goroutine switch instead of two through the carrier, and none when
+// the next context is the caller itself.
+//
+// A panic on a context's goroutine — a bug in the body, or the engine
+// killing the carrier's proc mid-Charge — is delivered to the goroutine
+// that called Step and re-raised there, where the engine can trap it.
+//
 // The package also reproduces fcontext's sharp edge: a context value is
 // single-use. Resuming a stale snapshot — the Fig. 4 "busy stack" hazard
 // that trampoline contexts exist to avoid — is detected and reported as
@@ -41,12 +54,20 @@ const (
 	EvYield Kind = iota
 	// EvExit: the context's body returned; the context is dead.
 	EvExit
+
+	// evPanic carries a panic from a context's goroutine (in Tag) to
+	// the stepper, which re-raises it; Step never returns it.
+	evPanic
 )
 
-// Event is what a carrier receives when the context it stepped yields.
+// Event is what a carrier receives when the context it stepped — or a
+// context that one transferred to — yields or exits.
 type Event struct {
 	Kind Kind
 	Tag  interface{} // scheduler-defined payload for EvYield
+	// Ctx is the context that yielded or exited: the stepped context
+	// itself, or one it (transitively) transferred to.
+	Ctx *Context
 }
 
 // Body is a context's code.
@@ -57,13 +78,22 @@ type Context struct {
 	name string
 	body Body
 
-	resume  chan resumeMsg
-	yieldCh chan Event
+	// resume wakes the context's goroutine: Step, Transfer or Kill.
+	resume chan resumeMsg
+	// events receives the Event that ends a Step begun at this context.
+	events chan Event
+	// ret is where the context reports its yield or exit: the events
+	// channel of the context whose Step began the running chain.
+	// Whoever resumes the context sets it; Transfer passes it on.
+	ret chan Event
 
 	started bool
 	running bool
-	done    bool
-	carrier *kernel.Task
+	// switching: Save ran, and the goroutine still executes the caller's
+	// switching code until Transfer or Yield parks it.
+	switching bool
+	done      bool
+	carrier   *kernel.Task
 
 	// epoch counts saves (yields): it models the stack state. A
 	// snapshot is valid only while the epoch is unchanged.
@@ -80,10 +110,10 @@ type killSignal struct{}
 // New creates a context. Its body does not start until first stepped.
 func New(name string, body Body) *Context {
 	return &Context{
-		name:    name,
-		body:    body,
-		resume:  make(chan resumeMsg),
-		yieldCh: make(chan Event),
+		name:   name,
+		body:   body,
+		resume: make(chan resumeMsg),
+		events: make(chan Event),
 	}
 }
 
@@ -97,7 +127,8 @@ func (c *Context) Done() bool { return c.done }
 // context.
 func (c *Context) Running() bool { return c.running }
 
-// Steps reports how many times the context has been stepped.
+// Steps reports how many times the context has been resumed, by Step or
+// by Transfer.
 func (c *Context) Steps() uint64 { return c.steps }
 
 // Carrier returns the kernel task currently carrying the context. Only
@@ -112,32 +143,59 @@ func (c *Context) Carrier() *kernel.Task {
 // String implements fmt.Stringer.
 func (c *Context) String() string { return "uc:" + c.name }
 
-// Step resumes the context on the given carrier until it yields or
-// exits. This is swap_ctx() into the context's most recently saved
-// state; Step panics if the context is already running (two carriers
-// cannot execute one stack) or done.
+// Step resumes the context on the given carrier until it, or a context
+// it transferred to, yields or exits; Event.Ctx names which. This is
+// swap_ctx() into the context's most recently saved state; Step panics
+// if the context is already running (two carriers cannot execute one
+// stack) or done. A panic on any context of the chain is re-raised here.
 func (c *Context) Step(carrier *kernel.Task) Event {
-	if c.running {
-		panic(fmt.Sprintf("uctx: Step of %s while already running on %s", c.name, c.carrier))
-	}
-	if c.done {
-		panic(fmt.Sprintf("uctx: Step of finished context %s", c.name))
-	}
+	c.checkResumable("Step")
 	if carrier == nil {
 		panic("uctx: Step with nil carrier")
 	}
+	c.ret = c.events
+	c.load(carrier)
+	c.wake(resumeMsg{})
+	ev := <-c.events
+	if ev.Kind == evPanic {
+		panic(ev.Tag)
+	}
+	return ev
+}
+
+// checkResumable panics unless the context is parked: neither running,
+// nor between Save and Transfer, nor done.
+func (c *Context) checkResumable(op string) {
+	if c.running || c.switching {
+		panic(fmt.Sprintf("uctx: %s of %s while already running on %s", op, c.name, c.carrier))
+	}
+	if c.done {
+		panic(fmt.Sprintf("uctx: %s of finished context %s", op, c.name))
+	}
+}
+
+// load makes carrier the context's carrier and marks it running.
+func (c *Context) load(carrier *kernel.Task) {
 	c.carrier = carrier
 	c.running = true
 	c.steps++
+}
+
+// wake hands msg to the context's goroutine, starting it on first use.
+func (c *Context) wake(msg resumeMsg) {
 	if !c.started {
 		c.started = true
 		go c.run()
 	}
-	c.resume <- resumeMsg{}
-	ev := <-c.yieldCh
-	c.running = false
-	c.carrier = nil
-	return ev
+	c.resume <- msg
+}
+
+// park blocks the context's goroutine until it is resumed; a kill
+// unwinds the body.
+func (c *Context) park() {
+	if msg := <-c.resume; msg.kill {
+		panic(killSignal{})
+	}
 }
 
 // Snapshot is a saved context value, as produced by swap_ctx's save
@@ -171,57 +229,105 @@ func (c *Context) StepFrom(snap Snapshot, carrier *kernel.Task) (Event, error) {
 	return c.Step(carrier), nil
 }
 
+// run is the context's goroutine. Whatever ends the body — return, kill
+// or panic — is reported to the stepper of the running chain.
 func (c *Context) run() {
-	msg := <-c.resume
-	if msg.kill {
+	defer func() {
+		ev := Event{Kind: EvExit, Ctx: c}
+		if r := recover(); r != nil {
+			if _, killed := r.(killSignal); !killed {
+				ev = Event{Kind: evPanic, Tag: r, Ctx: c}
+			}
+		}
 		c.done = true
-		c.yieldCh <- Event{Kind: EvExit}
+		c.running = false
+		c.switching = false
+		c.carrier = nil
+		c.ret <- ev
+	}()
+	c.park()
+	c.body(c)
+}
+
+// save is swap_ctx's save half: the epoch bump stales older snapshots.
+func (c *Context) save() {
+	c.epoch++
+	c.running = false
+	c.carrier = nil
+}
+
+// Save is the save half of swap_ctx, called from inside the running
+// body: it bumps the stack epoch and the context stops counting as
+// running. The goroutine goes on running the caller's switching code —
+// as the carrier the caller captured beforehand — until Transfer (or
+// Yield) parks it.
+func (c *Context) Save() {
+	c.assertInBody("Save")
+	c.save()
+	c.switching = true
+}
+
+// Transfer is the load half of swap_ctx, called after Save on the saved
+// context's goroutine: it resumes next on carrier straight from here and
+// parks the caller until Step or Transfer resumes it again. next reports
+// to the same stepper the caller would have. When next is the caller
+// itself, it just resumes — no goroutine switch.
+func (c *Context) Transfer(next *Context, carrier *kernel.Task) {
+	if !c.switching {
+		panic(fmt.Sprintf("uctx: Transfer from %s without Save", c.name))
+	}
+	if carrier == nil {
+		panic("uctx: Transfer with nil carrier")
+	}
+	if next == c {
+		c.switching = false
+		c.load(carrier)
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSignal); ok {
-				c.done = true
-				c.yieldCh <- Event{Kind: EvExit}
-				return
-			}
-			panic(r)
-		}
-	}()
-	c.body(c)
-	c.done = true
-	c.yieldCh <- Event{Kind: EvExit}
+	next.checkResumable("Transfer")
+	c.switching = false
+	next.ret = c.ret
+	next.load(carrier)
+	next.wake(resumeMsg{})
+	c.park()
 }
 
-// Yield parks the context, handing the tagged event to whichever carrier
-// stepped it. It returns when the context is next stepped, possibly by a
-// different carrier — the paper's context migration between KCs.
-// Yielding bumps the stack epoch: previously taken snapshots go stale.
+// Yield parks the context, handing the tagged event to the stepper of
+// the running chain. It returns when the context is next resumed,
+// possibly by a different carrier — the paper's context migration
+// between KCs. Yielding bumps the stack epoch: previously taken
+// snapshots go stale. After Save, Yield reports the already saved
+// context without saving it again.
 func (c *Context) Yield(tag interface{}) {
-	c.assertInBody("Yield")
-	c.epoch++
-	c.yieldCh <- Event{Kind: EvYield, Tag: tag}
-	msg := <-c.resume
-	if msg.kill {
-		panic(killSignal{})
+	if c.switching {
+		c.switching = false
+	} else {
+		c.assertInBody("Yield")
+		c.save()
 	}
+	c.ret <- Event{Kind: EvYield, Tag: tag, Ctx: c}
+	c.park()
 }
 
-// Kill terminates a parked context (its body unwinds). Needed to reap
-// contexts when a simulation is abandoned. No-op on done contexts.
+// Kill terminates a parked context (its body unwinds), including one
+// parked inside Transfer. Needed to reap contexts when a simulation is
+// abandoned. No-op on done contexts.
 func (c *Context) Kill() {
 	if c.done {
 		return
 	}
-	if c.running {
+	if c.running || c.switching {
 		panic(fmt.Sprintf("uctx: Kill of running context %s", c.name))
 	}
 	if !c.started {
 		c.done = true
 		return
 	}
-	c.resume <- resumeMsg{kill: true}
-	<-c.yieldCh
+	c.ret = c.events
+	c.wake(resumeMsg{kill: true})
+	if ev := <-c.events; ev.Kind == evPanic {
+		panic(ev.Tag)
+	}
 }
 
 func (c *Context) assertInBody(op string) {
