@@ -1,0 +1,87 @@
+package blt
+
+import (
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/kernel"
+	"repro/internal/sim"
+)
+
+// The user-level switch paths allocate nothing in steady state: with no
+// trace program attached no trace argument is boxed, and a direct UC
+// handoff needs no per-switch state.
+
+// switchLoop spawns n BLTs running body on a one-scheduler pool and
+// returns a step that runs the engine for a fixed slice of virtual time.
+func switchLoop(t *testing.T, n int, body Body) (*sim.Engine, func()) {
+	t.Helper()
+	e := sim.New()
+	k := kernel.New(e, arch.Wallaby())
+	root := k.NewTask("root", k.NewAddressSpace(), func(task *kernel.Task) int {
+		pool, err := NewPool(task, Config{
+			ProgCores: []int{0}, SyscallCores: []int{1, 2}, Idle: BusyWait, SwitchTLS: true,
+		})
+		if err != nil {
+			t.Error(err)
+			return 1
+		}
+		for i := 0; i < n; i++ {
+			if _, err := pool.Spawn(body, SpawnOpts{Scheduler: 0}); err != nil {
+				t.Error(err)
+				return 1
+			}
+		}
+		task.Wait() // the bodies never return
+		return 0
+	})
+	k.Start(root, 0)
+	next := e.Now()
+	return e, func() {
+		next = next.Add(200 * sim.Microsecond)
+		if err := e.RunUntil(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func pinZeroAllocs(t *testing.T, what string, n int, body Body) {
+	e, step := switchLoop(t, n, body)
+	step() // absorb one-time growth: spawns, first dispatches, queue rings
+	if got := testing.AllocsPerRun(50, step); got != 0 {
+		t.Errorf("%s allocates %.1f per slice, want 0", what, got)
+	}
+	e.Stop()
+	e.Shutdown()
+}
+
+func TestULTYieldZeroAllocs(t *testing.T) {
+	yields := 0
+	pinZeroAllocs(t, "ULT yield", 2, func(b *BLT) int {
+		b.Decouple()
+		for {
+			b.Yield()
+			yields++
+		}
+	})
+	if yields == 0 {
+		t.Error("no BLT ever yielded")
+	}
+}
+
+func TestCoupleDecoupleZeroAllocs(t *testing.T) {
+	trips := 0
+	pinZeroAllocs(t, "couple/decouple round trip", 1, func(b *BLT) int {
+		for {
+			b.Decouple()
+			if err := b.Couple(); err != nil {
+				t.Error(err)
+				return 1
+			}
+			trips++
+		}
+	})
+	if trips == 0 {
+		t.Error("no couple/decouple round trip completed")
+	}
+}

@@ -44,9 +44,9 @@ const (
 	// tagCoupling: I have requested coupling with my original KC; do
 	// not requeue me (Table I, Seq.3: swap_ctx(UC0, UCi)).
 	tagCoupling
-	// tagDecouple: I have enqueued myself on a scheduler; switch to the
-	// trampoline context (Table I, Seq.7: swap_ctx(UC0, TC0)).
-	tagDecouple
+	// tagSchedKill: my direct yield drew sched_kill for the scheduler
+	// carrying me; I am requeued, so die and re-home me.
+	tagSchedKill
 )
 
 func (g yieldTag) String() string {
@@ -55,8 +55,8 @@ func (g yieldTag) String() string {
 		return "yield"
 	case tagCoupling:
 		return "coupling"
-	case tagDecouple:
-		return "decouple"
+	case tagSchedKill:
+		return "sched_kill"
 	}
 	return "?"
 }
@@ -198,16 +198,21 @@ func (b *BLT) Decouple() {
 		b.bracket = 0
 	}
 	fr := p.opEnter(carrier, b, "decouple", probe.PDecouple)
-	b.pool.trace("decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
+	if p.tracing() {
+		p.trace("decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
+	}
 	// Table I Seq.6: enqueue(UC0, KC1) — hand the UC to the scheduler.
 	// The scheduler may observe the queue entry before the UC context
 	// is saved; the second synchronization point (Seq.8/9) makes it
-	// wait for ucSaved, which the original KC publishes once the
-	// swap below completes.
-	b.home.enqueue(b, b.uc.Carrier())
-	// Table I Seq.7: swap_ctx(UC0, TC0).
-	b.pool.trace("decouple: swap_ctx(%s, TC)", b.name)
-	b.uc.Yield(tagDecouple)
+	// wait for ucSaved, which the trampoline publishes once the swap
+	// below completes.
+	b.home.enqueue(b, carrier)
+	// Table I Seq.7: swap_ctx(UC0, TC0), straight to the trampoline.
+	if p.tracing() {
+		p.trace("decouple: swap_ctx(%s, TC)", b.name)
+	}
+	b.uc.Save()
+	b.uc.Transfer(b.host.tc, carrier)
 	// Resumed here by a scheduler KC: the BLT is now a ULT.
 	p.opExit(b.uc.Carrier(), b, fr)
 }
@@ -243,11 +248,17 @@ func (b *BLT) Couple() error {
 	fr := p.opEnter(carrier, b, "couple", probe.PCouple)
 	// Table I Seq.1: enqueue(UC0, KC0) — ask the original KC to run us.
 	// Seq.2: unblock(KC0).
-	b.pool.trace("couple: enqueue(%s, KC) + unblock(KC)", b.name)
+	if p.tracing() {
+		p.trace("couple: enqueue(%s, KC) + unblock(KC)", b.name)
+	}
 	b.host.enqueueCoupled(b, carrier)
 	// Seq.3: swap_ctx(UC0, UCi) — yield to the scheduler, which marks
-	// the context saved (sync point 1) and runs another UC.
-	b.pool.trace("couple: swap_ctx(%s, next-UC)", b.name)
+	// the context saved (sync point 1) and runs another UC. This switch
+	// goes through the scheduler's goroutine: the original KC may load
+	// the UC as soon as the save is published.
+	if p.tracing() {
+		p.trace("couple: swap_ctx(%s, next-UC)", b.name)
+	}
 	b.uc.Yield(tagCoupling)
 	// Resumed here either by the original KC (Seq.4: swap_ctx(TC0, UC0))
 	// or — if the KC died with our request still queued — by the home
@@ -267,13 +278,23 @@ func (b *BLT) Couple() error {
 // Yield is the ULT cooperative yield: requeue this UC on its home
 // scheduler and run the next ready UC. While coupled it degenerates to
 // the kernel's sched_yield, as a KLT's yield would.
+//
+// The scheduler work runs on this UC's goroutine, which then transfers
+// straight to the next UC (Scheduler.yieldFrom). Under work stealing
+// the yield goes through the scheduler's goroutine instead: a thief
+// could step this UC as soon as it is requeued, while its goroutine
+// still runs scheduler code.
 func (b *BLT) Yield() {
 	b.yields++
 	if b.coupled {
 		b.uc.Carrier().SchedYield()
 		return
 	}
-	b.uc.Yield(tagYield)
+	if b.pool.cfg.WorkStealing {
+		b.uc.Yield(tagYield)
+		return
+	}
+	b.home.yieldFrom(b)
 }
 
 // Exec runs fn coupled to the original KC: the couple()/decouple()

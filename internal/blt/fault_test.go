@@ -153,6 +153,53 @@ func TestSchedKillRehomesQueue(t *testing.T) {
 	}
 }
 
+// TestSchedKillDrawnInDirectYield lands the kill on a draw that a ULT
+// yield makes on its own goroutine: the yielding UC is requeued, the
+// scheduler's goroutine dies and re-homes the queue, and that UC resumes
+// from its Yield on scheduler 1.
+func TestSchedKillDrawnInDirectYield(t *testing.T) {
+	const n, yields = 2, 8
+	var blts [n]*BLT
+	var pool *Pool
+	migrated := 0
+	runPoolFaults(t, testConfig(BusyWait), 3,
+		[]fault.Spec{{Site: fault.SiteSchedKill, Nth: 6, TaskPrefix: "sched.c0"}},
+		func(root *kernel.Task, p *Pool) {
+			pool = p
+			for i := 0; i < n; i++ {
+				b, err := p.Spawn(func(b *BLT) int {
+					b.Decouple()
+					for j := 0; j < yields; j++ {
+						before := b.Carrier()
+						b.Yield()
+						if before == p.Schedulers()[0].Task() && b.Carrier() == p.Schedulers()[1].Task() {
+							migrated++
+						}
+					}
+					b.Couple()
+					return 11
+				}, SpawnOpts{Name: "w", Scheduler: 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				blts[i] = b
+			}
+			reap(t, root, n)
+		})
+	if !pool.Schedulers()[0].Dead() {
+		t.Fatal("scheduler 0 not dead; kill never fired")
+	}
+	if migrated == 0 {
+		t.Error("no yield moved from scheduler 0 to 1; the kill missed the yield path")
+	}
+	for i, b := range blts {
+		if !b.Done() || b.ExitStatus() != 11 || b.Orphaned() {
+			t.Errorf("blt %d: done=%v status=%d orphaned=%v, want true/11/false",
+				i, b.Done(), b.ExitStatus(), b.Orphaned())
+		}
+	}
+}
+
 // TestLastSchedulerImmune: with one program core, sched_kill must be
 // suppressed — killing the last scheduler would strand every UC.
 func TestLastSchedulerImmune(t *testing.T) {

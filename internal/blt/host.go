@@ -91,7 +91,9 @@ func (h *KCHost) enqueueCoupled(b *BLT, carrier *kernel.Task) {
 	if h.dead {
 		b.coupled = false
 		b.coupleErr = ErrHostDead
-		h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		if h.pool.tracing() {
+			h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		}
 		b.home.enqueue(b, carrier)
 		return
 	}
@@ -138,7 +140,9 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	h.task = task
 	h.dead = false
 	h.killed = false
-	p.emit(carrier, "supervise", "kc.respawn: kc.%s restarted on core %d", h.name, h.core)
+	if p.emitting() {
+		p.emit(carrier, "supervise", "kc.respawn: kc.%s restarted on core %d", h.name, h.core)
+	}
 }
 
 func (h *KCHost) dequeue(t *kernel.Task) *BLT {
@@ -151,8 +155,8 @@ func (h *KCHost) dequeue(t *kernel.Task) *BLT {
 }
 
 // tcBody is the trampoline context: the stack the original KC runs on
-// while its UC is away. It idles per the pool's policy and hands each
-// coupling (or newly created) BLT to the KC main loop. Running the idle
+// while its UC is away. It idles per the pool's policy and transfers
+// straight to each coupling (or newly created) BLT. Running the idle
 // wait on this dedicated small stack — never on a UC stack — is exactly
 // what makes decoupling safe (paper §V-A).
 //
@@ -163,34 +167,65 @@ func (h *KCHost) dequeue(t *kernel.Task) *BLT {
 // blocked in futex_wait or sched_yield can absorb at any time, while the
 // handshake windows are a few uninterruptible instructions.
 func (h *KCHost) tcBody(c *uctx.Context) {
-	costs := h.pool.kern.Machine().Costs
-	k := h.pool.kern
+	p := h.pool
+	costs := p.kern.Machine().Costs
+	k := p.kern
 	for {
-		if k.FaultShouldDie(c.Carrier(), "kc_kill") {
+		t := c.Carrier()
+		if k.FaultShouldDie(t, "kc_kill") {
 			h.killed = true // mid-decouple: the KC dies while idle
-			h.pool.emit(c.Carrier(), "fault", "kc_kill: %s dies idle", c.Carrier().Name())
+			if p.emitting() {
+				p.emit(t, "fault", "kc_kill: %s dies idle", t.Name())
+			}
 			return
 		}
-		h.slot.wait(c.Carrier(), func() bool {
+		h.slot.wait(t, func() bool {
 			return len(h.queue) > 0 || h.residents == 0
 		})
 		if h.residents == 0 && len(h.queue) == 0 {
 			return
 		}
-		if k.FaultShouldDie(c.Carrier(), "kc_kill") {
+		if k.FaultShouldDie(t, "kc_kill") {
 			h.killed = true // mid-couple: a request is queued, never served
-			h.pool.emit(c.Carrier(), "fault", "kc_kill: %s dies with couple request queued", c.Carrier().Name())
+			if p.emitting() {
+				p.emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
+			}
 			return
 		}
-		b := h.dequeue(c.Carrier())
+		b := h.dequeue(t)
 		// Synchronization point 1 (Table I Seq.3/4): do not load the
 		// UC before the scheduler has finished saving it; the window
 		// is a few instructions, so tight-spin.
 		for !b.ucSaved {
-			c.Carrier().Charge(costs.AtomicOp)
+			t.Charge(costs.AtomicOp)
 		}
-		h.pool.trace("kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
-		c.Yield(b)
+		if p.tracing() {
+			p.trace("kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
+			// Table I Seq.4: swap_ctx(TC0, UC0).
+			p.trace("kc: swap_ctx(TC, %s)", b.name)
+		}
+		t.Charge(costs.UserCtxSwap)
+		h.running = b
+		// Open the couple→exec→decouple bracket on the KC's core;
+		// Decouple (or the exit path in main) closes it.
+		if k.Probes().Attached(probe.PSpanBegin) {
+			b.bracket = p.beginSpan(t, b, "coupled "+b.name)
+		}
+		c.Save()
+		c.Transfer(b.uc, t)
+		if b.done {
+			continue // b exited coupled; main reaped it and swapped back in
+		}
+		// b's Decouple transferred back here. Sync point 2 (Table I
+		// Seq.8/9): the UC context is now saved; the scheduler may load
+		// it. Then switch into the trampoline (swap only: TC<->UC
+		// transitions do not reload the TLS register, per §V-B).
+		b.ucSaved = true
+		if p.tracing() {
+			p.trace("kc: %s saved; blocking on TC", b.name) // Seq.8
+		}
+		h.running = nil
+		c.Carrier().Charge(costs.UserCtxSwap)
 	}
 }
 
@@ -198,16 +233,18 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 // task reports: 128+9, the shell convention for death by SIGKILL.
 const KilledExitStatus = 137
 
-// main is the original KC's kernel-task body: alternate between the
-// trampoline context (idle) and whichever UC is currently coupled.
+// main is the original KC's kernel-task body. It steps the trampoline,
+// which carries on by itself from then on — transferring to each
+// coupling UC, which transfers back when it decouples — and only
+// returns here when the trampoline exits (the KC dies or has no
+// residents left) or a coupled UC exits.
 func (h *KCHost) main(t *kernel.Task) int {
 	costs := h.pool.kern.Machine().Costs
 	for {
-		// Switch into the trampoline (swap only: TC<->UC transitions
-		// do not reload the TLS register, per §V-B).
+		// Switch into the trampoline (swap only, as above).
 		t.Charge(costs.UserCtxSwap)
 		ev := h.tc.Step(t)
-		if ev.Kind == uctx.EvExit {
+		if ev.Ctx == h.tc {
 			h.dead = true
 			if h.killed {
 				h.die(t)
@@ -215,11 +252,20 @@ func (h *KCHost) main(t *kernel.Task) int {
 			}
 			return h.lastExit
 		}
-		b := ev.Tag.(*BLT)
-		// Table I Seq.4: swap_ctx(TC0, UC0).
-		h.pool.trace("kc: swap_ctx(TC, %s)", b.name)
-		t.Charge(costs.UserCtxSwap)
-		h.runCoupled(t, b)
+		b := h.running
+		if ev.Kind != uctx.EvExit || b == nil || ev.Ctx != b.uc {
+			panic(fmt.Sprintf("blt: kc.%s coupled %v but %v reported %v", h.name, b, ev.Ctx, ev.Tag))
+		}
+		// Paper rule 7: a BLT always terminates as a KLT coupled with
+		// its original KC.
+		if b.bracket != 0 {
+			h.pool.endSpan(t, b, b.bracket)
+			b.bracket = 0
+		}
+		b.done = true
+		h.lastExit = b.exitStatus
+		h.residents--
+		h.running = nil
 	}
 }
 
@@ -235,50 +281,9 @@ func (h *KCHost) die(t *kernel.Task) {
 		b := h.dequeue(t)
 		b.coupled = false
 		b.coupleErr = ErrHostDead
-		h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		if h.pool.tracing() {
+			h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		}
 		b.home.enqueue(b, t)
-	}
-}
-
-// runCoupled steps b's UC as a KLT until it decouples or exits.
-func (h *KCHost) runCoupled(t *kernel.Task, b *BLT) {
-	h.running = b
-	defer func() { h.running = nil }()
-	p := h.pool
-	// Open the couple→exec→decouple bracket on the KC's core; Decouple
-	// (or the exit path below) closes it.
-	if p.kern.Probes().Attached(probe.PSpanBegin) {
-		b.bracket = p.beginSpan(t, b, "coupled "+b.name)
-	}
-	for {
-		ev := b.uc.Step(t)
-		if ev.Kind == uctx.EvExit {
-			// Paper rule 7: a BLT always terminates as a KLT coupled
-			// with its original KC.
-			if b.bracket != 0 {
-				p.endSpan(t, b, b.bracket)
-				b.bracket = 0
-			}
-			b.done = true
-			h.lastExit = b.exitStatus
-			h.residents--
-			return
-		}
-		switch tg := ev.Tag.(yieldTag); tg {
-		case tagDecouple:
-			// Sync point 2 (Table I Seq.8/9): the UC context is now
-			// saved; the scheduler may load it.
-			b.ucSaved = true
-			h.pool.trace("kc: %s saved; blocking on TC", b.name) // Seq.8
-			return                                               // back to the trampoline
-		case tagCoupling:
-			panic(fmt.Sprintf("blt: %s coupled while already on its original KC", b))
-		case tagYield:
-			// A KLT yield would be sched_yield; BLT.Yield handles it
-			// without reaching here.
-			panic(fmt.Sprintf("blt: unexpected ULT yield from coupled %s", b))
-		default:
-			panic(fmt.Sprintf("blt: unknown tag %v from %s", tg, b))
-		}
 	}
 }

@@ -68,6 +68,14 @@ type Config struct {
 	Policy ULTPolicy
 }
 
+// tracing reports whether anything watches the trace:log point. Call
+// sites check it before calling trace, so an unwatched run does not box
+// the variadic arguments on every dispatch and handshake.
+func (p *Pool) tracing() bool { return p.kern.Probes().Attached(probe.PTraceLog) }
+
+// emitting is tracing's counterpart for the trace:instant point (emit).
+func (p *Pool) emitting() bool { return p.kern.Probes().Attached(probe.PTraceInstant) }
+
 // trace emits a BLT-protocol event through the trace:log probe point —
 // used to validate the Table I sequence in tests and to debug schedules
 // via ulpsim -trace.

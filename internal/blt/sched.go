@@ -123,9 +123,9 @@ func (s *Scheduler) dequeue(t *kernel.Task) *BLT {
 	return s.q.Pop()
 }
 
-// loop is the scheduler's kernel-task body.
+// loop is the scheduler's kernel-task body: acquire a UC, switch it
+// in, step it, and handle whatever the UCs it runs hand back.
 func (s *Scheduler) loop(t *kernel.Task) int {
-	costs := s.pool.kern.Machine().Costs
 	for {
 		b := s.acquire(t)
 		if b == nil {
@@ -134,24 +134,20 @@ func (s *Scheduler) loop(t *kernel.Task) int {
 			}
 			return 0
 		}
-		s.runUC(t, b, costs.UserCtxSwap)
+		s.switchIn(t, b)
+		s.handle(t, b.uc.Step(t))
+		if s.dead {
+			return KilledExitStatus
+		}
 	}
 }
 
 // acquire obtains the next runnable BLT: from the local queue, by
 // stealing from a peer scheduler (when Config.WorkStealing is on), or
 // after idling per the pool policy. Returns nil once the pool stops.
-//
-// The sched_kill fault site lives at the top of the loop — between UC
-// dispatches, never while a UC context is loaded — so a kill can strand
-// queued UCs (drained by die) but never a half-switched context. The
-// last live scheduler is immune: with every program core dead no UC
-// could ever run again, which models an operator who would restart the
-// service rather than a recoverable fault.
 func (s *Scheduler) acquire(t *kernel.Task) *BLT {
-	k := s.pool.kern
 	for {
-		if k.FaultShouldDie(t, "sched_kill") && s.pool.liveScheds() > 1 {
+		if s.killDrawn(t) {
 			s.die(t)
 			return nil
 		}
@@ -176,15 +172,30 @@ func (s *Scheduler) acquire(t *kernel.Task) *BLT {
 	}
 }
 
+// killDrawn draws the sched_kill fault site, which lives at the top of
+// acquire — between UC dispatches, never while a UC context is loaded —
+// so a kill can strand queued UCs (drained by die) but never a
+// half-switched context. The last live scheduler is immune: with every
+// program core dead no UC could ever run again, which models an
+// operator who would restart the service rather than a recoverable
+// fault.
+func (s *Scheduler) killDrawn(t *kernel.Task) bool {
+	return s.pool.kern.FaultShouldDie(t, "sched_kill") && s.pool.liveScheds() > 1
+}
+
 // die marks the scheduler dead and drains its ready queue into the next
 // live scheduler, which adopts the stranded UCs as their new home. The
 // pool keeps running on the remaining program cores.
 func (s *Scheduler) die(t *kernel.Task) {
 	s.dead = true
 	live := s.pool.nextLiveSched(s.index)
-	s.pool.emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d",
-		s.index, s.q.Len(), live.index)
-	s.pool.trace("sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+	if s.pool.emitting() {
+		s.pool.emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d",
+			s.index, s.q.Len(), live.index)
+	}
+	if s.pool.tracing() {
+		s.pool.trace("sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+	}
 	for s.q.Len() > 0 {
 		b := s.dequeue(t)
 		if b == nil {
@@ -262,11 +273,13 @@ func (s *Scheduler) stealFrom(t *kernel.Task, p *Scheduler) *BLT {
 	return b
 }
 
-// runUC switches the UC in (swap + TLS load under ULP semantics), steps
-// it, and handles its yield.
-func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
+// switchIn is the switch-in half of a dispatch: swap plus TLS load under
+// ULP semantics, sync point 2, and the dispatch accounting. The caller
+// then resumes b — by Step from the scheduler's goroutine, or by
+// Transfer from the goroutine of the UC that yielded (yieldFrom).
+func (s *Scheduler) switchIn(t *kernel.Task, b *BLT) {
 	costs := s.pool.kern.Machine().Costs
-	t.Charge(swapCost)
+	t.Charge(costs.UserCtxSwap)
 	s.loadTLS(t, b.tlsBase)
 	if s.pool.cfg.SwitchSigmask {
 		// ucontext-style switching: the signal mask follows the UC.
@@ -295,10 +308,61 @@ func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
 		c.Name = b.name
 		ps.Fire(c)
 	}
-	s.pool.trace("sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
+	if s.pool.tracing() {
+		s.pool.trace("sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
+	}
 	s.running = b
-	ev := b.uc.Step(t)
+}
+
+// requeue is the scheduler half of a ULT yield: the UC goes back to the
+// tail of the ready queue. If the queue was otherwise empty the same UC
+// runs again next (the sched_yield-alone analogue at user level).
+func (s *Scheduler) requeue(t *kernel.Task, b *BLT) {
+	t.Charge(s.pool.kern.Machine().Costs.RunQueueOp)
+	if pol := s.pool.cfg.Policy; pol != nil {
+		pol.OnYield(s, b)
+	}
+	s.q.Push(b)
+}
+
+// yieldFrom runs a ULT yield's scheduler work on the yielding UC's own
+// goroutine — the steps the scheduler's goroutine would run, in the same
+// order on the same task: requeue, one pass of acquire, and the
+// switch-in half of the dispatch — then transfers straight to the UC it
+// dequeued (b itself when no other was ready). A sched_kill draw is
+// handed to the scheduler's goroutine, which dies; b then resumes on its
+// new home. Only pools without work stealing come here: without thieves
+// nobody else pops this queue, so it still holds at least b.
+func (s *Scheduler) yieldFrom(b *BLT) {
+	if s.running != b {
+		panic(fmt.Sprintf("blt: %s yields on sched%d, which runs %v", b, s.index, s.running))
+	}
+	t := b.uc.Carrier()
+	b.uc.Save()
 	s.running = nil
+	s.requeue(t, b)
+	if s.killDrawn(t) {
+		b.uc.Yield(tagSchedKill)
+		return
+	}
+	next := s.dequeue(t)
+	s.switchIn(t, next)
+	b.uc.Transfer(next.uc, t)
+}
+
+// handle processes the event that ends a Step: the exit of the UC
+// switched in last, its couple request (sync point 1), a ULT yield in a
+// work-stealing pool, or a sched_kill a direct yield drew.
+func (s *Scheduler) handle(t *kernel.Task, ev uctx.Event) {
+	b := s.running
+	s.running = nil
+	if ev.Kind == uctx.EvYield && ev.Tag == tagSchedKill {
+		s.die(t)
+		return
+	}
+	if b == nil || ev.Ctx != b.uc {
+		panic(fmt.Sprintf("blt: sched%d stepped %v but %v reported", s.index, b, ev.Ctx))
+	}
 	if ev.Kind == uctx.EvExit {
 		if b.orphaned {
 			// The UC could not couple for its terminal run because its
@@ -306,21 +370,17 @@ func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
 			// Its exit status stays visible via ExitStatus/Orphaned.
 			b.done = true
 			b.host.residents--
-			s.pool.trace("sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
+			if s.pool.tracing() {
+				s.pool.trace("sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
+			}
 			return
 		}
 		panic(fmt.Sprintf("blt: %s exited while decoupled; BLTs must terminate as KLTs", b))
 	}
+	costs := s.pool.kern.Machine().Costs
 	switch tg := ev.Tag.(yieldTag); tg {
 	case tagYield:
-		// Cooperative ULT yield: requeue at the tail. If the queue was
-		// otherwise empty the same UC runs again immediately (the
-		// sched_yield-alone analogue at user level).
-		t.Charge(costs.RunQueueOp)
-		if pol := s.pool.cfg.Policy; pol != nil {
-			pol.OnYield(s, b)
-		}
-		s.q.Push(b)
+		s.requeue(t, b)
 	case tagCoupling:
 		// Sync point 1 of Table I: publish that the UC context is
 		// saved so the original KC may load it. The scheduler then
@@ -328,17 +388,17 @@ func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
 		// the paper's "two times of loading TLS register" per
 		// couple/decouple cycle.
 		b.ucSaved = true
-		s.pool.trace("sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
+		if s.pool.tracing() {
+			s.pool.trace("sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
+		}
 		t.Charge(costs.UserCtxSwap)
 		s.loadTLS(t, s.slot.word) // the scheduler thread's own descriptor
 		if s.pool.cfg.SwitchSigmask {
 			t.Charge(costs.SigmaskSwitch)
 			t.SetSigmaskRaw(0)
 		}
-	case tagDecouple:
-		panic(fmt.Sprintf("blt: decouple tag from already-decoupled %s", b))
 	default:
-		panic(fmt.Sprintf("blt: unknown tag %v from %s", tg, b))
+		panic(fmt.Sprintf("blt: unexpected tag %v from decoupled %s", tg, b))
 	}
 }
 
