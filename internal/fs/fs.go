@@ -103,7 +103,10 @@ func (fs *FileSystem) Open(path string, flags OpenFlags) (*File, error) {
 }
 
 // Write appends/overwrites at the file position and returns the byte
-// count.
+// count. A write past the end of file extends it, zero-filling any hole
+// between the old end and the position; the extension reuses the
+// buffer's spare capacity (the whole former file after O_TRUNC), so an
+// open-truncate-write-close cycle of the same size allocates nothing.
 func (f *File) Write(data []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -112,10 +115,17 @@ func (f *File) Write(data []byte) (int, error) {
 		return 0, ErrReadOnly
 	}
 	end := f.pos + len(data)
-	if end > len(f.inode.data) {
-		grown := make([]byte, end)
-		copy(grown, f.inode.data)
-		f.inode.data = grown
+	if old := len(f.inode.data); end > old {
+		if end <= cap(f.inode.data) {
+			f.inode.data = f.inode.data[:end]
+			if f.pos > old {
+				clear(f.inode.data[old:f.pos])
+			}
+		} else {
+			grown := make([]byte, end)
+			copy(grown, f.inode.data)
+			f.inode.data = grown
+		}
 	}
 	copy(f.inode.data[f.pos:end], data)
 	f.pos = end

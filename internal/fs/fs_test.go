@@ -53,6 +53,51 @@ func TestOTruncResets(t *testing.T) {
 	w2.Close()
 }
 
+func TestWritePastEndAfterTruncZeroFillsHole(t *testing.T) {
+	f := New()
+	w, _ := f.Open("/a", OWrOnly|OCreate)
+	w.Write([]byte("0123456789"))
+	w.Close()
+	// O_TRUNC keeps the old bytes in the buffer's spare capacity; a write
+	// past the new end must not expose them in the hole.
+	rw, _ := f.Open("/a", ORdWr|OTrunc)
+	if err := rw.Seek(6); err != nil {
+		t.Fatal(err)
+	}
+	rw.Write([]byte("xy"))
+	rw.Seek(0)
+	buf := make([]byte, 16)
+	n, _ := rw.Read(buf)
+	if got, want := string(buf[:n]), "\x00\x00\x00\x00\x00\x00xy"; got != want {
+		t.Errorf("file = %q, want %q", got, want)
+	}
+	rw.Close()
+}
+
+func TestTruncWriteCloseReusesBuffer(t *testing.T) {
+	f := New()
+	data := make([]byte, 4096)
+	cycle := func(write bool) func() {
+		return func() {
+			w, err := f.Open("/a", OWrOnly|OCreate|OTrunc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if write {
+				if n, err := w.Write(data); err != nil || n != len(data) {
+					t.Fatalf("Write = %d, %v", n, err)
+				}
+			}
+			w.Close()
+		}
+	}
+	cycle(true)() // the first write allocates the file's buffer
+	openClose := testing.AllocsPerRun(20, cycle(false))
+	if got := testing.AllocsPerRun(20, cycle(true)); got != openClose {
+		t.Errorf("truncate-write-close allocates %.1f per cycle, open-close alone %.1f: the write reallocates", got, openClose)
+	}
+}
+
 func TestOExclOnExisting(t *testing.T) {
 	f := New()
 	w, _ := f.Open("/a", OWrOnly|OCreate)

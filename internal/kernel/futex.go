@@ -37,7 +37,20 @@ type futexTable struct {
 	k      *Kernel
 	shards [futexShardCount]map[futexKey]*WaitQueue
 	total  int // live entries across all shards
+
+	// free recycles drained queues (at most maxFreeQueues), so a word's
+	// first sleeper allocates nothing in steady state. Only queue hands
+	// one out, and no wake or requeue loop reads its queue after that
+	// queue could have been recycled: FutexWake's walk ends at the
+	// drained queue's last waiter, and FutexRequeue takes its
+	// destination queue before its first move can drain the source.
+	free []*WaitQueue
 }
+
+// maxFreeQueues caps the free list: enough for the words that drain and
+// refill around one another in a busy workload, without pinning the
+// queues of a burst of a million sleepers forever.
+const maxFreeQueues = 64
 
 func newFutexTable(k *Kernel) *futexTable { return &futexTable{k: k} }
 
@@ -74,7 +87,14 @@ func (ft *futexTable) queue(k futexKey) *WaitQueue {
 	}
 	q := m[k]
 	if q == nil {
-		q = &WaitQueue{ft: ft, key: k}
+		if n := len(ft.free); n > 0 {
+			q = ft.free[n-1]
+			ft.free[n-1] = nil
+			ft.free = ft.free[:n-1]
+			q.key = k
+		} else {
+			q = &WaitQueue{ft: ft, key: k}
+		}
 		m[k] = q
 		ft.total++
 		ft.noteSize()
@@ -94,10 +114,13 @@ func (ft *futexTable) lookup(k futexKey) *WaitQueue {
 }
 
 // drop deletes a drained queue's table entry (called from unlink when
-// the last waiter leaves).
-func (ft *futexTable) drop(k futexKey) {
-	delete(ft.shards[shardOf(k)], k)
+// the last waiter leaves) and keeps the queue for reuse.
+func (ft *futexTable) drop(q *WaitQueue) {
+	delete(ft.shards[shardOf(q.key)], q.key)
 	ft.total--
+	if len(ft.free) < maxFreeQueues {
+		ft.free = append(ft.free, q)
+	}
 	ft.noteSize()
 }
 

@@ -19,11 +19,11 @@ import (
 // futexTimeoutSpinner parks one task in back-to-back timed futex waits
 // that always time out: each cycle fires syscall:enter/exit,
 // futex:wait, futex:timeout, timer:fire and sched:dispatch, with pooled
-// timers keeping the seed path alloc-free. A second task sleeps on the
-// word forever so its WaitQueue entry survives between cycles — the
-// seed allocates one queue object per create/drop churn cycle, and that
-// (pre-existing, probe-independent) cost would otherwise drown the pin.
-func futexTimeoutSpinner() (*sim.Engine, *Kernel, func()) {
+// timers keeping the path alloc-free. With pinEntry a second task sleeps
+// on the word forever so its WaitQueue entry survives between cycles;
+// without it every cycle creates the word's table entry and drops it
+// again (the create/drop churn the table's free list recycles).
+func futexTimeoutSpinner(pinEntry bool) (*sim.Engine, *Kernel, func()) {
 	e := sim.New()
 	k := New(e, arch.Wallaby())
 	space := k.NewAddressSpace()
@@ -31,10 +31,14 @@ func futexTimeoutSpinner() (*sim.Engine, *Kernel, func()) {
 	if err != nil {
 		panic(err)
 	}
-	parked := k.NewTask("parked", space, func(t *Task) int {
-		t.FutexWait(addr, 0) // never woken: pins the table entry
-		return 0
-	})
+	if pinEntry {
+		parked := k.NewTask("parked", space, func(t *Task) int {
+			t.FutexWait(addr, 0) // never woken: pins the table entry
+			return 0
+		})
+		parked.SetAffinity(0)
+		k.Start(parked, 0)
+	}
 	spinner := k.NewTask("spinner", space, func(t *Task) int {
 		for {
 			if werr := t.FutexWaitTimeout(addr, 0, 5*sim.Microsecond); werr != ErrTimedOut {
@@ -42,9 +46,7 @@ func futexTimeoutSpinner() (*sim.Engine, *Kernel, func()) {
 			}
 		}
 	})
-	parked.SetAffinity(0)
 	spinner.SetAffinity(1)
-	k.Start(parked, 0)
 	k.Start(spinner, 0)
 	next := e.Now()
 	return e, k, func() {
@@ -56,7 +58,7 @@ func futexTimeoutSpinner() (*sim.Engine, *Kernel, func()) {
 }
 
 func TestProbeUnattachedSitesZeroAllocs(t *testing.T) {
-	e, k, step := futexTimeoutSpinner()
+	e, k, step := futexTimeoutSpinner(true)
 	if k.Probes().Attached(probe.PFutexWait) {
 		t.Fatal("bare kernel has futex probes attached")
 	}
@@ -69,7 +71,7 @@ func TestProbeUnattachedSitesZeroAllocs(t *testing.T) {
 }
 
 func TestProbeObserveAttachedZeroAllocs(t *testing.T) {
-	e, k, step := futexTimeoutSpinner()
+	e, k, step := futexTimeoutSpinner(true)
 	fired := 0
 	k.Probes().Attach("pin", func(c *probe.Ctx) probe.Verdict {
 		fired++

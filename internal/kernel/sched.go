@@ -63,7 +63,7 @@ func (q *WaitQueue) unlink(t *Task) {
 	t.wq, t.wqPrev, t.wqNext = nil, nil, nil
 	q.n--
 	if q.n == 0 && q.ft != nil {
-		q.ft.drop(q.key)
+		q.ft.drop(q)
 	}
 }
 
