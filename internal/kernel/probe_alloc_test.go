@@ -70,26 +70,51 @@ func TestProbeUnattachedSitesZeroAllocs(t *testing.T) {
 	e.Shutdown()
 }
 
+// TestProbeObserveAttachedZeroAllocs pins attached observe-only
+// dispatch at zero allocations, for a custom program and for the stock
+// probes the chaos workload attaches (a fire counter and an SLO
+// histogram, whose registry entries appear at their first fire).
 func TestProbeObserveAttachedZeroAllocs(t *testing.T) {
-	e, k, step := futexTimeoutSpinner(true)
-	fired := 0
-	k.Probes().Attach("pin", func(c *probe.Ctx) probe.Verdict {
-		fired++
-		return probe.Verdict{}
-	}, probe.PSyscallEnter, probe.PSyscallExit, probe.PFutexWait,
-		probe.PFutexTimeout, probe.PTimerFire,
-		probe.PSchedDispatch, probe.PSchedSwitch)
-	step()
-	if fired == 0 {
-		t.Fatal("observer never fired — the workload misses every attach site")
+	for _, tc := range []struct {
+		name string
+		// attach attaches the observers and returns their fire count.
+		attach func(t *testing.T, r *probe.Registry) func() uint64
+	}{
+		{"custom", func(t *testing.T, r *probe.Registry) func() uint64 {
+			var fired uint64
+			r.Attach("pin", func(c *probe.Ctx) probe.Verdict {
+				fired++
+				return probe.Verdict{}
+			}, probe.PSyscallEnter, probe.PSyscallExit, probe.PFutexWait,
+				probe.PFutexTimeout, probe.PTimerFire,
+				probe.PSchedDispatch, probe.PSchedSwitch)
+			return func() uint64 { return fired }
+		}},
+		{"stock", func(t *testing.T, r *probe.Registry) func() uint64 {
+			specs, err := probe.ParseSpecs("count:points=syscall:enter+futex:wait+sched:switch;slo:p99_us=20000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := probe.AttachSpecs(r, specs)[0].Prog
+			return func() uint64 { return count.Agg().Counter("fires.syscall:enter").Value() }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, k, step := futexTimeoutSpinner(true)
+			fired := tc.attach(t, k.Probes())
+			step()
+			if fired() == 0 {
+				t.Fatal("observer never fired — the workload misses every attach site")
+			}
+			before := fired()
+			if got := testing.AllocsPerRun(50, step); got != 0 {
+				t.Errorf("observe-only probed loop allocates %.1f per chunk, want 0", got)
+			}
+			if fired() == before {
+				t.Error("observer stopped firing during the measured chunks")
+			}
+			e.Stop()
+			e.Shutdown()
+		})
 	}
-	before := fired
-	if got := testing.AllocsPerRun(50, step); got != 0 {
-		t.Errorf("observe-only probed loop allocates %.1f per chunk, want 0", got)
-	}
-	if fired == before {
-		t.Error("observer stopped firing during the measured chunks")
-	}
-	e.Stop()
-	e.Shutdown()
 }

@@ -1,20 +1,61 @@
 package mem
 
-// Frame is one physical page frame. Content is allocated lazily on first
-// write so that large sparse mappings stay cheap to simulate.
+// Frame is one physical page frame. It stores only the written prefix
+// of its page, so a large mapping touched one byte per page stays cheap
+// to simulate:
+//
+//   - len(data) ≤ PageSize, and every byte at or past len(data) reads
+//     as zero (physical pages are handed out zeroed, as on Linux);
+//   - data[len:cap] is always zero. The buffer never shrinks and a
+//     recycled frame starts again from data == nil, so a write that
+//     grows the prefix in place exposes only zeros. Reusing a recycled
+//     frame's buffer would break this and leak the previous owner's
+//     bytes.
 type Frame struct {
 	ID   uint64
 	refs int
 	data []byte
 }
 
-// Data returns the frame's backing bytes, allocating them zeroed on first
-// use (physical pages are handed out zeroed, as on Linux).
-func (f *Frame) Data() []byte {
-	if f.data == nil {
-		f.data = make([]byte, PageSize)
+// minFrameBuf is the smallest buffer a frame allocates.
+const minFrameBuf = 64
+
+// writeAt copies as much of p as fits in the page at off and returns
+// the number of bytes copied. A write past the prefix grows it in place
+// when the buffer has room, and otherwise reallocates: at least
+// minFrameBuf bytes, doubling, never more than one page.
+func (f *Frame) writeAt(off int, p []byte) int {
+	if n := PageSize - off; len(p) > n {
+		p = p[:n]
 	}
-	return f.data
+	if end := off + len(p); end > len(f.data) {
+		if end > cap(f.data) {
+			c := max(cap(f.data), minFrameBuf)
+			for c < end {
+				c *= 2
+			}
+			buf := make([]byte, len(f.data), min(c, PageSize))
+			copy(buf, f.data)
+			f.data = buf
+		}
+		f.data = f.data[:end]
+	}
+	return copy(f.data[off:], p)
+}
+
+// readAt copies the page's bytes at off into p, up to the end of the
+// page, and returns the number of bytes copied. Bytes past the written
+// prefix read as zero; a never-written frame allocates nothing.
+func (f *Frame) readAt(off int, p []byte) int {
+	if n := PageSize - off; len(p) > n {
+		p = p[:n]
+	}
+	n := 0
+	if off < len(f.data) {
+		n = copy(p, f.data[off:])
+	}
+	clear(p[n:])
+	return len(p)
 }
 
 // Refs reports the number of page-table mappings referencing this frame.
@@ -49,7 +90,7 @@ func (pm *PhysMemory) Alloc() (*Frame, error) {
 		f := pm.free[n-1]
 		pm.free[n-1] = nil
 		pm.free = pm.free[:n-1]
-		f.data = nil // recycled frames are handed out zeroed
+		f.data = nil // zeroed: see Frame for why the buffer is not reused
 		pm.allocated++
 		pm.allocs++
 		return f, nil

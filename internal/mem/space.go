@@ -120,6 +120,9 @@ func (as *AddressSpace) mapRegion(start, size uint64, prot Prot, kind VMAKind, l
 	if populated {
 		for va := start; va < end; va += v.FaultGranularity() {
 			if err := as.populate(va, v, c); err != nil {
+				// Leave no trace: the caller gets no address to
+				// unmap. Munmap cannot fail, v is exactly [start, end).
+				_ = as.Munmap(start, size)
 				return nil, err
 			}
 		}
@@ -286,9 +289,7 @@ func (as *AddressSpace) Write(va uint64, data []byte, c Charger) error {
 		if err != nil {
 			return err
 		}
-		pageOff := cur & (PageSize - 1)
-		n := copy(pte.Frame.Data()[pageOff:], data[off:])
-		off += n
+		off += pte.Frame.writeAt(int(cur&(PageSize-1)), data[off:])
 	}
 	as.stats.BytesWritten += uint64(len(data))
 	charge(c, sim.Duration(as.costs.CopyBytePS*float64(len(data))))
@@ -304,9 +305,7 @@ func (as *AddressSpace) Read(va uint64, buf []byte, c Charger) error {
 		if err != nil {
 			return err
 		}
-		pageOff := cur & (PageSize - 1)
-		n := copy(buf[off:], pte.Frame.Data()[pageOff:])
-		off += n
+		off += pte.Frame.readAt(int(cur&(PageSize-1)), buf[off:])
 	}
 	as.stats.BytesRead += uint64(len(buf))
 	charge(c, sim.Duration(as.costs.CopyBytePS*float64(len(buf))))
@@ -373,7 +372,7 @@ func (as *AddressSpace) breakCoW(pte *PTE, c Charger) error {
 		return err
 	}
 	as.phys.Get(fresh)
-	copy(fresh.Data(), pte.Frame.Data())
+	fresh.writeAt(0, pte.Frame.data) // only the written prefix
 	as.phys.Put(pte.Frame)
 	pte.Frame = fresh
 	pte.COW = false
@@ -387,7 +386,7 @@ func (as *AddressSpace) breakCoW(pte *PTE, c Charger) error {
 // physical pages are shared but dst gets its *own* PTEs, so dst pays its
 // own minor faults (charged immediately here, per the shared-memory
 // behaviour the paper contrasts with address-space sharing). The source
-// range must be fully populated.
+// range must be fully populated; if it is not, dst is left untouched.
 func (as *AddressSpace) ShareMapping(dst *AddressSpace, start, size, dstStart uint64, prot Prot, c Charger) error {
 	size = PageCeil(size)
 	if as.vmas.find(start) == nil {
@@ -396,13 +395,15 @@ func (as *AddressSpace) ShareMapping(dst *AddressSpace, start, size, dstStart ui
 	if dst.vmas.overlaps(dstStart, dstStart+size) {
 		return ErrOverlap
 	}
+	for off := uint64(0); off < size; off += PageSize {
+		if as.pt.Lookup(start+off) == nil {
+			return fmt.Errorf("%w: source page %s not populated", ErrSegfault, fmtAddr(start+off))
+		}
+	}
 	v := &VMA{Start: dstStart, End: dstStart + size, Prot: prot, Kind: VMAAnon, Label: "shm", Populated: true}
 	dst.vmas.insert(v)
 	for off := uint64(0); off < size; off += PageSize {
 		pte := as.pt.Lookup(start + off)
-		if pte == nil {
-			return fmt.Errorf("%w: source page %s not populated", ErrSegfault, fmtAddr(start+off))
-		}
 		dst.phys.Get(pte.Frame)
 		dst.pt.Map(dstStart+off, &PTE{Frame: pte.Frame, Prot: prot})
 		dst.stats.MinorFaults++

@@ -259,12 +259,79 @@ func TestU64RoundTrip(t *testing.T) {
 	}
 }
 
+// A populated mapping that runs out of frames fails as a whole: the
+// caller gets no address to unmap, so nothing of it may survive.
 func TestOutOfPhysicalMemory(t *testing.T) {
 	phys := NewPhysMemory(2)
 	as := NewAddressSpace(phys, testCosts())
 	_, err := as.Mmap(3*PageSize, ProtRead|ProtWrite, "big", true, nil)
 	if !errors.Is(err, ErrNoMemory) {
 		t.Errorf("err = %v, want ErrNoMemory", err)
+	}
+	assertEmptySpace(t, as, phys)
+
+	// Same for a huge mapping that fails in its second 2 MiB granule.
+	phys = NewPhysMemory(HugePageSize/PageSize + 1)
+	as = NewAddressSpace(phys, testCosts())
+	if _, err := as.MmapHuge(2*HugePageSize, ProtRead|ProtWrite, "huge", true, nil); !errors.Is(err, ErrNoMemory) {
+		t.Errorf("huge: err = %v, want ErrNoMemory", err)
+	}
+	assertEmptySpace(t, as, phys)
+}
+
+// assertEmptySpace fails unless as has no VMA and no mapped page and
+// phys has no frame in use.
+func assertEmptySpace(t *testing.T, as *AddressSpace, phys *PhysMemory) {
+	t.Helper()
+	if n := len(as.VMAs()); n != 0 {
+		t.Errorf("%d VMAs left behind, want 0", n)
+	}
+	if n := as.PageTable().Mapped(); n != 0 {
+		t.Errorf("%d pages left mapped, want 0", n)
+	}
+	if n := phys.Allocated(); n != 0 {
+		t.Errorf("%d frames left allocated, want 0", n)
+	}
+}
+
+// A share whose source range has a hole fails before it touches dst, so
+// a valid share at the same address afterwards succeeds.
+func TestShareMappingFailureLeavesNoTrace(t *testing.T) {
+	phys := NewPhysMemory(0)
+	src := NewAddressSpace(phys, testCosts())
+	dst := NewAddressSpace(phys, testCosts())
+	addr, _ := src.Mmap(3*PageSize, ProtRead|ProtWrite, "shm", false, nil)
+	src.Write(addr, []byte("page0"), nil) // pages 1 and 2 stay unpopulated
+
+	ch := &countCharger{}
+	err := src.ShareMapping(dst, addr, 3*PageSize, addr, ProtRead|ProtWrite, ch)
+	if !errors.Is(err, ErrSegfault) {
+		t.Fatalf("err = %v, want ErrSegfault", err)
+	}
+	if n := len(dst.VMAs()); n != 0 {
+		t.Errorf("dst kept %d VMAs, want 0", n)
+	}
+	if n := dst.PageTable().Mapped(); n != 0 {
+		t.Errorf("dst kept %d PTEs, want 0", n)
+	}
+	if f := dst.Stats().MinorFaults; f != 0 || ch.total != 0 {
+		t.Errorf("dst charged %d faults (%v), want none", f, ch.total)
+	}
+	if refs := src.PageTable().Lookup(addr).Frame.Refs(); refs != 1 {
+		t.Errorf("source frame has %d refs, want 1", refs)
+	}
+
+	src.Write(addr+PageSize, []byte{1}, nil)
+	src.Write(addr+2*PageSize, []byte{2}, nil)
+	if err := src.ShareMapping(dst, addr, 3*PageSize, addr, ProtRead|ProtWrite, nil); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	buf := make([]byte, 5)
+	if err := dst.Read(addr, buf, nil); err != nil || string(buf) != "page0" {
+		t.Errorf("dst read = %q, %v; want page0", buf, err)
+	}
+	if f := dst.Stats().MinorFaults; f != 3 {
+		t.Errorf("dst faults = %d, want 3", f)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -312,12 +313,17 @@ type SLO struct {
 	syscall string
 	p99     sim.Duration
 	prog    *Program
+
+	// hists caches each site's histogram from its first fire on, so a
+	// fire builds no name and allocates nothing.
+	hists map[string]*metrics.Histogram
 }
 
 // NewSLO builds an SLO checker for tasks with the given name prefix
 // (empty = all) and optionally one syscall name.
 func NewSLO(taskPrefix, syscall string, p99 sim.Duration) *SLO {
-	return &SLO{task: taskPrefix, syscall: syscall, p99: p99}
+	return &SLO{task: taskPrefix, syscall: syscall, p99: p99,
+		hists: make(map[string]*metrics.Histogram)}
 }
 
 // Fire is the probe program. Attach at PSyscallExit.
@@ -328,7 +334,12 @@ func (s *SLO) Fire(c *Ctx) Verdict {
 	if s.syscall != "" && c.Site != s.syscall {
 		return Verdict{}
 	}
-	s.prog.Agg().Histogram("slo.ps." + c.Site).Observe(int64(c.Dur))
+	h := s.hists[c.Site]
+	if h == nil {
+		h = s.prog.Agg().Histogram("slo.ps." + c.Site)
+		s.hists[c.Site] = h
+	}
+	h.Observe(int64(c.Dur))
 	return Verdict{}
 }
 
@@ -382,11 +393,20 @@ func (s *SLO) Summary() string {
 type counter struct {
 	task string
 	prog *Program
+
+	// fires caches each point's counter from its first fire on (created
+	// then, not at attach, so points that never fire stay unreported).
+	fires [NumPoints]*metrics.Counter
 }
 
 func (c *counter) fire(ctx *Ctx) Verdict {
 	if taskMatches(c.task, ctx.Task) {
-		c.prog.Agg().Counter("fires." + ctx.Point.String()).Inc()
+		n := c.fires[ctx.Point]
+		if n == nil {
+			n = c.prog.Agg().Counter("fires." + ctx.Point.String())
+			c.fires[ctx.Point] = n
+		}
+		n.Inc()
 	}
 	return Verdict{}
 }
