@@ -160,12 +160,27 @@ func (ld *Loader) Loaded() []*Linked {
 // privatizes all static variables of the program *and its libraries*:
 // the same symbol name resolves to a different address in every
 // namespace.
+//
+// A call that fails leaves no trace: it unmaps every segment it mapped,
+// for the program and each dependency, and the next load reuses the
+// same base.
 func (ld *Loader) Dlmopen(img *Image, c Charger) (*Linked, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
+	base, n := ld.nextBase, len(ld.loaded)
 	l, err := ld.loadInNamespace(img, ld.nextNS, c)
 	if err != nil {
+		for _, ol := range ld.loaded[n:] {
+			for _, v := range []*mem.VMA{ol.Text, ol.Data} {
+				if v != nil {
+					_ = ld.as.Munmap(v.Start, v.Len()) // v is exactly one VMA: cannot fail
+				}
+			}
+		}
+		clear(ld.loaded[n:])
+		ld.loaded = ld.loaded[:n]
+		ld.nextBase = base
 		return nil, err
 	}
 	ld.nextNS++
@@ -173,7 +188,8 @@ func (ld *Loader) Dlmopen(img *Image, c Charger) (*Linked, error) {
 }
 
 // loadInNamespace places one image (then its deps) at the next base, all
-// under namespace ns.
+// under namespace ns. Each object joins ld.loaded as soon as its text is
+// mapped, so that Dlmopen can unwind a failed load from there.
 func (ld *Loader) loadInNamespace(img *Image, ns int, c Charger) (*Linked, error) {
 	charge(c, ld.costs.DlmopenBase)
 
@@ -193,6 +209,7 @@ func (ld *Loader) loadInNamespace(img *Image, ns int, c Charger) (*Linked, error
 		return nil, err
 	}
 	l.Text = text
+	ld.loaded = append(ld.loaded, l)
 
 	// Data segment: lay out non-TLS symbols sequentially, 8-byte aligned.
 	var dataSize uint64
@@ -218,7 +235,6 @@ func (ld *Loader) loadInNamespace(img *Image, ns int, c Charger) (*Linked, error
 		mem.ProtRead|mem.ProtWrite, mem.VMAData,
 		fmt.Sprintf("%s.data@ns%d", img.Name, l.NSID), false, c)
 	if err != nil {
-		ld.as.Munmap(text.Start, text.Len())
 		return nil, err
 	}
 	l.Data = data
@@ -244,7 +260,6 @@ func (ld *Loader) loadInNamespace(img *Image, ns int, c Charger) (*Linked, error
 	}
 
 	ld.nextBase = data.End + mem.PageSize // guard page between objects
-	ld.loaded = append(ld.loaded, l)
 
 	// Load the dependency closure into the same namespace and fold each
 	// object's TLS into the program's static TLS block (the ELF static

@@ -346,3 +346,67 @@ func TestBadDepRejected(t *testing.T) {
 		t.Errorf("err = %v, want ErrNotPIE", err)
 	}
 }
+
+// A Dlmopen that runs out of frames partway fails as a whole: no VMA,
+// page or frame of it survives, Loaded() does not list it, and once
+// memory is freed a retry loads at the same base in namespace 0.
+// Frames run out in two places: initialising the program's own data
+// symbols, and loading a dependency after the program itself.
+func TestDlmopenOutOfMemoryLeavesNoTrace(t *testing.T) {
+	big := &Image{
+		Name: "big", PIE: true, TextSize: mem.PageSize,
+		Symbols: []Symbol{{Name: "table", Size: mem.PageSize + 8, Init: []byte{1}}},
+		Main:    func(interface{}) int { return 0 },
+	}
+	withDep := &Image{
+		Name: "app", PIE: true, TextSize: mem.PageSize,
+		Symbols: []Symbol{{Name: "app_var", Size: 8}},
+		Main:    func(interface{}) int { return 0 },
+		Deps:    []*Image{libcImage()},
+	}
+	for _, tc := range []struct {
+		name string
+		img  *Image
+	}{
+		{"data init", big},
+		{"dependency", withDep},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two frames, one held by a mapping the test frees before
+			// the retry: the failed load may use the other.
+			phys := mem.NewPhysMemory(2)
+			as := mem.NewAddressSpace(phys, mem.Costs{})
+			ld := New(as, Costs{})
+			hog, err := as.Mmap(mem.PageSize, mem.ProtRead|mem.ProtWrite, "hog", true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ld.Dlmopen(tc.img, nil); !errors.Is(err, mem.ErrNoMemory) {
+				t.Fatalf("err = %v, want ErrNoMemory", err)
+			}
+			if n := len(ld.Loaded()); n != 0 {
+				t.Errorf("Loaded() lists %d objects after the failure, want 0", n)
+			}
+			if n := len(as.VMAs()); n != 1 {
+				t.Errorf("%d VMAs after the failure, want only the hog", n)
+			}
+			if n := as.PageTable().Mapped(); n != 1 {
+				t.Errorf("%d pages mapped after the failure, want only the hog's", n)
+			}
+			if n := phys.Allocated(); n != 1 {
+				t.Errorf("%d frames allocated after the failure, want only the hog's", n)
+			}
+
+			if err := as.Munmap(hog, mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			l, err := ld.Dlmopen(tc.img, nil)
+			if err != nil {
+				t.Fatalf("retry after freeing memory: %v", err)
+			}
+			if l.Base != mem.TextBase || l.NSID != 0 {
+				t.Errorf("retry loaded at %#x in ns %d, want %#x in ns 0", l.Base, l.NSID, uint64(mem.TextBase))
+			}
+		})
+	}
+}

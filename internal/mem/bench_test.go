@@ -40,3 +40,23 @@ func BenchmarkWrite4K(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWordReadWrite measures one ReadU64 plus one WriteU64 of a
+// mapped word, the access every futex, semaphore and lock word makes.
+func BenchmarkWordReadWrite(b *testing.B) {
+	as := NewAddressSpace(NewPhysMemory(0), Costs{})
+	addr, err := as.Mmap(PageSize, ProtRead|ProtWrite, "b", true, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := as.ReadU64(addr+64, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := as.WriteU64(addr+64, v+1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

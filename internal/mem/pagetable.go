@@ -24,99 +24,112 @@ type PTE struct {
 	Dirty    bool
 }
 
-// ptNode is one interior or leaf table of 512 entries.
-type ptNode struct {
-	children [ptEntriesPer]*ptNode // interior levels
-	entries  [ptEntriesPer]*PTE    // leaf level only
-	live     int                   // number of non-nil slots
+// table is one level of the tree: 512 slots of 8 bytes (4 KiB) plus a
+// count of the live ones. Each level is its own instantiation, so a
+// level holds exactly the pointers it needs and a walk loads one slot
+// per level.
+type table[T any] struct {
+	slots [ptEntriesPer]*T
+	live  int
+}
+
+// The four levels, root first.
+type (
+	pgdTable  = table[pudTable]
+	pudTable  = table[pmdTable]
+	pmdTable  = table[leafTable]
+	leafTable = table[PTE]
+)
+
+// child returns the table in slot i of t, creating it if absent.
+func child[T any](t *table[T], i int) *T {
+	c := t.slots[i]
+	if c == nil {
+		c = new(T)
+		t.slots[i] = c
+		t.live++
+	}
+	return c
+}
+
+// drop empties slot i of t and reports whether t is now empty.
+func (t *table[T]) drop(i int) bool {
+	t.slots[i] = nil
+	t.live--
+	return t.live == 0
 }
 
 // PageTable is a four-level translation tree.
 type PageTable struct {
-	root *ptNode
+	root pgdTable
 
 	// mapped counts live leaf PTEs.
 	mapped uint64
 }
 
 // NewPageTable creates an empty table.
-func NewPageTable() *PageTable { return &PageTable{root: &ptNode{}} }
+func NewPageTable() *PageTable { return &PageTable{} }
 
-// indices splits a virtual address into the four level indices.
-func indices(va uint64) [ptLevels]int {
-	var ix [ptLevels]int
-	va >>= PageShift
-	for l := ptLevels - 1; l >= 0; l-- {
-		ix[l] = int(va & (ptEntriesPer - 1))
-		va >>= ptBitsPer
-	}
-	return ix
+// slot returns va's index into the table at level (0 = PGD, 3 = PT).
+func slot(va uint64, level int) int {
+	return int(va>>(PageShift+(ptLevels-1-level)*ptBitsPer)) & (ptEntriesPer - 1)
 }
 
 // Lookup returns the PTE mapping va's page, or nil.
 func (pt *PageTable) Lookup(va uint64) *PTE {
-	n := pt.root
-	ix := indices(va)
-	for l := 0; l < ptLevels-1; l++ {
-		n = n.children[ix[l]]
-		if n == nil {
-			return nil
-		}
+	pud := pt.root.slots[slot(va, 0)]
+	if pud == nil {
+		return nil
 	}
-	return n.entries[ix[ptLevels-1]]
+	pmd := pud.slots[slot(va, 1)]
+	if pmd == nil {
+		return nil
+	}
+	leaf := pmd.slots[slot(va, 2)]
+	if leaf == nil {
+		return nil
+	}
+	return leaf.slots[slot(va, 3)]
 }
 
-// Map installs a PTE for va's page, walking and creating interior nodes.
+// Map installs a PTE for va's page, walking and creating interior tables.
 // It panics if the page is already mapped: callers must Unmap first (the
 // simulated kernel never silently remaps).
 func (pt *PageTable) Map(va uint64, pte *PTE) {
-	n := pt.root
-	ix := indices(va)
-	for l := 0; l < ptLevels-1; l++ {
-		child := n.children[ix[l]]
-		if child == nil {
-			child = &ptNode{}
-			n.children[ix[l]] = child
-			n.live++
-		}
-		n = child
-	}
-	if n.entries[ix[ptLevels-1]] != nil {
+	leaf := child(child(child(&pt.root, slot(va, 0)), slot(va, 1)), slot(va, 2))
+	i := slot(va, 3)
+	if leaf.slots[i] != nil {
 		panic("mem: double map of " + fmtAddr(va))
 	}
-	n.entries[ix[ptLevels-1]] = pte
-	n.live++
+	leaf.slots[i] = pte
+	leaf.live++
 	pt.mapped++
 }
 
 // Unmap removes the PTE for va's page and returns it, or nil if the page
-// was not mapped. Empty interior nodes are pruned.
+// was not mapped. Empty interior tables are pruned.
 func (pt *PageTable) Unmap(va uint64) *PTE {
-	ix := indices(va)
-	var path [ptLevels]*ptNode
-	n := pt.root
-	for l := 0; l < ptLevels-1; l++ {
-		path[l] = n
-		n = n.children[ix[l]]
-		if n == nil {
-			return nil
-		}
+	i0, i1, i2, i3 := slot(va, 0), slot(va, 1), slot(va, 2), slot(va, 3)
+	pud := pt.root.slots[i0]
+	if pud == nil {
+		return nil
 	}
-	path[ptLevels-1] = n
-	pte := n.entries[ix[ptLevels-1]]
+	pmd := pud.slots[i1]
+	if pmd == nil {
+		return nil
+	}
+	leaf := pmd.slots[i2]
+	if leaf == nil {
+		return nil
+	}
+	pte := leaf.slots[i3]
 	if pte == nil {
 		return nil
 	}
-	n.entries[ix[ptLevels-1]] = nil
-	n.live--
 	pt.mapped--
 	// Prune empty tables bottom-up (never the root).
-	for l := ptLevels - 1; l >= 1; l-- {
-		if path[l].live != 0 {
-			break
-		}
-		path[l-1].children[ix[l-1]] = nil
-		path[l-1].live--
+	if leaf.drop(i3) && pmd.drop(i2) && pud.drop(i1) {
+		pt.root.drop(i0)
 	}
 	return pte
 }
@@ -131,26 +144,26 @@ func (pt *PageTable) WalkCost() int { return ptLevels }
 // Range calls fn for every mapped page in ascending address order.
 // Returning false from fn stops the walk.
 func (pt *PageTable) Range(fn func(va uint64, pte *PTE) bool) {
-	pt.walkNode(pt.root, 0, 0, fn)
-}
-
-func (pt *PageTable) walkNode(n *ptNode, level int, prefix uint64, fn func(uint64, *PTE) bool) bool {
-	shift := uint(PageShift + (ptLevels-1-level)*ptBitsPer)
-	for i := 0; i < ptEntriesPer; i++ {
-		va := prefix | uint64(i)<<shift
-		if level == ptLevels-1 {
-			if pte := n.entries[i]; pte != nil {
-				if !fn(va, pte) {
-					return false
-				}
-			}
+	const s0, s1, s2 = PageShift + 3*ptBitsPer, PageShift + 2*ptBitsPer, PageShift + ptBitsPer
+	for i0, pud := range &pt.root.slots {
+		if pud == nil {
 			continue
 		}
-		if child := n.children[i]; child != nil {
-			if !pt.walkNode(child, level+1, va, fn) {
-				return false
+		for i1, pmd := range &pud.slots {
+			if pmd == nil {
+				continue
+			}
+			for i2, leaf := range &pmd.slots {
+				if leaf == nil {
+					continue
+				}
+				base := uint64(i0)<<s0 | uint64(i1)<<s1 | uint64(i2)<<s2
+				for i3, pte := range &leaf.slots {
+					if pte != nil && !fn(base|uint64(i3)<<PageShift, pte) {
+						return
+					}
+				}
 			}
 		}
 	}
-	return true
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "encoding/binary"
+
 // Frame is one physical page frame. It stores only the written prefix
 // of its page, so a large mapping touched one byte per page stays cheap
 // to simulate:
@@ -56,6 +58,30 @@ func (f *Frame) readAt(off int, p []byte) int {
 	}
 	clear(p[n:])
 	return len(p)
+}
+
+// loadU64 returns the little-endian word at off, which must leave room
+// for all eight bytes in the page.
+func (f *Frame) loadU64(off int) uint64 {
+	if off+8 <= len(f.data) {
+		return binary.LittleEndian.Uint64(f.data[off:])
+	}
+	var b [8]byte
+	f.readAt(off, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// storeU64 writes v little-endian at off, which must leave room for all
+// eight bytes in the page. A store past the prefix grows it as writeAt
+// does.
+func (f *Frame) storeU64(off int, v uint64) {
+	if off+8 <= len(f.data) {
+		binary.LittleEndian.PutUint64(f.data[off:], v)
+		return
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	f.writeAt(off, b[:])
 }
 
 // Refs reports the number of page-table mappings referencing this frame.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -36,13 +37,29 @@ type Stats struct {
 type AddressSpace struct {
 	ID    uint64
 	phys  *PhysMemory
-	pt    *PageTable
+	pt    PageTable
 	vmas  vmaSet
 	costs Costs
 	stats Stats
 	tlb   *TLB
 
+	// hot is the host translation cache: a page's VMA and PTE, so a
+	// Translate that hits skips the VMA search and the table walk. It
+	// only saves host time; see Translate.
+	hot [hotSize]hotEntry
+
 	attached int // tasks currently using this space
+}
+
+// hotSize is the number of host translation cache entries, direct
+// mapped by page number.
+const hotSize = 64
+
+// hotEntry caches one page's translation; vma == nil marks it empty.
+type hotEntry struct {
+	page uint64
+	vma  *VMA
+	pte  *PTE
 }
 
 // nextSpaceID is atomic: independent simulations may stand up kernels
@@ -55,7 +72,6 @@ func NewAddressSpace(phys *PhysMemory, costs Costs) *AddressSpace {
 	return &AddressSpace{
 		ID:    nextSpaceID.Add(1),
 		phys:  phys,
-		pt:    NewPageTable(),
 		costs: costs,
 		tlb:   NewTLB(64),
 	}
@@ -80,7 +96,7 @@ func (as *AddressSpace) Stats() Stats { return as.stats }
 
 // PageTable exposes the underlying table (read-mostly, for tests and the
 // loader).
-func (as *AddressSpace) PageTable() *PageTable { return as.pt }
+func (as *AddressSpace) PageTable() *PageTable { return &as.pt }
 
 // VMAs returns the areas in address order.
 func (as *AddressSpace) VMAs() []*VMA {
@@ -169,12 +185,14 @@ func (as *AddressSpace) MmapHuge(size uint64, prot Prot, label string, populated
 }
 
 // Munmap removes the VMA exactly covering [start, start+size) and frees
-// its frames.
+// its frames. It is the only path that removes a PTE or a VMA, so it is
+// the only one that clears the host translation cache.
 func (as *AddressSpace) Munmap(start, size uint64) error {
 	v := as.vmas.find(start)
 	if v == nil || v.Start != start || v.Len() != PageCeil(size) {
 		return ErrBadRange
 	}
+	clear(as.hot[:])
 	for va := v.Start; va < v.End; va += PageSize {
 		if pte := as.pt.Unmap(va); pte != nil {
 			as.tlb.Invalidate(va)
@@ -238,10 +256,22 @@ func (as *AddressSpace) populate(va uint64, v *VMA, c Charger) error {
 // Translate resolves va to its PTE, faulting the page in on demand. The
 // write flag selects the required permission. TLB hits are free; misses
 // charge a page walk.
+//
+// The host translation cache stands in for the VMA search and the table
+// walk only. Its entries stay valid until Munmap clears them: nothing
+// else removes a PTE or a VMA, and Protect, ForkCoW and breakCoW change
+// the cached objects in place. So after a hit the protection check, the
+// simulated TLB, the COW break and the A/D bits run exactly as after a
+// miss, and every charge and count is the same either way.
 func (as *AddressSpace) Translate(va uint64, write bool, c Charger) (*PTE, error) {
-	v := as.vmas.find(va)
-	if v == nil {
-		return nil, fmt.Errorf("%w at %s", ErrSegfault, fmtAddr(va))
+	page := PageFloor(va)
+	hot := &as.hot[page>>PageShift%hotSize]
+	v, pte := hot.vma, hot.pte
+	if v == nil || hot.page != page {
+		if v = as.vmas.find(va); v == nil {
+			return nil, fmt.Errorf("%w at %s", ErrSegfault, fmtAddr(va))
+		}
+		pte = nil
 	}
 	need := ProtRead
 	if write {
@@ -259,13 +289,14 @@ func (as *AddressSpace) Translate(va uint64, write bool, c Charger) (*PTE, error
 		charge(c, as.costs.TLBMiss)
 		as.tlb.Insert(tlbKey)
 	}
-	page := PageFloor(va)
-	pte := as.pt.Lookup(page)
 	if pte == nil {
-		if err := as.populate(page, v, c); err != nil {
-			return nil, err
+		if pte = as.pt.Lookup(page); pte == nil {
+			if err := as.populate(page, v, c); err != nil {
+				return nil, err
+			}
+			pte = as.pt.Lookup(page)
 		}
-		pte = as.pt.Lookup(page)
+		*hot = hotEntry{page, v, pte}
 	}
 	pte.Accessed = true
 	if write {
@@ -292,7 +323,7 @@ func (as *AddressSpace) Write(va uint64, data []byte, c Charger) error {
 		off += pte.Frame.writeAt(int(cur&(PageSize-1)), data[off:])
 	}
 	as.stats.BytesWritten += uint64(len(data))
-	charge(c, sim.Duration(as.costs.CopyBytePS*float64(len(data))))
+	charge(c, as.copyCost(len(data)))
 	return nil
 }
 
@@ -308,29 +339,54 @@ func (as *AddressSpace) Read(va uint64, buf []byte, c Charger) error {
 		off += pte.Frame.readAt(int(cur&(PageSize-1)), buf[off:])
 	}
 	as.stats.BytesRead += uint64(len(buf))
-	charge(c, sim.Duration(as.costs.CopyBytePS*float64(len(buf))))
+	charge(c, as.copyCost(len(buf)))
 	return nil
 }
 
-// WriteU64 stores a little-endian uint64 at va.
-func (as *AddressSpace) WriteU64(va uint64, val uint64, c Charger) error {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(val >> (8 * i))
-	}
-	return as.Write(va, b[:], c)
+// copyCost is the time to copy n bytes.
+func (as *AddressSpace) copyCost(n int) sim.Duration {
+	return sim.Duration(as.costs.CopyBytePS * float64(n))
 }
 
-// ReadU64 loads a little-endian uint64 from va.
+// WriteU64 stores a little-endian uint64 at va. A word inside one page
+// takes one Translate and a direct store; it charges and counts exactly
+// what an 8-byte Write does.
+func (as *AddressSpace) WriteU64(va uint64, val uint64, c Charger) error {
+	off := int(va & (PageSize - 1))
+	if off > PageSize-8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], val)
+		return as.Write(va, b[:], c)
+	}
+	pte, err := as.Translate(va, true, c)
+	if err != nil {
+		return err
+	}
+	pte.Frame.storeU64(off, val)
+	as.stats.BytesWritten += 8
+	charge(c, as.copyCost(8))
+	return nil
+}
+
+// ReadU64 loads a little-endian uint64 from va. A word inside one page
+// takes one Translate and a direct load; it charges and counts exactly
+// what an 8-byte Read does.
 func (as *AddressSpace) ReadU64(va uint64, c Charger) (uint64, error) {
-	var b [8]byte
-	if err := as.Read(va, b[:], c); err != nil {
+	off := int(va & (PageSize - 1))
+	if off > PageSize-8 {
+		var b [8]byte
+		if err := as.Read(va, b[:], c); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
+	pte, err := as.Translate(va, false, c)
+	if err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
+	v := pte.Frame.loadU64(off)
+	as.stats.BytesRead += 8
+	charge(c, as.copyCost(8))
 	return v, nil
 }
 

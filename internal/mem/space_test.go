@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -381,5 +383,144 @@ func TestChargerBilled(t *testing.T) {
 	wantMin := testCosts().MinorFault + sim.Duration(testCosts().CopyBytePS*1000)
 	if ch.total < wantMin {
 		t.Errorf("charged %v, want >= %v", ch.total, wantMin)
+	}
+}
+
+// recCharger records every charge, in order.
+type recCharger struct{ log []sim.Duration }
+
+func (r *recCharger) Charge(d sim.Duration) { r.log = append(r.log, d) }
+
+// TestU64MatchesByteAccess runs the same word accesses through
+// ReadU64/WriteU64 and through 8-byte Read/Write on twin spaces, for an
+// aligned, an unaligned and a page-crossing word: a cold read (fault and
+// TLB miss), warm writes and reads, a copy-on-write break after a fork,
+// and a cold write after unmapping. The two must read the same values,
+// charge the same sequence and count the same Stats and TLB hits.
+func TestU64MatchesByteAccess(t *testing.T) {
+	viaWord := wordOps{
+		read:  func(as *AddressSpace, va uint64, c Charger) (uint64, error) { return as.ReadU64(va, c) },
+		write: func(as *AddressSpace, va, v uint64, c Charger) error { return as.WriteU64(va, v, c) },
+	}
+	viaBytes := wordOps{
+		read: func(as *AddressSpace, va uint64, c Charger) (uint64, error) {
+			var b [8]byte
+			err := as.Read(va, b[:], c)
+			return binary.LittleEndian.Uint64(b[:]), err
+		},
+		write: func(as *AddressSpace, va, v uint64, c Charger) error {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			return as.Write(va, b[:], c)
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		off  uint64
+	}{
+		{"aligned", 2 * 8},
+		{"unaligned", 13},
+		{"page-crossing", PageSize - 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := viaWord.run(t, tc.off), viaBytes.run(t, tc.off)
+			if !slices.Equal(got.values, want.values) {
+				t.Errorf("values %#x, want %#x", got.values, want.values)
+			}
+			if !slices.Equal(got.charges, want.charges) {
+				t.Errorf("charges %v, want %v", got.charges, want.charges)
+			}
+			if got.stats != want.stats {
+				t.Errorf("stats %+v, want %+v", got.stats, want.stats)
+			}
+			if got.tlb != want.tlb {
+				t.Errorf("TLB hits and misses %v, want %v", got.tlb, want.tlb)
+			}
+		})
+	}
+}
+
+// wordOps is one way to load and store a word.
+type wordOps struct {
+	read  func(as *AddressSpace, va uint64, c Charger) (uint64, error)
+	write func(as *AddressSpace, va, v uint64, c Charger) error
+}
+
+// wordRun is what TestU64MatchesByteAccess compares.
+type wordRun struct {
+	values  []uint64
+	charges []sim.Duration
+	stats   Stats
+	tlb     [2]uint64
+}
+
+// run drives a fresh space through the access sequence with the word at
+// off in a two-page mapping.
+func (ops wordOps) run(t *testing.T, off uint64) wordRun {
+	t.Helper()
+	as := newSpace()
+	ch := &recCharger{}
+	addr, err := as.Mmap(2*PageSize, ProtRead|ProtWrite, "word", false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r wordRun
+	read := func() {
+		v, err := ops.read(as, addr+off, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.values = append(r.values, v)
+	}
+	write := func(v uint64) {
+		if err := ops.write(as, addr+off, v, ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // cold: faults the page in
+	write(0x1122334455667788)
+	read()
+	write(0x0102030405060708)
+	read()
+	child := as.ForkCoW(ch)
+	write(0xa1a2a3a4a5a6a7a8) // breaks copy-on-write
+	read()
+	if v, err := ops.read(child, addr+off, ch); err != nil || v != 0x0102030405060708 {
+		t.Fatalf("child reads %#x, %v; want the word before the fork", v, err)
+	}
+	if err := as.Munmap(addr, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if addr, err = as.Mmap(2*PageSize, ProtRead|ProtWrite, "word", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	write(0xdeadbeefcafef00d) // cold again
+	read()
+	r.charges, r.stats = ch.log, as.Stats()
+	r.tlb[0], r.tlb[1] = as.tlb.Stats()
+	return r
+}
+
+// The host translation cache never stands in for the simulated TLB: once
+// ForkCoW has flushed the TLB, a page whose translation the cache still
+// holds misses again and pays the walk.
+func TestHotTranslationKeepsTLBAccounting(t *testing.T) {
+	as := newSpace()
+	addr, err := as.Mmap(PageSize, ProtRead|ProtWrite, "t", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as.ReadU64(addr, nil) // miss
+	as.ReadU64(addr, nil) // hit
+	as.ForkCoW(nil)
+	ch := &countCharger{}
+	if _, err := as.ReadU64(addr, ch); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := as.tlb.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("TLB hits, misses = %d, %d; want 1, 2", hits, misses)
+	}
+	if want := testCosts().TLBMiss + as.copyCost(8); ch.total != want {
+		t.Errorf("read after the flush charged %v, want %v", ch.total, want)
 	}
 }

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VMAKind labels what a virtual memory area holds.
 type VMAKind int
@@ -82,10 +79,25 @@ type vmaSet struct {
 	areas []*VMA // sorted by Start
 }
 
+// above returns the index of the first area ending above addr, or
+// len(s.areas): a plain binary search, since areas are sorted and
+// disjoint.
+func (s *vmaSet) above(addr uint64) int {
+	lo, hi := 0, len(s.areas)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.areas[m].End > addr {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
 // find returns the VMA containing addr, or nil.
 func (s *vmaSet) find(addr uint64) *VMA {
-	i := sort.Search(len(s.areas), func(i int) bool { return s.areas[i].End > addr })
-	if i < len(s.areas) && s.areas[i].Contains(addr) {
+	if i := s.above(addr); i < len(s.areas) && s.areas[i].Start <= addr {
 		return s.areas[i]
 	}
 	return nil
@@ -93,13 +105,14 @@ func (s *vmaSet) find(addr uint64) *VMA {
 
 // overlaps reports whether [start,end) intersects any existing area.
 func (s *vmaSet) overlaps(start, end uint64) bool {
-	i := sort.Search(len(s.areas), func(i int) bool { return s.areas[i].End > start })
+	i := s.above(start)
 	return i < len(s.areas) && s.areas[i].Start < end
 }
 
-// insert adds a VMA, keeping order. Caller must have checked overlap.
+// insert adds a VMA, keeping order. Caller must have checked overlap,
+// so the areas ending above v.Start are exactly those after it.
 func (s *vmaSet) insert(v *VMA) {
-	i := sort.Search(len(s.areas), func(i int) bool { return s.areas[i].Start >= v.Start })
+	i := s.above(v.Start)
 	s.areas = append(s.areas, nil)
 	copy(s.areas[i+1:], s.areas[i:])
 	s.areas[i] = v
