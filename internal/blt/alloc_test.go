@@ -16,6 +16,13 @@ import (
 // returns a step that runs the engine for a fixed slice of virtual time.
 func switchLoop(t *testing.T, n int, body Body) (*sim.Engine, func()) {
 	t.Helper()
+	e, _, step := switchLoopKernel(t, n, body)
+	return e, step
+}
+
+// switchLoopKernel is switchLoop that also returns the kernel.
+func switchLoopKernel(t *testing.T, n int, body Body) (*sim.Engine, *kernel.Kernel, func()) {
+	t.Helper()
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
 	root := k.NewTask("root", k.NewAddressSpace(), func(task *kernel.Task) int {
@@ -37,7 +44,7 @@ func switchLoop(t *testing.T, n int, body Body) (*sim.Engine, func()) {
 	})
 	k.Start(root, 0)
 	next := e.Now()
-	return e, func() {
+	return e, k, func() {
 		next = next.Add(200 * sim.Microsecond)
 		if err := e.RunUntil(next); err != nil {
 			t.Fatal(err)
@@ -84,4 +91,30 @@ func TestCoupleDecoupleZeroAllocs(t *testing.T) {
 	if trips == 0 {
 		t.Error("no couple/decouple round trip completed")
 	}
+}
+
+// TestBusyWaitSharedCoreZeroAllocs: the BUSYWAIT idle loop runs as a
+// spin continuation without allocating. Eight decoupled BLTs yield
+// while their eight KCs idle four to a syscall core, so every idle
+// sched_yield switches KCs through its park stage.
+func TestBusyWaitSharedCoreZeroAllocs(t *testing.T) {
+	yields := 0
+	e, k, step := switchLoopKernel(t, 8, func(b *BLT) int {
+		b.Decouple()
+		for {
+			b.Yield()
+			yields++
+		}
+	})
+	step()
+	switches, spins := k.ContextSwitches(), k.SyscallCount("sched_yield")
+	if got := testing.AllocsPerRun(50, step); got != 0 {
+		t.Errorf("BUSYWAIT idle loops allocate %.1f per slice, want 0", got)
+	}
+	if yields == 0 || k.ContextSwitches() == switches || k.SyscallCount("sched_yield") == spins {
+		t.Errorf("idle KCs did not switch: %d yields, %d kernel switches, %d sched_yields",
+			yields, k.ContextSwitches()-switches, k.SyscallCount("sched_yield")-spins)
+	}
+	e.Stop()
+	e.Shutdown()
 }

@@ -145,6 +145,10 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	}
 }
 
+// idleDone is the trampoline's wake condition: a couple request is
+// queued, or no resident is left.
+func (h *KCHost) idleDone() bool { return len(h.queue) > 0 || h.residents == 0 }
+
 func (h *KCHost) dequeue(t *kernel.Task) *BLT {
 	t.Charge(h.pool.kern.Machine().Costs.RunQueueOp)
 	b := h.queue[0]
@@ -179,9 +183,7 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 			}
 			return
 		}
-		h.slot.wait(t, func() bool {
-			return len(h.queue) > 0 || h.residents == 0
-		})
+		h.slot.wait(t)
 		if h.residents == 0 && len(h.queue) == 0 {
 			return
 		}

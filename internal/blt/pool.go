@@ -239,7 +239,7 @@ func NewPool(creator *kernel.Task, cfg Config) (*Pool, error) {
 			// allocates nothing in steady state.
 			s.stealBuf = make([]int, 0, len(cfg.ProgCores))
 		}
-		if err := s.slot.init(p, creator); err != nil {
+		if err := s.slot.init(p, creator, s.idleDone); err != nil {
 			return nil, err
 		}
 		s.task = creator.ClonePinned(fmt.Sprintf("sched.c%d", core), kernel.PThreadFlags, core, s.loop)
@@ -363,7 +363,7 @@ func (p *Pool) newHost(name string) (*KCHost, error) {
 	core := p.cfg.SyscallCores[p.nextSC%len(p.cfg.SyscallCores)]
 	p.nextSC++
 	h := &KCHost{pool: p, name: name, core: core}
-	if err := h.slot.init(p, p.creator); err != nil {
+	if err := h.slot.init(p, p.creator, h.idleDone); err != nil {
 		return nil, err
 	}
 	// The trampoline context gets its own (small) stack.
@@ -436,16 +436,36 @@ type idleSlot struct {
 	pool     *Pool
 	word     uint64
 	sleeping bool
+	phase    spinPhase    // where the BUSYWAIT loop resumes (see spin)
 	backoff  sim.Duration // current lost-wake recovery timeout (0 = base)
 
 	// spun accumulates CPU time burned busy-waiting — the power proxy
 	// of the idle-policy ablation (§VII: "busy-waiting consumes more
 	// power").
 	spun sim.Duration
+
+	// ready is the owner's wake condition and step the BUSYWAIT pass,
+	// both bound once at creation; t is the task waiting and yield its
+	// sched_yield in flight. A wait allocates nothing.
+	ready func() bool
+	step  func() bool
+	t     *kernel.Task
+	yield kernel.Spinner
 }
 
-func (s *idleSlot) init(p *Pool, creator *kernel.Task) error {
+// spinPhase is where the next pass of the BUSYWAIT loop starts.
+type spinPhase uint8
+
+const (
+	spinPoll   spinPhase = iota // test the condition; charge a poll
+	spinPolled                  // the poll charge returned
+	spinYield                   // in sched_yield
+)
+
+func (s *idleSlot) init(p *Pool, creator *kernel.Task, ready func() bool) error {
 	s.pool = p
+	s.ready = ready
+	s.step = s.spin
 	addr, err := creator.Space().Mmap(8, semProt, "blt.idle", true, nil)
 	if err != nil {
 		return err
@@ -454,28 +474,17 @@ func (s *idleSlot) init(p *Pool, creator *kernel.Task) error {
 	return nil
 }
 
-// wait idles the task until cond() holds, per the pool's policy.
-func (s *idleSlot) wait(t *kernel.Task, cond func() bool) {
-	costs := s.pool.kern.Machine().Costs
+// wait idles the task until the slot's condition holds, per the pool's
+// policy.
+func (s *idleSlot) wait(t *kernel.Task) {
 	if s.pool.cfg.Idle == BusyWait {
-		// Table I Seq.7: the idle KC "[yield or suspend]"s — each poll
-		// period ends in a sched_yield so that several busy-waiting
-		// KCs can share one syscall core (Fig. 6: "a CPU core for
-		// executing system-calls may have more than one KCs").
-		poll := costs.SpinNotice - costs.SchedYieldNoSwitch
-		if poll < 0 {
-			poll = 0
-		}
-		for !cond() {
-			t.Charge(poll)
-			s.spun += poll
-			t.SchedYield()
-			s.spun += costs.SchedYieldNoSwitch
-		}
+		s.t = t
+		t.Spin(s.step)
+		s.t = nil
 		return
 	}
 	timed := s.pool.kern.FaultArmed(t, "futex_lost_wake")
-	for !cond() {
+	for !s.ready() {
 		s.sleeping = true
 		var err error
 		if timed {
@@ -508,6 +517,43 @@ func (s *idleSlot) wait(t *kernel.Task, cond func() bool) {
 		}
 		// Consume the kick so the next wait sleeps again.
 		t.Space().WriteU64(s.word, 0, nil)
+	}
+}
+
+// spin is one pass of the BUSYWAIT loop, run as the waiting task's spin
+// continuation (kernel.Task.Spin). Table I Seq.7: the idle KC "[yield or
+// suspend]"s — each poll period ends in a sched_yield so that several
+// busy-waiting KCs can share one syscall core (Fig. 6: "a CPU core for
+// executing system-calls may have more than one KCs"). A pass ends at
+// the poll charge or at a sched_yield stage; what follows a suspension,
+// the spun accounting included, runs at the start of the next pass,
+// once the charge has elapsed — the idle ablation reads spun while KCs
+// are still spinning.
+func (s *idleSlot) spin() bool {
+	costs := &s.pool.kern.Machine().Costs
+	poll := costs.SpinNotice - costs.SchedYieldNoSwitch
+	if poll < 0 {
+		poll = 0
+	}
+	for {
+		switch s.phase {
+		case spinPoll:
+			if s.ready() {
+				return true
+			}
+			s.phase = spinPolled
+			s.t.Charge(poll)
+			return false
+		case spinPolled:
+			s.spun += poll
+			s.phase = spinYield
+		default: // spinYield
+			if !s.yield.SchedYield(s.t) {
+				return false
+			}
+			s.spun += costs.SchedYieldNoSwitch
+			s.phase = spinPoll
+		}
 	}
 }
 

@@ -168,9 +168,13 @@ func (s *Scheduler) acquire(t *kernel.Task) *BLT {
 		if pol := s.pool.cfg.Policy; pol != nil {
 			pol.OnIdle(s)
 		}
-		s.slot.wait(t, func() bool { return s.q.Len() > 0 || s.pool.stopped || s.stealable() })
+		s.slot.wait(t)
 	}
 }
+
+// idleDone is acquire's wake condition: a UC is ready here, the pool
+// stopped, or a peer holds one to steal.
+func (s *Scheduler) idleDone() bool { return s.q.Len() > 0 || s.pool.stopped || s.stealable() }
 
 // killDrawn draws the sched_kill fault site, which lives at the top of
 // acquire — between UC dispatches, never while a UC context is loaded —

@@ -94,6 +94,41 @@ func TestChaosGolden(t *testing.T) {
 	checkGolden(t, "chaos", b.String())
 }
 
+// TestChaosThrottleGolden pins BUSYWAIT chaos runs whose idle KCs are
+// throttled at sched_yield: the token bucket refuses about every other
+// yield, so syscall:enter Delay verdicts are charged inside sched_yield
+// calls made by idle loops. No other golden attaches a throttle.
+func TestChaosThrottleGolden(t *testing.T) {
+	probes, err := probe.ParseSpecs(goldenProbes + ";throttle:task=kc.,syscall=sched_yield,interval_us=1,burst=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, m := range arch.Machines() {
+		for seed := uint64(1); seed <= 2; seed++ {
+			reg := metrics.NewRegistry()
+			cfg := chaos.Config{
+				Machine: m, Seed: seed, Idle: blt.BusyWait,
+				ULPs: 16, Ops: 200, Signals: 8,
+				Supervise: true, Probes: probes, Metrics: reg,
+			}
+			d, stats, err := chaos.RunWithStats(cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", m.Name, seed, err)
+			}
+			fmt.Fprintf(&b, "== %s seed=%d\ndigest end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d\n",
+				m.Name, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans)
+			for _, s := range stats {
+				fmt.Fprintf(&b, "stat %s\n", s)
+			}
+			if err := reg.Dump(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkGolden(t, "throttle", b.String())
+}
+
 // TestLockChaosGolden pins one lock-chaos digest per lock algorithm.
 func TestLockChaosGolden(t *testing.T) {
 	var b bytes.Buffer

@@ -284,33 +284,102 @@ func (k *Kernel) exitTask(t *Task, status int) {
 // only the trap; otherwise a full kernel context switch happens (the
 // Table IV asymmetry).
 func (t *Task) SchedYield() {
-	k := t.kernel
-	fr := k.sysEnter(t, "sched_yield")
-	t.Charge(k.machine.Costs.SchedYieldNoSwitch)
-	c := t.core
-	if c.runq.Len() == 0 {
-		k.sysExit(t, fr)
-		return
+	var y Spinner
+	for !y.SchedYield(t) {
 	}
-	// Accounting matches scheduleNext: one kernel switch, credited to the
-	// *incoming* task. (This path used to credit the yielder instead,
-	// which made per-task nCtxSwitches sums disagree with the kernel
-	// total under yield storms.) The queue pop stays after the Charge —
-	// Charge advances virtual time and other events may run meanwhile, so
-	// moving it would change which task sits at the queue head.
-	k.ctxSwitches++
-	t.Charge(k.machine.Costs.KernelSwitch)
-	next := k.pickNext(c)
-	next.nCtxSwitches++
-	k.noteSwitch(next)
-	t.state = TaskReady
-	k.noteStop(c, t)
-	t.core = nil
-	k.enqueue(c, t)
-	c.current = nil
-	k.dispatch(next, c, 0)
-	t.proc.Park()
-	k.sysExit(t, fr)
+}
+
+// Spin runs step as the task's spin continuation (sim.Proc.Spin): a
+// busy-wait loop whose passes run on whichever goroutine dispatches the
+// task's resume, so the task's goroutine wakes only when the wait ends.
+// Each pass either reports the wait over or ends in exactly one Charge
+// or Park; Spinner runs sched_yield that way.
+func (t *Task) Spin(step func() bool) { t.proc.Spin(step) }
+
+// Spinner is one sched_yield(2) call split into stages, each ending in
+// at most one Charge or Park, so that a spin step (Task.Spin) can run
+// the call without blocking in it. The caller owns the Spinner — the
+// state of a call in flight lives there, not in the task — and the
+// blocking SchedYield is a loop over the same stages.
+type Spinner struct {
+	fr    sysFrame
+	stage yieldStage
+}
+
+// yieldStage is the next stage of a Spinner's call.
+type yieldStage uint8
+
+const (
+	yieldEnter  yieldStage = iota // count the call; charge a syscall:enter Delay
+	yieldTrap                     // open the span; charge the trap
+	yieldSwitch                   // return, or charge the switch to a ready task
+	yieldPark                     // hand the core over and park
+	yieldExit                     // back on a core: close the call
+)
+
+// SchedYield runs t's sched_yield(2) up to its next Charge or Park and
+// reports whether the call has returned: false means t was charged or
+// parked and the caller runs SchedYield again once t resumes; true
+// means the call is over, with no suspension in this step, and the
+// Spinner is ready for the next call.
+func (y *Spinner) SchedYield(t *Task) bool {
+	k := t.kernel
+	for {
+		switch y.stage {
+		case yieldEnter:
+			var delay sim.Duration
+			y.fr, delay = k.enterFire(t, "sched_yield")
+			y.stage = yieldTrap
+			if delay > 0 {
+				t.Charge(delay)
+				return false
+			}
+		case yieldTrap:
+			k.enterSpan(t, &y.fr)
+			y.stage = yieldSwitch
+			t.Charge(k.machine.Costs.SchedYieldNoSwitch)
+			return false
+		case yieldSwitch:
+			if t.core.runq.Len() == 0 {
+				return y.exit(t)
+			}
+			// Accounting matches scheduleNext: one kernel switch,
+			// credited to the *incoming* task. (This path used to
+			// credit the yielder instead, which made per-task
+			// nCtxSwitches sums disagree with the kernel total under
+			// yield storms.) The queue pop stays after the Charge —
+			// Charge advances virtual time and other events may run
+			// meanwhile, so moving it would change which task sits at
+			// the queue head.
+			k.ctxSwitches++
+			y.stage = yieldPark
+			t.Charge(k.machine.Costs.KernelSwitch)
+			return false
+		case yieldPark:
+			c := t.core
+			next := k.pickNext(c)
+			next.nCtxSwitches++
+			k.noteSwitch(next)
+			t.state = TaskReady
+			k.noteStop(c, t)
+			t.core = nil
+			k.enqueue(c, t)
+			c.current = nil
+			k.dispatch(next, c, 0)
+			y.stage = yieldExit
+			t.proc.Park()
+			return false
+		default: // yieldExit
+			return y.exit(t)
+		}
+	}
+}
+
+// exit closes the call and resets the Spinner for the next one.
+func (y *Spinner) exit(t *Task) bool {
+	t.kernel.sysExit(t, y.fr)
+	*y = Spinner{}
+	return true
 }
 
 // sleepTimer is a pooled Nanosleep timer: one embedded wait queue plus a

@@ -1,0 +1,185 @@
+package kernel
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/arch"
+	"repro/internal/probe"
+	"repro/internal/sim"
+)
+
+// TestTaskSizePin: a Task sits exactly on Go's 384-byte size class.
+// Growing it moves every task to the next class, which the scale
+// workload, with a million tasks, pays in memory; spin state lives in a
+// caller-owned Spinner for that reason.
+func TestTaskSizePin(t *testing.T) {
+	if got := unsafe.Sizeof(Task{}); got > 384 {
+		t.Errorf("unsafe.Sizeof(Task{}) = %d, want <= 384", got)
+	}
+}
+
+// yieldWorld runs busy-wait loops — a poll charge, then sched_yield —
+// on three tasks sharing core 0 while a fourth computes on core 1,
+// under a throttle that delays every other sched_yield entry and a
+// program watching the syscall exit and span points. With spin set each
+// loop runs as a spin continuation over a Spinner; otherwise it calls
+// the blocking SchedYield. It returns a record of every probe fire plus
+// the kernel's and the tasks' counters, and how many entries the
+// throttle delayed.
+func yieldWorld(t *testing.T, spin bool) ([]string, uint64) {
+	t.Helper()
+	e := sim.New()
+	k := New(e, arch.Wallaby())
+	var rec []string
+	th := probe.NewThrottle("kc.", "sched_yield", sim.Microsecond, 1)
+	k.Probes().Attach("throttle", th.Fire, probe.PSyscallEnter)
+	var spans uint64
+	k.Probes().Attach("watch", func(c *probe.Ctx) probe.Verdict {
+		name := ""
+		if c.Task != nil {
+			name = c.Task.Name()
+		}
+		rec = append(rec, fmt.Sprintf("%v %v %s %s dur=%v span=%d", c.Now, c.Point, c.Site, name, c.Dur, c.Span))
+		if c.Point == probe.PSpanBegin {
+			spans++
+			return probe.Verdict{Span: spans}
+		}
+		return probe.Verdict{}
+	}, probe.PSyscallExit, probe.PSpanBegin, probe.PSpanEnd, probe.PSchedSwitch)
+	space := k.NewAddressSpace()
+	var tasks []*Task
+	for i := 0; i < 3; i++ {
+		polls := 20 + 7*i
+		task := k.NewTask(fmt.Sprintf("kc.%d", i), space, func(t *Task) int {
+			poll := sim.Duration(300+100*i) * sim.Nanosecond
+			if !spin {
+				for n := 0; n < polls; n++ {
+					t.Charge(poll)
+					t.SchedYield()
+				}
+				return 0
+			}
+			var y Spinner
+			n, yielding := 0, false
+			t.Spin(func() bool {
+				if yielding {
+					if !y.SchedYield(t) {
+						return false
+					}
+					yielding = false
+					n++
+				}
+				if n == polls {
+					return true
+				}
+				yielding = true
+				t.Charge(poll)
+				return false
+			})
+			return 0
+		})
+		task.SetAffinity(0)
+		k.Start(task, 0)
+		tasks = append(tasks, task)
+	}
+	other := k.NewTask("compute", space, func(t *Task) int {
+		for i := 0; i < 40; i++ {
+			t.Compute(700 * sim.Nanosecond)
+		}
+		return 0
+	})
+	other.SetAffinity(1)
+	k.Start(other, 0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rec = append(rec, fmt.Sprintf("end=%v syscalls=%d yields=%d ctxsw=%d", e.Now(), k.Syscalls(), k.SyscallCount("sched_yield"), k.ContextSwitches()))
+	for _, task := range tasks {
+		rec = append(rec, fmt.Sprintf("%s cpu=%v ctxsw=%d", task.Name(), task.CPUTime(), task.CtxSwitches()))
+	}
+	_, delayed := th.Stats()
+	return rec, delayed
+}
+
+// TestSpinnerMatchesSchedYield: the staged sched_yield run as a spin
+// continuation makes the same probe fires at the same times, with the
+// same Delay charges, switches and spans, as the blocking call.
+func TestSpinnerMatchesSchedYield(t *testing.T) {
+	want, wantDelayed := yieldWorld(t, false)
+	got, gotDelayed := yieldWorld(t, true)
+	switched := false
+	for _, r := range want {
+		switched = switched || strings.Contains(r, "sched:switch")
+	}
+	if !switched || wantDelayed == 0 {
+		t.Fatalf("scenario misses a stage: switched=%v, %d throttle delays", switched, wantDelayed)
+	}
+	if gotDelayed != wantDelayed {
+		t.Errorf("throttle delayed %d entries with the Spinner, %d with the blocking call", gotDelayed, wantDelayed)
+	}
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("record %d:\n  spin:     %s\n  blocking: %s", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records with the Spinner, %d with the blocking call", len(got), len(want))
+	}
+}
+
+// TestShutdownKillsTaskParkedMidSpin: Engine.Shutdown kills kernel tasks
+// whose busy-wait spins are cut short — one switched out inside
+// sched_yield, one with its next pass pending — and every goroutine
+// exits.
+func TestShutdownKillsTaskParkedMidSpin(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := sim.New()
+	k := New(e, arch.Wallaby())
+	space := k.NewAddressSpace()
+	var tasks []*Task
+	for i := 0; i < 2; i++ {
+		task := k.NewTask(fmt.Sprintf("kc.%d", i), space, func(t *Task) int {
+			var y Spinner
+			yielding := false
+			t.Spin(func() bool {
+				if yielding && y.SchedYield(t) {
+					yielding = false
+				}
+				if !yielding {
+					yielding = true
+					t.Charge(sim.Microsecond)
+				}
+				return false
+			})
+			return 0
+		})
+		task.SetAffinity(0)
+		k.Start(task, 0)
+		tasks = append(tasks, task)
+	}
+	if err := e.RunUntil(sim.Time(50 * sim.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if k.ContextSwitches() == 0 {
+		t.Fatal("the spinners never switched")
+	}
+	states := []TaskState{tasks[0].State(), tasks[1].State()}
+	if states[0] != TaskReady && states[1] != TaskReady {
+		t.Fatalf("task states %v: neither is switched out mid-spin", states)
+	}
+	e.Shutdown()
+	if n := e.LiveProcs(); n != 0 {
+		t.Errorf("LiveProcs = %d after Shutdown", n)
+	}
+	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, want %d", n, base)
+	}
+}

@@ -27,6 +27,9 @@ type sysFrame struct {
 	start sim.Time
 	span  uint64
 	on    bool
+	// spanDue: a span watcher was attached at entry, so enterSpan
+	// opens the span once the entry Delay is charged.
+	spanDue bool
 }
 
 // sysEnter opens a system-call: the common bookkeeping plus, when probe
@@ -36,32 +39,53 @@ type sysFrame struct {
 // core. Every return path of the call must run sysExit with the frame.
 // Latency is wall virtual time, so blocking calls include their block —
 // that is the number an application sees.
+//
+// The two halves around the Delay charge, enterFire and enterSpan, are
+// separate stages of a staged call (see Spinner).
 func (k *Kernel) sysEnter(t *Task, name string) sysFrame {
+	f, delay := k.enterFire(t, name)
+	if delay > 0 {
+		t.Charge(delay)
+	}
+	k.enterSpan(t, &f)
+	return f
+}
+
+// enterFire is sysEnter up to the Delay charge: the bookkeeping and the
+// syscall:enter fire, whose Delay verdict it returns for the caller to
+// charge.
+func (k *Kernel) enterFire(t *Task, name string) (sysFrame, sim.Duration) {
 	k.countSyscall(t, name)
 	ps := k.probes
 	hasEnter := ps.Attached(probe.PSyscallEnter)
 	hasExit := ps.Attached(probe.PSyscallExit)
 	hasSpan := ps.Attached(probe.PSpanBegin)
 	if !hasEnter && !hasExit && !hasSpan {
-		return sysFrame{}
+		return sysFrame{}, 0
 	}
-	f := sysFrame{name: name, start: k.engine.Now(), on: hasExit || hasSpan}
+	f := sysFrame{name: name, start: k.engine.Now(), on: hasExit || hasSpan, spanDue: hasSpan}
+	var delay sim.Duration
 	if hasEnter {
 		c := ps.Begin(probe.PSyscallEnter, f.start)
 		c.Site = name
 		c.Task = t
-		if v := ps.Fire(c); v.Delay > 0 {
-			t.Charge(v.Delay)
-		}
+		delay = ps.Fire(c).Delay
 	}
-	if hasSpan {
-		c := ps.Begin(probe.PSpanBegin, f.start)
-		c.Site = "syscall"
-		c.Task = t
-		c.Format = name
-		f.span = ps.Fire(c).Span
+	return f, delay
+}
+
+// enterSpan is sysEnter after the Delay charge: it opens the "syscall"
+// span, stamped with the entry time, when one is due.
+func (k *Kernel) enterSpan(t *Task, f *sysFrame) {
+	if !f.spanDue {
+		return
 	}
-	return f
+	ps := k.probes
+	c := ps.Begin(probe.PSpanBegin, f.start)
+	c.Site = "syscall"
+	c.Task = t
+	c.Format = f.name
+	f.span = ps.Fire(c).Span
 }
 
 // sysExit closes the frame opened by sysEnter: the syscall:exit fire

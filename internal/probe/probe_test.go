@@ -2,6 +2,8 @@ package probe
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -228,6 +230,48 @@ func TestParseSpecsRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseSpecsLimits pins the clock-overflow bounds: interval_us and
+// p99_us whose picosecond value would wrap the int64 clock, and bursts
+// past int64, are rejected; the largest values that fit are accepted,
+// convert exactly and run.
+func TestParseSpecsLimits(t *testing.T) {
+	for _, bad := range []string{
+		"throttle:interval_us=288230376151711744", // 0 ps: the first call divided by zero
+		"throttle:interval_us=9223372036855",
+		"throttle:interval_us=1,burst=9223372036854775808", // a negative burst
+		"throttle:interval_us=1,burst=18446744073709551615",
+		"slo:p99_us=9300000000000", // a negative bound
+		"slo:p99_us=9223372036855",
+	} {
+		if _, err := ParseSpecs(bad); err == nil {
+			t.Errorf("ParseSpecs(%q) accepted an overflowing value", bad)
+		}
+	}
+	specs, err := ParseSpecs("throttle:interval_us=9223372036854,burst=9223372036854775807;slo:p99_us=9223372036854")
+	if err != nil {
+		t.Fatalf("largest representable values rejected: %v", err)
+	}
+	if d := sim.Duration(specs[1].P99US) * sim.Microsecond; d != 9223372036854*sim.Microsecond || d <= 0 {
+		t.Errorf("p99 bound = %d ps, want %d", d, 9223372036854*sim.Microsecond)
+	}
+	r := NewRegistry()
+	atts := AttachSpecs(r, specs)
+	task := &fakeTask{name: "w0", pid: 3}
+	for i, now := range []sim.Time{0, at(1), sim.Time(math.MaxInt64)} {
+		c := r.Begin(PSyscallEnter, now)
+		c.Site, c.Task = "write", task
+		if v := r.Fire(c); v.Delay != 0 {
+			t.Errorf("call %d delayed %v with a full bucket", i, v.Delay)
+		}
+		c = r.Begin(PSyscallExit, now)
+		c.Site, c.Task, c.Dur = "write", task, sim.Millisecond
+		r.Fire(c)
+	}
+	if err := atts[1].Check(); err != nil {
+		t.Errorf("1ms latencies failed a 106-day SLO: %v", err)
+	}
+}
+
 // TestThrottleTokenBucket pins the virtual-time token-bucket math:
 // burst tokens up front, one token per interval after, delays that park
 // consecutive over-budget calls on successive refill boundaries.
@@ -312,4 +356,57 @@ func TestSLOCheck(t *testing.T) {
 	if s := slo.Summary(); !strings.Contains(s, "open") || !strings.Contains(s, "write") {
 		t.Errorf("summary should cover every observed syscall: %s", s)
 	}
+}
+
+// FuzzProbeParseSpecs checks every spec the parser accepts: it round
+// trips through SpecsString, and its program, attached alone, runs on
+// matching syscall fires gap microseconds apart without panicking,
+// never returns a negative Delay, and — for a throttle whose burst
+// covers every fire — delays nothing.
+func FuzzProbeParseSpecs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string, gap uint64) {
+		specs, err := ParseSpecs(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpecs(SpecsString(specs))
+		if err != nil {
+			t.Fatalf("%q: re-parse of %q: %v", in, SpecsString(specs), err)
+		}
+		if !reflect.DeepEqual(again, specs) {
+			t.Fatalf("%q: round trip gave %+v, want %+v", in, again, specs)
+		}
+		step := sim.Duration(gap%(maxUS/4)) * sim.Microsecond
+		const fires = 4
+		for _, sp := range specs {
+			r := NewRegistry()
+			att := AttachSpecs(r, []Spec{sp})[0]
+			site := sp.Syscall
+			if site == "" {
+				site = "write"
+			}
+			task := &fakeTask{name: sp.Task + "0", pid: 1}
+			for i := 0; i < fires; i++ {
+				now := sim.Time(0).Add(sim.Duration(i) * step)
+				c := r.Begin(PSyscallEnter, now)
+				c.Site, c.Task = site, task
+				v := r.Fire(c)
+				if v.Delay < 0 {
+					t.Fatalf("%q: negative delay %d", sp, v.Delay)
+				}
+				if sp.Name == "throttle" && sp.Burst >= fires && v.Delay != 0 {
+					t.Fatalf("%q: call %d delayed %v with burst %d", sp, i, v.Delay, sp.Burst)
+				}
+				c = r.Begin(PSyscallExit, now)
+				c.Site, c.Task, c.Dur = site, task, step
+				r.Fire(c)
+			}
+			if att.Check != nil {
+				_ = att.Check() // a violated bound is a result, not a fault
+			}
+			if att.Report != nil {
+				att.Report()
+			}
+		}
+	})
 }

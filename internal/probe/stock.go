@@ -2,6 +2,7 @@ package probe
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,20 +128,20 @@ func (s *Spec) setOption(key, val string) error {
 		s.Syscall = val
 	case "interval_us":
 		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil || n == 0 {
-			return fmt.Errorf("interval_us must be a positive integer, got %q", val)
+		if err != nil || n == 0 || n > maxUS {
+			return fmt.Errorf("interval_us must be an integer in [1, %d], got %q", maxUS, val)
 		}
 		s.IntervalUS = n
 	case "burst":
 		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil || n == 0 {
-			return fmt.Errorf("burst must be a positive integer, got %q", val)
+		if err != nil || n == 0 || n > math.MaxInt64 {
+			return fmt.Errorf("burst must be an integer in [1, %d], got %q", int64(math.MaxInt64), val)
 		}
 		s.Burst = n
 	case "p99_us":
 		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil || n == 0 {
-			return fmt.Errorf("p99_us must be a positive integer, got %q", val)
+		if err != nil || n == 0 || n > maxUS {
+			return fmt.Errorf("p99_us must be an integer in [1, %d], got %q", maxUS, val)
 		}
 		s.P99US = n
 	case "points":
@@ -156,6 +157,11 @@ func (s *Spec) setOption(key, val string) error {
 	}
 	return nil
 }
+
+// maxUS is the longest interval_us or p99_us whose picosecond value
+// fits the int64 clock: beyond it the duration wraps, to zero (a throttle
+// that divides by it) or negative (an SLO bound nothing meets).
+const maxUS = uint64(math.MaxInt64 / sim.Microsecond)
 
 func (s *Spec) validate() error {
 	switch s.Name {
@@ -278,13 +284,16 @@ func (th *Throttle) Fire(c *Ctx) Verdict {
 		th.tokens = th.burst
 		th.level = c.Now
 	}
-	// Refill whole tokens owed since level.
+	// Refill whole tokens owed since level; a bucket that would overflow
+	// is full as of now (compared before adding, so a burst near the
+	// int64 limit cannot wrap the count).
 	if owed := int64(c.Now.Sub(th.level) / th.interval); owed > 0 {
-		th.tokens += owed
-		th.level = th.level.Add(sim.Duration(owed) * th.interval)
-		if th.tokens > th.burst {
+		if owed > th.burst-th.tokens {
 			th.tokens = th.burst
 			th.level = c.Now
+		} else {
+			th.tokens += owed
+			th.level = th.level.Add(sim.Duration(owed) * th.interval)
 		}
 	}
 	th.total++

@@ -30,8 +30,10 @@ const maxTime = Time(math.MaxInt64)
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
-	proc *Proc  // proc to resume, or nil
-	fn   func() // callback to run in engine context, or nil
+	proc *Proc  // proc to resume, or nil for a callback
+	// fn is the callback to run in engine context; a proc's own event
+	// carries its spin step here instead (see Proc.Spin).
+	fn func()
 
 	// wnext chains events within a timing-wheel slot (see wheel.go);
 	// nil whenever the event is in the deferred slot, the heap, or idle.
@@ -123,6 +125,10 @@ type Engine struct {
 	// failing (and shrinkable) run, not an abort.
 	trapPanics bool
 	panicErr   error
+
+	// stepPanic holds a panic raised by a spin step on a dispatching
+	// goroutine while it travels to the spinning proc's goroutine.
+	stepPanic any
 }
 
 // New creates an empty engine at virtual time zero.
@@ -372,14 +378,14 @@ func (e *Engine) dispatchNext(self *Proc) dispatchResult {
 			panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", ev.at, e.now))
 		}
 		e.now = ev.at
-		if ev.fn != nil {
+		p := ev.proc
+		if p == nil {
 			fn := ev.fn
 			e.releaseEvent(ev)
 			e.current = nil
 			fn()
 			continue
 		}
-		p := ev.proc
 		if p.state == procDead {
 			continue // stale resume for an exited proc
 		}
@@ -388,10 +394,27 @@ func (e *Engine) dispatchNext(self *Proc) dispatchResult {
 		}
 		e.current = p
 		p.state = procRunning
+		var msg resumeMsg
+		if p.ev.fn != nil {
+			// A spinning proc: its next pass runs here, and its
+			// goroutine wakes only once the spin is over, counting
+			// that last resume itself.
+			done, panicked := p.resumeSpin()
+			if !done {
+				p.wakeups++
+				continue
+			}
+			if panicked != nil {
+				if p == self {
+					panic(panicked)
+				}
+				e.stepPanic, msg.reraise = panicked, true
+			}
+		}
 		if p == self {
 			return resumedSelf
 		}
-		p.resume <- resumeMsg{}
+		p.resume <- msg
 		return handedOff
 	}
 	e.current = nil

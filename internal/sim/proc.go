@@ -1,8 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
-type procState int
+type procState uint8
 
 const (
 	procReady procState = iota // has a pending resume event
@@ -27,6 +30,10 @@ func (s procState) String() string {
 
 type resumeMsg struct {
 	kill bool
+	// reraise: the proc's spin step panicked on the goroutine that
+	// dispatched it; the proc's own goroutine re-raises the panic,
+	// which waits in Engine.stepPanic (the message stays pointer-free).
+	reraise bool
 }
 
 // Proc is a simulation coroutine. A proc's function runs on its own
@@ -42,12 +49,17 @@ type Proc struct {
 	name   string
 	engine *Engine
 	state  procState
-	resume chan resumeMsg
+	// stepping is set while a spin step runs (see Spin): Advance and
+	// Park then record the suspension instead of blocking, and
+	// suspended notes that the step has made it.
+	stepping, suspended bool
+	resume              chan resumeMsg
 
 	// ev is the proc's intrusive resume event. A live proc has at most
 	// one pending resume (ready XOR running XOR parked), so Spawn,
 	// Advance and Unpark all reuse this storage — the scheduler hot
-	// path allocates nothing.
+	// path allocates nothing. A resume event never runs a callback, so
+	// while the proc spins its fn slot holds the spin step instead.
 	ev event
 
 	// Intrusive WaitQ links: wq is the queue the proc is currently
@@ -121,6 +133,7 @@ func (p *Proc) run(fn func(*Proc)) {
 
 func (p *Proc) die() {
 	p.state = procDead
+	p.ev.fn = nil // a spin the kill cut short
 	delete(p.engine.procs, p.id)
 	if p.engine.tracer != nil {
 		p.engine.trace("kill", "proc %s", p)
@@ -165,12 +178,27 @@ func (p *Proc) yield() {
 	if msg.kill {
 		panic(ErrKilled)
 	}
+	if msg.reraise {
+		r := e.stepPanic
+		e.stepPanic = nil
+		panic(r)
+	}
 }
 
+// checkRunning panics unless p is the running proc, outside a spin
+// step or before the step's suspension. It stays small enough to
+// inline into Advance and Park; notRunning builds the message.
 func (p *Proc) checkRunning(op string) {
-	if p.engine.current != p || p.state != procRunning {
-		panic(fmt.Sprintf("sim: %s called on proc %s which is not the running proc", op, p))
+	if p.suspended || p.engine.current != p || p.state != procRunning {
+		p.notRunning(op)
 	}
+}
+
+func (p *Proc) notRunning(op string) {
+	if p.suspended {
+		panic(fmt.Sprintf("sim: spin step of proc %s suspended twice (%s)", p, op))
+	}
+	panic(fmt.Sprintf("sim: %s called on proc %s which is not the running proc", op, p))
 }
 
 // Advance consumes d of virtual time: the proc is suspended and resumes
@@ -196,12 +224,17 @@ func (p *Proc) Advance(d Duration) {
 		if next := e.peek(); next == nil || at < next.at {
 			e.now = at
 			p.wakeups++
+			p.suspended = p.stepping
 			return
 		}
 	}
 	p.state = procReady
 	p.ev.at = at
 	e.schedule(&p.ev)
+	if p.stepping {
+		p.suspended = true
+		return
+	}
 	p.yield()
 }
 
@@ -214,6 +247,10 @@ func (p *Proc) Park() {
 	// not pay for boxing the variadic arguments.
 	if p.engine.tracer != nil {
 		p.engine.trace("park", "proc %s", p)
+	}
+	if p.stepping {
+		p.suspended = true
+		return
 	}
 	p.yield()
 }
@@ -250,4 +287,82 @@ func (p *Proc) Dead() bool { return p.state == procDead }
 func (p *Proc) Exit() {
 	p.checkRunning("Exit")
 	panic(ErrKilled)
+}
+
+// Spin runs a wait loop as a continuation of the proc instead of on its
+// goroutine. step is one pass of the loop: it either reports the wait
+// over, returning true without suspending, or ends in exactly one
+// suspension — one Advance or Park — and returns false. Inside a step
+// those two record the suspension instead of blocking, so work that
+// follows a suspension belongs at the start of the next pass.
+//
+// The first pass runs here, on the proc's goroutine. Each later pass
+// runs when the proc's resume event is dispatched, on whichever
+// goroutine dispatches it, the way After callbacks run; the proc's
+// goroutine blocks once and wakes when a pass reports the wait over. A
+// pass resumed by Advance's fast path runs at once. Every event keeps
+// the (time, sequence) it would have had on a goroutine loop, as do the
+// wakeup count and the proc's busy time, so the schedule is identical.
+//
+// A step that suspends twice, or returns false without suspending,
+// panics with the proc's name. A panic in a pass run on another
+// goroutine is re-raised on the proc's own, so it reads as the proc's
+// panic (SetTrapPanics). Spin does not nest.
+func (p *Proc) Spin(step func() bool) {
+	p.checkRunning("Spin")
+	if p.ev.fn != nil {
+		panic(fmt.Sprintf("sim: nested Spin on proc %s", p))
+	}
+	p.ev.fn = *(*func())(unsafe.Pointer(&step))
+	done, panicked := p.resumeSpin()
+	if panicked != nil {
+		panic(panicked)
+	}
+	if !done {
+		p.yield()
+	}
+}
+
+// spinStep returns the step of the proc's spin, or nil when it is not
+// spinning. The step rides in the fn slot of the proc's own event,
+// which a resume event never calls; both are single-word func values,
+// and the slot is only ever read back as the func() bool it was
+// written from.
+func (p *Proc) spinStep() func() bool {
+	return *(*func() bool)(unsafe.Pointer(&p.ev.fn))
+}
+
+// resumeSpin runs the spinning proc's passes until one suspends for
+// real: the first on the proc's goroutine, later ones on the goroutine
+// that dispatched its resume event. A pass suspended by Advance's fast
+// path was resumed in place, so the next one runs at once. It reports
+// whether the spin is over, and the panic a pass raised, which ends it
+// too; the proc's goroutine then takes over.
+func (p *Proc) resumeSpin() (done bool, panicked any) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.stepping, p.suspended = false, false
+			done, panicked = true, r
+		}
+		if done {
+			p.ev.fn = nil
+		}
+	}()
+	step := p.spinStep()
+	for {
+		p.stepping = true
+		done = step()
+		suspended := p.suspended
+		p.stepping, p.suspended = false, false
+		switch {
+		case done && suspended:
+			panic(fmt.Sprintf("sim: spin step of proc %s suspended and reported the wait over", p))
+		case done:
+			return true, nil
+		case !suspended:
+			panic(fmt.Sprintf("sim: spin step of proc %s returned without suspending", p))
+		case p.state != procRunning:
+			return false, nil
+		}
+	}
 }
