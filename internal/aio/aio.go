@@ -46,9 +46,7 @@ var ErrQuarantined = errors.New("aio: helper quarantined (restart budget exhaust
 // (128+SIGKILL, matching the rest of the fault plane).
 const killedExitStatus = 137
 
-// Timed-wait backoff bounds used when the fault plane may drop futex
-// wakes: waiters re-check on a timer so a lost wake costs latency, not
-// liveness.
+// Bounds of the waiters' lost-wake recovery sleep (kernel.FutexSleep).
 const (
 	waitBackoffBase = 10 * sim.Microsecond
 	waitBackoffMax  = 1 * sim.Millisecond
@@ -88,7 +86,6 @@ type Context struct {
 
 	queue     []*Request
 	sleepWord uint64
-	sleeping  bool
 	closed    bool
 	dead      bool // the helper was fault-killed; respawn on next Submit
 
@@ -216,27 +213,13 @@ func (r *Request) Return(t *kernel.Task) (int, error) {
 }
 
 // Suspend is aio_suspend: block the calling KLT until the request
-// completes, then return its result. Injected EINTR and spurious wakes
-// are absorbed by re-checking the completion flag; when the fault plane
-// may drop the completion wake the wait is timed with growing backoff.
+// completes, then return its result. Injected EINTR, spurious wakes and
+// lost completion wakes are absorbed by the recovery sleep, which
+// re-checks the completion flag.
 func (r *Request) Suspend(t *kernel.Task) (int, error) {
-	k := t.Kernel()
-	var backoff sim.Duration
+	b := kernel.Backoff{Base: waitBackoffBase, Max: waitBackoffMax}
 	for !r.done {
-		var err error
-		if k.FaultArmed(t, "futex_lost_wake") {
-			if backoff == 0 {
-				backoff = waitBackoffBase
-			} else if backoff < waitBackoffMax {
-				backoff *= 2
-			}
-			err = t.FutexWaitTimeout(r.waitWord, 0, backoff)
-		} else {
-			err = t.FutexWait(r.waitWord, 0)
-		}
-		switch err {
-		case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut:
-		default:
+		if err := t.FutexSleep(r.waitWord, 0, &b); err != nil {
 			return 0, err
 		}
 	}
@@ -284,7 +267,7 @@ func (c *Context) die(t *kernel.Task) {
 // (failed by die) but never half-written files.
 func (c *Context) helperBody(t *kernel.Task) int {
 	k := t.Kernel()
-	var backoff sim.Duration
+	b := kernel.Backoff{Base: waitBackoffBase, Max: waitBackoffMax}
 	for {
 		if k.FaultShouldDie(t, "aio_helper_kill") {
 			if ps := k.Probes(); ps.Attached(probe.PTraceInstant) {
@@ -302,27 +285,9 @@ func (c *Context) helperBody(t *kernel.Task) int {
 			if c.closed {
 				return 0
 			}
-			c.sleeping = true
-			var err error
-			if k.FaultArmed(t, "futex_lost_wake") {
-				if backoff == 0 {
-					backoff = waitBackoffBase
-				} else if backoff < waitBackoffMax {
-					backoff *= 2
-				}
-				err = t.FutexWaitTimeout(c.sleepWord, 0, backoff)
-			} else {
-				err = t.FutexWait(c.sleepWord, 0)
-			}
-			switch err {
-			case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut:
-			default:
+			if err := t.FutexSleep(c.sleepWord, 0, &b); err != nil {
 				panic(err)
 			}
-			if err != kernel.ErrTimedOut {
-				backoff = 0
-			}
-			c.sleeping = false
 			t.Space().WriteU64(c.sleepWord, 0, nil)
 		}
 		r := c.queue[0]

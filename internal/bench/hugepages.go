@@ -49,9 +49,9 @@ func HugePages(m *arch.Machine) ([]HugePageResult, error) {
 			var addr uint64
 			var err error
 			if mode.huge {
-				addr, err = space.MmapHuge(set, mem.ProtRead|mem.ProtWrite, "hp", mode.populated, kernelCharger{root})
+				addr, err = space.MmapHuge(set, mem.ProtRead|mem.ProtWrite, "hp", mode.populated, root)
 			} else {
-				addr, err = space.Mmap(set, mem.ProtRead|mem.ProtWrite, "hp", mode.populated, kernelCharger{root})
+				addr, err = space.Mmap(set, mem.ProtRead|mem.ProtWrite, "hp", mode.populated, root)
 			}
 			if err != nil {
 				panic(err)
@@ -89,9 +89,3 @@ func PrintHugePages(w io.Writer, results []HugePageResult) {
 			r.TouchTime.Microseconds(), r.MapTime.Microseconds())
 	}
 }
-
-// kernelCharger adapts a task to mem.Charger.
-type kernelCharger struct{ t *kernel.Task }
-
-// Charge implements mem.Charger.
-func (c kernelCharger) Charge(d sim.Duration) { c.t.Charge(d) }

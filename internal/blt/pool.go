@@ -419,12 +419,10 @@ func (p *Pool) Shutdown(t *kernel.Task) {
 // Stopped reports whether Shutdown ran.
 func (p *Pool) Stopped() bool { return p.stopped }
 
-// Timeout bounds for the BLOCKING idle slot's lost-wakeup recovery: the
-// first re-check fires after idleWaitBase of virtual time and doubles on
-// every consecutive timeout up to idleWaitMax (bounded exponential
-// backoff). Timed waits are armed only when the fault plane could drop a
-// wake for this task; otherwise the slot sleeps indefinitely exactly as
-// before, keeping fault-free schedules bit-identical.
+// Bounds of the BLOCKING idle slot's lost-wake recovery sleep
+// (kernel.FutexSleep): the first re-check fires after idleWaitBase of
+// virtual time and the timeout doubles on every consecutive timeout up
+// to idleWaitMax.
 const (
 	idleWaitBase = 10 * sim.Microsecond
 	idleWaitMax  = 1 * sim.Millisecond
@@ -433,11 +431,10 @@ const (
 // idleSlot implements the two idle policies over a futex word in the
 // creator's address space.
 type idleSlot struct {
-	pool     *Pool
-	word     uint64
-	sleeping bool
-	phase    spinPhase    // where the BUSYWAIT loop resumes (see spin)
-	backoff  sim.Duration // current lost-wake recovery timeout (0 = base)
+	pool    *Pool
+	word    uint64
+	phase   spinPhase      // where the BUSYWAIT loop resumes (see spin)
+	backoff kernel.Backoff // the BLOCKING sleep's lost-wake recovery timeout
 
 	// spun accumulates CPU time burned busy-waiting — the power proxy
 	// of the idle-policy ablation (§VII: "busy-waiting consumes more
@@ -466,6 +463,7 @@ func (s *idleSlot) init(p *Pool, creator *kernel.Task, ready func() bool) error 
 	s.pool = p
 	s.ready = ready
 	s.step = s.spin
+	s.backoff = kernel.Backoff{Base: idleWaitBase, Max: idleWaitMax}
 	addr, err := creator.Space().Mmap(8, semProt, "blt.idle", true, nil)
 	if err != nil {
 		return err
@@ -483,36 +481,10 @@ func (s *idleSlot) wait(t *kernel.Task) {
 		s.t = nil
 		return
 	}
-	timed := s.pool.kern.FaultArmed(t, "futex_lost_wake")
 	for !s.ready() {
-		s.sleeping = true
-		var err error
-		if timed {
-			// A kick aimed at this task may be dropped; re-check the
-			// condition on a backoff timer so a lost FUTEX_WAKE costs
-			// latency, not liveness.
-			d := s.backoff
-			if d == 0 {
-				d = idleWaitBase
-			}
-			err = t.FutexWaitTimeout(s.word, 0, d)
-			if err == kernel.ErrTimedOut {
-				if d *= 2; d > idleWaitMax {
-					d = idleWaitMax
-				}
-				s.backoff = d
-			} else {
-				s.backoff = 0
-			}
-		} else {
-			err = t.FutexWait(s.word, 0)
-		}
-		s.sleeping = false
-		switch err {
-		case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut:
-			// Normal wake, spurious wake, signal or recovery timeout:
-			// all just re-check the condition.
-		default:
+		// A kick aimed at this task may be dropped: the recovery sleep
+		// re-checks the condition on a backoff timer.
+		if err := t.FutexSleep(s.word, 0, &s.backoff); err != nil {
 			panic(fmt.Sprintf("blt: idle futex: %v", err))
 		}
 		// Consume the kick so the next wait sleeps again.

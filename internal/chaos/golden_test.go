@@ -11,6 +11,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/blt"
 	"repro/internal/chaos"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	usync "repro/internal/sync"
@@ -141,4 +142,35 @@ func TestLockChaosGolden(t *testing.T) {
 			lock, int64(d.EndTime), d.Counter, d.Syscalls, d.CtxSwitch, d.Injections, d.Futex)
 	}
 	checkGolden(t, "locks", b.String())
+}
+
+// lostWakeLockSpecs drops every other futex wake, so the adaptive
+// mutex's and the condvar's lost-wake recovery sleeps time out; locks
+// reads Timeouts:0 on every line.
+const lostWakeLockSpecs = "futex_lost_wake:prob=0.5;futex_spurious:prob=0.05;futex_wait:prob=0.05,err=eintr"
+
+// TestLockChaosLostWakeGolden pins lock-chaos digests under
+// lostWakeLockSpecs for every lock algorithm on both machines, seeds
+// 1-3.
+func TestLockChaosLostWakeGolden(t *testing.T) {
+	specs, err := fault.ParseSpecs(lostWakeLockSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, m := range arch.Machines() {
+		for _, lock := range usync.Names() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				d, err := chaos.RunLock(chaos.LockConfig{
+					Machine: m, Lock: lock, Seed: seed, Specs: specs, Tasks: 8, Ops: 40,
+				})
+				if err != nil {
+					t.Fatalf("%s/%s seed %d: %v", m.Name, lock, seed, err)
+				}
+				fmt.Fprintf(&b, "%s/%s seed=%d end=%d counter=%d syscalls=%d ctxsw=%d injections=%d futex=%+v\n",
+					m.Name, lock, seed, int64(d.EndTime), d.Counter, d.Syscalls, d.CtxSwitch, d.Injections, d.Futex)
+			}
+		}
+	}
+	checkGolden(t, "locks_lostwake", b.String())
 }

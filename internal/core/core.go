@@ -276,11 +276,11 @@ type SpawnOpts struct {
 // whose original KC is a PiP process-mode clone of the root. Must be
 // called from the root task's context.
 func (rt *Runtime) Spawn(img *loader.Image, opts SpawnOpts) (*ULP, error) {
-	linked, err := rt.ld.Dlmopen(img, taskCharger{rt.rootTsk})
+	linked, err := rt.ld.Dlmopen(img, rt.rootTsk)
 	if err != nil {
 		return nil, err
 	}
-	tlsBase, err := rt.ld.AllocTLSBlock(linked, taskCharger{rt.rootTsk})
+	tlsBase, err := rt.ld.AllocTLSBlock(linked, rt.rootTsk)
 	if err != nil {
 		return nil, err
 	}
@@ -353,12 +353,6 @@ func (rt *Runtime) WaitAll() ([]int, error) {
 
 // Shutdown stops the pool's schedulers. Call after WaitAll.
 func (rt *Runtime) Shutdown() { rt.pool.Shutdown(rt.rootTsk) }
-
-// taskCharger adapts a kernel task to mem/loader Charger.
-type taskCharger struct{ t *kernel.Task }
-
-// Charge implements the Charger interfaces.
-func (c taskCharger) Charge(d sim.Duration) { c.t.Charge(d) }
 
 // Env is the environment handle a ULP program's Main receives (as its
 // loader.MainFunc argument; type-assert to *core.Env).

@@ -133,10 +133,55 @@ func (t *Task) FutexWait(addr uint64, expected uint64) error {
 
 // FutexWaitTimeout is FutexWait with a relative timeout: if no wake (or
 // signal) arrives within d of virtual time, the wait fails with
-// ErrTimedOut. Recovery paths use it to survive lost wakeups; d <= 0
-// means wait forever.
+// ErrTimedOut; d <= 0 means wait forever. Waiters that re-check their
+// condition after every return use FutexSleep instead.
 func (t *Task) FutexWaitTimeout(addr uint64, expected uint64, d sim.Duration) error {
 	return t.futexWait(addr, expected, d)
+}
+
+// Backoff is one waiter's lost-wake recovery timeout (see FutexSleep):
+// it runs from Base, which must be positive, up to Max. A waiter keeps
+// one for as long as its timeout should carry over between sleeps.
+type Backoff struct {
+	Base, Max sim.Duration
+	next      sim.Duration // the next armed sleep's timeout; 0 means Base
+}
+
+// FutexSleep is the lost-wake recovery sleep: FutexWait on addr while it
+// holds val. When fault:armed says the futex_lost_wake site could drop a
+// wake aimed at t, the sleep is bounded by b's timeout, so a lost wake
+// costs latency, not liveness. The timeout starts at b.Base, doubles on
+// each consecutive ETIMEDOUT up to b.Max and goes back to b.Base after
+// any other return. When the site is not armed the sleep is untimed and
+// b is left alone, so fault-free schedules keep their virtual time.
+//
+// A wake, EAGAIN, EINTR and ETIMEDOUT all return nil: the caller
+// re-checks its condition and sleeps again. Any other error, such as an
+// admission rejection, is returned as is.
+func (t *Task) FutexSleep(addr, val uint64, b *Backoff) error {
+	var err error
+	if t.kernel.faultArmed(t, "futex_lost_wake") {
+		d := b.next
+		if d == 0 {
+			d = b.Base
+		}
+		err = t.futexWait(addr, val, d)
+		switch {
+		case err != ErrTimedOut:
+			b.next = 0
+		case d > b.Max/2:
+			b.next = b.Max
+		default:
+			b.next = 2 * d
+		}
+	} else {
+		err = t.futexWait(addr, val, 0)
+	}
+	switch err {
+	case ErrFutexAgain, ErrInterrupted, ErrTimedOut:
+		return nil
+	}
+	return err
 }
 
 func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) error {
@@ -153,7 +198,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 		k.sysExit(t, fr)
 		return err
 	}
-	val, err := t.space.ReadU64(addr, taskCharger{t})
+	val, err := t.space.ReadU64(addr, t)
 	if err != nil {
 		k.sysExit(t, fr)
 		return err
@@ -336,7 +381,7 @@ func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint6
 		k.sysExit(t, fr)
 		return 0, ErrInvalid
 	}
-	val, err := t.space.ReadU64(addr, taskCharger{t})
+	val, err := t.space.ReadU64(addr, t)
 	if err != nil {
 		k.sysExit(t, fr)
 		return 0, err
@@ -513,11 +558,11 @@ type Semaphore struct {
 // NewSemaphore allocates a semaphore word in the task's address space
 // with the given initial count.
 func (t *Task) NewSemaphore(initial uint64) (*Semaphore, error) {
-	addr, err := t.space.Mmap(8, semProt, "semaphore", true, taskCharger{t})
+	addr, err := t.space.Mmap(8, semProt, "semaphore", true, t)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.space.WriteU64(addr, initial, taskCharger{t}); err != nil {
+	if err := t.space.WriteU64(addr, initial, t); err != nil {
 		return nil, err
 	}
 	return &Semaphore{addr: addr}, nil
@@ -531,12 +576,12 @@ func (s *Semaphore) Wait(t *Task) error {
 	k := t.kernel
 	for {
 		t.Charge(k.machine.Costs.AtomicOp)
-		v, err := t.space.ReadU64(s.addr, taskCharger{t})
+		v, err := t.space.ReadU64(s.addr, t)
 		if err != nil {
 			return err
 		}
 		if v > 0 {
-			return t.space.WriteU64(s.addr, v-1, taskCharger{t})
+			return t.space.WriteU64(s.addr, v-1, t)
 		}
 		if err := t.FutexWait(s.addr, 0); err != nil && err != ErrFutexAgain {
 			return err
@@ -548,11 +593,11 @@ func (s *Semaphore) Wait(t *Task) error {
 func (s *Semaphore) Post(t *Task) error {
 	k := t.kernel
 	t.Charge(k.machine.Costs.AtomicOp)
-	v, err := t.space.ReadU64(s.addr, taskCharger{t})
+	v, err := t.space.ReadU64(s.addr, t)
 	if err != nil {
 		return err
 	}
-	if err := t.space.WriteU64(s.addr, v+1, taskCharger{t}); err != nil {
+	if err := t.space.WriteU64(s.addr, v+1, t); err != nil {
 		return err
 	}
 	t.FutexWake(s.addr, 1)
@@ -561,14 +606,5 @@ func (s *Semaphore) Post(t *Task) error {
 
 // Value reads the current count (for tests).
 func (s *Semaphore) Value(t *Task) (uint64, error) {
-	return t.space.ReadU64(s.addr, taskCharger{t})
+	return t.space.ReadU64(s.addr, t)
 }
-
-// taskCharger adapts a Task to the mem.Charger interface so memory
-// operations bill the executing task.
-type taskCharger struct{ t *Task }
-
-// Charge implements mem.Charger.
-func (c taskCharger) Charge(d sim.Duration) { c.t.Charge(d) }
-
-func (c taskCharger) String() string { return fmt.Sprintf("charger(%s)", pidString(c.t)) }

@@ -100,10 +100,10 @@ func (k *Kernel) FaultDelay(t *Task, site string) sim.Duration {
 	return k.probes.Fire(c).Delay
 }
 
-// FaultArmed consults fault:armed: whether any program could ever fire
-// for (task, site), without consuming randomness. Recovery paths use it
-// to decide whether to arm timed waits.
-func (k *Kernel) FaultArmed(t *Task, site string) bool {
+// faultArmed consults fault:armed: whether any program could ever fire
+// for (task, site), without consuming randomness. FutexSleep uses it to
+// decide whether to arm a timed wait.
+func (k *Kernel) faultArmed(t *Task, site string) bool {
 	if !k.probes.Attached(probe.PFaultArmed) {
 		return false
 	}

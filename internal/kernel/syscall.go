@@ -15,7 +15,6 @@ const semProt = mem.ProtRead | mem.ProtWrite
 func (k *Kernel) countSyscall(t *Task, name string) {
 	k.syscalls++
 	k.syscallCounts[name]++
-	t.nSyscalls++
 }
 
 // sysFrame carries the observability state opened by sysEnter across a
@@ -272,7 +271,7 @@ func (t *Task) Mmap(size uint64, populated bool) (uint64, error) {
 	k := t.kernel
 	fr := k.sysEnter(t, "mmap")
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.MmapCost)
-	va, err := t.space.Mmap(size, mem.ProtRead|mem.ProtWrite, t.name+".mmap", populated, taskCharger{t})
+	va, err := t.space.Mmap(size, mem.ProtRead|mem.ProtWrite, t.name+".mmap", populated, t)
 	k.sysExit(t, fr)
 	return va, err
 }
@@ -292,12 +291,12 @@ func (t *Task) Munmap(addr, size uint64) error {
 
 // MemWrite stores data at va.
 func (t *Task) MemWrite(va uint64, data []byte) error {
-	return t.space.Write(va, data, taskCharger{t})
+	return t.space.Write(va, data, t)
 }
 
 // MemRead loads len(buf) bytes from va.
 func (t *Task) MemRead(va uint64, buf []byte) error {
-	return t.space.Read(va, buf, taskCharger{t})
+	return t.space.Read(va, buf, t)
 }
 
 // Compute burns pure user-mode CPU time (the "computation" half of the

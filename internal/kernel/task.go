@@ -137,7 +137,6 @@ type Task struct {
 
 	// Stats.
 	cpuTime      sim.Duration
-	nSyscalls    uint64
 	nCtxSwitches uint64
 }
 
@@ -305,7 +304,7 @@ func (t *Task) ClonePinned(name string, flags CloneFlags, core int, body TaskBod
 		// Fork-style: a copy-on-write duplicate of the parent's space —
 		// the conventional process creation that PiP's shared-space
 		// spawn is an alternative to.
-		child.space = t.space.ForkCoW(taskCharger{t})
+		child.space = t.space.ForkCoW(t)
 	}
 	if child.space != nil {
 		child.space.Attach()

@@ -131,8 +131,8 @@ const (
 	// latency (sched_delay), Scale multiplies I/O cost (fs_slow).
 	PFaultSite
 	// PFaultArmed queries whether a site could ever fire for the task,
-	// without consuming randomness (Verdict.Drop = armed). Recovery
-	// paths use it to decide whether to arm timed waits.
+	// without consuming randomness (Verdict.Drop = armed). The kernel's
+	// lost-wake recovery sleep uses it to decide whether to arm a timer.
 	PFaultArmed
 	// PFaultFired observes an injection that fired (after the PFaultSite
 	// verdict was applied). Site, Err and the legacy message are set.

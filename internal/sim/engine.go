@@ -397,11 +397,9 @@ func (e *Engine) dispatchNext(self *Proc) dispatchResult {
 		var msg resumeMsg
 		if p.ev.fn != nil {
 			// A spinning proc: its next pass runs here, and its
-			// goroutine wakes only once the spin is over, counting
-			// that last resume itself.
+			// goroutine wakes only once the spin is over.
 			done, panicked := p.resumeSpin()
 			if !done {
-				p.wakeups++
 				continue
 			}
 			if panicked != nil {

@@ -196,21 +196,6 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
-func TestAdvancedAccounting(t *testing.T) {
-	e := New()
-	var p *Proc
-	p = e.Spawn("busy", func(p *Proc) {
-		p.Advance(10 * Nanosecond)
-		p.Advance(15 * Nanosecond)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := p.Advanced(); got != 25*Nanosecond {
-		t.Errorf("Advanced = %v, want 25ns", got)
-	}
-}
-
 func TestUnparkNotParkedPanics(t *testing.T) {
 	e := New()
 	done := make(chan struct{})
@@ -229,22 +214,6 @@ func TestUnparkNotParkedPanics(t *testing.T) {
 	})
 	_ = e.Run()
 	<-done
-}
-
-func TestWakeupsCounted(t *testing.T) {
-	e := New()
-	var p *Proc
-	p = e.Spawn("w", func(p *Proc) {
-		p.Advance(Nanosecond)
-		p.Advance(Nanosecond)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// 1 initial resume + 2 advances.
-	if got := p.Wakeups(); got != 3 {
-		t.Errorf("Wakeups = %d, want 3", got)
-	}
 }
 
 func TestTracerRecords(t *testing.T) {

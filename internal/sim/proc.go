@@ -67,10 +67,6 @@ type Proc struct {
 	// neighbours. See WaitQ.
 	wq             *WaitQ
 	wqPrev, wqNext *Proc
-
-	// Stats.
-	wakeups  uint64
-	advanced Duration
 }
 
 // Name returns the proc's diagnostic name.
@@ -85,17 +81,9 @@ func (p *Proc) Engine() *Engine { return p.engine }
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("%s#%d", p.name, p.id) }
 
-// Advanced reports the total virtual time this proc has consumed via
-// Advance — a busy-time counter used by the power-proxy ablation.
-func (p *Proc) Advanced() Duration { return p.advanced }
-
-// Wakeups reports how many times the proc has been resumed.
-func (p *Proc) Wakeups() uint64 { return p.wakeups }
-
 func (p *Proc) run(fn func(*Proc)) {
 	// Wait for the first resume before running user code.
 	msg := <-p.resume
-	p.wakeups++
 	if msg.kill {
 		p.die()
 		return
@@ -165,7 +153,6 @@ func (p *Proc) yield() {
 	if e.direct {
 		switch e.dispatchNext(p) {
 		case resumedSelf:
-			p.wakeups++
 			return
 		case chainEnded:
 			e.baton <- struct{}{}
@@ -174,7 +161,6 @@ func (p *Proc) yield() {
 		e.baton <- struct{}{}
 	}
 	msg := <-p.resume
-	p.wakeups++
 	if msg.kill {
 		panic(ErrKilled)
 	}
@@ -217,13 +203,11 @@ func (p *Proc) Advance(d Duration) {
 	if d < 0 {
 		panic("sim: negative Advance")
 	}
-	p.advanced += d
 	e := p.engine
 	at := e.now.Add(d)
 	if !e.stopped && at <= e.limit {
 		if next := e.peek(); next == nil || at < next.at {
 			e.now = at
-			p.wakeups++
 			p.suspended = p.stepping
 			return
 		}

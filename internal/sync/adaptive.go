@@ -7,10 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Recovery backoff for futex sleeps when the lost-wake fault site is
-// armed: a wake aimed at us may be eaten, so the sleep is re-armed with
-// a doubling timeout (latency under fault, never lost liveness) —
-// the same discipline the BLT idle slot uses.
+// Bounds of the mutex's lost-wake recovery sleep (kernel.FutexSleep);
+// the condvar sleeps a fixed lostWakeMax.
 const (
 	lostWakeBase = 20 * sim.Microsecond
 	lostWakeMax  = 2 * sim.Millisecond
@@ -65,7 +63,7 @@ func (l *Mutex) Lock(t *kernel.Task) {
 			return
 		}
 	}
-	attempts := 0
+	b := kernel.Backoff{Base: lostWakeBase, Max: lostWakeMax}
 	for {
 		// Announce (possible) sleepers: acquire only by swapping in 2, so
 		// our own unlock passes the wake on to the next sleeper.
@@ -73,33 +71,18 @@ func (l *Mutex) Lock(t *kernel.Task) {
 			l.noteAcquire(t, start, true)
 			return
 		}
-		l.futexSleep(t, &attempts)
+		l.futexSleep(t, &b)
 	}
 }
 
-// futexSleep parks on the lock word while it reads "contended". Every
-// return is treated as a (possibly spurious) wake — the caller re-runs
-// the swap loop, which is correct under spurious wakes, EINTR, timeouts
-// and lost-wake recovery alike. An admission rejection (rlimit on
-// waiters or timers) degrades to a yield, keeping progress.
-func (l *Mutex) futexSleep(t *kernel.Task, attempts *int) {
-	var err error
-	if l.k.FaultArmed(t, "futex_lost_wake") {
-		d := lostWakeBase << uint(*attempts)
-		if d > lostWakeMax {
-			d = lostWakeMax
-		}
-		err = t.FutexWaitTimeout(l.word64, 2, d)
-		if err == kernel.ErrTimedOut {
-			*attempts++
-		} else {
-			*attempts = 0
-		}
-	} else {
-		err = t.FutexWait(l.word64, 2)
-	}
-	switch err {
-	case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut:
+// futexSleep parks on the lock word while it reads "contended", in the
+// kernel's lost-wake recovery sleep. The caller re-runs the swap loop
+// after every return, which is correct under spurious wakes, EINTR,
+// timeouts and lost-wake recovery alike. An admission rejection (rlimit
+// on waiters or timers) degrades to a yield, keeping progress.
+func (l *Mutex) futexSleep(t *kernel.Task, b *kernel.Backoff) {
+	switch err := t.FutexSleep(l.word64, 2, b); err {
+	case nil:
 	case kernel.ErrFutexWaiterLimit, kernel.ErrTimerLimit:
 		t.SchedYield()
 	default:
@@ -115,9 +98,9 @@ func (l *Mutex) futexSleep(t *kernel.Task, attempts *int) {
 func (l *Mutex) lockContended(t *kernel.Task) {
 	start := l.now()
 	l.noteArrive(t)
-	attempts := 0
+	b := kernel.Backoff{Base: lostWakeBase, Max: lostWakeMax}
 	for l.swap(t, l.word64, 2) != 0 {
-		l.futexSleep(t, &attempts)
+		l.futexSleep(t, &b)
 	}
 	l.noteAcquire(t, start, true)
 }
@@ -163,19 +146,12 @@ func (c *Cond) Wait(t *kernel.Task) {
 	t.Charge(l.costs.AtomicOp)
 	v := l.load(c.seq)
 	l.Unlock(t)
-	var err error
-	if l.k.FaultArmed(t, "futex_lost_wake") {
-		// The wake (or the requeue's eventual mutex wake) may be eaten:
-		// bound the sleep and treat a timeout as a spurious wake. The
-		// timer survives a requeue by design, so even a sleeper moved to
-		// the mutex word gets its recovery timeout.
-		err = t.FutexWaitTimeout(c.seq, v, lostWakeMax)
-	} else {
-		err = t.FutexWait(c.seq, v)
-	}
-	switch err {
-	case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut,
-		kernel.ErrFutexWaiterLimit, kernel.ErrTimerLimit:
+	// The wake (or the requeue's eventual mutex wake) may be eaten, so
+	// the sleep is a recovery sleep. Its timer survives a requeue by
+	// design, so even a sleeper moved to the mutex word times out.
+	b := kernel.Backoff{Base: lostWakeMax, Max: lostWakeMax}
+	switch err := t.FutexSleep(c.seq, v, &b); err {
+	case nil, kernel.ErrFutexWaiterLimit, kernel.ErrTimerLimit:
 	default:
 		panic(fmt.Sprintf("sync: cond wait: %v", err))
 	}
