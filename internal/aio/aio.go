@@ -19,7 +19,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -270,14 +269,7 @@ func (c *Context) helperBody(t *kernel.Task) int {
 	b := kernel.Backoff{Base: waitBackoffBase, Max: waitBackoffMax}
 	for {
 		if k.FaultShouldDie(t, "aio_helper_kill") {
-			if ps := k.Probes(); ps.Attached(probe.PTraceInstant) {
-				pc := ps.Begin(probe.PTraceInstant, k.Engine().Now())
-				pc.Site = "fault"
-				pc.Task = t
-				pc.Format = "aio_helper_kill: %s dies with %d queued"
-				pc.Args = []interface{}{t.Name(), len(c.queue)}
-				ps.Fire(pc)
-			}
+			k.Emit(t, "fault", "aio_helper_kill: %s dies with %d queued", t.Name(), len(c.queue))
 			c.die(t)
 			return killedExitStatus
 		}

@@ -199,7 +199,7 @@ func (b *BLT) Decouple() {
 	}
 	fr := p.opEnter(carrier, b, "decouple", probe.PDecouple)
 	if p.tracing() {
-		p.trace("decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
+		p.kern.Trace("blt", "decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
 	}
 	// Table I Seq.6: enqueue(UC0, KC1) — hand the UC to the scheduler.
 	// The scheduler may observe the queue entry before the UC context
@@ -209,7 +209,7 @@ func (b *BLT) Decouple() {
 	b.home.enqueue(b, carrier)
 	// Table I Seq.7: swap_ctx(UC0, TC0), straight to the trampoline.
 	if p.tracing() {
-		p.trace("decouple: swap_ctx(%s, TC)", b.name)
+		p.kern.Trace("blt", "decouple: swap_ctx(%s, TC)", b.name)
 	}
 	b.uc.Save()
 	b.uc.Transfer(b.host.tc, carrier)
@@ -249,7 +249,7 @@ func (b *BLT) Couple() error {
 	// Table I Seq.1: enqueue(UC0, KC0) — ask the original KC to run us.
 	// Seq.2: unblock(KC0).
 	if p.tracing() {
-		p.trace("couple: enqueue(%s, KC) + unblock(KC)", b.name)
+		p.kern.Trace("blt", "couple: enqueue(%s, KC) + unblock(KC)", b.name)
 	}
 	b.host.enqueueCoupled(b, carrier)
 	// Seq.3: swap_ctx(UC0, UCi) — yield to the scheduler, which marks
@@ -257,7 +257,7 @@ func (b *BLT) Couple() error {
 	// goes through the scheduler's goroutine: the original KC may load
 	// the UC as soon as the save is published.
 	if p.tracing() {
-		p.trace("couple: swap_ctx(%s, next-UC)", b.name)
+		p.kern.Trace("blt", "couple: swap_ctx(%s, next-UC)", b.name)
 	}
 	b.uc.Yield(tagCoupling)
 	// Resumed here either by the original KC (Seq.4: swap_ctx(TC0, UC0))

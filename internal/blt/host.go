@@ -92,7 +92,7 @@ func (h *KCHost) enqueueCoupled(b *BLT, carrier *kernel.Task) {
 		b.coupled = false
 		b.coupleErr = ErrHostDead
 		if h.pool.tracing() {
-			h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+			h.pool.kern.Trace("blt", "kc: dead; bounce %s to sched%d", b.name, b.home.index)
 		}
 		b.home.enqueue(b, carrier)
 		return
@@ -141,7 +141,7 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	h.dead = false
 	h.killed = false
 	if p.emitting() {
-		p.emit(carrier, "supervise", "kc.respawn: kc.%s restarted on core %d", h.name, h.core)
+		p.kern.Emit(carrier, "supervise", "kc.respawn: kc.%s restarted on core %d", h.name, h.core)
 	}
 }
 
@@ -179,7 +179,7 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		if k.FaultShouldDie(t, "kc_kill") {
 			h.killed = true // mid-decouple: the KC dies while idle
 			if p.emitting() {
-				p.emit(t, "fault", "kc_kill: %s dies idle", t.Name())
+				p.kern.Emit(t, "fault", "kc_kill: %s dies idle", t.Name())
 			}
 			return
 		}
@@ -190,7 +190,7 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		if k.FaultShouldDie(t, "kc_kill") {
 			h.killed = true // mid-couple: a request is queued, never served
 			if p.emitting() {
-				p.emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
+				p.kern.Emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
 			}
 			return
 		}
@@ -202,9 +202,9 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 			t.Charge(costs.AtomicOp)
 		}
 		if p.tracing() {
-			p.trace("kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
+			p.kern.Trace("blt", "kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
 			// Table I Seq.4: swap_ctx(TC0, UC0).
-			p.trace("kc: swap_ctx(TC, %s)", b.name)
+			p.kern.Trace("blt", "kc: swap_ctx(TC, %s)", b.name)
 		}
 		t.Charge(costs.UserCtxSwap)
 		h.running = b
@@ -224,7 +224,7 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		// transitions do not reload the TLS register, per §V-B).
 		b.ucSaved = true
 		if p.tracing() {
-			p.trace("kc: %s saved; blocking on TC", b.name) // Seq.8
+			p.kern.Trace("blt", "kc: %s saved; blocking on TC", b.name) // Seq.8
 		}
 		h.running = nil
 		c.Carrier().Charge(costs.UserCtxSwap)
@@ -284,7 +284,7 @@ func (h *KCHost) die(t *kernel.Task) {
 		b.coupled = false
 		b.coupleErr = ErrHostDead
 		if h.pool.tracing() {
-			h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+			h.pool.kern.Trace("blt", "kc: dead; bounce %s to sched%d", b.name, b.home.index)
 		}
 		b.home.enqueue(b, t)
 	}

@@ -69,44 +69,13 @@ type Config struct {
 }
 
 // tracing reports whether anything watches the trace:log point. Call
-// sites check it before calling trace, so an unwatched run does not box
-// the variadic arguments on every dispatch and handshake.
+// sites check it before calling Kernel.Trace, so an unwatched run does
+// not box the variadic arguments on every dispatch and handshake.
 func (p *Pool) tracing() bool { return p.kern.Probes().Attached(probe.PTraceLog) }
 
-// emitting is tracing's counterpart for the trace:instant point (emit).
+// emitting is tracing's counterpart for the trace:instant point
+// (Kernel.Emit).
 func (p *Pool) emitting() bool { return p.kern.Probes().Attached(probe.PTraceInstant) }
-
-// trace emits a BLT-protocol event through the trace:log probe point —
-// used to validate the Table I sequence in tests and to debug schedules
-// via ulpsim -trace.
-func (p *Pool) trace(format string, args ...interface{}) {
-	ps := p.kern.Probes()
-	if !ps.Attached(probe.PTraceLog) {
-		return
-	}
-	c := ps.Begin(probe.PTraceLog, p.kern.Engine().Now())
-	c.Site = "blt"
-	c.Format = format
-	c.Args = args
-	ps.Fire(c)
-}
-
-// emit records a typed instant event on t's current core through the
-// trace:instant probe point.
-func (p *Pool) emit(t *kernel.Task, kind, format string, args ...interface{}) {
-	ps := p.kern.Probes()
-	if !ps.Attached(probe.PTraceInstant) {
-		return
-	}
-	c := ps.Begin(probe.PTraceInstant, p.kern.Engine().Now())
-	c.Site = kind
-	if t != nil {
-		c.Task = t
-	}
-	c.Format = format
-	c.Args = args
-	ps.Fire(c)
-}
 
 // opFrame carries the latency clock and span id of one couple/decouple
 // handshake from opEnter to opExit. Zero frame (on=false): no program

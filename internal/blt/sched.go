@@ -194,11 +194,11 @@ func (s *Scheduler) die(t *kernel.Task) {
 	s.dead = true
 	live := s.pool.nextLiveSched(s.index)
 	if s.pool.emitting() {
-		s.pool.emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d",
+		s.pool.kern.Emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d",
 			s.index, s.q.Len(), live.index)
 	}
 	if s.pool.tracing() {
-		s.pool.trace("sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+		s.pool.kern.Trace("blt", "sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
 	}
 	for s.q.Len() > 0 {
 		b := s.dequeue(t)
@@ -313,7 +313,7 @@ func (s *Scheduler) switchIn(t *kernel.Task, b *BLT) {
 		ps.Fire(c)
 	}
 	if s.pool.tracing() {
-		s.pool.trace("sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
+		s.pool.kern.Trace("blt", "sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
 	}
 	s.running = b
 }
@@ -375,7 +375,7 @@ func (s *Scheduler) handle(t *kernel.Task, ev uctx.Event) {
 			b.done = true
 			b.host.residents--
 			if s.pool.tracing() {
-				s.pool.trace("sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
+				s.pool.kern.Trace("blt", "sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
 			}
 			return
 		}
@@ -393,7 +393,7 @@ func (s *Scheduler) handle(t *kernel.Task, ev uctx.Event) {
 		// couple/decouple cycle.
 		b.ucSaved = true
 		if s.pool.tracing() {
-			s.pool.trace("sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
+			s.pool.kern.Trace("blt", "sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
 		}
 		t.Charge(costs.UserCtxSwap)
 		s.loadTLS(t, s.slot.word) // the scheduler thread's own descriptor

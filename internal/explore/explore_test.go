@@ -182,10 +182,9 @@ func TestTraceStringRoundTrip(t *testing.T) {
 // over every stock scenario: the recorded decision trace — the
 // explorer's digest of one execution — must be identical across repeated
 // runs of the same schedule, and a same-seed random exploration must
-// reproduce the same aggregate result. The engine's timer plumbing
-// (heap, deferred slot and timing wheel) sits under every one of these
-// schedules, so any tie-order drift there surfaces here as a digest
-// mismatch.
+// reproduce the same aggregate result. The engine's event queue (heap
+// and deferred slot) sits under every one of these schedules, so any
+// tie-order drift there surfaces here as a digest mismatch.
 func TestStockScenarioDigestDeterminism(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		s, err := ByName(name, arch.Wallaby, blt.BusyWait)

@@ -16,27 +16,14 @@ type futexKey struct {
 	addr  uint64
 }
 
-// futexShardBits selects the shard count: 64 shards keep any one map
-// small enough that growth rehashes stay off the block/wake critical
-// path even with a million distinct words asleep.
-const (
-	futexShardBits  = 6
-	futexShardCount = 1 << futexShardBits
-)
-
-// futexTable maps futex words to their wait queues, sharded by word
-// hash. Entries exist only while at least one task sleeps on the word:
-// the queue's unlink drops the entry when the last waiter leaves (wake,
-// timeout or interrupt), so a long-lived machine does not leak one
-// table entry per futex word ever touched. Sharding partitions that
-// lifecycle — each shard's map holds only its own words, so create and
-// drop never rehash the whole population — while the create-on-wait,
-// non-creating-lookup and drained-entry-reclamation rules apply
-// per shard exactly as they did for the single table.
+// futexTable maps futex words to their wait queues. Entries exist only
+// while at least one task sleeps on the word: the queue's unlink drops
+// the entry when the last waiter leaves (wake, timeout or interrupt), so
+// a long-lived machine does not leak one table entry per futex word ever
+// touched.
 type futexTable struct {
 	k      *Kernel
-	shards [futexShardCount]map[futexKey]*WaitQueue
-	total  int // live entries across all shards
+	queues map[futexKey]*WaitQueue
 
 	// free recycles drained queues (at most maxFreeQueues), so a word's
 	// first sleeper allocates nothing in steady state. Only queue hands
@@ -49,7 +36,7 @@ type futexTable struct {
 
 // maxFreeQueues caps the free list: enough for the words that drain and
 // refill around one another in a busy workload, without pinning the
-// queues of a burst of a million sleepers forever.
+// queues of a burst of sleepers forever.
 const maxFreeQueues = 64
 
 func newFutexTable(k *Kernel) *futexTable { return &futexTable{k: k} }
@@ -63,30 +50,19 @@ func (ft *futexTable) noteSize() {
 		return
 	}
 	c := k.probes.Begin(probe.PFutexTable, k.engine.Now())
-	c.Val = int64(ft.total)
+	c.Val = int64(len(ft.queues))
 	k.probes.Fire(c)
-}
-
-// shardOf hashes a futex key to its shard index. The address's low bits
-// carry no entropy (words are 8-aligned), so a multiplicative mix feeds
-// the top bits, which select the shard.
-func shardOf(k futexKey) uint64 {
-	h := (k.addr ^ k.space*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	return h >> (64 - futexShardBits)
 }
 
 // queue returns the wait queue for k, creating the table entry if the
 // word has no waiters yet. Only the wait path (including a requeue
 // transferring sleepers) creates entries.
 func (ft *futexTable) queue(k futexKey) *WaitQueue {
-	s := shardOf(k)
-	m := ft.shards[s]
-	if m == nil {
-		m = make(map[futexKey]*WaitQueue)
-		ft.shards[s] = m
-	}
-	q := m[k]
+	q := ft.queues[k]
 	if q == nil {
+		if ft.queues == nil {
+			ft.queues = make(map[futexKey]*WaitQueue)
+		}
 		if n := len(ft.free); n > 0 {
 			q = ft.free[n-1]
 			ft.free[n-1] = nil
@@ -95,8 +71,7 @@ func (ft *futexTable) queue(k futexKey) *WaitQueue {
 		} else {
 			q = &WaitQueue{ft: ft, key: k}
 		}
-		m[k] = q
-		ft.total++
+		ft.queues[k] = q
 		ft.noteSize()
 	}
 	return q
@@ -105,19 +80,12 @@ func (ft *futexTable) queue(k futexKey) *WaitQueue {
 // lookup returns the wait queue for k without creating an entry (nil
 // when nothing sleeps on the word) — the wake path must not populate
 // the table.
-func (ft *futexTable) lookup(k futexKey) *WaitQueue {
-	m := ft.shards[shardOf(k)]
-	if m == nil {
-		return nil
-	}
-	return m[k]
-}
+func (ft *futexTable) lookup(k futexKey) *WaitQueue { return ft.queues[k] }
 
 // drop deletes a drained queue's table entry (called from unlink when
 // the last waiter leaves) and keeps the queue for reuse.
 func (ft *futexTable) drop(q *WaitQueue) {
-	delete(ft.shards[shardOf(q.key)], q.key)
-	ft.total--
+	delete(ft.queues, q.key)
 	if len(ft.free) < maxFreeQueues {
 		ft.free = append(ft.free, q)
 	}
@@ -235,18 +203,10 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 	}
 	q := k.futexes.queue(futexKey{t.space.ID, addr})
 	if timeout > 0 {
-		// block() below will bump waitSeq to exactly this value (nothing
-		// can block in between: After only schedules a callback). The
-		// timer fires only if the task is still in this very sleep —
-		// because every blocking wait on any path increments waitSeq, a
-		// task that woke and re-blocked on the same queue (say via
-		// Semaphore.Wait on the same word) no longer matches. The timer
-		// object is pooled (see futexTimer), so a timed wait allocates
-		// nothing in steady state; matching on waitSeq alone (plus the
-		// blocked state) also keeps the timeout armed across a
-		// FutexRequeue, which moves the sleeper to another queue without
-		// ending the sleep.
-		k.engine.After(timeout, k.getFutexTimer(t, t.waitSeq+1).fn)
+		// Matching on waitSeq alone (plus the blocked state) keeps the
+		// timeout armed across a FutexRequeue, which moves the sleeper
+		// to another queue without ending the sleep.
+		k.armTimeout(t, timeout, "futex")
 	}
 	k.fxStats.Blocked++
 	switch k.block(t, q, WaitFutex, addr, nil) {
@@ -464,76 +424,74 @@ func (k *Kernel) FutexWaiters(space uint64, addr uint64) int {
 }
 
 // FutexTableSize reports the number of live futex-table entries — words
-// with at least one sleeper — summed across all shards. Hygiene
-// invariant: no shard holds a drained queue, so this returns 0 at clean
-// quiescence (the explorer's quiescence oracle relies on it).
-func (k *Kernel) FutexTableSize() int {
-	n := 0
-	for _, m := range k.futexes.shards {
-		n += len(m)
-	}
-	if n != k.futexes.total {
-		panic(fmt.Sprintf("kernel: futex shard sizes sum to %d but the table counts %d", n, k.futexes.total))
-	}
-	return n
-}
+// with at least one sleeper. Hygiene invariant: the table holds no
+// drained queue, so this returns 0 at clean quiescence (the explorer's
+// quiescence oracle relies on it).
+func (k *Kernel) FutexTableSize() int { return len(k.futexes.queues) }
 
-// futexTimer is a pooled timeout callback for timed futex waits. The
-// closure is built once per pooled object and captures only the object,
-// so arming a timeout allocates nothing in steady state; the object
-// recycles when its timer fires (After always fires, even when the sleep
-// ended first — the fire is then a no-op thanks to the waitSeq guard).
-type futexTimer struct {
+// waitTimer is a pooled timeout for one sleep of a task: a timed futex
+// wait or a Nanosleep. The closure is built once per pooled object and
+// captures only the object, so arming a timeout allocates nothing in
+// steady state; the object recycles when its timer fires (After always
+// fires, even when the sleep ended first — the fire then wakes nobody,
+// thanks to the waitSeq guard).
+type waitTimer struct {
 	k    *Kernel
 	task *Task
 	seq  uint64
+	site string // timer:fire's Site: "futex" or "sleep"
 	fn   func()
 
 	// armed is the pool-hygiene tripwire: true from handout until the
 	// timer fires. The pool's invariant is "pooled object has no pending
 	// event" — objects recycle only in fire — and the assertion in
-	// getFutexTimer turns any future violation (say, a cancel path that
+	// armTimeout turns any future violation (say, a cancel path that
 	// pools an armed timer) into a panic at handout rather than a stale
 	// timer silently waking another waiter's sleep.
 	armed bool
 }
 
-// maxTimerPool bounds the kernel's timer-object pools, mirroring the
+// maxTimerPool bounds the kernel's timer-object pool, mirroring the
 // engine's callback-event freelist bound: a burst of a million in-flight
 // timers should not pin a million dead objects forever.
 const maxTimerPool = 1024
 
-func (k *Kernel) getFutexTimer(t *Task, seq uint64) *futexTimer {
-	var ft *futexTimer
-	if n := len(k.futexTimers); n > 0 {
-		ft = k.futexTimers[n-1]
-		k.futexTimers[n-1] = nil
-		k.futexTimers = k.futexTimers[:n-1]
-		if ft.armed {
-			panic(fmt.Sprintf("kernel: futex timer pool handed out an armed timer (task=%s seq=%d)",
-				pidString(ft.task), ft.seq))
+// armTimeout arms a timer that ends t's next sleep after d, unless the
+// sleep has ended by then; the caller blocks right after. block will
+// bump waitSeq to exactly t.waitSeq+1 (nothing can block in between:
+// After only schedules a callback), and the timer fires only if the task
+// is still in that very sleep. Because every blocking wait on any path
+// increments waitSeq, a task that woke and re-blocked on the same queue
+// (say via Semaphore.Wait on the same word) no longer matches.
+func (k *Kernel) armTimeout(t *Task, d sim.Duration, site string) {
+	var wt *waitTimer
+	if n := len(k.timers); n > 0 {
+		wt = k.timers[n-1]
+		k.timers[n-1] = nil
+		k.timers = k.timers[:n-1]
+		if wt.armed {
+			panic(fmt.Sprintf("kernel: timer pool handed out an armed timer (task=%s seq=%d)",
+				pidString(wt.task), wt.seq))
 		}
 	} else {
-		ft = &futexTimer{k: k}
-		ft.fn = ft.fire
+		wt = &waitTimer{k: k}
+		wt.fn = wt.fire
 	}
-	ft.task, ft.seq, ft.armed = t, seq, true
-	return ft
+	wt.task, wt.seq, wt.site, wt.armed = t, t.waitSeq+1, site, true
+	k.engine.After(d, wt.fn)
 }
 
-func (ft *futexTimer) fire() {
-	k, t, seq := ft.k, ft.task, ft.seq
-	ft.task = nil
-	ft.armed = false
-	if len(k.futexTimers) < maxTimerPool {
-		k.futexTimers = append(k.futexTimers, ft)
+func (wt *waitTimer) fire() {
+	k, t, seq, site := wt.k, wt.task, wt.seq, wt.site
+	wt.task = nil
+	wt.armed = false
+	if len(k.timers) < maxTimerPool {
+		k.timers = append(k.timers, wt)
 	}
 	if k.probes.Attached(probe.PTimerFire) {
 		c := k.probes.Begin(probe.PTimerFire, k.engine.Now())
-		c.Site = "futex"
-		if t != nil {
-			c.Task = t
-		}
+		c.Site = site
+		c.Task = t
 		k.probes.Fire(c)
 	}
 	// The sleep is identified by its waitSeq — bumped by every blocking

@@ -5,7 +5,7 @@ package kernel
 // interrupts the sleep, the body returns, the task exits) leaves its
 // pooled timer ARMED until the engine fires it. The pool invariant is
 // that such an object is never handed to another waiter while armed —
-// getFutexTimer's tripwire panics on violation — and that the eventual
+// armTimeout's tripwire panics on violation — and that the eventual
 // stale fire is a no-op against both the dead task and any later sleeps.
 
 import (

@@ -56,12 +56,14 @@ type Kernel struct {
 
 	futexes *futexTable
 
-	// futexTimers / sleepTimers recycle the timer objects of timed futex
-	// waits and Nanosleep so the block path allocates nothing in steady
-	// state (each object carries a closure built once; see futexTimer and
-	// sleepTimer).
-	futexTimers []*futexTimer
-	sleepTimers []*sleepTimer
+	// timers recycles the timeout objects of timed futex waits and
+	// Nanosleep so the block path allocates nothing in steady state
+	// (each object carries a closure built once; see waitTimer).
+	timers []*waitTimer
+
+	// sleepers holds the tasks in Nanosleep, so a signal can pull them
+	// out of their sleep.
+	sleepers WaitQueue
 
 	// policy, when set, is the pluggable dispatch plane (see policy.go):
 	// core placement, enqueue position and pick-next order route through
@@ -125,10 +127,8 @@ func (k *Kernel) FutexStats() FutexStats { return k.fxStats }
 // one) left a sleeper behind.
 func (k *Kernel) ResidualFutexWaiters() int {
 	n := 0
-	for _, m := range k.futexes.shards {
-		for _, q := range m {
-			n += q.Len()
-		}
+	for _, q := range k.futexes.queues {
+		n += q.Len()
 	}
 	return n
 }
@@ -338,24 +338,28 @@ func load(c *Core) int {
 
 // tracing reports whether anything watches the trace:log point (the
 // stock trace probe while a tracer is installed, or a custom program).
-// Hot paths gate their k.trace calls on it so the unwatched run pays
+// Hot paths gate their Trace calls on it so the unwatched run pays
 // neither the variadic boxing nor the pidString formatting of the
 // call's arguments.
 func (k *Kernel) tracing() bool { return k.probes.Attached(probe.PTraceLog) }
 
-func (k *Kernel) trace(format string, args ...interface{}) {
+// Trace fires the trace:log point with a formatted line from site
+// ("kernel", "blt"): ulpsim -trace records it, and tests validate
+// protocol sequences against it.
+func (k *Kernel) Trace(site, format string, args ...interface{}) {
 	if !k.probes.Attached(probe.PTraceLog) {
 		return
 	}
 	c := k.probes.Begin(probe.PTraceLog, k.engine.Now())
-	c.Site = "kernel"
+	c.Site = site
 	c.Format = format
 	c.Args = args
 	k.probes.Fire(c)
 }
 
-// emit fires a typed instant event attributed to t's current core.
-func (k *Kernel) emit(t *Task, kind, format string, args ...interface{}) {
+// Emit fires a typed instant event of the given kind ("fault",
+// "signal", ...) attributed to t's current core.
+func (k *Kernel) Emit(t *Task, kind, format string, args ...interface{}) {
 	if !k.probes.Attached(probe.PTraceInstant) {
 		return
 	}

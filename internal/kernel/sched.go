@@ -132,7 +132,7 @@ func (k *Kernel) dispatch(t *Task, c *Core, latency sim.Duration) {
 	t.lastCore = c.id
 	t.state = TaskRunning
 	if k.tracing() {
-		k.trace("dispatch %s on core %d (+%v)", pidString(t), c.id, latency)
+		k.Trace("kernel", "dispatch %s on core %d (+%v)", pidString(t), c.id, latency)
 	}
 	k.engine.After(latency, c.noteRunFn)
 	if t.proc == nil {
@@ -190,7 +190,7 @@ func (k *Kernel) block(t *Task, q *WaitQueue, class WaitClass, addr uint64, targ
 	t.core = nil
 	c.current = nil
 	if k.tracing() {
-		k.trace("block %s (core %d now free)", pidString(t), c.id)
+		k.Trace("kernel", "block %s (core %d now free)", pidString(t), c.id)
 	}
 	k.scheduleNext(c)
 	t.proc.Park()
@@ -250,7 +250,7 @@ func (k *Kernel) exitTask(t *Task, status int) {
 		k.probes.Fire(c)
 	}
 	if k.tracing() {
-		k.trace("exit %s status=%d", pidString(t), status)
+		k.Trace("kernel", "exit %s status=%d", pidString(t), status)
 	}
 	if t.space != nil {
 		t.space.Detach()
@@ -382,70 +382,19 @@ func (y *Spinner) exit(t *Task) bool {
 	return true
 }
 
-// sleepTimer is a pooled Nanosleep timer: one embedded wait queue plus a
-// wake callback built once per pooled object, so a sleep allocates
-// nothing in steady state. The object recycles only when its timer fires
-// (After always fires): a signal-interrupted sleep leaves the queue
-// empty and the late fire wakes nobody, exactly as the per-call queue it
-// replaces behaved.
-type sleepTimer struct {
-	k  *Kernel
-	q  WaitQueue
-	fn func()
-
-	// armed mirrors futexTimer.armed: pooled objects must have no
-	// pending event, and the handout assertion catches any path that
-	// would recycle a live timer (see getFutexTimer).
-	armed bool
-}
-
-func (k *Kernel) getSleepTimer() *sleepTimer {
-	if n := len(k.sleepTimers); n > 0 {
-		st := k.sleepTimers[n-1]
-		k.sleepTimers[n-1] = nil
-		k.sleepTimers = k.sleepTimers[:n-1]
-		if st.armed {
-			panic("kernel: sleep timer pool handed out an armed timer")
-		}
-		st.armed = true
-		return st
-	}
-	st := &sleepTimer{k: k, armed: true}
-	st.fn = st.fire
-	return st
-}
-
-func (st *sleepTimer) fire() {
-	k := st.k
-	st.armed = false
-	if k.probes.Attached(probe.PTimerFire) {
-		c := k.probes.Begin(probe.PTimerFire, k.engine.Now())
-		c.Site = "sleep"
-		if t := st.q.head; t != nil {
-			c.Task = t
-		}
-		k.probes.Fire(c)
-	}
-	k.WakeOne(&st.q, k.machine.Costs.KernelSwitch)
-	if len(k.sleepTimers) < maxTimerPool {
-		k.sleepTimers = append(k.sleepTimers, st)
-	}
-}
-
 // Nanosleep suspends the calling task for the given virtual duration.
 // Like nanosleep(2), a signal delivered to the task interrupts the
 // sleep: the call returns the unslept remainder and ErrInterrupted
 // (EINTR). A completed sleep returns (0, nil). Callers that sleep
 // uninterruptibly may ignore both results; the pooled timer's late fire
-// finds an empty queue and wakes nobody.
+// finds the sleep over and wakes nobody.
 func (t *Task) Nanosleep(d sim.Duration) (sim.Duration, error) {
 	k := t.kernel
 	fr := k.sysEnter(t, "nanosleep")
 	t.Charge(k.machine.Costs.SyscallEntry)
-	st := k.getSleepTimer()
 	deadline := k.engine.Now().Add(d)
-	k.engine.After(d, st.fn)
-	reason := k.block(t, &st.q, WaitSleep, 0, nil)
+	k.armTimeout(t, d, "sleep")
+	reason := k.block(t, &k.sleepers, WaitSleep, 0, nil)
 	k.sysExit(t, fr)
 	if reason == WakeInterrupted {
 		remaining := deadline.Sub(k.engine.Now())

@@ -152,7 +152,7 @@ func (k *Kernel) deliver(target *Task, sig int) {
 		c.Val = int64(sig)
 		k.probes.Fire(c)
 	}
-	k.emit(target, "signal", "signal %d -> %s (handled=%v)", sig, pidString(target), h != nil)
+	k.Emit(target, "signal", "signal %d -> %s (handled=%v)", sig, pidString(target), h != nil)
 	if h != nil {
 		h(target, sig)
 	}

@@ -323,7 +323,7 @@ func (t *Task) ClonePinned(name string, flags CloneFlags, core int, body TaskBod
 	t.appendChild(child)
 	k.tasks[pid] = child
 	if k.tracing() {
-		k.trace("clone %s -> %s (flags=%b)", pidString(t), pidString(child), flags)
+		k.Trace("kernel", "clone %s -> %s (flags=%b)", pidString(t), pidString(child), flags)
 	}
 	if k.probes.Attached(probe.PTaskSpawn) {
 		c := k.probes.Begin(probe.PTaskSpawn, k.engine.Now())

@@ -86,8 +86,10 @@ const (
 	// PFutexTable fires when the futex table gains or drops a word entry.
 	// Val = live entries after the change.
 	PFutexTable
-	// PTimerFire fires when a kernel timer callback runs. Site = "futex"
-	// or "sleep".
+	// PTimerFire fires when a kernel timeout runs: Site = "futex" for a
+	// timed futex wait, "sleep" for a Nanosleep. Task = the task that
+	// armed it, also when its sleep already ended (a wake or a signal
+	// came first) and the fire wakes nobody.
 	PTimerFire
 	// PTaskSpawn fires when clone creates a task. Task = child, Waiter =
 	// creating task.

@@ -34,10 +34,6 @@ type event struct {
 	// fn is the callback to run in engine context; a proc's own event
 	// carries its spin step here instead (see Proc.Spin).
 	fn func()
-
-	// wnext chains events within a timing-wheel slot (see wheel.go);
-	// nil whenever the event is in the deferred slot, the heap, or idle.
-	wnext *event
 }
 
 // eventLess orders events by (time, sequence): earlier first, FIFO among
@@ -61,14 +57,6 @@ type Engine struct {
 	// 4-ary layout halves the tree depth of a binary heap and keeps
 	// sibling comparisons within one cache line of the slice.
 	heap []*event
-
-	// wheel holds far-future events (at least wheelHorizon ahead of
-	// now): a hierarchical timing wheel with O(1) insert whose slots
-	// cascade back through the heap as virtual time approaches, so a
-	// million pending timers never weigh on near-event heap sifts. See
-	// wheel.go for the structure and the tie-order argument.
-	wheel        timerWheel
-	wheelHorizon Duration
 
 	// deferred fuses the ubiquitous push-then-pop pattern (a proc
 	// schedules its next event, then the engine immediately takes the
@@ -134,10 +122,9 @@ type Engine struct {
 // New creates an empty engine at virtual time zero.
 func New() *Engine {
 	return &Engine{
-		procs:        make(map[uint64]*Proc),
-		baton:        make(chan struct{}),
-		limit:        maxTime,
-		wheelHorizon: DefaultTimerWheelHorizon,
+		procs: make(map[uint64]*Proc),
+		baton: make(chan struct{}),
+		limit: maxTime,
 	}
 }
 
@@ -170,23 +157,14 @@ func (e *Engine) trace(kind, format string, args ...interface{}) {
 	}
 }
 
-// schedule enqueues an event at its absolute time ev.at. Far-future
-// events go to the timing wheel; near events land in the deferred slot,
-// migrating a previously deferred event into the heap. The sequence
-// number is assigned here, before routing, so tie-order at equal
-// timestamps is identical whichever structure holds the event.
+// schedule enqueues an event at its absolute time ev.at: it lands in
+// the deferred slot, migrating a previously deferred event into the
+// heap. The sequence number is assigned here, so tie-order at equal
+// timestamps is the order of the schedule calls whichever structure
+// holds the event.
 func (e *Engine) schedule(ev *event) {
 	ev.seq = e.seq
 	e.seq++
-	if ev.at.Sub(e.now) >= e.wheelHorizon {
-		// Guard against the wheel's tick having been cascaded past this
-		// event's tick (possible when a cascade overshot because the
-		// heap was empty); such events take the heap path instead.
-		if t := wheelTickOf(ev.at); t > e.wheel.tick {
-			e.wheel.insert(ev, t)
-			return
-		}
-	}
 	if d := e.deferred; d != nil {
 		e.heapPush(d)
 	}
@@ -195,9 +173,6 @@ func (e *Engine) schedule(ev *event) {
 
 // peek returns the earliest pending event without removing it, or nil.
 func (e *Engine) peek() *event {
-	if e.wheel.count > 0 {
-		e.wheelSync()
-	}
 	d := e.deferred
 	if d != nil && (len(e.heap) == 0 || eventLess(d, e.heap[0])) {
 		return d
@@ -210,9 +185,6 @@ func (e *Engine) peek() *event {
 
 // popNext removes and returns the earliest pending event, or nil.
 func (e *Engine) popNext() *event {
-	if e.wheel.count > 0 {
-		e.wheelSync()
-	}
 	d := e.deferred
 	if d != nil && (len(e.heap) == 0 || eventLess(d, e.heap[0])) {
 		e.deferred = nil
@@ -520,7 +492,7 @@ func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // PendingEvents reports the number of scheduled events.
 func (e *Engine) PendingEvents() int {
-	n := len(e.heap) + e.wheel.count
+	n := len(e.heap)
 	if e.deferred != nil {
 		n++
 	}

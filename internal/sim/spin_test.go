@@ -10,14 +10,14 @@ import (
 	"unsafe"
 )
 
-// TestProcSizePin: a Proc sits exactly on Go's 112-byte size class, so
-// the spin state rides in space it already has — the step in its
-// event's fn slot, the flags beside the one-byte state. Growing it
-// moves every proc to the next class, which the scale workload, with a
-// million procs, pays in memory.
+// TestProcSizePin: a Proc is 104 B, inside Go's 112-byte size class,
+// and the spin state rides in space it already has — the step in its
+// event's fn slot, the flags beside the one-byte state. Growing it past
+// 112 B moves every proc to the next class, which the scale workload,
+// with a million procs, pays in memory.
 func TestProcSizePin(t *testing.T) {
-	if got := unsafe.Sizeof(Proc{}); got > 112 {
-		t.Errorf("unsafe.Sizeof(Proc{}) = %d, want <= 112", got)
+	if got := unsafe.Sizeof(Proc{}); got > 104 {
+		t.Errorf("unsafe.Sizeof(Proc{}) = %d, want <= 104", got)
 	}
 }
 
