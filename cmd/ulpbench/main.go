@@ -26,6 +26,12 @@
 // -parallel N fans the experiment grids out over N workers (default
 // GOMAXPROCS); each job runs on its own Engine and results are collected
 // by index, so the output is byte-identical at any width.
+//
+// -cpuprofile and -memprofile write host-time profiles of the run (a
+// CPU profile over it, a heap profile after it) for go tool pprof:
+//
+//	ulpbench -scale -quick -runs 1 -cpuprofile scale.prof
+//	go tool pprof -top -cum scale.prof
 package main
 
 import (
@@ -39,6 +45,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/bench"
+	"repro/internal/hostprof"
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/schedpolicy"
@@ -59,6 +66,13 @@ const (
 )
 
 func main() {
+	if err := ulpbench(); err != nil {
+		fmt.Fprintln(os.Stderr, "ulpbench:", err)
+		os.Exit(1)
+	}
+}
+
+func ulpbench() (err error) {
 	exp := flag.String("exp", "all", "experiment: table3|table4|table5|fig7|fig8|ablate-idle|ablate-tls|fig6-scenario|huge-pages|mpi-oversub|all")
 	scale := flag.Bool("scale", false, "run the wait-queue/futex scale suite instead of -exp (see doc comment)")
 	contention := flag.Bool("contention", false, "run the lock-contention sweep instead of -exp (lock algorithm x threads x ULT:KC ratio)")
@@ -72,13 +86,14 @@ func main() {
 	reportPath := flag.String("report", "", "write a full markdown report to this file (runs everything)")
 	probeStr := flag.String("probe", "", "with -scale: attach stock probes to every row's kernel (e.g. 'slo:p99_us=500'); a failing SLO check fails the row")
 	schedPolicy := flag.String("sched-policy", "", "scheduler policy for every benchmark kernel: "+strings.Join(schedpolicy.Names(), "|")+" (empty = stock dispatch)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a host heap profile to this file after the run (go tool pprof)")
 	flag.Parse()
 	bench.Runs = *runs
 	if *probeStr != "" {
 		specs, err := probe.ParseSpecs(*probeStr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
+			return err
 		}
 		bench.ProbeSpecs = specs
 	}
@@ -86,8 +101,7 @@ func main() {
 		// Validate the spec once up front; bench parses a fresh instance
 		// per kernel so stateful policies never leak state across runs.
 		if _, err := schedpolicy.New(*schedPolicy); err != nil {
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
+			return err
 		}
 		bench.SchedPolicy = *schedPolicy
 	}
@@ -96,61 +110,63 @@ func main() {
 		*jsonOut = true
 		bench.Metrics = metrics.NewRegistry()
 	}
+	stop, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
 	if *reportPath != "" {
 		f, err := os.Create(*reportPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := bench.Report(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
+			return err
 		}
 		f.Close()
 		fmt.Println("report written to", *reportPath)
-		return
+		return nil
 	}
 	var recs *[]bench.Record
 	if *jsonOut {
 		recs = new([]bench.Record)
 	}
+	switch {
+	case *scale:
+		err = runScale(*quick, *chaosScale, recs)
+	case *contention:
+		err = runContention(*quick, recs)
+	default:
+		err = run(os.Stdout, *exp, *csvPrefix, recs)
+	}
+	if err != nil || recs == nil {
+		return err
+	}
+	if bench.Metrics != nil {
+		for _, s := range bench.Metrics.Snapshot() {
+			*recs = append(*recs, bench.Record{Experiment: "metrics", Series: s.Name, Ns: s.Value})
+		}
+	}
+	path := jsonPath
 	if *scale {
-		if err := runScale(*quick, *chaosScale, recs); err != nil {
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
+		path = scaleJSONPath
+		if *chaosScale {
+			path = chaosScaleJSONPath
 		}
-	} else if *contention {
-		if err := runContention(*quick, recs); err != nil {
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
-		}
-	} else if err := run(os.Stdout, *exp, *csvPrefix, recs); err != nil {
-		fmt.Fprintln(os.Stderr, "ulpbench:", err)
-		os.Exit(1)
 	}
-	if recs != nil {
-		if bench.Metrics != nil {
-			for _, s := range bench.Metrics.Snapshot() {
-				*recs = append(*recs, bench.Record{Experiment: "metrics", Series: s.Name, Ns: s.Value})
-			}
-		}
-		path := jsonPath
-		if *scale {
-			path = scaleJSONPath
-			if *chaosScale {
-				path = chaosScaleJSONPath
-			}
-		}
-		if *contention {
-			path = contentionJSONPath
-		}
-		if err := bench.WriteRecordsJSON(path, *recs); err != nil {
-			fmt.Fprintln(os.Stderr, "ulpbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchmark records written to", path)
+	if *contention {
+		path = contentionJSONPath
 	}
+	if err := bench.WriteRecordsJSON(path, *recs); err != nil {
+		return err
+	}
+	fmt.Println("benchmark records written to", path)
+	return nil
 }
 
 // runScale drives the scale suite serially over both machines (the

@@ -22,6 +22,9 @@
 //
 //	ulpsim -explore -explore-scenario blt-mn -explore-policy dfs \
 //	       -explore-depth 4 -explore-runs 256
+//
+// -cpuprofile and -memprofile write host-time profiles of the run (a CPU
+// profile over it, a heap profile after it) for go tool pprof.
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/fs"
+	"repro/internal/hostprof"
 	"repro/internal/kernel"
 	"repro/internal/loader"
 	"repro/internal/metrics"
@@ -79,6 +83,8 @@ func main() {
 		probeStr     = flag.String("probe", "", "stock probe specs, e.g. 'throttle:task=worker,interval_us=50;slo:p99_us=800' (see -probe-list)")
 		probeList    = flag.Bool("probe-list", false, "list attach points and stock probes, then exit")
 		schedPolicy  = flag.String("sched-policy", "", "scheduler policy: "+strings.Join(schedpolicy.Names(), "|")+" (with optional :params; empty = stock dispatch)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+		memProfile   = flag.String("memprofile", "", "write a host heap profile to this file after the run (go tool pprof)")
 	)
 	flag.Parse()
 	if *probeList {
@@ -93,7 +99,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var err error
+	stop, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ulpsim:", err)
+		os.Exit(1)
+	}
 	if *traceFormat != "text" && *traceFormat != "chrome" {
 		err = fmt.Errorf("unknown trace format %q (want text or chrome)", *traceFormat)
 	} else if *chaosMode {
@@ -107,6 +117,9 @@ func main() {
 			*computeUS, *writeSize, *idle, *signals, *tracePath, *traceCap,
 			*traceFormat, *showMetrics, *workSteal, *preemptUS, *showTimeline,
 			*seed, *faults, *superviseOn, *stallUS, *probeStr, *schedPolicy)
+	}
+	if perr := stop(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ulpsim:", err)

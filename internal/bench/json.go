@@ -22,9 +22,12 @@ type Record struct {
 	Allocs     uint64  `json:"allocs,omitempty"`
 
 	// Scale-suite memory columns (fan-in rows only): allocations during
-	// the FutexWake drain and retained bytes per idle blocked task.
-	WakeAllocs   uint64  `json:"wake_allocs,omitempty"`
-	BytesPerTask float64 `json:"bytes_per_task,omitempty"`
+	// the FutexWake drain and retained bytes per idle blocked task, in
+	// total and split into goroutine stack and heap.
+	WakeAllocs        uint64  `json:"wake_allocs,omitempty"`
+	BytesPerTask      float64 `json:"bytes_per_task,omitempty"`
+	StackBytesPerTask float64 `json:"stack_bytes_per_task,omitempty"`
+	HeapBytesPerTask  float64 `json:"heap_bytes_per_task,omitempty"`
 }
 
 // WriteRecordsJSON writes records as an indented JSON array to path.

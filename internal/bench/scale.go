@@ -92,7 +92,10 @@ type ScaleRow struct {
 	// waiters (fan-in series only), measured across a forced GC while
 	// everyone sleeps. IdleBytes/n is the bytes-per-idle-task figure —
 	// the column that makes per-task footprint regressions diffable.
-	IdleBytes uint64
+	// IdleStack and IdleHeap split it into the goroutine stacks (the
+	// StackInuse delta) and the heap (the HeapAlloc delta), so a
+	// footprint change can be traced to its cause.
+	IdleBytes, IdleStack, IdleHeap uint64
 
 	TablePeak int // futex-table high-water during the run
 	TableEnd  int // futex-table size at quiescence (must be 0)
@@ -109,6 +112,10 @@ func (r ScaleRow) AllocsPerOp() float64 { return float64(r.Allocs) / float64(r.N
 
 // BytesPerTask returns the idle memory footprint per blocked task.
 func (r ScaleRow) BytesPerTask() float64 { return float64(r.IdleBytes) / float64(r.N) }
+
+// StackBytesPerTask and HeapBytesPerTask split BytesPerTask.
+func (r ScaleRow) StackBytesPerTask() float64 { return float64(r.IdleStack) / float64(r.N) }
+func (r ScaleRow) HeapBytesPerTask() float64  { return float64(r.IdleHeap) / float64(r.N) }
 
 // ScaleResult is the suite on one machine.
 type ScaleResult struct {
@@ -183,7 +190,7 @@ func minRow(f func() (ScaleRow, error)) (ScaleRow, error) {
 		// Zero means "not measured" (GC-floor noise swallowed a small
 		// delta), so prefer any positive repeat over it.
 		if r.IdleBytes > 0 && (best.IdleBytes == 0 || r.IdleBytes < best.IdleBytes) {
-			best.IdleBytes = r.IdleBytes
+			best.IdleBytes, best.IdleStack, best.IdleHeap = r.IdleBytes, r.IdleStack, r.IdleHeap
 		}
 	}
 	return best, nil
@@ -256,16 +263,24 @@ func scaleSpawnJoin(m *arch.Machine, n int) (ScaleRow, error) {
 	return row, err
 }
 
-// idleFootprint forces a collection and returns the retained heap plus
-// goroutine-stack footprint — the quantity whose delta across n blocked
-// waiters yields the bytes-per-idle-task column. The GC pause lands in
-// the row's Wall column (documented host-dependent), never in WakeWall
-// or the virtual column.
-func idleFootprint() uint64 {
+// idleFootprint forces a collection and returns the retained heap and
+// goroutine-stack footprint — the quantities whose deltas across n
+// blocked waiters yield the bytes-per-idle-task columns. The GC pause
+// lands in the row's Wall column (documented host-dependent), never in
+// WakeWall or the virtual column.
+func idleFootprint() (heap, stack uint64) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc + ms.StackInuse
+	return ms.HeapAlloc, ms.StackInuse
+}
+
+// delta returns b-a, or 0 when b is not larger.
+func delta(a, b uint64) uint64 {
+	if b > a {
+		return b - a
+	}
+	return 0
 }
 
 // scaleFanIn blocks n waiters on one futex word and wakes them with a
@@ -283,7 +298,7 @@ func scaleFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 			bodyErr = merr
 			return
 		}
-		m0 := idleFootprint()
+		h0, s0 := idleFootprint()
 		waiters := make([]*kernel.Task, n)
 		for i := range waiters {
 			waiters[i] = root.Clone("fw", kernel.PThreadFlags, func(t *kernel.Task) int {
@@ -298,9 +313,9 @@ func scaleFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 		}
 		// Everyone is asleep: the footprint delta over the pre-spawn
 		// baseline is what n idle tasks cost the host.
-		if m1 := idleFootprint(); m1 > m0 {
-			row.IdleBytes = m1 - m0
-		}
+		h1, s1 := idleFootprint()
+		row.IdleBytes = delta(h0+s0, h1+s1)
+		row.IdleStack, row.IdleHeap = delta(s0, s1), delta(h0, h1)
 		row.TablePeak = k.FutexTableSize()
 		var mw0, mw1 runtime.MemStats
 		runtime.ReadMemStats(&mw0)
@@ -396,20 +411,23 @@ func scaleChurn(m *arch.Machine, words int) (ScaleRow, error) {
 // deterministic; wall and allocs are host-dependent.
 func PrintScale(w io.Writer, r ScaleResult) {
 	fmt.Fprintf(w, "Scale suite (%s) — %s (%s)\n", r.Config.Label, r.Machine.Name, r.Machine.Arch)
-	fmt.Fprintf(w, "  %-14s %8s %12s %12s %10s %12s %11s %11s %6s\n",
-		"series", "n", "virt/op", "wall/op", "allocs/op", "wake-wall/op", "wake-allocs", "idle-B/task", "table")
+	fmt.Fprintf(w, "  %-14s %8s %12s %12s %10s %12s %11s %11s %12s %11s %6s\n",
+		"series", "n", "virt/op", "wall/op", "allocs/op", "wake-wall/op", "wake-allocs",
+		"idle-B/task", "stack-B/task", "heap-B/task", "table")
 	for _, row := range r.Rows {
-		wakeCol, wakeAllocCol, idleCol := "-", "-", "-"
+		wakeCol, wakeAllocCol, idleCol, stackCol, heapCol := "-", "-", "-", "-", "-"
 		if row.WakeWall > 0 {
 			wakeCol = fmt.Sprintf("%.0f ns", float64(row.WakeWall.Nanoseconds())/float64(row.N))
 			wakeAllocCol = fmt.Sprintf("%d", row.WakeAllocs)
 		}
 		if row.IdleBytes > 0 {
 			idleCol = fmt.Sprintf("%.0f", row.BytesPerTask())
+			stackCol = fmt.Sprintf("%.0f", row.StackBytesPerTask())
+			heapCol = fmt.Sprintf("%.0f", row.HeapBytesPerTask())
 		}
-		fmt.Fprintf(w, "  %-14s %8d %9.0f ns %9.0f ns %10.1f %12s %11s %11s %3d/%d\n",
+		fmt.Fprintf(w, "  %-14s %8d %9.0f ns %9.0f ns %10.1f %12s %11s %11s %12s %11s %3d/%d\n",
 			row.Series, row.N, row.VirtPerOp(), row.WallPerOp(), row.AllocsPerOp(),
-			wakeCol, wakeAllocCol, idleCol, row.TablePeak, row.TableEnd)
+			wakeCol, wakeAllocCol, idleCol, stackCol, heapCol, row.TablePeak, row.TableEnd)
 	}
 	for _, s := range []string{"spawn-join", "fanin-wakeall"} {
 		small, big, ok := seriesExtremes(r.Rows, s)
@@ -448,8 +466,9 @@ func seriesExtremes(rows []ScaleRow, series string) (small, big ScaleRow, ok boo
 
 // ScaleRecords flattens a suite result into JSON records: virtual ns
 // per op in Ns, rounded host allocations per op in Allocs, and — for
-// the fan-in rows — drain allocations and bytes per idle task, so
-// per-task footprint regressions diff in the JSON output.
+// the fan-in rows — drain allocations and bytes per idle task, in total
+// and split into stack and heap, so per-task footprint regressions diff
+// in the JSON output.
 func ScaleRecords(r ScaleResult) []Record {
 	var recs []Record
 	for _, row := range r.Rows {
@@ -457,6 +476,7 @@ func ScaleRecords(r ScaleResult) []Record {
 			Experiment: "scale", Machine: r.Machine.Name, Series: row.Series,
 			Size: row.N, Ns: row.VirtPerOp(), Allocs: uint64(row.AllocsPerOp() + 0.5),
 			WakeAllocs: row.WakeAllocs, BytesPerTask: row.BytesPerTask(),
+			StackBytesPerTask: row.StackBytesPerTask(), HeapBytesPerTask: row.HeapBytesPerTask(),
 		})
 	}
 	return recs

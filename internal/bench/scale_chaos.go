@@ -198,6 +198,36 @@ func chaosSpawnJoinSupervised(m *arch.Machine, n int) (ScaleRow, error) {
 	return row, err
 }
 
+// chaosWaiter is the body of a fault-robust fan-in waiter: it sleeps on
+// the futex word at addr until the word reads 1. The release flag makes
+// it immune to every injected futex misbehaviour: a lost wake costs at
+// most the current timeout, which doubles from chaosWaitBase up to
+// chaosWaitMax, and a spurious wake or EINTR just re-checks.
+func chaosWaiter(addr uint64) kernel.TaskBody {
+	return func(t *kernel.Task) int {
+		var backoff sim.Duration
+		for {
+			v, rerr := t.Space().ReadU64(addr, nil)
+			if rerr != nil {
+				return 1
+			}
+			if v == 1 {
+				return 0
+			}
+			if backoff == 0 {
+				backoff = chaosWaitBase
+			} else {
+				backoff = min(2*backoff, chaosWaitMax)
+			}
+			switch t.FutexWaitTimeout(addr, 0, backoff) {
+			case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut:
+			default:
+				return 1
+			}
+		}
+	}
+}
+
 // chaosFanIn blocks n fault-robust waiters on one futex word under an
 // injected futex fault mix, then releases them through a flag write plus
 // a re-wake loop, with the supervision plane watching. The row errors if
@@ -228,33 +258,9 @@ func chaosFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 		}
 		t0 := e.Now()
 		waiters := make([]*kernel.Task, n)
+		waiter := chaosWaiter(addr)
 		for i := range waiters {
-			waiters[i] = root.Clone("cfw", kernel.PThreadFlags, func(t *kernel.Task) int {
-				// The release flag makes the waiter immune to every
-				// injected futex misbehaviour: a lost wake only costs the
-				// current backoff, a spurious wake or EINTR just
-				// re-checks.
-				var backoff sim.Duration
-				for {
-					v, rerr := t.Space().ReadU64(addr, nil)
-					if rerr != nil {
-						return 1
-					}
-					if v == 1 {
-						return 0
-					}
-					if backoff == 0 {
-						backoff = chaosWaitBase
-					} else if backoff < chaosWaitMax {
-						backoff *= 2
-					}
-					switch t.FutexWaitTimeout(addr, 0, backoff) {
-					case nil, kernel.ErrFutexAgain, kernel.ErrInterrupted, kernel.ErrTimedOut:
-					default:
-						return 1
-					}
-				}
-			})
+			waiters[i] = root.Clone("cfw", kernel.PThreadFlags, waiter)
 		}
 		// Let the herd park, publish the release flag, then re-wake while
 		// sleepers remain: an injected lost wake strands its target only

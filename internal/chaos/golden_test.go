@@ -12,6 +12,7 @@ import (
 	"repro/internal/blt"
 	"repro/internal/chaos"
 	"repro/internal/fault"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	usync "repro/internal/sync"
@@ -56,6 +57,18 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// leakBaseline warms up with one small chaos run and returns the
+// goroutine count that every later run must return to: each run's
+// tasks, proc runners and UCs are goroutines, and a run that leaves one
+// behind fails the golden test that made it.
+func leakBaseline(t *testing.T) int {
+	t.Helper()
+	if _, err := chaos.Run(chaos.Config{Machine: arch.Wallaby(), Seed: 1, ULPs: 2, Ops: 10}); err != nil {
+		t.Fatal(err)
+	}
+	return leakcheck.Baseline()
+}
+
 // TestChaosGolden pins supervised, probed chaos runs to committed
 // output: the digest, every fault spec's hit/fire counts, the probe
 // reports and the full metrics dump, for seeds 1-4 on both machines
@@ -67,6 +80,7 @@ func TestChaosGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := leakBaseline(t)
 	var b bytes.Buffer
 	for _, m := range arch.Machines() {
 		for _, idle := range []blt.IdlePolicy{blt.BusyWait, blt.Blocking} {
@@ -81,6 +95,7 @@ func TestChaosGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", m.Name, idle, seed, err)
 				}
+				leakcheck.Check(t, base)
 				fmt.Fprintf(&b, "== %s/%s seed=%d\ndigest end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d\n",
 					m.Name, idle, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans)
 				for _, s := range stats {
@@ -104,6 +119,7 @@ func TestChaosThrottleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := leakBaseline(t)
 	var b bytes.Buffer
 	for _, m := range arch.Machines() {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -117,6 +133,7 @@ func TestChaosThrottleGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", m.Name, seed, err)
 			}
+			leakcheck.Check(t, base)
 			fmt.Fprintf(&b, "== %s seed=%d\ndigest end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d\n",
 				m.Name, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans)
 			for _, s := range stats {
@@ -132,12 +149,14 @@ func TestChaosThrottleGolden(t *testing.T) {
 
 // TestLockChaosGolden pins one lock-chaos digest per lock algorithm.
 func TestLockChaosGolden(t *testing.T) {
+	base := leakBaseline(t)
 	var b bytes.Buffer
 	for _, lock := range usync.Names() {
 		d, err := chaos.RunLock(chaos.LockConfig{Lock: lock, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", lock, err)
 		}
+		leakcheck.Check(t, base)
 		fmt.Fprintf(&b, "%s end=%d counter=%d syscalls=%d ctxsw=%d injections=%d futex=%+v\n",
 			lock, int64(d.EndTime), d.Counter, d.Syscalls, d.CtxSwitch, d.Injections, d.Futex)
 	}
@@ -157,6 +176,7 @@ func TestLockChaosLostWakeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := leakBaseline(t)
 	var b bytes.Buffer
 	for _, m := range arch.Machines() {
 		for _, lock := range usync.Names() {
@@ -167,6 +187,7 @@ func TestLockChaosLostWakeGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", m.Name, lock, seed, err)
 				}
+				leakcheck.Check(t, base)
 				fmt.Fprintf(&b, "%s/%s seed=%d end=%d counter=%d syscalls=%d ctxsw=%d injections=%d futex=%+v\n",
 					m.Name, lock, seed, int64(d.EndTime), d.Counter, d.Syscalls, d.CtxSwitch, d.Injections, d.Futex)
 			}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/blt"
+	"repro/internal/leakcheck"
 	"repro/internal/sim"
 )
 
@@ -38,8 +39,14 @@ func traceLine(ds []Decision, err error) string {
 // (Replay with no prefix) and one seeded random walk, on both machines
 // under both idle policies, to committed hashes. The existing determinism tests compare
 // a run with a rerun of the same code; this catches a change that moves
-// the schedule identically every time.
+// the schedule identically every time. After every run, the goroutine
+// count must be back at its baseline (leakcheck); the proc table is
+// checked by drain.
 func TestExploreGolden(t *testing.T) {
+	if _, err := Replay(PingPong(arch.Wallaby, 4), nil); err != nil {
+		t.Fatal(err)
+	}
+	base := leakcheck.Baseline()
 	var b bytes.Buffer
 	for _, mk := range []func() *arch.Machine{arch.Wallaby, arch.Albireo} {
 		for _, idle := range []blt.IdlePolicy{blt.BusyWait, blt.Blocking} {
@@ -51,12 +58,15 @@ func TestExploreGolden(t *testing.T) {
 				cell := fmt.Sprintf("%s/%s/%s", name, mk().Name, idle)
 				ds, err := Replay(s, nil)
 				fmt.Fprintf(&b, "%s replay %s\n", cell, traceLine(ds, err))
+				leakcheck.Check(t, base)
 				rng := sim.NewRNG(1)
 				ds, err = runOne(s, func(_, n int) int { return rng.Intn(n) })
 				fmt.Fprintf(&b, "%s random seed=1 %s\n", cell, traceLine(ds, err))
+				leakcheck.Check(t, base)
 				res := Explore(s, Config{Policy: RandomWalk, Runs: 2, Seed: 1})
 				fmt.Fprintf(&b, "%s explore runs=%d decisions=%d width=%d failed=%v\n",
 					cell, res.Runs, res.Decisions, res.MaxWidth, res.Failure != nil)
+				leakcheck.Check(t, base)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -58,5 +60,70 @@ func TestSyscallMetricsOnZeroAllocs(t *testing.T) {
 		t.Errorf("metrics-on getpid loop allocates %.1f per chunk, want 0", got)
 	}
 	e.Stop()
+	e.Shutdown()
+}
+
+// TestCloneJoinAllocs: a steady-state clone+join pair allocates the
+// child's Task, its sim.Proc and the body closure that runs it, and
+// nothing more. The child runs on the runner its predecessor left
+// idle, and its proc's name is formatted only when something prints
+// it. Before both, a pair allocated 8 times.
+func TestCloneJoinAllocs(t *testing.T) {
+	e := sim.New()
+	k := New(e, arch.Wallaby())
+	const warm, pairs = 64, 1000
+	var allocs uint64
+	root := k.NewTask("root", k.NewAddressSpace(), func(t *Task) int {
+		body := func(*Task) int { return 0 }
+		var ms runtime.MemStats
+		for i := 0; i < warm+pairs; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&ms)
+				allocs = ms.Mallocs
+			}
+			t.Join(t.Clone("child", PThreadFlags, body))
+		}
+		runtime.ReadMemStats(&ms)
+		allocs = ms.Mallocs - allocs
+		return 0
+	})
+	k.Start(root, 0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// slack absorbs one-time growth that lands in the window, such as a
+	// map or heap resize.
+	const slack = 16
+	if allocs > 3*pairs+slack {
+		t.Errorf("%d clone+join pairs allocate %d times, want at most 3 each", pairs, allocs)
+	}
+}
+
+// TestTaskProcNamePin: a kernel task's proc reads "name/pidN#id", in
+// Proc.String() and in Run's deadlock report alike, however late the
+// name is formatted.
+func TestTaskProcNamePin(t *testing.T) {
+	e := sim.New()
+	k := New(e, arch.Wallaby())
+	var child *Task
+	root := k.NewTask("root", k.NewAddressSpace(), func(t *Task) int {
+		addr, err := t.Mmap(8, true)
+		if err != nil {
+			panic(err)
+		}
+		child = t.Clone("sleeper", PThreadFlags, func(c *Task) int {
+			c.FutexWait(addr, 0)
+			return 0
+		})
+		return t.Join(child)
+	})
+	k.Start(root, 0)
+	err := e.Run()
+	if got, want := child.proc.String(), "sleeper/pid2#2"; got != want {
+		t.Errorf("child proc String() = %q, want %q", got, want)
+	}
+	if got, want := fmt.Sprint(err), sim.ErrDeadlock.Error()+": root/pid1#1, sleeper/pid2#2"; got != want {
+		t.Errorf("Run = %q, want %q", got, want)
+	}
 	e.Shutdown()
 }

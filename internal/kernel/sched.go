@@ -136,7 +136,7 @@ func (k *Kernel) dispatch(t *Task, c *Core, latency sim.Duration) {
 	}
 	k.engine.After(latency, c.noteRunFn)
 	if t.proc == nil {
-		t.proc = k.engine.SpawnAfter(fmt.Sprintf("%s/pid%d", t.name, t.pid), latency, func(p *sim.Proc) {
+		t.proc = k.engine.SpawnAfter(t, latency, func(p *sim.Proc) {
 			status := t.body(t)
 			k.exitTask(t, status)
 		})

@@ -5,10 +5,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/arch"
+	"repro/internal/leakcheck"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -176,10 +176,5 @@ func TestShutdownKillsTaskParkedMidSpin(t *testing.T) {
 	if n := e.LiveProcs(); n != 0 {
 		t.Errorf("LiveProcs = %d after Shutdown", n)
 	}
-	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after Shutdown, want %d", n, base)
-	}
+	leakcheck.Check(t, base)
 }

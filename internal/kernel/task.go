@@ -177,6 +177,11 @@ func (k *Kernel) Start(t *Task, latency sim.Duration) {
 // Name returns the task's diagnostic name.
 func (t *Task) Name() string { return t.name }
 
+// ProcName names the task's sim proc "name/pidN" (sim.Namer). It is
+// formatted only when a trace, a panic, a deadlock report or a
+// chooser's Candidate.Proc prints it.
+func (t *Task) ProcName() string { return fmt.Sprintf("%s/pid%d", t.name, t.pid) }
+
 // PID returns the task's kernel-internal id (what gettid() would say).
 func (t *Task) PID() int { return t.pid }
 

@@ -7,11 +7,19 @@ import "sort"
 // index 0 is always what the engine's fixed FIFO tie-break would run —
 // a chooser that constantly returns 0 reproduces the default schedule.
 type Candidate struct {
-	// Proc is the name of the proc the event resumes, or "" for an
-	// engine callback (timer, wakeup).
-	Proc string
 	// Seq is the event's global schedule sequence number (FIFO order).
-	Seq uint64
+	Seq  uint64
+	proc *Proc // the proc the event resumes, nil for an engine callback
+}
+
+// Proc returns the name of the proc the event resumes, or "" for an
+// engine callback (timer, wakeup). The name is built on each call, so a
+// chooser that never asks formats none.
+func (c Candidate) Proc() string {
+	if c.proc == nil {
+		return ""
+	}
+	return c.proc.Name()
 }
 
 // Chooser decides which of several events enabled at the same virtual
@@ -68,14 +76,11 @@ func (e *Engine) popChoose() *event {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
 	labels := e.candLabels[:0]
 	for _, ev := range cands {
-		c := Candidate{Seq: ev.seq}
-		if ev.proc != nil {
-			c.Proc = ev.proc.name
-		}
-		labels = append(labels, c)
+		labels = append(labels, Candidate{Seq: ev.seq, proc: ev.proc})
 	}
 	e.candLabels = labels[:0]
 	idx := e.chooser.Choose(at, labels)
+	clear(labels) // hold no proc past the decision
 	if idx < 0 || idx >= len(cands) {
 		idx = 0
 	}

@@ -42,6 +42,11 @@ func TestChooserDefaultIndexZeroMatchesFIFO(t *testing.T) {
 				t.Errorf("candidates not seq-sorted: %v", cands)
 			}
 		}
+		for _, c := range cands {
+			if name := c.Proc(); name != "p0" && name != "p1" && name != "p2" {
+				t.Errorf("candidate %d names proc %q, want p0, p1 or p2", c.Seq, name)
+			}
+		}
 		return 0 // index 0 == the FIFO default
 	}))
 	spawnOrderProbes(e2, 3, &picked)

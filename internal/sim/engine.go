@@ -89,6 +89,18 @@ type Engine struct {
 	// procs fall back to waking the engine via baton.
 	direct bool
 
+	// trapPanics converts proc panics into an error returned by
+	// Run/RunUntil instead of crashing the process — the explorer uses
+	// this so a protocol-violation panic on an adversarial schedule is a
+	// failing (and shrinkable) run, not an abort.
+	trapPanics bool
+
+	// idle lists the runners of exited procs, nIdle long (at most
+	// maxIdle), for SpawnAfter to reuse. It is empty outside the event
+	// loop, which reaps it before Run/RunUntil return.
+	nIdle int32
+	idle  *runner
+
 	// limit is the timestamp bound of the active Run/RunUntil loop; the
 	// proc-local Advance fast path must not carry the clock past it.
 	limit  Time
@@ -101,18 +113,14 @@ type Engine struct {
 
 	// chooser, when non-nil, overrides the FIFO tie-break among events
 	// enabled at the same instant (see choose.go). The scratch slices are
-	// reused across decision points so exploration allocates nothing in
+	// reused across decision points, and a candidate's proc name is built
+	// only if the chooser asks for it, so a decision allocates nothing in
 	// steady state.
 	chooser    Chooser
 	candEvents []*event
 	candLabels []Candidate
 
-	// trapPanics converts proc panics into an error returned by
-	// Run/RunUntil instead of crashing the process — the explorer uses
-	// this so a protocol-violation panic on an adversarial schedule is a
-	// failing (and shrinkable) run, not an abort.
-	trapPanics bool
-	panicErr   error
+	panicErr error // the trapped proc panic, see SetTrapPanics
 
 	// stepPanic holds a panic raised by a spin step on a dispatching
 	// goroutine while it travels to the spinning proc's goroutine.
@@ -285,31 +293,55 @@ func (e *Engine) After(d Duration, fn func()) {
 }
 
 // Spawn creates a new proc executing fn and schedules its first resumption
-// at the current time. fn runs on its own goroutine but only while holding
-// the engine baton.
+// at the current time. fn runs on a goroutine of its own but only while
+// holding the engine baton.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAfter(name, 0, fn)
+	return e.SpawnAfter(fixedName(name), 0, fn)
 }
 
-// SpawnAfter is Spawn with the first resumption delayed by d.
-func (e *Engine) SpawnAfter(name string, d Duration, fn func(p *Proc)) *Proc {
+// maxIdle bounds the idle runner list, whose every entry keeps a
+// goroutine and its stack until the loop ends. Only runners that a
+// later spawn takes pay off: spawn-join reuses one, and the deepest
+// reuse measured (DESIGN §3) is the futex-churn row's batch of 64
+// waiters. A fan-in's burst of exits fills any bound, and no spawn
+// follows it before the loop ends.
+const maxIdle = 64
+
+// SpawnAfter is Spawn with the first resumption delayed by d and the name
+// asked of n only when something prints the proc. fn runs on an idle
+// runner when there is one (see runner), and on a new goroutine
+// otherwise.
+func (e *Engine) SpawnAfter(n Namer, d Duration, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{
-		id:     e.nextID,
-		name:   name,
-		engine: e,
-		resume: make(chan resumeMsg),
-	}
+	p := &Proc{id: e.nextID, name: n, engine: e}
 	p.ev.proc = p
 	e.procs[p.id] = p
 	if e.tracer != nil {
 		e.trace("spawn", "proc %s", p)
 	}
-	go p.run(fn)
+	r := e.idle
+	if r != nil {
+		e.idle, r.next = r.next, nil
+		e.nIdle--
+		r.p, r.fn = p, fn
+	} else {
+		r = &runner{resume: make(chan resumeMsg), p: p, fn: fn}
+		go r.loop()
+	}
+	p.r = r
 	p.state = procReady
 	p.ev.at = e.now.Add(d)
 	e.schedule(&p.ev)
 	return p
+}
+
+// reapIdle ends the goroutine of every idle runner.
+func (e *Engine) reapIdle() {
+	for r := e.idle; r != nil; r = e.idle {
+		e.idle, r.next = r.next, nil
+		r.resume <- resumeMsg{}
+	}
+	e.nIdle = 0
 }
 
 // dispatchResult reports how a dispatchNext call ended.
@@ -330,11 +362,12 @@ const (
 
 // dispatchNext executes pending callbacks and resumes the next runnable
 // proc. It is called both by the engine loop (self == nil) and — in
-// direct mode — by a yielding proc's own goroutine, which hands the baton
-// straight to the next proc instead of bouncing through the engine
+// direct mode — by a yielding or exiting proc's runner, which hands the
+// baton straight to the next proc instead of bouncing through the engine
 // goroutine (halving the scheduler switches per simulated context
-// switch).
-func (e *Engine) dispatchNext(self *Proc) dispatchResult {
+// switch). A resume of a proc that self runs, the caller's own or the
+// first of a proc just handed an exiting runner, returns resumedSelf.
+func (e *Engine) dispatchNext(self *runner) dispatchResult {
 	for !e.stopped {
 		next := e.peek()
 		if next == nil || next.at > e.limit {
@@ -375,20 +408,35 @@ func (e *Engine) dispatchNext(self *Proc) dispatchResult {
 				continue
 			}
 			if panicked != nil {
-				if p == self {
+				if p.r == self {
 					panic(panicked)
 				}
 				e.stepPanic, msg.reraise = panicked, true
 			}
 		}
-		if p == self {
+		if p.r == self {
 			return resumedSelf
 		}
-		p.resume <- msg
+		p.r.resume <- msg
 		return handedOff
 	}
 	e.current = nil
 	return chainEnded
+}
+
+// release gives up the baton for good: in direct mode the calling
+// runner (self, or nil when it is dropped) dispatches its successor
+// itself, otherwise it wakes the engine loop.
+func (e *Engine) release(self *runner) dispatchResult {
+	if !e.direct {
+		e.baton <- struct{}{}
+		return chainEnded
+	}
+	res := e.dispatchNext(self)
+	if res == chainEnded {
+		e.baton <- struct{}{}
+	}
+	return res
 }
 
 // runProc hands the baton to p and waits for it to park or exit. Used
@@ -397,7 +445,7 @@ func (e *Engine) runProc(p *Proc, msg resumeMsg) {
 	prev := e.current
 	e.current = p
 	p.state = procRunning
-	p.resume <- msg
+	p.r.resume <- msg
 	<-e.baton
 	e.current = prev
 }
@@ -405,9 +453,14 @@ func (e *Engine) runProc(p *Proc, msg resumeMsg) {
 // loop drives the event loop in direct-handoff mode: it starts dispatch
 // chains and sleeps on the baton while procs hand control among
 // themselves; a proc that finds no runnable successor wakes it back up.
+// On the way out it reaps the idle runners, so no goroutine outlives
+// Run/RunUntil but those of live procs.
 func (e *Engine) loop() {
 	e.direct = true
-	defer func() { e.direct = false }()
+	defer func() {
+		e.direct = false
+		e.reapIdle()
+	}()
 	for e.dispatchNext(nil) == handedOff {
 		<-e.baton
 	}

@@ -36,8 +36,9 @@ type resumeMsg struct {
 	reraise bool
 }
 
-// Proc is a simulation coroutine. A proc's function runs on its own
-// goroutine but only ever while it holds the engine baton, so procs never
+// Proc is a simulation coroutine. A proc's function runs on a goroutine
+// of its own (a runner, which a later proc may reuse once this one has
+// returned) but only ever while it holds the engine baton, so procs never
 // truly race: exactly one proc (or the engine loop) executes at a time.
 //
 // Procs model active entities with their own control flow — in this
@@ -46,14 +47,14 @@ type resumeMsg struct {
 // running.
 type Proc struct {
 	id     uint64
-	name   string
+	name   Namer
 	engine *Engine
 	state  procState
 	// stepping is set while a spin step runs (see Spin): Advance and
 	// Park then record the suspension instead of blocking, and
 	// suspended notes that the step has made it.
 	stepping, suspended bool
-	resume              chan resumeMsg
+	r                   *runner // the goroutine that runs the body
 
 	// ev is the proc's intrusive resume event. A live proc has at most
 	// one pending resume (ready XOR running XOR parked), so Spawn,
@@ -69,8 +70,21 @@ type Proc struct {
 	wqPrev, wqNext *Proc
 }
 
+// Namer gives a proc its diagnostic name. The engine asks only when
+// something prints the proc (a trace line, a panic, a deadlock report,
+// or a chooser that calls Candidate.Proc), so a spawn formats no
+// string.
+type Namer interface {
+	ProcName() string
+}
+
+// fixedName is the Namer of a proc spawned under a plain string.
+type fixedName string
+
+func (n fixedName) ProcName() string { return string(n) }
+
 // Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return p.name.ProcName() }
 
 // ID returns the proc's unique id.
 func (p *Proc) ID() uint64 { return p.id }
@@ -79,44 +93,107 @@ func (p *Proc) ID() uint64 { return p.id }
 func (p *Proc) Engine() *Engine { return p.engine }
 
 // String implements fmt.Stringer.
-func (p *Proc) String() string { return fmt.Sprintf("%s#%d", p.name, p.id) }
+func (p *Proc) String() string { return fmt.Sprintf("%s#%d", p.Name(), p.id) }
 
-func (p *Proc) run(fn func(*Proc)) {
-	// Wait for the first resume before running user code.
-	msg := <-p.resume
-	if msg.kill {
+// runner is a goroutine that runs proc bodies, one after another, and the
+// channel that resumes it. When its proc returns, the runner waits on the
+// engine's idle list for the next body (see SpawnAfter), so a spawn
+// starts a goroutine only when that list is empty. A killed or panicked
+// proc's runner is dropped: its goroutine ends with the proc.
+type runner struct {
+	resume chan resumeMsg
+	p      *Proc       // the proc it runs; nil while idle
+	fn     func(*Proc) // p's body, until it starts
+	next   *runner     // idle-list link
+}
+
+// loop runs the bodies handed to r. The loop and the recover share this
+// one frame, so a body runs exactly as deep as on a goroutine of its
+// own: a parked fan-in waiter sits a few hundred bytes under the 4 KiB
+// stack edge, and one more frame below the body pushes every such
+// waiter's stack to 8 KiB (DESIGN §3).
+func (r *runner) loop() {
+	var p *Proc
+	defer func() {
+		if rec := recover(); rec != nil {
+			if r.p != p {
+				// The panic came from the dispatch chain of p's exit,
+				// after r went idle or on to the next body: r keeps
+				// serving on a new goroutine.
+				go r.loop()
+			}
+			p.fail(rec)
+		}
+	}()
+	// Every body waits for its proc's first resume before it runs,
+	// unless the exit of the body before dispatched it here.
+	msg := <-r.resume
+	for p = r.p; p != nil; p = r.p {
+		if msg.kill {
+			p.die()
+			return
+		}
+		fn := r.fn
+		r.fn = nil
+		fn(p)
+		kept, inPlace := p.retire()
+		if !kept {
+			return
+		}
+		if !inPlace {
+			p = nil // an idle runner must not keep its dead proc alive
+			msg = <-r.resume
+		}
+	}
+	// A nil proc is the reap of an idle runner (Engine.reapIdle).
+}
+
+// fail handles a panic out of p's body: ErrKilled kills p; anything else
+// is trapped (SetTrapPanics) or re-raised with the proc's name.
+func (p *Proc) fail(r any) {
+	if r == ErrKilled {
 		p.die()
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if r == ErrKilled {
-				p.die()
-				return
-			}
-			if p.engine.trapPanics {
-				// Record the failure, stop the simulation and die
-				// cleanly; Run/RunUntil will surface the error.
-				if p.engine.panicErr == nil {
-					p.engine.panicErr = fmt.Errorf("sim: proc %s panicked: %v", p, r)
-				}
-				p.engine.stopped = true
-				p.die()
-				return
-			}
-			// Re-panicking from a goroutine would crash the process
-			// without a useful trace through the engine; annotate.
-			p.die()
-			panic(fmt.Sprintf("sim: proc %s panicked: %v", p, r))
+	e := p.engine
+	if e.trapPanics {
+		// Record the failure, stop the simulation and die cleanly;
+		// Run/RunUntil will surface the error.
+		if e.panicErr == nil {
+			e.panicErr = fmt.Errorf("sim: proc %s panicked: %v", p, r)
 		}
-	}()
-	fn(p)
-	p.state = procDead
-	delete(p.engine.procs, p.id)
-	if p.engine.tracer != nil {
-		p.engine.trace("exit", "proc %s", p)
+		e.stopped = true
+		p.die()
+		return
 	}
-	p.release()
+	// Re-panicking from a goroutine would crash the process without a
+	// useful trace through the engine; annotate.
+	p.die()
+	panic(fmt.Sprintf("sim: proc %s panicked: %v", p, r))
+}
+
+// retire ends a proc whose body returned and gives up the baton. Inside
+// the event loop its runner first joins the idle list, so a spawn in the
+// exit's own dispatch chain can take it; if that chain reaches the new
+// proc's first resume, the proc starts in place (inPlace). kept reports
+// whether the runner stays: outside the loop, or with the list full, its
+// goroutine ends.
+func (p *Proc) retire() (kept, inPlace bool) {
+	e := p.engine
+	p.state = procDead
+	delete(e.procs, p.id)
+	if e.tracer != nil {
+		e.trace("exit", "proc %s", p)
+	}
+	if !e.direct || e.nIdle >= maxIdle {
+		e.release(nil)
+		return false, false
+	}
+	r := p.r
+	r.p, r.next = nil, e.idle
+	e.idle = r
+	e.nIdle++
+	return true, e.release(r) == resumedSelf
 }
 
 func (p *Proc) die() {
@@ -126,21 +203,7 @@ func (p *Proc) die() {
 	if p.engine.tracer != nil {
 		p.engine.trace("kill", "proc %s", p)
 	}
-	p.release()
-}
-
-// release gives up the baton for good (proc exit): in direct mode the
-// dying goroutine dispatches its successor itself, otherwise it wakes the
-// engine loop.
-func (p *Proc) release() {
-	e := p.engine
-	if e.direct {
-		if e.dispatchNext(nil) == chainEnded {
-			e.baton <- struct{}{}
-		}
-		return
-	}
-	e.baton <- struct{}{}
+	p.engine.release(nil)
 }
 
 // yield releases the baton and blocks until resumed. Must only be called
@@ -151,7 +214,7 @@ func (p *Proc) release() {
 func (p *Proc) yield() {
 	e := p.engine
 	if e.direct {
-		switch e.dispatchNext(p) {
+		switch e.dispatchNext(p.r) {
 		case resumedSelf:
 			return
 		case chainEnded:
@@ -160,7 +223,7 @@ func (p *Proc) yield() {
 	} else {
 		e.baton <- struct{}{}
 	}
-	msg := <-p.resume
+	msg := <-p.r.resume
 	if msg.kill {
 		panic(ErrKilled)
 	}

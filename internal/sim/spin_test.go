@@ -6,8 +6,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
+
+	"repro/internal/leakcheck"
 )
 
 // TestProcSizePin: a Proc is 104 B, inside Go's 112-byte size class,
@@ -55,7 +56,7 @@ type spinWorld struct {
 // counter when p advanced (so an unchanged counter means the fast
 // path), or ^0 after a Park.
 func (w *spinWorld) resumed(p *Proc, before uint64) {
-	w.trace = append(w.trace, dispatchRec{w.e.now, p.ev.seq, p.name})
+	w.trace = append(w.trace, dispatchRec{w.e.now, p.ev.seq, p.Name()})
 	switch {
 	case before == ^uint64(0):
 	case w.e.seq == before:
@@ -253,18 +254,6 @@ func TestSpinMatchesGoroutineLoop(t *testing.T) {
 	}
 }
 
-// waitGoroutines waits for the goroutine count to fall back to base:
-// a killed proc's goroutine exits just after handing the baton back.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after Shutdown, want %d", n, base)
-	}
-}
-
 // TestSpinContractPanics: a step that suspends twice, returns false
 // without suspending, or suspends and reports the wait over panics with
 // the spinning proc's name — whether the pass runs on the proc's own
@@ -311,7 +300,7 @@ func TestSpinContractPanics(t *testing.T) {
 					t.Fatalf("Run() = %v, want a panic of the spinner: %s", err, c.want)
 				}
 				e.Shutdown()
-				waitGoroutines(t, base)
+				leakcheck.Check(t, base)
 			})
 		}
 	}
@@ -350,7 +339,7 @@ func TestSpinPanicReraisedOnSpinningProc(t *testing.T) {
 		t.Errorf("step ran %d times, want 3", len(ran))
 	}
 	e.Shutdown()
-	waitGoroutines(t, base)
+	leakcheck.Check(t, base)
 	if e.LiveProcs() != 0 {
 		t.Errorf("LiveProcs = %d after Shutdown", e.LiveProcs())
 	}
@@ -389,7 +378,7 @@ func TestSpinShutdownKillsSpinners(t *testing.T) {
 	if e.LiveProcs() != 0 {
 		t.Errorf("LiveProcs = %d after Shutdown", e.LiveProcs())
 	}
-	waitGoroutines(t, base)
+	leakcheck.Check(t, base)
 }
 
 // TestSpinZeroAllocs: a spin pass run by the dispatcher allocates

@@ -27,7 +27,7 @@ func (q *WaitQ) Wait(p *Proc) {
 // enqueue appends p, which must not currently be on any queue.
 func (q *WaitQ) enqueue(p *Proc) {
 	if p.wq != nil {
-		panic("sim: proc " + p.name + " waiting on a WaitQ while on another")
+		panic("sim: proc " + p.Name() + " waiting on a WaitQ while on another")
 	}
 	p.wq = q
 	p.wqPrev = q.tail
