@@ -12,8 +12,10 @@
 //	ulpbench -exp ablate-idle
 //	ulpbench -scale -quick
 //
-// Experiments: table3, table4, table5, fig7, fig8 (the paper's §VI),
-// ablate-idle (A1), ablate-tls (A2), fig6-scenario (A5), all.
+// Experiments, in -exp all order (bench.Experiments): table3, table4,
+// table5, fig7, fig8 (the paper's §VI), ablate-idle (A1), ablate-tls
+// (A2), fig6-scenario (A5), huge-pages (A8), mpi-oversub (A10); all
+// runs every one.
 //
 // -scale runs the wait-queue/futex scale suite (spawn/join and fan-in
 // WakeAll up to a million tasks, futex-table churn) instead of the
@@ -73,7 +75,7 @@ func main() {
 }
 
 func ulpbench() (err error) {
-	exp := flag.String("exp", "all", "experiment: table3|table4|table5|fig7|fig8|ablate-idle|ablate-tls|fig6-scenario|huge-pages|mpi-oversub|all")
+	exp := flag.String("exp", "all", "experiment: "+expNames())
 	scale := flag.Bool("scale", false, "run the wait-queue/futex scale suite instead of -exp (see doc comment)")
 	contention := flag.Bool("contention", false, "run the lock-contention sweep instead of -exp (lock algorithm x threads x ULT:KC ratio)")
 	chaosScale := flag.Bool("chaos", false, "with -scale: the chaos-at-scale suite (fault plane + supervision) instead of the base suite")
@@ -231,207 +233,47 @@ func runContention(quick bool, recs *[]bench.Record) error {
 	return nil
 }
 
-// run renders the named experiment (or all of them) to w, exactly as
-// `ulpbench -exp` prints it.
+// run renders the named experiment (or, for "all", every entry of
+// bench.Experiments in order) to w, exactly as `ulpbench -exp` prints
+// it. With recs set it appends each experiment's records and then its
+// harness row: the wall-clock and allocation cost of the harness itself,
+// as opposed to the virtual-time results the experiment produces.
 func run(w io.Writer, exp, csvPrefix string, recs *[]bench.Record) error {
-	all := exp == "all"
 	matched := false
-
-	// harness wraps one experiment, adding a wall-clock + allocation row
-	// to the JSON records — the cost of the harness itself, as opposed to
-	// the virtual-time results the experiment produces.
-	harness := func(name string, fn func() error) error {
-		matched = true
-		if recs == nil {
-			return fn()
+	for _, x := range bench.Experiments {
+		if exp != "all" && exp != x.Name {
+			continue
 		}
+		matched = true
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		err := fn()
+		rows, err := x.Run(w, csvPrefix)
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&after)
-		*recs = append(*recs, bench.Record{
-			Experiment: name, Series: "harness",
-			Ns:     float64(wall.Nanoseconds()),
-			Allocs: after.Mallocs - before.Mallocs,
-		})
-		return err
-	}
-	emit := func(rows []bench.Record) {
 		if recs != nil {
 			*recs = append(*recs, rows...)
+			*recs = append(*recs, bench.Record{
+				Experiment: x.Name, Series: "harness",
+				Ns:     float64(wall.Nanoseconds()),
+				Allocs: after.Mallocs - before.Mallocs,
+			})
 		}
-	}
-
-	if all || exp == "table3" {
-		if err := harness("table3", func() error {
-			r, err := bench.MachineResults(bench.Table3)
-			if err != nil {
-				return err
-			}
-			bench.PrintTable3(w, r)
-			fmt.Fprintln(w)
-			emit(bench.Table3Records(r))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table4" {
-		if err := harness("table4", func() error {
-			r, err := bench.MachineResults(bench.Table4)
-			if err != nil {
-				return err
-			}
-			bench.PrintTable4(w, r)
-			fmt.Fprintln(w)
-			emit(bench.Table4Records(r))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table5" {
-		if err := harness("table5", func() error {
-			r, err := bench.MachineResults(bench.Table5)
-			if err != nil {
-				return err
-			}
-			bench.PrintTable5(w, r)
-			fmt.Fprintln(w)
-			emit(bench.Table5Records(r))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig7" {
-		if err := harness("fig7", func() error {
-			r, err := bench.MachineResults(bench.Fig7)
-			if err != nil {
-				return err
-			}
-			for _, name := range bench.MachineOrder {
-				bench.PrintFig7(w, r[name])
-				fmt.Fprintln(w)
-				if csvPrefix != "" {
-					if err := writeCSV(fmt.Sprintf("%s-fig7-%s.csv", csvPrefix, name), r[name].Series()); err != nil {
-						return err
-					}
-				}
-			}
-			emit(bench.Fig7Records(r))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig8" {
-		if err := harness("fig8", func() error {
-			r, err := bench.MachineResults(bench.Fig8)
-			if err != nil {
-				return err
-			}
-			for _, name := range bench.MachineOrder {
-				bench.PrintFig8(w, r[name])
-				fmt.Fprintln(w)
-				if csvPrefix != "" {
-					if err := writeCSV(fmt.Sprintf("%s-fig8-%s.csv", csvPrefix, name), r[name].Series()); err != nil {
-						return err
-					}
-				}
-			}
-			emit(bench.Fig8Records(r))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "ablate-idle" {
-		if err := harness("ablate-idle", func() error {
-			for _, m := range arch.Machines() {
-				r, err := bench.AblateIdlePolicy(m)
-				if err != nil {
-					return err
-				}
-				bench.PrintIdleAblation(w, r)
-				fmt.Fprintln(w)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "ablate-tls" {
-		if err := harness("ablate-tls", func() error {
-			r, err := bench.MachineResults(bench.AblateTLS)
-			if err != nil {
-				return err
-			}
-			bench.PrintTLSAblation(w, r)
-			fmt.Fprintln(w)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig6-scenario" {
-		if err := harness("fig6-scenario", func() error {
-			for _, m := range arch.Machines() {
-				pts, err := bench.Fig6Scenario(m, []int{1, 2, 4}, []int{0, 1, 3})
-				if err != nil {
-					return err
-				}
-				bench.PrintFig6(w, pts)
-				fmt.Fprintln(w)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "huge-pages" {
-		if err := harness("huge-pages", func() error {
-			for _, m := range arch.Machines() {
-				r, err := bench.HugePages(m)
-				if err != nil {
-					return err
-				}
-				bench.PrintHugePages(w, r)
-				fmt.Fprintln(w)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "mpi-oversub" {
-		if err := harness("mpi-oversub", func() error {
-			for _, m := range arch.Machines() {
-				pts, err := bench.MPIOversubscription(m, []int{2, 4, 8, 16})
-				if err != nil {
-					return err
-				}
-				bench.PrintMPI(w, pts)
-				fmt.Fprintln(w)
-			}
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, expNames())
 	}
 	return nil
 }
 
-func writeCSV(path string, series []bench.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// expNames lists the -exp values: every experiment, then "all".
+func expNames() string {
+	var names []string
+	for _, x := range bench.Experiments {
+		names = append(names, x.Name)
 	}
-	defer f.Close()
-	return bench.WriteSeriesCSV(f, series)
+	return strings.Join(append(names, "all"), "|")
 }

@@ -31,7 +31,7 @@ func AblateIdlePolicy(m *arch.Machine) ([]IdleAblationResult, error) {
 	var out []IdleAblationResult
 	for _, idle := range []blt.IdlePolicy{blt.BusyWait, blt.Blocking} {
 		res := IdleAblationResult{Machine: m, Policy: idle}
-		err := runULP(m, idle, func(rt *core.Runtime) {
+		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
 			rt.Spawn(benchImage("idle", func(envI interface{}) int {
 				env := envI.(*core.Env)
@@ -196,11 +196,8 @@ func Fig6Scenario(m *arch.Machine, syscallCores []int, oversubs []int) ([]Fig6Po
 				Idle:         blt.Blocking,
 			}
 			var makespan sim.Duration
-			e := sim.New()
-			k := kernel.New(e, m)
-			cfg.SchedPolicy = applyPolicy(k)
-			finish := instrument(k)
-			_, bootErr := core.Boot(k, cfg, func(rt *core.Runtime) int {
+			err := runULP(m, cfg, func(rt *core.Runtime) {
+				e := rt.Kernel().Engine()
 				start := e.Now()
 				prog := benchImage("fig6", func(envI interface{}) int {
 					env := envI.(*core.Env)
@@ -228,16 +225,10 @@ func Fig6Scenario(m *arch.Machine, syscallCores []int, oversubs []int) ([]Fig6Po
 				}
 				rt.WaitAll()
 				makespan = e.Now().Sub(start)
-				rt.Shutdown()
-				return 0
 			})
-			if bootErr != nil {
-				return nil, bootErr
-			}
-			if err := e.Run(); err != nil {
+			if err != nil {
 				return nil, err
 			}
-			finish()
 			ops := float64(numULPs * opsPerULP)
 			out = append(out, Fig6Point{
 				Machine: m, SyscallCores: nc, Oversub: ov, NumULPs: numULPs,

@@ -134,7 +134,7 @@ func owcAIO(m *arch.Machine, size int, suspend bool) (sim.Duration, error) {
 func owcULP(m *arch.Machine, size int, idle blt.IdlePolicy) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
-		err := runULP(m, idle, func(rt *core.Runtime) {
+		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
 			buf := make([]byte, size)
 			rt.Spawn(benchImage("owc", func(envI interface{}) int {

@@ -89,7 +89,7 @@ func overlapAIO(m *arch.Machine, size int, tCPU sim.Duration, suspend bool) (sim
 func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolicy) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
-		err := runULP(m, idle, func(rt *core.Runtime) {
+		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
 			buf := make([]byte, size)
 			const warm, n = 2, 8

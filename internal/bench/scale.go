@@ -16,7 +16,7 @@ import (
 // ProbeSpecs, when non-empty (ulpbench -probe), attaches the stock
 // probes to every scale-suite kernel and runs their checks after each
 // row's workload — the SLO probe as a scale oracle. Observe-only probes
-// leave the virtual columns untouched, so minRow's exact-repeat
+// leave the virtual columns untouched, so minInto's exact-repeat
 // assertion doubles as the probes-don't-perturb guard; a throttle probe
 // shifts them deterministically, and repeats still match.
 var ProbeSpecs []probe.Spec
@@ -132,68 +132,62 @@ type ScaleResult struct {
 // process-global counters.
 func Scale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 	res := ScaleResult{Machine: m, Config: cfg}
-	add := func(f func() (ScaleRow, error)) error {
-		row, err := minRow(f)
-		if err != nil {
-			return err
-		}
-		res.Rows = append(res.Rows, row)
-		return nil
-	}
 	for _, n := range cfg.SpawnJoin {
 		n := n
-		if err := add(func() (ScaleRow, error) { return scaleSpawnJoin(m, n) }); err != nil {
+		if err := res.addMin(func() (ScaleRow, error) { return scaleSpawnJoin(m, n) }); err != nil {
 			return res, err
 		}
 	}
 	for _, n := range cfg.FanIn {
 		n := n
-		if err := add(func() (ScaleRow, error) { return scaleFanIn(m, n) }); err != nil {
+		if err := res.addMin(func() (ScaleRow, error) { return scaleFanIn(m, n) }); err != nil {
 			return res, err
 		}
 	}
-	if err := add(func() (ScaleRow, error) { return scaleChurn(m, cfg.ChurnWords) }); err != nil {
+	if err := res.addMin(func() (ScaleRow, error) { return scaleChurn(m, cfg.ChurnWords) }); err != nil {
 		return res, err
 	}
 	return res, nil
 }
 
-// minRow repeats one scale row Runs times, keeping the minimum of each
-// host-side column and asserting the simulation-side columns repeat
-// exactly.
-func minRow(f func() (ScaleRow, error)) (ScaleRow, error) {
+// addMin repeats one scale row Runs times, folding each repeat into the
+// first with minInto, and appends the result.
+func (res *ScaleResult) addMin(f func() (ScaleRow, error)) error {
 	best, err := f()
+	for i := 1; err == nil && i < Runs; i++ {
+		err = minInto(&best, f)
+	}
 	if err != nil {
-		return best, err
+		return err
 	}
-	for i := 1; i < Runs; i++ {
-		r, err := f()
-		if err != nil {
-			return best, err
-		}
-		if r.Virt != best.Virt || r.TablePeak != best.TablePeak || r.TableEnd != best.TableEnd {
-			return best, fmt.Errorf("%s n=%d: non-deterministic repeat (virt %v vs %v, table %d/%d vs %d/%d)",
-				best.Series, best.N, r.Virt, best.Virt, r.TablePeak, r.TableEnd, best.TablePeak, best.TableEnd)
-		}
-		if r.Wall < best.Wall {
-			best.Wall = r.Wall
-		}
-		if r.Allocs < best.Allocs {
-			best.Allocs = r.Allocs
-		}
-		if r.WakeWall > 0 && r.WakeWall < best.WakeWall {
-			best.WakeWall = r.WakeWall
-		}
-		if r.WakeAllocs < best.WakeAllocs {
-			best.WakeAllocs = r.WakeAllocs
-		}
-		// Zero means "not measured" (GC-floor noise swallowed a small
-		// delta), so prefer any positive repeat over it.
-		if r.IdleBytes > 0 && (best.IdleBytes == 0 || r.IdleBytes < best.IdleBytes) {
-			best.IdleBytes, best.IdleStack, best.IdleHeap = r.IdleBytes, r.IdleStack, r.IdleHeap
-		}
+	res.Rows = append(res.Rows, best)
+	return nil
+}
+
+// minInto runs one more repetition of a scale row and folds it into
+// best: the simulation-side columns must repeat exactly, and each
+// host-side column keeps its minimum.
+func minInto(best *ScaleRow, f func() (ScaleRow, error)) error {
+	r, err := f()
+	if err != nil {
+		return err
 	}
-	return best, nil
+	if r.Virt != best.Virt || r.TablePeak != best.TablePeak || r.TableEnd != best.TableEnd {
+		return fmt.Errorf("%s n=%d: non-deterministic repeat (virt %v vs %v, table %d/%d vs %d/%d)",
+			best.Series, best.N, r.Virt, best.Virt, r.TablePeak, r.TableEnd, best.TablePeak, best.TableEnd)
+	}
+	best.Wall = min(best.Wall, r.Wall)
+	best.Allocs = min(best.Allocs, r.Allocs)
+	if r.WakeWall > 0 && r.WakeWall < best.WakeWall {
+		best.WakeWall = r.WakeWall
+	}
+	best.WakeAllocs = min(best.WakeAllocs, r.WakeAllocs)
+	// Zero means "not measured" (GC-floor noise swallowed a small
+	// delta), so prefer any positive repeat over it.
+	if r.IdleBytes > 0 && (best.IdleBytes == 0 || r.IdleBytes < best.IdleBytes) {
+		best.IdleBytes, best.IdleStack, best.IdleHeap = r.IdleBytes, r.IdleStack, r.IdleHeap
+	}
+	return nil
 }
 
 // scaleRun wraps RunKernel with host-side wall-clock and allocation

@@ -25,7 +25,7 @@ import (
 //     virtual window, no tenant is stranded, the futex table drains, and
 //     the watchdog saw neither deadlocks nor quarantines.
 //
-// Like the base scale suite, virtual columns are deterministic (minRow
+// Like the base scale suite, virtual columns are deterministic (minInto
 // asserts exact repeats — the fault plane and restart jitter are seeded
 // below) while wall/alloc columns are host-coloured; the JSON snapshot
 // therefore goes to its own file, not BENCH_scale.json.
@@ -84,14 +84,6 @@ func QuickChaosScaleConfig() ScaleConfig {
 // unused here; the base suite owns that series.
 func ChaosScale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 	res := ScaleResult{Machine: m, Config: cfg}
-	add := func(f func() (ScaleRow, error)) error {
-		row, err := minRow(f)
-		if err != nil {
-			return err
-		}
-		res.Rows = append(res.Rows, row)
-		return nil
-	}
 	for _, n := range cfg.SpawnJoin {
 		bare, supd, err := pairedMinRows(
 			func() (ScaleRow, error) { return scaleSpawnJoin(m, n) },
@@ -104,15 +96,15 @@ func ChaosScale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 	}
 	for _, n := range cfg.FanIn {
 		n := n
-		if err := add(func() (ScaleRow, error) { return chaosFanIn(m, n) }); err != nil {
+		if err := res.addMin(func() (ScaleRow, error) { return chaosFanIn(m, n) }); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
 }
 
-// pairedMinRows is minRow over two workloads with their repetitions
-// interleaved A,B,A,B,… instead of A×Runs then B×Runs. The wall columns
+// pairedMinRows repeats two workloads as addMin repeats one, with their
+// repetitions interleaved A,B,A,B,… instead of A×Runs then B×Runs. The wall columns
 // drift a few percent over a process's lifetime (heap growth, GC state)
 // even with the scaleRun GC barrier, so back-to-back series acquire a
 // positional bias about as large as the effect the supervision-overhead
@@ -135,26 +127,6 @@ func pairedMinRows(fa, fb func() (ScaleRow, error)) (ScaleRow, ScaleRow, error) 
 		}
 	}
 	return bestA, bestB, nil
-}
-
-// minInto folds one more repetition into best, with minRow's
-// determinism assertion on the virtual columns.
-func minInto(best *ScaleRow, f func() (ScaleRow, error)) error {
-	r, err := f()
-	if err != nil {
-		return err
-	}
-	if r.Virt != best.Virt || r.TablePeak != best.TablePeak || r.TableEnd != best.TableEnd {
-		return fmt.Errorf("%s n=%d: non-deterministic repeat (virt %v vs %v, table %d/%d vs %d/%d)",
-			best.Series, best.N, r.Virt, best.Virt, r.TablePeak, r.TableEnd, best.TablePeak, best.TableEnd)
-	}
-	if r.Wall < best.Wall {
-		best.Wall = r.Wall
-	}
-	if r.Allocs < best.Allocs {
-		best.Allocs = r.Allocs
-	}
-	return nil
 }
 
 // chaosSpawnJoinSupervised is scaleSpawnJoin with the supervision plane

@@ -39,11 +39,11 @@ func benchImage(name string, fn loader.MainFunc) *loader.Image {
 	}
 }
 
-// runULP boots a ULP-PiP runtime on m and runs setup inside the root.
-func runULP(m *arch.Machine, idle blt.IdlePolicy, setup func(rt *core.Runtime)) error {
+// runULP boots a ULP-PiP runtime with cfg on m, runs setup inside the
+// root and shuts the runtime down.
+func runULP(m *arch.Machine, cfg core.Config, setup func(rt *core.Runtime)) error {
 	e := sim.New()
 	k := kernel.New(e, m)
-	cfg := ulpConfig(idle)
 	cfg.SchedPolicy = applyPolicy(k)
 	finish := instrument(k)
 	if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
@@ -63,7 +63,7 @@ func runULP(m *arch.Machine, idle blt.IdlePolicy, setup func(rt *core.Runtime)) 
 func ulpYieldTime(m *arch.Machine) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
-		err := runULP(m, blt.BusyWait, func(rt *core.Runtime) {
+		err := runULP(m, ulpConfig(blt.BusyWait), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
 			const warm, n = 32, 512
 			ready, done := 0, false

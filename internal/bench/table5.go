@@ -41,7 +41,7 @@ func linuxGetpidTime(m *arch.Machine) (sim.Duration, error) {
 func ulpGetpidTime(m *arch.Machine, idle blt.IdlePolicy) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
-		err := runULP(m, idle, func(rt *core.Runtime) {
+		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
 			rt.Spawn(benchImage("getpid", func(envI interface{}) int {
 				env := envI.(*core.Env)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -107,13 +108,23 @@ func TestBusyWaitSharedCoreZeroAllocs(t *testing.T) {
 		}
 	})
 	step()
-	switches, spins := k.ContextSwitches(), k.SyscallCount("sched_yield")
+	switches := k.ContextSwitches()
 	if got := testing.AllocsPerRun(50, step); got != 0 {
 		t.Errorf("BUSYWAIT idle loops allocate %.1f per slice, want 0", got)
 	}
-	if yields == 0 || k.ContextSwitches() == switches || k.SyscallCount("sched_yield") == spins {
+	// Count sched_yield over one more slice, after the pin, so that the
+	// pin measures the path with no program attached.
+	spins := 0
+	k.Probes().Attach("count-sched_yield", func(c *probe.Ctx) probe.Verdict {
+		if c.Site == "sched_yield" {
+			spins++
+		}
+		return probe.Verdict{}
+	}, probe.PSyscallEnter)
+	step()
+	if yields == 0 || k.ContextSwitches() == switches || spins == 0 {
 		t.Errorf("idle KCs did not switch: %d yields, %d kernel switches, %d sched_yields",
-			yields, k.ContextSwitches()-switches, k.SyscallCount("sched_yield")-spins)
+			yields, k.ContextSwitches()-switches, spins)
 	}
 	e.Stop()
 	e.Shutdown()

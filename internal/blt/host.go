@@ -6,6 +6,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/probe"
+	"repro/internal/ring"
 	"repro/internal/uctx"
 )
 
@@ -26,7 +27,7 @@ type KCHost struct {
 
 	// queue holds BLTs whose UC wants to run coupled on this KC
 	// (couple requests, plus the initial KLT run at creation).
-	queue []*BLT
+	queue ring.Q[*BLT]
 	slot  idleSlot
 
 	tcStack   uint64 // the trampoline context's small stack
@@ -69,7 +70,7 @@ func (h *KCHost) adopt(b *BLT, creator *kernel.Task) error {
 	h.residents++
 	b.coupled = true
 	b.ucSaved = true // a new UC has no prior save to wait for
-	h.queue = append(h.queue, b)
+	h.queue.Push(b)
 	creator.Charge(h.pool.kern.Machine().Costs.RunQueueOp)
 	h.slot.kick(creator)
 	return nil
@@ -97,7 +98,7 @@ func (h *KCHost) enqueueCoupled(b *BLT, carrier *kernel.Task) {
 		b.home.enqueue(b, carrier)
 		return
 	}
-	h.queue = append(h.queue, b)
+	h.queue.Push(b)
 	h.slot.kick(carrier)
 }
 
@@ -132,7 +133,7 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 		return // a concurrent requester respawned it while we slept
 	}
 	tc := uctx.New("tc."+h.name, h.tcBody)
-	task, err := carrier.TryClonePinned("kc."+h.name, p.cfg.CloneFlags, h.core, h.main)
+	task, err := carrier.TryClonePinned("kc."+h.name, kernel.PiPProcessFlags, h.core, h.main)
 	if err != nil {
 		return // thread limit: stay dead, bounce the request
 	}
@@ -147,15 +148,11 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 
 // idleDone is the trampoline's wake condition: a couple request is
 // queued, or no resident is left.
-func (h *KCHost) idleDone() bool { return len(h.queue) > 0 || h.residents == 0 }
+func (h *KCHost) idleDone() bool { return h.queue.Len() > 0 || h.residents == 0 }
 
 func (h *KCHost) dequeue(t *kernel.Task) *BLT {
 	t.Charge(h.pool.kern.Machine().Costs.RunQueueOp)
-	b := h.queue[0]
-	copy(h.queue, h.queue[1:])
-	h.queue[len(h.queue)-1] = nil
-	h.queue = h.queue[:len(h.queue)-1]
-	return b
+	return h.queue.Pop()
 }
 
 // tcBody is the trampoline context: the stack the original KC runs on
@@ -184,7 +181,7 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 			return
 		}
 		h.slot.wait(t)
-		if h.residents == 0 && len(h.queue) == 0 {
+		if h.residents == 0 && h.queue.Len() == 0 {
 			return
 		}
 		if k.FaultShouldDie(t, "kc_kill") {
@@ -279,7 +276,7 @@ func (h *KCHost) main(t *kernel.Task) int {
 // their first instruction, like a thread whose process died during
 // pthread_create.
 func (h *KCHost) die(t *kernel.Task) {
-	for len(h.queue) > 0 {
+	for h.queue.Len() > 0 {
 		b := h.dequeue(t)
 		b.coupled = false
 		b.coupleErr = ErrHostDead

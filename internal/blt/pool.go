@@ -59,9 +59,6 @@ type Config struct {
 	// skips this, which is faster but delivers signals to the
 	// scheduling KC's disposition.
 	SwitchSigmask bool
-	// CloneFlags used to create original KCs from the creator task.
-	// Defaults to kernel.PiPProcessFlags (ULP: each BLT is a process).
-	CloneFlags kernel.CloneFlags
 	// Policy, when non-nil, customises ready-queue order, steal-victim
 	// order and the idle/yield edges (see ULTPolicy). Nil keeps the
 	// built-in FIFO + round-robin-steal behaviour.
@@ -196,9 +193,6 @@ func NewPool(creator *kernel.Task, cfg Config) (*Pool, error) {
 	}
 	if len(cfg.SyscallCores) == 0 {
 		return nil, fmt.Errorf("blt: config needs at least one syscall core")
-	}
-	if cfg.CloneFlags == 0 {
-		cfg.CloneFlags = kernel.PiPProcessFlags
 	}
 	p := &Pool{kern: creator.Kernel(), creator: creator, cfg: cfg}
 	for i, core := range cfg.ProgCores {
@@ -343,7 +337,7 @@ func (p *Pool) newHost(name string) (*KCHost, error) {
 	}
 	h.tcStack = tcStack
 	h.tc = uctx.New("tc."+name, h.tcBody)
-	h.task = p.creator.ClonePinned("kc."+name, p.cfg.CloneFlags, core, h.main)
+	h.task = p.creator.ClonePinned("kc."+name, kernel.PiPProcessFlags, core, h.main)
 	h.restartable = p.kern.RestartVerdict(p.creator, h.task.Name(), 0).Delay > 0
 	p.hosts = append(p.hosts, h)
 	return h, nil

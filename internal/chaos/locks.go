@@ -25,7 +25,6 @@ type LockConfig struct {
 	Specs   []fault.Spec // nil means LockSpecs()
 	Tasks   int          // contending tasks (default 6)
 	Ops     int          // acquisitions per task (default 20)
-	Spins   int          // spin budget (0 = the sync package default)
 }
 
 // LockSpecs is the default fault mix for lock chaos: heavier on the
@@ -93,7 +92,7 @@ func RunLock(cfg LockConfig) (LockDigest, error) {
 	var counter uint64
 	var setupErr error
 	root := k.NewTask("lockchaos-root", k.NewAddressSpace(), func(t *kernel.Task) int {
-		l, err := usync.New(t, cfg.Lock, usync.Config{Spins: cfg.Spins})
+		l, err := usync.New(t, cfg.Lock, usync.Config{})
 		if err != nil {
 			setupErr = err
 			return 1
@@ -103,7 +102,7 @@ func RunLock(cfg LockConfig) (LockDigest, error) {
 			setupErr = err
 			return 1
 		}
-		m, err := usync.NewMutex(t, usync.Config{Spins: cfg.Spins})
+		m, err := usync.NewMutex(t, usync.Config{})
 		if err != nil {
 			setupErr = err
 			return 1

@@ -57,14 +57,11 @@ type Config struct {
 	Signals      SignalMode
 	// Audit verifies system-call consistency at runtime: system-calls
 	// made by ULP code outside a coupled section are recorded as
-	// violations.
+	// violations. They are collected rather than fatal, because an
+	// injected fault may legitimately push a system-call onto the wrong
+	// KC, and a chaos run must complete so the violation list can be
+	// asserted on.
 	Audit bool
-	// AuditPanic makes a consistency violation panic immediately instead
-	// of being collected. Collect (the default) is what fault-injection
-	// and chaos runs need: an injected fault may legitimately push a
-	// system-call onto the wrong KC, and the run must complete so the
-	// violation list can be asserted on, not die mid-flight.
-	AuditPanic bool
 	// WorkStealing lets idle schedulers steal ready ULPs from peers
 	// (see blt.Config.WorkStealing).
 	WorkStealing bool
@@ -154,7 +151,6 @@ func Boot(k *kernel.Kernel, cfg Config, main func(rt *Runtime) int) (*kernel.Tas
 			SwitchTLS:      true, // ULPs always switch TLS (§V-B)
 			SwitchSigmask:  cfg.Signals == UcontextMode,
 			WorkStealing:   cfg.WorkStealing,
-			CloneFlags:     kernel.PiPProcessFlags,
 			StartDecoupled: false,
 			Policy:         cfg.SchedPolicy,
 		})
@@ -218,11 +214,7 @@ func (rt *Runtime) attachAuditor() *probe.Program {
 		for _, s := range scheds {
 			if s.Task() == c.Task {
 				if b := s.Running(); b != nil {
-					v := Violation{ULP: b.Name(), Syscall: c.Site, PID: c.Task.TGID()}
-					if rt.cfg.AuditPanic {
-						panic(fmt.Sprintf("core: consistency violation: %s issued %s on KC pid %d", v.ULP, v.Syscall, v.PID))
-					}
-					rt.violations = append(rt.violations, v)
+					rt.violations = append(rt.violations, Violation{ULP: b.Name(), Syscall: c.Site, PID: c.Task.TGID()})
 				}
 				break
 			}

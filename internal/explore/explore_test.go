@@ -178,6 +178,44 @@ func TestTraceStringRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseTrace: every element of a trace ParseTrace accepts is a
+// decision index (non-negative), and the trace round-trips through
+// TraceString.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		trace, err := ParseTrace(s)
+		if err != nil {
+			return
+		}
+		for _, c := range trace {
+			if c < 0 {
+				t.Fatalf("ParseTrace(%q) = %v: negative decision", s, trace)
+			}
+		}
+		again, err := ParseTrace(TraceString(trace))
+		if err != nil {
+			t.Fatalf("ParseTrace(%q): re-parse of %q: %v", s, TraceString(trace), err)
+		}
+		if !reflect.DeepEqual(again, trace) {
+			t.Fatalf("ParseTrace(%q) = %v, round trip gave %v", s, trace, again)
+		}
+	})
+}
+
+// FuzzParsePolicy: ParsePolicy accepts exactly the names its policies
+// print as.
+func FuzzParsePolicy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePolicy(s)
+		if err == nil && p.String() != s {
+			t.Fatalf("ParsePolicy(%q) = %v", s, p)
+		}
+		if err != nil && (s == RandomWalk.String() || s == DFS.String()) {
+			t.Fatalf("ParsePolicy(%q): %v", s, err)
+		}
+	})
+}
+
 // TestStockScenarioDigestDeterminism pins schedule-digest determinism
 // over every stock scenario: the recorded decision trace — the
 // explorer's digest of one execution — must be identical across repeated

@@ -85,9 +85,8 @@ type Kernel struct {
 	traceProg   *probe.Program
 
 	// Stats.
-	syscalls      uint64
-	ctxSwitches   uint64
-	syscallCounts map[string]uint64
+	syscalls    uint64
+	ctxSwitches uint64
 
 	// fxStats is the always-on futex conservation ledger (plain counters,
 	// no registry indirection): invariant oracles check its conservation
@@ -136,14 +135,13 @@ func (k *Kernel) ResidualFutexWaiters() int {
 // New creates a kernel for the given machine model on the given engine.
 func New(e *sim.Engine, m *arch.Machine) *Kernel {
 	k := &Kernel{
-		machine:       m,
-		engine:        e,
-		phys:          mem.NewPhysMemory(0),
-		fs:            fs.New(),
-		tasks:         make(map[int]*Task),
-		nextPID:       1,
-		probes:        probe.NewRegistry(),
-		syscallCounts: make(map[string]uint64),
+		machine: m,
+		engine:  e,
+		phys:    mem.NewPhysMemory(0),
+		fs:      fs.New(),
+		tasks:   make(map[int]*Task),
+		nextPID: 1,
+		probes:  probe.NewRegistry(),
 	}
 	k.futexes = newFutexTable(k)
 	for i := 0; i < m.Cores(); i++ {
@@ -249,9 +247,6 @@ func (k *Kernel) Task(pid int) *Task { return k.tasks[pid] }
 
 // Syscalls reports the total number of system-calls executed.
 func (k *Kernel) Syscalls() uint64 { return k.syscalls }
-
-// SyscallCount reports how many times the named system-call ran.
-func (k *Kernel) SyscallCount(name string) uint64 { return k.syscallCounts[name] }
 
 // ContextSwitches reports the number of kernel-level context switches.
 func (k *Kernel) ContextSwitches() uint64 { return k.ctxSwitches }

@@ -16,6 +16,19 @@ func newKernel() (*sim.Engine, *Kernel) {
 	return e, k
 }
 
+// countCalls counts entries into the named system-call with a program
+// at syscall:enter.
+func countCalls(k *Kernel, name string) *uint64 {
+	n := new(uint64)
+	k.Probes().Attach("count-"+name, func(c *probe.Ctx) probe.Verdict {
+		if c.Site == name {
+			*n++
+		}
+		return probe.Verdict{}
+	}, probe.PSyscallEnter)
+	return n
+}
+
 // runMain runs body as the initial task and drives the engine to
 // completion.
 func runMain(t *testing.T, k *Kernel, body TaskBody) {
@@ -425,6 +438,7 @@ func TestSemaphorePingPong(t *testing.T) {
 func TestLoadTLSCosts(t *testing.T) {
 	// x86_64: arch_prctl system-call, counted and expensive.
 	e, k := newKernel()
+	prctls := countCalls(k, "arch_prctl")
 	var elapsed sim.Duration
 	runMain(t, k, func(task *Task) int {
 		s := e.Now()
@@ -438,13 +452,14 @@ func TestLoadTLSCosts(t *testing.T) {
 	if ns := elapsed.Nanoseconds(); ns != 109 {
 		t.Errorf("x86 TLS load = %vns, want 109", ns)
 	}
-	if k.SyscallCount("arch_prctl") != 1 {
+	if *prctls != 1 {
 		t.Error("arch_prctl not counted as a syscall on x86_64")
 	}
 
 	// AArch64: direct register write, cheap, no syscall.
 	e2 := sim.New()
 	k2 := New(e2, arch.Albireo())
+	prctls2 := countCalls(k2, "arch_prctl")
 	task2 := k2.NewTask("main", k2.NewAddressSpace(), func(task *Task) int {
 		s := e2.Now()
 		task.LoadTLS(1)
@@ -457,7 +472,7 @@ func TestLoadTLSCosts(t *testing.T) {
 	if err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k2.SyscallCount("arch_prctl") != 0 {
+	if *prctls2 != 0 {
 		t.Error("aarch64 TLS load must not be a syscall")
 	}
 }
@@ -633,13 +648,14 @@ func TestQueuedTaskRunsAfterCurrentBlocks(t *testing.T) {
 
 func TestSyscallCountsAccumulate(t *testing.T) {
 	_, k := newKernel()
+	getpids := countCalls(k, "getpid")
 	runMain(t, k, func(task *Task) int {
 		for i := 0; i < 5; i++ {
 			task.Getpid()
 		}
 		return 0
 	})
-	if got := k.SyscallCount("getpid"); got != 5 {
+	if got := *getpids; got != 5 {
 		t.Errorf("getpid count = %d, want 5", got)
 	}
 	if k.Syscalls() < 5 {

@@ -38,6 +38,7 @@ func yieldWorld(t *testing.T, spin bool) ([]string, uint64) {
 	var rec []string
 	th := probe.NewThrottle("kc.", "sched_yield", sim.Microsecond, 1)
 	k.Probes().Attach("throttle", th.Fire, probe.PSyscallEnter)
+	yields := countCalls(k, "sched_yield")
 	var spans uint64
 	k.Probes().Attach("watch", func(c *probe.Ctx) probe.Verdict {
 		name := ""
@@ -98,7 +99,7 @@ func yieldWorld(t *testing.T, spin bool) ([]string, uint64) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rec = append(rec, fmt.Sprintf("end=%v syscalls=%d yields=%d ctxsw=%d", e.Now(), k.Syscalls(), k.SyscallCount("sched_yield"), k.ContextSwitches()))
+	rec = append(rec, fmt.Sprintf("end=%v syscalls=%d yields=%d ctxsw=%d", e.Now(), k.Syscalls(), *yields, k.ContextSwitches()))
 	for _, task := range tasks {
 		rec = append(rec, fmt.Sprintf("%s cpu=%v ctxsw=%d", task.Name(), task.CPUTime(), task.CtxSwitches()))
 	}

@@ -10,13 +10,6 @@ import (
 // semProt is the protection for semaphore words.
 const semProt = mem.ProtRead | mem.ProtWrite
 
-// countSyscall records bookkeeping common to all system-calls. It does
-// not charge time; each call charges its own documented cost.
-func (k *Kernel) countSyscall(t *Task, name string) {
-	k.syscalls++
-	k.syscallCounts[name]++
-}
-
 // sysFrame carries the observability state opened by sysEnter across a
 // system-call's body to sysExit. A zero frame (on=false) means no
 // program watches the exit-side points; it lives on the stack, so the
@@ -50,11 +43,12 @@ func (k *Kernel) sysEnter(t *Task, name string) sysFrame {
 	return f
 }
 
-// enterFire is sysEnter up to the Delay charge: the bookkeeping and the
-// syscall:enter fire, whose Delay verdict it returns for the caller to
-// charge.
+// enterFire is sysEnter up to the Delay charge: the syscall count and
+// the syscall:enter fire, whose Delay verdict it returns for the caller
+// to charge. It charges no time itself; each call charges its own
+// documented cost.
 func (k *Kernel) enterFire(t *Task, name string) (sysFrame, sim.Duration) {
-	k.countSyscall(t, name)
+	k.syscalls++
 	ps := k.probes
 	hasEnter := ps.Attached(probe.PSyscallEnter)
 	hasExit := ps.Attached(probe.PSyscallExit)

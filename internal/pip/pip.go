@@ -23,7 +23,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/loader"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // MaxTasks is the maximum number of PiP tasks per root, matching the
@@ -190,11 +189,11 @@ func (r *Root) Spawn(img *loader.Image, mode Mode, arg interface{}) (*Process, e
 	if len(r.procs) >= MaxTasks {
 		return nil, fmt.Errorf("%w: limit %d", ErrTooManyTasks, MaxTasks)
 	}
-	linked, err := r.ld.Dlmopen(img, charger{r.task})
+	linked, err := r.ld.Dlmopen(img, r.task)
 	if err != nil {
 		return nil, err
 	}
-	tlsBase, err := r.ld.AllocTLSBlock(linked, charger{r.task})
+	tlsBase, err := r.ld.AllocTLSBlock(linked, r.task)
 	if err != nil {
 		return nil, err
 	}
@@ -243,8 +242,3 @@ func (p *Process) Join() (int, error) {
 	}
 	return p.root.task.Join(p.task), nil
 }
-
-// charger adapts the root task to mem.Charger.
-type charger struct{ t *kernel.Task }
-
-func (c charger) Charge(d sim.Duration) { c.t.Charge(d) }

@@ -63,7 +63,11 @@ func New(spec string) (Policy, error) {
 		}
 		return NewCosched(), nil
 	case "tenant":
-		return NewTenant(params)
+		t, err := NewTenant(params)
+		if err != nil {
+			return nil, err // not a nil *Tenant inside a non-nil Policy
+		}
+		return t, nil
 	}
 	return nil, fmt.Errorf("schedpolicy: unknown policy %q (have %s)",
 		name, strings.Join(Names(), ", "))

@@ -2,6 +2,7 @@ package schedpolicy
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -39,8 +40,8 @@ func TestNewSpecs(t *testing.T) {
 		"tenant:weights=:4",
 	}
 	for _, spec := range bad {
-		if _, err := New(spec); err == nil {
-			t.Errorf("New(%q) succeeded, want error", spec)
+		if p, err := New(spec); err == nil || p != nil {
+			t.Errorf("New(%q) = %v, %v; want a nil Policy and an error", spec, p, err)
 		}
 	}
 	// Fresh instance per call: stateful policies must not share state.
@@ -49,6 +50,23 @@ func TestNewSpecs(t *testing.T) {
 	if a == b {
 		t.Error("New returned a shared instance")
 	}
+}
+
+// FuzzNew: New never panics; a spec it rejects yields a nil Policy, and
+// a policy it accepts reports the name the spec selected.
+func FuzzNew(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := New(spec)
+		if err != nil {
+			if p != nil {
+				t.Fatalf("New(%q) returned %v with error %v", spec, p, err)
+			}
+			return
+		}
+		if name, _, _ := strings.Cut(spec, ":"); p.Name() != name {
+			t.Fatalf("New(%q).Name() = %q, want %q", spec, p.Name(), name)
+		}
+	})
 }
 
 func ulpImage(name string, main loader.MainFunc) *loader.Image {

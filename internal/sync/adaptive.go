@@ -36,8 +36,8 @@ func newMutex(b lockBase) (Lock, error) {
 
 // NewMutex builds the adaptive mutex directly (Cond needs the concrete
 // type; New("futex") returns the same implementation as a Lock).
-func NewMutex(creator *kernel.Task, cfg Config) (*Mutex, error) {
-	b, err := newBase(creator, "futex", cfg)
+func NewMutex(creator *kernel.Task, _ Config) (*Mutex, error) {
+	b, err := newBase(creator, "futex")
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func (l *Mutex) Lock(t *kernel.Task) {
 	}
 	// Adaptive phase: spin for the configured budget hoping the holder
 	// is mid-critical-section on another core, then give up and sleep.
-	for i := 0; i < l.cfg.Spins; i++ {
+	for i := 0; i < DefaultSpins; i++ {
 		if l.poll(t, l.word64) == 0 && l.cas(t, l.word64, 0, 1) {
 			l.noteAcquire(t, start, true)
 			return

@@ -40,20 +40,10 @@ import (
 // busy-waiting, and the adaptive mutex's spin budget before sleeping.
 const DefaultSpins = 16
 
-// Config tunes the spin/yield behaviour shared by all algorithms.
-type Config struct {
-	// Spins is the number of polls between SchedYields in spin loops
-	// (and the adaptive mutex's spin budget before it parks in the
-	// kernel). 0 means DefaultSpins.
-	Spins int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Spins <= 0 {
-		c.Spins = DefaultSpins
-	}
-	return c
-}
+// Config is the lock configuration New and NewMutex take. It has no
+// fields: every algorithm spins DefaultSpins polls between yields. The
+// type stays so that existing New(t, name, Config{}) calls compile.
+type Config struct{}
 
 // Lock is one mutual-exclusion algorithm over simulated memory. Locks
 // are not reentrant; Unlock must be called by the holder.
@@ -85,8 +75,8 @@ func FIFO(name string) bool {
 
 // New builds the named lock with its words allocated in the creator's
 // address space (all tasks contending for it must share that space).
-func New(creator *kernel.Task, name string, cfg Config) (Lock, error) {
-	b, err := newBase(creator, name, cfg)
+func New(creator *kernel.Task, name string, _ Config) (Lock, error) {
+	b, err := newBase(creator, name)
 	if err != nil {
 		return nil, err
 	}
@@ -111,13 +101,12 @@ const lockProt = mem.ProtRead | mem.ProtWrite
 
 // lockBase carries what every algorithm needs: the kernel (for costs,
 // yields and futexes), the shared address space holding the lock words,
-// the spin configuration, and the optional fairness/metrics hooks.
+// and the optional fairness/metrics hooks.
 type lockBase struct {
 	k     *kernel.Kernel
 	space *mem.AddressSpace
 	costs *arch.CostModel
 	name  string
-	cfg   Config
 	fair  *Fairness
 
 	hAcq       *metrics.Histogram
@@ -125,12 +114,11 @@ type lockBase struct {
 	cContended *metrics.Counter
 }
 
-func newBase(creator *kernel.Task, name string, cfg Config) (lockBase, error) {
+func newBase(creator *kernel.Task, name string) (lockBase, error) {
 	b := lockBase{
 		k:     creator.Kernel(),
 		space: creator.Space(),
 		name:  name,
-		cfg:   cfg.withDefaults(),
 	}
 	b.costs = &b.k.Machine().Costs
 	if reg := b.k.Metrics(); reg != nil {
@@ -208,12 +196,12 @@ func (b *lockBase) poll(t *kernel.Task, addr uint64) uint64 {
 	return b.load(addr)
 }
 
-// relax ends one failed poll: after every cfg.Spins polls the spinner
-// yields the core so a descheduled holder (or queue predecessor) can
-// run — mandatory under oversubscription on a non-preemptive kernel.
+// relax ends one failed poll: after every DefaultSpins polls the
+// spinner yields the core so a descheduled holder (or queue predecessor)
+// can run — mandatory under oversubscription on a non-preemptive kernel.
 func (b *lockBase) relax(t *kernel.Task, spins *int) {
 	*spins++
-	if *spins%b.cfg.Spins == 0 {
+	if *spins%DefaultSpins == 0 {
 		t.SchedYield()
 	}
 }
