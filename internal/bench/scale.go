@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/sim"
+	"repro/internal/supervise"
 )
 
 // ProbeSpecs, when non-empty (ulpbench -probe), attaches the stock
@@ -134,7 +135,7 @@ func Scale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 	res := ScaleResult{Machine: m, Config: cfg}
 	for _, n := range cfg.SpawnJoin {
 		n := n
-		if err := res.addMin(func() (ScaleRow, error) { return scaleSpawnJoin(m, n) }); err != nil {
+		if err := res.addMin(func() (ScaleRow, error) { return scaleSpawnJoin(m, n, false) }); err != nil {
 			return res, err
 		}
 	}
@@ -225,11 +226,24 @@ func scaleRun(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) (
 // scaleSpawnJoin creates and joins n threads in waves, bounding the
 // number of live tasks (and run-queue depth) the way a thread pool
 // would, so the figure measures steady-state create/exit/join cost.
-func scaleSpawnJoin(m *arch.Machine, n int) (ScaleRow, error) {
+// With supervised set it is the spawn-join-supervised row: the
+// supervision plane (watchdog on, no limits) is installed before the
+// clock starts and the row fails on any reported deadlock, so its
+// wall/op delta against the bare row is the plane's hook cost on the
+// clone/block/unblock/exit fast paths.
+func scaleSpawnJoin(m *arch.Machine, n int, supervised bool) (ScaleRow, error) {
 	row := ScaleRow{Series: "spawn-join", N: n}
+	if supervised {
+		row.Series = "spawn-join-supervised"
+	}
 	var bodyErr error
 	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
 		e := k.Engine()
+		var sup *supervise.Plane
+		if supervised {
+			sup = supervise.New(k, supervise.Config{Seed: chaosScaleSeed})
+			sup.Install()
+		}
 		const wave = 256
 		kids := make([]*kernel.Task, 0, wave)
 		t0 := e.Now()
@@ -241,7 +255,7 @@ func scaleSpawnJoin(m *arch.Machine, n int) (ScaleRow, error) {
 			}
 			for _, c := range kids {
 				if root.Join(c) != 0 {
-					bodyErr = fmt.Errorf("spawn-join: child exited non-zero")
+					bodyErr = fmt.Errorf("%s: child exited non-zero", row.Series)
 					return
 				}
 			}
@@ -249,6 +263,11 @@ func scaleSpawnJoin(m *arch.Machine, n int) (ScaleRow, error) {
 		}
 		row.Virt = e.Now().Sub(t0)
 		row.TableEnd = k.FutexTableSize()
+		if sup != nil {
+			if dl := sup.Deadlocks(); len(dl) != 0 {
+				bodyErr = fmt.Errorf("%s: watchdog reported %d deadlock(s) on a deadlock-free workload", row.Series, len(dl))
+			}
+		}
 	})
 	if err == nil {
 		err = bodyErr

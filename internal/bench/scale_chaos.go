@@ -86,8 +86,8 @@ func ChaosScale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 	res := ScaleResult{Machine: m, Config: cfg}
 	for _, n := range cfg.SpawnJoin {
 		bare, supd, err := pairedMinRows(
-			func() (ScaleRow, error) { return scaleSpawnJoin(m, n) },
-			func() (ScaleRow, error) { return chaosSpawnJoinSupervised(m, n) },
+			func() (ScaleRow, error) { return scaleSpawnJoin(m, n, false) },
+			func() (ScaleRow, error) { return scaleSpawnJoin(m, n, true) },
 		)
 		if err != nil {
 			return res, err
@@ -127,47 +127,6 @@ func pairedMinRows(fa, fb func() (ScaleRow, error)) (ScaleRow, ScaleRow, error) 
 		}
 	}
 	return bestA, bestB, nil
-}
-
-// chaosSpawnJoinSupervised is scaleSpawnJoin with the supervision plane
-// installed (watchdog on, no limits): the overhead row. The workload is
-// identical, so any wall/op delta against the bare spawn-join row is the
-// plane's hook cost on the clone/block/unblock/exit fast paths.
-func chaosSpawnJoinSupervised(m *arch.Machine, n int) (ScaleRow, error) {
-	row := ScaleRow{Series: "spawn-join-supervised", N: n}
-	var bodyErr error
-	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
-		e := k.Engine()
-		sup := supervise.New(k, supervise.Config{Seed: chaosScaleSeed})
-		sup.Install()
-		const wave = 256
-		kids := make([]*kernel.Task, 0, wave)
-		t0 := e.Now()
-		for done := 0; done < n; {
-			b := min(wave, n-done)
-			kids = kids[:0]
-			for i := 0; i < b; i++ {
-				kids = append(kids, root.Clone("sj", kernel.PThreadFlags, func(t *kernel.Task) int { return 0 }))
-			}
-			for _, c := range kids {
-				if root.Join(c) != 0 {
-					bodyErr = fmt.Errorf("spawn-join-supervised: child exited non-zero")
-					return
-				}
-			}
-			done += b
-		}
-		row.Virt = e.Now().Sub(t0)
-		row.TableEnd = k.FutexTableSize()
-		if dl := sup.Deadlocks(); len(dl) != 0 {
-			bodyErr = fmt.Errorf("spawn-join-supervised: watchdog reported %d deadlock(s) on a deadlock-free workload", len(dl))
-		}
-	})
-	if err == nil {
-		err = bodyErr
-	}
-	row.Wall, row.Allocs = wall, allocs
-	return row, err
 }
 
 // chaosWaiter is the body of a fault-robust fan-in waiter: it sleeps on

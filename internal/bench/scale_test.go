@@ -18,7 +18,7 @@ import (
 // engine's idle list, which the end of each run must reap. The fan-in
 // rows also fill the stack and heap split of their footprint.
 func TestScaleRowsLeakNothing(t *testing.T) {
-	if _, err := scaleSpawnJoin(arch.Wallaby(), 256); err != nil {
+	if _, err := scaleSpawnJoin(arch.Wallaby(), 256, false); err != nil {
 		t.Fatal(err)
 	}
 	base := leakcheck.Baseline()
@@ -27,10 +27,10 @@ func TestScaleRowsLeakNothing(t *testing.T) {
 			name string
 			run  func() (ScaleRow, error)
 		}{
-			{"spawn-join", func() (ScaleRow, error) { return scaleSpawnJoin(m, 2_000) }},
+			{"spawn-join", func() (ScaleRow, error) { return scaleSpawnJoin(m, 2_000, false) }},
 			{"fanin-wakeall", func() (ScaleRow, error) { return scaleFanIn(m, 256) }},
 			{"futex-churn", func() (ScaleRow, error) { return scaleChurn(m, 200) }},
-			{"spawn-join-supervised", func() (ScaleRow, error) { return chaosSpawnJoinSupervised(m, 1_000) }},
+			{"spawn-join-supervised", func() (ScaleRow, error) { return scaleSpawnJoin(m, 1_000, true) }},
 			{"chaos-fanin", func() (ScaleRow, error) { return chaosFanIn(m, 128) }},
 		}
 		for _, r := range rows {

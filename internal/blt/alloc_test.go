@@ -10,8 +10,8 @@ import (
 )
 
 // The user-level switch paths allocate nothing in steady state: with no
-// trace program attached no trace argument is boxed, and a direct UC
-// handoff needs no per-switch state.
+// tracer installed no trace argument is boxed, and a direct UC handoff
+// needs no per-switch state.
 
 // switchLoop spawns n BLTs running body on a one-scheduler pool and
 // returns a step that runs the engine for a fixed slice of virtual time.

@@ -193,12 +193,10 @@ func (b *BLT) Decouple() {
 	p := b.pool
 	carrier := b.uc.Carrier()
 	// The coupled bracket ends here: the KC is about to go idle.
-	if b.bracket != 0 {
-		p.endSpan(carrier, b, b.bracket)
-		b.bracket = 0
-	}
+	p.kern.EndSpan(carrier, b.name, b.bracket)
+	b.bracket = 0
 	fr := p.opEnter(carrier, b, "decouple", probe.PDecouple)
-	if p.tracing() {
+	if p.kern.Tracing() {
 		p.kern.Trace("blt", "decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
 	}
 	// Table I Seq.6: enqueue(UC0, KC1) — hand the UC to the scheduler.
@@ -208,7 +206,7 @@ func (b *BLT) Decouple() {
 	// below completes.
 	b.home.enqueue(b, carrier)
 	// Table I Seq.7: swap_ctx(UC0, TC0), straight to the trampoline.
-	if p.tracing() {
+	if p.kern.Tracing() {
 		p.kern.Trace("blt", "decouple: swap_ctx(%s, TC)", b.name)
 	}
 	b.uc.Save()
@@ -248,7 +246,7 @@ func (b *BLT) Couple() error {
 	fr := p.opEnter(carrier, b, "couple", probe.PCouple)
 	// Table I Seq.1: enqueue(UC0, KC0) — ask the original KC to run us.
 	// Seq.2: unblock(KC0).
-	if p.tracing() {
+	if p.kern.Tracing() {
 		p.kern.Trace("blt", "couple: enqueue(%s, KC) + unblock(KC)", b.name)
 	}
 	b.host.enqueueCoupled(b, carrier)
@@ -256,7 +254,7 @@ func (b *BLT) Couple() error {
 	// the context saved (sync point 1) and runs another UC. This switch
 	// goes through the scheduler's goroutine: the original KC may load
 	// the UC as soon as the save is published.
-	if p.tracing() {
+	if p.kern.Tracing() {
 		p.kern.Trace("blt", "couple: swap_ctx(%s, next-UC)", b.name)
 	}
 	b.uc.Yield(tagCoupling)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/probe"
 	"repro/internal/ring"
 	"repro/internal/uctx"
 )
@@ -92,7 +91,7 @@ func (h *KCHost) enqueueCoupled(b *BLT, carrier *kernel.Task) {
 	if h.dead {
 		b.coupled = false
 		b.coupleErr = ErrHostDead
-		if h.pool.tracing() {
+		if h.pool.kern.Tracing() {
 			h.pool.kern.Trace("blt", "kc: dead; bounce %s to sched%d", b.name, b.home.index)
 		}
 		b.home.enqueue(b, carrier)
@@ -141,7 +140,7 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	h.task = task
 	h.dead = false
 	h.killed = false
-	if p.emitting() {
+	if p.kern.Tracing() {
 		p.kern.Emit(carrier, "supervise", "kc.respawn: kc.%s restarted on core %d", h.name, h.core)
 	}
 }
@@ -175,8 +174,8 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		t := c.Carrier()
 		if k.FaultShouldDie(t, "kc_kill") {
 			h.killed = true // mid-decouple: the KC dies while idle
-			if p.emitting() {
-				p.kern.Emit(t, "fault", "kc_kill: %s dies idle", t.Name())
+			if k.Tracing() {
+				k.Emit(t, "fault", "kc_kill: %s dies idle", t.Name())
 			}
 			return
 		}
@@ -186,8 +185,8 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		}
 		if k.FaultShouldDie(t, "kc_kill") {
 			h.killed = true // mid-couple: a request is queued, never served
-			if p.emitting() {
-				p.kern.Emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
+			if k.Tracing() {
+				k.Emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
 			}
 			return
 		}
@@ -198,17 +197,17 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		for !b.ucSaved {
 			t.Charge(costs.AtomicOp)
 		}
-		if p.tracing() {
-			p.kern.Trace("blt", "kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
+		if k.Tracing() {
+			k.Trace("blt", "kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
 			// Table I Seq.4: swap_ctx(TC0, UC0).
-			p.kern.Trace("blt", "kc: swap_ctx(TC, %s)", b.name)
+			k.Trace("blt", "kc: swap_ctx(TC, %s)", b.name)
 		}
 		t.Charge(costs.UserCtxSwap)
 		h.running = b
 		// Open the couple→exec→decouple bracket on the KC's core;
 		// Decouple (or the exit path in main) closes it.
-		if k.Probes().Attached(probe.PSpanBegin) {
-			b.bracket = p.beginSpan(t, b, "coupled "+b.name)
+		if k.Tracing() {
+			b.bracket = k.BeginSpan(t, "blt.span", b.name, "coupled "+b.name)
 		}
 		c.Save()
 		c.Transfer(b.uc, t)
@@ -220,8 +219,8 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		// it. Then switch into the trampoline (swap only: TC<->UC
 		// transitions do not reload the TLS register, per §V-B).
 		b.ucSaved = true
-		if p.tracing() {
-			p.kern.Trace("blt", "kc: %s saved; blocking on TC", b.name) // Seq.8
+		if k.Tracing() {
+			k.Trace("blt", "kc: %s saved; blocking on TC", b.name) // Seq.8
 		}
 		h.running = nil
 		c.Carrier().Charge(costs.UserCtxSwap)
@@ -257,10 +256,8 @@ func (h *KCHost) main(t *kernel.Task) int {
 		}
 		// Paper rule 7: a BLT always terminates as a KLT coupled with
 		// its original KC.
-		if b.bracket != 0 {
-			h.pool.endSpan(t, b, b.bracket)
-			b.bracket = 0
-		}
+		h.pool.kern.EndSpan(t, b.name, b.bracket)
+		b.bracket = 0
 		b.done = true
 		h.lastExit = b.exitStatus
 		h.residents--
@@ -280,7 +277,7 @@ func (h *KCHost) die(t *kernel.Task) {
 		b := h.dequeue(t)
 		b.coupled = false
 		b.coupleErr = ErrHostDead
-		if h.pool.tracing() {
+		if h.pool.kern.Tracing() {
 			h.pool.kern.Trace("blt", "kc: dead; bounce %s to sched%d", b.name, b.home.index)
 		}
 		b.home.enqueue(b, t)

@@ -65,18 +65,9 @@ type Config struct {
 	Policy ULTPolicy
 }
 
-// tracing reports whether anything watches the trace:log point. Call
-// sites check it before calling Kernel.Trace, so an unwatched run does
-// not box the variadic arguments on every dispatch and handshake.
-func (p *Pool) tracing() bool { return p.kern.Probes().Attached(probe.PTraceLog) }
-
-// emitting is tracing's counterpart for the trace:instant point
-// (Kernel.Emit).
-func (p *Pool) emitting() bool { return p.kern.Probes().Attached(probe.PTraceInstant) }
-
 // opFrame carries the latency clock and span id of one couple/decouple
 // handshake from opEnter to opExit. Zero frame (on=false): no program
-// watches the handshake's points.
+// watches the handshake's point and no tracer records its span.
 type opFrame struct {
 	start sim.Time
 	span  uint64
@@ -85,26 +76,17 @@ type opFrame struct {
 }
 
 // opEnter opens a couple/decouple handshake: starts the latency clock
-// and (with a span watcher) a "blt.span" span on the core where the
-// handshake begins. pt is the handshake's point (blt:couple or
-// blt:decouple), fired with the wall latency at opExit.
+// and, when tracing, a "blt.span" span on the core where the handshake
+// begins. pt is the handshake's point (blt:couple or blt:decouple),
+// fired with the wall latency at opExit.
 func (p *Pool) opEnter(t *kernel.Task, b *BLT, name string, pt probe.Point) opFrame {
-	ps := p.kern.Probes()
-	hasOp := ps.Attached(pt)
-	hasSpan := ps.Attached(probe.PSpanBegin)
-	if !hasOp && !hasSpan {
+	tracing := p.kern.Tracing()
+	if !p.kern.Probes().Attached(pt) && !tracing {
 		return opFrame{}
 	}
 	f := opFrame{start: p.kern.Engine().Now(), pt: pt, on: true}
-	if hasSpan {
-		c := ps.Begin(probe.PSpanBegin, f.start)
-		c.Site = "blt.span"
-		if t != nil {
-			c.Task = t
-		}
-		c.Name = b.name
-		c.Format = name + " " + b.name
-		f.span = ps.Fire(c).Span
+	if tracing {
+		f.span = p.kern.BeginSpan(t, "blt.span", b.name, name+" "+b.name)
 	}
 	return f
 }
@@ -117,56 +99,16 @@ func (p *Pool) opExit(t *kernel.Task, b *BLT, f opFrame) {
 		return
 	}
 	ps := p.kern.Probes()
-	end := p.kern.Engine().Now()
 	if ps.Attached(f.pt) {
+		end := p.kern.Engine().Now()
 		c := ps.Begin(f.pt, end)
 		if t != nil {
 			c.Task = t
 		}
-		c.Name = b.name
 		c.Dur = end.Sub(f.start)
 		ps.Fire(c)
 	}
-	if f.span != 0 && ps.Attached(probe.PSpanEnd) {
-		c := ps.Begin(probe.PSpanEnd, end)
-		if t != nil {
-			c.Task = t
-		}
-		c.Name = b.name
-		c.Span = f.span
-		ps.Fire(c)
-	}
-}
-
-// beginSpan opens a "blt.span" trace span attributed to b on t's core
-// (0 when no program watches the point). Callers gate on
-// Probes().Attached(probe.PSpanBegin) so the label is only formatted
-// when someone listens.
-func (p *Pool) beginSpan(t *kernel.Task, b *BLT, label string) uint64 {
-	ps := p.kern.Probes()
-	c := ps.Begin(probe.PSpanBegin, p.kern.Engine().Now())
-	c.Site = "blt.span"
-	if t != nil {
-		c.Task = t
-	}
-	c.Name = b.name
-	c.Format = label
-	return ps.Fire(c).Span
-}
-
-// endSpan closes a span opened by beginSpan on whatever core t runs on.
-func (p *Pool) endSpan(t *kernel.Task, b *BLT, span uint64) {
-	ps := p.kern.Probes()
-	if !ps.Attached(probe.PSpanEnd) {
-		return
-	}
-	c := ps.Begin(probe.PSpanEnd, p.kern.Engine().Now())
-	if t != nil {
-		c.Task = t
-	}
-	c.Name = b.name
-	c.Span = span
-	ps.Fire(c)
+	p.kern.EndSpan(t, b.name, f.span)
 }
 
 // Pool manages scheduler BLTs and the BLTs they run.

@@ -193,12 +193,9 @@ func (s *Scheduler) killDrawn(t *kernel.Task) bool {
 func (s *Scheduler) die(t *kernel.Task) {
 	s.dead = true
 	live := s.pool.nextLiveSched(s.index)
-	if s.pool.emitting() {
-		s.pool.kern.Emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d",
-			s.index, s.q.Len(), live.index)
-	}
-	if s.pool.tracing() {
-		s.pool.kern.Trace("blt", "sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+	if k := s.pool.kern; k.Tracing() {
+		k.Emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+		k.Trace("blt", "sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
 	}
 	for s.q.Len() > 0 {
 		b := s.dequeue(t)
@@ -270,7 +267,6 @@ func (s *Scheduler) stealFrom(t *kernel.Task, p *Scheduler) *BLT {
 	if ps.Attached(probe.PSchedSteal) {
 		c := ps.Begin(probe.PSchedSteal, s.pool.kern.Engine().Now())
 		c.Task = t
-		c.Name = b.name
 		c.Val = int64(p.index)
 		ps.Fire(c)
 	}
@@ -309,10 +305,9 @@ func (s *Scheduler) switchIn(t *kernel.Task, b *BLT) {
 	if ps.Attached(probe.PSchedULT) {
 		c := ps.Begin(probe.PSchedULT, s.pool.kern.Engine().Now())
 		c.Task = t
-		c.Name = b.name
 		ps.Fire(c)
 	}
-	if s.pool.tracing() {
+	if s.pool.kern.Tracing() {
 		s.pool.kern.Trace("blt", "sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
 	}
 	s.running = b
@@ -374,7 +369,7 @@ func (s *Scheduler) handle(t *kernel.Task, ev uctx.Event) {
 			// Its exit status stays visible via ExitStatus/Orphaned.
 			b.done = true
 			b.host.residents--
-			if s.pool.tracing() {
+			if s.pool.kern.Tracing() {
 				s.pool.kern.Trace("blt", "sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
 			}
 			return
@@ -392,7 +387,7 @@ func (s *Scheduler) handle(t *kernel.Task, ev uctx.Event) {
 		// the paper's "two times of loading TLS register" per
 		// couple/decouple cycle.
 		b.ucSaved = true
-		if s.pool.tracing() {
+		if s.pool.kern.Tracing() {
 			s.pool.kern.Trace("blt", "sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
 		}
 		t.Charge(costs.UserCtxSwap)

@@ -2,9 +2,11 @@ package chaos_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/probe"
+	"repro/internal/sim"
 	usync "repro/internal/sync"
 )
 
@@ -108,6 +111,71 @@ func TestChaosGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "chaos", b.String())
+}
+
+// traceKinds are the record kinds, by phase, that every traced chaos run
+// must carry for TestChaosTraceGolden to pin each way a record reaches
+// the tracer: kernel and blt log lines, fault and supervisor instants,
+// and syscall and couple/decouple spans.
+var traceKinds = []string{"kernel/log", "blt/log", "fault/instant", "supervise/instant", "syscall/begin", "blt.span/begin"}
+
+// TestChaosTraceGolden pins the bytes of supervised chaos traces: for
+// both machines, both idle policies and seeds 1-2, one line with the
+// digest, the tracer's Total, the record count per (kind, phase) and
+// the SHA-256 of the text Dump and of the Chrome export. The fault mix
+// adds a third-hit KC kill to DefaultSpecs, so every run records a
+// fault instant and a supervised respawn.
+func TestChaosTraceGolden(t *testing.T) {
+	specs, err := fault.ParseSpecs(chaos.SpecsString(chaos.DefaultSpecs()) + ";kc_kill:nth=3,task=kc.chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := [...]string{sim.PhLog: "log", sim.PhInstant: "instant", sim.PhBegin: "begin", sim.PhEnd: "end"}
+	base := leakBaseline(t)
+	var b bytes.Buffer
+	for _, m := range arch.Machines() {
+		for _, idle := range []blt.IdlePolicy{blt.BusyWait, blt.Blocking} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				tr := sim.NewTracer(0)
+				d, err := chaos.Run(chaos.Config{
+					Machine: m, Seed: seed, Idle: idle, Specs: specs,
+					Supervise: true, Trace: tr,
+				})
+				if err != nil {
+					t.Fatalf("%s/%s seed %d: %v", m.Name, idle, seed, err)
+				}
+				leakcheck.Check(t, base)
+				counts := map[string]int{}
+				for _, ev := range tr.Events() {
+					counts[ev.Kind+"/"+phases[ev.Ph]]++
+				}
+				for _, k := range traceKinds {
+					if counts[k] == 0 {
+						t.Errorf("%s/%s seed %d: no %s records", m.Name, idle, seed, k)
+					}
+				}
+				keys := make([]string, 0, len(counts))
+				for k := range counts {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				var text, chrome bytes.Buffer
+				if err := tr.Dump(&text); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.DumpChrome(&chrome, m.Name); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s/%s seed=%d end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d total=%d",
+					m.Name, idle, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans, tr.Total())
+				for _, k := range keys {
+					fmt.Fprintf(&b, " %s=%d", k, counts[k])
+				}
+				fmt.Fprintf(&b, " dump=%x chrome=%x\n", sha256.Sum256(text.Bytes()), sha256.Sum256(chrome.Bytes()))
+			}
+		}
+	}
+	checkGolden(t, "trace", b.String())
 }
 
 // TestChaosThrottleGolden pins BUSYWAIT chaos runs whose idle KCs are

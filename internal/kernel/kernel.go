@@ -12,10 +12,12 @@
 // point with the executing task, where the ULP layer attaches an audit
 // that proves it preserves that property.
 //
-// Optional planes (fault injection, metrics, tracing, the consistency
-// audit, scheduling timelines, supervision) all attach to the kernel as
-// probe programs (see probes.go and internal/probe); SchedPolicy is the
-// one other extension point, because it decides dispatch order.
+// Optional planes (fault injection, metrics, the consistency audit,
+// scheduling timelines, supervision) all attach to the kernel as probe
+// programs (see probes.go and internal/probe); SchedPolicy is the one
+// other extension point, because it decides dispatch order. Tracing is
+// not a plane: Trace, Emit, BeginSpan and EndSpan write to the engine's
+// tracer, when one is installed.
 package kernel
 
 import (
@@ -78,11 +80,10 @@ type Kernel struct {
 
 	// probes is the programmable attach-point layer (see probes.go and
 	// internal/probe): every observing or vetoing plane attaches here.
-	// The kernel's own stock programs keep their handles for detach on
+	// The kernel's stock metrics program keeps its handle for detach on
 	// re-set.
 	probes      *probe.Registry
 	metricsProg *probe.Program
-	traceProg   *probe.Program
 
 	// Stats.
 	syscalls    uint64
@@ -150,12 +151,6 @@ func New(e *sim.Engine, m *arch.Machine) *Kernel {
 		// dispatch hot path schedules it without allocating a closure.
 		c.noteRunFn = func() { k.noteRun(c) }
 		k.cores = append(k.cores, c)
-	}
-	// The stock trace probe follows the engine's tracer: attached while
-	// one is installed, detached when it is cleared.
-	e.OnTracerChange(k.tracerChanged)
-	if tr := e.Tracer(); tr != nil {
-		k.tracerChanged(tr)
 	}
 	return k
 }
@@ -331,41 +326,68 @@ func load(c *Core) int {
 	return n
 }
 
-// tracing reports whether anything watches the trace:log point (the
-// stock trace probe while a tracer is installed, or a custom program).
-// Hot paths gate their Trace calls on it so the unwatched run pays
-// neither the variadic boxing nor the pidString formatting of the
-// call's arguments.
-func (k *Kernel) tracing() bool { return k.probes.Attached(probe.PTraceLog) }
+// Tracing reports whether the engine has a tracer installed. Hot paths
+// gate their Trace and Emit calls on it, so an untraced run pays
+// neither the variadic boxing nor the formatting of the arguments.
+func (k *Kernel) Tracing() bool { return k.engine.Tracer() != nil }
 
-// Trace fires the trace:log point with a formatted line from site
-// ("kernel", "blt"): ulpsim -trace records it, and tests validate
-// protocol sequences against it.
-func (k *Kernel) Trace(site, format string, args ...interface{}) {
-	if !k.probes.Attached(probe.PTraceLog) {
-		return
+// Trace records a log line of the given kind ("kernel", "blt"): ulpsim
+// -trace shows it, and tests validate protocol sequences against it.
+// The message is formatted only when the trace is read.
+func (k *Kernel) Trace(kind, format string, args ...interface{}) {
+	if tr := k.engine.Tracer(); tr != nil {
+		tr.Add(k.engine.Now(), kind, format, args...)
 	}
-	c := k.probes.Begin(probe.PTraceLog, k.engine.Now())
-	c.Site = site
-	c.Format = format
-	c.Args = args
-	k.probes.Fire(c)
 }
 
-// Emit fires a typed instant event of the given kind ("fault",
-// "signal", ...) attributed to t's current core.
+// Emit records a typed instant event of the given kind ("fault",
+// "signal", ...) attributed to t on its current core.
 func (k *Kernel) Emit(t *Task, kind, format string, args ...interface{}) {
-	if !k.probes.Attached(probe.PTraceInstant) {
-		return
+	if tr := k.engine.Tracer(); tr != nil {
+		tr.Emit(k.engine.Now(), kind, traceMeta(t, ""), format, args...)
 	}
-	c := k.probes.Begin(probe.PTraceInstant, k.engine.Now())
-	c.Site = kind
-	if t != nil {
-		c.Task = t
+}
+
+// BeginSpan opens a duration span of category cat ("syscall",
+// "blt.span") labelled label, attributed to t on its current core and
+// shown under name when name is set (a BLT's spans carry the BLT's
+// name, not its carrier's). It returns the id to pass to EndSpan, or 0
+// when no tracer is installed.
+func (k *Kernel) BeginSpan(t *Task, cat, name, label string) uint64 {
+	return k.beginSpanAt(k.engine.Now(), t, cat, name, label)
+}
+
+// beginSpanAt is BeginSpan stamped with an earlier instant: a syscall
+// span starts at the call's entry, before its entry Delay is charged.
+func (k *Kernel) beginSpanAt(at sim.Time, t *Task, cat, name, label string) uint64 {
+	tr := k.engine.Tracer()
+	if tr == nil {
+		return 0
 	}
-	c.Format = format
-	c.Args = args
-	k.probes.Fire(c)
+	return tr.BeginSpan(at, cat, traceMeta(t, name), label)
+}
+
+// EndSpan closes the span BeginSpan opened as id, on whatever core t
+// now runs; id 0 (nothing was opened) is a no-op.
+func (k *Kernel) EndSpan(t *Task, name string, id uint64) {
+	if tr := k.engine.Tracer(); tr != nil && id != 0 {
+		tr.EndSpan(k.engine.Now(), id, traceMeta(t, name))
+	}
+}
+
+// traceMeta is the metadata of a record attributed to t, shown under
+// name when name is set. A record with neither is bound to no core.
+func traceMeta(t *Task, name string) sim.Meta {
+	if t == nil {
+		if name == "" {
+			return sim.NoMeta
+		}
+		return sim.Meta{Task: name, Core: -1}
+	}
+	if name == "" {
+		name = t.Name()
+	}
+	return sim.Meta{Task: name, PID: t.PID(), Core: t.CoreID()}
 }
 
 func pidString(t *Task) string {

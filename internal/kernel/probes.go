@@ -6,14 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The kernel owns two stock probe programs:
-//
-//	metrics  — attached by SetMetrics; registry handles resolved once
-//	           and updated in place so the metrics-on syscall path
-//	           stays allocation-free.
-//	trace    — attached in lockstep with the engine's tracer; forwards
-//	           trace:* points into the tracer ring and renders fired
-//	           faults as "fault" instants.
+// The kernel owns one stock probe program, metrics, attached by
+// SetMetrics: its registry handles are resolved once and updated in
+// place, so the metrics-on syscall path stays allocation-free.
 //
 // Every other plane is a program its own package attaches through
 // Probes(): the fault plane at fault:site / fault:armed, the
@@ -24,40 +19,6 @@ import (
 // Probes returns the kernel's probe registry (never nil). User programs
 // attach here; the registry is consulted at every instrumented site.
 func (k *Kernel) Probes() *probe.Registry { return k.probes }
-
-// tracerChanged is the engine tracer hook: it keeps the stock trace
-// probe attached exactly while a tracer is installed.
-func (k *Kernel) tracerChanged(tr *sim.Tracer) {
-	if k.traceProg != nil {
-		k.probes.Detach(k.traceProg)
-		k.traceProg = nil
-	}
-	if tr == nil {
-		return
-	}
-	st := &stockTrace{tr: tr}
-	k.traceProg = k.probes.Attach("trace", st.fire,
-		probe.PTraceLog, probe.PTraceInstant, probe.PSpanBegin,
-		probe.PSpanEnd, probe.PFaultFired)
-}
-
-// probeMeta builds trace metadata from a fire context: the task's
-// identity, with Ctx.Name overriding the display name (BLT spans are
-// attributed to the BLT, not its carrier).
-func probeMeta(c *probe.Ctx) sim.Meta {
-	t := c.Task
-	if t == nil {
-		if c.Name == "" {
-			return sim.NoMeta
-		}
-		return sim.Meta{Task: c.Name, Core: -1}
-	}
-	name := c.Name
-	if name == "" {
-		name = t.Name()
-	}
-	return sim.Meta{Task: name, PID: t.PID(), Core: t.CoreID()}
-}
 
 // noteSwitch fires sched:switch for a kernel-level context switch onto
 // the dispatched task (scheduleNext and the switching half of
@@ -134,11 +95,12 @@ func (k *Kernel) RestartVerdict(t *Task, name string, failures int) probe.Verdic
 	return k.probes.Fire(c)
 }
 
-// faultFired announces an injection that fired: the fault:fired point
-// carries the site, the injected error (syscall sites) and the legacy
-// message, which the stock metrics and trace probes turn into the
-// kernel.faults.injected counter and "fault" instants.
+// faultFired announces an injection that fired: it records a "fault"
+// instant with the message, then fires fault:fired with the site and
+// the injected error (syscall sites), which the stock metrics program
+// counts.
 func (k *Kernel) faultFired(t *Task, site string, err error, format string, args ...interface{}) {
+	k.Emit(t, "fault", format, args...)
 	if !k.probes.Attached(probe.PFaultFired) {
 		return
 	}
@@ -148,32 +110,7 @@ func (k *Kernel) faultFired(t *Task, site string, err error, format string, args
 		c.Task = t
 	}
 	c.Err = err
-	c.Format = format
-	c.Args = args
 	k.probes.Fire(c)
-}
-
-// stockTrace forwards trace points into the tracer ring. Formatting
-// stays deferred: the Format/Args pair is handed to the ring verbatim,
-// so evicted events never pay fmt.Sprintf (the pre-probe behavior).
-type stockTrace struct {
-	tr *sim.Tracer
-}
-
-func (s *stockTrace) fire(c *probe.Ctx) probe.Verdict {
-	switch c.Point {
-	case probe.PTraceLog:
-		s.tr.Add(c.Now, c.Site, c.Format, c.Args...)
-	case probe.PTraceInstant:
-		s.tr.Emit(c.Now, c.Site, probeMeta(c), c.Format, c.Args...)
-	case probe.PFaultFired:
-		s.tr.Emit(c.Now, "fault", probeMeta(c), c.Format, c.Args...)
-	case probe.PSpanBegin:
-		return probe.Verdict{Span: s.tr.BeginSpan(c.Now, c.Site, probeMeta(c), c.Format)}
-	case probe.PSpanEnd:
-		s.tr.EndSpan(c.Now, c.Span, probeMeta(c))
-	}
-	return probe.Verdict{}
 }
 
 // stockMetricsPoints are the attach points the metrics probe watches.

@@ -131,7 +131,7 @@ func (k *Kernel) dispatch(t *Task, c *Core, latency sim.Duration) {
 	t.core = c
 	t.lastCore = c.id
 	t.state = TaskRunning
-	if k.tracing() {
+	if k.Tracing() {
 		k.Trace("kernel", "dispatch %s on core %d (+%v)", pidString(t), c.id, latency)
 	}
 	k.engine.After(latency, c.noteRunFn)
@@ -189,7 +189,7 @@ func (k *Kernel) block(t *Task, q *WaitQueue, class WaitClass, addr uint64, targ
 	k.noteStop(c, t)
 	t.core = nil
 	c.current = nil
-	if k.tracing() {
+	if k.Tracing() {
 		k.Trace("kernel", "block %s (core %d now free)", pidString(t), c.id)
 	}
 	k.scheduleNext(c)
@@ -249,7 +249,7 @@ func (k *Kernel) exitTask(t *Task, status int) {
 		c.Val = int64(status)
 		k.probes.Fire(c)
 	}
-	if k.tracing() {
+	if k.Tracing() {
 		k.Trace("kernel", "exit %s status=%d", pidString(t), status)
 	}
 	if t.space != nil {

@@ -25,33 +25,36 @@ func TestTaskSizePin(t *testing.T) {
 
 // yieldWorld runs busy-wait loops — a poll charge, then sched_yield —
 // on three tasks sharing core 0 while a fourth computes on core 1,
-// under a throttle that delays every other sched_yield entry and a
-// program watching the syscall exit and span points. With spin set each
-// loop runs as a spin continuation over a Spinner; otherwise it calls
-// the blocking SchedYield. It returns a record of every probe fire plus
-// the kernel's and the tasks' counters, and how many entries the
-// throttle delayed.
+// under a throttle that delays every other sched_yield entry, a program
+// watching syscall exits and switches, and a tracer recording the
+// syscall spans. With spin set each loop runs as a spin continuation
+// over a Spinner; otherwise it calls the blocking SchedYield. It
+// returns a record of every probe fire and every span record plus the
+// kernel's and the tasks' counters, and how many entries the throttle
+// delayed. Each span must last as long as its call's syscall:exit Dur:
+// it is stamped at entry, before the Delay charge.
 func yieldWorld(t *testing.T, spin bool) ([]string, uint64) {
 	t.Helper()
 	e := sim.New()
+	tr := sim.NewTracer(0)
+	e.SetTracer(tr)
 	k := New(e, arch.Wallaby())
 	var rec []string
 	th := probe.NewThrottle("kc.", "sched_yield", sim.Microsecond, 1)
 	k.Probes().Attach("throttle", th.Fire, probe.PSyscallEnter)
 	yields := countCalls(k, "sched_yield")
-	var spans uint64
+	var exits []sim.Duration
 	k.Probes().Attach("watch", func(c *probe.Ctx) probe.Verdict {
 		name := ""
 		if c.Task != nil {
 			name = c.Task.Name()
 		}
-		rec = append(rec, fmt.Sprintf("%v %v %s %s dur=%v span=%d", c.Now, c.Point, c.Site, name, c.Dur, c.Span))
-		if c.Point == probe.PSpanBegin {
-			spans++
-			return probe.Verdict{Span: spans}
+		rec = append(rec, fmt.Sprintf("%v %v %s %s dur=%v", c.Now, c.Point, c.Site, name, c.Dur))
+		if c.Point == probe.PSyscallExit {
+			exits = append(exits, c.Dur)
 		}
 		return probe.Verdict{}
-	}, probe.PSyscallExit, probe.PSpanBegin, probe.PSpanEnd, probe.PSchedSwitch)
+	}, probe.PSyscallExit, probe.PSchedSwitch)
 	space := k.NewAddressSpace()
 	var tasks []*Task
 	for i := 0; i < 3; i++ {
@@ -99,6 +102,25 @@ func yieldWorld(t *testing.T, spin bool) ([]string, uint64) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	begins := map[uint64]sim.Time{}
+	ends := 0
+	for _, ev := range tr.Events() {
+		switch ev.Ph {
+		case sim.PhBegin:
+			begins[ev.Span] = ev.At
+		case sim.PhEnd:
+			if d := ev.At.Sub(begins[ev.Span]); ends >= len(exits) || d != exits[ends] {
+				t.Errorf("span %d lasts %v, not its call's syscall:exit Dur", ev.Span, d)
+			}
+			ends++
+		default:
+			continue
+		}
+		rec = append(rec, fmt.Sprintf("%v %s %s core=%d span=%d", ev.At, ev.Msg, ev.Task, ev.Core, ev.Span))
+	}
+	if ends != len(exits) {
+		t.Errorf("%d syscall spans closed for %d syscall:exit fires", ends, len(exits))
+	}
 	rec = append(rec, fmt.Sprintf("end=%v syscalls=%d yields=%d ctxsw=%d", e.Now(), k.Syscalls(), *yields, k.ContextSwitches()))
 	for _, task := range tasks {
 		rec = append(rec, fmt.Sprintf("%s cpu=%v ctxsw=%d", task.Name(), task.CPUTime(), task.CtxSwitches()))
@@ -109,7 +131,7 @@ func yieldWorld(t *testing.T, spin bool) ([]string, uint64) {
 
 // TestSpinnerMatchesSchedYield: the staged sched_yield run as a spin
 // continuation makes the same probe fires at the same times, with the
-// same Delay charges, switches and spans, as the blocking call.
+// same Delay charges, switches and syscall spans, as the blocking call.
 func TestSpinnerMatchesSchedYield(t *testing.T) {
 	want, wantDelayed := yieldWorld(t, false)
 	got, gotDelayed := yieldWorld(t, true)

@@ -11,24 +11,22 @@ import (
 const semProt = mem.ProtRead | mem.ProtWrite
 
 // sysFrame carries the observability state opened by sysEnter across a
-// system-call's body to sysExit. A zero frame (on=false) means no
-// program watches the exit-side points; it lives on the stack, so the
-// unattached path allocates nothing.
+// system-call's body to sysExit. A zero frame (on=false) means neither
+// a program watches syscall:exit nor a tracer records the call's span;
+// it lives on the stack, so that path allocates nothing.
 type sysFrame struct {
 	name  string
 	start sim.Time
 	span  uint64
 	on    bool
-	// spanDue: a span watcher was attached at entry, so enterSpan
-	// opens the span once the entry Delay is charged.
-	spanDue bool
 }
 
 // sysEnter opens a system-call: the common bookkeeping plus, when probe
-// programs watch the syscall points, the latency clock, the
+// programs watch the syscall points, the latency clock and the
 // syscall:enter fire (whose combined Delay verdict is charged to the
-// task — per-tenant throttling) and a "syscall" span on the executing
-// core. Every return path of the call must run sysExit with the frame.
+// task — per-tenant throttling), and when tracing, a "syscall" span on
+// the executing core. Every return path of the call must run sysExit
+// with the frame.
 // Latency is wall virtual time, so blocking calls include their block —
 // that is the number an application sees.
 //
@@ -51,12 +49,11 @@ func (k *Kernel) enterFire(t *Task, name string) (sysFrame, sim.Duration) {
 	k.syscalls++
 	ps := k.probes
 	hasEnter := ps.Attached(probe.PSyscallEnter)
-	hasExit := ps.Attached(probe.PSyscallExit)
-	hasSpan := ps.Attached(probe.PSpanBegin)
-	if !hasEnter && !hasExit && !hasSpan {
+	on := ps.Attached(probe.PSyscallExit) || k.Tracing()
+	if !hasEnter && !on {
 		return sysFrame{}, 0
 	}
-	f := sysFrame{name: name, start: k.engine.Now(), on: hasExit || hasSpan, spanDue: hasSpan}
+	f := sysFrame{name: name, start: k.engine.Now(), on: on}
 	var delay sim.Duration
 	if hasEnter {
 		c := ps.Begin(probe.PSyscallEnter, f.start)
@@ -67,18 +64,12 @@ func (k *Kernel) enterFire(t *Task, name string) (sysFrame, sim.Duration) {
 	return f, delay
 }
 
-// enterSpan is sysEnter after the Delay charge: it opens the "syscall"
-// span, stamped with the entry time, when one is due.
+// enterSpan is sysEnter after the Delay charge: when tracing, it opens
+// the "syscall" span, stamped with the entry time.
 func (k *Kernel) enterSpan(t *Task, f *sysFrame) {
-	if !f.spanDue {
-		return
+	if f.on {
+		f.span = k.beginSpanAt(f.start, t, "syscall", "", f.name)
 	}
-	ps := k.probes
-	c := ps.Begin(probe.PSpanBegin, f.start)
-	c.Site = "syscall"
-	c.Task = t
-	c.Format = f.name
-	f.span = ps.Fire(c).Span
 }
 
 // sysExit closes the frame opened by sysEnter: the syscall:exit fire
@@ -88,19 +79,16 @@ func (k *Kernel) sysExit(t *Task, f sysFrame) {
 		return
 	}
 	ps := k.probes
-	end := k.engine.Now()
 	if ps.Attached(probe.PSyscallExit) {
+		end := k.engine.Now()
 		c := ps.Begin(probe.PSyscallExit, end)
 		c.Site = f.name
 		c.Task = t
 		c.Dur = end.Sub(f.start)
 		ps.Fire(c)
 	}
-	if f.span != 0 && ps.Attached(probe.PSpanEnd) {
-		c := ps.Begin(probe.PSpanEnd, end)
-		c.Task = t
-		c.Span = f.span
-		ps.Fire(c)
+	if f.span != 0 {
+		k.EndSpan(t, "", f.span)
 	}
 }
 

@@ -327,7 +327,7 @@ func (t *Task) ClonePinned(name string, flags CloneFlags, core int, body TaskBod
 	child.tlsReg = t.tlsReg
 	t.appendChild(child)
 	k.tasks[pid] = child
-	if k.tracing() {
+	if k.Tracing() {
 		k.Trace("kernel", "clone %s -> %s (flags=%b)", pidString(t), pidString(child), flags)
 	}
 	if k.probes.Attached(probe.PTaskSpawn) {

@@ -2,11 +2,12 @@
 // simulated ULP-PiP stack — the userspace analogue of eBPF/bpftime
 // attach points. The kernel, BLT scheduler, futex table and runtime
 // layers fire named attach points (Point) at every site they previously
-// wired separately for fault injection, metrics and tracing; small
-// user-supplied Go programs (Func) attach to those points to observe,
-// aggregate into per-probe registries, veto (return an error to the
-// caller, generalizing fault injection), or delay (charge virtual time,
-// generalizing sched-delay faults).
+// wired separately for fault injection and metrics; small user-supplied
+// Go programs (Func) attach to those points to observe, aggregate into
+// per-probe registries, veto (return an error to the caller,
+// generalizing fault injection), or delay (charge virtual time,
+// generalizing sched-delay faults). Trace records do not pass through
+// here: the kernel writes them straight to the engine's sim.Tracer.
 //
 // Determinism rules:
 //
@@ -40,7 +41,7 @@ import (
 type Point uint8
 
 // Attach points. Every optional plane is a program at some of them: the
-// fault plane (internal/fault), the stock metrics and trace programs
+// fault plane (internal/fault), the stock metrics program
 // (internal/kernel), the consistency audit (internal/core), the
 // scheduling timeline (internal/timeline) and the supervisor
 // (internal/supervise).
@@ -137,20 +138,8 @@ const (
 	// lost-wake recovery sleep uses it to decide whether to arm a timer.
 	PFaultArmed
 	// PFaultFired observes an injection that fired (after the PFaultSite
-	// verdict was applied). Site, Err and the legacy message are set.
+	// verdict was applied). Site and Err (syscall sites) are set.
 	PFaultFired
-	// PTraceLog is an untyped log line. Site = kind ("kernel", "blt"),
-	// Format/Args = the deferred message.
-	PTraceLog
-	// PTraceInstant is a typed instant event attributed to Task. Site =
-	// kind ("fault", "signal", "supervise", ...).
-	PTraceInstant
-	// PSpanBegin opens a duration span. Site = category ("syscall",
-	// "blt.span"), Format = the span name. The combined Verdict.Span is
-	// the id to close with.
-	PSpanBegin
-	// PSpanEnd closes the span with id Ctx.Span.
-	PSpanEnd
 	// PCouple observes a completed BLT couple handshake. Dur = latency.
 	PCouple
 	// PDecouple observes a completed BLT decouple handshake. Dur =
@@ -187,10 +176,6 @@ var pointNames = [NumPoints]string{
 	PFaultSite:     "fault:site",
 	PFaultArmed:    "fault:armed",
 	PFaultFired:    "fault:fired",
-	PTraceLog:      "trace:log",
-	PTraceInstant:  "trace:instant",
-	PSpanBegin:     "trace:span-begin",
-	PSpanEnd:       "trace:span-end",
 	PCouple:        "blt:couple",
 	PDecouple:      "blt:decouple",
 }
@@ -241,12 +226,8 @@ type Ctx struct {
 	Point Point
 	Now   sim.Time
 
-	// Site qualifies the point: syscall name, fault site, trace kind or
-	// span category, timer kind.
+	// Site qualifies the point: syscall name, fault site, timer kind.
 	Site string
-	// Name overrides the display name for trace metadata (BLT spans are
-	// attributed to the BLT, not its carrier task).
-	Name string
 
 	Task   Task // primary task (nil at sites with no task context)
 	Waiter Task // secondary party (wake target, clone creator)
@@ -255,25 +236,16 @@ type Ctx struct {
 	Val  int64        // point-specific count (depth, slots, status, signo)
 	Dur  sim.Duration // point-specific duration (latency, cost)
 	Err  error        // the injected error at PFaultFired
-	Span uint64       // span id at PSpanEnd
-
-	// Format/Args carry the legacy trace message, formatted lazily by
-	// whoever renders it (the stock trace probe defers to the tracer
-	// ring's deferred rendering).
-	Format string
-	Args   []interface{}
 }
 
 // Verdict is a program's decision at a fire. The zero Verdict observes
 // without interfering. Verdicts from all programs on a point combine:
-// first non-nil Err wins, Delays add, Drop ORs, Scales multiply, last
-// non-zero Span wins.
+// first non-nil Err wins, Delays add, Drop ORs, Scales multiply.
 type Verdict struct {
 	Err   error
 	Delay sim.Duration
 	Drop  bool
 	Scale float64
-	Span  uint64
 }
 
 // Func is one probe program. It runs synchronously at the fire site, in
@@ -363,9 +335,6 @@ func (r *Registry) Fire(c *Ctx) Verdict {
 			} else {
 				v.Scale *= w.Scale
 			}
-		}
-		if w.Span != 0 {
-			v.Span = w.Span
 		}
 	}
 	return v

@@ -86,20 +86,19 @@ func TestAttachDetachAndAttached(t *testing.T) {
 }
 
 // TestVerdictCombination pins the combining rules: first Err wins,
-// Delays add, Drop ORs, Scales multiply, last non-zero Span wins — and
-// every program runs regardless of earlier verdicts (the
-// stream-advancement invariant).
+// Delays add, Drop ORs, Scales multiply — and every program runs
+// regardless of earlier verdicts (the stream-advancement invariant).
 func TestVerdictCombination(t *testing.T) {
 	r := NewRegistry()
 	errA, errB := errors.New("a"), errors.New("b")
 	ran := []string{}
 	r.Attach("a", func(*Ctx) Verdict {
 		ran = append(ran, "a")
-		return Verdict{Err: errA, Delay: 3, Drop: false, Scale: 2, Span: 7}
+		return Verdict{Err: errA, Delay: 3, Drop: false, Scale: 2}
 	}, PFaultSite)
 	r.Attach("b", func(*Ctx) Verdict {
 		ran = append(ran, "b")
-		return Verdict{Err: errB, Delay: 4, Drop: true, Scale: 5, Span: 9}
+		return Verdict{Err: errB, Delay: 4, Drop: true, Scale: 5}
 	}, PFaultSite)
 	r.Attach("c", func(*Ctx) Verdict {
 		ran = append(ran, "c")
@@ -118,9 +117,6 @@ func TestVerdictCombination(t *testing.T) {
 	if v.Scale != 10 {
 		t.Errorf("Scale = %v, want 2*5", v.Scale)
 	}
-	if v.Span != 9 {
-		t.Errorf("Span = %d, want the last non-zero 9", v.Span)
-	}
 	if len(ran) != 3 {
 		t.Errorf("ran %v — every program must run despite earlier verdicts", ran)
 	}
@@ -132,7 +128,7 @@ func TestBeginFireNesting(t *testing.T) {
 	r := NewRegistry()
 	var inner string
 	r.Attach("outer", func(c *Ctx) Verdict {
-		ci := r.Begin(PTraceLog, c.Now)
+		ci := r.Begin(PTaskBlock, c.Now)
 		ci.Site = "nested"
 		if ci == c {
 			t.Error("nested Begin returned the outer context")
@@ -146,7 +142,7 @@ func TestBeginFireNesting(t *testing.T) {
 	r.Attach("inner", func(c *Ctx) Verdict {
 		inner = c.Site
 		return Verdict{}
-	}, PTraceLog)
+	}, PTaskBlock)
 	c := r.Begin(PSyscallEnter, 0)
 	c.Site = "outer-site"
 	r.Fire(c)

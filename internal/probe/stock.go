@@ -14,10 +14,11 @@ import (
 // This file holds the user-facing stock probes — the programs `ulpsim
 // -probe` can attach by name — and the spec syntax that configures them.
 // The other planes are programs too, each attached by its own package:
-// faults (fault.Plane.Attach), metrics and tracing (kernel.SetMetrics and
-// the engine's tracer hook), the consistency audit (core, with
-// Config.Audit), timelines (timeline.Recorder.Attach) and supervision
-// (supervise.Plane.Install).
+// faults (fault.Plane.Attach), metrics (kernel.SetMetrics), the
+// consistency audit (core, with Config.Audit), timelines
+// (timeline.Recorder.Attach) and supervision (supervise.Plane.Install).
+// Tracing is not a program: the kernel writes trace records straight to
+// the engine's sim.Tracer.
 //
 // Spec syntax mirrors -faults: semicolon-separated probes, each
 // "name:key=val,key=val,...". Example:

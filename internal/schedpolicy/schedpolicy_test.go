@@ -22,6 +22,7 @@ func TestNewSpecs(t *testing.T) {
 		"tenant":                           "tenant",
 		"tenant:weights=kc.w.0:4":          "tenant",
 		"tenant:weights=kc.w.0:4+kc.w.1:2": "tenant",
+		"tenant:weights=kc.w.0:1048576":    "tenant",
 	}
 	for spec, name := range good {
 		p, err := New(spec)
@@ -37,7 +38,7 @@ func TestNewSpecs(t *testing.T) {
 		"", "rr", "fifo:x", "locality:near", "cosched:2",
 		"tenant:4", "tenant:weights=", "tenant:weights=kc.w.0",
 		"tenant:weights=kc.w.0:0", "tenant:weights=kc.w.0:x",
-		"tenant:weights=:4",
+		"tenant:weights=:4", "tenant:weights=kc.w.0:2000000",
 	}
 	for _, spec := range bad {
 		if p, err := New(spec); err == nil || p != nil {

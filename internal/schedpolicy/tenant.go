@@ -27,7 +27,8 @@ const strideUnit = 1 << 20
 //
 // Spec: tenant[:weights=<kc-name>:<weight>[+<kc-name>:<weight>...]]
 // ('+' separates entries because ',' and ';' already delimit flag lists
-// and probe specs). Example: tenant:weights=kc.worker.0:4+kc.worker.1:2
+// and probe specs), each weight from 1 to strideUnit. Example:
+// tenant:weights=kc.worker.0:4+kc.worker.1:2
 type Tenant struct {
 	base
 	weights map[string]uint64
@@ -54,9 +55,11 @@ func NewTenant(params string) (*Tenant, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("schedpolicy: bad tenant weight entry %q", ent)
 		}
+		// A weight above strideUnit would advance its tenant's pass by
+		// zero, so that tenant would win every pick.
 		w, err := strconv.ParseUint(ws, 10, 32)
-		if err != nil || w == 0 {
-			return nil, fmt.Errorf("schedpolicy: bad tenant weight %q (want a positive integer)", ent)
+		if err != nil || w == 0 || w > strideUnit {
+			return nil, fmt.Errorf("schedpolicy: bad tenant weight %q (want an integer from 1 to %d)", ent, strideUnit)
 		}
 		t.weights[name] = w
 	}

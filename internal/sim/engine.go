@@ -106,11 +106,6 @@ type Engine struct {
 	limit  Time
 	tracer *Tracer
 
-	// onTracer hooks run whenever SetTracer installs or clears the
-	// tracer; the kernel's probe plane uses one to attach or detach its
-	// stock trace probe in lockstep.
-	onTracer []func(*Tracer)
-
 	// chooser, when non-nil, overrides the FIFO tie-break among events
 	// enabled at the same instant (see choose.go). The scratch slices are
 	// reused across decision points, and a candidate's proc name is built
@@ -140,21 +135,8 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // SetTracer installs a tracer that records engine events; nil disables
-// tracing. Tracer-change hooks registered with OnTracerChange run after
-// the swap.
-func (e *Engine) SetTracer(t *Tracer) {
-	e.tracer = t
-	for _, fn := range e.onTracer {
-		fn(t)
-	}
-}
-
-// OnTracerChange registers a hook invoked on every SetTracer call with
-// the new tracer (nil on clear). It does not fire retroactively — a
-// caller registering after SetTracer consults Tracer() itself.
-func (e *Engine) OnTracerChange(fn func(*Tracer)) {
-	e.onTracer = append(e.onTracer, fn)
-}
+// tracing.
+func (e *Engine) SetTracer(t *Tracer) { e.tracer = t }
 
 // Tracer returns the installed tracer, or nil.
 func (e *Engine) Tracer() *Tracer { return e.tracer }
