@@ -228,7 +228,8 @@ func scaleRun(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) (
 // would, so the figure measures steady-state create/exit/join cost.
 // With supervised set it is the spawn-join-supervised row: the
 // supervision plane (watchdog on, no limits) is installed before the
-// clock starts and the row fails on any reported deadlock, so its
+// clock starts and the row fails if the watchdog never ticked or
+// reported a deadlock, so its
 // wall/op delta against the bare row is the plane's hook cost on the
 // clone/block/unblock/exit fast paths.
 func scaleSpawnJoin(m *arch.Machine, n int, supervised bool) (ScaleRow, error) {
@@ -264,7 +265,9 @@ func scaleSpawnJoin(m *arch.Machine, n int, supervised bool) (ScaleRow, error) {
 		row.Virt = e.Now().Sub(t0)
 		row.TableEnd = k.FutexTableSize()
 		if sup != nil {
-			if dl := sup.Deadlocks(); len(dl) != 0 {
+			if sup.Ticks() == 0 {
+				bodyErr = fmt.Errorf("%s: the supervisor's watchdog never ticked", row.Series)
+			} else if dl := sup.Deadlocks(); len(dl) != 0 {
 				bodyErr = fmt.Errorf("%s: watchdog reported %d deadlock(s) on a deadlock-free workload", row.Series, len(dl))
 			}
 		}

@@ -51,7 +51,10 @@ func (k *Kernel) faultSyscall(t *Task, site string) error {
 	c.Task = t
 	err := k.probes.Fire(c).Err
 	if err != nil {
-		k.faultFired(t, site, err, "%s: %v", site, err)
+		if k.Tracing() {
+			k.Emit(t, "fault", "%s: %v", site, err)
+		}
+		k.faultFired(t, site, err)
 	}
 	return err
 }

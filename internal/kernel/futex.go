@@ -184,7 +184,10 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 			// A spurious wakeup: the caller observes EAGAIN without having
 			// slept, as if the word had changed and changed back.
 			k.fxStats.Spurious++
-			k.faultFired(t, "futex_spurious", nil, "futex spurious wakeup addr=%#x", addr)
+			if k.Tracing() {
+				k.Emit(t, "fault", "futex spurious wakeup addr=%#x", addr)
+			}
+			k.faultFired(t, "futex_spurious", nil)
 			k.sysExit(t, fr)
 			return ErrFutexAgain
 		}
@@ -307,7 +310,10 @@ func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) b
 			// waiter. The waker proceeds believing it woke someone; the
 			// waiter stays asleep until a retry, timeout or later wake.
 			k.fxStats.Lost++
-			k.faultFired(waker, "futex_lost_wake", nil, "futex lost wake addr=%#x", addr)
+			if k.Tracing() {
+				k.Emit(waker, "fault", "futex lost wake addr=%#x", addr)
+			}
+			k.faultFired(waker, "futex_lost_wake", nil)
 			return false
 		}
 	}

@@ -95,12 +95,12 @@ func (k *Kernel) RestartVerdict(t *Task, name string, failures int) probe.Verdic
 	return k.probes.Fire(c)
 }
 
-// faultFired announces an injection that fired: it records a "fault"
-// instant with the message, then fires fault:fired with the site and
-// the injected error (syscall sites), which the stock metrics program
-// counts.
-func (k *Kernel) faultFired(t *Task, site string, err error, format string, args ...interface{}) {
-	k.Emit(t, "fault", format, args...)
+// faultFired announces an injection that fired: it fires fault:fired
+// with the site and the injected error (syscall sites), which the stock
+// metrics program counts. Each caller records its "fault" instant
+// first, under a Tracing() check, so that an untraced injection boxes
+// no trace arguments.
+func (k *Kernel) faultFired(t *Task, site string, err error) {
 	if !k.probes.Attached(probe.PFaultFired) {
 		return
 	}

@@ -152,7 +152,9 @@ func (k *Kernel) deliver(target *Task, sig int) {
 		c.Val = int64(sig)
 		k.probes.Fire(c)
 	}
-	k.Emit(target, "signal", "signal %d -> %s (handled=%v)", sig, pidString(target), h != nil)
+	if k.Tracing() {
+		k.Emit(target, "signal", "signal %d -> %s (handled=%v)", sig, pidString(target), h != nil)
+	}
 	if h != nil {
 		h(target, sig)
 	}

@@ -55,13 +55,12 @@ func (l *Mutex) Lock(t *kernel.Task) {
 		l.noteAcquire(t, start, false)
 		return
 	}
-	// Adaptive phase: spin for the configured budget hoping the holder
-	// is mid-critical-section on another core, then give up and sleep.
-	for i := 0; i < DefaultSpins; i++ {
-		if l.poll(t, l.word64) == 0 && l.cas(t, l.word64, 0, 1) {
-			l.noteAcquire(t, start, true)
-			return
-		}
+	// Adaptive phase: poll, then try cas(0→1), up to DefaultSpins times,
+	// hoping the holder is mid-critical-section on another core; then
+	// give up and sleep.
+	if l.spin(t, tryCAS, l.word64, 1, 0) < DefaultSpins {
+		l.noteAcquire(t, start, true)
+		return
 	}
 	b := kernel.Backoff{Base: lostWakeBase, Max: lostWakeMax}
 	for {

@@ -62,10 +62,7 @@ func (l *mcsLock) Lock(t *kernel.Task) {
 		return
 	}
 	l.store(t, pred+8, n) // publish ourselves to the predecessor
-	spins := 0
-	for l.poll(t, n) != 0 {
-		l.relax(t, &spins)
-	}
+	l.spin(t, untilEq, n, 0, 0)
 	l.noteAcquire(t, start, true)
 }
 
@@ -79,10 +76,7 @@ func (l *mcsLock) Unlock(t *kernel.Task) {
 		if l.cas(t, l.tail, n, 0) {
 			return
 		}
-		spins := 0
-		for l.poll(t, n+8) == 0 {
-			l.relax(t, &spins)
-		}
+		l.spin(t, untilNe, n+8, 0, 0)
 	}
 	l.store(t, l.load(n+8), 0) // clear the successor's spin flag
 }
@@ -130,10 +124,7 @@ func (l *clhLock) Lock(t *kernel.Task) {
 		l.noteAcquire(t, start, false)
 		return
 	}
-	spins := 0
-	for l.poll(t, pred) != 0 {
-		l.relax(t, &spins)
-	}
+	l.spin(t, untilEq, pred, 0, 0)
 	l.noteAcquire(t, start, true)
 }
 

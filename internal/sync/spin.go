@@ -27,10 +27,7 @@ func (l *tasLock) Lock(t *kernel.Task) {
 		l.noteAcquire(t, start, false)
 		return
 	}
-	spins := 0
-	for l.swap(t, l.word64, 1) != 0 {
-		l.relax(t, &spins)
-	}
+	l.spin(t, swapIn, l.word64, 1, 0)
 	l.noteAcquire(t, start, true)
 }
 
@@ -59,18 +56,16 @@ func newTTAS(b lockBase) (Lock, error) {
 func (l *ttasLock) Lock(t *kernel.Task) {
 	start := l.now()
 	l.noteArrive(t)
-	contended := false
-	spins := 0
+	// The spin count runs on across failed swaps, so the spinner yields
+	// on every DefaultSpins-th failed poll of the whole acquisition.
+	spins, swapFailed := 0, false
 	for {
-		for l.poll(t, l.word64) != 0 {
-			contended = true
-			l.relax(t, &spins)
-		}
+		spins = l.spin(t, untilEq, l.word64, 0, spins)
 		if l.swap(t, l.word64, 1) == 0 {
-			l.noteAcquire(t, start, contended)
+			l.noteAcquire(t, start, spins > 0 || swapFailed)
 			return
 		}
-		contended = true
+		swapFailed = true
 	}
 }
 
@@ -110,10 +105,7 @@ func (l *ticketLock) Lock(t *kernel.Task) {
 		l.noteAcquire(t, start, false)
 		return
 	}
-	spins := 0
-	for l.poll(t, l.serving) != my {
-		l.relax(t, &spins)
-	}
+	l.spin(t, untilEq, l.serving, my, 0)
 	l.noteAcquire(t, start, true)
 }
 

@@ -15,8 +15,11 @@
 // instant with no further charge — the RMW is atomic by construction.
 // Spin polls charge SpinNotice (the cross-core flag-observation
 // latency), and because the simulated kernel is non-preemptive, every
-// spin loop yields the core after a configurable burst: an unbounded
-// spin with the holder descheduled would never let the holder run.
+// spin loop yields the core after DefaultSpins failed polls: an
+// unbounded spin with the holder descheduled would never let the holder
+// run. The loops run as the waiting task's spin continuation
+// (kernel.Task.Spin), one poll per pass, so a poll costs no goroutine
+// handoff; each lock keeps its idle spin slots on a free list.
 //
 // With a metrics registry installed on the kernel, each lock feeds an
 // acquisition-latency histogram (sync.<name>.acquire_ps) and counters
@@ -101,13 +104,14 @@ const lockProt = mem.ProtRead | mem.ProtWrite
 
 // lockBase carries what every algorithm needs: the kernel (for costs,
 // yields and futexes), the shared address space holding the lock words,
-// and the optional fairness/metrics hooks.
+// the free list of spin slots, and the optional fairness/metrics hooks.
 type lockBase struct {
 	k     *kernel.Kernel
 	space *mem.AddressSpace
 	costs *arch.CostModel
 	name  string
 	fair  *Fairness
+	free  *spinSlot // idle spin slots (see spin)
 
 	hAcq       *metrics.Histogram
 	cAcqs      *metrics.Counter
@@ -187,23 +191,6 @@ func (b *lockBase) fetchAdd(t *kernel.Task, addr, d uint64) uint64 {
 	old := b.load(addr)
 	b.storeRaw(addr, old+d)
 	return old
-}
-
-// poll is one spin-loop read: the busy-waiting core pays SpinNotice to
-// observe a flag another core may have just stored.
-func (b *lockBase) poll(t *kernel.Task, addr uint64) uint64 {
-	t.Charge(b.costs.SpinNotice)
-	return b.load(addr)
-}
-
-// relax ends one failed poll: after every DefaultSpins polls the
-// spinner yields the core so a descheduled holder (or queue predecessor)
-// can run — mandatory under oversubscription on a non-preemptive kernel.
-func (b *lockBase) relax(t *kernel.Task, spins *int) {
-	*spins++
-	if *spins%DefaultSpins == 0 {
-		t.SchedYield()
-	}
 }
 
 // noteAcquire publishes one successful acquisition: the latency
