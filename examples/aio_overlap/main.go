@@ -107,12 +107,11 @@ func measureULP(m *ulppip.Machine, tCPU ulppip.Duration) ulppip.Duration {
 	var d ulppip.Duration
 	s := ulppip.NewSim(m)
 	ready := 0
+	started := func(*ulppip.Task) bool { return ready >= 2 }
 	var phase [2]int
 	barrier := func(env *ulppip.Env, self, iter int) {
 		phase[self] = iter + 1
-		for phase[1-self] < iter+1 {
-			env.Yield()
-		}
+		env.YieldUntil(func(*ulppip.Task) bool { return phase[1-self] >= iter+1 })
 	}
 	const iters = 2 // warm-up + measured
 	var t0, t1 ulppip.Time
@@ -123,9 +122,7 @@ func measureULP(m *ulppip.Machine, tCPU ulppip.Duration) ulppip.Duration {
 			env := envI.(*ulppip.Env)
 			env.Decouple()
 			ready++
-			for ready < 2 {
-				env.Yield()
-			}
+			env.YieldUntil(started)
 			buf := make([]byte, writeSize)
 			for i := 0; i < iters; i++ {
 				if i == iters-1 {
@@ -150,9 +147,7 @@ func measureULP(m *ulppip.Machine, tCPU ulppip.Duration) ulppip.Duration {
 			env := envI.(*ulppip.Env)
 			env.Decouple()
 			ready++
-			for ready < 2 {
-				env.Yield()
-			}
+			env.YieldUntil(started)
 			for i := 0; i < iters; i++ {
 				env.Compute(tCPU)
 				barrier(env, 1, i)

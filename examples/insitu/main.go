@@ -62,9 +62,7 @@ func main() {
 				}
 				published = step
 				// Wait for analytics to catch up before overwriting.
-				for consumed < step {
-					env.Yield()
-				}
+				env.YieldUntil(func(*ulppip.Task) bool { return consumed >= step })
 			}
 			env.Couple()
 			return 0
@@ -91,9 +89,7 @@ func main() {
 			}
 			buf := make([]byte, fieldSize)
 			for step := 1; step <= steps; step++ {
-				for published < step {
-					env.Yield()
-				}
+				env.YieldUntil(func(*ulppip.Task) bool { return published >= step })
 				// Zero-copy read of the live field.
 				if err := env.MemRead(field, buf); err != nil {
 					return 1

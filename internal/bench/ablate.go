@@ -110,13 +110,13 @@ func AblateTLS(m *arch.Machine) (TLSAblationResult, error) {
 			tlsB, _ := root.Mmap(64, true)
 			const warm, n = 32, 512
 			ready, done := 0, false
+			started := func(*kernel.Task) bool { return ready >= 2 }
+			finished := func(*kernel.Task) bool { return done }
 			var t0, t1 sim.Time
 			pool.Spawn(func(b *blt.BLT) int {
 				b.Decouple()
 				ready++
-				for ready < 2 {
-					b.Yield()
-				}
+				b.YieldUntil(started)
 				for i := 0; i < warm+n; i++ {
 					if i == warm {
 						t0 = e.Now()
@@ -131,9 +131,7 @@ func AblateTLS(m *arch.Machine) (TLSAblationResult, error) {
 			pool.Spawn(func(b *blt.BLT) int {
 				b.Decouple()
 				ready++
-				for !done {
-					b.Yield()
-				}
+				b.YieldUntil(finished)
 				b.Couple()
 				return 0
 			}, blt.SpawnOpts{Name: "b", Scheduler: 0, TLSBase: tlsB})

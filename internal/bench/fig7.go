@@ -50,6 +50,20 @@ func (r Fig7Result) Series() []Series {
 	return out
 }
 
+// zeroSource backs the write buffers of Figs. 7 and 8. Write and
+// WriteAsync only read their source, so every measurement, parallel
+// sweeps included, slices this one zero array instead of allocating and
+// zeroing its own; 1 MiB is the largest Fig7Sizes entry.
+var zeroSource [1 << 20]byte
+
+// writeSource returns a read-only, zeroed size-byte write buffer.
+func writeSource(size int) []byte {
+	if size <= len(zeroSource) {
+		return zeroSource[:size:size]
+	}
+	return make([]byte, size)
+}
+
 // owcBaseline measures one plain synchronous open-write-close of size
 // bytes on tmpfs (the Fig. 7 denominator).
 func owcBaseline(m *arch.Machine, size int) (sim.Duration, error) {
@@ -57,7 +71,7 @@ func owcBaseline(m *arch.Machine, size int) (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
 			e := k.Engine()
-			buf := make([]byte, size)
+			buf := writeSource(size)
 			const warm, n = 4, 16
 			var t0 sim.Time
 			for i := 0; i < warm+n; i++ {
@@ -86,7 +100,7 @@ func owcAIO(m *arch.Machine, size int, suspend bool) (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
 			e := k.Engine()
-			buf := make([]byte, size)
+			buf := writeSource(size)
 			ctx, err := aio.New(root)
 			if err != nil {
 				panic(err)
@@ -136,7 +150,7 @@ func owcULP(m *arch.Machine, size int, idle blt.IdlePolicy) (sim.Duration, error
 		var per sim.Duration
 		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
-			buf := make([]byte, size)
+			buf := writeSource(size)
 			rt.Spawn(benchImage("owc", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				env.Decouple()

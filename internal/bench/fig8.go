@@ -43,7 +43,7 @@ func overlapAIO(m *arch.Machine, size int, tCPU sim.Duration, suspend bool) (sim
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
 			e := k.Engine()
-			buf := make([]byte, size)
+			buf := writeSource(size)
 			ctx, err := aio.New(root)
 			if err != nil {
 				panic(err)
@@ -91,26 +91,23 @@ func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolic
 		var per sim.Duration
 		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
-			buf := make([]byte, size)
+			buf := writeSource(size)
 			const warm, n = 2, 8
 			ready := 0
+			started := func(*kernel.Task) bool { return ready >= 2 }
 			// phase[i] counts completed iterations per ULP; each waits
 			// for its peer at iteration boundaries by yielding.
 			var phase [2]int
 			barrier := func(env *core.Env, self, iter int) {
 				phase[self] = iter + 1
-				for phase[1-self] < iter+1 {
-					env.Yield()
-				}
+				env.YieldUntil(func(*kernel.Task) bool { return phase[1-self] >= iter+1 })
 			}
 			var t0, t1 sim.Time
 			ioULP := benchImage("io", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				env.Decouple()
 				ready++
-				for ready < 2 {
-					env.Yield()
-				}
+				env.YieldUntil(started)
 				for i := 0; i < warm+n; i++ {
 					if i == warm {
 						t0 = e.Now()
@@ -133,9 +130,7 @@ func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolic
 				env := envI.(*core.Env)
 				env.Decouple()
 				ready++
-				for ready < 2 {
-					env.Yield()
-				}
+				env.YieldUntil(started)
 				for i := 0; i < warm+n; i++ {
 					env.Compute(tCPU)
 					barrier(env, 1, i)

@@ -67,14 +67,14 @@ func ulpYieldTime(m *arch.Machine) (sim.Duration, error) {
 			e := rt.Kernel().Engine()
 			const warm, n = 32, 512
 			ready, done := 0, false
+			started := func(*kernel.Task) bool { return ready >= 2 }
+			finished := func(*kernel.Task) bool { return done }
 			prog := func(measuring bool) *loader.Image {
 				return benchImage("yield", func(envI interface{}) int {
 					env := envI.(*core.Env)
 					env.Decouple()
 					ready++
-					for ready < 2 {
-						env.Yield()
-					}
+					env.YieldUntil(started)
 					if measuring {
 						var t0 sim.Time
 						for i := 0; i < warm+n; i++ {
@@ -86,9 +86,7 @@ func ulpYieldTime(m *arch.Machine) (sim.Duration, error) {
 						per = sim.Duration(float64(e.Now().Sub(t0)) / float64(2*n))
 						done = true
 					} else {
-						for !done {
-							env.Yield()
-						}
+						env.YieldUntil(finished)
 					}
 					env.Couple()
 					return 0

@@ -89,14 +89,20 @@ type BLT struct {
 	// original KC must not load UC0 before the scheduler has saved it.
 	ucSaved bool
 
+	done     bool
+	orphaned bool // exited decoupled because the original KC died
+
+	// poll is the wake condition of a YieldUntil in flight while the UC
+	// sits in its ready queue; the scheduler pass that dispatches the UC
+	// runs it and clears it on a hit (Scheduler.yieldFrom).
+	poll func(t *kernel.Task) bool
+
 	// coupleErr, when set by the host's death path, is delivered to the
 	// BLT the next time it resumes inside Couple: the coupling request
 	// was bounced back to the home scheduler because the original KC is
 	// gone.
 	coupleErr error
 
-	done       bool
-	orphaned   bool // exited decoupled because the original KC died
 	exitStatus int
 
 	// bracket is the open couple→exec→decouple trace span on the
@@ -293,6 +299,35 @@ func (b *BLT) Yield() {
 		return
 	}
 	b.home.yieldFrom(b)
+}
+
+// YieldUntil yields until poll reports true; it means exactly
+//
+//	for !poll(b.Carrier()) {
+//		b.Yield()
+//	}
+//
+// While the BLT waits decoupled in a pool without work stealing, its
+// poll stays pending on the BLT, and the scheduler pass that dispatches
+// the UC runs it (Scheduler.yieldFrom), on the goroutine of the UC whose
+// yield began the pass. A miss there is this BLT's yield, done in place,
+// so the UC's context is resumed once per satisfied wait instead of once
+// per poll. Coupled BLTs, work-stealing pools and UCs the scheduler loop
+// resumes with Step poll on their own goroutine.
+//
+// The poll contract: poll runs on the carrier it is handed, which is
+// not necessarily the caller's goroutine. It may Charge that carrier
+// and read or take shared state; it must not yield, couple or exec
+// (the UC's Save and Carrier checks panic on that misuse).
+func (b *BLT) YieldUntil(poll func(t *kernel.Task) bool) {
+	for !poll(b.uc.Carrier()) {
+		b.poll = poll
+		b.Yield()
+		if b.poll == nil {
+			return // a scheduler pass ran the poll, and it hit
+		}
+		b.poll = nil // resumed with the poll still pending: poll here
+	}
 }
 
 // Exec runs fn coupled to the original KC: the couple()/decouple()

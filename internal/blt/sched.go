@@ -324,28 +324,41 @@ func (s *Scheduler) requeue(t *kernel.Task, b *BLT) {
 	s.q.Push(b)
 }
 
-// yieldFrom runs a ULT yield's scheduler work on the yielding UC's own
+// yieldFrom runs a ULT yield's scheduler pass on the yielding UC's own
 // goroutine — the steps the scheduler's goroutine would run, in the same
 // order on the same task: requeue, one pass of acquire, and the
 // switch-in half of the dispatch — then transfers straight to the UC it
-// dequeued (b itself when no other was ready). A sched_kill draw is
-// handed to the scheduler's goroutine, which dies; b then resumes on its
-// new home. Only pools without work stealing come here: without thieves
-// nobody else pops this queue, so it still holds at least b.
+// dequeued (b itself when no other was ready). When that UC waits in
+// YieldUntil, the pass runs its poll right after the switch-in, where
+// the UC's own goroutine would have run it: a hit clears the poll and
+// ends the pass; a miss is that UC's yield, done in place, and the pass
+// goes on. A sched_kill draw is reported by b's context, whichever UC's
+// yield drew it, to the scheduler's goroutine, which dies; b then
+// resumes on its new home. Only pools without work stealing come here:
+// without thieves nobody else pops this queue, so it still holds at
+// least the UC just requeued.
 func (s *Scheduler) yieldFrom(b *BLT) {
 	if s.running != b {
 		panic(fmt.Sprintf("blt: %s yields on sched%d, which runs %v", b, s.index, s.running))
 	}
 	t := b.uc.Carrier()
 	b.uc.Save()
-	s.running = nil
-	s.requeue(t, b)
-	if s.killDrawn(t) {
-		b.uc.Yield(tagSchedKill)
-		return
+	next := b
+	for {
+		s.running = nil
+		s.requeue(t, next)
+		if s.killDrawn(t) {
+			b.uc.Yield(tagSchedKill)
+			return
+		}
+		next = s.dequeue(t)
+		s.switchIn(t, next)
+		if next.poll == nil || next.poll(t) {
+			break
+		}
+		next.yields++ // the missed poll's yield
 	}
-	next := s.dequeue(t)
-	s.switchIn(t, next)
+	next.poll = nil
 	b.uc.Transfer(next.uc, t)
 }
 

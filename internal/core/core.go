@@ -370,6 +370,11 @@ func (e *Env) Coupled() bool { return e.U.b.Coupled() }
 // Yield is the user-level yield between ULPs.
 func (e *Env) Yield() { e.U.b.Yield() }
 
+// YieldUntil yields until poll reports true (see blt.BLT.YieldUntil for
+// the poll contract: poll runs on the carrier it is handed and must not
+// yield, couple or exec).
+func (e *Env) YieldUntil(poll func(t *kernel.Task) bool) { e.U.b.YieldUntil(poll) }
+
 // Exec runs fn coupled to the original KC — the couple()/decouple()
 // bracket for a system-call or a series of system-calls. When coupling
 // is impossible (dead KC), fn does not run and Exec returns

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/loader"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -29,6 +30,17 @@ func img(name string, main loader.MainFunc) *loader.Image {
 		},
 		Main: main,
 	}
+}
+
+// countDeliveries attaches a program at signal:deliver that counts the
+// signals delivered to each kernel task.
+func countDeliveries(k *kernel.Kernel) map[probe.Task]int {
+	n := map[probe.Task]int{}
+	k.Probes().Attach("deliveries", func(c *probe.Ctx) probe.Verdict {
+		n[c.Task]++
+		return probe.Verdict{}
+	}, probe.PSignal)
+	return n
 }
 
 // boot runs main inside a booted runtime and drives the engine.
@@ -230,6 +242,7 @@ func TestSignalLandsOnSchedulingKCInFcontextMode(t *testing.T) {
 	// §VII: "if one tries to send a signal to a UC, then the signal is
 	// delivered to the scheduling KC".
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
+		deliveries := countDeliveries(rt.Kernel())
 		spin := true
 		u, _ := rt.Spawn(img("victim", func(envI interface{}) int {
 			env := envI.(*Env)
@@ -249,11 +262,11 @@ func TestSignalLandsOnSchedulingKCInFcontextMode(t *testing.T) {
 		}
 		spin = false
 		rt.WaitAll()
-		// The delivery record must be on the *scheduler's* disposition.
-		if n := len(sched.Signals().Deliveries); n != 1 {
+		// The delivery must land on the *scheduler's* disposition.
+		if n := deliveries[sched]; n != 1 {
 			t.Errorf("scheduler deliveries = %d, want 1", n)
 		}
-		if n := len(u.KC().Signals().Deliveries); n != 0 {
+		if n := deliveries[u.KC()]; n != 0 {
 			t.Errorf("ULP KC deliveries = %d, want 0", n)
 		}
 		return 0

@@ -114,6 +114,7 @@ func TestSignalMidDecoupleLandsOnOriginalKC(t *testing.T) {
 	bootFaults(t, cfg, 2,
 		[]fault.Spec{{Site: fault.SiteSchedDelay, Every: 1, DelayUS: 1000, TaskPrefix: "sched."}},
 		func(rt *Runtime) int {
+			deliveries := countDeliveries(rt.Kernel())
 			spin := true
 			u, err := rt.Spawn(img("victim", func(envI interface{}) int {
 				env := envI.(*Env)
@@ -141,11 +142,11 @@ func TestSignalMidDecoupleLandsOnOriginalKC(t *testing.T) {
 			}
 			spin = false
 			rt.WaitAll()
-			if n := len(u.KC().Signals().Deliveries); n != 1 {
+			if n := deliveries[u.KC()]; n != 1 {
 				t.Errorf("original KC deliveries = %d, want 1", n)
 			}
 			for i, s := range rt.Pool().Schedulers() {
-				if n := len(s.Task().Signals().Deliveries); n != 0 {
+				if n := deliveries[s.Task()]; n != 0 {
 					t.Errorf("scheduler %d got %d deliveries, want 0", i, n)
 				}
 			}

@@ -307,6 +307,7 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 			// fail with ErrHostDead (by design — the host-death check the
 			// coupling TOCTOU fix added).
 			released := false
+			isReleased := func(*kernel.Task) bool { return released }
 			img := &loader.Image{
 				Name: "xplr", PIE: true, TextSize: 4096,
 				Symbols: []loader.Symbol{
@@ -316,9 +317,7 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 				Main: func(envI interface{}) int {
 					env := envI.(*core.Env)
 					env.Decouple()
-					for !released {
-						env.Yield()
-					}
+					env.YieldUntil(isReleased)
 					return exploreMain(env)
 				},
 			}

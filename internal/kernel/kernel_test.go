@@ -477,8 +477,29 @@ func TestLoadTLSCosts(t *testing.T) {
 	}
 }
 
+// delivery is one signal:deliver fire: the receiving task, the signal
+// and whether the task's disposition had a handler for it.
+type delivery struct {
+	task    *Task
+	sig     int
+	handled bool
+}
+
+// recordDeliveries attaches a program at signal:deliver that appends
+// every delivery to the returned log.
+func recordDeliveries(k *Kernel) *[]delivery {
+	log := new([]delivery)
+	k.Probes().Attach("deliveries", func(c *probe.Ctx) probe.Verdict {
+		t, sig := c.Task.(*Task), int(c.Val)
+		*log = append(*log, delivery{task: t, sig: sig, handled: t.sig.handlers[sig] != nil})
+		return probe.Verdict{}
+	}, probe.PSignal)
+	return log
+}
+
 func TestSignalDeliveryAndHandler(t *testing.T) {
 	_, k := newKernel()
+	log := recordDeliveries(k)
 	runMain(t, k, func(parent *Task) int {
 		handled := false
 		child := parent.Clone("victim", PiPProcessFlags, func(c *Task) int {
@@ -494,8 +515,13 @@ func TestSignalDeliveryAndHandler(t *testing.T) {
 		if !handled {
 			t.Error("handler did not run")
 		}
-		recs := child.Signals().Deliveries
-		if len(recs) != 1 || recs[0].TaskPID != child.PID() || !recs[0].Handled {
+		var recs []delivery
+		for _, d := range *log {
+			if d.task.Signals() == child.Signals() {
+				recs = append(recs, d)
+			}
+		}
+		if len(recs) != 1 || recs[0].task != child || !recs[0].handled {
 			t.Errorf("delivery records = %+v", recs)
 		}
 		return 0

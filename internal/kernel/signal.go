@@ -15,30 +15,21 @@ const (
 // the receiving kernel task.
 type SigHandler func(t *Task, sig int)
 
-// Delivery records one delivered signal — in particular *which kernel
-// task* received it. The paper's §VII signaling caveat is precisely that
-// with fcontext-style switching "if one tries to send a signal to a UC,
-// then the signal is delivered to the scheduling KC"; the ULP layer's
-// tests assert that behaviour (and its ucontext-mode fix) through these
-// records.
-type Delivery struct {
-	Sig     int
-	TaskPID int // the kernel task whose handler table fired
-	Handled bool
-	Blocked bool
-}
-
 // SignalState is the per-task (or shared, with CloneSighand) signal
-// disposition: handler table and blocked mask, plus a delivery log. The
+// disposition: handler table, blocked mask and pending signals. The
 // handler map is allocated lazily on the first Sigaction — most tasks
 // never register a handler, and at a million tasks an eager map per
 // task (and per fork-style Clone copy) is pure footprint.
+//
+// Each delivery fires signal:deliver with the receiving task — *which
+// kernel task* received a signal is the paper's §VII caveat: with
+// fcontext-style switching "if one tries to send a signal to a UC, then
+// the signal is delivered to the scheduling KC". A program attached
+// there records deliveries; the kernel keeps no log.
 type SignalState struct {
 	handlers map[int]SigHandler // nil until a handler is registered
 	mask     uint64             // bit i+1 set => signal i+1 blocked
 	pending  []int
-
-	Deliveries []Delivery
 }
 
 // NewSignalState creates a default disposition (no handlers, empty
@@ -134,8 +125,6 @@ func (t *Task) Kill(pid, sig int) error {
 func (k *Kernel) SendSignal(target *Task, sig int) {
 	if sig != SIGKILL && target.sig.Blocked(sig) {
 		target.sig.pending = append(target.sig.pending, sig)
-		target.sig.Deliveries = append(target.sig.Deliveries,
-			Delivery{Sig: sig, TaskPID: target.pid, Blocked: true})
 		return
 	}
 	k.deliver(target, sig)
@@ -144,8 +133,6 @@ func (k *Kernel) SendSignal(target *Task, sig int) {
 
 func (k *Kernel) deliver(target *Task, sig int) {
 	h := target.sig.handlers[sig]
-	target.sig.Deliveries = append(target.sig.Deliveries,
-		Delivery{Sig: sig, TaskPID: target.pid, Handled: h != nil})
 	if k.probes.Attached(probe.PSignal) {
 		c := k.probes.Begin(probe.PSignal, k.engine.Now())
 		c.Task = target

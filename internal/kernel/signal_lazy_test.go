@@ -43,6 +43,7 @@ func TestSignalHandlerMapStaysLazy(t *testing.T) {
 
 func TestSignalHandlerSharingAndCopySemantics(t *testing.T) {
 	e, k := newKernel()
+	log := recordDeliveries(k)
 	space := k.NewAddressSpace()
 	var rootFired, threadFired, forkFired int
 	root := k.NewTask("root", space, func(task *Task) int {
@@ -78,8 +79,8 @@ func TestSignalHandlerSharingAndCopySemantics(t *testing.T) {
 		t.Errorf("fork-private SIGUSR2 handler fired %d times, want 1 (child only)", forkFired)
 	}
 	var handled int
-	for _, d := range root.Signals().Deliveries {
-		if d.TaskPID == root.PID() && d.Handled {
+	for _, d := range *log {
+		if d.task == root && d.handled {
 			handled++
 		}
 	}

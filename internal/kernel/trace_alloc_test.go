@@ -63,9 +63,6 @@ func TestUntracedSignalAndFaultsZeroAllocs(t *testing.T) {
 				if err := t.Kill(t.PID(), SIGUSR1); err != nil {
 					panic(err)
 				}
-				// The delivery log is the caller's record, not a trace:
-				// keep its capacity so that it does not grow.
-				t.sig.Deliveries = t.sig.Deliveries[:0]
 			})
 			return step, func() uint64 { return handled }
 		}},

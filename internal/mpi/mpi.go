@@ -9,7 +9,11 @@
 // transfer is a single memcpy — eager below the rendezvous threshold
 // (sender copies into the match queue), single-copy rendezvous above it
 // (receiver copies straight out of the sender's buffer). A rank blocked
-// in Recv simply yields its program core to another ready rank.
+// in Recv simply yields its program core to another ready rank: it still
+// yields in virtual time, once per failed probe of its match queue, but
+// its polls run inside the scheduler pass of whichever rank's yield
+// dispatches it (core.Env.YieldUntil), so the rank's own context is
+// resumed only once the message is there.
 package mpi
 
 import (
@@ -102,6 +106,23 @@ type Rank struct {
 	rank  int
 	env   *core.Env
 	inbox []*message
+
+	// The wait in flight: Recv's request and result, and the
+	// rendezvous message a send waits on. The polls that read them are
+	// bound once, when the rank is created, so a wait allocates nothing.
+	recvSrc, recvTag int
+	gotData          []byte
+	gotSrc, gotTag   int
+	sending          *message
+	recvPoll         func(t *kernel.Task) bool
+	sentPoll         func(t *kernel.Task) bool
+}
+
+// newRank creates rank i of w with its polls bound.
+func newRank(w *World, i int) *Rank {
+	r := &Rank{world: w, rank: i}
+	r.recvPoll, r.sentPoll = r.pollRecv, r.pollSent
+	return r
 }
 
 // Rank reports this process's rank.
@@ -121,7 +142,6 @@ type Config struct {
 	ProgCores    []int
 	SyscallCores []int
 	Idle         blt.IdlePolicy
-	WorkStealing bool
 	// SchedPolicy is the ULT half of an installed scheduler policy
 	// (nil = stock FIFO dispatch on every scheduler).
 	SchedPolicy blt.ULTPolicy
@@ -160,7 +180,7 @@ func Run(k *kernel.Kernel, cfg Config, size int, program Program) (*World, []int
 		// Register every rank's match queue before any rank runs: an
 		// early rank may address a peer that has not been spawned yet.
 		for i := 0; i < size; i++ {
-			w.ranks = append(w.ranks, &Rank{world: w, rank: i})
+			w.ranks = append(w.ranks, newRank(w, i))
 		}
 		for i := 0; i < size; i++ {
 			if _, err := rt.Spawn(img, core.SpawnOpts{
@@ -190,42 +210,56 @@ func Run(k *kernel.Kernel, cfg Config, size int, program Program) (*World, []int
 // charge bills the rank's current carrier.
 func (r *Rank) charge(d sim.Duration) { r.env.Carrier().Charge(d) }
 
-func (r *Rank) costs() *kernel.Task { return r.env.Carrier() }
-
-// Send delivers data to rank dst with the given tag. Small messages are
-// eager (one copy into the match queue); large ones post a rendezvous
-// descriptor and block until the receiver has pulled the data (so the
-// sender's buffer is reusable on return, MPI_Send semantics).
-func (r *Rank) Send(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= r.world.size {
-		return fmt.Errorf("%w: send to %d of %d", ErrBadRank, dst, r.world.size)
-	}
-	k := r.env.Carrier().Kernel()
-	costs := k.Machine().Costs
+// post queues a message for rank dst. Small messages are eager: one
+// copy into the match queue, and the send is complete. Large ones are
+// rendezvous: the message exposes the sender's buffer, the receiver
+// copies directly out of it (single copy — the PiP advantage) and sets
+// taken once the buffer is reusable.
+func (r *Rank) post(dst, tag int, data []byte) *message {
+	costs := r.env.Carrier().Kernel().Machine().Costs
 	target := r.world.ranks[dst]
 	m := &message{src: r.rank, tag: tag}
 	if len(data) <= RendezvousThreshold {
-		// Eager: copy now; the send completes immediately.
 		m.data = append([]byte(nil), data...)
 		r.charge(costs.AtomicOp + costs.RunQueueOp +
 			sim.Duration(costs.MemCopyBytePS*float64(len(data))))
 		target.inbox = append(target.inbox, m)
 		r.world.eagerSends++
 		r.world.bytesMoved += uint64(len(data))
-		return nil
+		return m
 	}
-	// Rendezvous: expose our buffer; the receiver copies directly out
-	// of it (single copy — the PiP advantage).
 	m.rndv = true
 	m.src2 = data
 	r.charge(costs.AtomicOp + costs.RunQueueOp)
 	target.inbox = append(target.inbox, m)
 	r.world.rndvSends++
-	for !m.taken {
-		r.env.Yield() // let the receiver (or anyone) run
+	return m
+}
+
+// Send delivers data to rank dst with the given tag. Small messages are
+// eager; large ones post a rendezvous descriptor and block until the
+// receiver has pulled the data (so the sender's buffer is reusable on
+// return, MPI_Send semantics).
+func (r *Rank) Send(dst, tag int, data []byte) error {
+	if dst < 0 || dst >= r.world.size {
+		return fmt.Errorf("%w: send to %d of %d", ErrBadRank, dst, r.world.size)
+	}
+	if m := r.post(dst, tag, data); m.rndv {
+		r.waitSent(m) // let the receiver (or anyone) run
 	}
 	return nil
 }
+
+// waitSent yields until the receiver has pulled rendezvous message m.
+func (r *Rank) waitSent(m *message) {
+	r.sending = m
+	r.env.YieldUntil(r.sentPoll)
+	r.sending = nil
+}
+
+// pollSent is the rendezvous sender's poll: has the receiver taken the
+// message yet?
+func (r *Rank) pollSent(*kernel.Task) bool { return r.sending.taken }
 
 // SendReq is a nonblocking send handle (MPI_Request).
 type SendReq struct {
@@ -236,12 +270,10 @@ type SendReq struct {
 // Wait blocks (yielding) until the send buffer is reusable: immediately
 // for eager sends, after the receiver pulls the data for rendezvous.
 func (q *SendReq) Wait() {
-	if q.m == nil {
+	if q.m == nil || !q.m.rndv {
 		return
 	}
-	for q.m.rndv && !q.m.taken {
-		q.rank.env.Yield()
-	}
+	q.rank.waitSent(q.m)
 }
 
 // Done reports completion without blocking (MPI_Test).
@@ -255,25 +287,7 @@ func (r *Rank) Isend(dst, tag int, data []byte) (*SendReq, error) {
 	if dst < 0 || dst >= r.world.size {
 		return nil, fmt.Errorf("%w: isend to %d of %d", ErrBadRank, dst, r.world.size)
 	}
-	k := r.env.Carrier().Kernel()
-	costs := k.Machine().Costs
-	target := r.world.ranks[dst]
-	m := &message{src: r.rank, tag: tag}
-	if len(data) <= RendezvousThreshold {
-		m.data = append([]byte(nil), data...)
-		r.charge(costs.AtomicOp + costs.RunQueueOp +
-			sim.Duration(costs.MemCopyBytePS*float64(len(data))))
-		target.inbox = append(target.inbox, m)
-		r.world.eagerSends++
-		r.world.bytesMoved += uint64(len(data))
-		return &SendReq{rank: r, m: m}, nil
-	}
-	m.rndv = true
-	m.src2 = data
-	r.charge(costs.AtomicOp + costs.RunQueueOp)
-	target.inbox = append(target.inbox, m)
-	r.world.rndvSends++
-	return &SendReq{rank: r, m: m}, nil
+	return &SendReq{rank: r, m: r.post(dst, tag, data)}, nil
 }
 
 // Sendrecv performs a combined exchange (MPI_Sendrecv): deadlock-free in
@@ -299,25 +313,33 @@ func (r *Rank) Recv(src, tag int) (data []byte, fromRank, msgTag int, err error)
 	if src != AnySource && (src < 0 || src >= r.world.size) {
 		return nil, 0, 0, fmt.Errorf("%w: recv from %d", ErrBadRank, src)
 	}
-	costs := r.env.Carrier().Kernel().Machine().Costs
-	for {
-		r.charge(costs.AtomicOp) // probe the match queue
-		for i, m := range r.inbox {
-			if (src != AnySource && m.src != src) || (tag != AnyTag && m.tag != tag) {
-				continue
-			}
-			r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
-			if m.rndv {
-				payload := append([]byte(nil), m.src2...)
-				r.charge(sim.Duration(costs.MemCopyBytePS * float64(len(payload))))
-				r.world.bytesMoved += uint64(len(payload))
-				m.taken = true
-				return payload, m.src, m.tag, nil
-			}
-			return m.data, m.src, m.tag, nil
+	r.recvSrc, r.recvTag = src, tag
+	r.env.YieldUntil(r.recvPoll)
+	data, r.gotData = r.gotData, nil
+	return data, r.gotSrc, r.gotTag, nil
+}
+
+// pollRecv is Recv's poll, run on carrier t: probe the match queue once
+// and take the first message matching the request — for a rendezvous,
+// by copying it out of the sender's buffer.
+func (r *Rank) pollRecv(t *kernel.Task) bool {
+	costs := &t.Kernel().Machine().Costs
+	t.Charge(costs.AtomicOp) // probe the match queue
+	for i, m := range r.inbox {
+		if (r.recvSrc != AnySource && m.src != r.recvSrc) || (r.recvTag != AnyTag && m.tag != r.recvTag) {
+			continue
 		}
-		r.env.Yield()
+		r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
+		r.gotData, r.gotSrc, r.gotTag = m.data, m.src, m.tag
+		if m.rndv {
+			r.gotData = append([]byte(nil), m.src2...)
+			t.Charge(sim.Duration(costs.MemCopyBytePS * float64(len(r.gotData))))
+			r.world.bytesMoved += uint64(len(r.gotData))
+			m.taken = true
+		}
+		return true
 	}
+	return false
 }
 
 // Probe reports whether a matching message is queued, without receiving.
