@@ -359,14 +359,8 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 		e.SetTracer(tracer)
 	}
 	k := kernel.New(e, m)
-	var ultPol blt.ULTPolicy
-	if schedPolicy != "" {
-		pol, err := schedpolicy.New(schedPolicy)
-		if err != nil {
-			return err
-		}
-		k.SetSchedPolicy(pol)
-		ultPol = pol
+	if err := schedpolicy.Install(k, schedPolicy); err != nil {
+		return err
 	}
 	var reg *metrics.Registry
 	if showMetrics {
@@ -412,7 +406,6 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 		Audit:          true,
 		WorkStealing:   workSteal,
 		PreemptQuantum: sim.FromUS(preemptUS),
-		SchedPolicy:    ultPol,
 	}
 
 	worker := &loader.Image{

@@ -36,19 +36,12 @@ func AblateIdlePolicy(m *arch.Machine) ([]IdleAblationResult, error) {
 			rt.Spawn(benchImage("idle", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				env.Decouple()
-				const warm, n = 8, 64
-				var t0 sim.Time
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
+				res.GetpidLatency = timeLoop(e, 8, 64, func(int) {
 					env.Getpid()
 					// Idle gaps between syscalls: where the policies
 					// diverge in burned cycles.
 					env.Compute(2 * sim.Microsecond)
-				}
-				res.GetpidLatency = sim.Duration(
-					(float64(e.Now().Sub(t0)) - float64(n*2*sim.Microsecond)) / float64(n))
+				}) - 2*sim.Microsecond
 				env.Couple()
 				return 0
 			}), core.SpawnOpts{Scheduler: 0})
@@ -96,7 +89,6 @@ func AblateTLS(m *arch.Machine) (TLSAblationResult, error) {
 	measure := func(switchTLS bool) (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
 			pool, err := blt.NewPool(root, blt.Config{
 				ProgCores:    []int{0},
 				SyscallCores: []int{2, 3},
@@ -108,22 +100,15 @@ func AblateTLS(m *arch.Machine) (TLSAblationResult, error) {
 			}
 			tlsA, _ := root.Mmap(64, true)
 			tlsB, _ := root.Mmap(64, true)
-			const warm, n = 32, 512
 			ready, done := 0, false
 			started := func(*kernel.Task) bool { return ready >= 2 }
 			finished := func(*kernel.Task) bool { return done }
-			var t0, t1 sim.Time
 			pool.Spawn(func(b *blt.BLT) int {
 				b.Decouple()
 				ready++
 				b.YieldUntil(started)
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
-					b.Yield()
-				}
-				t1 = e.Now()
+				// Each iteration is this BLT's yield and its peer's.
+				per = timeLoop(k.Engine(), 32, 512, func(int) { b.Yield() }) / 2
 				done = true
 				b.Couple()
 				return 0
@@ -138,7 +123,6 @@ func AblateTLS(m *arch.Machine) (TLSAblationResult, error) {
 			root.Wait()
 			root.Wait()
 			pool.Shutdown(root)
-			per = sim.Duration(float64(t1.Sub(t0)) / float64(2*n))
 		})
 		return per, err
 	}

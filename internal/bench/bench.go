@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/blt"
 	"repro/internal/kernel"
 	"repro/internal/schedpolicy"
 	"repro/internal/sim"
@@ -26,20 +25,13 @@ var Runs = 3
 // policies (cosched, tenant) never leak pass/gang state across runs.
 var SchedPolicy string
 
-// applyPolicy installs the kernel half of the selected policy on k and
-// returns the ULT half for core.Config threading (nil when no policy is
-// selected). The spec was validated at flag-parse time, so a parse
+// applyPolicy installs the selected policy on k, before any BLT pool is
+// built on it. The spec was validated at flag-parse time, so a parse
 // failure here is a programming error.
-func applyPolicy(k *kernel.Kernel) blt.ULTPolicy {
-	if SchedPolicy == "" {
-		return nil
-	}
-	pol, err := schedpolicy.New(SchedPolicy)
-	if err != nil {
+func applyPolicy(k *kernel.Kernel) {
+	if err := schedpolicy.Install(k, SchedPolicy); err != nil {
 		panic(fmt.Sprintf("bench: invalid sched policy %q: %v", SchedPolicy, err))
 	}
-	k.SetSchedPolicy(pol)
-	return pol
 }
 
 // RunKernel builds an engine and kernel for machine m, starts body as
@@ -57,6 +49,20 @@ func RunKernel(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) 
 	err := e.Run()
 	finish()
 	return err
+}
+
+// timeLoop runs op(i) for i in [0, warm+n) and returns the mean virtual
+// time of the last n calls: the warm-up-then-measure loop of every
+// micro-benchmark.
+func timeLoop(e *sim.Engine, warm, n int, op func(i int)) sim.Duration {
+	var t0 sim.Time
+	for i := 0; i < warm+n; i++ {
+		if i == warm {
+			t0 = e.Now()
+		}
+		op(i)
+	}
+	return sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
 }
 
 // MinOf repeats f Runs times and returns the smallest result.

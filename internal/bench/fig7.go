@@ -70,22 +70,15 @@ func owcBaseline(m *arch.Machine, size int) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
 			buf := writeSource(size)
-			const warm, n = 4, 16
-			var t0 sim.Time
-			for i := 0; i < warm+n; i++ {
-				if i == warm {
-					t0 = e.Now()
-				}
+			per = timeLoop(k.Engine(), 4, 16, func(int) {
 				fd, err := root.Open("/bench", fs.OCreate|fs.OWrOnly|fs.OTrunc)
 				if err != nil {
 					panic(err)
 				}
 				root.Write(fd, buf, false)
 				root.Close(fd)
-			}
-			per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+			})
 		})
 		return per, err
 	})
@@ -99,7 +92,6 @@ func owcAIO(m *arch.Machine, size int, suspend bool) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
 			buf := writeSource(size)
 			ctx, err := aio.New(root)
 			if err != nil {
@@ -107,12 +99,7 @@ func owcAIO(m *arch.Machine, size int, suspend bool) (sim.Duration, error) {
 			}
 			// Warm-up includes the helper-thread creation, which the
 			// paper explicitly excludes from the measurement.
-			const warm, n = 4, 16
-			var t0 sim.Time
-			for i := 0; i < warm+n; i++ {
-				if i == warm {
-					t0 = e.Now()
-				}
+			per = timeLoop(k.Engine(), 4, 16, func(int) {
 				fd, err := root.Open("/bench", fs.OCreate|fs.OWrOnly|fs.OTrunc)
 				if err != nil {
 					panic(err)
@@ -132,8 +119,7 @@ func owcAIO(m *arch.Machine, size int, suspend bool) (sim.Duration, error) {
 					}
 				}
 				root.Close(fd)
-			}
-			per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+			})
 			ctx.Close(root)
 		})
 		return per, err
@@ -154,12 +140,7 @@ func owcULP(m *arch.Machine, size int, idle blt.IdlePolicy) (sim.Duration, error
 			rt.Spawn(benchImage("owc", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				env.Decouple()
-				const warm, n = 4, 16
-				var t0 sim.Time
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
+				per = timeLoop(e, 4, 16, func(int) {
 					env.Exec(func(kc *kernel.Task) {
 						fd, err := kc.Open("/bench", fs.OCreate|fs.OWrOnly|fs.OTrunc)
 						if err != nil {
@@ -168,8 +149,7 @@ func owcULP(m *arch.Machine, size int, idle blt.IdlePolicy) (sim.Duration, error
 						kc.Write(fd, buf, true)
 						kc.Close(fd)
 					})
-				}
-				per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+				})
 				env.Couple()
 				return 0
 			}), core.SpawnOpts{Scheduler: 0})

@@ -42,18 +42,12 @@ func overlapAIO(m *arch.Machine, size int, tCPU sim.Duration, suspend bool) (sim
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
 			buf := writeSource(size)
 			ctx, err := aio.New(root)
 			if err != nil {
 				panic(err)
 			}
-			const warm, n = 2, 8
-			var t0 sim.Time
-			for i := 0; i < warm+n; i++ {
-				if i == warm {
-					t0 = e.Now()
-				}
+			per = timeLoop(k.Engine(), 2, 8, func(int) {
 				fd, err := root.Open("/ovl", fs.OCreate|fs.OWrOnly|fs.OTrunc)
 				if err != nil {
 					panic(err)
@@ -74,8 +68,7 @@ func overlapAIO(m *arch.Machine, size int, tCPU sim.Duration, suspend bool) (sim
 					}
 				}
 				root.Close(fd)
-			}
-			per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+			})
 			ctx.Close(root)
 		})
 		return per, err
@@ -102,16 +95,12 @@ func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolic
 				phase[self] = iter + 1
 				env.YieldUntil(func(*kernel.Task) bool { return phase[1-self] >= iter+1 })
 			}
-			var t0, t1 sim.Time
 			ioULP := benchImage("io", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				env.Decouple()
 				ready++
 				env.YieldUntil(started)
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
+				per = timeLoop(e, warm, n, func(i int) {
 					env.Exec(func(kc *kernel.Task) {
 						fd, err := kc.Open("/ovl", fs.OCreate|fs.OWrOnly|fs.OTrunc)
 						if err != nil {
@@ -121,8 +110,7 @@ func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolic
 						kc.Close(fd)
 					})
 					barrier(env, 0, i)
-				}
-				t1 = e.Now()
+				})
 				env.Couple()
 				return 0
 			})
@@ -141,7 +129,6 @@ func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolic
 			rt.Spawn(ioULP, core.SpawnOpts{Scheduler: 0})
 			rt.Spawn(cpuULP, core.SpawnOpts{Scheduler: 0})
 			rt.WaitAll()
-			per = sim.Duration(float64(t1.Sub(t0)) / float64(n))
 		})
 		return per, err
 	})

@@ -35,7 +35,7 @@ func MPIOversubscription(m *arch.Machine, rankCounts []int) ([]MPIPoint, error) 
 	for _, ranks := range rankCounts {
 		e := sim.New()
 		k := kernel.New(e, m)
-		ultPol := applyPolicy(k)
+		applyPolicy(k)
 		finish := instrument(k)
 		var makespan sim.Duration
 		program := func(r *mpi.Rank) int {
@@ -69,7 +69,6 @@ func MPIOversubscription(m *arch.Machine, rankCounts []int) ([]MPIPoint, error) 
 			ProgCores:    []int{0, 1},
 			SyscallCores: []int{2, 3},
 			Idle:         blt.BusyWait,
-			SchedPolicy:  ultPol,
 		}, ranks, program)
 		if err != nil {
 			return nil, err

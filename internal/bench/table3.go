@@ -26,7 +26,6 @@ func Table3(m *arch.Machine) (Table3Result, error) {
 	swap, err := MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			const warm, n = 16, 512
 			costs := k.Machine().Costs
 			// Two contexts ping-ponging: context A is the measuring
 			// loop, context B just bounces back.
@@ -36,18 +35,13 @@ func Table3(m *arch.Machine) (Table3Result, error) {
 					c.Yield(nil)
 				}
 			})
-			var t0, t1 sim.Time
 			a = uctx.New("a", func(c *uctx.Context) {
-				e := root.Kernel().Engine()
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
+				// Each iteration of a is one a->b swap and one b->a swap.
+				per = timeLoop(k.Engine(), 16, 512, func(int) {
 					// swap_ctx(a, b): one save+load.
 					root.Charge(costs.UserCtxSwap)
 					c.Yield(nil)
-				}
-				t1 = e.Now()
+				}) / 2
 			})
 			for !a.Done() {
 				if ev := a.Step(root); ev.Kind == uctx.EvExit {
@@ -57,8 +51,6 @@ func Table3(m *arch.Machine) (Table3Result, error) {
 				b.Step(root)
 			}
 			b.Kill()
-			// Each iteration of a is one a->b swap and one b->a swap.
-			per = sim.Duration(float64(t1.Sub(t0)) / float64(2*n))
 		})
 		return per, err
 	})
@@ -70,16 +62,9 @@ func Table3(m *arch.Machine) (Table3Result, error) {
 	tls, err := MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
-			const warm, n = 16, 512
-			var t0 sim.Time
-			for i := 0; i < warm+n; i++ {
-				if i == warm {
-					t0 = e.Now()
-				}
+			per = timeLoop(k.Engine(), 16, 512, func(i int) {
 				root.LoadTLS(uint64(0x1000 + i))
-			}
-			per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+			})
 		})
 		return per, err
 	})

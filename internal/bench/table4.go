@@ -44,7 +44,7 @@ func benchImage(name string, fn loader.MainFunc) *loader.Image {
 func runULP(m *arch.Machine, cfg core.Config, setup func(rt *core.Runtime)) error {
 	e := sim.New()
 	k := kernel.New(e, m)
-	cfg.SchedPolicy = applyPolicy(k)
+	applyPolicy(k)
 	finish := instrument(k)
 	if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
 		setup(rt)
@@ -65,7 +65,6 @@ func ulpYieldTime(m *arch.Machine) (sim.Duration, error) {
 		var per sim.Duration
 		err := runULP(m, ulpConfig(blt.BusyWait), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
-			const warm, n = 32, 512
 			ready, done := 0, false
 			started := func(*kernel.Task) bool { return ready >= 2 }
 			finished := func(*kernel.Task) bool { return done }
@@ -76,14 +75,8 @@ func ulpYieldTime(m *arch.Machine) (sim.Duration, error) {
 					ready++
 					env.YieldUntil(started)
 					if measuring {
-						var t0 sim.Time
-						for i := 0; i < warm+n; i++ {
-							if i == warm {
-								t0 = e.Now()
-							}
-							env.Yield()
-						}
-						per = sim.Duration(float64(e.Now().Sub(t0)) / float64(2*n))
+						// Each iteration is this ULP's yield and its peer's.
+						per = timeLoop(e, 32, 512, func(int) { env.Yield() }) / 2
 						done = true
 					} else {
 						env.YieldUntil(finished)
@@ -107,22 +100,17 @@ func schedYieldTime(m *arch.Machine, sameCore bool) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
-			const warm, n = 32, 512
 			done := false
-			var t0, t1 sim.Time
 			coreB := 0
 			if !sameCore {
 				coreB = 1
 			}
 			a := root.ClonePinned("ya", kernel.PThreadFlags, 0, func(t *kernel.Task) int {
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
-					t.SchedYield()
+				per = timeLoop(k.Engine(), 32, 512, func(int) { t.SchedYield() })
+				if sameCore {
+					// Both threads' yields interleave on the one core.
+					per /= 2
 				}
-				t1 = e.Now()
 				done = true
 				return 0
 			})
@@ -134,12 +122,6 @@ func schedYieldTime(m *arch.Machine, sameCore bool) (sim.Duration, error) {
 			})
 			root.Join(a)
 			root.Join(b)
-			div := float64(n)
-			if sameCore {
-				// Both threads' yields interleave on the one core.
-				div = 2 * n
-			}
-			per = sim.Duration(float64(t1.Sub(t0)) / div)
 		})
 		return per, err
 	})

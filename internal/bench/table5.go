@@ -21,16 +21,7 @@ func linuxGetpidTime(m *arch.Machine) (sim.Duration, error) {
 	return MinOf(func() (sim.Duration, error) {
 		var per sim.Duration
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			e := k.Engine()
-			const warm, n = 16, 256
-			var t0 sim.Time
-			for i := 0; i < warm+n; i++ {
-				if i == warm {
-					t0 = e.Now()
-				}
-				root.Getpid()
-			}
-			per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+			per = timeLoop(k.Engine(), 16, 256, func(int) { root.Getpid() })
 		})
 		return per, err
 	})
@@ -46,15 +37,9 @@ func ulpGetpidTime(m *arch.Machine, idle blt.IdlePolicy) (sim.Duration, error) {
 			rt.Spawn(benchImage("getpid", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				env.Decouple()
-				const warm, n = 16, 128
-				var t0 sim.Time
-				for i := 0; i < warm+n; i++ {
-					if i == warm {
-						t0 = e.Now()
-					}
+				per = timeLoop(e, 16, 128, func(int) {
 					env.Getpid() // couple(); getpid(); decouple()
-				}
-				per = sim.Duration(float64(e.Now().Sub(t0)) / float64(n))
+				})
 				env.Couple()
 				return 0
 			}), core.SpawnOpts{Scheduler: 0})

@@ -77,7 +77,6 @@ type BLT struct {
 	tlsBase   uint64
 	sigMask   uint64 // the UC's signal mask (ucontext-style switching)
 	stackAddr uint64 // UC stack reservation in the shared space
-	stackSize uint64
 	body      Body
 
 	// coupled is true while the UC runs (or is about to run) as a KLT
@@ -142,7 +141,7 @@ func (b *BLT) TLSBase() uint64 { return b.tlsBase }
 
 // Stack returns the UC stack reservation (address, size) in the shared
 // address space.
-func (b *BLT) Stack() (addr, size uint64) { return b.stackAddr, b.stackSize }
+func (b *BLT) Stack() (addr, size uint64) { return b.stackAddr, DefaultStackBytes }
 
 // SigMask returns the UC's signal mask (used under SwitchSigmask).
 func (b *BLT) SigMask() uint64 { return b.sigMask }
@@ -163,15 +162,11 @@ func (b *BLT) Carrier() *kernel.Task { return b.uc.Carrier() }
 // String implements fmt.Stringer.
 func (b *BLT) String() string { return "blt:" + b.name }
 
-// ucBody wraps the user body with the BLT lifecycle: optionally decouple
-// right away (the Fig. 6 scenario), and always terminate as a KLT
-// coupled with the original KC (paper rule 7). When the original KC died
-// under fault injection, coupling is impossible; the UC then exits
-// decoupled and the scheduler reaps it as an orphan.
+// ucBody wraps the user body with the BLT lifecycle: always terminate
+// as a KLT coupled with the original KC (paper rule 7). When the
+// original KC died under fault injection, coupling is impossible; the UC
+// then exits decoupled and the scheduler reaps it as an orphan.
 func (b *BLT) ucBody(c *uctx.Context) {
-	if b.pool.cfg.StartDecoupled {
-		b.Decouple()
-	}
 	b.exitStatus = b.body(b)
 	if !b.coupled {
 		if err := b.Couple(); err != nil {

@@ -331,26 +331,6 @@ func TestPowerProxyBusyWaitSpinsBlockingDoesNot(t *testing.T) {
 	}
 }
 
-func TestStartDecoupledConfig(t *testing.T) {
-	cfg := testConfig(BusyWait)
-	cfg.StartDecoupled = true
-	runPool(t, arch.Wallaby(), cfg, func(root *kernel.Task, p *Pool) {
-		var firstPID int
-		b, _ := p.Spawn(func(b *BLT) int {
-			firstPID = b.Carrier().Getpid() // already decoupled: scheduler pid
-			return 0
-		}, SpawnOpts{Name: "sd", Scheduler: 0})
-		reap(t, root, 1)
-		if firstPID != p.Schedulers()[0].Task().TGID() {
-			t.Errorf("StartDecoupled body pid = %d, want scheduler %d",
-				firstPID, p.Schedulers()[0].Task().TGID())
-		}
-		if b.KC().TGID() == firstPID {
-			t.Error("body ran on original KC despite StartDecoupled")
-		}
-	})
-}
-
 func TestDecoupleTwiceAndCoupleTwiceAreNoOps(t *testing.T) {
 	runPool(t, arch.Wallaby(), testConfig(BusyWait), func(root *kernel.Task, p *Pool) {
 		b, _ := p.Spawn(func(b *BLT) int {
@@ -482,23 +462,27 @@ func TestExitStatusPropagates(t *testing.T) {
 }
 
 func TestStacksLiveInSharedAddressSpace(t *testing.T) {
-	// Every UC gets a demand-paged stack VMA in the shared space, and
-	// the trampoline context's stack is much smaller ("the stack region
-	// of a trampoline context can be very small", §V-A).
+	// Every UC gets a demand-paged stack VMA of DefaultStackBytes in the
+	// shared space, and the trampoline context's stack is much smaller
+	// ("the stack region of a trampoline context can be very small",
+	// §V-A).
 	runPool(t, arch.Wallaby(), testConfig(BusyWait), func(root *kernel.Task, p *Pool) {
 		b, err := p.Spawn(func(b *BLT) int { return 0 },
-			SpawnOpts{Name: "stacky", Scheduler: -1, StackBytes: 256 << 10})
+			SpawnOpts{Name: "stacky", Scheduler: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reap(t, root, 1)
 		addr, size := b.Stack()
-		if size != 256<<10 {
-			t.Errorf("stack size = %d", size)
+		if size != DefaultStackBytes {
+			t.Errorf("stack size = %d, want %d", size, DefaultStackBytes)
 		}
 		vma := root.Space().FindVMA(addr)
 		if vma == nil || vma.Label != "stacky.stack" {
 			t.Fatalf("stack VMA missing or mislabeled: %v", vma)
+		}
+		if vma.Len() != DefaultStackBytes {
+			t.Errorf("stack VMA = %d, want %d", vma.Len(), DefaultStackBytes)
 		}
 		tcVMA := root.Space().FindVMA(b.Host().TCStack())
 		if tcVMA == nil {

@@ -4,11 +4,12 @@ package blt
 // order a scheduler BLT drains its ready queue, the order it scans steal
 // victims, and notifications at its idle and yield edges. It is the
 // user-level counterpart of kernel.SchedPolicy — one policy object
-// typically implements both (see internal/schedpolicy).
+// implements both (see internal/schedpolicy) and is installed on the
+// kernel; NewPool takes this half from the kernel's installed policy.
 //
 // As with the kernel interface, every hook may decline (index ≤ 0, nil
 // slice) and the built-in FIFO/round-robin behaviour runs; a policy that
-// declines everything is byte-identical to Config.Policy == nil. Hooks
+// declines everything is byte-identical to no policy at all. Hooks
 // run on the dispatch hot path between UC switches: they must not block
 // and should not allocate in steady state.
 //

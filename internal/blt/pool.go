@@ -44,10 +44,6 @@ type Config struct {
 	// "most ULT implementations ignore TLS variables whereas ULP
 	// cannot").
 	SwitchTLS bool
-	// StartDecoupled makes every BLT decouple before running its body
-	// (the Fig. 6 deployment). When false, BLTs start as pure KLTs and
-	// decouple explicitly.
-	StartDecoupled bool
 	// WorkStealing lets an idle scheduler steal ready UCs from peer
 	// schedulers' queues before idling — interprocess work stealing
 	// made trivial by the shared address space (Ouyang et al., SC'19
@@ -59,10 +55,6 @@ type Config struct {
 	// skips this, which is faster but delivers signals to the
 	// scheduling KC's disposition.
 	SwitchSigmask bool
-	// Policy, when non-nil, customises ready-queue order, steal-victim
-	// order and the idle/yield edges (see ULTPolicy). Nil keeps the
-	// built-in FIFO + round-robin-steal behaviour.
-	Policy ULTPolicy
 }
 
 // opFrame carries the latency clock and span id of one couple/decouple
@@ -116,6 +108,9 @@ type Pool struct {
 	kern    *kernel.Kernel
 	creator *kernel.Task
 	cfg     Config
+	// policy is the kernel policy's ULT half, taken at NewPool; nil
+	// keeps the built-in FIFO + round-robin-steal behaviour.
+	policy ULTPolicy
 
 	scheds    []*Scheduler
 	nextSched int
@@ -128,7 +123,8 @@ type Pool struct {
 
 // NewPool creates the schedulers (one kernel thread pinned to each
 // program core, cloned from creator) and returns the pool. The creator
-// task pays the thread-creation costs.
+// task pays the thread-creation costs. The pool takes the ULT half of
+// the kernel's installed policy now; a later install does not reach it.
 func NewPool(creator *kernel.Task, cfg Config) (*Pool, error) {
 	if len(cfg.ProgCores) == 0 {
 		return nil, fmt.Errorf("blt: config needs at least one program core")
@@ -137,9 +133,10 @@ func NewPool(creator *kernel.Task, cfg Config) (*Pool, error) {
 		return nil, fmt.Errorf("blt: config needs at least one syscall core")
 	}
 	p := &Pool{kern: creator.Kernel(), creator: creator, cfg: cfg}
+	p.policy, _ = p.kern.SchedPolicy().(ULTPolicy)
 	for i, core := range cfg.ProgCores {
 		s := &Scheduler{pool: p, core: core, index: i}
-		if cfg.Policy != nil {
+		if p.policy != nil {
 			// Preallocated victim-order scratch so a policy steal scan
 			// allocates nothing in steady state.
 			s.stealBuf = make([]int, 0, len(cfg.ProgCores))
@@ -174,9 +171,6 @@ func (p *Pool) NumSchedulers() int { return len(p.scheds) }
 // hot paths).
 func (p *Pool) SchedulerAt(i int) *Scheduler { return p.scheds[i] }
 
-// Policy returns the configured ULT scheduling policy, or nil.
-func (p *Pool) Policy() ULTPolicy { return p.cfg.Policy }
-
 // BLTs returns all spawned BLTs in creation order.
 func (p *Pool) BLTs() []*BLT {
 	out := make([]*BLT, len(p.blts))
@@ -196,9 +190,6 @@ const TrampolineStackBytes = 4 << 10
 type SpawnOpts struct {
 	Name    string
 	TLSBase uint64 // thread-descriptor address for ULP TLS switching
-	// StackBytes reserves the UC stack in the shared address space
-	// (0 = DefaultStackBytes). The reservation is demand-paged.
-	StackBytes uint64
 	// Host, when non-nil, attaches the new BLT to an existing original
 	// KC (the §VII M:N extension: UCs with the same original KC share
 	// kernel state thread-style). Nil creates a fresh KC (N:N).
@@ -236,16 +227,12 @@ func (p *Pool) Spawn(body Body, opts SpawnOpts) (*BLT, error) {
 	// Reserve the UC stack in the shared address space: decoupled UCs
 	// run on whatever KC schedules them, so the stack must be visible
 	// everywhere — trivially true under address-space sharing.
-	stackBytes := opts.StackBytes
-	if stackBytes == 0 {
-		stackBytes = DefaultStackBytes
-	}
-	stack, err := p.creator.Space().Mmap(stackBytes, semProt,
+	stack, err := p.creator.Space().Mmap(DefaultStackBytes, semProt,
 		opts.Name+".stack", false, nil)
 	if err != nil {
 		return nil, err
 	}
-	b.stackAddr, b.stackSize = stack, stackBytes
+	b.stackAddr = stack
 	b.uc = uctx.New(opts.Name, b.ucBody)
 
 	host := opts.Host

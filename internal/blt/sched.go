@@ -115,7 +115,7 @@ func (s *Scheduler) enqueue(b *BLT, from *kernel.Task) {
 // charge; nil means "lost the race".
 func (s *Scheduler) dequeue(t *kernel.Task) *BLT {
 	t.Charge(s.pool.kern.Machine().Costs.RunQueueOp)
-	if pol := s.pool.cfg.Policy; pol != nil && s.q.Len() > 0 {
+	if pol := s.pool.policy; pol != nil && s.q.Len() > 0 {
 		if i := pol.PickReady(s); i > 0 && i < s.q.Len() {
 			return s.q.RemoveAt(i)
 		}
@@ -165,7 +165,7 @@ func (s *Scheduler) acquire(t *kernel.Task) *BLT {
 				return b
 			}
 		}
-		if pol := s.pool.cfg.Policy; pol != nil {
+		if pol := s.pool.policy; pol != nil {
 			pol.OnIdle(s)
 		}
 		s.slot.wait(t)
@@ -227,7 +227,7 @@ func (s *Scheduler) stealable() bool {
 // A ULTPolicy may reorder the victim scan via StealOrder.
 func (s *Scheduler) steal(t *kernel.Task) *BLT {
 	n := len(s.pool.scheds)
-	if pol := s.pool.cfg.Policy; pol != nil {
+	if pol := s.pool.policy; pol != nil {
 		if order := pol.StealOrder(s, s.stealBuf[:0]); order != nil {
 			s.stealBuf = order // keep grown capacity for the next scan
 			for _, vi := range order {
@@ -318,7 +318,7 @@ func (s *Scheduler) switchIn(t *kernel.Task, b *BLT) {
 // runs again next (the sched_yield-alone analogue at user level).
 func (s *Scheduler) requeue(t *kernel.Task, b *BLT) {
 	t.Charge(s.pool.kern.Machine().Costs.RunQueueOp)
-	if pol := s.pool.cfg.Policy; pol != nil {
+	if pol := s.pool.policy; pol != nil {
 		pol.OnYield(s, b)
 	}
 	s.q.Push(b)

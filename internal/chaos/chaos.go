@@ -223,14 +223,8 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 		e.SetChooser(cfg.Chooser)
 	}
 	k := kernel.New(e, cfg.Machine)
-	var ultPol blt.ULTPolicy
-	if cfg.SchedPolicy != "" {
-		pol, err := schedpolicy.New(cfg.SchedPolicy)
-		if err != nil {
-			return Digest{}, nil, err
-		}
-		k.SetSchedPolicy(pol)
-		ultPol = pol
+	if err := schedpolicy.Install(k, cfg.SchedPolicy); err != nil {
+		return Digest{}, nil, err
 	}
 	if cfg.Metrics != nil {
 		k.SetMetrics(cfg.Metrics)
@@ -268,7 +262,6 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 		Idle:         cfg.Idle,
 		Signals:      cfg.SigMode,
 		Audit:        true, // collect mode: violations recorded, run completes
-		SchedPolicy:  ultPol,
 	}, func(rt *core.Runtime) int {
 		buf := make([]byte, 512)
 		ulps := make([]*core.ULP, 0, cfg.ULPs)

@@ -71,11 +71,6 @@ type Config struct {
 	// work: "Shinjuku supports preemptive scheduling for ULTs").
 	// Computation through Env.Compute is sliced at this granularity.
 	PreemptQuantum sim.Duration
-	// SchedPolicy, when non-nil, is the ULT half of a pluggable
-	// scheduler policy (see blt.ULTPolicy and internal/schedpolicy):
-	// ready-queue order, steal-victim order, idle/yield hooks. The
-	// kernel half is installed separately via Kernel.SetSchedPolicy.
-	SchedPolicy blt.ULTPolicy
 }
 
 // Violation records a system-call issued by a decoupled ULP — i.e. one
@@ -145,14 +140,12 @@ func Boot(k *kernel.Kernel, cfg Config, main func(rt *Runtime) int) (*kernel.Tas
 	task := k.NewTask("ulp-root", space, func(t *kernel.Task) int {
 		rt.rootTsk = t
 		pool, err := blt.NewPool(t, blt.Config{
-			ProgCores:      cfg.ProgCores,
-			SyscallCores:   cfg.SyscallCores,
-			Idle:           cfg.Idle,
-			SwitchTLS:      true, // ULPs always switch TLS (§V-B)
-			SwitchSigmask:  cfg.Signals == UcontextMode,
-			WorkStealing:   cfg.WorkStealing,
-			StartDecoupled: false,
-			Policy:         cfg.SchedPolicy,
+			ProgCores:     cfg.ProgCores,
+			SyscallCores:  cfg.SyscallCores,
+			Idle:          cfg.Idle,
+			SwitchTLS:     true, // ULPs always switch TLS (§V-B)
+			SwitchSigmask: cfg.Signals == UcontextMode,
+			WorkStealing:  cfg.WorkStealing,
 		})
 		if err != nil {
 			return BootFailedExitStatus
@@ -553,18 +546,15 @@ func (e *Env) SetSigMask(mask uint64) {
 func (rt *Runtime) SignalULP(sender *kernel.Task, u *ULP, sig int) error {
 	target := u.KC()
 	if !u.b.Coupled() {
-		// Decoupled: the signal goes to the carrier. Find it: the
-		// home scheduler if running there, else the KC (queued/idle).
+		// Decoupled: the signal goes to the carrier, the scheduler
+		// running the UC. A queued UC has none, so the signal stays on
+		// its KC: a terminal-originated signal to the "process" still
+		// reaches the KC's disposition; that part is safe.
 		for _, s := range rt.pool.Schedulers() {
 			if s.Running() == u.b {
 				target = s.Task()
 				break
 			}
-		}
-		if rt.cfg.Signals == FcontextMode && target == u.KC() {
-			// Queued UC: a terminal-originated signal to the "process"
-			// still reaches the KC's disposition; that part is safe.
-			target = u.KC()
 		}
 	}
 	return sender.Kill(target.PID(), sig)

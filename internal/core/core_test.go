@@ -238,6 +238,29 @@ func TestMNSharedKCULPs(t *testing.T) {
 	})
 }
 
+// TestSpawnStartDecoupled: a ULP spawned with StartDecoupled runs its
+// Main on its home scheduler from the first line, not on its original
+// KC (the Fig. 6 deployment).
+func TestSpawnStartDecoupled(t *testing.T) {
+	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
+		var first *kernel.Task
+		u, err := rt.Spawn(img("sd", func(envI interface{}) int {
+			first = envI.(*Env).Carrier()
+			return 0
+		}), SpawnOpts{Scheduler: 0, StartDecoupled: true})
+		if err != nil {
+			t.Error(err)
+			return 1
+		}
+		rt.WaitAll()
+		if sched := rt.Pool().Schedulers()[0].Task(); first != sched {
+			t.Errorf("StartDecoupled Main began on %s (KC %s), want scheduler %s",
+				first.Name(), u.KC().Name(), sched.Name())
+		}
+		return 0
+	})
+}
+
 func TestSignalLandsOnSchedulingKCInFcontextMode(t *testing.T) {
 	// §VII: "if one tries to send a signal to a UC, then the signal is
 	// delivered to the scheduling KC".

@@ -35,30 +35,16 @@ var ProbeSpecs []probe.Spec
 var PolicySpec string
 
 // newKernel is kernel.New plus the exploration-wide probe attachments
-// and the kernel half of the scheduler policy. Every scenario builds
-// its kernel through here so -probe and -sched-policy cover the whole
-// stock suite; BLT scenarios pull the ULT half back off the kernel for
-// their core.Config.
+// and the scheduler policy. Every scenario builds its kernel through
+// here so -probe and -sched-policy cover the whole stock suite; BLT
+// scenarios' pools take the policy's ULT half from the kernel.
 func newKernel(e *sim.Engine, m *arch.Machine) *kernel.Kernel {
 	k := kernel.New(e, m)
 	probe.AttachSpecs(k.Probes(), ProbeSpecs)
-	if PolicySpec != "" {
-		pol, err := schedpolicy.New(PolicySpec)
-		if err != nil {
-			panic(err)
-		}
-		k.SetSchedPolicy(pol)
+	if err := schedpolicy.Install(k, PolicySpec); err != nil {
+		panic(err)
 	}
 	return k
-}
-
-// ultPolicy recovers the ULT half of the kernel's installed policy, if
-// it has one (schedpolicy objects implement both halves).
-func ultPolicy(k *kernel.Kernel) blt.ULTPolicy {
-	if pol, ok := k.SchedPolicy().(blt.ULTPolicy); ok {
-		return pol
-	}
-	return nil
 }
 
 // horizon bounds each explored run in virtual time: an adversarial
@@ -330,7 +316,6 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 				Idle:         idle,
 				Audit:        true,
 				WorkStealing: mn,
-				SchedPolicy:  ultPolicy(k),
 			}, func(rt *core.Runtime) int {
 				// Shutdown unconditionally: an early return that leaves the
 				// pool running strands busy-wait schedulers in a livelock.

@@ -47,7 +47,8 @@ type SchedPolicy interface {
 
 // SetSchedPolicy installs a scheduler policy (nil restores the built-in
 // FIFO dispatch plane). Install before the simulation runs: switching
-// policies mid-run is legal but changes the schedule from that point on.
+// policies mid-run is legal but changes the schedule from that point on,
+// and a BLT pool keeps the ULT half (blt.ULTPolicy) it took when created.
 func (k *Kernel) SetSchedPolicy(p SchedPolicy) { k.policy = p }
 
 // SchedPolicy returns the installed policy, or nil.

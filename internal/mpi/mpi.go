@@ -142,9 +142,6 @@ type Config struct {
 	ProgCores    []int
 	SyscallCores []int
 	Idle         blt.IdlePolicy
-	// SchedPolicy is the ULT half of an installed scheduler policy
-	// (nil = stock FIFO dispatch on every scheduler).
-	SchedPolicy blt.ULTPolicy
 }
 
 // Run boots a ULP-PiP runtime, launches size ranks executing program,
@@ -174,7 +171,6 @@ func Run(k *kernel.Kernel, cfg Config, size int, program Program) (*World, []int
 		ProgCores:    cfg.ProgCores,
 		SyscallCores: cfg.SyscallCores,
 		Idle:         cfg.Idle,
-		SchedPolicy:  cfg.SchedPolicy,
 	}, func(rt *core.Runtime) int {
 		w.rt = rt
 		// Register every rank's match queue before any rank runs: an

@@ -6,10 +6,11 @@
 //
 // One Policy implements both halves of the plane: kernel.SchedPolicy
 // (kernel tasks and cores) and blt.ULTPolicy (decoupled UCs on
-// scheduler BLTs). Install the same instance on both via Install, or
-// hand the halves out separately. Instances are stateful and
-// single-run: parse a fresh one per simulation (New) so repeated runs
-// of one seed stay byte-identical.
+// scheduler BLTs). It is installed in one place, the kernel
+// (Kernel.SetSchedPolicy, or Install from a spec): every BLT pool built
+// on that kernel afterwards takes the ULT half when it is created.
+// Instances are stateful and single-run: Install parses a fresh one per
+// simulation, so repeated runs of one seed stay byte-identical.
 //
 // Stock policies, selected by spec string (ulpsim/ulpbench
 // -sched-policy):
@@ -76,15 +77,20 @@ func New(spec string) (Policy, error) {
 // Names lists the stock policy names in selection order.
 func Names() []string { return []string{"fifo", "locality", "cosched", "tenant"} }
 
-// Install puts the kernel half of p in place on k (the ULT half is
-// threaded separately, through blt.Config.Policy or core.Config's
-// SchedPolicy field). A nil p is a no-op, so callers can thread an
-// optional policy unconditionally.
-func Install(k *kernel.Kernel, p Policy) {
-	if p == nil {
-		return
+// Install parses spec into a fresh policy and installs it on k, where
+// both halves take effect: the kernel dispatches through it, and every
+// BLT pool created on k afterwards takes its ULT half. An empty spec
+// installs nothing, so callers can pass an optional spec unconditionally.
+func Install(k *kernel.Kernel, spec string) error {
+	if spec == "" {
+		return nil
+	}
+	p, err := New(spec)
+	if err != nil {
+		return err
 	}
 	k.SetSchedPolicy(p)
+	return nil
 }
 
 // base supplies declining defaults for every hook of both interfaces;

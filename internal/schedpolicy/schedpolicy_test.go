@@ -92,21 +92,20 @@ type fingerprint struct {
 }
 
 // runWorkload boots a 2+2-core deployment, runs 6 ULPs of a
-// compute/syscall/yield mix under the given policy and returns the run's
-// fingerprint.
-func runWorkload(t *testing.T, m *arch.Machine, idle blt.IdlePolicy, pol Policy) fingerprint {
+// compute/syscall/yield mix under the policy spec selects (none when
+// empty) and returns the run's fingerprint.
+func runWorkload(t *testing.T, m *arch.Machine, idle blt.IdlePolicy, spec string) fingerprint {
 	t.Helper()
 	e := sim.New()
 	k := kernel.New(e, m)
-	Install(k, pol)
+	if err := Install(k, spec); err != nil {
+		t.Fatal(err)
+	}
 	cfg := core.Config{
 		ProgCores:    []int{0, 1},
 		SyscallCores: []int{2, 3},
 		Idle:         idle,
 		WorkStealing: true,
-	}
-	if pol != nil {
-		cfg.SchedPolicy = pol
 	}
 	var fp fingerprint
 	worker := ulpImage("w", func(envI interface{}) int {
@@ -161,12 +160,8 @@ func TestFIFOByteIdentity(t *testing.T) {
 			m := mk()
 			name := fmt.Sprintf("%s/%s", m.Name, idle)
 			t.Run(name, func(t *testing.T) {
-				bare := runWorkload(t, mk(), idle, nil)
-				pol, err := New("fifo")
-				if err != nil {
-					t.Fatal(err)
-				}
-				fifo := runWorkload(t, mk(), idle, pol)
+				bare := runWorkload(t, mk(), idle, "")
+				fifo := runWorkload(t, mk(), idle, "fifo")
 				if bare.end != fifo.end || bare.syscalls != fifo.syscalls || bare.ctxSwitches != fifo.ctxSwitches {
 					t.Errorf("fifo diverged from bare: end %v vs %v, syscalls %d vs %d, ctx %d vs %d",
 						fifo.end, bare.end, fifo.syscalls, bare.syscalls, fifo.ctxSwitches, bare.ctxSwitches)
@@ -186,11 +181,7 @@ func TestPoliciesDeterministic(t *testing.T) {
 	for _, spec := range []string{"fifo", "locality", "cosched", "tenant", "tenant:weights=kc.w.1:4"} {
 		t.Run(spec, func(t *testing.T) {
 			run := func() fingerprint {
-				pol, err := New(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return runWorkload(t, arch.Wallaby(), blt.BusyWait, pol)
+				return runWorkload(t, arch.Wallaby(), blt.BusyWait, spec)
 			}
 			a, b := run(), run()
 			if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -206,11 +197,9 @@ func TestPoliciesDeterministic(t *testing.T) {
 func TestLocalityReturnsToLastCore(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
-	pol, err := New("locality")
-	if err != nil {
+	if err := Install(k, "locality"); err != nil {
 		t.Fatal(err)
 	}
-	Install(k, pol)
 	space := k.NewAddressSpace()
 	// Two pinned spinners occupy cores 0 and 1 until 50us, so the
 	// unpinned sleeper's first placement lands on core 2.
@@ -259,16 +248,13 @@ func spawnRecorder(order *[]string, tag string, yields int) *loader.Image {
 func TestCoschedDrainsGangsBackToBack(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
-	pol, err := New("cosched")
-	if err != nil {
+	if err := Install(k, "cosched"); err != nil {
 		t.Fatal(err)
 	}
-	Install(k, pol)
 	cfg := core.Config{
 		ProgCores:    []int{0},
 		SyscallCores: []int{1},
 		Idle:         blt.BusyWait,
-		SchedPolicy:  pol,
 	}
 	var order []string
 	if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
@@ -323,16 +309,13 @@ func TestTenantWeightsShiftShare(t *testing.T) {
 	run := func(spec string) []string {
 		e := sim.New()
 		k := kernel.New(e, arch.Wallaby())
-		pol, err := New(spec)
-		if err != nil {
+		if err := Install(k, spec); err != nil {
 			t.Fatal(err)
 		}
-		Install(k, pol)
 		cfg := core.Config{
 			ProgCores:    []int{0},
 			SyscallCores: []int{1},
 			Idle:         blt.BusyWait,
-			SchedPolicy:  pol,
 		}
 		var order []string
 		if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
@@ -377,5 +360,60 @@ func TestTenantWeightsShiftShare(t *testing.T) {
 	fair := run("tenant")
 	if h, l := count(fair, "t1", half), count(fair, "t0", half); h-l > 1 || l-h > 1 {
 		t.Errorf("unweighted stride skewed: %d vs %d in the first %d slots: %v", h, l, half, fair)
+	}
+}
+
+// countingPolicy declines every decision, as fifo does, and counts the
+// ULT hooks that reach it.
+type countingPolicy struct {
+	base
+	picks, yields int
+}
+
+func (c *countingPolicy) PickReady(*blt.Scheduler) int     { c.picks++; return 0 }
+func (c *countingPolicy) OnYield(*blt.Scheduler, *blt.BLT) { c.yields++ }
+
+// TestPoolBuiltDirectlyTakesKernelPolicy: a pool built straight with
+// blt.NewPool and no policy setting, as bench.AblateTLS and tasking.New
+// build theirs, dispatches through the ULT half of the policy installed
+// on its kernel, not only the kernel half.
+func TestPoolBuiltDirectlyTakesKernelPolicy(t *testing.T) {
+	e := sim.New()
+	k := kernel.New(e, arch.Wallaby())
+	pol := &countingPolicy{base: base{name: "counting"}}
+	k.SetSchedPolicy(pol)
+	root := k.NewTask("root", k.NewAddressSpace(), func(root *kernel.Task) int {
+		pool, err := blt.NewPool(root, blt.Config{
+			ProgCores: []int{0}, SyscallCores: []int{1, 2}, Idle: blt.BusyWait,
+		})
+		if err != nil {
+			t.Error(err)
+			return 1
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := pool.Spawn(func(b *blt.BLT) int {
+				b.Decouple()
+				for j := 0; j < 4; j++ {
+					b.Yield()
+				}
+				b.Couple()
+				return 0
+			}, blt.SpawnOpts{Scheduler: 0}); err != nil {
+				t.Error(err)
+				return 1
+			}
+		}
+		root.Wait()
+		root.Wait()
+		pool.Shutdown(root)
+		return 0
+	})
+	k.Start(root, 0)
+	if err := e.Run(); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if pol.picks == 0 || pol.yields == 0 {
+		t.Errorf("two decoupled BLTs yielding 4 times each reached the kernel's policy with %d picks, %d yields; want both non-zero",
+			pol.picks, pol.yields)
 	}
 }
