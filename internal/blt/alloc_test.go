@@ -1,10 +1,12 @@
 package blt
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/kernel"
+	"repro/internal/leakcheck"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -63,7 +65,11 @@ func pinZeroAllocs(t *testing.T, what string, n int, body Body) {
 	e.Shutdown()
 }
 
+// TestULTYieldZeroAllocs also checks that Shutdown reaps both UCs: the
+// one a scheduler runs, through the scheduler's kill, and the parked
+// one.
 func TestULTYieldZeroAllocs(t *testing.T) {
+	base := leakcheck.Baseline()
 	yields := 0
 	pinZeroAllocs(t, "ULT yield", 2, func(b *BLT) int {
 		b.Decouple()
@@ -75,6 +81,29 @@ func TestULTYieldZeroAllocs(t *testing.T) {
 	if yields == 0 {
 		t.Error("no BLT ever yielded")
 	}
+	leakcheck.Check(t, base)
+}
+
+// TestKCHostHoldsOneGoroutine: a KC whose BLT idles decoupled holds
+// one goroutine, its task's runner; the trampoline runs on the KC's
+// events. With n BLTs decoupled, the count is one goroutine per KC and
+// per UC, plus the scheduler and the root.
+func TestKCHostHoldsOneGoroutine(t *testing.T) {
+	base := leakcheck.Baseline()
+	const n = 4
+	e, step := switchLoop(t, n, func(b *BLT) int {
+		b.Decouple()
+		for {
+			b.Yield()
+		}
+	})
+	step()
+	if got, want := runtime.NumGoroutine()-base, n+n+1+1; got != want {
+		t.Errorf("%d goroutines for %d idle KC hosts, want %d (KCs, UCs, scheduler, root)", got, n, want)
+	}
+	e.Stop()
+	e.Shutdown()
+	leakcheck.Check(t, base)
 }
 
 func TestCoupleDecoupleZeroAllocs(t *testing.T) {

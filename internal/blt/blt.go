@@ -180,6 +180,11 @@ func (b *BLT) ucBody(c *uctx.Context) {
 // context. The call returns once a scheduler resumes the UC — from then
 // on the BLT is a ULT. Calling Decouple while already decoupled is a
 // no-op, mirroring the library.
+//
+// Under BUSYWAIT the trampoline's first pass runs here, on the UC's
+// goroutine, as the KC's spin continuation; the UC then parks without
+// waking another goroutine. Under BLOCKING the KC's own goroutine
+// resumes to run the trampoline.
 func (b *BLT) Decouple() {
 	if !b.coupled {
 		return
@@ -211,7 +216,8 @@ func (b *BLT) Decouple() {
 		p.kern.Trace("blt", "decouple: swap_ctx(%s, TC)", b.name)
 	}
 	b.uc.Save()
-	b.uc.Transfer(b.host.tc, carrier)
+	b.host.stage = tcSaved
+	b.uc.Leave(carrier, b.host.step)
 	// Resumed here by a scheduler KC: the BLT is now a ULT.
 	p.opExit(b.uc.Carrier(), b, fr)
 }

@@ -6,21 +6,19 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/ring"
-	"repro/internal/uctx"
 )
 
 // semProt is the protection for runtime futex words.
 const semProt = mem.ProtRead | mem.ProtWrite
 
-// KCHost owns one original kernel context (KC) and the trampoline
-// context it idles in. In the default N:N mode a host serves exactly one
-// BLT; in the M:N extension several BLTs share a host, in which case
-// they also share its kernel state (PID, FDs) — "similar to the relation
-// of the conventional process and thread" (paper §VII).
+// KCHost owns one original kernel context (KC) and the trampoline it
+// idles in. In the default N:N mode a host serves exactly one BLT; in
+// the M:N extension several BLTs share a host, in which case they also
+// share its kernel state (PID, FDs) — "similar to the relation of the
+// conventional process and thread" (paper §VII).
 type KCHost struct {
 	pool *Pool
 	task *kernel.Task
-	tc   *uctx.Context
 	name string
 	core int // the syscall core the KC is pinned to
 
@@ -28,6 +26,14 @@ type KCHost struct {
 	// (couple requests, plus the initial KLT run at creation).
 	queue ring.Q[*BLT]
 	slot  idleSlot
+
+	// stage is where the trampoline's next pass starts, and coupling
+	// the BLT it has dequeued and is loading. step is the trampoline
+	// as a spin step, bound once at creation; nil under BLOCKING, where
+	// the KC's goroutine runs the stages as a loop.
+	stage    tcStage
+	coupling *BLT
+	step     func() bool
 
 	tcStack   uint64 // the trampoline context's small stack
 	residents int    // live BLTs whose original KC this is
@@ -110,8 +116,8 @@ func (h *KCHost) canRespawn() bool {
 
 // tryRespawn asks task:restart (Site = the KC's name) whether a
 // fault-killed KC comes back. A positive Delay grants it: the requesting
-// carrier waits out that backoff, then a fresh trampoline context and a
-// new kernel task (same name, same syscall core) replace the dead ones.
+// carrier waits out that backoff, then a new kernel task (same name,
+// same syscall core) replaces the dead one.
 // The post-sleep dead re-check matters: several carriers can observe
 // the same death, and whoever respawns first covers the rest. Drop
 // quarantines the KC; the zero verdict (no supervisor) leaves it dead,
@@ -131,12 +137,10 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	if !h.dead {
 		return // a concurrent requester respawned it while we slept
 	}
-	tc := uctx.New("tc."+h.name, h.tcBody)
 	task, err := carrier.TryClonePinned("kc."+h.name, kernel.PiPProcessFlags, h.core, h.main)
 	if err != nil {
 		return // thread limit: stay dead, bounce the request
 	}
-	h.tc = tc
 	h.task = task
 	h.dead = false
 	h.killed = false
@@ -154,11 +158,31 @@ func (h *KCHost) dequeue(t *kernel.Task) *BLT {
 	return h.queue.Pop()
 }
 
-// tcBody is the trampoline context: the stack the original KC runs on
-// while its UC is away. It idles per the pool's policy and transfers
+// tcStage is where the trampoline's next pass starts.
+type tcStage uint8
+
+const (
+	tcSaved   tcStage = iota // a BLT decoupled: publish its save, swap in
+	tcDraw                   // draw kc_kill on going idle
+	tcIdle                   // idle; draw kc_kill with a request queued
+	tcDequeue                // take the request after the queue-op charge
+	tcLoad                   // sync point 1, then swap to the UC
+	tcEnter                  // hand the KC to the UC
+)
+
+// trampoline is the trampoline context (TC): what the original KC runs
+// while its UC is away. It idles per the pool's policy and hands the KC
 // straight to each coupling (or newly created) BLT. Running the idle
-// wait on this dedicated small stack — never on a UC stack — is exactly
-// what makes decoupling safe (paper §V-A).
+// wait on the KC's own small trampoline stack — never on a UC stack —
+// is exactly what makes decoupling safe (paper §V-A).
+//
+// It is written in stages, each ending in at most one Charge, so that
+// it runs as the KC's spin continuation under BUSYWAIT (see run): on
+// whichever goroutine dispatches the KC's events, with its first pass
+// on the decoupling UC's goroutine (Decouple). Under BLOCKING the KC's
+// goroutine runs the same stages as a loop. A pass reports true when
+// the trampoline is over: the KC is handed to h.running (uctx Enter),
+// or, with h.running nil, the trampoline exits.
 //
 // The kc_kill fault site lives here, and only here: the KC can die right
 // after going idle (its UC mid-decouple on a scheduler) or right after
@@ -166,64 +190,109 @@ func (h *KCHost) dequeue(t *kernel.Task) *BLT {
 // inside the ucSaved handshake — matching a real SIGKILL, which a KC
 // blocked in futex_wait or sched_yield can absorb at any time, while the
 // handshake windows are a few uninterruptible instructions.
-func (h *KCHost) tcBody(c *uctx.Context) {
-	p := h.pool
-	costs := p.kern.Machine().Costs
-	k := p.kern
+func (h *KCHost) trampoline() bool {
+	t := h.task
+	k := h.pool.kern
+	costs := &k.Machine().Costs
 	for {
-		t := c.Carrier()
-		if k.FaultShouldDie(t, "kc_kill") {
-			h.killed = true // mid-decouple: the KC dies while idle
+		switch h.stage {
+		case tcSaved:
+			// The decoupled UC is saved: sync point 2 (Table I
+			// Seq.8/9), the scheduler may load it. Then switch into
+			// the trampoline (swap only: TC<->UC transitions do not
+			// reload the TLS register, per §V-B).
+			b := h.running
+			b.ucSaved = true
 			if k.Tracing() {
-				k.Emit(t, "fault", "kc_kill: %s dies idle", t.Name())
+				k.Trace("blt", "kc: %s saved; blocking on TC", b.name) // Seq.8
 			}
-			return
-		}
-		h.slot.wait(t)
-		if h.residents == 0 && h.queue.Len() == 0 {
-			return
-		}
-		if k.FaultShouldDie(t, "kc_kill") {
-			h.killed = true // mid-couple: a request is queued, never served
+			h.running = nil
+			h.stage = tcDraw
+			t.Charge(costs.UserCtxSwap)
+			return false
+		case tcDraw:
+			if k.FaultShouldDie(t, "kc_kill") {
+				h.killed = true // mid-decouple: the KC dies while idle
+				if k.Tracing() {
+					k.Emit(t, "fault", "kc_kill: %s dies idle", t.Name())
+				}
+				return true
+			}
+			h.stage = tcIdle
+		case tcIdle:
+			if !h.slot.pass(t) {
+				return false
+			}
+			if h.residents == 0 && h.queue.Len() == 0 {
+				return true
+			}
+			if k.FaultShouldDie(t, "kc_kill") {
+				h.killed = true // mid-couple: a request is queued, never served
+				if k.Tracing() {
+					k.Emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
+				}
+				return true
+			}
+			h.stage = tcDequeue
+			t.Charge(costs.RunQueueOp)
+			return false
+		case tcDequeue:
+			h.coupling = h.queue.Pop()
+			h.stage = tcLoad
+		case tcLoad:
+			// Synchronization point 1 (Table I Seq.3/4): do not load
+			// the UC before the scheduler has finished saving it; the
+			// window is a few instructions, so tight-spin.
+			b := h.coupling
+			if !b.ucSaved {
+				t.Charge(costs.AtomicOp)
+				return false
+			}
 			if k.Tracing() {
-				k.Emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())
+				k.Trace("blt", "kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
+				// Table I Seq.4: swap_ctx(TC0, UC0).
+				k.Trace("blt", "kc: swap_ctx(TC, %s)", b.name)
 			}
+			h.stage = tcEnter
+			t.Charge(costs.UserCtxSwap)
+			return false
+		default: // tcEnter
+			b := h.coupling
+			h.coupling = nil
+			h.running = b
+			// Open the couple→exec→decouple bracket on the KC's core;
+			// Decouple (or the exit path in main) closes it.
+			if k.Tracing() {
+				b.bracket = k.BeginSpan(t, "blt.span", b.name, "coupled "+b.name)
+			}
+			b.uc.Enter(t)
+			return true
+		}
+	}
+}
+
+// run runs the trampoline from h.stage on the KC's goroutine, and
+// returns when it exits (h.running nil) or the BLT it coupled exits.
+// Under BUSYWAIT the trampoline is the KC's spin continuation: a BLT
+// that decouples starts the next one itself (Decouple), so this
+// goroutine sleeps until the end. Under BLOCKING this goroutine runs
+// the stages, handing the KC to each coupling BLT and back.
+func (h *KCHost) run(t *kernel.Task) {
+	if h.step != nil {
+		t.Spin(h.step)
+		return
+	}
+	me := t.Proc().Coro()
+	for {
+		for !h.trampoline() {
+		}
+		if h.running == nil {
 			return
 		}
-		b := h.dequeue(t)
-		// Synchronization point 1 (Table I Seq.3/4): do not load the
-		// UC before the scheduler has finished saving it; the window
-		// is a few instructions, so tight-spin.
-		for !b.ucSaved {
-			t.Charge(costs.AtomicOp)
+		t.Proc().HandOff(me)
+		if h.running.uc.Done() {
+			return
 		}
-		if k.Tracing() {
-			k.Trace("blt", "kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
-			// Table I Seq.4: swap_ctx(TC0, UC0).
-			k.Trace("blt", "kc: swap_ctx(TC, %s)", b.name)
-		}
-		t.Charge(costs.UserCtxSwap)
-		h.running = b
-		// Open the couple→exec→decouple bracket on the KC's core;
-		// Decouple (or the exit path in main) closes it.
-		if k.Tracing() {
-			b.bracket = k.BeginSpan(t, "blt.span", b.name, "coupled "+b.name)
-		}
-		c.Save()
-		c.Transfer(b.uc, t)
-		if b.done {
-			continue // b exited coupled; main reaped it and swapped back in
-		}
-		// b's Decouple transferred back here. Sync point 2 (Table I
-		// Seq.8/9): the UC context is now saved; the scheduler may load
-		// it. Then switch into the trampoline (swap only: TC<->UC
-		// transitions do not reload the TLS register, per §V-B).
-		b.ucSaved = true
-		if k.Tracing() {
-			k.Trace("blt", "kc: %s saved; blocking on TC", b.name) // Seq.8
-		}
-		h.running = nil
-		c.Carrier().Charge(costs.UserCtxSwap)
 	}
 }
 
@@ -231,18 +300,20 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 // task reports: 128+9, the shell convention for death by SIGKILL.
 const KilledExitStatus = 137
 
-// main is the original KC's kernel-task body. It steps the trampoline,
-// which carries on by itself from then on — transferring to each
-// coupling UC, which transfers back when it decouples — and only
-// returns here when the trampoline exits (the KC dies or has no
-// residents left) or a coupled UC exits.
+// main is the original KC's kernel-task body. It runs the trampoline,
+// which carries on by itself from then on — handing the KC to each
+// coupling UC, which hands it back when it decouples — and only returns
+// here when the trampoline exits (the KC dies or has no residents left)
+// or a coupled UC exits.
 func (h *KCHost) main(t *kernel.Task) int {
 	costs := h.pool.kern.Machine().Costs
 	for {
 		// Switch into the trampoline (swap only, as above).
 		t.Charge(costs.UserCtxSwap)
-		ev := h.tc.Step(t)
-		if ev.Ctx == h.tc {
+		h.stage = tcDraw
+		h.run(t)
+		b := h.running
+		if b == nil {
 			h.dead = true
 			if h.killed {
 				h.die(t)
@@ -250,9 +321,8 @@ func (h *KCHost) main(t *kernel.Task) int {
 			}
 			return h.lastExit
 		}
-		b := h.running
-		if ev.Kind != uctx.EvExit || b == nil || ev.Ctx != b.uc {
-			panic(fmt.Sprintf("blt: kc.%s coupled %v but %v reported %v", h.name, b, ev.Ctx, ev.Tag))
+		if !b.uc.Done() {
+			panic(fmt.Sprintf("blt: kc.%s coupled %v, which returned the KC without exiting", h.name, b))
 		}
 		// Paper rule 7: a BLT always terminates as a KLT coupled with
 		// its original KC.

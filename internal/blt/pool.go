@@ -150,9 +150,6 @@ func NewPool(creator *kernel.Task, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Config returns the pool's configuration.
-func (p *Pool) Config() Config { return p.cfg }
-
 // Kernel returns the kernel the pool runs on.
 func (p *Pool) Kernel() *kernel.Kernel { return p.kern }
 
@@ -255,6 +252,9 @@ func (p *Pool) newHost(name string) (*KCHost, error) {
 	core := p.cfg.SyscallCores[p.nextSC%len(p.cfg.SyscallCores)]
 	p.nextSC++
 	h := &KCHost{pool: p, name: name, core: core}
+	if p.cfg.Idle == BusyWait {
+		h.step = h.trampoline
+	}
 	if err := h.slot.init(p, p.creator, h.idleDone); err != nil {
 		return nil, err
 	}
@@ -265,7 +265,6 @@ func (p *Pool) newHost(name string) (*KCHost, error) {
 		return nil, err
 	}
 	h.tcStack = tcStack
-	h.tc = uctx.New("tc."+name, h.tcBody)
 	h.task = p.creator.ClonePinned("kc."+name, kernel.PiPProcessFlags, core, h.main)
 	h.restartable = p.kern.RestartVerdict(p.creator, h.task.Name(), 0).Delay > 0
 	p.hosts = append(p.hosts, h)
@@ -373,6 +372,18 @@ func (s *idleSlot) wait(t *kernel.Task) {
 		s.t = nil
 		return
 	}
+	s.pass(t)
+}
+
+// pass runs the wait up to its next suspension, inside a spin step of
+// t's (the trampoline): under BUSYWAIT one pass of the spin, which
+// reports whether the wait is over; under BLOCKING, which runs no spin,
+// the whole futex wait.
+func (s *idleSlot) pass(t *kernel.Task) bool {
+	if s.pool.cfg.Idle == BusyWait {
+		s.t = t
+		return s.spin()
+	}
 	for !s.ready() {
 		// A kick aimed at this task may be dropped: the recovery sleep
 		// re-checks the condition on a backoff timer.
@@ -382,6 +393,7 @@ func (s *idleSlot) wait(t *kernel.Task) {
 		// Consume the kick so the next wait sleeps again.
 		t.Space().WriteU64(s.word, 0, nil)
 	}
+	return true
 }
 
 // spin is one pass of the BUSYWAIT loop, run as the waiting task's spin

@@ -104,16 +104,15 @@ func TestYieldUntilMissesZeroAllocs(t *testing.T) {
 // TestYieldUntilShutdownMidPoll stops the engine while a poll runs on
 // another UC's goroutine, inside the Charge of the poll, and shuts it
 // down there. The kill unwinds the goroutine that runs the pass and
-// reaches the scheduler through its Step; every other UC, the one whose
-// poll was running included, is parked and can be killed. Nothing is
-// left behind: no proc, no goroutine.
+// reaches the scheduler through its Step; Shutdown then kills every
+// other UC, the one whose poll was running included, where it is
+// parked. Nothing is left behind: no proc, no goroutine.
 func TestYieldUntilShutdownMidPoll(t *testing.T) {
 	switchLoop(t, 1, func(b *BLT) int { return 0 }) // warm-up
 	base := leakcheck.Baseline()
 	const n = 3
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
-	var pool *Pool
 	var blts [n]*BLT
 	var polls [n]int
 	stoppedIn := -1
@@ -123,7 +122,6 @@ func TestYieldUntilShutdownMidPoll(t *testing.T) {
 			t.Error(err)
 			return 1
 		}
-		pool = p
 		for i := 0; i < n; i++ {
 			i := i
 			poll := func(c *kernel.Task) bool {
@@ -159,9 +157,6 @@ func TestYieldUntilShutdownMidPoll(t *testing.T) {
 	}
 	if live := e.LiveProcs(); live != 0 {
 		t.Fatalf("%d procs live after Shutdown", live)
-	}
-	for _, b := range pool.BLTs() {
-		b.uc.Kill()
 	}
 	leakcheck.Check(t, base)
 }

@@ -296,6 +296,10 @@ func (t *Task) SchedYield() {
 // or Park; Spinner runs sched_yield that way.
 func (t *Task) Spin(step func() bool) { t.proc.Spin(step) }
 
+// Proc returns the sim proc that carries the task: user contexts hand
+// it between the goroutines that execute the task (sim.Coro).
+func (t *Task) Proc() *sim.Proc { return t.proc }
+
 // Spinner is one sched_yield(2) call split into stages, each ending in
 // at most one Charge or Park, so that a spin step (Task.Spin) can run
 // the call without blocking in it. The caller owns the Spinner — the

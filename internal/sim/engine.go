@@ -118,8 +118,14 @@ type Engine struct {
 	panicErr error // the trapped proc panic, see SetTrapPanics
 
 	// stepPanic holds a panic raised by a spin step on a dispatching
-	// goroutine while it travels to the spinning proc's goroutine.
+	// goroutine while it travels to the spinning proc's goroutine, or
+	// one a user context hands to the goroutine that resumed it.
 	stepPanic any
+
+	// coros lists the goroutines of user contexts (Track), for
+	// Shutdown to kill those still parked. Ended ones stay listed until
+	// then: a pool keeps its BLTs, and so their contexts, as long.
+	coros []*Coro
 }
 
 // New creates an empty engine at virtual time zero.
@@ -307,10 +313,10 @@ func (e *Engine) SpawnAfter(n Namer, d Duration, fn func(p *Proc)) *Proc {
 		e.nIdle--
 		r.p, r.fn = p, fn
 	} else {
-		r = &runner{resume: make(chan resumeMsg), p: p, fn: fn}
+		r = &runner{Coro: Coro{resume: make(chan resumeMsg)}, p: p, fn: fn}
 		go r.loop()
 	}
-	p.r = r
+	p.r = &r.Coro
 	p.state = procReady
 	p.ev.at = e.now.Add(d)
 	e.schedule(&p.ev)
@@ -344,12 +350,13 @@ const (
 
 // dispatchNext executes pending callbacks and resumes the next runnable
 // proc. It is called both by the engine loop (self == nil) and — in
-// direct mode — by a yielding or exiting proc's runner, which hands the
-// baton straight to the next proc instead of bouncing through the engine
-// goroutine (halving the scheduler switches per simulated context
-// switch). A resume of a proc that self runs, the caller's own or the
-// first of a proc just handed an exiting runner, returns resumedSelf.
-func (e *Engine) dispatchNext(self *runner) dispatchResult {
+// direct mode — by the goroutine of a yielding or exiting proc, which
+// hands the baton straight to the next proc instead of bouncing through
+// the engine goroutine (halving the scheduler switches per simulated
+// context switch). A resume of a proc that self runs, the caller's own
+// or the first of a proc just handed an exiting runner, returns
+// resumedSelf.
+func (e *Engine) dispatchNext(self *Coro) dispatchResult {
 	for !e.stopped {
 		next := e.peek()
 		if next == nil || next.at > e.limit {
@@ -407,9 +414,9 @@ func (e *Engine) dispatchNext(self *runner) dispatchResult {
 }
 
 // release gives up the baton for good: in direct mode the calling
-// runner (self, or nil when it is dropped) dispatches its successor
-// itself, otherwise it wakes the engine loop.
-func (e *Engine) release(self *runner) dispatchResult {
+// goroutine (self, or nil when it runs no proc from now on) dispatches
+// its successor itself, otherwise it wakes the engine loop.
+func (e *Engine) release(self *Coro) dispatchResult {
 	if !e.direct {
 		e.baton <- struct{}{}
 		return chainEnded
@@ -501,10 +508,11 @@ func (e *Engine) PanicErr() error { return e.panicErr }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Shutdown forcibly terminates all parked or ready procs by delivering an
-// ErrKilled panic into them. Use in tests to reap goroutines from aborted
-// simulations. Must not be called from inside a proc. Procs are killed in
-// ascending id order so shutdown traces are deterministic (and the live
-// set is snapshotted first: killing a proc mutates e.procs).
+// ErrKilled panic into them, then kills the goroutine of every user
+// context still parked (Track). Use in tests to reap goroutines from
+// aborted simulations. Must not be called from inside a proc. Procs are
+// killed in ascending id order so shutdown traces are deterministic (and
+// the live set is snapshotted first: killing a proc mutates e.procs).
 func (e *Engine) Shutdown() {
 	ids := make([]uint64, 0, len(e.procs))
 	for id := range e.procs {
@@ -520,6 +528,12 @@ func (e *Engine) Shutdown() {
 			e.runProc(p, resumeMsg{kill: true})
 		}
 	}
+	for _, c := range e.coros {
+		if c.resume != nil {
+			c.Kill()
+		}
+	}
+	e.coros = nil
 }
 
 // LiveProcs reports the number of procs that have not exited.

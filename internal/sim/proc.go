@@ -31,8 +31,9 @@ func (s procState) String() string {
 type resumeMsg struct {
 	kill bool
 	// reraise: the proc's spin step panicked on the goroutine that
-	// dispatched it; the proc's own goroutine re-raises the panic,
-	// which waits in Engine.stepPanic (the message stays pointer-free).
+	// dispatched it, or a user context it resumed panicked (Raise); the
+	// woken goroutine re-raises the panic, which waits in
+	// Engine.stepPanic (the message stays pointer-free).
 	reraise bool
 }
 
@@ -54,7 +55,9 @@ type Proc struct {
 	// Park then record the suspension instead of blocking, and
 	// suspended notes that the step has made it.
 	stepping, suspended bool
-	r                   *runner // the goroutine that runs the body
+	// r is the goroutine that executes the proc: its runner, or a user
+	// context it carries (see Coro).
+	r *Coro
 
 	// ev is the proc's intrusive resume event. A live proc has at most
 	// one pending resume (ready XOR running XOR parked), so Spawn,
@@ -96,15 +99,15 @@ func (p *Proc) Engine() *Engine { return p.engine }
 func (p *Proc) String() string { return fmt.Sprintf("%s#%d", p.Name(), p.id) }
 
 // runner is a goroutine that runs proc bodies, one after another, and the
-// channel that resumes it. When its proc returns, the runner waits on the
+// Coro that resumes it. When its proc returns, the runner waits on the
 // engine's idle list for the next body (see SpawnAfter), so a spawn
 // starts a goroutine only when that list is empty. A killed or panicked
 // proc's runner is dropped: its goroutine ends with the proc.
 type runner struct {
-	resume chan resumeMsg
-	p      *Proc       // the proc it runs; nil while idle
-	fn     func(*Proc) // p's body, until it starts
-	next   *runner     // idle-list link
+	Coro
+	p    *Proc       // the proc it runs; nil while idle
+	fn   func(*Proc) // p's body, until it starts
+	next *runner     // idle-list link
 }
 
 // loop runs the bodies handed to r. The loop and the recover share this
@@ -136,7 +139,7 @@ func (r *runner) loop() {
 		fn := r.fn
 		r.fn = nil
 		fn(p)
-		kept, inPlace := p.retire()
+		kept, inPlace := p.retire(r)
 		if !kept {
 			return
 		}
@@ -172,13 +175,13 @@ func (p *Proc) fail(r any) {
 	panic(fmt.Sprintf("sim: proc %s panicked: %v", p, r))
 }
 
-// retire ends a proc whose body returned and gives up the baton. Inside
-// the event loop its runner first joins the idle list, so a spawn in the
-// exit's own dispatch chain can take it; if that chain reaches the new
-// proc's first resume, the proc starts in place (inPlace). kept reports
-// whether the runner stays: outside the loop, or with the list full, its
-// goroutine ends.
-func (p *Proc) retire() (kept, inPlace bool) {
+// retire ends a proc whose body returned on runner r and gives up the
+// baton. Inside the event loop r first joins the idle list, so a spawn
+// in the exit's own dispatch chain can take it; if that chain reaches
+// the new proc's first resume, the proc starts in place (inPlace). kept
+// reports whether the runner stays: outside the loop, or with the list
+// full, its goroutine ends.
+func (p *Proc) retire(r *runner) (kept, inPlace bool) {
 	e := p.engine
 	p.state = procDead
 	delete(e.procs, p.id)
@@ -189,11 +192,10 @@ func (p *Proc) retire() (kept, inPlace bool) {
 		e.release(nil)
 		return false, false
 	}
-	r := p.r
 	r.p, r.next = nil, e.idle
 	e.idle = r
 	e.nIdle++
-	return true, e.release(r) == resumedSelf
+	return true, e.release(&r.Coro) == resumedSelf
 }
 
 func (p *Proc) die() {
@@ -207,14 +209,18 @@ func (p *Proc) die() {
 }
 
 // yield releases the baton and blocks until resumed. Must only be called
-// by the proc itself while running. In direct mode the yielding goroutine
-// dispatches the next event itself: if that event is its own resume it
-// returns immediately (zero goroutine switches); if it is another proc's
-// resume the baton is handed over directly (one switch, not two).
+// by the goroutine that executes the proc, while it runs. In direct mode
+// the yielding goroutine dispatches the next event itself: if that event
+// is its own resume it returns immediately (zero goroutine switches); if
+// it is another proc's resume the baton is handed over directly (one
+// switch, not two). A spin of the proc may hand it to another goroutine
+// meanwhile; the caller wakes when the proc is handed back, and the
+// proc names it again.
 func (p *Proc) yield() {
 	e := p.engine
+	me := p.r
 	if e.direct {
-		switch e.dispatchNext(p.r) {
+		switch e.dispatchNext(me) {
 		case resumedSelf:
 			return
 		case chainEnded:
@@ -223,15 +229,8 @@ func (p *Proc) yield() {
 	} else {
 		e.baton <- struct{}{}
 	}
-	msg := <-p.r.resume
-	if msg.kill {
-		panic(ErrKilled)
-	}
-	if msg.reraise {
-		r := e.stepPanic
-		e.stepPanic = nil
-		panic(r)
-	}
+	me.park(e)
+	p.r = me
 }
 
 // checkRunning panics unless p is the running proc, outside a spin
@@ -355,18 +354,23 @@ func (p *Proc) Exit() {
 // panics with the proc's name. A panic in a pass run on another
 // goroutine is re-raised on the proc's own, so it reads as the proc's
 // panic (SetTrapPanics). Spin does not nest.
+//
+// The pass that reports the wait over may hand the proc to another
+// goroutine (SetCoro), which then resumes in the caller's place; the
+// caller returns once the proc is handed back to it.
 func (p *Proc) Spin(step func() bool) {
 	p.checkRunning("Spin")
-	if p.ev.fn != nil {
-		panic(fmt.Sprintf("sim: nested Spin on proc %s", p))
-	}
-	p.ev.fn = *(*func())(unsafe.Pointer(&step))
+	me := p.r
+	p.startSpin(step)
 	done, panicked := p.resumeSpin()
 	if panicked != nil {
 		panic(panicked)
 	}
-	if !done {
+	switch {
+	case !done:
 		p.yield()
+	case p.r != me:
+		p.HandOff(me)
 	}
 }
 
@@ -374,9 +378,17 @@ func (p *Proc) Spin(step func() bool) {
 // spinning. The step rides in the fn slot of the proc's own event,
 // which a resume event never calls; both are single-word func values,
 // and the slot is only ever read back as the func() bool it was
-// written from.
+// written from (startSpin).
 func (p *Proc) spinStep() func() bool {
 	return *(*func() bool)(unsafe.Pointer(&p.ev.fn))
+}
+
+// startSpin installs step as p's spin continuation.
+func (p *Proc) startSpin(step func() bool) {
+	if p.ev.fn != nil {
+		panic(fmt.Sprintf("sim: nested Spin on proc %s", p))
+	}
+	p.ev.fn = *(*func())(unsafe.Pointer(&step))
 }
 
 // resumeSpin runs the spinning proc's passes until one suspends for

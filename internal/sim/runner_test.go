@@ -33,7 +33,7 @@ func runWithin(t *testing.T, e *Engine) error {
 func TestRunnerRecycledAcrossSpawns(t *testing.T) {
 	base := leakcheck.Baseline()
 	e := New()
-	var first *runner
+	var first *Coro
 	maxGo, cycles := 0, 0
 	e.Spawn("parent", func(p *Proc) {
 		start := runtime.NumGoroutine()

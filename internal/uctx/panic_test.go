@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/kernel"
+	"repro/internal/leakcheck"
 	"repro/internal/sim"
 )
 
@@ -67,4 +68,43 @@ func TestPanicForwardedShutdownMidCharge(t *testing.T) {
 	if !c.Done() {
 		t.Error("context killed with its carrier is not done")
 	}
+}
+
+// TestShutdownKillsParkedContexts: Shutdown reaps contexts no proc
+// carries any more. One context is parked inside Transfer, the one it
+// transferred to inside Yield, and one was never stepped; the carrier
+// sleeps past the end of the run. After Shutdown the two started
+// contexts are done, and no goroutine is left.
+func TestShutdownKillsParkedContexts(t *testing.T) {
+	base := leakcheck.Baseline()
+	e := sim.New()
+	k := kernel.New(e, arch.Wallaby())
+	b := New("b", func(c *Context) {
+		for {
+			c.Yield(nil)
+		}
+	})
+	a := New("a", func(c *Context) {
+		carrier := c.Carrier()
+		c.Save()
+		c.Transfer(b, carrier)
+		t.Error("a resumed after the run was abandoned")
+	})
+	idle := New("idle", func(*Context) {})
+	task := k.NewTask("carrier", k.NewAddressSpace(), func(task *kernel.Task) int {
+		if ev := a.Step(task); ev.Ctx != b {
+			t.Errorf("Step of a reported %v, want b's yield", ev.Ctx)
+		}
+		task.Nanosleep(sim.Second)
+		return 0
+	})
+	k.Start(task, 0)
+	if err := e.RunUntil(sim.Time(0).Add(sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	if !a.Done() || !b.Done() || idle.Done() {
+		t.Errorf("done after Shutdown: a %v, b %v, never-stepped %v; want true, true, false", a.Done(), b.Done(), idle.Done())
+	}
+	leakcheck.Check(t, base)
 }

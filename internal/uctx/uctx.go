@@ -9,20 +9,30 @@
 // synchronous: while a context runs, its carrier's goroutine is parked,
 // and the context's code executes kernel operations *as the carrier*
 // (c.Carrier().Getpid() etc.). Exactly one goroutine is ever active, so
-// the engine's determinism is preserved.
+// the engine's determinism is preserved. Each goroutine parks on a wake
+// channel of its own (sim.Coro), and the carrier's proc names the
+// goroutine that executes it, so the engine resumes a carrier's charges
+// straight on the context that runs it.
 //
-// swap_ctx comes in two forms. Step is the carrier's: its goroutine
+// swap_ctx comes in three forms. Step is the carrier's: its goroutine
 // resumes a context and waits until the context — or any context that
 // context transferred to — yields or exits. Save and Transfer are the
 // two halves of swap_ctx as a context calls them: Save saves the caller,
 // and Transfer loads the next context on the same carrier straight from
 // the caller's goroutine, so a context-to-context switch costs one
 // goroutine switch instead of two through the carrier, and none when
-// the next context is the caller itself.
+// the next context is the caller itself. Enter and Leave swap between a
+// context and a spin continuation of the carrier (sim.Proc.Spin): the
+// continuation's last pass loads a context with Enter, and the engine
+// resumes it where it would have resumed the spin's goroutine; after
+// Save, Leave hands the carrier back to that goroutine, optionally
+// through a new continuation whose first pass runs on the caller.
 //
 // A panic on a context's goroutine — a bug in the body, or the engine
 // killing the carrier's proc mid-Charge — is delivered to the goroutine
-// that called Step and re-raised there, where the engine can trap it.
+// that called Step (or whose spin called Enter) and re-raised there,
+// where the engine can trap it. Engine.Shutdown kills the goroutines of
+// contexts still parked.
 //
 // The package also reproduces fcontext's sharp edge: a context value is
 // single-use. Resuming a stale snapshot — the Fig. 4 "busy stack" hazard
@@ -35,6 +45,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/sim"
 )
 
 // ErrStaleContext is returned by StepFrom when the snapshot does not
@@ -56,7 +67,7 @@ const (
 	EvExit
 
 	// evPanic carries a panic from a context's goroutine (in Tag) to
-	// the stepper, which re-raises it; Step never returns it.
+	// Kill, which re-raises it; Step never returns it.
 	evPanic
 )
 
@@ -75,24 +86,26 @@ type Body func(c *Context)
 
 // Context is one user context.
 type Context struct {
+	co   sim.Coro // the goroutine's wake channel
 	name string
 	body Body
+	e    *sim.Engine // tracks the goroutine (Engine.Track)
 
-	// resume wakes the context's goroutine: Step, Transfer or Kill.
-	resume chan resumeMsg
-	// events receives the Event that ends a Step begun at this context.
-	events chan Event
-	// ret is where the context reports its yield or exit: the events
-	// channel of the context whose Step began the running chain.
-	// Whoever resumes the context sets it; Transfer passes it on.
-	ret chan Event
+	// ret is the context whose Step (or Enter) began the running
+	// chain; Transfer passes it on. The chain reports its yield or exit
+	// to ret's stepper, the goroutine that began it, and leaves the
+	// Event in ret's ev.
+	ret     *Context
+	stepper *sim.Coro
+	ev      Event
 
 	started bool
 	running bool
 	// switching: Save ran, and the goroutine still executes the caller's
-	// switching code until Transfer or Yield parks it.
+	// switching code until Transfer, Leave or Yield parks it.
 	switching bool
 	done      bool
+	killing   bool // a kill woke the goroutine
 	carrier   *kernel.Task
 
 	// epoch counts saves (yields): it models the stack state. A
@@ -103,18 +116,11 @@ type Context struct {
 	steps uint64
 }
 
-type resumeMsg struct{ kill bool }
-
 type killSignal struct{}
 
 // New creates a context. Its body does not start until first stepped.
 func New(name string, body Body) *Context {
-	return &Context{
-		name:   name,
-		body:   body,
-		resume: make(chan resumeMsg),
-		events: make(chan Event),
-	}
+	return &Context{name: name, body: body}
 }
 
 // Name returns the context's diagnostic name.
@@ -153,14 +159,26 @@ func (c *Context) Step(carrier *kernel.Task) Event {
 	if carrier == nil {
 		panic("uctx: Step with nil carrier")
 	}
-	c.ret = c.events
+	p := carrier.Proc()
+	me := p.Coro()
+	c.ret, c.stepper = c, me
 	c.load(carrier)
-	c.wake(resumeMsg{})
-	ev := <-c.events
-	if ev.Kind == evPanic {
-		panic(ev.Tag)
-	}
+	p.HandOff(me)
+	ev := c.ev
+	c.ev = Event{}
 	return ev
+}
+
+// Enter loads the context on carrier from the last pass of a spin
+// continuation of carrier, run on whatever goroutine (sim.Proc.Spin):
+// when the pass reports the wait over, the engine resumes the context
+// as the carrier where it would have resumed the spin's goroutine, and
+// the context reports its exit, or a panic, to that goroutine. The
+// context leaves the carrier again with Leave.
+func (c *Context) Enter(carrier *kernel.Task) {
+	c.checkResumable("Enter")
+	c.ret, c.stepper = c, carrier.Proc().Coro()
+	c.load(carrier)
 }
 
 // checkResumable panics unless the context is parked: neither running,
@@ -174,28 +192,41 @@ func (c *Context) checkResumable(op string) {
 	}
 }
 
-// load makes carrier the context's carrier and marks it running.
+// load makes carrier the context's carrier and marks it running; the
+// carrier's proc names the context's goroutine from now on. The
+// goroutine starts, parked, on first use; the caller wakes it.
 func (c *Context) load(carrier *kernel.Task) {
 	c.carrier = carrier
 	c.running = true
 	c.steps++
-}
-
-// wake hands msg to the context's goroutine, starting it on first use.
-func (c *Context) wake(msg resumeMsg) {
 	if !c.started {
 		c.started = true
+		c.e = carrier.Kernel().Engine()
+		c.e.Track(&c.co)
 		go c.run()
 	}
-	c.resume <- msg
+	carrier.Proc().SetCoro(&c.co)
 }
 
-// park blocks the context's goroutine until it is resumed; a kill
-// unwinds the body.
+// park blocks the context's goroutine until it is resumed; a kill, by
+// Kill or by Engine.Shutdown, unwinds the body.
 func (c *Context) park() {
-	if msg := <-c.resume; msg.kill {
+	if c.co.Wait() {
+		c.killing = true
 		panic(killSignal{})
 	}
+}
+
+// report hands ev, the chain's yield or exit, to the goroutine that
+// began the chain; a panic is re-raised there.
+func (c *Context) report(ev Event) {
+	h := c.ret
+	if ev.Kind == evPanic {
+		c.e.Raise(h.stepper, ev.Tag)
+		return
+	}
+	h.ev = ev
+	h.stepper.Wake()
 }
 
 // Snapshot is a saved context value, as produced by swap_ctx's save
@@ -229,8 +260,9 @@ func (c *Context) StepFrom(snap Snapshot, carrier *kernel.Task) (Event, error) {
 	return c.Step(carrier), nil
 }
 
-// run is the context's goroutine. Whatever ends the body — return, kill
-// or panic — is reported to the stepper of the running chain.
+// run is the context's goroutine. Whatever ends the body — return or
+// panic — is reported to the goroutine that began the running chain,
+// and a kill to Kill.
 func (c *Context) run() {
 	defer func() {
 		ev := Event{Kind: EvExit, Ctx: c}
@@ -243,7 +275,13 @@ func (c *Context) run() {
 		c.running = false
 		c.switching = false
 		c.carrier = nil
-		c.ret <- ev
+		if c.killing {
+			c.ev = ev
+			c.co.Exit(true)
+			return
+		}
+		c.co.Exit(false)
+		c.report(ev)
 	}()
 	c.park()
 	c.body(c)
@@ -288,7 +326,23 @@ func (c *Context) Transfer(next *Context, carrier *kernel.Task) {
 	c.switching = false
 	next.ret = c.ret
 	next.load(carrier)
-	next.wake(resumeMsg{})
+	next.co.Wake()
+	c.park()
+}
+
+// Leave is swap_ctx from a context into the carrier's trampoline, a spin
+// continuation: called after Save on the saved context's goroutine, it
+// gives carrier back to the goroutine whose spin loaded the context
+// (Enter) and parks the caller until Step or Transfer resumes it. With
+// step nil that goroutine resumes at once; otherwise step runs as the
+// carrier's spin continuation on its behalf, its first pass here
+// (sim.Proc.Detach).
+func (c *Context) Leave(carrier *kernel.Task, step func() bool) {
+	if !c.switching {
+		panic(fmt.Sprintf("uctx: Leave from %s without Save", c.name))
+	}
+	c.switching = false
+	carrier.Proc().Detach(c.ret.stepper, step)
 	c.park()
 }
 
@@ -305,13 +359,13 @@ func (c *Context) Yield(tag interface{}) {
 		c.assertInBody("Yield")
 		c.save()
 	}
-	c.ret <- Event{Kind: EvYield, Tag: tag, Ctx: c}
+	c.report(Event{Kind: EvYield, Tag: tag, Ctx: c})
 	c.park()
 }
 
 // Kill terminates a parked context (its body unwinds), including one
-// parked inside Transfer. Needed to reap contexts when a simulation is
-// abandoned. No-op on done contexts.
+// parked inside Transfer or Leave. Engine.Shutdown kills every context
+// still parked this way. No-op on done contexts.
 func (c *Context) Kill() {
 	if c.done {
 		return
@@ -323,9 +377,9 @@ func (c *Context) Kill() {
 		c.done = true
 		return
 	}
-	c.ret = c.events
-	c.wake(resumeMsg{kill: true})
-	if ev := <-c.events; ev.Kind == evPanic {
+	c.co.Kill()
+	if ev := c.ev; ev.Kind == evPanic {
+		c.ev = Event{}
 		panic(ev.Tag)
 	}
 }
