@@ -19,6 +19,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -268,7 +269,7 @@ func (c *Context) helperBody(t *kernel.Task) int {
 	k := t.Kernel()
 	b := kernel.Backoff{Base: waitBackoffBase, Max: waitBackoffMax}
 	for {
-		if k.FaultShouldDie(t, "aio_helper_kill") {
+		if k.FaultShouldDie(t, probe.SiteAIOHelperKill) {
 			k.Emit(t, "fault", "aio_helper_kill: %s dies with %d queued", t.Name(), len(c.queue))
 			c.die(t)
 			return killedExitStatus

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/probe"
 	"repro/internal/ring"
 )
 
@@ -211,7 +212,7 @@ func (h *KCHost) trampoline() bool {
 			t.Charge(costs.UserCtxSwap)
 			return false
 		case tcDraw:
-			if k.FaultShouldDie(t, "kc_kill") {
+			if k.FaultShouldDie(t, probe.SiteKCKill) {
 				h.killed = true // mid-decouple: the KC dies while idle
 				if k.Tracing() {
 					k.Emit(t, "fault", "kc_kill: %s dies idle", t.Name())
@@ -226,7 +227,7 @@ func (h *KCHost) trampoline() bool {
 			if h.residents == 0 && h.queue.Len() == 0 {
 				return true
 			}
-			if k.FaultShouldDie(t, "kc_kill") {
+			if k.FaultShouldDie(t, probe.SiteKCKill) {
 				h.killed = true // mid-couple: a request is queued, never served
 				if k.Tracing() {
 					k.Emit(t, "fault", "kc_kill: %s dies with couple request queued", t.Name())

@@ -184,7 +184,7 @@ func (s *Scheduler) idleDone() bool { return s.q.Len() > 0 || s.pool.stopped || 
 // operator who would restart the service rather than a recoverable
 // fault.
 func (s *Scheduler) killDrawn(t *kernel.Task) bool {
-	return s.pool.kern.FaultShouldDie(t, "sched_kill") && s.pool.liveScheds() > 1
+	return s.pool.kern.FaultShouldDie(t, probe.SiteSchedKill) && s.pool.liveScheds() > 1
 }
 
 // die marks the scheduler dead and drains its ready queue into the next
@@ -295,7 +295,7 @@ func (s *Scheduler) switchIn(t *kernel.Task, b *BLT) {
 	if b.uc.Running() {
 		panic(fmt.Sprintf("blt: %s marked saved but still running", b))
 	}
-	if d := s.pool.kern.FaultDelay(t, "sched_delay"); d > 0 {
+	if d := s.pool.kern.FaultDelay(t, probe.SiteSchedDelay); d > 0 {
 		// Injected scheduler latency: the UC sits ready while its
 		// scheduler dawdles — widening the Table I race windows.
 		t.Charge(d)

@@ -187,11 +187,13 @@ func (rt *Runtime) Violations() []Violation {
 }
 
 // auditedSyscalls are the system-calls whose result depends on
-// per-process kernel state — the calls that must be coupled.
-var auditedSyscalls = map[string]bool{
-	"getpid": true, "gettid": true, "open": true, "read": true,
-	"write": true, "close": true, "lseek": true, "unlink": true,
-	"wait": true, "kill": true, "sigaction": true, "sigprocmask": true,
+// per-process kernel state — the calls that must be coupled — indexed
+// by site ID.
+var auditedSyscalls = [probe.NumSites]bool{
+	probe.SiteGetpid: true, probe.SiteGettid: true, probe.SiteOpen: true,
+	probe.SiteRead: true, probe.SiteWrite: true, probe.SiteClose: true,
+	probe.SiteLseek: true, probe.SiteUnlink: true, probe.SiteWait: true,
+	probe.SiteKill: true, probe.SiteSigaction: true, probe.SiteSigprocmask: true,
 }
 
 // attachAuditor attaches the consistency audit at syscall:enter: any
@@ -201,7 +203,7 @@ var auditedSyscalls = map[string]bool{
 func (rt *Runtime) attachAuditor() *probe.Program {
 	scheds := rt.pool.Schedulers()
 	return rt.kern.Probes().Attach("audit", func(c *probe.Ctx) probe.Verdict {
-		if !auditedSyscalls[c.Site] {
+		if !auditedSyscalls[c.ID] {
 			return probe.Verdict{}
 		}
 		for _, s := range scheds {

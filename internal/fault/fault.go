@@ -18,6 +18,9 @@
 //	aio_helper_kill                 AIO helper thread dies between requests
 //	sched_delay                     extra latency before a UC dispatch
 //	fs_slow                         file I/O cost multiplied by factor
+//
+// The plane files its specs by site ID when it is built, so a fire walks
+// only the specs of its own site (in spec order) and compares no names.
 package fault
 
 import (
@@ -35,6 +38,7 @@ import (
 )
 
 // Sites lists every injection site the runtime consults, in stable order.
+// Each is the name of a probe.SiteID.
 var Sites = []string{
 	SiteOpen, SiteWrite, SiteRead, SiteFutexWait,
 	SiteFutexSpurious, SiteFutexLostWake,
@@ -85,6 +89,7 @@ type Spec struct {
 	// DelayUS is the injected latency in microseconds (sched_delay).
 	DelayUS uint64
 	// Factor is the I/O cost multiplier (fs_slow); values <= 1 disable.
+	// The plane answers fs_slow with the extra time as a Delay.
 	Factor float64
 }
 
@@ -318,6 +323,9 @@ func (a *armed) decide() bool {
 // acts only once attached to a kernel's probe registry (Attach).
 type Plane struct {
 	specs []*armed
+	// bySite files the specs by site, each list in spec order: a fire
+	// walks only its own site's specs.
+	bySite [probe.NumSites][]*armed
 }
 
 // NewPlane builds a plane. Spec i draws from stream splitmix(seed, i), so
@@ -326,10 +334,16 @@ type Plane struct {
 func NewPlane(seed uint64, specs []Spec) *Plane {
 	p := &Plane{}
 	for i, s := range specs {
-		p.specs = append(p.specs, &armed{
+		a := &armed{
 			Spec: s,
 			rng:  sim.NewRNG(mix(seed, uint64(i)+1)),
-		})
+		}
+		p.specs = append(p.specs, a)
+		// A name that is no site (a spec built in code, not parsed) is
+		// filed nowhere and never fires.
+		if id := probe.SiteByName(s.Site); id != 0 {
+			p.bySite[id] = append(p.bySite[id], a)
+		}
 	}
 	return p
 }
@@ -352,31 +366,31 @@ func (p *Plane) Attach(r *probe.Registry) *probe.Program {
 
 // fire is the plane's probe program: it answers each site with the
 // verdict the kernel applies there (Err for syscall sites, Drop for
-// spurious wakes, lost wakes and kills, Delay for sched_delay, Scale for
+// spurious wakes, lost wakes and kills, Delay for sched_delay and
 // fs_slow; Drop at fault:armed means armed).
 func (p *Plane) fire(c *probe.Ctx) probe.Verdict {
 	if c.Point == probe.PFaultArmed {
-		return probe.Verdict{Drop: p.isArmed(c.Task, c.Site)}
+		return probe.Verdict{Drop: p.isArmed(c.Task, c.ID)}
 	}
-	switch c.Site {
-	case SiteFutexLostWake:
+	switch c.ID {
+	case probe.SiteFutexLostWake:
 		// The decision is about the waiter (spec task scoping keys on
 		// it); the firing task is the waker.
-		return probe.Verdict{Drop: p.boolSite(c.Waiter, c.Site)}
-	case SiteFutexSpurious, SiteKCKill, SiteSchedKill, SiteAIOHelperKill:
-		return probe.Verdict{Drop: p.boolSite(c.Task, c.Site)}
-	case SiteSchedDelay:
-		return probe.Verdict{Delay: p.extraDelay(c.Task, c.Site)}
-	case SiteFSSlow:
-		return probe.Verdict{Scale: p.ioScale(c.Task, c.Site)}
+		return probe.Verdict{Drop: p.boolSite(c.Waiter, c.ID)}
+	case probe.SiteFutexSpurious, probe.SiteKCKill, probe.SiteSchedKill, probe.SiteAIOHelperKill:
+		return probe.Verdict{Drop: p.boolSite(c.Task, c.ID)}
+	case probe.SiteSchedDelay:
+		return probe.Verdict{Delay: p.extraDelay(c.Task, c.ID)}
+	case probe.SiteFSSlow:
+		return probe.Verdict{Delay: p.ioDelay(c.Task, c.Dur)}
 	}
-	return probe.Verdict{Err: p.syscallError(c.Task, c.Site)}
+	return probe.Verdict{Err: p.syscallError(c.Task, c.ID)}
 }
 
 // syscallError decides a syscall site: the injected error, or nil.
-func (p *Plane) syscallError(t probe.Task, site string) error {
-	for _, a := range p.specs {
-		if a.Site == site && a.matches(t) && a.decide() {
+func (p *Plane) syscallError(t probe.Task, id probe.SiteID) error {
+	for _, a := range p.bySite[id] {
+		if a.matches(t) && a.decide() {
 			return a.injErr()
 		}
 	}
@@ -384,10 +398,10 @@ func (p *Plane) syscallError(t probe.Task, site string) error {
 }
 
 // boolSite decides a yes/no site (spurious wake, lost wake, kill).
-func (p *Plane) boolSite(t probe.Task, site string) bool {
+func (p *Plane) boolSite(t probe.Task, id probe.SiteID) bool {
 	fire := false
-	for _, a := range p.specs {
-		if a.Site == site && a.matches(t) && a.decide() {
+	for _, a := range p.bySite[id] {
+		if a.matches(t) && a.decide() {
 			fire = true
 			// Keep evaluating so every matching spec's stream advances
 			// the same way whether or not an earlier spec fired.
@@ -398,10 +412,10 @@ func (p *Plane) boolSite(t probe.Task, site string) bool {
 
 // extraDelay sums the delays of every matching spec that fires,
 // saturating at the longest representable duration.
-func (p *Plane) extraDelay(t probe.Task, site string) sim.Duration {
+func (p *Plane) extraDelay(t probe.Task, id probe.SiteID) sim.Duration {
 	var d sim.Duration
-	for _, a := range p.specs {
-		if a.Site == site && a.matches(t) && a.decide() {
+	for _, a := range p.bySite[id] {
+		if a.matches(t) && a.decide() {
 			add := sim.Duration(math.MaxInt64)
 			if a.DelayUS <= maxDelayUS {
 				add = sim.Duration(a.DelayUS) * sim.Microsecond
@@ -418,22 +432,37 @@ func (p *Plane) extraDelay(t probe.Task, site string) sim.Duration {
 
 // ioScale is the fs_slow factor: a standing condition, so every matching
 // spec's factor applies to every matching I/O.
-func (p *Plane) ioScale(t probe.Task, site string) float64 {
+func (p *Plane) ioScale(t probe.Task, id probe.SiteID) float64 {
 	f := 1.0
-	for _, a := range p.specs {
-		if a.Site == site && a.Factor > 1 && a.matches(t) {
+	for _, a := range p.bySite[id] {
+		if a.Factor > 1 && a.matches(t) {
 			f *= a.Factor
 		}
 	}
 	return f
 }
 
+// ioDelay is the fs_slow answer for an I/O of the given cost: the time
+// the factor adds to it, so that cost plus delay is the scaled cost,
+// saturating at the longest representable duration.
+func (p *Plane) ioDelay(t probe.Task, cost sim.Duration) sim.Duration {
+	f := p.ioScale(t, probe.SiteFSSlow)
+	if f <= 1 {
+		return 0
+	}
+	scaled := float64(cost) * f
+	if scaled >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return max(sim.Duration(scaled)-cost, 0)
+}
+
 // isArmed reports whether some spec could ever fire for (task, site).
 // It consumes no randomness and registers no hit, so recovery code may
 // ask freely without perturbing schedules.
-func (p *Plane) isArmed(t probe.Task, site string) bool {
-	for _, a := range p.specs {
-		if a.Site == site && a.matches(t) {
+func (p *Plane) isArmed(t probe.Task, id probe.SiteID) bool {
+	for _, a := range p.bySite[id] {
+		if a.matches(t) {
 			return true
 		}
 	}

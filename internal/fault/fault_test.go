@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -86,8 +87,8 @@ func TestNthAndEveryAndCount(t *testing.T) {
 	})
 	var openErrs, writeErrs []error
 	for i := 0; i < 6; i++ {
-		openErrs = append(openErrs, p.syscallError(nil, SiteOpen))
-		writeErrs = append(writeErrs, p.syscallError(nil, SiteWrite))
+		openErrs = append(openErrs, p.syscallError(nil, probe.SiteOpen))
+		writeErrs = append(writeErrs, p.syscallError(nil, probe.SiteWrite))
 	}
 	for i, err := range openErrs {
 		want := error(nil)
@@ -125,9 +126,9 @@ func TestProbDeterminismAndIndependence(t *testing.T) {
 		var fires []bool
 		for i := 0; i < 64; i++ {
 			if extra && i%3 == 0 {
-				p.syscallError(nil, SiteOpen)
+				p.syscallError(nil, probe.SiteOpen)
 			}
-			fires = append(fires, p.boolSite(nil, SiteFutexLostWake))
+			fires = append(fires, p.boolSite(nil, probe.SiteFutexLostWake))
 		}
 		return fires
 	}
@@ -149,7 +150,7 @@ func TestProbDeterminismAndIndependence(t *testing.T) {
 	p2 := NewPlane(43, []Spec{{Site: SiteFutexLostWake, Prob: 0.5}})
 	diff := false
 	for i := 0; i < 64; i++ {
-		if p2.boolSite(nil, SiteFutexLostWake) != a[i] {
+		if p2.boolSite(nil, probe.SiteFutexLostWake) != a[i] {
 			diff = true
 		}
 	}
@@ -163,34 +164,80 @@ func TestArmedConsumesNoRandomness(t *testing.T) {
 	q := NewPlane(7, []Spec{{Site: SiteFutexLostWake, Prob: 0.5}})
 	for i := 0; i < 32; i++ {
 		// Interleave armed queries on p only; schedules must stay equal.
-		p.isArmed(nil, SiteFutexLostWake)
-		p.isArmed(nil, SiteKCKill)
-		if p.boolSite(nil, SiteFutexLostWake) != q.boolSite(nil, SiteFutexLostWake) {
+		p.isArmed(nil, probe.SiteFutexLostWake)
+		p.isArmed(nil, probe.SiteKCKill)
+		if p.boolSite(nil, probe.SiteFutexLostWake) != q.boolSite(nil, probe.SiteFutexLostWake) {
 			t.Fatalf("hit %d: isArmed() perturbed the schedule", i)
 		}
 	}
-	if !p.isArmed(nil, SiteFutexLostWake) {
+	if !p.isArmed(nil, probe.SiteFutexLostWake) {
 		t.Error("isArmed() = false for configured site")
 	}
-	if p.isArmed(nil, SiteKCKill) {
+	if p.isArmed(nil, probe.SiteKCKill) {
 		t.Error("isArmed() = true for unconfigured site")
 	}
 }
 
 func TestIOScale(t *testing.T) {
 	p := NewPlane(1, []Spec{{Site: SiteFSSlow, Factor: 4}})
-	if f := p.ioScale(nil, SiteFSSlow); f != 4 {
+	if f := p.ioScale(nil, probe.SiteFSSlow); f != 4 {
 		t.Errorf("IOScale = %v, want 4", f)
 	}
-	if f := p.ioScale(nil, SiteSchedDelay); f != 1 {
+	if f := p.ioScale(nil, probe.SiteSchedDelay); f != 1 {
 		t.Errorf("IOScale(other site) = %v, want 1", f)
+	}
+}
+
+// TestIODelay pins fs_slow as a Delay: the plane answers an I/O of
+// Dur = cost with the time its factors add, so that cost plus Delay is
+// the scaled cost; factors multiply, and a product past the clock
+// saturates.
+func TestIODelay(t *testing.T) {
+	const cost = 1000 * sim.Picosecond
+	for _, c := range []struct {
+		name    string
+		factors []float64
+		want    sim.Duration // cost + Delay
+	}{
+		{"factor 4", []float64{4}, 4000},
+		{"factors 3 and 2", []float64{3, 2}, 6000},
+		{"no spec", nil, cost},
+		{"product overflows", []float64{4e18, 4e18}, math.MaxInt64},
+	} {
+		var specs []Spec
+		for _, f := range c.factors {
+			specs = append(specs, Spec{Site: SiteFSSlow, Factor: f})
+		}
+		r := probe.NewRegistry()
+		NewPlane(1, specs).Attach(r)
+		ctx := r.Begin(probe.PFaultSite, 0)
+		ctx.SetSite(probe.SiteFSSlow)
+		ctx.Dur = cost
+		d := r.Fire(ctx).Delay
+		got := sim.Duration(math.MaxInt64)
+		if d < math.MaxInt64-cost {
+			got = cost + d
+		}
+		if got != c.want {
+			t.Errorf("%s: cost %v + Delay %v = %v, want %v", c.name, cost, d, got, c.want)
+		}
+	}
+}
+
+// TestSitesHaveIDs pins every injection site to the probe site table,
+// which the plane files its specs by.
+func TestSitesHaveIDs(t *testing.T) {
+	for _, name := range Sites {
+		if id := probe.SiteByName(name); id == 0 || id.String() != name {
+			t.Errorf("site %q has no probe.SiteID (got %v)", name, id)
+		}
 	}
 }
 
 func TestExtraDelay(t *testing.T) {
 	p := NewPlane(1, []Spec{{Site: SiteSchedDelay, Every: 2, DelayUS: 50}})
-	d1 := p.extraDelay(nil, SiteSchedDelay)
-	d2 := p.extraDelay(nil, SiteSchedDelay)
+	d1 := p.extraDelay(nil, probe.SiteSchedDelay)
+	d2 := p.extraDelay(nil, probe.SiteSchedDelay)
 	if d1 != 0 {
 		t.Errorf("first hit delay = %v, want 0", d1)
 	}
@@ -209,14 +256,14 @@ func TestDelayAndFactorLimits(t *testing.T) {
 		t.Fatalf("largest representable delay and factor rejected: %v", err)
 	}
 	p := NewPlane(1, specs)
-	if d := p.extraDelay(nil, SiteSchedDelay); d != 9223372036854*sim.Microsecond {
+	if d := p.extraDelay(nil, probe.SiteSchedDelay); d != 9223372036854*sim.Microsecond {
 		t.Errorf("delay = %d ps, want %d", d, 9223372036854*sim.Microsecond)
 	}
 	huge := NewPlane(1, []Spec{
 		{Site: SiteSchedDelay, Every: 1, DelayUS: math.MaxUint64},
 		{Site: SiteSchedDelay, Every: 1, DelayUS: maxDelayUS},
 	})
-	if d := huge.extraDelay(nil, SiteSchedDelay); d != math.MaxInt64 {
+	if d := huge.extraDelay(nil, probe.SiteSchedDelay); d != math.MaxInt64 {
 		t.Errorf("overflowing delay sum = %d, want saturation at %d", d, int64(math.MaxInt64))
 	}
 }
@@ -231,7 +278,8 @@ func (n namedTask) CoreID() int  { return -1 }
 
 // FuzzParseSpecs checks two properties of every spec the parser
 // accepts: it round-trips through String, and the plane built from it
-// never yields a negative Delay or a Scale below 1.
+// never yields a negative Delay (sched_delay or fs_slow) or a factor
+// below 1.
 func FuzzParseSpecs(f *testing.F) {
 	for _, s := range []string{
 		"fs_slow:factor=inf",
@@ -268,11 +316,14 @@ func FuzzParseSpecs(f *testing.F) {
 		for _, sp := range specs {
 			task := namedTask(sp.TaskPrefix)
 			for i := 0; i < 3; i++ {
-				if d := p.extraDelay(task, sp.Site); d < 0 {
+				if d := p.extraDelay(task, probe.SiteByName(sp.Site)); d < 0 {
 					t.Fatalf("%q: negative delay %d", in, d)
 				}
-				if f := p.ioScale(task, sp.Site); !(f >= 1) {
+				if f := p.ioScale(task, probe.SiteByName(sp.Site)); !(f >= 1) {
 					t.Fatalf("%q: scale %v below 1", in, f)
+				}
+				if d := p.ioDelay(task, sim.Duration(i)*sim.Millisecond); d < 0 {
+					t.Fatalf("%q: negative fs_slow delay %d", in, d)
 				}
 			}
 		}

@@ -103,10 +103,11 @@ func (fs *FileSystem) Open(path string, flags OpenFlags) (*File, error) {
 }
 
 // Write appends/overwrites at the file position and returns the byte
-// count. A write past the end of file extends it, zero-filling any hole
-// between the old end and the position; the extension reuses the
-// buffer's spare capacity (the whole former file after O_TRUNC), so an
-// open-truncate-write-close cycle of the same size allocates nothing.
+// count. A write past the end of file extends it with append, zero-filling
+// only the hole a seek past the end left between the old end and the
+// position, never the bytes the write itself fills; the extension reuses
+// the buffer's spare capacity (the whole former file after O_TRUNC), so
+// an open-truncate-write-close cycle of the same size allocates nothing.
 func (f *File) Write(data []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -114,21 +115,13 @@ func (f *File) Write(data []byte) (int, error) {
 	if !f.flags.writable() {
 		return 0, ErrReadOnly
 	}
-	end := f.pos + len(data)
-	if old := len(f.inode.data); end > old {
-		if end <= cap(f.inode.data) {
-			f.inode.data = f.inode.data[:end]
-			if f.pos > old {
-				clear(f.inode.data[old:f.pos])
-			}
-		} else {
-			grown := make([]byte, end)
-			copy(grown, f.inode.data)
-			f.inode.data = grown
-		}
+	buf := f.inode.data
+	if old := len(buf); f.pos > old {
+		buf = append(buf, make([]byte, f.pos-old)...)
 	}
-	copy(f.inode.data[f.pos:end], data)
-	f.pos = end
+	n := copy(buf[f.pos:], data)
+	f.inode.data = append(buf, data[n:]...)
+	f.pos += len(data)
 	f.fs.writes++
 	f.fs.bytesWritten += uint64(len(data))
 	return len(data), nil

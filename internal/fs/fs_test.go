@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,40 @@ func TestWritePastEndAfterTruncZeroFillsHole(t *testing.T) {
 	n, _ := rw.Read(buf)
 	if got, want := string(buf[:n]), "\x00\x00\x00\x00\x00\x00xy"; got != want {
 		t.Errorf("file = %q, want %q", got, want)
+	}
+	rw.Close()
+}
+
+func TestWritePastSeekOnFreshInodeZeroFillsHole(t *testing.T) {
+	f := New()
+	rw, _ := f.Open("/a", ORdWr|OCreate)
+	if err := rw.Seek(5); err != nil {
+		t.Fatal(err)
+	}
+	rw.Write([]byte("xyz"))
+	rw.Seek(0)
+	buf := make([]byte, 16)
+	n, _ := rw.Read(buf)
+	if got, want := string(buf[:n]), "\x00\x00\x00\x00\x00xyz"; got != want {
+		t.Errorf("file = %q, want %q", got, want)
+	}
+	rw.Close()
+}
+
+func TestExtendingOverwriteKeepsPrefix(t *testing.T) {
+	f := New()
+	rw, _ := f.Open("/a", ORdWr|OCreate)
+	rw.Write([]byte("abcdef"))
+	// Starts inside the file and runs past its end, past the buffer's
+	// capacity too: the bytes before the position must survive the growth.
+	rw.Seek(4)
+	long := strings.Repeat("Z", 4096)
+	rw.Write([]byte(long))
+	rw.Seek(0)
+	buf := make([]byte, 8192)
+	n, _ := rw.Read(buf)
+	if got, want := string(buf[:n]), "abcd"+long; got != want {
+		t.Errorf("file = %q... (%d B), want %q... (%d B)", got[:min(8, n)], n, want[:8], len(want))
 	}
 	rw.Close()
 }

@@ -4,24 +4,40 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
-// BenchmarkSimulatedGetpid measures the real cost of simulating one
-// getpid system-call (simulation overhead, not virtual time).
-func BenchmarkSimulatedGetpid(b *testing.B) {
-	e := sim.New()
-	k := New(e, arch.Wallaby())
-	task := k.NewTask("bench", k.NewAddressSpace(), func(t *Task) int {
-		for i := 0; i < b.N; i++ {
-			t.Getpid()
+// BenchmarkGetpid measures the real cost of simulating one getpid
+// system-call (simulation overhead, not virtual time): bare, and with
+// observe-only programs at syscall:enter and syscall:exit, which open
+// the call's frame and fire twice per call.
+func BenchmarkGetpid(b *testing.B) {
+	for _, observed := range []bool{false, true} {
+		name := "bare"
+		if observed {
+			name = "observed"
 		}
-		return 0
-	})
-	k.Start(task, 0)
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			e := sim.New()
+			k := New(e, arch.Wallaby())
+			if observed {
+				k.Probes().Attach("obs", func(*probe.Ctx) probe.Verdict { return probe.Verdict{} },
+					probe.PSyscallEnter, probe.PSyscallExit)
+			}
+			task := k.NewTask("bench", k.NewAddressSpace(), func(t *Task) int {
+				for i := 0; i < b.N; i++ {
+					t.Getpid()
+				}
+				return 0
+			})
+			k.Start(task, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

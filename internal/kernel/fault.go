@@ -24,17 +24,17 @@ var (
 
 // Fault injection is a probe program at fault:site / fault:armed (the
 // seeded plane in internal/fault attaches there). The sites the runtime
-// stack fires, kept as plain strings so lower layers need not import
-// internal/fault:
+// stack fires, by their probe.SiteID (so lower layers need not import
+// internal/fault):
 //
-//	"open", "write", "read", "futex_wait"  — transient syscall errors (Err)
-//	"futex_spurious"  — a futex wait returns EAGAIN without sleeping (Drop)
-//	"futex_lost_wake" — a futex wake is dropped; Waiter = its target (Drop)
-//	"kc_kill"         — an idle original KC dies in its trampoline (Drop)
-//	"sched_kill"      — a scheduler KC dies between dispatches (Drop)
-//	"aio_helper_kill" — the AIO helper thread dies between requests (Drop)
-//	"sched_delay"     — extra scheduler latency before a UC dispatch (Delay)
-//	"fs_slow"         — file I/O bandwidth degradation factor (Scale)
+//	open, write, read, futex_wait  — transient syscall errors (Err)
+//	futex_spurious  — a futex wait returns EAGAIN without sleeping (Drop)
+//	futex_lost_wake — a futex wake is dropped; Waiter = its target (Drop)
+//	kc_kill         — an idle original KC dies in its trampoline (Drop)
+//	sched_kill      — a scheduler KC dies between dispatches (Drop)
+//	aio_helper_kill — the AIO helper thread dies between requests (Drop)
+//	sched_delay     — extra scheduler latency before a UC dispatch (Delay)
+//	fs_slow         — extra file I/O time; Dur = the unscaled cost (Delay)
 //
 // Every fire happens at a deterministic point in virtual time, so a
 // program driven by a seeded RNG reproduces the same fault schedule for
@@ -42,37 +42,39 @@ var (
 
 // faultSyscall consults fault:site at a syscall site; nil when nothing
 // is attached or no program vetoes.
-func (k *Kernel) faultSyscall(t *Task, site string) error {
+func (k *Kernel) faultSyscall(t *Task, id probe.SiteID) error {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return nil
 	}
 	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.Site = site
+	c.SetSite(id)
 	c.Task = t
 	err := k.probes.Fire(c).Err
 	if err != nil {
 		if k.Tracing() {
-			k.Emit(t, "fault", "%s: %v", site, err)
+			k.Emit(t, "fault", "%s: %v", id, err)
 		}
-		k.faultFired(t, site, err)
+		k.faultFired(t, id, err)
 	}
 	return err
 }
 
-// faultIOScale folds the fs-degradation factor into an I/O cost,
+// faultIOScale consults fs_slow for an I/O of the given cost (Dur) and
+// returns the cost plus the Delay verdict (the fs-degradation extra),
 // saturating at the longest representable duration.
 func (k *Kernel) faultIOScale(t *Task, cost sim.Duration) sim.Duration {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return cost
 	}
 	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.Site = "fs_slow"
+	c.SetSite(probe.SiteFSSlow)
 	c.Task = t
-	if f := k.probes.Fire(c).Scale; f > 1 {
-		if scaled := float64(cost) * f; scaled < math.MaxInt64 {
-			return sim.Duration(scaled)
+	c.Dur = cost
+	if d := k.probes.Fire(c).Delay; d > 0 {
+		if cost > math.MaxInt64-d {
+			return math.MaxInt64
 		}
-		return math.MaxInt64
+		return cost + d
 	}
 	return cost
 }

@@ -128,7 +128,7 @@ type Backoff struct {
 // admission rejection, is returned as is.
 func (t *Task) FutexSleep(addr, val uint64, b *Backoff) error {
 	var err error
-	if t.kernel.faultArmed(t, "futex_lost_wake") {
+	if t.kernel.faultArmed(t, probe.SiteFutexLostWake) {
 		d := b.next
 		if d == 0 {
 			d = b.Base
@@ -154,7 +154,7 @@ func (t *Task) FutexSleep(addr, val uint64, b *Backoff) error {
 
 func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) error {
 	k := t.kernel
-	fr := k.sysEnter(t, "futex_wait")
+	fr := k.sysEnter(t, probe.SiteFutexWait)
 	if k.probes.Attached(probe.PFutexWait) {
 		c := k.probes.Begin(probe.PFutexWait, k.engine.Now())
 		c.Task = t
@@ -162,7 +162,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 		k.probes.Fire(c)
 	}
 	t.Charge(k.machine.Costs.FutexWaitCall)
-	if err := k.faultSyscall(t, "futex_wait"); err != nil {
+	if err := k.faultSyscall(t, probe.SiteFutexWait); err != nil {
 		k.sysExit(t, fr)
 		return err
 	}
@@ -177,7 +177,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 	}
 	if k.probes.Attached(probe.PFaultSite) {
 		c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-		c.Site = "futex_spurious"
+		c.SetSite(probe.SiteFutexSpurious)
 		c.Task = t
 		c.Addr = addr
 		if k.probes.Fire(c).Drop {
@@ -187,7 +187,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 			if k.Tracing() {
 				k.Emit(t, "fault", "futex spurious wakeup addr=%#x", addr)
 			}
-			k.faultFired(t, "futex_spurious", nil)
+			k.faultFired(t, probe.SiteFutexSpurious, nil)
 			k.sysExit(t, fr)
 			return ErrFutexAgain
 		}
@@ -195,9 +195,9 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 	if k.probes.Attached(probe.PTaskAdmit) {
 		// Admission runs against a non-creating lookup: rejecting the
 		// wait must not leave an empty queue populating the table.
-		err := k.admit(t, "futex_wait", k.FutexWaiters(t.space.ID, addr))
+		err := k.admit(t, probe.SiteFutexWait, k.FutexWaiters(t.space.ID, addr))
 		if err == nil && timeout > 0 {
-			err = k.admit(t, "futex_timer", 0)
+			err = k.admit(t, probe.SiteFutexTimer, 0)
 		}
 		if err != nil {
 			k.sysExit(t, fr)
@@ -209,7 +209,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 		// Matching on waitSeq alone (plus the blocked state) keeps the
 		// timeout armed across a FutexRequeue, which moves the sleeper
 		// to another queue without ending the sleep.
-		k.armTimeout(t, timeout, "futex")
+		k.armTimeout(t, timeout, probe.SiteTimerFutex)
 	}
 	k.fxStats.Blocked++
 	switch k.block(t, q, WaitFutex, addr, nil) {
@@ -246,7 +246,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 // return == Delivered + Lost holds per call.
 func (t *Task) FutexWake(addr uint64, n int) int {
 	k := t.kernel
-	fr := k.sysEnter(t, "futex_wake")
+	fr := k.sysEnter(t, probe.SiteFutexWake)
 	k.fxStats.WakeCalls++
 	if k.probes.Attached(probe.PFutexWake) {
 		c := k.probes.Begin(probe.PFutexWake, k.engine.Now())
@@ -301,7 +301,7 @@ func (t *Task) FutexWake(addr uint64, n int) int {
 func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) bool {
 	if k.probes.Attached(probe.PFaultSite) {
 		c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-		c.Site = "futex_lost_wake"
+		c.SetSite(probe.SiteFutexLostWake)
 		c.Task = waker
 		c.Waiter = w
 		c.Addr = addr
@@ -313,7 +313,7 @@ func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) b
 			if k.Tracing() {
 				k.Emit(waker, "fault", "futex lost wake addr=%#x", addr)
 			}
-			k.faultFired(waker, "futex_lost_wake", nil)
+			k.faultFired(waker, probe.SiteFutexLostWake, nil)
 			return false
 		}
 	}
@@ -341,7 +341,7 @@ func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) b
 // from addr (EINVAL, as in Linux).
 func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint64) (int, error) {
 	k := t.kernel
-	fr := k.sysEnter(t, "futex_requeue")
+	fr := k.sysEnter(t, probe.SiteFutexRequeue)
 	t.Charge(k.machine.Costs.FutexWakeCall)
 	if addr2 == addr {
 		k.sysExit(t, fr)
@@ -378,7 +378,7 @@ func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint6
 				if w == nil {
 					break
 				}
-				if k.admit(w, "futex_wait", waiters2) != nil {
+				if k.admit(w, probe.SiteFutexWait, waiters2) != nil {
 					// Destination word is at its waiters-per-word cap.
 					// Later sleepers would see the same full queue, so
 					// the excess stays on addr — a partial requeue.
@@ -445,7 +445,7 @@ type waitTimer struct {
 	k    *Kernel
 	task *Task
 	seq  uint64
-	site string // timer:fire's Site: "futex" or "sleep"
+	site probe.SiteID // timer:fire's site: SiteTimerFutex or SiteTimerSleep
 	fn   func()
 
 	// armed is the pool-hygiene tripwire: true from handout until the
@@ -469,7 +469,7 @@ const maxTimerPool = 1024
 // is still in that very sleep. Because every blocking wait on any path
 // increments waitSeq, a task that woke and re-blocked on the same queue
 // (say via Semaphore.Wait on the same word) no longer matches.
-func (k *Kernel) armTimeout(t *Task, d sim.Duration, site string) {
+func (k *Kernel) armTimeout(t *Task, d sim.Duration, site probe.SiteID) {
 	var wt *waitTimer
 	if n := len(k.timers); n > 0 {
 		wt = k.timers[n-1]
@@ -496,7 +496,7 @@ func (wt *waitTimer) fire() {
 	}
 	if k.probes.Attached(probe.PTimerFire) {
 		c := k.probes.Begin(probe.PTimerFire, k.engine.Now())
-		c.Site = site
+		c.SetSite(site)
 		c.Task = t
 		k.probes.Fire(c)
 	}

@@ -163,28 +163,34 @@ func (s *Semaphore) post(t *Task) int {
 	return 0
 }
 
-// TestFaultIOScaleSaturates: an fs_slow scale whose product overflows
-// the int64 clock saturates at the longest duration instead of
-// converting to a negative cost (which panicked the engine).
+// TestFaultIOScaleSaturates: fs_slow fires with Dur = the unscaled I/O
+// cost and adds the Delay verdict to it, saturating at the longest
+// duration instead of wrapping to a negative cost (which panicked the
+// engine).
 func TestFaultIOScaleSaturates(t *testing.T) {
 	_, k := newKernel()
-	var scale float64
-	k.Probes().Attach("slow", func(*probe.Ctx) probe.Verdict {
-		return probe.Verdict{Scale: scale}
+	var extra sim.Duration
+	k.Probes().Attach("slow", func(c *probe.Ctx) probe.Verdict {
+		if c.ID != probe.SiteFSSlow || c.Dur != 1000 {
+			t.Errorf("fs_slow fired as %v with Dur %d, want fs_slow with the cost", c.ID, c.Dur)
+		}
+		return probe.Verdict{Delay: extra}
 	}, probe.PFaultSite)
 	task := k.NewTask("io", nil, func(*Task) int { return 0 })
 	for _, c := range []struct {
-		scale float64
+		extra sim.Duration
 		want  sim.Duration
 	}{
-		{4, 4000},
-		{math.Inf(1), math.MaxInt64},
-		{1e300, math.MaxInt64},
-		{math.NaN(), 1000},
+		{3000, 4000},
+		{0, 1000},
+		{-5, 1000},
+		{math.MaxInt64 - 1000, math.MaxInt64},
+		{math.MaxInt64 - 999, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64},
 	} {
-		scale = c.scale
+		extra = c.extra
 		if got := k.faultIOScale(task, 1000); got != c.want {
-			t.Errorf("scale %v: cost %d, want %d", c.scale, got, c.want)
+			t.Errorf("delay %d: cost %d, want %d", c.extra, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package kernel
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/probe"
+)
 
 // Pipe-related errors.
 var (
@@ -30,7 +34,7 @@ const DefaultPipeCapacity = 64 * 1024
 // ends start open; Close each side independently.
 func (t *Task) NewPipe() (*PipeReader, *PipeWriter) {
 	k := t.kernel
-	fr := k.sysEnter(t, "pipe")
+	fr := k.sysEnter(t, probe.SitePipe)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.OpenCost/2)
 	p := &Pipe{kernel: k, cap: DefaultPipeCapacity, readers: 1, writers: 1}
 	k.sysExit(t, fr)
@@ -62,7 +66,7 @@ func (w *PipeWriter) Write(t *Task, data []byte) (int, error) {
 	}
 	written := 0
 	for written < len(data) {
-		fr := k.sysEnter(t, "write_pipe")
+		fr := k.sysEnter(t, probe.SiteWritePipe)
 		if p.readers == 0 {
 			k.sysExit(t, fr)
 			return written, ErrPipeClosed
@@ -100,7 +104,7 @@ func (r *PipeReader) Read(t *Task, buf []byte) (int, error) {
 		return 0, ErrPipeClosed
 	}
 	for {
-		fr := k.sysEnter(t, "read_pipe")
+		fr := k.sysEnter(t, probe.SiteReadPipe)
 		if len(p.buf) > 0 {
 			n := copy(buf, p.buf)
 			// The second copy, kernel buffer -> reader.

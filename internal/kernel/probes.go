@@ -32,29 +32,29 @@ func (k *Kernel) noteSwitch(t *Task) {
 	k.probes.Fire(c)
 }
 
-// FaultShouldDie consults fault:site at a kill site (kc_kill,
-// sched_kill, aio_helper_kill): true means the task visiting the site
-// dies now. Any program attached to fault:site can kill.
-func (k *Kernel) FaultShouldDie(t *Task, site string) bool {
+// FaultShouldDie consults fault:site at a kill site (SiteKCKill,
+// SiteSchedKill, SiteAIOHelperKill): true means the task visiting the
+// site dies now. Any program attached to fault:site can kill.
+func (k *Kernel) FaultShouldDie(t *Task, id probe.SiteID) bool {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return false
 	}
 	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.Site = site
+	c.SetSite(id)
 	if t != nil {
 		c.Task = t
 	}
 	return k.probes.Fire(c).Drop
 }
 
-// FaultDelay consults fault:site for extra latency at the named site
-// (sched_delay); the caller charges the returned duration.
-func (k *Kernel) FaultDelay(t *Task, site string) sim.Duration {
+// FaultDelay consults fault:site for extra latency at site id
+// (SiteSchedDelay); the caller charges the returned duration.
+func (k *Kernel) FaultDelay(t *Task, id probe.SiteID) sim.Duration {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return 0
 	}
 	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.Site = site
+	c.SetSite(id)
 	if t != nil {
 		c.Task = t
 	}
@@ -64,12 +64,12 @@ func (k *Kernel) FaultDelay(t *Task, site string) sim.Duration {
 // faultArmed consults fault:armed: whether any program could ever fire
 // for (task, site), without consuming randomness. FutexSleep uses it to
 // decide whether to arm a timed wait.
-func (k *Kernel) faultArmed(t *Task, site string) bool {
+func (k *Kernel) faultArmed(t *Task, id probe.SiteID) bool {
 	if !k.probes.Attached(probe.PFaultArmed) {
 		return false
 	}
 	c := k.probes.Begin(probe.PFaultArmed, k.engine.Now())
-	c.Site = site
+	c.SetSite(id)
 	if t != nil {
 		c.Task = t
 	}
@@ -100,12 +100,12 @@ func (k *Kernel) RestartVerdict(t *Task, name string, failures int) probe.Verdic
 // metrics program counts. Each caller records its "fault" instant
 // first, under a Tracing() check, so that an untraced injection boxes
 // no trace arguments.
-func (k *Kernel) faultFired(t *Task, site string, err error) {
+func (k *Kernel) faultFired(t *Task, id probe.SiteID, err error) {
 	if !k.probes.Attached(probe.PFaultFired) {
 		return
 	}
 	c := k.probes.Begin(probe.PFaultFired, k.engine.Now())
-	c.Site = site
+	c.SetSite(id)
 	if t != nil {
 		c.Task = t
 	}
@@ -125,10 +125,12 @@ var stockMetricsPoints = []probe.Point{
 
 // stockMetrics holds the registry handles previously cached on the
 // Kernel, resolved once at attach so every fire updates in place (no
-// map traffic on the syscall path beyond the per-name latency lookup).
+// map traffic on the syscall path).
 type stockMetrics struct {
-	reg    *metrics.Registry
-	sysLat map[string]*metrics.Histogram
+	reg *metrics.Registry
+	// sysLat holds each syscall's latency histogram from its first exit
+	// on, indexed by its site ID.
+	sysLat [probe.NumSites]*metrics.Histogram
 
 	runq   *metrics.Histogram
 	ctxKLT *metrics.Counter
@@ -144,7 +146,6 @@ type stockMetrics struct {
 func newStockMetrics(k *Kernel, reg *metrics.Registry) *stockMetrics {
 	m := &stockMetrics{
 		reg:    reg,
-		sysLat: make(map[string]*metrics.Histogram),
 		runq:   reg.Histogram("kernel.runq.depth"),
 		ctxKLT: reg.Counter("kernel.ctx_switch.klt"),
 	}
@@ -178,12 +179,12 @@ func newStockMetrics(k *Kernel, reg *metrics.Registry) *stockMetrics {
 	return m
 }
 
-// hist returns the latency histogram for the named system-call.
-func (m *stockMetrics) hist(name string) *metrics.Histogram {
-	h := m.sysLat[name]
+// hist returns the latency histogram for system-call id.
+func (m *stockMetrics) hist(id probe.SiteID) *metrics.Histogram {
+	h := m.sysLat[id]
 	if h == nil {
-		h = m.reg.Histogram("kernel.syscall.ps." + name)
-		m.sysLat[name] = h
+		h = m.reg.Histogram("kernel.syscall.ps." + id.String())
+		m.sysLat[id] = h
 	}
 	return h
 }
@@ -191,7 +192,7 @@ func (m *stockMetrics) hist(name string) *metrics.Histogram {
 func (m *stockMetrics) fire(c *probe.Ctx) probe.Verdict {
 	switch c.Point {
 	case probe.PSyscallExit:
-		m.hist(c.Site).Observe(int64(c.Dur))
+		m.hist(c.ID).Observe(int64(c.Dur))
 	case probe.PSchedDispatch:
 		m.runq.Observe(c.Val)
 	case probe.PSchedSwitch:
@@ -222,9 +223,9 @@ func (m *stockMetrics) fire(c *probe.Ctx) probe.Verdict {
 		case c.Err != nil:
 			// A syscall-site injection (the only fires carrying an error).
 			m.faults.Inc()
-		case c.Site == "futex_spurious":
+		case c.ID == probe.SiteFutexSpurious:
 			m.fxSpurious.Inc()
-		case c.Site == "futex_lost_wake":
+		case c.ID == probe.SiteFutexLostWake:
 			m.fxLost.Inc()
 		}
 	case probe.PCouple:

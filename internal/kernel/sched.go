@@ -332,7 +332,7 @@ func (y *Spinner) SchedYield(t *Task) bool {
 		switch y.stage {
 		case yieldEnter:
 			var delay sim.Duration
-			y.fr, delay = k.enterFire(t, "sched_yield")
+			y.fr, delay = k.enterFire(t, probe.SiteSchedYield)
 			y.stage = yieldTrap
 			if delay > 0 {
 				t.Charge(delay)
@@ -394,10 +394,10 @@ func (y *Spinner) exit(t *Task) bool {
 // finds the sleep over and wakes nobody.
 func (t *Task) Nanosleep(d sim.Duration) (sim.Duration, error) {
 	k := t.kernel
-	fr := k.sysEnter(t, "nanosleep")
+	fr := k.sysEnter(t, probe.SiteNanosleep)
 	t.Charge(k.machine.Costs.SyscallEntry)
 	deadline := k.engine.Now().Add(d)
-	k.armTimeout(t, d, "sleep")
+	k.armTimeout(t, d, probe.SiteTimerSleep)
 	reason := k.block(t, &k.sleepers, WaitSleep, 0, nil)
 	k.sysExit(t, fr)
 	if reason == WakeInterrupted {
@@ -417,7 +417,7 @@ func (t *Task) Nanosleep(d sim.Duration) (sim.Duration, error) {
 // fork()ed processes".
 func (t *Task) Wait() (pid, status int, err error) {
 	k := t.kernel
-	fr := k.sysEnter(t, "wait")
+	fr := k.sysEnter(t, probe.SiteWait)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.WaitCost)
 	for {
 		// The scan runs the intrusive child list in creation order —
@@ -452,7 +452,7 @@ func (t *Task) Wait() (pid, status int, err error) {
 // exits, returning its status. Models pthread_join.
 func (t *Task) Join(target *Task) int {
 	k := t.kernel
-	fr := k.sysEnter(t, "join")
+	fr := k.sysEnter(t, probe.SiteJoin)
 	t.Charge(k.machine.Costs.SyscallEntry)
 	for !target.exited {
 		k.block(t, &target.doneQ, WaitJoin, 0, target)

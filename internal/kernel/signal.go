@@ -61,7 +61,7 @@ func (t *Task) Signals() *SignalState { return t.sig }
 // table.
 func (t *Task) Sigaction(sig int, h SigHandler) {
 	k := t.kernel
-	fr := k.sysEnter(t, "sigaction")
+	fr := k.sysEnter(t, probe.SiteSigaction)
 	t.Charge(k.machine.Costs.SyscallEntry)
 	if t.sig.handlers == nil {
 		t.sig.handlers = make(map[int]SigHandler)
@@ -76,7 +76,7 @@ func (t *Task) Sigaction(sig int, h SigHandler) {
 // non-negligible overhead".
 func (t *Task) Sigprocmask(mask uint64) uint64 {
 	k := t.kernel
-	fr := k.sysEnter(t, "sigprocmask")
+	fr := k.sysEnter(t, probe.SiteSigprocmask)
 	t.Charge(k.machine.Costs.SigmaskSwitch)
 	old := t.sig.mask
 	t.sig.mask = mask
@@ -106,7 +106,7 @@ func (t *Task) SetSigmaskRaw(mask uint64) { t.sig.mask = mask }
 // the calling task. SIGKILL is not catchable or blockable.
 func (t *Task) Kill(pid, sig int) error {
 	k := t.kernel
-	fr := k.sysEnter(t, "kill")
+	fr := k.sysEnter(t, probe.SiteKill)
 	t.Charge(k.machine.Costs.SyscallEntry)
 	target := k.tasks[pid]
 	if target == nil {

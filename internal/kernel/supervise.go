@@ -60,15 +60,15 @@ func (c WaitClass) String() string {
 	return "?"
 }
 
-// admit fires task:admit for t at the named admission site (Val = n);
+// admit fires task:admit for t at the admission site id (Val = n);
 // a non-nil Err verdict rejects the admission. Callers fire it before
 // creating any state, so a rejection leaves nothing behind.
-func (k *Kernel) admit(t *Task, site string, n int) error {
+func (k *Kernel) admit(t *Task, id probe.SiteID, n int) error {
 	if !k.probes.Attached(probe.PTaskAdmit) {
 		return nil
 	}
 	c := k.probes.Begin(probe.PTaskAdmit, k.engine.Now())
-	c.Site = site
+	c.SetSite(id)
 	c.Task = t
 	c.Val = int64(n)
 	return k.probes.Fire(c).Err
@@ -102,7 +102,7 @@ func (t *Task) TryClone(name string, flags CloneFlags, body TaskBody) (*Task, er
 
 // TryClonePinned is ClonePinned with graceful resource-limit failure.
 func (t *Task) TryClonePinned(name string, flags CloneFlags, core int, body TaskBody) (*Task, error) {
-	if err := t.kernel.admit(t, "clone", 0); err != nil {
+	if err := t.kernel.admit(t, probe.SiteClone, 0); err != nil {
 		return nil, err
 	}
 	return t.ClonePinned(name, flags, core, body), nil

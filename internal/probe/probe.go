@@ -24,6 +24,18 @@
 //     attaching them changes no event order, which the chaos digest
 //     equality tests pin.
 //
+// Merge rules: the verdicts of every program on a point combine into
+// one — the first non-nil Err (in attach order) wins, Delays add
+// (saturating at the longest duration) and Drop ORs. Delay is the only
+// arithmetic: a program that wants to scale a cost (the fault plane at
+// fs_slow) answers with the extra time, computed from Ctx.Dur.
+//
+// Sites: a fire at a static site (a system-call, a fault site, a timer
+// or admission kind) carries a dense SiteID in Ctx.ID beside the name in
+// Ctx.Site; programs branch and index on the ID, so no fire hashes,
+// compares or builds a string. Only task:restart, whose entities are
+// named at run time, carries a name without an ID.
+//
 // Cost contract: an unattached point costs one nil/length check at the
 // fire site and allocates nothing — pinned by the kernel/sim alloc
 // regression tests. Fire-time contexts are recycled from a small
@@ -32,6 +44,7 @@ package probe
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -49,13 +62,13 @@ const (
 	pInvalid Point = iota
 
 	// PSyscallEnter fires when a system-call begins, before its cost is
-	// charged. Site = syscall name. Verdict.Delay is charged to the task
-	// (per-tenant throttling); Verdict.Err is ignored here — syscall
+	// charged. ID and Site = the syscall. Verdict.Delay is charged to the
+	// task (per-tenant throttling); Verdict.Err is ignored here — syscall
 	// vetoes go through PFaultSite, which has error plumbing at every
 	// fallible site.
 	PSyscallEnter
-	// PSyscallExit fires when a system-call completes. Site = syscall
-	// name, Dur = wall virtual latency (blocking time included).
+	// PSyscallExit fires when a system-call completes. ID and Site = the
+	// syscall, Dur = wall virtual latency (blocking time included).
 	PSyscallExit
 	// PSchedDispatch fires when the kernel dispatches a task onto a CPU
 	// core. Val = the core's ready-queue depth at dispatch.
@@ -87,10 +100,11 @@ const (
 	// PFutexTable fires when the futex table gains or drops a word entry.
 	// Val = live entries after the change.
 	PFutexTable
-	// PTimerFire fires when a kernel timeout runs: Site = "futex" for a
-	// timed futex wait, "sleep" for a Nanosleep. Task = the task that
-	// armed it, also when its sleep already ended (a wake or a signal
-	// came first) and the fire wakes nobody.
+	// PTimerFire fires when a kernel timeout runs: ID = SiteTimerFutex
+	// (Site "futex") for a timed futex wait, SiteTimerSleep ("sleep") for
+	// a Nanosleep. Task = the task that armed it, also when its sleep
+	// already ended (a wake or a signal came first) and the fire wakes
+	// nobody.
 	PTimerFire
 	// PTaskSpawn fires when clone creates a task. Task = child, Waiter =
 	// creating task.
@@ -105,21 +119,22 @@ const (
 	// timeout or signal), before its wait annotations are cleared.
 	PTaskWake
 	// PTaskAdmit fires where the kernel admits a new resource, before any
-	// state is created. Site = "clone" (Task = the parent), "open",
-	// "futex_wait" (Val = the word's current waiter count; also fired for
-	// each sleeper a requeue would move) or "futex_timer" (arming a timed
-	// futex wait). An Err verdict rejects the admission with that error.
+	// state is created. ID = SiteClone (Task = the parent), SiteOpen,
+	// SiteFutexWait (Val = the word's current waiter count; also fired
+	// for each sleeper a requeue would move) or SiteFutexTimer (arming a
+	// timed futex wait). An Err verdict rejects the admission with that
+	// error.
 	PTaskAdmit
 	// PTaskRestart fires when a runtime layer decides whether to restart
 	// a fault-killed entity. Site = its name ("kc.<name>" for a KC host,
-	// "aio.<owner>" for an AIO helper), Val = 1 (one failure). Drop
-	// quarantines the entity for good; a positive Delay grants a restart
-	// after that backoff. The zero verdict keeps the unsupervised
-	// behaviour: a killed KC stays dead and an AIO helper respawns at
-	// once. A KC host also fires it once at creation with Val = 0, which
-	// records no failure: a positive Delay there marks the host
-	// restartable; otherwise couple requests to it fail fast once it is
-	// killed.
+	// "aio.<owner>" for an AIO helper; no ID, the name is dynamic), Val =
+	// 1 (one failure). Drop quarantines the entity for good; a positive
+	// Delay grants a restart after that backoff. The zero verdict keeps
+	// the unsupervised behaviour: a killed KC stays dead and an AIO
+	// helper respawns at once. A KC host also fires it once at creation
+	// with Val = 0, which records no failure: a positive Delay there
+	// marks the host restartable; otherwise couple requests to it fail
+	// fast once it is killed.
 	PTaskRestart
 	// PSignal fires when a signal is delivered. Val = signal number,
 	// Task = receiving task.
@@ -127,18 +142,19 @@ const (
 	// PTLSLoad fires when a task loads its TLS register. Dur = the
 	// machine's TLS-load cost.
 	PTLSLoad
-	// PFaultSite fires at a fault-injection decision point. Site = the
-	// fault site name ("open", "futex_lost_wake", "kc_kill", ...). The
-	// combined verdict decides: Err fails the syscall, Drop kills the
+	// PFaultSite fires at a fault-injection decision point. ID and Site
+	// = the fault site (SiteOpen, SiteFutexLostWake, SiteKCKill, ...).
+	// The combined verdict decides: Err fails the syscall, Drop kills the
 	// task / drops the wake / fires the spurious wakeup, Delay adds
-	// latency (sched_delay), Scale multiplies I/O cost (fs_slow).
+	// latency (sched_delay) or I/O time (fs_slow, where Dur = the
+	// unscaled I/O cost).
 	PFaultSite
 	// PFaultArmed queries whether a site could ever fire for the task,
 	// without consuming randomness (Verdict.Drop = armed). The kernel's
 	// lost-wake recovery sleep uses it to decide whether to arm a timer.
 	PFaultArmed
 	// PFaultFired observes an injection that fired (after the PFaultSite
-	// verdict was applied). Site and Err (syscall sites) are set.
+	// verdict was applied). ID, Site and Err (syscall sites) are set.
 	PFaultFired
 	// PCouple observes a completed BLT couple handshake. Dur = latency.
 	PCouple
@@ -224,9 +240,13 @@ type Task interface {
 // the call.
 type Ctx struct {
 	Point Point
-	Now   sim.Time
+	// ID qualifies the point with a static site (SetSite): syscall,
+	// fault site, timer or admission kind. Zero at points without one.
+	ID  SiteID
+	Now sim.Time
 
-	// Site qualifies the point: syscall name, fault site, timer kind.
+	// Site is the site's name: ID's table entry, or at task:restart the
+	// restarted entity's name.
 	Site string
 
 	Task   Task // primary task (nil at sites with no task context)
@@ -240,12 +260,16 @@ type Ctx struct {
 
 // Verdict is a program's decision at a fire. The zero Verdict observes
 // without interfering. Verdicts from all programs on a point combine:
-// first non-nil Err wins, Delays add, Drop ORs, Scales multiply.
+// first non-nil Err wins, Delays add (saturating), Drop ORs.
+//
+// A Verdict is returned through an indirect call on every fire, so it
+// stays within four words and four fields: Go passes such a struct in
+// registers (ssa.CanSSA) and a larger one through memory, about 15 ns
+// more per program call. TestVerdictFitsRegisters pins the limit.
 type Verdict struct {
 	Err   error
 	Delay sim.Duration
 	Drop  bool
-	Scale float64
 }
 
 // Func is one probe program. It runs synchronously at the fire site, in
@@ -327,15 +351,12 @@ func (r *Registry) Fire(c *Ctx) Verdict {
 		if v.Err == nil {
 			v.Err = w.Err
 		}
-		v.Delay += w.Delay
-		v.Drop = v.Drop || w.Drop
-		if w.Scale != 0 {
-			if v.Scale == 0 {
-				v.Scale = w.Scale
-			} else {
-				v.Scale *= w.Scale
-			}
+		if d := v.Delay + w.Delay; d < v.Delay && w.Delay > 0 {
+			v.Delay = math.MaxInt64
+		} else {
+			v.Delay = d
 		}
+		v.Drop = v.Drop || w.Drop
 	}
 	return v
 }

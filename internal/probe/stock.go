@@ -33,7 +33,7 @@ type Spec struct {
 	// prefix; empty matches every task.
 	Task string
 	// Syscall restricts syscall-point probes to one syscall name; empty
-	// matches all.
+	// matches all. A name that is no syscall is a parse error.
 	Syscall string
 	// IntervalUS is the throttle refill interval: one token per interval
 	// of virtual time.
@@ -126,6 +126,9 @@ func (s *Spec) setOption(key, val string) error {
 	case "task":
 		s.Task = val
 	case "syscall":
+		if val != "" && !SiteByName(val).Syscall() {
+			return fmt.Errorf("unknown syscall %q", val)
+		}
 		s.Syscall = val
 	case "interval_us":
 		n, err := strconv.ParseUint(val, 10, 64)
@@ -249,7 +252,7 @@ func taskMatches(prefix string, t Task) bool {
 // under the seeded engine.
 type Throttle struct {
 	task     string
-	syscall  string
+	syscall  SiteID // 0: every syscall
 	interval sim.Duration
 	burst    int64
 
@@ -269,7 +272,21 @@ func NewThrottle(taskPrefix, syscall string, interval sim.Duration, burst int64)
 	if burst < 1 {
 		burst = 1
 	}
-	return &Throttle{task: taskPrefix, syscall: syscall, interval: interval, burst: burst}
+	return &Throttle{task: taskPrefix, syscall: syscallID(syscall), interval: interval, burst: burst}
+}
+
+// syscallID resolves a syscall= filter once, when its program is built:
+// 0 (every syscall) for the empty name. ParseSpecs rejects other names
+// that are no syscall, so one here is a caller's bug.
+func syscallID(name string) SiteID {
+	if name == "" {
+		return siteNone
+	}
+	id := SiteByName(name)
+	if !id.Syscall() {
+		panic(fmt.Sprintf("probe: unknown syscall %q", name))
+	}
+	return id
 }
 
 // Fire is the probe program. Attach at PSyscallEnter.
@@ -277,7 +294,7 @@ func (th *Throttle) Fire(c *Ctx) Verdict {
 	if c.Point != PSyscallEnter || !taskMatches(th.task, c.Task) {
 		return Verdict{}
 	}
-	if th.syscall != "" && c.Site != th.syscall {
+	if th.syscall != siteNone && c.ID != th.syscall {
 		return Verdict{}
 	}
 	if !th.started {
@@ -320,20 +337,20 @@ func (th *Throttle) Stats() (total, delayed uint64) { return th.total, th.delaye
 // simulation's own observability plane.
 type SLO struct {
 	task    string
-	syscall string
+	syscall SiteID // 0: every syscall
 	p99     sim.Duration
 	prog    *Program
 
-	// hists caches each site's histogram from its first fire on, so a
-	// fire builds no name and allocates nothing.
-	hists map[string]*metrics.Histogram
+	// hists holds each syscall's histogram from its first fire on (made
+	// then, not at attach, so syscalls that never fire stay unreported);
+	// a later fire builds no name and allocates nothing.
+	hists [NumSites]*metrics.Histogram
 }
 
 // NewSLO builds an SLO checker for tasks with the given name prefix
 // (empty = all) and optionally one syscall name.
 func NewSLO(taskPrefix, syscall string, p99 sim.Duration) *SLO {
-	return &SLO{task: taskPrefix, syscall: syscall, p99: p99,
-		hists: make(map[string]*metrics.Histogram)}
+	return &SLO{task: taskPrefix, syscall: syscallID(syscall), p99: p99}
 }
 
 // Fire is the probe program. Attach at PSyscallExit.
@@ -341,13 +358,13 @@ func (s *SLO) Fire(c *Ctx) Verdict {
 	if c.Point != PSyscallExit || !taskMatches(s.task, c.Task) {
 		return Verdict{}
 	}
-	if s.syscall != "" && c.Site != s.syscall {
+	if s.syscall != siteNone && c.ID != s.syscall {
 		return Verdict{}
 	}
-	h := s.hists[c.Site]
+	h := s.hists[c.ID]
 	if h == nil {
 		h = s.prog.Agg().Histogram("slo.ps." + c.Site)
-		s.hists[c.Site] = h
+		s.hists[c.ID] = h
 	}
 	h.Observe(int64(c.Dur))
 	return Verdict{}

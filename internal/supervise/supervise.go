@@ -231,11 +231,11 @@ func (p *Plane) fire(c *probe.Ctx) probe.Verdict {
 	case probe.PTaskExit:
 		p.onExit(t)
 	case probe.PTimerFire:
-		if c.Site == "futex" {
+		if c.ID == probe.SiteTimerFutex {
 			p.timerFired(t)
 		}
 	case probe.PTaskAdmit:
-		return probe.Verdict{Err: p.admit(t, c.Site, int(c.Val))}
+		return probe.Verdict{Err: p.admit(t, c.ID, int(c.Val))}
 	case probe.PTaskRestart:
 		if c.Val == 0 {
 			// A registration: the entity is restartable, its first
@@ -322,16 +322,16 @@ func (p *Plane) timerFired(t *kernel.Task) {
 	}
 }
 
-// admit answers a task:admit fire at the named site.
-func (p *Plane) admit(t *kernel.Task, site string, waiters int) error {
-	switch site {
-	case "clone":
+// admit answers a task:admit fire at admission site id.
+func (p *Plane) admit(t *kernel.Task, id probe.SiteID, waiters int) error {
+	switch id {
+	case probe.SiteClone:
 		return p.admitThread(t)
-	case "open":
+	case probe.SiteOpen:
 		return p.admitFD(t)
-	case "futex_wait":
+	case probe.SiteFutexWait:
 		return p.admitFutexWait(waiters)
-	case "futex_timer":
+	case probe.SiteFutexTimer:
 		return p.admitTimer(t)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -66,6 +67,39 @@ func TestLimitsRejectAtAdmission(t *testing.T) {
 
 type Task = kernel.Task
 
+// TestFutexTimerFireReleasesTimerSlot: a timed futex wait takes a
+// MaxTimers slot at admission and its timer:fire (kind futex) gives it
+// back, so back-to-back timed waits under MaxTimers=1 all get a timer.
+func TestFutexTimerFireReleasesTimerSlot(t *testing.T) {
+	e, k := newKernel(t)
+	p := New(k, Config{Tick: -1, Limits: Limits{MaxTimers: 1}})
+	p.Install()
+	space := k.NewAddressSpace()
+	word, err := space.Mmap(8, mem.ProtRead|mem.ProtWrite, "word", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []error
+	root := k.NewTask("root", space, func(task *Task) int {
+		for i := 0; i < 3; i++ {
+			errs = append(errs, task.FutexWaitTimeout(word, 0, 10*sim.Microsecond))
+		}
+		return 0
+	})
+	k.Start(root, 0)
+	if err := e.Run(); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, kernel.ErrTimedOut) {
+			t.Errorf("timed wait %d: %v, want ErrTimedOut", i, err)
+		}
+	}
+	if hits := p.LimitHits(); hits.Timers != 0 {
+		t.Errorf("timer limit hit %d times, want 0", hits.Timers)
+	}
+}
+
 func rootBody(t *testing.T, p *Plane, task *Task, a, b uint64, cloneErr, fdErr *error) int {
 	// MaxFutexWaiters=1 per word: c1 parks on a, then c2's wait on a is
 	// rejected and it parks on b instead — leaving both children LIVE,
@@ -97,10 +131,10 @@ func rootBody(t *testing.T, p *Plane, task *Task, a, b uint64, cloneErr, fdErr *
 	// timeouts at once through the syscall surface, so exercise the
 	// admission pair directly, then release the slot as a timer fire
 	// would.
-	if err := p.admit(task, "futex_timer", 0); err != nil {
+	if err := p.admit(task, probe.SiteFutexTimer, 0); err != nil {
 		t.Errorf("first timer admission: %v", err)
 	}
-	if err := p.admit(task, "futex_timer", 0); !errors.Is(err, kernel.ErrTimerLimit) {
+	if err := p.admit(task, probe.SiteFutexTimer, 0); !errors.Is(err, kernel.ErrTimerLimit) {
 		t.Errorf("second timer admission: %v, want ErrTimerLimit", err)
 	}
 	p.timerFired(task) // release the armed slot
