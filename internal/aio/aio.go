@@ -114,7 +114,9 @@ func New(owner *kernel.Task) (*Context, error) {
 	return c, nil
 }
 
-// Helper returns the helper thread's task, nil before first submission.
+// Helper returns the helper thread's task, nil before the first
+// submission and after Close. A helper's *Task is invalid once it has
+// been joined (a respawn or Close), like any joined thread's.
 func (c *Context) Helper() *kernel.Task { return c.helper }
 
 // Stats reports submitted and completed request counts.
@@ -236,6 +238,7 @@ func (c *Context) Close(t *kernel.Task) {
 	if c.helper != nil {
 		c.kick(t)
 		t.Join(c.helper)
+		c.helper = nil
 	}
 }
 

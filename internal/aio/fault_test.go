@@ -49,7 +49,9 @@ func TestHelperKillFailsQueuedRequestAndRespawns(t *testing.T) {
 			// with r2 still queued.
 			r1, _ := ctx.WriteAsync(task, fd, []byte("served"))
 			r2, _ := ctx.WriteAsync(task, fd, []byte("doomed"))
-			firstHelper := ctx.Helper()
+			// The dead helper's *Task is invalid once the next submit
+			// has joined it, so the helpers are compared by pid.
+			firstHelper := ctx.Helper().PID()
 			if n, err := r1.Suspend(task); err != nil || n != 6 {
 				t.Errorf("first request = %d,%v, want 6,nil", n, err)
 				return
@@ -64,7 +66,7 @@ func TestHelperKillFailsQueuedRequestAndRespawns(t *testing.T) {
 
 			// Request 3 respawns a helper and completes.
 			r3, _ := ctx.WriteAsync(task, fd, []byte("revived!"))
-			if ctx.Helper() == firstHelper {
+			if ctx.Helper().PID() == firstHelper {
 				t.Error("helper not respawned after death")
 			}
 			if n, err := r3.Suspend(task); err != nil || n != 8 {

@@ -307,9 +307,6 @@ func (p *Pool) Shutdown(t *kernel.Task) {
 	}
 }
 
-// Stopped reports whether Shutdown ran.
-func (p *Pool) Stopped() bool { return p.stopped }
-
 // Bounds of the BLOCKING idle slot's lost-wake recovery sleep
 // (kernel.FutexSleep): the first re-check fires after idleWaitBase of
 // virtual time and the timeout doubles on every consecutive timeout up

@@ -96,6 +96,7 @@ func (ft *futexTable) drop(q *WaitQueue) {
 // the caller's address space still holds expected, block until woken;
 // otherwise return ErrFutexAgain immediately.
 func (t *Task) FutexWait(addr uint64, expected uint64) error {
+	t.live()
 	return t.futexWait(addr, expected, 0)
 }
 
@@ -104,6 +105,7 @@ func (t *Task) FutexWait(addr uint64, expected uint64) error {
 // ErrTimedOut; d <= 0 means wait forever. Waiters that re-check their
 // condition after every return use FutexSleep instead.
 func (t *Task) FutexWaitTimeout(addr uint64, expected uint64, d sim.Duration) error {
+	t.live()
 	return t.futexWait(addr, expected, d)
 }
 
@@ -127,6 +129,7 @@ type Backoff struct {
 // re-checks its condition and sleeps again. Any other error, such as an
 // admission rejection, is returned as is.
 func (t *Task) FutexSleep(addr, val uint64, b *Backoff) error {
+	t.live()
 	var err error
 	if t.kernel.faultArmed(t, probe.SiteFutexLostWake) {
 		d := b.next
@@ -245,6 +248,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 // FutexStats.Lost accounts for the difference, so
 // return == Delivered + Lost holds per call.
 func (t *Task) FutexWake(addr uint64, n int) int {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteFutexWake)
 	k.fxStats.WakeCalls++
@@ -340,6 +344,7 @@ func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) b
 // A moved sleeper's WaitAddr follows it to addr2. addr2 must differ
 // from addr (EINVAL, as in Linux).
 func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint64) (int, error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteFutexRequeue)
 	t.Charge(k.machine.Costs.FutexWakeCall)
@@ -484,11 +489,13 @@ func (k *Kernel) armTimeout(t *Task, d sim.Duration, site probe.SiteID) {
 		wt.fn = wt.fire
 	}
 	wt.task, wt.seq, wt.site, wt.armed = t, t.waitSeq+1, site, true
+	t.timers++
 	k.engine.After(d, wt.fn)
 }
 
 func (wt *waitTimer) fire() {
 	k, t, seq, site := wt.k, wt.task, wt.seq, wt.site
+	t.timers--
 	wt.task = nil
 	wt.armed = false
 	if len(k.timers) < maxTimerPool {
@@ -509,6 +516,8 @@ func (wt *waitTimer) fire() {
 		t.wakeReason = WakeTimeout
 		k.makeRunnable(t, k.machine.Costs.KernelSwitch)
 	}
+	// A thread joined while this timer was pending is reaped now.
+	k.reap(t)
 }
 
 // Semaphore is a counting semaphore over a futex word, mirroring the
@@ -522,6 +531,7 @@ type Semaphore struct {
 // NewSemaphore allocates a semaphore word in the task's address space
 // with the given initial count.
 func (t *Task) NewSemaphore(initial uint64) (*Semaphore, error) {
+	t.live()
 	addr, err := t.space.Mmap(8, semProt, "semaphore", true, t)
 	if err != nil {
 		return nil, err

@@ -55,6 +55,9 @@ type Kernel struct {
 
 	tasks   map[int]*Task // by PID
 	nextPID int
+	// free holds the storage of threads that Join reaped, for clones
+	// to reuse (see reap).
+	free []*Task
 
 	futexes *futexTable
 
@@ -279,10 +282,6 @@ func (c *Core) Busy() sim.Duration { return c.busy }
 
 // Kernel returns the owning kernel (for scheduler policies).
 func (c *Core) Kernel() *Kernel { return c.kernel }
-
-// RunqAt returns the i'th ready task on the core's run queue without
-// removing it (0 = next to dispatch under FIFO). For scheduler policies.
-func (c *Core) RunqAt(i int) *Task { return c.runq.At(i) }
 
 // RunqRemoveAt removes and returns the i'th ready task, preserving the
 // order of the rest. Scheduler policies use it from PickNext; PickNext

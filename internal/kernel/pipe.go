@@ -33,6 +33,7 @@ const DefaultPipeCapacity = 64 * 1024
 // NewPipe creates a pipe endpoint pair owned by the calling task. Both
 // ends start open; Close each side independently.
 func (t *Task) NewPipe() (*PipeReader, *PipeWriter) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SitePipe)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.OpenCost/2)

@@ -135,14 +135,11 @@ func (k *Kernel) dispatch(t *Task, c *Core, latency sim.Duration) {
 		k.Trace("kernel", "dispatch %s on core %d (+%v)", pidString(t), c.id, latency)
 	}
 	k.engine.After(latency, c.noteRunFn)
-	if t.proc == nil {
-		t.proc = k.engine.SpawnAfter(t, latency, func(p *sim.Proc) {
-			status := t.body(t)
-			k.exitTask(t, status)
-		})
+	if t.proc.Parked() {
+		t.proc.Unpark(latency)
 		return
 	}
-	t.proc.Unpark(latency)
+	k.engine.Start(&t.proc, t, latency)
 }
 
 // scheduleNext fills a newly idle core from its run queue, charging the
@@ -284,6 +281,7 @@ func (k *Kernel) exitTask(t *Task, status int) {
 // only the trap; otherwise a full kernel context switch happens (the
 // Table IV asymmetry).
 func (t *Task) SchedYield() {
+	t.live()
 	var y Spinner
 	for !y.SchedYield(t) {
 	}
@@ -294,11 +292,11 @@ func (t *Task) SchedYield() {
 // task's resume, so the task's goroutine wakes only when the wait ends.
 // Each pass either reports the wait over or ends in exactly one Charge
 // or Park; Spinner runs sched_yield that way.
-func (t *Task) Spin(step func() bool) { t.proc.Spin(step) }
+func (t *Task) Spin(step func() bool) { t.live(); t.proc.Spin(step) }
 
 // Proc returns the sim proc that carries the task: user contexts hand
 // it between the goroutines that execute the task (sim.Coro).
-func (t *Task) Proc() *sim.Proc { return t.proc }
+func (t *Task) Proc() *sim.Proc { t.live(); return &t.proc }
 
 // Spinner is one sched_yield(2) call split into stages, each ending in
 // at most one Charge or Park, so that a spin step (Task.Spin) can run
@@ -393,6 +391,7 @@ func (y *Spinner) exit(t *Task) bool {
 // uninterruptibly may ignore both results; the pooled timer's late fire
 // finds the sleep over and wakes nobody.
 func (t *Task) Nanosleep(d sim.Duration) (sim.Duration, error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteNanosleep)
 	t.Charge(k.machine.Costs.SyscallEntry)
@@ -416,6 +415,7 @@ func (t *Task) Nanosleep(d sim.Duration) (sim.Duration, error) {
 // used to wait for BLT terminations, just like the way used to wait for
 // fork()ed processes".
 func (t *Task) Wait() (pid, status int, err error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteWait)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.WaitCost)
@@ -449,14 +449,27 @@ func (t *Task) Wait() (pid, status int, err error) {
 }
 
 // Join blocks until the given task (typically a CloneThread child)
-// exits, returning its status. Models pthread_join.
+// exits, returning its status. Models pthread_join: a thread's *Task is
+// invalid once the Join that returns its status has returned, and the
+// kernel reuses its storage for a later Clone. Every Join in flight on
+// one thread gets its status, and the thread is reaped once, after the
+// last of them. A process's task stays valid; wait(2) reaps it.
 func (t *Task) Join(target *Task) int {
+	t.live()
+	target.live()
 	k := t.kernel
+	target.joiners++
 	fr := k.sysEnter(t, probe.SiteJoin)
 	t.Charge(k.machine.Costs.SyscallEntry)
 	for !target.exited {
 		k.block(t, &target.doneQ, WaitJoin, 0, target)
 	}
 	k.sysExit(t, fr)
-	return target.exitCode
+	status := target.exitCode
+	target.joiners--
+	if target.isThread {
+		target.joined = true
+		k.reap(target)
+	}
+	return status
 }

@@ -55,11 +55,12 @@ func sigBit(sig int) uint64 { return 1 << uint(sig) }
 func (s *SignalState) Blocked(sig int) bool { return s.mask&sigBit(sig) != 0 }
 
 // Signals returns the signal state of the task.
-func (t *Task) Signals() *SignalState { return t.sig }
+func (t *Task) Signals() *SignalState { t.live(); return t.sig }
 
 // Sigaction registers a handler for sig in the calling task's handler
 // table.
 func (t *Task) Sigaction(sig int, h SigHandler) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteSigaction)
 	t.Charge(k.machine.Costs.SyscallEntry)
@@ -75,6 +76,7 @@ func (t *Task) Sigaction(sig int, h SigHandler) {
 // ucontext: saving/restoring the mask on every context switch "adds
 // non-negligible overhead".
 func (t *Task) Sigprocmask(mask uint64) uint64 {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteSigprocmask)
 	t.Charge(k.machine.Costs.SigmaskSwitch)
@@ -96,15 +98,16 @@ func (t *Task) Sigprocmask(mask uint64) uint64 {
 
 // SigmaskRaw reads the mask without a system-call (for the runtime's own
 // bookkeeping).
-func (t *Task) SigmaskRaw() uint64 { return t.sig.mask }
+func (t *Task) SigmaskRaw() uint64 { t.live(); return t.sig.mask }
 
 // SetSigmaskRaw writes the mask without charging (used when the ULP
 // runtime models per-UC masks itself).
-func (t *Task) SetSigmaskRaw(mask uint64) { t.sig.mask = mask }
+func (t *Task) SetSigmaskRaw(mask uint64) { t.live(); t.sig.mask = mask }
 
 // Kill sends sig to the task with the given kernel PID, as kill(2) from
 // the calling task. SIGKILL is not catchable or blockable.
 func (t *Task) Kill(pid, sig int) error {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteKill)
 	t.Charge(k.machine.Costs.SyscallEntry)

@@ -11,11 +11,14 @@ import "testing"
 func TestSignalHandlerMapStaysLazy(t *testing.T) {
 	e, k := newKernel()
 	space := k.NewAddressSpace()
-	var threadChild, forkChild *Task
+	var threadSig *SignalState
+	var forkChild *Task
 	root := k.NewTask("root", space, func(task *Task) int {
 		// Fork-less exec-style spawn: the thread shares the parent's
-		// disposition object outright.
-		threadChild = task.Clone("thread", PThreadFlags, func(c *Task) int { return 0 })
+		// disposition object outright. Its *Task is invalid after the
+		// Join, so its state is read before.
+		threadChild := task.Clone("thread", PThreadFlags, func(c *Task) int { return 0 })
+		threadSig = threadChild.Signals()
 		// Fork-style spawn: the disposition is copied.
 		forkChild = task.Clone("fork", CloneVM, func(c *Task) int { return 0 })
 		task.Join(threadChild)
@@ -30,7 +33,7 @@ func TestSignalHandlerMapStaysLazy(t *testing.T) {
 	if root.Signals().handlers != nil {
 		t.Errorf("root allocated a handler map without any Sigaction")
 	}
-	if threadChild.Signals() != root.Signals() {
+	if threadSig != root.Signals() {
 		t.Errorf("CloneSighand child does not share the parent's SignalState")
 	}
 	if forkChild.Signals() == root.Signals() {

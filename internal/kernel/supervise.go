@@ -76,20 +76,20 @@ func (k *Kernel) admit(t *Task, id probe.SiteID, n int) error {
 
 // WaitClass reports what kind of sleep the task is in (WaitNone unless
 // blocked). The annotations are live: a requeue updates WaitAddr.
-func (t *Task) WaitClass() WaitClass { return t.waitClass }
+func (t *Task) WaitClass() WaitClass { t.live(); return t.waitClass }
 
 // WaitAddr reports the futex word a WaitFutex sleep is on.
-func (t *Task) WaitAddr() uint64 { return t.waitAddr }
+func (t *Task) WaitAddr() uint64 { t.live(); return t.waitAddr }
 
 // WaitTarget reports the task a WaitJoin sleep is joined on.
-func (t *Task) WaitTarget() *Task { return t.waitTarget }
+func (t *Task) WaitTarget() *Task { t.live(); return t.waitTarget }
 
 // SetSupervisionTag attaches an opaque per-task record for the
 // supervision plane (its wait-graph node); the kernel never reads it.
-func (t *Task) SetSupervisionTag(v any) { t.supTag = v }
+func (t *Task) SetSupervisionTag(v any) { t.live(); t.supTag = v }
 
 // SupervisionTag returns the record attached by SetSupervisionTag.
-func (t *Task) SupervisionTag() any { return t.supTag }
+func (t *Task) SupervisionTag() any { t.live(); return t.supTag }
 
 // TryClone is Clone with graceful resource-limit failure: when a
 // task:admit program rejects the "clone" admission (the supervisor's
@@ -97,11 +97,13 @@ func (t *Task) SupervisionTag() any { return t.supTag }
 // instead of spawning — before any cost is charged, as a real clone(2)
 // failing with EAGAIN would. With nothing attached it never fails.
 func (t *Task) TryClone(name string, flags CloneFlags, body TaskBody) (*Task, error) {
+	t.live()
 	return t.TryClonePinned(name, flags, -1, body)
 }
 
 // TryClonePinned is ClonePinned with graceful resource-limit failure.
 func (t *Task) TryClonePinned(name string, flags CloneFlags, core int, body TaskBody) (*Task, error) {
+	t.live()
 	if err := t.kernel.admit(t, probe.SiteClone, 0); err != nil {
 		return nil, err
 	}

@@ -104,6 +104,7 @@ func (k *Kernel) sysExit(t *Task, f sysFrame) {
 // getpid() system-call, the returned PID may vary depending on the
 // scheduling KLT" — unless couple() routes the call to the right KC.
 func (t *Task) Getpid() int {
+	t.live()
 	k := t.kernel
 	f := k.sysEnter(t, probe.SiteGetpid)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.GetPIDWork)
@@ -113,6 +114,7 @@ func (t *Task) Getpid() int {
 
 // Gettid returns the kernel task id (distinct per thread).
 func (t *Task) Gettid() int {
+	t.live()
 	k := t.kernel
 	f := k.sysEnter(t, probe.SiteGettid)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.GetPIDWork)
@@ -125,6 +127,7 @@ func (t *Task) Gettid() int {
 // system-call and costs the full Table III "Load TLS" time; on AArch64
 // tpidr_el0 is written directly from user mode for a few nanoseconds.
 func (t *Task) LoadTLS(val uint64) {
+	t.live()
 	k := t.kernel
 	var f sysFrame
 	if !k.machine.TLSUserAccessible {
@@ -146,6 +149,7 @@ func (t *Task) LoadTLS(val uint64) {
 // Open opens path with the given flags on the machine's tmpfs, returning
 // a descriptor in the calling task's FD table.
 func (t *Task) Open(path string, flags fs.OpenFlags) (int, error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteOpen)
 	if err := k.faultSyscall(t, probe.SiteOpen); err != nil {
@@ -173,6 +177,7 @@ func (t *Task) Open(path string, flags fs.OpenFlags) (int, error) {
 // behalf of a decoupled ULP), which streams the data across the
 // interconnect at the machine's remote-byte penalty.
 func (t *Task) Write(fd int, data []byte, remote bool) (int, error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteWrite)
 	if err := k.faultSyscall(t, probe.SiteWrite); err != nil {
@@ -193,6 +198,7 @@ func (t *Task) Write(fd int, data []byte, remote bool) (int, error) {
 
 // Read reads from fd into buf.
 func (t *Task) Read(fd int, buf []byte) (int, error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteRead)
 	c := k.machine.Costs
@@ -215,6 +221,7 @@ func (t *Task) Read(fd int, buf []byte) (int, error) {
 
 // Close closes fd.
 func (t *Task) Close(fd int) error {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteClose)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.CloseCost)
@@ -230,6 +237,7 @@ func (t *Task) Close(fd int) error {
 
 // Seek positions fd (lseek).
 func (t *Task) Seek(fd, pos int) error {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteLseek)
 	t.Charge(k.machine.Costs.SyscallEntry)
@@ -245,6 +253,7 @@ func (t *Task) Seek(fd, pos int) error {
 
 // Unlink removes a path.
 func (t *Task) Unlink(path string) error {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteUnlink)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.CloseCost)
@@ -257,6 +266,7 @@ func (t *Task) Unlink(path string) error {
 // (PiP's malloc is configured to use mmap instead of brk, because the
 // one heap segment cannot be shared; see the paper's §IV).
 func (t *Task) Mmap(size uint64, populated bool) (uint64, error) {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteMmap)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.MmapCost)
@@ -267,6 +277,7 @@ func (t *Task) Mmap(size uint64, populated bool) (uint64, error) {
 
 // Munmap releases memory mapped with Mmap.
 func (t *Task) Munmap(addr, size uint64) error {
+	t.live()
 	k := t.kernel
 	fr := k.sysEnter(t, probe.SiteMunmap)
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.MmapCost)
@@ -280,17 +291,20 @@ func (t *Task) Munmap(addr, size uint64) error {
 
 // MemWrite stores data at va.
 func (t *Task) MemWrite(va uint64, data []byte) error {
+	t.live()
 	return t.space.Write(va, data, t)
 }
 
 // MemRead loads len(buf) bytes from va.
 func (t *Task) MemRead(va uint64, buf []byte) error {
+	t.live()
 	return t.space.Read(va, buf, t)
 }
 
 // Compute burns pure user-mode CPU time (the "computation" half of the
 // overlap benchmarks). It is not a system-call.
 func (t *Task) Compute(d sim.Duration) {
+	t.live()
 	t.Charge(d)
 }
 

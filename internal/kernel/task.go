@@ -72,7 +72,14 @@ type TaskBody func(t *Task) int
 
 // Task is a simulated kernel task — the paper's kernel context (KC). It
 // is the schedulable entity and the owner of per-process kernel state:
-// PID, file descriptors, signal state and the TLS register.
+// PID, file descriptors, signal state and the TLS register. A task is
+// one object: it carries the sim proc that runs it and is that proc's
+// body.
+//
+// A thread's *Task (CloneThread) is invalid once the Join that returns
+// its status has returned, as a pthread_t is after pthread_join: the
+// kernel hands the same storage to a later Clone. Read what is still
+// needed, such as its name, before the Join.
 type Task struct {
 	kernel *Kernel
 	name   string
@@ -88,7 +95,6 @@ type Task struct {
 	// the task wakes.
 	lastCore int
 
-	proc *sim.Proc
 	body TaskBody
 
 	space  *mem.AddressSpace
@@ -109,6 +115,12 @@ type Task struct {
 	exitCode  int
 	exited    bool
 	isThread  bool // CloneThread: reaped automatically, not via wait()
+	// The release rule (reap): joined is set by the Join that sees the
+	// thread dead, joiners counts the Joins in flight on it and timers
+	// its pending timeout timers. It is reaped once both counts are 0.
+	joined  bool
+	timers  uint32
+	joiners uint32
 
 	// blockedOn, when non-nil, is the wait queue the task sleeps on; it
 	// allows signal delivery to interrupt sleeps.
@@ -138,6 +150,12 @@ type Task struct {
 	// Stats.
 	cpuTime      sim.Duration
 	nCtxSwitches uint64
+
+	// proc is the sim proc that runs the task; the task is its body
+	// (RunProc). It comes last so that the task's own fields keep the
+	// cache lines they had when the proc was a separate object: a
+	// futex wake walks thousands of sleepers and touches only those.
+	proc sim.Proc
 }
 
 // NewTask creates the initial task of a "program" outside any clone
@@ -166,6 +184,52 @@ func (k *Kernel) NewTask(name string, space *mem.AddressSpace, body TaskBody) *T
 	return t
 }
 
+// maxFreeTasks bounds the kernel's free list of reaped threads, as
+// maxTimerPool bounds the timer pool: a clone takes one, and a burst of
+// joins, such as a fan-in of thousands, should not pin them all.
+const maxFreeTasks = 1024
+
+// newTask returns zeroed storage for a task: a thread that a Join
+// reaped, or a new object.
+func (k *Kernel) newTask() *Task {
+	if n := len(k.free); n > 0 {
+		t := k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+		return t
+	}
+	return new(Task)
+}
+
+// reap returns a joined thread's storage to the free list once nothing
+// can still read it: no Join on it is in flight, none of its timeout
+// timers is pending (waitTimer.fire reads the task, and the supervisor
+// keys its timer slots on it), and it has no children (each would
+// unlink itself from the task's child list at exit). The storage is
+// cleared, so the free list holds nothing the thread referenced.
+func (k *Kernel) reap(t *Task) {
+	if !t.joined || t.joiners != 0 || t.timers != 0 || t.firstChild != nil {
+		return
+	}
+	if taskPoison {
+		*t = Task{name: t.name, pid: t.pid}
+		return
+	}
+	*t = Task{}
+	if len(k.free) < maxFreeTasks {
+		k.free = append(k.free, t)
+	}
+}
+
+// live panics if t is a thread that a Join reaped. Every exported
+// method calls it; it compiles to nothing without the taskpoison build
+// tag.
+func (t *Task) live() {
+	if taskPoison && t.kernel == nil {
+		panic(fmt.Sprintf("kernel: task %s(pid=%d) used after the Join that reaped it", t.name, t.pid))
+	}
+}
+
 // Start makes a TaskNew task runnable with the given dispatch latency.
 func (k *Kernel) Start(t *Task, latency sim.Duration) {
 	if t.state != TaskNew {
@@ -175,41 +239,51 @@ func (k *Kernel) Start(t *Task, latency sim.Duration) {
 }
 
 // Name returns the task's diagnostic name.
-func (t *Task) Name() string { return t.name }
+func (t *Task) Name() string { t.live(); return t.name }
 
-// ProcName names the task's sim proc "name/pidN" (sim.Namer). It is
+// ProcName names the task's sim proc "name/pidN" (sim.Body). It is
 // formatted only when a trace, a panic, a deadlock report or a
 // chooser's Candidate.Proc prints it.
-func (t *Task) ProcName() string { return fmt.Sprintf("%s/pid%d", t.name, t.pid) }
+func (t *Task) ProcName() string { t.live(); return fmt.Sprintf("%s/pid%d", t.name, t.pid) }
+
+// RunProc runs the task's body on its proc and exits the task with the
+// body's status (sim.Body). The kernel starts the proc at the task's
+// first dispatch.
+func (t *Task) RunProc(*sim.Proc) {
+	t.live()
+	status := t.body(t)
+	t.kernel.exitTask(t, status)
+}
 
 // PID returns the task's kernel-internal id (what gettid() would say).
-func (t *Task) PID() int { return t.pid }
+func (t *Task) PID() int { t.live(); return t.pid }
 
 // TGID returns the task's thread-group id (what getpid() returns).
-func (t *Task) TGID() int { return t.tgid }
+func (t *Task) TGID() int { t.live(); return t.tgid }
 
 // State returns the scheduler state.
-func (t *Task) State() TaskState { return t.state }
+func (t *Task) State() TaskState { t.live(); return t.state }
 
 // Parent returns the creating task, or nil.
-func (t *Task) Parent() *Task { return t.parent }
+func (t *Task) Parent() *Task { t.live(); return t.parent }
 
 // Space returns the task's address space.
-func (t *Task) Space() *mem.AddressSpace { return t.space }
+func (t *Task) Space() *mem.AddressSpace { t.live(); return t.space }
 
 // FDTable returns the task's file-descriptor table.
-func (t *Task) FDTable() *FDTable { return t.fdt }
+func (t *Task) FDTable() *FDTable { t.live(); return t.fdt }
 
 // Kernel returns the owning kernel.
-func (t *Task) Kernel() *Kernel { return t.kernel }
+func (t *Task) Kernel() *Kernel { t.live(); return t.kernel }
 
 // Pinned reports the pinned core id, or -1.
-func (t *Task) Pinned() int { return t.pinned }
+func (t *Task) Pinned() int { t.live(); return t.pinned }
 
 // SetAffinity pins the task to a core (sched_setaffinity with one core).
 // Must be called before Start or from the task itself while running; a
 // running task migrates at its next scheduling point.
 func (t *Task) SetAffinity(core int) error {
+	t.live()
 	if core < -1 || core >= len(t.kernel.cores) {
 		return ErrBadCore
 	}
@@ -218,17 +292,18 @@ func (t *Task) SetAffinity(core int) error {
 }
 
 // TLSReg returns the task's TLS register (FS / tpidr_el0) value.
-func (t *Task) TLSReg() uint64 { return t.tlsReg }
+func (t *Task) TLSReg() uint64 { t.live(); return t.tlsReg }
 
 // CPUTime reports the task's cumulative on-CPU time.
-func (t *Task) CPUTime() sim.Duration { return t.cpuTime }
+func (t *Task) CPUTime() sim.Duration { t.live(); return t.cpuTime }
 
 // Core returns the core the task currently runs on, or nil.
-func (t *Task) Core() *Core { return t.core }
+func (t *Task) Core() *Core { t.live(); return t.core }
 
 // CoreID returns the id of the core the task currently runs on, or -1
 // when off-CPU (probe.Task's view of placement).
 func (t *Task) CoreID() int {
+	t.live()
 	if t.core == nil {
 		return -1
 	}
@@ -238,25 +313,26 @@ func (t *Task) CoreID() int {
 // LastCore reports the core the task most recently ran on, or -1 before
 // its first dispatch. Unlike Core it stays set while the task is off-CPU;
 // locality-aware scheduler policies read it at wake time.
-func (t *Task) LastCore() int { return t.lastCore }
+func (t *Task) LastCore() int { t.live(); return t.lastCore }
 
 // CtxSwitches reports how many kernel context switches dispatched this
 // task (the per-task share of Kernel.ContextSwitches).
-func (t *Task) CtxSwitches() uint64 { return t.nCtxSwitches }
+func (t *Task) CtxSwitches() uint64 { t.live(); return t.nCtxSwitches }
 
 // Exited reports whether the task has terminated.
-func (t *Task) Exited() bool { return t.exited }
+func (t *Task) Exited() bool { t.live(); return t.exited }
 
 // ExitCode returns the task's exit status (valid once Exited).
-func (t *Task) ExitCode() int { return t.exitCode }
+func (t *Task) ExitCode() int { t.live(); return t.exitCode }
 
 // String implements fmt.Stringer.
-func (t *Task) String() string { return pidString(t) }
+func (t *Task) String() string { t.live(); return pidString(t) }
 
 // Charge consumes on-CPU virtual time. The task must be running. This is
 // the only way simulated code spends time, so it also feeds the core's
 // busy counter (the power proxy used by the idle-policy ablation).
 func (t *Task) Charge(d sim.Duration) {
+	t.live()
 	if t.state != TaskRunning {
 		panic(fmt.Sprintf("kernel: Charge by non-running task %s (%v)", pidString(t), t.state))
 	}
@@ -267,8 +343,11 @@ func (t *Task) Charge(d sim.Duration) {
 
 // Clone creates a child task per the given flags and makes it runnable
 // after the architecture's clone/thread-create latency. The calling task
-// pays that cost. body runs in the child.
+// pays that cost. body runs in the child. A thread child may reuse the
+// storage of a thread an earlier Join reaped: its pid and name are new,
+// its counters zero, its signal and FD state what flags give it.
 func (t *Task) Clone(name string, flags CloneFlags, body TaskBody) *Task {
+	t.live()
 	return t.ClonePinned(name, flags, -1, body)
 }
 
@@ -276,6 +355,7 @@ func (t *Task) Clone(name string, flags CloneFlags, body TaskBody) *Task {
 // first runs (clone + sched_setaffinity, as pthread_attr_setaffinity_np
 // arranges). core -1 leaves the child unpinned.
 func (t *Task) ClonePinned(name string, flags CloneFlags, core int, body TaskBody) *Task {
+	t.live()
 	k := t.kernel
 	cost := k.machine.Costs.CloneCost
 	if flags&CloneThread != 0 {
@@ -288,17 +368,11 @@ func (t *Task) ClonePinned(name string, flags CloneFlags, core int, body TaskBod
 	if core < -1 || core >= len(k.cores) {
 		panic(ErrBadCore)
 	}
-	child := &Task{
-		kernel:   k,
-		name:     name,
-		pid:      pid,
-		tgid:     pid,
-		parent:   t,
-		state:    TaskNew,
-		pinned:   core,
-		lastCore: -1,
-		body:     body,
-	}
+	// The storage is zeroed, so a TaskNew task needs only these fields;
+	// setting them one by one spares copying a whole Task literal in.
+	child := k.newTask()
+	child.kernel, child.name, child.pid, child.tgid = k, name, pid, pid
+	child.parent, child.pinned, child.lastCore, child.body = t, core, -1, body
 	if flags&CloneThread != 0 {
 		child.tgid = t.tgid
 		child.isThread = true

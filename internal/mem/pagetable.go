@@ -137,10 +137,6 @@ func (pt *PageTable) Unmap(va uint64) *PTE {
 // Mapped reports the number of mapped pages.
 func (pt *PageTable) Mapped() uint64 { return pt.mapped }
 
-// WalkCost reports the number of memory references a hardware page walk
-// of this table performs (one per level).
-func (pt *PageTable) WalkCost() int { return ptLevels }
-
 // Range calls fn for every mapped page in ascending address order.
 // Returning false from fn stops the walk.
 func (pt *PageTable) Range(fn func(va uint64, pte *PTE) bool) {

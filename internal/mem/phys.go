@@ -94,10 +94,6 @@ type PhysMemory struct {
 	nextID      uint64
 	free        []*Frame
 	allocated   uint64
-
-	// Stats.
-	allocs uint64
-	zeroed uint64
 }
 
 // NewPhysMemory creates an allocator with the given capacity in frames.
@@ -118,7 +114,6 @@ func (pm *PhysMemory) Alloc() (*Frame, error) {
 		pm.free = pm.free[:n-1]
 		f.data = nil // zeroed: see Frame for why the buffer is not reused
 		pm.allocated++
-		pm.allocs++
 		return f, nil
 	}
 	if pm.allocated >= pm.totalFrames {
@@ -126,7 +121,6 @@ func (pm *PhysMemory) Alloc() (*Frame, error) {
 	}
 	pm.nextID++
 	pm.allocated++
-	pm.allocs++
 	return &Frame{ID: pm.nextID}, nil
 }
 
@@ -156,6 +150,3 @@ func (pm *PhysMemory) Put(f *Frame) {
 
 // Allocated reports the number of frames currently in use.
 func (pm *PhysMemory) Allocated() uint64 { return pm.allocated }
-
-// TotalAllocs reports the cumulative number of Alloc calls.
-func (pm *PhysMemory) TotalAllocs() uint64 { return pm.allocs }

@@ -113,7 +113,8 @@ type Process struct {
 	tlsBase uint64
 }
 
-// Task returns the kernel task executing this PiP process.
+// Task returns the kernel task executing this PiP process. A
+// thread-mode task is invalid once Join has returned.
 func (p *Process) Task() *kernel.Task { return p.task }
 
 // TLSBase returns the address of the process's TLS block (the value its
@@ -228,14 +229,17 @@ func (r *Root) WaitAny() (*Process, int, error) {
 		return nil, 0, err
 	}
 	for _, p := range r.procs {
-		if p.task.PID() == pid {
+		// wait(2) never returns a thread, and a joined thread's task
+		// may already serve another clone.
+		if p.Mode == ProcessMode && p.task.PID() == pid {
 			return p, status, nil
 		}
 	}
 	return nil, status, nil
 }
 
-// Join waits for a thread-mode PiP task (pthread_join).
+// Join waits for a thread-mode PiP task (pthread_join), once: the
+// task is invalid after it returns.
 func (p *Process) Join() (int, error) {
 	if p.Mode != ThreadMode {
 		return 0, ErrWrongMode

@@ -331,10 +331,28 @@ func (r *Registry) Attached(p Point) bool {
 // Begin leases a fire context for point p at virtual time now. The
 // caller fills the point-specific fields and passes it to Fire exactly
 // once. Begin/Fire pairs may nest up to the recycle depth.
+//
+// The context comes back as if zeroed, but Begin writes only what an
+// earlier fire can have left: Point and Now are always overwritten, and
+// a pointer field is cleared only when set, which spares the store and
+// its write-barrier check on the fields most fires leave nil.
 func (r *Registry) Begin(p Point, now sim.Time) *Ctx {
-	c := &r.ctxs[r.depth%fireDepth]
+	c := &r.ctxs[uint(r.depth)%fireDepth]
 	r.depth++
-	*c = Ctx{Point: p, Now: now}
+	c.Point, c.ID, c.Now = p, 0, now
+	if c.Site != "" {
+		c.Site = ""
+	}
+	if c.Task != nil {
+		c.Task = nil
+	}
+	if c.Waiter != nil {
+		c.Waiter = nil
+	}
+	if c.Err != nil {
+		c.Err = nil
+	}
+	c.Addr, c.Val, c.Dur = 0, 0, 0
 	return c
 }
 

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -126,6 +127,46 @@ func TestVerdictCombination(t *testing.T) {
 	}
 	if v := sat.Fire(sat.Begin(PFaultSite, 0)); v.Delay != math.MaxInt64 {
 		t.Errorf("saturating Delay = %d, want %d", v.Delay, int64(math.MaxInt64))
+	}
+}
+
+// TestBeginClearsEarlierFire: a program never sees a field that an
+// earlier fire at another point left in the pooled context. Every slot
+// of the pool is leased with every field set, then leased again, nested
+// as deep as the pool, at a point whose fire sets none.
+func TestBeginClearsEarlierFire(t *testing.T) {
+	r := NewRegistry()
+	r.Attach("dirty", func(*Ctx) Verdict { return Verdict{} }, PFaultFired)
+	var bad []string
+	r.Attach("clean", func(c *Ctx) Verdict {
+		if c.ID != 0 || c.Site != "" || c.Task != nil || c.Waiter != nil ||
+			c.Addr != 0 || c.Val != 0 || c.Dur != 0 || c.Err != nil {
+			bad = append(bad, fmt.Sprintf("%+v", *c))
+		}
+		return Verdict{}
+	}, PSchedDispatch)
+	task := &fakeTask{name: "t", pid: 1}
+	leases := make([]*Ctx, fireDepth)
+	for round := 0; round < 3; round++ {
+		for i := range leases {
+			c := r.Begin(PFaultFired, at(1))
+			c.SetSite(SiteOpen)
+			c.Task, c.Waiter = task, task
+			c.Addr, c.Val, c.Dur, c.Err = 1, 2, 3, errors.New("injected")
+			leases[i] = c
+		}
+		for _, c := range leases {
+			r.Fire(c)
+		}
+		for i := range leases {
+			leases[i] = r.Begin(PSchedDispatch, at(2))
+		}
+		for _, c := range leases {
+			r.Fire(c)
+		}
+	}
+	if len(bad) != 0 {
+		t.Errorf("%d fires saw an earlier fire's fields, first: %s", len(bad), bad[0])
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -96,7 +98,7 @@ type Engine struct {
 	trapPanics bool
 
 	// idle lists the runners of exited procs, nIdle long (at most
-	// maxIdle), for SpawnAfter to reuse. It is empty outside the event
+	// maxIdle), for Start to reuse. It is empty outside the event
 	// loop, which reaps it before Run/RunUntil return.
 	nIdle int32
 	idle  *runner
@@ -272,19 +274,47 @@ func (e *Engine) releaseEvent(ev *event) {
 }
 
 // After runs fn in engine context after delay d. fn must not park; it is a
-// plain callback, useful for timers and asynchronous wakeups.
+// plain callback, useful for timers and asynchronous wakeups. A d that
+// carries the clock past its range panics with fn's name.
 func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.acquireEvent(e.now.Add(d), fn))
+	at := e.now.Add(d)
+	if at < e.now {
+		panic(badDue("callback "+runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name(), e.now, d))
+	}
+	e.schedule(e.acquireEvent(at, fn))
 }
+
+// badDue is the panic message of a due time, now+d, that is before now
+// or overflows the clock: who names the proc or callback that asked
+// for it.
+func badDue(who string, now Time, d Duration) string {
+	if d < 0 {
+		return fmt.Sprintf("sim: %s: negative delay %v", who, d)
+	}
+	return fmt.Sprintf("sim: %s: due time %v + %v is past the end of virtual time (%v)", who, now, d, maxTime)
+}
+
+// spawned is the storage and body of a proc that Spawn starts.
+type spawned struct {
+	Proc
+	name string
+	fn   func(*Proc)
+}
+
+func (s *spawned) ProcName() string { return s.name }
+
+func (s *spawned) RunProc(p *Proc) { s.fn(p) }
 
 // Spawn creates a new proc executing fn and schedules its first resumption
 // at the current time. fn runs on a goroutine of its own but only while
 // holding the engine baton.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAfter(fixedName(name), 0, fn)
+	s := &spawned{name: name, fn: fn}
+	e.Start(&s.Proc, s, 0)
+	return &s.Proc
 }
 
 // maxIdle bounds the idle runner list, whose every entry keeps a
@@ -295,32 +325,41 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // follows it before the loop ends.
 const maxIdle = 64
 
-// SpawnAfter is Spawn with the first resumption delayed by d and the name
-// asked of n only when something prints the proc. fn runs on an idle
-// runner when there is one (see runner), and on a new goroutine
-// otherwise.
-func (e *Engine) SpawnAfter(n Namer, d Duration, fn func(p *Proc)) *Proc {
+// Start starts a proc in storage the caller owns: p runs b, first
+// resumed after d, under a new id. The engine allocates nothing for it:
+// b runs on an idle runner when there is one (see runner), and on a new
+// goroutine otherwise.
+//
+// p must be new (zero) or a proc whose body has returned. A proc that a
+// kill or a trapped panic ended must not be started again: its resume
+// event may still be queued. A start due past the clock's range panics.
+func (e *Engine) Start(p *Proc, b Body, d Duration) {
+	if p.id != 0 && p.state != procDead {
+		panic(fmt.Sprintf("sim: Start of live proc %s in state %v", p, p.state))
+	}
+	at := e.now.Add(d)
+	if at < e.now {
+		panic(badDue("Start of "+b.ProcName(), e.now, d))
+	}
 	e.nextID++
-	p := &Proc{id: e.nextID, name: n, engine: e}
+	*p = Proc{id: e.nextID, body: b, engine: e}
 	p.ev.proc = p
 	e.procs[p.id] = p
 	if e.tracer != nil {
-		e.trace("spawn", "proc %s", p)
+		e.trace("spawn", "proc %s", p.String())
 	}
 	r := e.idle
 	if r != nil {
 		e.idle, r.next = r.next, nil
 		e.nIdle--
-		r.p, r.fn = p, fn
+		r.p = p
 	} else {
-		r = &runner{Coro: Coro{resume: make(chan resumeMsg)}, p: p, fn: fn}
+		r = &runner{Coro: Coro{resume: make(chan resumeMsg)}, p: p}
 		go r.loop()
 	}
 	p.r = &r.Coro
-	p.state = procReady
-	p.ev.at = e.now.Add(d)
+	p.ev.at = at
 	e.schedule(&p.ev)
-	return p
 }
 
 // reapIdle ends the goroutine of every idle runner.

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -352,4 +353,87 @@ func TestTimeHelpers(t *testing.T) {
 	if Time(5*Nanosecond).String() == "" {
 		t.Error("Time.String")
 	}
+}
+
+// pastClockNoop is the callback After is asked to schedule past the end
+// of virtual time; its name appears in the panic.
+func pastClockNoop() {}
+
+// TestDueTimePastClockPanics: each entry point that schedules a due
+// time refuses one that overflows the virtual clock, instead of
+// wrapping it, with a panic that names the proc or the callback and the
+// due time; Run returns it as an error when panics are trapped.
+func TestDueTimePastClockPanics(t *testing.T) {
+	const huge = Duration(1<<63 - 1)
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine, p *Proc)
+		want string
+	}{
+		{"Advance", func(e *Engine, p *Proc) { p.Advance(huge) },
+			"proc caller#1 Advance: due time 1us + "},
+		{"Unpark", func(e *Engine, p *Proc) {
+			parked := &spawned{name: "parked", fn: func(q *Proc) { q.Park() }}
+			e.Start(&parked.Proc, parked, 0)
+			p.Advance(Microsecond)
+			parked.Unpark(huge)
+		}, "proc parked#2 Unpark: due time 2us + "},
+		{"After", func(e *Engine, p *Proc) { e.After(huge, pastClockNoop) },
+			"callback repro/internal/sim.pastClockNoop: due time 1us + "},
+		{"Start", func(e *Engine, p *Proc) {
+			late := &spawned{name: "late", fn: func(*Proc) {}}
+			e.Start(&late.Proc, late, huge)
+		}, "Start of late: due time 1us + "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.SetTrapPanics(true)
+			e.Spawn("caller", func(p *Proc) {
+				p.Advance(Microsecond)
+				tc.run(e, p)
+				t.Error("scheduled past the end of virtual time without a panic")
+			})
+			err := e.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), "is past the end of virtual time") {
+				t.Errorf("Run = %v, want a panic containing %q", err, tc.want)
+			}
+			e.Shutdown()
+		})
+	}
+}
+
+// TestStartReusesReturnedProc: storage whose proc's body has returned
+// starts again under a new id and name, while starting a proc that is
+// still live panics.
+func TestStartReusesReturnedProc(t *testing.T) {
+	e := New()
+	s := &spawned{name: "first", fn: func(p *Proc) { p.Advance(Microsecond) }}
+	e.Start(&s.Proc, s, 0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	firstID := s.ID()
+	var ran string
+	next := &spawned{name: "second", fn: func(p *Proc) { ran = p.String() }}
+	e.Start(&s.Proc, next, 0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("second#%d", firstID+1); ran != want {
+		t.Errorf("restarted proc ran as %q, want %q", ran, want)
+	}
+
+	parked := &spawned{name: "parked", fn: func(p *Proc) { p.Park() }}
+	e.Start(&parked.Proc, parked, 0)
+	e.RunUntil(e.Now())
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Start of live proc parked#") {
+				t.Errorf("Start of a parked proc: recover() = %v, want the live-proc panic", r)
+			}
+		}()
+		e.Start(&parked.Proc, parked, 0)
+	}()
+	e.Shutdown()
 }

@@ -48,7 +48,7 @@ type resumeMsg struct {
 // running.
 type Proc struct {
 	id     uint64
-	name   Namer
+	body   Body
 	engine *Engine
 	state  procState
 	// stepping is set while a spin step runs (see Spin): Advance and
@@ -73,21 +73,20 @@ type Proc struct {
 	wqPrev, wqNext *Proc
 }
 
-// Namer gives a proc its diagnostic name. The engine asks only when
-// something prints the proc (a trace line, a panic, a deadlock report,
-// or a chooser that calls Candidate.Proc), so a spawn formats no
-// string.
-type Namer interface {
+// Body is the code a proc runs and the name it runs under (see
+// Engine.Start).
+type Body interface {
+	// ProcName gives the proc's diagnostic name. The engine asks only
+	// when something prints the proc (a trace line, a panic, a
+	// deadlock report, or a chooser that calls Candidate.Proc), so a
+	// start formats no string.
 	ProcName() string
+	// RunProc runs the proc's code; the proc exits when it returns.
+	RunProc(p *Proc)
 }
 
-// fixedName is the Namer of a proc spawned under a plain string.
-type fixedName string
-
-func (n fixedName) ProcName() string { return string(n) }
-
 // Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name.ProcName() }
+func (p *Proc) Name() string { return p.body.ProcName() }
 
 // ID returns the proc's unique id.
 func (p *Proc) ID() uint64 { return p.id }
@@ -100,14 +99,13 @@ func (p *Proc) String() string { return fmt.Sprintf("%s#%d", p.Name(), p.id) }
 
 // runner is a goroutine that runs proc bodies, one after another, and the
 // Coro that resumes it. When its proc returns, the runner waits on the
-// engine's idle list for the next body (see SpawnAfter), so a spawn
-// starts a goroutine only when that list is empty. A killed or panicked
-// proc's runner is dropped: its goroutine ends with the proc.
+// engine's idle list for the next body (see Start), so a start begins
+// a goroutine only when that list is empty. A killed or panicked proc's
+// runner is dropped: its goroutine ends with the proc.
 type runner struct {
 	Coro
-	p    *Proc       // the proc it runs; nil while idle
-	fn   func(*Proc) // p's body, until it starts
-	next *runner     // idle-list link
+	p    *Proc   // the proc it runs; nil while idle
+	next *runner // idle-list link
 }
 
 // loop runs the bodies handed to r. The loop and the recover share this
@@ -136,9 +134,7 @@ func (r *runner) loop() {
 			p.die()
 			return
 		}
-		fn := r.fn
-		r.fn = nil
-		fn(p)
+		p.body.RunProc(p)
 		kept, inPlace := p.retire(r)
 		if !kept {
 			return
@@ -186,7 +182,7 @@ func (p *Proc) retire(r *runner) (kept, inPlace bool) {
 	p.state = procDead
 	delete(e.procs, p.id)
 	if e.tracer != nil {
-		e.trace("exit", "proc %s", p)
+		e.trace("exit", "proc %s", p.String())
 	}
 	if !e.direct || e.nIdle >= maxIdle {
 		e.release(nil)
@@ -203,7 +199,7 @@ func (p *Proc) die() {
 	p.ev.fn = nil // a spin the kill cut short
 	delete(p.engine.procs, p.id)
 	if p.engine.tracer != nil {
-		p.engine.trace("kill", "proc %s", p)
+		p.engine.trace("kill", "proc %s", p.String())
 	}
 	p.engine.release(nil)
 }
@@ -260,13 +256,16 @@ func (p *Proc) notRunning(op string) {
 // engine would pop it back immediately — so the clock moves forward in
 // place and the two goroutine handoffs (proc→engine, engine→proc) are
 // skipped entirely. The execution order is identical to the slow path.
+//
+// A negative d, or one that carries the clock past its range, panics
+// with the proc's name.
 func (p *Proc) Advance(d Duration) {
 	p.checkRunning("Advance")
-	if d < 0 {
-		panic("sim: negative Advance")
-	}
 	e := p.engine
 	at := e.now.Add(d)
+	if at < e.now {
+		panic(badDue("proc "+p.String()+" Advance", e.now, d))
+	}
 	if !e.stopped && at <= e.limit {
 		if next := e.peek(); next == nil || at < next.at {
 			e.now = at
@@ -292,7 +291,7 @@ func (p *Proc) Park() {
 	// Tracing is gated at the call site so the untraced hot path does
 	// not pay for boxing the variadic arguments.
 	if p.engine.tracer != nil {
-		p.engine.trace("park", "proc %s", p)
+		p.engine.trace("park", "proc %s", p.String())
 	}
 	if p.stepping {
 		p.suspended = true
@@ -306,7 +305,8 @@ func (p *Proc) Park() {
 // futexes on top of it. Calling Unpark on a proc that is not parked
 // panics — higher layers are responsible for state machines that make
 // wakeups race-free (the engine's determinism makes such races
-// programming errors, not timing accidents).
+// programming errors, not timing accidents). A d that carries the
+// clock past its range panics too.
 func (p *Proc) Unpark(d Duration) {
 	if p.state != procParked {
 		panic(fmt.Sprintf("sim: Unpark of proc %s in state %v", p, p.state))
@@ -314,12 +314,16 @@ func (p *Proc) Unpark(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.state = procReady
 	e := p.engine
-	if e.tracer != nil {
-		e.trace("unpark", "proc %s (+%v)", p, d)
+	at := e.now.Add(d)
+	if at < e.now {
+		panic(badDue("proc "+p.String()+" Unpark", e.now, d))
 	}
-	p.ev.at = e.now.Add(d)
+	p.state = procReady
+	if e.tracer != nil {
+		e.trace("unpark", "proc %s (+%v)", p.String(), d)
+	}
+	p.ev.at = at
 	e.schedule(&p.ev)
 }
 

@@ -174,7 +174,7 @@ func FuzzEventOrder(f *testing.F) {
 		procs := int(r.in.next() % 4)
 		for i := 0; i < procs; i++ {
 			d := r.in.delay()
-			r.e.SpawnAfter(fixedName("p"), d, r.body(r.note(d)))
+			spawnAfter(r.e, "p", d, r.body(r.note(d)))
 		}
 		for k := 1 + r.in.next()%8; k > 0; k-- {
 			r.after(r.in.delay())

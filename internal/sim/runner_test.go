@@ -26,6 +26,13 @@ func runWithin(t *testing.T, e *Engine) error {
 	}
 }
 
+// spawnAfter is Spawn with the first resumption delayed by d.
+func spawnAfter(e *Engine, name string, d Duration, fn func(*Proc)) *Proc {
+	s := &spawned{name: name, fn: fn}
+	e.Start(&s.Proc, s, d)
+	return &s.Proc
+}
+
 // TestRunnerRecycledAcrossSpawns: 1,000 spawn→exit cycles in one Run
 // start no goroutine after the first, because each child takes the
 // runner the previous one left on the idle list, and Run leaves none
@@ -110,7 +117,7 @@ func TestRunnerDroppedOnKillAndPanic(t *testing.T) {
 	note := func() { idle = append(idle, e.nIdle) }
 	e.Spawn("exits", func(p *Proc) { p.Exit() })
 	e.After(Microsecond, note)
-	e.SpawnAfter(fixedName("returns"), 2*Microsecond, func(*Proc) {})
+	spawnAfter(e, "returns", 2*Microsecond, func(*Proc) {})
 	e.After(3*Microsecond, note)
 	e.Spawn("parked", func(p *Proc) { p.Park() })
 	if err := runWithin(t, e); !errors.Is(err, ErrDeadlock) {

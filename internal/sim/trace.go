@@ -56,8 +56,10 @@ func (ev TraceEvent) String() string {
 // record is one unrendered trace entry. Formatting is deferred until the
 // event is actually read: a bounded ring evicts most entries unread, so
 // emitters never pay fmt.Sprintf for them. Arguments are captured by
-// value at Add time (pointer arguments whose String output mutates would
-// render their state at read time — engine args are immutable).
+// value at Add time, so a pointer argument renders its state at read
+// time. That is why the engine passes a proc's name, not the *Proc: a
+// proc's storage is reused once it exits (a kernel recycles joined
+// threads, Engine.Start), and the pointer would print its successor.
 type record struct {
 	at     Time
 	kind   string

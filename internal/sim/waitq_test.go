@@ -120,7 +120,7 @@ func retainsProc(q *WaitQ, p *Proc) bool {
 // TestWaitQRemoveDoesNotRetainProc pins the Remove retention fix: a
 // removed waiter must leave no reference behind, at any queue position.
 func TestWaitQRemoveDoesNotRetainProc(t *testing.T) {
-	a, b, c := &Proc{name: fixedName("a")}, &Proc{name: fixedName("b")}, &Proc{name: fixedName("c")}
+	a, b, c := &Proc{}, &Proc{}, &Proc{}
 	var q WaitQ
 	for _, p := range []*Proc{a, b, c} {
 		q.enqueue(p)

@@ -36,12 +36,9 @@ const (
 	DefaultStallHorizon = 50 * sim.Millisecond
 )
 
-// Record caps: the first few stalls/deadlocks are kept verbatim for
-// oracles and reports; beyond that only the counters grow.
-const (
-	maxStallRecords    = 64
-	maxDeadlockRecords = 16
-)
+// maxDeadlockRecords caps the deadlocks kept verbatim for oracles and
+// reports; beyond it only the counter grows.
+const maxDeadlockRecords = 16
 
 // Limits are rlimit-style caps enforced at the kernel's admission sites.
 // Zero means unlimited.
@@ -77,15 +74,6 @@ type Config struct {
 	// Seed feeds the restart jitter RNG (per-restarter lanes are derived
 	// from it and the restarter name).
 	Seed uint64
-}
-
-// Stall is one task flagged blocked past the stall horizon.
-type Stall struct {
-	At    sim.Time // when the watchdog flagged it
-	Since sim.Time // when the task blocked
-	PID   int
-	Task  string
-	Class kernel.WaitClass
 }
 
 // Deadlock is one wait-for cycle the watchdog found. PIDs follow the
@@ -134,7 +122,6 @@ type Plane struct {
 	gen        uint64
 	ticks      uint64
 	stallCount uint64
-	stalls     []Stall
 	deadlocks  []Deadlock
 	scratch    []*waitRec // cycle-walk path, reused across ticks
 
@@ -418,12 +405,6 @@ func (p *Plane) scanStalls(now sim.Time) {
 		if p.mStalls != nil {
 			p.mStalls.Inc()
 		}
-		if len(p.stalls) < maxStallRecords {
-			p.stalls = append(p.stalls, Stall{
-				At: now, Since: rec.since,
-				PID: rec.t.PID(), Task: rec.t.Name(), Class: rec.t.WaitClass(),
-			})
-		}
 		if tr := p.e.Tracer(); tr != nil {
 			tr.Add(now, "supervise", "stall: %s(pid=%d) blocked in %s for %v",
 				rec.t.Name(), rec.t.PID(), rec.t.WaitClass(), now.Sub(rec.since))
@@ -529,10 +510,6 @@ func (p *Plane) Blocked() int { return p.nblocked }
 
 // StallCount reports how many stalls the watchdog flagged in total.
 func (p *Plane) StallCount() uint64 { return p.stallCount }
-
-// Stalls returns the first recorded stalls (capped; see StallCount for
-// the total).
-func (p *Plane) Stalls() []Stall { return p.stalls }
 
 // Deadlocks returns the wait-for cycles found.
 func (p *Plane) Deadlocks() []Deadlock { return p.deadlocks }

@@ -100,6 +100,64 @@ func TestFutexTimerFireReleasesTimerSlot(t *testing.T) {
 	}
 }
 
+// TestTimerSlotsBalancedAcrossReap: a thread joined while its futex
+// timer is pending keeps the timer slot until that timer fires, and its
+// storage is not reused before then, so the late fire releases the dead
+// thread's slot, never a successor's. Here the successor holds one
+// pending timer across the late fire, so under MaxTimers 1 it must be
+// refused a second.
+func TestTimerSlotsBalancedAcrossReap(t *testing.T) {
+	e, k := newKernel(t)
+	p := New(k, Config{Tick: -1, Limits: Limits{MaxTimers: 1}})
+	p.Install()
+	space := k.NewAddressSpace()
+	var words [3]uint64
+	for i := range words {
+		w, err := space.Mmap(8, mem.ProtRead|mem.ProtWrite, "word", true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words[i] = w
+	}
+	wakeWhenAsleep := func(task *Task, w uint64) {
+		for k.FutexWaiters(space.ID, w) == 0 {
+			task.Nanosleep(sim.Microsecond)
+		}
+		task.FutexWake(w, 1)
+	}
+	var first, second error
+	root := k.NewTask("root", space, func(task *Task) int {
+		a := task.Clone("a", kernel.PThreadFlags, func(c *Task) int {
+			c.FutexWaitTimeout(words[0], 0, 100*sim.Microsecond)
+			return 0
+		})
+		wakeWhenAsleep(task, words[0])
+		task.Join(a) // a's timer stays pending until 100 µs
+		b := task.Clone("b", kernel.PThreadFlags, func(c *Task) int {
+			first = c.FutexWaitTimeout(words[1], 0, 500*sim.Microsecond)
+			c.Nanosleep(100 * sim.Microsecond) // a's timer fires meanwhile
+			second = c.FutexWaitTimeout(words[2], 0, 10*sim.Microsecond)
+			return 0
+		})
+		wakeWhenAsleep(task, words[1])
+		task.Join(b)
+		return 0
+	})
+	k.Start(root, 0)
+	if err := e.Run(); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if first != nil {
+		t.Errorf("b's first wait: %v, want its wake", first)
+	}
+	if !errors.Is(second, kernel.ErrTimerLimit) {
+		t.Errorf("b's second timed wait, with its first timer pending: %v, want ErrTimerLimit", second)
+	}
+	if hits := p.LimitHits(); hits.Timers != 1 {
+		t.Errorf("timer limit hit %d times, want 1", hits.Timers)
+	}
+}
+
 func rootBody(t *testing.T, p *Plane, task *Task, a, b uint64, cloneErr, fdErr *error) int {
 	// MaxFutexWaiters=1 per word: c1 parks on a, then c2's wait on a is
 	// rejected and it parks on b instead — leaving both children LIVE,

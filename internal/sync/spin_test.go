@@ -80,6 +80,15 @@ func spinRun(t *testing.T, m *arch.Machine, name string, traced bool) string {
 	k := kernel.New(e, m)
 	th := probe.NewThrottle("w", "sched_yield", sim.Microsecond, 1)
 	k.Probes().Attach("throttle", th.Fire, probe.PSyscallEnter)
+	// A thread's *Task is invalid after its Join, so each thread's CPU
+	// time and switches are read as it exits.
+	usage := map[string]string{}
+	k.Probes().Attach("usage", func(c *probe.Ctx) probe.Verdict {
+		if kid, ok := c.Task.(*kernel.Task); ok {
+			usage[kid.Name()] = fmt.Sprintf("%v/%d", kid.CPUTime(), kid.CtxSwitches())
+		}
+		return probe.Verdict{}
+	}, probe.PTaskExit)
 	kids := make([]*kernel.Task, threads)
 	root := k.NewTask("root", k.NewAddressSpace(), func(rt *kernel.Task) int {
 		l, err := usync.New(rt, name, usync.Config{})
@@ -112,8 +121,9 @@ func spinRun(t *testing.T, m *arch.Machine, name string, traced bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s traced=%v end=%v syscalls=%d ctxsw=%d delayed=%d",
 		m.Name, name, traced, e.Now(), k.Syscalls(), k.ContextSwitches(), delayed)
-	for _, kid := range kids {
-		fmt.Fprintf(&b, " %s=%v/%d", kid.Name(), kid.CPUTime(), kid.CtxSwitches())
+	for i := range kids {
+		w := fmt.Sprintf("w%d", i)
+		fmt.Fprintf(&b, " %s=%s", w, usage[w])
 	}
 	if tr != nil {
 		var dump bytes.Buffer
