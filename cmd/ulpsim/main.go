@@ -166,6 +166,10 @@ func dumpMetrics(reg *metrics.Registry) error {
 func runChaos(machineName string, ulps, ops int, idle, signals string, seed uint64, faultsStr string,
 	tracePath string, traceCap int, traceFormat string, showMetrics bool,
 	superviseOn bool, stallUS float64, probeStr, schedPolicy string) error {
+	if err := checkNonNegative(numFlag{"ulps", float64(ulps)}, numFlag{"ops", float64(ops)},
+		numFlag{"trace-cap", float64(traceCap)}, numFlag{"stall-horizon", stallUS}); err != nil {
+		return err
+	}
 	m := arch.ByName(machineName)
 	if m == nil {
 		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", machineName)
@@ -245,6 +249,10 @@ func runChaos(machineName string, ulps, ops int, idle, signals string, seed uint
 // replays such a prefix deterministically.
 func runExplore(machineName, idle, scenario, policyStr string,
 	runs, depth int, seed uint64, traceStr, probeStr, schedPolicy string) error {
+	if err := checkNonNegative(numFlag{"explore-runs", float64(runs)},
+		numFlag{"explore-depth", float64(depth)}); err != nil {
+		return err
+	}
 	if probeStr != "" {
 		specs, err := probe.ParseSpecs(probeStr)
 		if err != nil {
@@ -339,7 +347,13 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 	traceFormat string, showMetrics bool,
 	workSteal bool, preemptUS float64, showTimeline bool, seed uint64, faultsStr string,
 	superviseOn bool, stallUS float64, probeStr, schedPolicy string) error {
-
+	if err := checkNonNegative(numFlag{"ulps", float64(ulps)}, numFlag{"ops", float64(ops)},
+		numFlag{"prog-cores", float64(progCores)}, numFlag{"syscall-cores", float64(syscallCores)},
+		numFlag{"compute-us", computeUS}, numFlag{"write-size", float64(writeSize)},
+		numFlag{"trace-cap", float64(traceCap)}, numFlag{"preempt-us", preemptUS},
+		numFlag{"stall-horizon", stallUS}); err != nil {
+		return err
+	}
 	m := arch.ByName(machineName)
 	if m == nil {
 		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", machineName)
@@ -528,6 +542,23 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 		}
 	}
 	return sloErr
+}
+
+// numFlag is a numeric flag's name and value.
+type numFlag struct {
+	name string
+	val  float64
+}
+
+// checkNonNegative rejects the first flag whose value is negative or
+// NaN: each of them sizes, counts or times something.
+func checkNonNegative(flags ...numFlag) error {
+	for _, f := range flags {
+		if !(f.val >= 0) {
+			return fmt.Errorf("-%s %v: must be 0 or more", f.name, f.val)
+		}
+	}
+	return nil
 }
 
 func seq(start, n int) []int {

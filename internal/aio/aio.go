@@ -74,9 +74,6 @@ type Request struct {
 	ctx      *Context
 }
 
-// Done reports completion without any cost (internal/test use).
-func (r *Request) Done() bool { return r.done }
-
 // Context is a process's AIO state: the helper thread and its request
 // queue. The helper is created lazily on the first submission, exactly
 // like glibc's thread pool.
@@ -163,11 +160,7 @@ func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, 
 		}
 	}
 	if c.helper == nil {
-		helper, err := t.TryClone("aio-helper", kernel.PThreadFlags, c.helperBody)
-		if err != nil {
-			return nil, err
-		}
-		c.helper = helper
+		c.helper = t.Clone("aio-helper", kernel.PThreadFlags, c.helperBody)
 	}
 	// The aiocb's completion word is plain user memory (no mmap
 	// system-call per request in glibc either).
@@ -189,11 +182,6 @@ func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, 
 // WriteAsync is aio_write.
 func (c *Context) WriteAsync(t *kernel.Task, fd int, data []byte) (*Request, error) {
 	return c.Submit(t, OpWrite, fd, data)
-}
-
-// ReadAsync is aio_read.
-func (c *Context) ReadAsync(t *kernel.Task, fd int, buf []byte) (*Request, error) {
-	return c.Submit(t, OpRead, fd, buf)
 }
 
 // Error is aio_error: one status poll. It returns ErrInProgress until

@@ -126,7 +126,7 @@ func TestReadAsync(t *testing.T) {
 		task.Seek(fd, 0)
 		ctx, _ := New(task)
 		buf := make([]byte, 8)
-		r, _ := ctx.ReadAsync(task, fd, buf)
+		r, _ := ctx.Submit(task, OpRead, fd, buf)
 		n, err := r.Suspend(task)
 		if err != nil || n != 8 || string(buf) != "content!" {
 			t.Errorf("read = %d,%v,%q", n, err, buf)

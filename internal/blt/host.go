@@ -52,12 +52,6 @@ type KCHost struct {
 // TCStack returns the trampoline context's stack address.
 func (h *KCHost) TCStack() uint64 { return h.tcStack }
 
-// Running returns the BLT currently coupled on this KC, if any.
-func (h *KCHost) Running() *BLT { return h.running }
-
-// Task returns the host's kernel task (the original KC).
-func (h *KCHost) Task() *kernel.Task { return h.task }
-
 // Residents reports how many live BLTs use this KC as their original KC.
 func (h *KCHost) Residents() int { return h.residents }
 
@@ -138,11 +132,7 @@ func (h *KCHost) tryRespawn(carrier *kernel.Task) {
 	if !h.dead {
 		return // a concurrent requester respawned it while we slept
 	}
-	task, err := carrier.TryClonePinned("kc."+h.name, kernel.PiPProcessFlags, h.core, h.main)
-	if err != nil {
-		return // thread limit: stay dead, bounce the request
-	}
-	h.task = task
+	h.task = carrier.ClonePinned("kc."+h.name, kernel.PiPProcessFlags, h.core, h.main)
 	h.dead = false
 	h.killed = false
 	if p.kern.Tracing() {

@@ -2,7 +2,7 @@ package blt
 
 // ULTPolicy customises the user-level half of the scheduling plane: the
 // order a scheduler BLT drains its ready queue, the order it scans steal
-// victims, and notifications at its idle and yield edges. It is the
+// victims, and a notification at its idle edge. It is the
 // user-level counterpart of kernel.SchedPolicy — one policy object
 // implements both (see internal/schedpolicy) and is installed on the
 // kernel; NewPool takes this half from the kernel's installed policy.
@@ -34,7 +34,4 @@ type ULTPolicy interface {
 	// OnIdle fires when s found no local or stolen work and is about to
 	// idle per the pool policy.
 	OnIdle(s *Scheduler)
-	// OnYield fires when b cooperatively yields back to s, before the
-	// requeue at the tail.
-	OnYield(s *Scheduler, b *BLT)
 }

@@ -318,9 +318,6 @@ func (s *Scheduler) switchIn(t *kernel.Task, b *BLT) {
 // runs again next (the sched_yield-alone analogue at user level).
 func (s *Scheduler) requeue(t *kernel.Task, b *BLT) {
 	t.Charge(s.pool.kern.Machine().Costs.RunQueueOp)
-	if pol := s.pool.policy; pol != nil {
-		pol.OnYield(s, b)
-	}
 	s.q.Push(b)
 }
 

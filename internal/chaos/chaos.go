@@ -54,11 +54,6 @@ type Config struct {
 	// Metrics, when set, receives the run's metrics (ulpsim -chaos
 	// -metrics); like Trace it never perturbs the schedule.
 	Metrics *metrics.Registry
-	// Chooser, when set, resolves same-instant event ties instead of the
-	// engine's FIFO default, composing fault injection with schedule
-	// exploration. Unlike Trace and Metrics it perturbs the schedule, so
-	// the digest is only reproducible for a deterministic chooser.
-	Chooser sim.Chooser
 
 	// Probes attaches stock probe programs (parsed from the -probe
 	// syntax; see probe.ParseSpecs) to the run's kernel. Observe-only
@@ -151,8 +146,10 @@ func SpecsString(specs []fault.Spec) string {
 	return s
 }
 
-// ReproCommand returns the ulpsim invocation that replays this run.
+// ReproCommand returns the ulpsim invocation that replays this run,
+// with the defaults a run fills in spelled out.
 func ReproCommand(cfg Config) string {
+	cfg = cfg.withDefaults()
 	s := fmt.Sprintf("ulpsim -chaos -machine %s -idle %s -signals %s -ulps %d -ops %d -seed %d -faults '%s'",
 		cfg.Machine.Name, cfg.Idle, cfg.SigMode, cfg.ULPs, cfg.Ops, cfg.Seed, SpecsString(cfg.Specs))
 	if cfg.Supervise {
@@ -218,9 +215,6 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 	e := sim.New()
 	if cfg.Trace != nil {
 		e.SetTracer(cfg.Trace)
-	}
-	if cfg.Chooser != nil {
-		e.SetChooser(cfg.Chooser)
 	}
 	k := kernel.New(e, cfg.Machine)
 	if err := schedpolicy.Install(k, cfg.SchedPolicy); err != nil {

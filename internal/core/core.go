@@ -25,9 +25,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrNoULP is returned when an unknown ULP is referenced.
-var ErrNoULP = errors.New("core: no such ULP")
-
 // SignalMode selects how context switching treats signal state
 // (paper §VII, "Discussion"): fcontext does not save/restore signal
 // masks (fast, but signals land on the scheduling KC); ucontext does,

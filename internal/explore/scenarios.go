@@ -191,10 +191,7 @@ func DeadlockScenario(mk func() *arch.Machine) Scenario {
 			e.SetTrapPanics(true)
 			defer e.Shutdown()
 			k := newKernel(e, mk())
-			sup := supervise.New(k, supervise.Config{
-				Tick:         1 * sim.Millisecond,
-				StallHorizon: 200 * sim.Microsecond,
-			})
+			sup := supervise.New(k, supervise.Config{StallHorizon: 200 * sim.Microsecond})
 			sup.Install()
 			var aPID, bPID int
 			root := k.NewTask("dl-root", k.NewAddressSpace(), func(t *kernel.Task) int {

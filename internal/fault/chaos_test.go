@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/probe"
-	"repro/internal/sim"
 )
 
 // TestChaosSeedMatrix is the headline acceptance run: 64 seeds spread
@@ -185,33 +184,5 @@ func TestChaosSLOOracleFails(t *testing.T) {
 		t.Fatal("chaos run passed despite a 1us p99 bound on every syscall")
 	} else if !strings.Contains(err.Error(), "SLO") {
 		t.Errorf("failure should come from the SLO check, got: %v", err)
-	}
-}
-
-// tieChooser is a deterministic seeded random chooser for composing the
-// chaos plane with schedule exploration.
-type tieChooser struct{ rng *sim.RNG }
-
-func (c *tieChooser) Choose(_ sim.Time, cands []sim.Candidate) int {
-	return c.rng.Intn(len(cands))
-}
-
-// TestChaosComposesWithChooser: fault injection plus an exploring
-// chooser. The chooser perturbs same-instant tie-breaks under faults,
-// the run must still satisfy every chaos oracle, and the digest must be
-// a pure function of (chaos seed, chooser seed).
-func TestChaosComposesWithChooser(t *testing.T) {
-	run := func() chaos.Digest {
-		cfg := chaos.Config{Seed: 5, Idle: blt.Blocking,
-			Chooser: &tieChooser{rng: sim.NewRNG(42)}}
-		d, err := chaos.Run(cfg)
-		if err != nil {
-			t.Fatalf("chaos with chooser: %v", err)
-		}
-		return d
-	}
-	d1, d2 := run(), run()
-	if !d1.Equal(d2) {
-		t.Fatalf("chooser run nondeterministic:\n  run1: %s\n  run2: %s", d1, d2)
 	}
 }

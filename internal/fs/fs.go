@@ -18,8 +18,6 @@ var (
 	ErrNotFound  = errors.New("fs: no such file")
 	ErrExists    = errors.New("fs: file exists")
 	ErrClosed    = errors.New("fs: file already closed")
-	ErrBadFlags  = errors.New("fs: invalid open flags")
-	ErrIsOpen    = errors.New("fs: file is open")
 	ErrReadOnly  = errors.New("fs: file not open for writing")
 	ErrWriteOnly = errors.New("fs: file not open for reading")
 )

@@ -126,8 +126,8 @@ type Backoff struct {
 // b is left alone, so fault-free schedules keep their virtual time.
 //
 // A wake, EAGAIN, EINTR and ETIMEDOUT all return nil: the caller
-// re-checks its condition and sleeps again. Any other error, such as an
-// admission rejection, is returned as is.
+// re-checks its condition and sleeps again. Any other error, such as a
+// fault on the word's page, is returned as is.
 func (t *Task) FutexSleep(addr, val uint64, b *Backoff) error {
 	t.live()
 	var err error
@@ -193,18 +193,6 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 			k.faultFired(t, probe.SiteFutexSpurious, nil)
 			k.sysExit(t, fr)
 			return ErrFutexAgain
-		}
-	}
-	if k.probes.Attached(probe.PTaskAdmit) {
-		// Admission runs against a non-creating lookup: rejecting the
-		// wait must not leave an empty queue populating the table.
-		err := k.admit(t, probe.SiteFutexWait, k.FutexWaiters(t.space.ID, addr))
-		if err == nil && timeout > 0 {
-			err = k.admit(t, probe.SiteFutexTimer, 0)
-		}
-		if err != nil {
-			k.sysExit(t, fr)
-			return err
 		}
 	}
 	q := k.futexes.queue(futexKey{t.space.ID, addr})
@@ -338,11 +326,8 @@ func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) b
 // the sleep's waitSeq, not its queue) and are thereafter woken by wakes
 // on addr2; the transfer itself creates addr2's table entry only because
 // actual sleepers arrive on it, so the create-on-wait table discipline
-// is preserved. Each move is gated by a task:admit "futex_wait" fire
-// against the destination queue (the supervisor's waiters-per-word cap)
-// — sleepers it rejects simply stay on addr, as with a partial requeue.
-// A moved sleeper's WaitAddr follows it to addr2. addr2 must differ
-// from addr (EINVAL, as in Linux).
+// is preserved. A moved sleeper's WaitAddr follows it to addr2. addr2
+// must differ from addr (EINVAL, as in Linux).
 func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint64) (int, error) {
 	t.live()
 	k := t.kernel
@@ -372,34 +357,17 @@ func (t *Task) FutexRequeue(addr, expected uint64, nWake, nMove int, addr2 uint6
 			w = next
 		}
 		if nMove > 0 && q.Len() > 0 {
-			key2 := futexKey{t.space.ID, addr2}
-			// Admission runs against a non-creating lookup and the entry is
-			// created only once a sleeper is actually admitted: a rejected
-			// move must not leave an empty queue populating the table.
-			waiters2 := k.FutexWaiters(t.space.ID, addr2)
-			var q2 *WaitQueue
-			for moved < nMove {
+			// The destination entry is created only now that sleepers
+			// actually arrive on it.
+			q2 := k.futexes.queue(futexKey{t.space.ID, addr2})
+			for ; moved < nMove && q.head != nil; moved++ {
 				w := q.head
-				if w == nil {
-					break
-				}
-				if k.admit(w, probe.SiteFutexWait, waiters2) != nil {
-					// Destination word is at its waiters-per-word cap.
-					// Later sleepers would see the same full queue, so
-					// the excess stays on addr — a partial requeue.
-					break
-				}
-				if q2 == nil {
-					q2 = k.futexes.queue(key2)
-				}
 				q.unlink(w)
 				q2.push(w)
 				w.blockedOn = q2
 				// The sleeper now waits on addr2; the wait-for graph reads
 				// the annotation live, so its futex edge follows the move.
 				w.waitAddr = addr2
-				waiters2++
-				moved++
 			}
 		}
 	}

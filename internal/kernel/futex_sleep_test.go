@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -103,23 +105,20 @@ func TestFutexSleepBackoff(t *testing.T) {
 }
 
 // TestFutexSleepReturns: EAGAIN, EINTR and ETIMEDOUT return nil, since
-// the caller only re-checks its condition after each; an admission
-// rejection, as a supervisor's waiters-per-word cap issues, passes
-// through and, like every return but a timeout, resets the backoff.
+// the caller only re-checks its condition after each; any other error,
+// here the fault of a sleep on an unmapped word, passes through and,
+// like every return but a timeout, resets the backoff.
 func TestFutexSleepReturns(t *testing.T) {
 	_, k := newKernel()
 	armLostWake(k)
-	var eintr, reject bool
+	var eintr bool
 	k.Probes().Attach("stub-faults", func(c *probe.Ctx) probe.Verdict {
-		switch {
-		case c.Point == probe.PFaultSite && c.Site == "futex_wait" && eintr:
+		if c.Site == "futex_wait" && eintr {
 			eintr = false
 			return probe.Verdict{Err: ErrInterrupted}
-		case c.Point == probe.PTaskAdmit && c.Site == "futex_wait" && reject:
-			return probe.Verdict{Err: ErrFutexWaiterLimit}
 		}
 		return probe.Verdict{}
-	}, probe.PFaultSite, probe.PTaskAdmit)
+	}, probe.PFaultSite)
 	runMain(t, k, func(task *Task) int {
 		a, err := task.Mmap(8, true)
 		if err != nil {
@@ -137,9 +136,9 @@ func TestFutexSleepReturns(t *testing.T) {
 		if err := task.FutexSleep(a, 0, &b); err != nil || b.next != 2*b.Base {
 			t.Errorf("ETIMEDOUT: FutexSleep = %v with next timeout %v, want nil and %v", err, b.next, 2*b.Base)
 		}
-		reject = true
-		if err := task.FutexSleep(a, 0, &b); err != ErrFutexWaiterLimit || b.next != 0 {
-			t.Errorf("rejected: FutexSleep = %v with next timeout %v, want ErrFutexWaiterLimit and Base", err, b.next)
+		const unmapped = 0x10
+		if err := task.FutexSleep(unmapped, 0, &b); !errors.Is(err, mem.ErrSegfault) || b.next != 0 {
+			t.Errorf("unmapped word: FutexSleep = %v with next timeout %v, want mem.ErrSegfault and Base", err, b.next)
 		}
 		return 0
 	})

@@ -15,9 +15,9 @@
 // Optional planes (fault injection, metrics, the consistency audit,
 // scheduling timelines, supervision) all attach to the kernel as probe
 // programs (see probes.go and internal/probe); SchedPolicy is the one
-// other extension point, because it decides dispatch order. Tracing is
-// not a plane: Trace, Emit, BeginSpan and EndSpan write to the engine's
-// tracer, when one is installed.
+// other extension point, because it decides where a waking task runs.
+// Tracing is not a plane: Trace, Emit, BeginSpan and EndSpan write to
+// the engine's tracer, when one is installed.
 package kernel
 
 import (
@@ -40,7 +40,6 @@ var (
 	ErrBadPID      = errors.New("kernel: no such process")
 	ErrFutexAgain  = errors.New("kernel: futex value changed (EAGAIN)")
 	ErrBadCore     = errors.New("kernel: no such CPU core")
-	ErrNotRunning  = errors.New("kernel: task is not running on a CPU")
 	ErrInterrupted = errors.New("kernel: interrupted by signal (EINTR)")
 	ErrInvalid     = errors.New("kernel: invalid argument (EINVAL)")
 )
@@ -149,7 +148,7 @@ func New(e *sim.Engine, m *arch.Machine) *Kernel {
 	}
 	k.futexes = newFutexTable(k)
 	for i := 0; i < m.Cores(); i++ {
-		c := &Core{id: i, kernel: k}
+		c := &Core{id: i}
 		// The dispatch-latency callback is built once per core so the
 		// dispatch hot path schedules it without allocating a closure.
 		c.noteRunFn = func() { k.noteRun(c) }
@@ -256,7 +255,6 @@ func (k *Kernel) ContextSwitches() uint64 { return k.ctxSwitches }
 // storms.
 type Core struct {
 	id      int
-	kernel  *Kernel
 	current *Task
 	runq    ring.Q[*Task]
 
@@ -279,14 +277,6 @@ func (c *Core) QueueLen() int { return c.runq.Len() }
 
 // Busy reports the core's cumulative busy time.
 func (c *Core) Busy() sim.Duration { return c.busy }
-
-// Kernel returns the owning kernel (for scheduler policies).
-func (c *Core) Kernel() *Kernel { return c.kernel }
-
-// RunqRemoveAt removes and returns the i'th ready task, preserving the
-// order of the rest. Scheduler policies use it from PickNext; PickNext
-// must return only tasks removed this way.
-func (c *Core) RunqRemoveAt(i int) *Task { return c.runq.RemoveAt(i) }
 
 func (c *Core) push(t *Task) { c.runq.Push(t) }
 

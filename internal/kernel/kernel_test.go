@@ -799,25 +799,6 @@ func TestSemaphoreValueAndAddr(t *testing.T) {
 	})
 }
 
-func TestPipeBytesMovedAndQueueLen(t *testing.T) {
-	_, k := newKernel()
-	runMain(t, k, func(task *Task) int {
-		r, w := task.NewPipe()
-		w.Write(task, []byte("12345"))
-		buf := make([]byte, 8)
-		r.Read(task, buf)
-		if r.p.BytesMoved() != 5 {
-			t.Errorf("BytesMoved = %d", r.p.BytesMoved())
-		}
-		if task.FDTable().Len() != 0 {
-			t.Errorf("fd table len = %d", task.FDTable().Len())
-		}
-		w.Close(task)
-		r.Close(task)
-		return 0
-	})
-}
-
 func TestForkStyleCloneIsolatesMemory(t *testing.T) {
 	// clone without CLONE_VM = fork: copy-on-write space. The child
 	// inherits the parent's memory image but writes are private — the

@@ -1,9 +1,8 @@
 package kernel
 
-// Tests for the SchedPolicy hook points: a stub policy must actually be
-// consulted by pickCore/enqueue/pickNext, its decisions must be honored,
-// and declining (nil/false) must fall through to the built-in FIFO
-// dispatch. Affinity-pinned tasks bypass the policy entirely.
+// Tests for the SchedPolicy hook: a stub policy must actually be
+// consulted by pickCore and its placement honoured, while the run queue
+// it fills stays FIFO. Affinity-pinned tasks bypass the policy entirely.
 
 import (
 	"testing"
@@ -11,13 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
-// stubPolicy forces every unpinned task onto one core and drains that
-// core's queue LIFO — decisions the built-in dispatch would never make,
-// so the test can tell the hooks fired.
+// stubPolicy forces every unpinned task onto one core, a placement the
+// built-in dispatch would never make, so the test can tell the hook
+// fired.
 type stubPolicy struct {
-	target   int
-	picks    int
-	enqueues int
+	target int
+	picks  int
 }
 
 func (p *stubPolicy) Name() string { return "stub" }
@@ -25,18 +23,6 @@ func (p *stubPolicy) Name() string { return "stub" }
 func (p *stubPolicy) PickCore(k *Kernel, t *Task) *Core {
 	p.picks++
 	return k.Core(p.target)
-}
-
-func (p *stubPolicy) Enqueue(c *Core, t *Task) bool {
-	p.enqueues++
-	return false // decline: built-in FIFO push
-}
-
-func (p *stubPolicy) PickNext(c *Core) *Task {
-	if n := c.QueueLen(); n > 0 {
-		return c.RunqRemoveAt(n - 1) // LIFO
-	}
-	return nil
 }
 
 func TestSchedPolicyHooks(t *testing.T) {
@@ -65,20 +51,17 @@ func TestSchedPolicyHooks(t *testing.T) {
 	}
 
 	// All three went through PickCore onto core 2; a dispatched first
-	// (idle core), b and c queued, and PickNext drained them LIFO.
+	// (idle core), b and c queued behind it and ran in FIFO order.
 	for _, task := range []*Task{a, b, c} {
 		if task.LastCore() != pol.target {
 			t.Errorf("task %s ran on core %d, want %d (PickCore ignored)", task.name, task.LastCore(), pol.target)
 		}
 	}
-	if want := []string{"a", "c", "b"}; !equalStrings(order, want) {
-		t.Errorf("run order %v, want %v (LIFO PickNext ignored)", order, want)
+	if want := []string{"a", "b", "c"}; !equalStrings(order, want) {
+		t.Errorf("run order %v, want FIFO %v", order, want)
 	}
 	if pol.picks < 3 {
 		t.Errorf("PickCore consulted %d times, want >= 3", pol.picks)
-	}
-	if pol.enqueues < 2 {
-		t.Errorf("Enqueue consulted %d times, want >= 2 (b and c queued behind a)", pol.enqueues)
 	}
 }
 

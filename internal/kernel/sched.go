@@ -115,7 +115,7 @@ func (k *Kernel) makeRunnable(t *Task, latency sim.Duration) {
 		return
 	}
 	t.state = TaskReady
-	k.enqueue(c, t)
+	c.push(t)
 }
 
 // dispatch puts t on core c, resuming (or first-starting) its proc after
@@ -145,7 +145,7 @@ func (k *Kernel) dispatch(t *Task, c *Core, latency sim.Duration) {
 // scheduleNext fills a newly idle core from its run queue, charging the
 // kernel context-switch cost as dispatch latency.
 func (k *Kernel) scheduleNext(c *Core) {
-	next := k.pickNext(c)
+	next := c.pop()
 	if next == nil {
 		return
 	}
@@ -359,13 +359,13 @@ func (y *Spinner) SchedYield(t *Task) bool {
 			return false
 		case yieldPark:
 			c := t.core
-			next := k.pickNext(c)
+			next := c.pop()
 			next.nCtxSwitches++
 			k.noteSwitch(next)
 			t.state = TaskReady
 			k.noteStop(c, t)
 			t.core = nil
-			k.enqueue(c, t)
+			c.push(t)
 			c.current = nil
 			k.dispatch(next, c, 0)
 			y.stage = yieldExit

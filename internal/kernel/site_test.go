@@ -66,9 +66,6 @@ func TestSyscallSitesInTable(t *testing.T) {
 		task.FutexWake(va, 1)
 		task.FutexRequeue(va, 0, 1, 1, va+8)
 		task.Munmap(va, 1<<12)
-		r, w := task.NewPipe()
-		w.Write(task, []byte("p"))
-		r.Read(task, buf)
 		task.SchedYield()
 		task.Nanosleep(sim.Microsecond)
 		task.Sigaction(SIGUSR1, func(*Task, int) {})

@@ -158,10 +158,6 @@ func (t *Task) Open(path string, flags fs.OpenFlags) (int, error) {
 		return -1, err
 	}
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.OpenCost)
-	if err := k.admit(t, probe.SiteOpen, 0); err != nil {
-		k.sysExit(t, fr)
-		return -1, err
-	}
 	f, err := k.fs.Open(path, flags)
 	if err != nil {
 		k.sysExit(t, fr)

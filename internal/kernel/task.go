@@ -203,9 +203,9 @@ func (k *Kernel) newTask() *Task {
 
 // reap returns a joined thread's storage to the free list once nothing
 // can still read it: no Join on it is in flight, none of its timeout
-// timers is pending (waitTimer.fire reads the task, and the supervisor
-// keys its timer slots on it), and it has no children (each would
-// unlink itself from the task's child list at exit). The storage is
+// timers is pending (waitTimer.fire reads the task), and it has no
+// children (each would unlink itself from the task's child list at
+// exit). The storage is
 // cleared, so the free list holds nothing the thread referenced.
 func (k *Kernel) reap(t *Task) {
 	if !t.joined || t.joiners != 0 || t.timers != 0 || t.firstChild != nil {

@@ -67,12 +67,6 @@ type Charger interface {
 	Charge(d sim.Duration)
 }
 
-// NopCharger discards all charges.
-type NopCharger struct{}
-
-// Charge implements Charger by doing nothing.
-func (NopCharger) Charge(sim.Duration) {}
-
 // charge bills c if non-nil.
 func charge(c Charger, d sim.Duration) {
 	if c != nil {
@@ -92,8 +86,6 @@ const (
 	TextBase = 0x0000_0000_0040_0000
 	// MmapBase is the top of the downward-growing mmap region.
 	MmapBase = 0x0000_7f00_0000_0000
-	// StackTop is the top of the main stack region.
-	StackTop = 0x0000_7fff_ffff_f000
 	// AddrLimit is the first non-canonical user address.
 	AddrLimit = 0x0000_8000_0000_0000
 )

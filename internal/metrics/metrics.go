@@ -54,9 +54,6 @@ func (g *Gauge) Set(v int64) {
 	g.set = true
 }
 
-// Add shifts the value by d.
-func (g *Gauge) Add(d int64) { g.Set(g.v + d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v }
 

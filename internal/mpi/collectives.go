@@ -10,7 +10,6 @@ const (
 	tagBarrier = 1 << 20
 	tagBcast   = 1<<20 + 1
 	tagReduce  = 1<<20 + 2
-	tagGather  = 1<<20 + 3
 )
 
 // Barrier blocks until every rank has entered it, via a binomial
@@ -135,24 +134,6 @@ func (r *Rank) Allreduce(op Op, vals []float64) ([]float64, error) {
 		return nil, err
 	}
 	return decodeF64(out), nil
-}
-
-// Gather collects every rank's buffer at root (returned in rank order;
-// nil elsewhere).
-func (r *Rank) Gather(root int, data []byte) ([][]byte, error) {
-	if r.rank != root {
-		return nil, r.Send(root, tagGather, data)
-	}
-	out := make([][]byte, r.Size())
-	out[root] = append([]byte(nil), data...)
-	for i := 0; i < r.Size()-1; i++ {
-		payload, from, _, err := r.Recv(AnySource, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = payload
-	}
-	return out, nil
 }
 
 func encodeF64(vals []float64) []byte {

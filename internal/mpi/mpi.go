@@ -89,9 +89,6 @@ type World struct {
 	bytesMoved            uint64
 }
 
-// Size reports the communicator size.
-func (w *World) Size() int { return w.size }
-
 // Runtime exposes the underlying ULP runtime.
 func (w *World) Runtime() *core.Runtime { return w.rt }
 
@@ -286,21 +283,6 @@ func (r *Rank) Isend(dst, tag int, data []byte) (*SendReq, error) {
 	return &SendReq{rank: r, m: r.post(dst, tag, data)}, nil
 }
 
-// Sendrecv performs a combined exchange (MPI_Sendrecv): deadlock-free in
-// cycles regardless of message sizes.
-func (r *Rank) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) ([]byte, error) {
-	req, err := r.Isend(dst, sendTag, data)
-	if err != nil {
-		return nil, err
-	}
-	payload, _, _, err := r.Recv(src, recvTag)
-	if err != nil {
-		return nil, err
-	}
-	req.Wait()
-	return payload, nil
-}
-
 // Recv returns the payload of the first queued message matching src and
 // tag (AnySource/AnyTag wildcards allowed), yielding the core while it
 // waits — this is the latency hiding the paper is after: a waiting rank
@@ -334,16 +316,6 @@ func (r *Rank) pollRecv(t *kernel.Task) bool {
 			m.taken = true
 		}
 		return true
-	}
-	return false
-}
-
-// Probe reports whether a matching message is queued, without receiving.
-func (r *Rank) Probe(src, tag int) bool {
-	for _, m := range r.inbox {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			return true
-		}
 	}
 	return false
 }

@@ -131,9 +131,6 @@ type Env struct {
 // Task returns the kernel task running the program.
 func (e *Env) Task() *kernel.Task { return e.Proc.task }
 
-// Root returns the owning root.
-func (e *Env) Root() *Root { return e.Proc.root }
-
 // SymbolAddr resolves a privatized variable of this process's own
 // namespace.
 func (e *Env) SymbolAddr(name string) (uint64, error) {
@@ -169,18 +166,6 @@ func (e *Env) Import(global string) (uint64, error) {
 		return 0, fmt.Errorf("%w: %q", ErrNoExport, global)
 	}
 	return addr, nil
-}
-
-// ImportWait blocks (via sched_yield, since PiP tasks are plain kernel
-// tasks) until the named export appears — the synchronizing variant of
-// pip_import that spares callers a hand-rolled retry loop.
-func (e *Env) ImportWait(global string) uint64 {
-	for {
-		if addr, err := e.Import(global); err == nil {
-			return addr
-		}
-		e.Proc.task.SchedYield()
-	}
 }
 
 // Spawn loads img under a new namespace and starts it as a PiP task of

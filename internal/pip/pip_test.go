@@ -449,43 +449,3 @@ func TestBarrierParties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestImportWaitBlocksUntilExport(t *testing.T) {
-	e, k := newKernel(arch.Wallaby())
-	late := &loader.Image{
-		Name: "late-producer", PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{{Name: "payload", Size: 8}},
-		Main: func(envI interface{}) int {
-			env := envI.(*Env)
-			env.Task().Nanosleep(50 * sim.Microsecond)
-			if err := env.Export("late", "payload"); err != nil {
-				return 1
-			}
-			return 0
-		},
-	}
-	waiterImg := &loader.Image{
-		Name: "waiter", PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{{Name: "x", Size: 8}},
-		Main: func(envI interface{}) int {
-			env := envI.(*Env)
-			if env.ImportWait("late") == 0 {
-				return 1
-			}
-			return 0
-		},
-	}
-	Launch(k, "root", func(r *Root) int {
-		r.Spawn(waiterImg, ProcessMode, nil)
-		r.Spawn(late, ProcessMode, nil)
-		for i := 0; i < 2; i++ {
-			if _, st, err := r.WaitAny(); err != nil || st != 0 {
-				t.Errorf("wait: st=%d err=%v", st, err)
-			}
-		}
-		return 0
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -30,8 +30,8 @@
 // arithmetic: a program that wants to scale a cost (the fault plane at
 // fs_slow) answers with the extra time, computed from Ctx.Dur.
 //
-// Sites: a fire at a static site (a system-call, a fault site, a timer
-// or admission kind) carries a dense SiteID in Ctx.ID beside the name in
+// Sites: a fire at a static site (a system-call, a fault site or a
+// timer kind) carries a dense SiteID in Ctx.ID beside the name in
 // Ctx.Site; programs branch and index on the ID, so no fire hashes,
 // compares or builds a string. Only task:restart, whose entities are
 // named at run time, carries a name without an ID.
@@ -118,13 +118,6 @@ const (
 	// PTaskWake fires when a blocked task is made runnable (wake,
 	// timeout or signal), before its wait annotations are cleared.
 	PTaskWake
-	// PTaskAdmit fires where the kernel admits a new resource, before any
-	// state is created. ID = SiteClone (Task = the parent), SiteOpen,
-	// SiteFutexWait (Val = the word's current waiter count; also fired
-	// for each sleeper a requeue would move) or SiteFutexTimer (arming a
-	// timed futex wait). An Err verdict rejects the admission with that
-	// error.
-	PTaskAdmit
 	// PTaskRestart fires when a runtime layer decides whether to restart
 	// a fault-killed entity. Site = its name ("kc.<name>" for a KC host,
 	// "aio.<owner>" for an AIO helper; no ID, the name is dynamic), Val =
@@ -185,7 +178,6 @@ var pointNames = [NumPoints]string{
 	PTaskExit:      "task:exit",
 	PTaskBlock:     "task:block",
 	PTaskWake:      "task:wake",
-	PTaskAdmit:     "task:admit",
 	PTaskRestart:   "task:restart",
 	PSignal:        "signal:deliver",
 	PTLSLoad:       "tls:load",
@@ -241,7 +233,7 @@ type Task interface {
 type Ctx struct {
 	Point Point
 	// ID qualifies the point with a static site (SetSite): syscall,
-	// fault site, timer or admission kind. Zero at points without one.
+	// fault site or timer kind. Zero at points without one.
 	ID  SiteID
 	Now sim.Time
 

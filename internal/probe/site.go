@@ -3,11 +3,11 @@ package probe
 import "fmt"
 
 // SiteID names one static site a fire can qualify its point with: a
-// system-call, a fault-only injection site, a timer kind or an
-// admission kind. The zero value names no site. Every fire at a static
-// site carries both its ID (Ctx.ID), which programs branch and index
-// on, and its name (Ctx.Site), taken from the same table entry, so a
-// fire neither builds nor compares a string.
+// system-call, a fault-only injection site or a timer kind. The zero
+// value names no site. Every fire at a static site carries both its ID
+// (Ctx.ID), which programs branch and index on, and its name
+// (Ctx.Site), taken from the same table entry, so a fire neither builds
+// nor compares a string.
 type SiteID uint8
 
 // Sites. The system-calls come first, so Syscall is a range test.
@@ -25,9 +25,6 @@ const (
 	SiteUnlink
 	SiteMmap
 	SiteMunmap
-	SitePipe
-	SiteWritePipe
-	SiteReadPipe
 	SiteFutexWait
 	SiteFutexWake
 	SiteFutexRequeue
@@ -53,10 +50,6 @@ const (
 	SiteTimerFutex
 	SiteTimerSleep
 
-	// task:admit kinds, beside the syscalls open and futex_wait.
-	SiteClone
-	SiteFutexTimer
-
 	// NumSites is the number of valid sites plus one (index bound).
 	NumSites
 )
@@ -76,9 +69,6 @@ var siteNames = [NumSites]string{
 	SiteUnlink:        "unlink",
 	SiteMmap:          "mmap",
 	SiteMunmap:        "munmap",
-	SitePipe:          "pipe",
-	SiteWritePipe:     "write_pipe",
-	SiteReadPipe:      "read_pipe",
 	SiteFutexWait:     "futex_wait",
 	SiteFutexWake:     "futex_wake",
 	SiteFutexRequeue:  "futex_requeue",
@@ -98,8 +88,6 @@ var siteNames = [NumSites]string{
 	SiteFSSlow:        "fs_slow",
 	SiteTimerFutex:    "futex",
 	SiteTimerSleep:    "sleep",
-	SiteClone:         "clone",
-	SiteFutexTimer:    "futex_timer",
 }
 
 // String returns the site's name (e.g. "getpid").

@@ -99,9 +99,6 @@ type base struct{ name string }
 
 func (b base) Name() string                                     { return b.name }
 func (base) PickCore(*kernel.Kernel, *kernel.Task) *kernel.Core { return nil }
-func (base) Enqueue(*kernel.Core, *kernel.Task) bool            { return false }
-func (base) PickNext(*kernel.Core) *kernel.Task                 { return nil }
 func (base) PickReady(*blt.Scheduler) int                       { return 0 }
 func (base) StealOrder(*blt.Scheduler, []int) []int             { return nil }
 func (base) OnIdle(*blt.Scheduler)                              {}
-func (base) OnYield(*blt.Scheduler, *blt.BLT)                   {}

@@ -45,9 +45,6 @@ type Chooser interface {
 // legal but makes the decision trace start mid-schedule.
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 
-// Chooser returns the installed chooser, or nil.
-func (e *Engine) Chooser() Chooser { return e.chooser }
-
 // popChoose is popNext under an installed chooser: gather every event
 // enabled at the earliest pending instant and let the chooser pick the
 // one to run; the rest go back into the heap with their sequence numbers

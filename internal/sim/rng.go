@@ -40,42 +40,3 @@ func (r *RNG) Duration(lo, hi Duration) Duration {
 	}
 	return lo + Duration(r.Uint64()%uint64(hi-lo+1))
 }
-
-// Exp returns an exponentially distributed Duration with the given mean,
-// computed with a fixed-precision inverse-CDF so results are portable.
-func (r *RNG) Exp(mean Duration) Duration {
-	// -mean * ln(u); use a series-free approximation via float64 math.
-	u := r.Float64()
-	if u < 1e-12 {
-		u = 1e-12
-	}
-	return Duration(float64(mean) * negLn(u))
-}
-
-// negLn computes -ln(u) for u in (0,1] without importing math, using the
-// identity -ln(u) = ln(1/u) and an atanh-based series. Accuracy ~1e-9,
-// ample for workload generation.
-func negLn(u float64) float64 {
-	x := 1 / u
-	// ln(x) = 2*atanh((x-1)/(x+1)); range-reduce by halving exponent
-	// via repeated sqrt-free scaling: pull out powers of 2.
-	k := 0
-	for x > 2 {
-		x /= 2
-		k++
-	}
-	t := (x - 1) / (x + 1)
-	t2 := t * t
-	// atanh series: t + t^3/3 + t^5/5 + ...
-	sum := 0.0
-	term := t
-	for i := 1; i < 40; i += 2 {
-		sum += term / float64(i)
-		term *= t2
-		if term < 1e-18 {
-			break
-		}
-	}
-	const ln2 = 0.6931471805599453
-	return 2*sum + float64(k)*ln2
-}

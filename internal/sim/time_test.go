@@ -46,22 +46,6 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
-func TestNegLnAccuracy(t *testing.T) {
-	// -ln(0.5) = 0.6931..., -ln(1) = 0, -ln(0.1) = 2.302...
-	cases := []struct{ u, want float64 }{
-		{1.0, 0},
-		{0.5, 0.6931471805599453},
-		{0.1, 2.302585092994046},
-		{0.9, 0.10536051565782628},
-	}
-	for _, c := range cases {
-		got := negLn(c.u)
-		if diff := got - c.want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("negLn(%v) = %v, want %v", c.u, got, c.want)
-		}
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -106,20 +90,6 @@ func TestRNGFloat64Range(t *testing.T) {
 		if v < 0 || v >= 1 {
 			t.Fatalf("Float64 out of range: %v", v)
 		}
-	}
-}
-
-func TestRNGExpMeanRoughly(t *testing.T) {
-	r := NewRNG(9)
-	mean := 1000 * Nanosecond
-	var sum Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += r.Exp(mean)
-	}
-	avg := float64(sum) / n
-	if avg < 0.9*float64(mean) || avg > 1.1*float64(mean) {
-		t.Errorf("Exp mean = %v, want ~%v", Duration(avg), mean)
 	}
 }
 

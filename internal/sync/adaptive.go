@@ -77,14 +77,9 @@ func (l *Mutex) Lock(t *kernel.Task) {
 // futexSleep parks on the lock word while it reads "contended", in the
 // kernel's lost-wake recovery sleep. The caller re-runs the swap loop
 // after every return, which is correct under spurious wakes, EINTR,
-// timeouts and lost-wake recovery alike. An admission rejection (rlimit
-// on waiters or timers) degrades to a yield, keeping progress.
+// timeouts and lost-wake recovery alike.
 func (l *Mutex) futexSleep(t *kernel.Task, b *kernel.Backoff) {
-	switch err := t.FutexSleep(l.word64, 2, b); err {
-	case nil:
-	case kernel.ErrFutexWaiterLimit, kernel.ErrTimerLimit:
-		t.SchedYield()
-	default:
+	if err := t.FutexSleep(l.word64, 2, b); err != nil {
 		panic(fmt.Sprintf("sync: futex mutex sleep: %v", err))
 	}
 }
@@ -149,9 +144,7 @@ func (c *Cond) Wait(t *kernel.Task) {
 	// the sleep is a recovery sleep. Its timer survives a requeue by
 	// design, so even a sleeper moved to the mutex word times out.
 	b := kernel.Backoff{Base: lostWakeMax, Max: lostWakeMax}
-	switch err := t.FutexSleep(c.seq, v, &b); err {
-	case nil, kernel.ErrFutexWaiterLimit, kernel.ErrTimerLimit:
-	default:
+	if err := t.FutexSleep(c.seq, v, &b); err != nil {
 		panic(fmt.Sprintf("sync: cond wait: %v", err))
 	}
 	l.lockContended(t)

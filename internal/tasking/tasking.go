@@ -93,9 +93,6 @@ func New(creator *kernel.Task, cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// Pool exposes the underlying BLT pool.
-func (rt *Runtime) Pool() *blt.Pool { return rt.pool }
-
 // Executed reports how many tasks have completed.
 func (rt *Runtime) Executed() uint64 { return rt.executed }
 
@@ -236,39 +233,4 @@ func (rt *Runtime) Run(creator *kernel.Task, fn Func) error {
 	g.pending++
 	rt.submit(creator, &task{fn: fn, group: g})
 	return done.Wait(creator)
-}
-
-// ParallelFor runs fn(sub, i) for i in [0, n) as `chunks` tasks inside
-// the current task's group machinery, joining before it returns (OpenMP:
-// #pragma omp parallel for). fn receives the context of the worker
-// actually executing its chunk — charge computation through it, not
-// through the spawning task's context.
-func (tc *TaskCtx) ParallelFor(n, chunks int, fn func(sub *TaskCtx, i int)) {
-	if chunks <= 0 {
-		chunks = tc.rt.Workers()
-	}
-	if chunks > n {
-		chunks = n
-	}
-	if chunks <= 1 {
-		for i := 0; i < n; i++ {
-			fn(tc, i)
-		}
-		return
-	}
-	g := tc.NewGroup()
-	per := (n + chunks - 1) / chunks
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*per, (c+1)*per
-		if hi > n {
-			hi = n
-		}
-		lo2, hi2 := lo, hi
-		g.Spawn(tc, func(sub *TaskCtx) {
-			for i := lo2; i < hi2; i++ {
-				fn(sub, i)
-			}
-		})
-	}
-	g.WaitCtx(tc)
 }

@@ -61,23 +61,6 @@ func TestRunSingleTask(t *testing.T) {
 
 const time1us = sim.Microsecond
 
-func TestParallelForCoversAllIndices(t *testing.T) {
-	withRuntime(t, 4, func(root *kernel.Task, rt *Runtime) {
-		const n = 100
-		hit := make([]int, n)
-		rt.Run(root, func(tc *TaskCtx) {
-			tc.ParallelFor(n, 8, func(sub *TaskCtx, i int) {
-				hit[i]++
-			})
-		})
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("index %d visited %d times", i, h)
-			}
-		}
-	})
-}
-
 func TestNestedGroupsNoDeadlock(t *testing.T) {
 	// Nested fork-join: each outer task spawns an inner group and waits
 	// on it — the oversubscription scenario BOLT addresses.
@@ -106,17 +89,24 @@ func TestNestedGroupsNoDeadlock(t *testing.T) {
 }
 
 func TestParallelForActuallyParallel(t *testing.T) {
-	// With 2 program cores and pure compute chunks, the parallel-for
-	// must take noticeably less wall-clock (virtual) time than serial.
+	// With 2 program cores and pure compute chunks, a parallel for (one
+	// group task per chunk, joined) must take noticeably less wall-clock
+	// (virtual) time than serial.
 	measure := func(chunks int) sim.Duration {
 		var d sim.Duration
 		withRuntime(t, 4, func(root *kernel.Task, rt *Runtime) {
 			e := root.Kernel().Engine()
 			start := e.Now()
 			rt.Run(root, func(tc *TaskCtx) {
-				tc.ParallelFor(8, chunks, func(sub *TaskCtx, i int) {
-					sub.Compute(50 * sim.Microsecond)
-				})
+				g := tc.NewGroup()
+				for c := 0; c < chunks; c++ {
+					g.Spawn(tc, func(sub *TaskCtx) {
+						for i := 0; i < 8/chunks; i++ {
+							sub.Compute(50 * sim.Microsecond)
+						}
+					})
+				}
+				g.WaitCtx(tc)
 			})
 			d = e.Now().Sub(start)
 		})

@@ -5,16 +5,16 @@ package ulppip_test
 //
 //   - an MPI world (4 ranks over ULPs) on cores 0-3,
 //   - a ULP-PiP I/O workload on cores 4-7,
-//   - plain kernel processes doing pipe IPC on cores 8-9,
+//   - plain kernel processes sharing memory on cores 8-9,
 //   - a second ULP-PiP workload on cores 10-13 that optionally runs
 //     under a task-scoped fault plane (the blast-radius tenant),
 //
 // all sharing the one kernel, physical memory and tmpfs. Everything must
 // complete, stay consistent, and be deterministic — and when the fault
 // plane is armed against tenant 4 only, the other three tenants'
-// transcripts (statuses, file bytes, pipe bytes, completion times) must
-// be byte-identical to the fault-free run: task-scoped specs have no
-// blast radius outside their tenant.
+// transcripts (statuses, file bytes, shared-memory bytes, completion
+// times) must be byte-identical to the fault-free run: task-scoped specs
+// have no blast radius outside their tenant.
 
 import (
 	"fmt"
@@ -144,39 +144,55 @@ func runMultiTenant(t *testing.T, specs []ulppip.FaultSpec) soakResult {
 		t.Errorf("tenant2 boot: %v", err)
 	}
 
-	// Tenant 3: plain processes with pipe IPC pinned to cores 8-9.
-	var pipeHash uint64
-	pipeTotal := 0
-	var pipeEnd ulppip.Time
+	// Tenant 3: two plain processes pinned to cores 8-9 that move 64 KiB
+	// through the address space they share, one chunk at a time, handed
+	// over with two semaphores.
+	var shmHash uint64
+	shmTotal := 0
+	var shmEnd ulppip.Time
 	payload := make([]byte, 64*1024)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
+	const chunk = 8192
 	space := k.NewAddressSpace()
-	producer := k.NewTask("pipe-writer", space, func(task *ulppip.Task) int {
-		r, w := task.NewPipe()
-		reader := k.NewTask("pipe-reader", space, func(rt *ulppip.Task) int {
-			buf := make([]byte, 8192)
-			for {
-				n, err := r.Read(rt, buf)
-				if err != nil || n == 0 {
-					break
+	producer := k.NewTask("shm-writer", space, func(task *ulppip.Task) int {
+		buf, err := task.Mmap(chunk, true)
+		if err != nil {
+			t.Errorf("tenant3 mmap: %v", err)
+			return 1
+		}
+		empty, err := task.NewSemaphore(1)
+		if err != nil {
+			t.Errorf("tenant3 semaphore: %v", err)
+			return 1
+		}
+		full, err := task.NewSemaphore(0)
+		if err != nil {
+			t.Errorf("tenant3 semaphore: %v", err)
+			return 1
+		}
+		reader := k.NewTask("shm-reader", space, func(rt *ulppip.Task) int {
+			data := make([]byte, chunk)
+			for shmTotal < len(payload) {
+				full.Wait(rt)
+				rt.MemRead(buf, data)
+				for _, b := range data {
+					shmHash = shmHash*1099511628211 ^ uint64(b)
 				}
-				for _, b := range buf[:n] {
-					pipeHash = pipeHash*1099511628211 ^ uint64(b)
-				}
-				pipeTotal += n
+				shmTotal += chunk
+				empty.Post(rt)
 			}
-			if pipeTotal != 64*1024 {
-				t.Errorf("pipe moved %d bytes", pipeTotal)
-			}
-			pipeEnd = s.Now()
+			shmEnd = s.Now()
 			return 0
 		})
 		reader.SetAffinity(9)
 		k.Start(reader, 0)
-		w.Write(task, payload)
-		w.Close(task)
+		for off := 0; off < len(payload); off += chunk {
+			empty.Wait(task)
+			task.MemWrite(buf, payload[off:off+chunk])
+			full.Post(task)
+		}
 		return 0
 	})
 	producer.SetAffinity(8)
@@ -284,8 +300,11 @@ func runMultiTenant(t *testing.T, specs []ulppip.FaultSpec) soakResult {
 			t.Errorf("tenant4 ulp %d status %d", i, st)
 		}
 	}
-	if !mpiDone || t2End == 0 || pipeEnd == 0 || t4End == 0 {
-		t.Errorf("tenants done: mpi=%v t2=%v pipe=%v t4=%v", mpiDone, t2End, pipeEnd, t4End)
+	if !mpiDone || t2End == 0 || shmEnd == 0 || t4End == 0 {
+		t.Errorf("tenants done: mpi=%v t2=%v shm=%v t4=%v", mpiDone, t2End, shmEnd, t4End)
+	}
+	if shmTotal != len(payload) {
+		t.Errorf("tenant3 moved %d bytes, want %d", shmTotal, len(payload))
 	}
 	// Shared tmpfs saw tenant 2's and tenant 4's files.
 	files := k.FS().List()
@@ -294,8 +313,8 @@ func runMultiTenant(t *testing.T, specs []ulppip.FaultSpec) soakResult {
 	}
 
 	res := soakResult{
-		tenants: fmt.Sprintf("mpi=%v end=%v | t2=%s end=%v | pipe=%d:%x end=%v",
-			statuses, mpiEnd, t2Files, t2End, pipeTotal, pipeHash, pipeEnd),
+		tenants: fmt.Sprintf("mpi=%v end=%v | t2=%s end=%v | shm=%d:%x end=%v",
+			statuses, mpiEnd, t2Files, t2End, shmTotal, shmHash, shmEnd),
 		tenant4: fmt.Sprintf("statuses=%v end=%v", t4Statuses, t4End),
 		end:     s.Now(),
 	}

@@ -113,10 +113,17 @@ func TestFacadeTasking(t *testing.T) {
 			return 1
 		}
 		rt.Run(task, func(tc *ulppip.TaskCtx) {
-			tc.ParallelFor(32, 8, func(sub *ulppip.TaskCtx, i int) {
-				sub.Compute(ulppip.Microsecond)
-				total += i
-			})
+			g := tc.NewGroup()
+			for c := 0; c < 8; c++ {
+				lo := 4 * c
+				g.Spawn(tc, func(sub *ulppip.TaskCtx) {
+					for i := lo; i < lo+4; i++ {
+						sub.Compute(ulppip.Microsecond)
+						total += i
+					}
+				})
+			}
+			g.WaitCtx(tc)
 		})
 		rt.Shutdown(task)
 		return 0
