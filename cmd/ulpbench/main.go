@@ -197,11 +197,7 @@ func runScale(quick, chaosScale bool, recs *[]bench.Record) error {
 		if err != nil {
 			return err
 		}
-		if chaosScale {
-			bench.PrintChaosScale(os.Stdout, r)
-		} else {
-			bench.PrintScale(os.Stdout, r)
-		}
+		bench.PrintScale(os.Stdout, r)
 		fmt.Println()
 		if recs != nil {
 			*recs = append(*recs, bench.ScaleRecords(r)...)

@@ -36,7 +36,7 @@ var ErrClosed = errors.New("aio: context closed")
 // aiocbs with it). The next submission respawns a helper.
 var ErrHelperDied = errors.New("aio: helper thread died")
 
-// ErrQuarantined is returned by Submit once task:restart refused the
+// ErrQuarantined is returned by WriteAsync once task:restart refused the
 // helper for good (the supervisor's restart budget is exhausted, the
 // helper kept dying): the machine degrades this tenant instead of
 // thrashing on respawns.
@@ -52,20 +52,10 @@ const (
 	waitBackoffMax  = 1 * sim.Millisecond
 )
 
-// Op is the requested operation.
-type Op int
-
-// Operations.
-const (
-	OpWrite Op = iota
-	OpRead
-)
-
-// Request is one asynchronous I/O control block (struct aiocb).
+// Request is one asynchronous write's control block (struct aiocb).
 type Request struct {
-	Op   Op
 	FD   int
-	Data []byte // write source or read destination
+	Data []byte // write source
 
 	done     bool
 	result   int
@@ -84,7 +74,7 @@ type Context struct {
 	queue     []*Request
 	sleepWord uint64
 	closed    bool
-	dead      bool // the helper was fault-killed; respawn on next Submit
+	dead      bool // the helper was fault-killed; respawn on next WriteAsync
 
 	quarantined bool // task:restart refused the helper for good
 
@@ -124,11 +114,11 @@ func (c *Context) Stats() (submitted, completed uint64) {
 // Respawns reports how many fault-killed helpers were replaced.
 func (c *Context) Respawns() uint64 { return c.respawns }
 
-// Submit enqueues an asynchronous operation on behalf of t (which must
-// be the owner or share its address space). The first submission pays
-// pthread_create for the helper; every submission pays the dispatch
-// cost (queue insert + helper wakeup).
-func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, error) {
+// WriteAsync is aio_write: it enqueues an asynchronous write on behalf of
+// t (which must be the owner or share its address space). The first
+// submission pays pthread_create for the helper; every submission pays
+// the dispatch cost (queue insert + helper wakeup).
+func (c *Context) WriteAsync(t *kernel.Task, fd int, data []byte) (*Request, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
@@ -168,7 +158,7 @@ func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, 
 	if err != nil {
 		return nil, err
 	}
-	r := &Request{Op: op, FD: fd, Data: data, waitWord: word, ctx: c}
+	r := &Request{FD: fd, Data: data, waitWord: word, ctx: c}
 	t.Charge(k.Machine().Costs.AIODispatch)
 	c.queue = append(c.queue, r)
 	c.submitted++
@@ -177,11 +167,6 @@ func (c *Context) Submit(t *kernel.Task, op Op, fd int, data []byte) (*Request, 
 	}
 	c.kick(t)
 	return r, nil
-}
-
-// WriteAsync is aio_write.
-func (c *Context) WriteAsync(t *kernel.Task, fd int, data []byte) (*Request, error) {
-	return c.Submit(t, OpWrite, fd, data)
 }
 
 // Error is aio_error: one status poll. It returns ErrInProgress until
@@ -239,7 +224,7 @@ func (c *Context) kick(t *kernel.Task) {
 // die fails every queued request with ErrHelperDied and wakes their
 // Suspend waiters: the thread that would have executed the delegated I/O
 // is gone, so the requests can never complete. The context stays usable —
-// the next Submit replaces the helper.
+// the next WriteAsync replaces the helper.
 func (c *Context) die(t *kernel.Task) {
 	c.dead = true
 	for _, r := range c.queue {
@@ -276,16 +261,10 @@ func (c *Context) helperBody(t *kernel.Task) int {
 		}
 		r := c.queue[0]
 		c.queue = c.queue[1:]
-		switch r.Op {
-		case OpWrite:
-			// The helper shares the submitter's FD table (it is a
-			// thread), so the fd is valid here — this is why AIO works
-			// for threads where naive delegation across processes
-			// would not.
-			r.result, r.err = t.Write(r.FD, r.Data, false)
-		case OpRead:
-			r.result, r.err = t.Read(r.FD, r.Data)
-		}
+		// The helper shares the submitter's FD table (it is a thread), so
+		// the fd is valid here — this is why AIO works for threads where
+		// naive delegation across processes would not.
+		r.result, r.err = t.Write(r.FD, r.Data, false)
 		t.Charge(k.Machine().Costs.AIOComplete)
 		r.done = true
 		c.completed++

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fs"
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func runFaults(t *testing.T, seed uint64, specs []fault.Spec, body func(task *ke
 // the replacement helper serves requests normally.
 func TestHelperKillFailsQueuedRequestAndRespawns(t *testing.T) {
 	runFaults(t, 1,
-		[]fault.Spec{{Site: fault.SiteAIOHelperKill, Nth: 2, TaskPrefix: "aio-helper"}},
+		[]fault.Spec{{Site: probe.SiteAIOHelperKill, Nth: 2, TaskPrefix: "aio-helper"}},
 		func(task *kernel.Task) {
 			ctx, err := New(task)
 			if err != nil {
@@ -91,9 +92,9 @@ func TestHelperKillFailsQueuedRequestAndRespawns(t *testing.T) {
 func TestSuspendToleratesInjectedEINTRAndLostWakes(t *testing.T) {
 	plane := runFaults(t, 2,
 		[]fault.Spec{
-			{Site: fault.SiteFutexWait, Prob: 0.4, Err: "eintr"},
-			{Site: fault.SiteFutexLostWake, Prob: 0.5},
-			{Site: fault.SiteFutexSpurious, Prob: 0.3},
+			{Site: probe.SiteFutexWait, Prob: 0.4, Err: "eintr"},
+			{Site: probe.SiteFutexLostWake, Prob: 0.5},
+			{Site: probe.SiteFutexSpurious, Prob: 0.3},
 		},
 		func(task *kernel.Task) {
 			ctx, _ := New(task)

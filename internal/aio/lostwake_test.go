@@ -19,7 +19,7 @@ func TestIdleHelperBackoffStopsAtCap(t *testing.T) {
 	var last sim.Time
 	var widest sim.Duration
 	fires := 0
-	runFaults(t, 1, []fault.Spec{{Site: fault.SiteFutexLostWake, Nth: 1000000}}, func(task *kernel.Task) {
+	runFaults(t, 1, []fault.Spec{{Site: probe.SiteFutexLostWake, Nth: 1000000}}, func(task *kernel.Task) {
 		task.Kernel().Probes().Attach("helper-timeouts", func(c *probe.Ctx) probe.Verdict {
 			if c.Task != nil && c.Task.Name() == "aio-helper" {
 				if fires > 0 && c.Now.Sub(last) > widest {

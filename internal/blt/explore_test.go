@@ -20,6 +20,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/loader"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -173,7 +174,7 @@ func coupleVsHostDeathScenario() explore.Scenario {
 			defer e.Shutdown()
 			k := kernel.New(e, arch.Wallaby())
 			fault.NewPlane(7, []fault.Spec{
-				{Site: fault.SiteKCKill, Nth: 1, TaskPrefix: "kc.victim"},
+				{Site: probe.SiteKCKill, Nth: 1, TaskPrefix: "kc.victim"},
 			}).Attach(k.Probes())
 			prog := func(bystander bool) *loader.Image {
 				name := "victim"

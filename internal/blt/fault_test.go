@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -49,7 +50,7 @@ func TestKCKillOrphansULP(t *testing.T) {
 			execRan := false
 			var victim *BLT
 			runPoolFaults(t, testConfig(idle), 1,
-				[]fault.Spec{{Site: fault.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
+				[]fault.Spec{{Site: probe.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
 				func(root *kernel.Task, p *Pool) {
 					b, err := p.Spawn(func(b *BLT) int {
 						b.Decouple()
@@ -87,7 +88,7 @@ func TestKCKillOrphansULP(t *testing.T) {
 func TestKCKillStatusVisibleViaWait(t *testing.T) {
 	gotStatus := -1
 	runPoolFaults(t, testConfig(Blocking), 2,
-		[]fault.Spec{{Site: fault.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
+		[]fault.Spec{{Site: probe.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
 		func(root *kernel.Task, p *Pool) {
 			if _, err := p.Spawn(func(b *BLT) int {
 				b.Decouple()
@@ -116,7 +117,7 @@ func TestSchedKillRehomesQueue(t *testing.T) {
 			var blts [n]*BLT
 			var pool *Pool
 			runPoolFaults(t, testConfig(idle), 3,
-				[]fault.Spec{{Site: fault.SiteSchedKill, Nth: 2, TaskPrefix: "sched.c0"}},
+				[]fault.Spec{{Site: probe.SiteSchedKill, Nth: 2, TaskPrefix: "sched.c0"}},
 				func(root *kernel.Task, p *Pool) {
 					pool = p
 					for i := 0; i < n; i++ {
@@ -163,7 +164,7 @@ func TestSchedKillDrawnInDirectYield(t *testing.T) {
 	var pool *Pool
 	migrated := 0
 	runPoolFaults(t, testConfig(BusyWait), 3,
-		[]fault.Spec{{Site: fault.SiteSchedKill, Nth: 6, TaskPrefix: "sched.c0"}},
+		[]fault.Spec{{Site: probe.SiteSchedKill, Nth: 6, TaskPrefix: "sched.c0"}},
 		func(root *kernel.Task, p *Pool) {
 			pool = p
 			for i := 0; i < n; i++ {
@@ -206,7 +207,7 @@ func TestLastSchedulerImmune(t *testing.T) {
 	cfg := testConfig(Blocking)
 	cfg.ProgCores = []int{0}
 	runPoolFaults(t, cfg, 4,
-		[]fault.Spec{{Site: fault.SiteSchedKill, Every: 1}},
+		[]fault.Spec{{Site: probe.SiteSchedKill, Every: 1}},
 		func(root *kernel.Task, p *Pool) {
 			b, err := p.Spawn(func(b *BLT) int {
 				b.Decouple()
@@ -230,8 +231,8 @@ func TestLastSchedulerImmune(t *testing.T) {
 func TestLostWakeupRecovery(t *testing.T) {
 	plane := runPoolFaults(t, testConfig(Blocking), 5,
 		[]fault.Spec{
-			{Site: fault.SiteFutexLostWake, Prob: 0.5, TaskPrefix: "kc."},
-			{Site: fault.SiteFutexLostWake, Prob: 0.5, TaskPrefix: "sched."},
+			{Site: probe.SiteFutexLostWake, Prob: 0.5, TaskPrefix: "kc."},
+			{Site: probe.SiteFutexLostWake, Prob: 0.5, TaskPrefix: "sched."},
 		},
 		func(root *kernel.Task, p *Pool) {
 			const n, cycles = 4, 8
@@ -260,8 +261,8 @@ func TestLostWakeupRecovery(t *testing.T) {
 func TestSpuriousAndEINTRTolerated(t *testing.T) {
 	plane := runPoolFaults(t, testConfig(Blocking), 6,
 		[]fault.Spec{
-			{Site: fault.SiteFutexSpurious, Prob: 0.3},
-			{Site: fault.SiteFutexWait, Prob: 0.2, Err: "eintr"},
+			{Site: probe.SiteFutexSpurious, Prob: 0.3},
+			{Site: probe.SiteFutexWait, Prob: 0.2, Err: "eintr"},
 		},
 		func(root *kernel.Task, p *Pool) {
 			const n = 3
@@ -291,8 +292,8 @@ func TestFaultDeterminism(t *testing.T) {
 		e := sim.New()
 		k := kernel.New(e, arch.Wallaby())
 		plane := fault.NewPlane(seed, []fault.Spec{
-			{Site: fault.SiteFutexLostWake, Prob: 0.4},
-			{Site: fault.SiteSchedDelay, Prob: 0.3, DelayUS: 20},
+			{Site: probe.SiteFutexLostWake, Prob: 0.4},
+			{Site: probe.SiteSchedDelay, Prob: 0.3, DelayUS: 20},
 		})
 		plane.Attach(k.Probes())
 		root := k.NewTask("root", k.NewAddressSpace(), func(task *kernel.Task) int {

@@ -222,9 +222,9 @@ func TestHandshakeGolden(t *testing.T) {
 	// waking with a couple request queued; the third draw is the second
 	// cycle's idle draw, the fourth its draw with a request queued.
 	specs := []fault.Spec{
-		{Site: fault.SiteKCKill, Nth: 3, TaskPrefix: "kc.b1"},
-		{Site: fault.SiteKCKill, Nth: 4, TaskPrefix: "kc.b2"},
-		{Site: fault.SiteSchedKill, Nth: 5, TaskPrefix: "sched.c1"},
+		{Site: probe.SiteKCKill, Nth: 3, TaskPrefix: "kc.b1"},
+		{Site: probe.SiteKCKill, Nth: 4, TaskPrefix: "kc.b2"},
+		{Site: probe.SiteSchedKill, Nth: 5, TaskPrefix: "sched.c1"},
 	}
 	k := kernel.New(sim.New(), arch.Wallaby())
 	plane := fault.NewPlane(3, specs)

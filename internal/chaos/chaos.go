@@ -121,29 +121,17 @@ func (d Digest) String() string {
 // KC/scheduler kills scoped so they can only hit chaos tasks.
 func DefaultSpecs() []fault.Spec {
 	return []fault.Spec{
-		{Site: fault.SiteFutexLostWake, Prob: 0.05},
-		{Site: fault.SiteFutexSpurious, Prob: 0.05},
-		{Site: fault.SiteFutexWait, Prob: 0.04, Err: "eintr"},
-		{Site: fault.SiteOpen, Prob: 0.05, Err: "eagain"},
-		{Site: fault.SiteWrite, Prob: 0.04, Err: "eintr"},
-		{Site: fault.SiteRead, Prob: 0.03, Err: "eintr"},
-		{Site: fault.SiteSchedDelay, Prob: 0.03, DelayUS: 40},
-		{Site: fault.SiteKCKill, Prob: 0.002, TaskPrefix: "kc.chaos"},
-		{Site: fault.SiteSchedKill, Prob: 0.001, TaskPrefix: "sched."},
-		{Site: fault.SiteFSSlow, Factor: 3},
+		{Site: probe.SiteFutexLostWake, Prob: 0.05},
+		{Site: probe.SiteFutexSpurious, Prob: 0.05},
+		{Site: probe.SiteFutexWait, Prob: 0.04, Err: "eintr"},
+		{Site: probe.SiteOpen, Prob: 0.05, Err: "eagain"},
+		{Site: probe.SiteWrite, Prob: 0.04, Err: "eintr"},
+		{Site: probe.SiteRead, Prob: 0.03, Err: "eintr"},
+		{Site: probe.SiteSchedDelay, Prob: 0.03, DelayUS: 40},
+		{Site: probe.SiteKCKill, Prob: 0.002, TaskPrefix: "kc.chaos"},
+		{Site: probe.SiteSchedKill, Prob: 0.001, TaskPrefix: "sched."},
+		{Site: probe.SiteFSSlow, Factor: 3},
 	}
-}
-
-// SpecsString renders specs in the -faults flag syntax.
-func SpecsString(specs []fault.Spec) string {
-	s := ""
-	for i, sp := range specs {
-		if i > 0 {
-			s += ";"
-		}
-		s += sp.String()
-	}
-	return s
 }
 
 // ReproCommand returns the ulpsim invocation that replays this run,
@@ -151,7 +139,7 @@ func SpecsString(specs []fault.Spec) string {
 func ReproCommand(cfg Config) string {
 	cfg = cfg.withDefaults()
 	s := fmt.Sprintf("ulpsim -chaos -machine %s -idle %s -signals %s -ulps %d -ops %d -seed %d -faults '%s'",
-		cfg.Machine.Name, cfg.Idle, cfg.SigMode, cfg.ULPs, cfg.Ops, cfg.Seed, SpecsString(cfg.Specs))
+		cfg.Machine.Name, cfg.Idle, cfg.SigMode, cfg.ULPs, cfg.Ops, cfg.Seed, probe.SpecsString(cfg.Specs))
 	if cfg.Supervise {
 		s += " -supervise"
 		if cfg.StallHorizon > 0 {
@@ -170,15 +158,6 @@ func ReproCommand(cfg Config) string {
 // expectedStatus is the exit status rank's program returns; a run loses a
 // BLT exactly when some reported status differs.
 func expectedStatus(rank int) int { return 40 + rank%50 }
-
-// splitmix is the SplitMix64 finalizer, used to derive independent
-// sub-seeds (per-rank op streams, the signal stream) from the run seed.
-func splitmix(seed, lane uint64) uint64 {
-	z := seed + lane*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // withDefaults fills zero fields.
 func (cfg Config) withDefaults() Config {
@@ -264,7 +243,7 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 				Name:      fmt.Sprintf("chaos.%d", i),
 				Scheduler: -1,
 				Arg: &rankArg{
-					rng: sim.NewRNG(splitmix(cfg.Seed, 0x1000+uint64(i))),
+					rng: sim.NewRNG(sim.SplitMix(cfg.Seed, 0x1000+uint64(i))),
 					ops: cfg.Ops, buf: buf,
 					mismatch: func() { mismatches++ },
 				},
@@ -280,7 +259,7 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 		// land on whatever KC carries the ULP (the §VII caveat) — either
 		// way they must only cost EINTR retries, never a hang or a panic.
 		sig := rt.RootTask().Clone("chaos.sig", kernel.PThreadFlags, func(t *kernel.Task) int {
-			r := sim.NewRNG(splitmix(cfg.Seed, 0x516))
+			r := sim.NewRNG(sim.SplitMix(cfg.Seed, 0x516))
 			for i := 0; i < cfg.Signals; i++ {
 				t.Nanosleep(r.Duration(10*sim.Microsecond, 300*sim.Microsecond))
 				rt.SignalULP(t, ulps[r.Intn(len(ulps))], kernel.SIGUSR1) // error ignored: target may be gone

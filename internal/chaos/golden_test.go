@@ -126,7 +126,7 @@ var traceKinds = []string{"kernel/log", "blt/log", "fault/instant", "supervise/i
 // adds a third-hit KC kill to DefaultSpecs, so every run records a
 // fault instant and a supervised respawn.
 func TestChaosTraceGolden(t *testing.T) {
-	specs, err := fault.ParseSpecs(chaos.SpecsString(chaos.DefaultSpecs()) + ";kc_kill:nth=3,task=kc.chaos")
+	specs, err := fault.ParseSpecs(probe.SpecsString(chaos.DefaultSpecs()) + ";kc_kill:nth=3,task=kc.chaos")
 	if err != nil {
 		t.Fatal(err)
 	}

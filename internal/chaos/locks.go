@@ -13,6 +13,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	usync "repro/internal/sync"
 )
@@ -32,10 +33,10 @@ type LockConfig struct {
 // algorithm's slow path leans on.
 func LockSpecs() []fault.Spec {
 	return []fault.Spec{
-		{Site: fault.SiteFutexLostWake, Prob: 0.08},
-		{Site: fault.SiteFutexSpurious, Prob: 0.08},
-		{Site: fault.SiteFutexWait, Prob: 0.05, Err: "eintr"},
-		{Site: fault.SiteSchedDelay, Prob: 0.03, DelayUS: 40},
+		{Site: probe.SiteFutexLostWake, Prob: 0.08},
+		{Site: probe.SiteFutexSpurious, Prob: 0.08},
+		{Site: probe.SiteFutexWait, Prob: 0.05, Err: "eintr"},
+		{Site: probe.SiteSchedDelay, Prob: 0.03, DelayUS: 40},
 	}
 }
 
@@ -116,7 +117,7 @@ func RunLock(cfg LockConfig) (LockDigest, error) {
 		space := t.Space()
 		worker := func(rank int) func(*kernel.Task) int {
 			return func(t *kernel.Task) int {
-				rng := sim.NewRNG(splitmix(cfg.Seed, 0x10c0+uint64(rank)))
+				rng := sim.NewRNG(sim.SplitMix(cfg.Seed, 0x10c0+uint64(rank)))
 				for op := 0; op < cfg.Ops; op++ {
 					l.Lock(t)
 					// The critical section is deliberately racy: read, burn

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fs"
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -66,7 +67,7 @@ func TestEnvExecErrNotCoupledAfterKCKill(t *testing.T) {
 	var statuses []int
 	var u *ULP
 	bootFaults(t, testConfig(blt.Blocking), 1,
-		[]fault.Spec{{Site: fault.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
+		[]fault.Spec{{Site: probe.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
 		func(rt *Runtime) int {
 			var err error
 			u, err = rt.Spawn(img("victim", func(envI interface{}) int {
@@ -112,7 +113,7 @@ func TestSignalMidDecoupleLandsOnOriginalKC(t *testing.T) {
 	cfg := testConfig(blt.Blocking)
 	cfg.Signals = UcontextMode
 	bootFaults(t, cfg, 2,
-		[]fault.Spec{{Site: fault.SiteSchedDelay, Every: 1, DelayUS: 1000, TaskPrefix: "sched."}},
+		[]fault.Spec{{Site: probe.SiteSchedDelay, Every: 1, DelayUS: 1000, TaskPrefix: "sched."}},
 		func(rt *Runtime) int {
 			deliveries := countDeliveries(rt.Kernel())
 			spin := true
@@ -162,8 +163,8 @@ func TestEnvRetriesTransientInjectedFaults(t *testing.T) {
 	var statuses []int
 	plane := bootFaults(t, testConfig(blt.Blocking), 7,
 		[]fault.Spec{
-			{Site: fault.SiteWrite, Every: 2, Err: "eintr"},
-			{Site: fault.SiteOpen, Nth: 1, Err: "eagain"},
+			{Site: probe.SiteWrite, Every: 2, Err: "eintr"},
+			{Site: probe.SiteOpen, Nth: 1, Err: "eagain"},
 		},
 		func(rt *Runtime) int {
 			if _, err := rt.Spawn(img("io", func(envI interface{}) int {
@@ -212,7 +213,7 @@ func TestEnvSurfacesNonTransientFault(t *testing.T) {
 	var werr error
 	var statuses []int
 	bootFaults(t, testConfig(blt.BusyWait), 8,
-		[]fault.Spec{{Site: fault.SiteWrite, Nth: 1, Err: "enospc"}},
+		[]fault.Spec{{Site: probe.SiteWrite, Nth: 1, Err: "enospc"}},
 		func(rt *Runtime) int {
 			if _, err := rt.Spawn(img("nospace", func(envI interface{}) int {
 				env := envI.(*Env)

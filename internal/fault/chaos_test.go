@@ -70,10 +70,10 @@ func TestChaosUcontextMode(t *testing.T) {
 // for (orphans included) and the digest must stay deterministic.
 func TestChaosAggressiveKills(t *testing.T) {
 	specs := []fault.Spec{
-		{Site: fault.SiteKCKill, Prob: 0.2, TaskPrefix: "kc.chaos"},
-		{Site: fault.SiteSchedKill, Prob: 0.05, TaskPrefix: "sched."},
-		{Site: fault.SiteFutexLostWake, Prob: 0.1},
-		{Site: fault.SiteSchedDelay, Prob: 0.1, DelayUS: 100},
+		{Site: probe.SiteKCKill, Prob: 0.2, TaskPrefix: "kc.chaos"},
+		{Site: probe.SiteSchedKill, Prob: 0.05, TaskPrefix: "sched."},
+		{Site: probe.SiteFutexLostWake, Prob: 0.1},
+		{Site: probe.SiteSchedDelay, Prob: 0.1, DelayUS: 100},
 	}
 	sawOrphan := false
 	for seed := uint64(200); seed < 208; seed++ {

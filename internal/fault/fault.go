@@ -8,18 +8,11 @@
 // how many other specs are active — which is what makes chaos failures
 // replayable from a single seed.
 //
-// Sites (see internal/kernel/fault.go for the verdict at each):
-//
-//	open, write, read, futex_wait   transient syscall errors (err=...)
-//	futex_spurious                  spurious futex wakeup (EAGAIN)
-//	futex_lost_wake                 futex wake silently dropped
-//	kc_kill                         idle original KC dies in trampoline
-//	sched_kill                      scheduler KC dies between dispatches
-//	aio_helper_kill                 AIO helper thread dies between requests
-//	sched_delay                     extra latency before a UC dispatch
-//	fs_slow                         file I/O cost multiplied by factor
-//
-// The plane files its specs by site ID when it is built, so a fire walks
+// The probe layer owns the plane's vocabulary: a site is a probe.SiteID
+// (Sites lists the ones the plane answers; internal/kernel/fault.go has
+// the verdict at each), -faults parses with probe.ParseList and renders
+// with probe.SpecsString, and task= scopes with probe.TaskMatches. The
+// plane files its specs by site ID when it is built, so a fire walks
 // only the specs of its own site (in spec order) and compares no names.
 package fault
 
@@ -27,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,35 +32,19 @@ import (
 )
 
 // Sites lists every injection site the runtime consults, in stable order.
-// Each is the name of a probe.SiteID.
-var Sites = []string{
-	SiteOpen, SiteWrite, SiteRead, SiteFutexWait,
-	SiteFutexSpurious, SiteFutexLostWake,
-	SiteKCKill, SiteSchedKill, SiteAIOHelperKill,
-	SiteSchedDelay, SiteFSSlow,
+var Sites = []probe.SiteID{
+	probe.SiteOpen, probe.SiteWrite, probe.SiteRead, probe.SiteFutexWait,
+	probe.SiteFutexSpurious, probe.SiteFutexLostWake,
+	probe.SiteKCKill, probe.SiteSchedKill, probe.SiteAIOHelperKill,
+	probe.SiteSchedDelay, probe.SiteFSSlow,
 }
-
-// Site names.
-const (
-	SiteOpen          = "open"
-	SiteWrite         = "write"
-	SiteRead          = "read"
-	SiteFutexWait     = "futex_wait"
-	SiteFutexSpurious = "futex_spurious"
-	SiteFutexLostWake = "futex_lost_wake"
-	SiteKCKill        = "kc_kill"
-	SiteSchedKill     = "sched_kill"
-	SiteAIOHelperKill = "aio_helper_kill"
-	SiteSchedDelay    = "sched_delay"
-	SiteFSSlow        = "fs_slow"
-)
 
 // Spec is one fault rule: where it can fire, when it fires, and what it
 // injects. Exactly one of Prob / Nth / Every selects the firing rule
 // (Prob if none is set is 0, i.e. the spec never fires).
 type Spec struct {
-	// Site is the injection site name (one of Sites).
-	Site string
+	// Site is the injection site (one of Sites).
+	Site probe.SiteID
 	// TaskPrefix restricts the spec to tasks whose name starts with this
 	// prefix; empty matches every task. This is the isolation lever: a
 	// spec scoped to one tenant's tasks cannot perturb any other task's
@@ -96,7 +74,7 @@ type Spec struct {
 // String renders the spec in the -faults flag syntax (parseable back).
 func (s Spec) String() string {
 	var b strings.Builder
-	b.WriteString(s.Site)
+	b.WriteString(s.Site.String())
 	sep := ":"
 	put := func(k, v string) {
 		b.WriteString(sep)
@@ -132,49 +110,21 @@ func (s Spec) String() string {
 	return b.String()
 }
 
-// ParseSpecs parses the -faults flag syntax: semicolon-separated specs,
-// each "site:key=val,key=val,...". Example:
+// ParseSpecs parses the -faults flag syntax (probe.ParseList): specs
+// "site:key=val,key=val,..." separated by semicolons. Example:
 //
 //	futex_lost_wake:prob=0.01;kc_kill:nth=3,task=kc.t2;fs_slow:factor=8
 func ParseSpecs(s string) ([]Spec, error) {
-	var specs []Spec
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		site, opts, _ := strings.Cut(part, ":")
-		site = strings.TrimSpace(site)
-		if !validSite(site) {
-			return nil, fmt.Errorf("fault: unknown site %q (valid: %s)", site, strings.Join(Sites, " "))
-		}
-		sp := Spec{Site: site}
-		if opts != "" {
-			for _, kv := range strings.Split(opts, ",") {
-				key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-				if !ok {
-					return nil, fmt.Errorf("fault: bad option %q in spec %q (want key=val)", kv, part)
-				}
-				if err := sp.setOption(key, val); err != nil {
-					return nil, fmt.Errorf("fault: spec %q: %w", part, err)
-				}
-			}
-		}
-		if err := sp.validate(); err != nil {
-			return nil, fmt.Errorf("fault: spec %q: %w", part, err)
-		}
-		specs = append(specs, sp)
-	}
-	return specs, nil
+	return probe.ParseList("fault", s, openSpec, (*Spec).setOption, (*Spec).validate)
 }
 
-func validSite(site string) bool {
-	for _, s := range Sites {
-		if s == site {
-			return true
-		}
+// openSpec starts a spec at the named site.
+func openSpec(name, _ string) (Spec, error) {
+	if id := probe.SiteByName(name); slices.Contains(Sites, id) {
+		return Spec{Site: id}, nil
 	}
-	return false
+	// Sites prints as "[open write ...]".
+	return Spec{}, fmt.Errorf("unknown site %q (valid: %s)", name, strings.Trim(fmt.Sprint(Sites), "[]"))
 }
 
 func (s *Spec) setOption(key, val string) error {
@@ -246,7 +196,7 @@ func (s *Spec) validate() error {
 	if rules > 1 {
 		return errors.New("at most one of prob/nth/every")
 	}
-	if s.Site == SiteFSSlow {
+	if s.Site == probe.SiteFSSlow {
 		if s.Factor < 1 {
 			return errors.New("fs_slow needs factor>=1")
 		}
@@ -256,7 +206,7 @@ func (s *Spec) validate() error {
 	if rules == 0 {
 		return errors.New("needs one of prob/nth/every")
 	}
-	if s.Site == SiteSchedDelay && s.DelayUS == 0 {
+	if s.Site == probe.SiteSchedDelay && s.DelayUS == 0 {
 		return errors.New("sched_delay needs delay_us")
 	}
 	return nil
@@ -284,16 +234,6 @@ type armed struct {
 	rng   *sim.RNG
 	hits  uint64
 	fires uint64
-}
-
-// matches reports whether the spec applies to this task (site already
-// checked by the caller). A nil task (no current task at the site) only
-// matches unrestricted specs.
-func (a *armed) matches(t probe.Task) bool {
-	if a.TaskPrefix == "" {
-		return true
-	}
-	return t != nil && strings.HasPrefix(t.Name(), a.TaskPrefix)
 }
 
 // decide registers one hit and reports whether the spec fires on it. It
@@ -328,32 +268,20 @@ type Plane struct {
 	bySite [probe.NumSites][]*armed
 }
 
-// NewPlane builds a plane. Spec i draws from stream splitmix(seed, i), so
-// per-spec schedules are independent and stable under spec reordering of
-// *other* sites.
+// NewPlane builds a plane. Spec i draws from stream sim.SplitMix(seed,
+// i+1), so per-spec schedules are independent and stable under spec
+// reordering of *other* sites.
 func NewPlane(seed uint64, specs []Spec) *Plane {
 	p := &Plane{}
 	for i, s := range specs {
 		a := &armed{
 			Spec: s,
-			rng:  sim.NewRNG(mix(seed, uint64(i)+1)),
+			rng:  sim.NewRNG(sim.SplitMix(seed, uint64(i)+1)),
 		}
 		p.specs = append(p.specs, a)
-		// A name that is no site (a spec built in code, not parsed) is
-		// filed nowhere and never fires.
-		if id := probe.SiteByName(s.Site); id != 0 {
-			p.bySite[id] = append(p.bySite[id], a)
-		}
+		p.bySite[s.Site] = append(p.bySite[s.Site], a)
 	}
 	return p
-}
-
-// mix derives a sub-stream seed (SplitMix64 finalizer over seed+lane).
-func mix(seed, lane uint64) uint64 {
-	z := seed + lane*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Attach attaches the plane to r as a probe program at fault:site and
@@ -390,7 +318,7 @@ func (p *Plane) fire(c *probe.Ctx) probe.Verdict {
 // syscallError decides a syscall site: the injected error, or nil.
 func (p *Plane) syscallError(t probe.Task, id probe.SiteID) error {
 	for _, a := range p.bySite[id] {
-		if a.matches(t) && a.decide() {
+		if probe.TaskMatches(a.TaskPrefix, t) && a.decide() {
 			return a.injErr()
 		}
 	}
@@ -401,7 +329,7 @@ func (p *Plane) syscallError(t probe.Task, id probe.SiteID) error {
 func (p *Plane) boolSite(t probe.Task, id probe.SiteID) bool {
 	fire := false
 	for _, a := range p.bySite[id] {
-		if a.matches(t) && a.decide() {
+		if probe.TaskMatches(a.TaskPrefix, t) && a.decide() {
 			fire = true
 			// Keep evaluating so every matching spec's stream advances
 			// the same way whether or not an earlier spec fired.
@@ -415,7 +343,7 @@ func (p *Plane) boolSite(t probe.Task, id probe.SiteID) bool {
 func (p *Plane) extraDelay(t probe.Task, id probe.SiteID) sim.Duration {
 	var d sim.Duration
 	for _, a := range p.bySite[id] {
-		if a.matches(t) && a.decide() {
+		if probe.TaskMatches(a.TaskPrefix, t) && a.decide() {
 			add := sim.Duration(math.MaxInt64)
 			if a.DelayUS <= maxDelayUS {
 				add = sim.Duration(a.DelayUS) * sim.Microsecond
@@ -435,7 +363,7 @@ func (p *Plane) extraDelay(t probe.Task, id probe.SiteID) sim.Duration {
 func (p *Plane) ioScale(t probe.Task, id probe.SiteID) float64 {
 	f := 1.0
 	for _, a := range p.bySite[id] {
-		if a.Factor > 1 && a.matches(t) {
+		if a.Factor > 1 && probe.TaskMatches(a.TaskPrefix, t) {
 			f *= a.Factor
 		}
 	}
@@ -462,7 +390,7 @@ func (p *Plane) ioDelay(t probe.Task, cost sim.Duration) sim.Duration {
 // ask freely without perturbing schedules.
 func (p *Plane) isArmed(t probe.Task, id probe.SiteID) bool {
 	for _, a := range p.bySite[id] {
-		if a.matches(t) {
+		if probe.TaskMatches(a.TaskPrefix, t) {
 			return true
 		}
 	}
@@ -488,8 +416,8 @@ func (p *Plane) PublishMetrics(reg *metrics.Registry) {
 		return
 	}
 	for _, a := range p.specs {
-		reg.Counter("fault." + a.Site + ".hits").Add(a.hits)
-		reg.Counter("fault." + a.Site + ".fires").Add(a.fires)
+		reg.Counter("fault." + a.Site.String() + ".hits").Add(a.hits)
+		reg.Counter("fault." + a.Site.String() + ".fires").Add(a.fires)
 	}
 }
 

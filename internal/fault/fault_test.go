@@ -19,7 +19,7 @@ func TestParseSpecs(t *testing.T) {
 	if len(specs) != 4 {
 		t.Fatalf("got %d specs, want 4", len(specs))
 	}
-	if specs[0].Site != SiteFutexLostWake || specs[0].Prob != 0.25 {
+	if specs[0].Site != probe.SiteFutexLostWake || specs[0].Prob != 0.25 {
 		t.Errorf("spec 0 = %+v", specs[0])
 	}
 	if specs[1].Nth != 3 || specs[1].TaskPrefix != "kc.t2" {
@@ -80,10 +80,60 @@ func TestParseSpecsErrors(t *testing.T) {
 	}
 }
 
+// TestSpecGrammarShared runs one table of spec lists through both
+// parsers built on probe.ParseList: -faults and -probe must accept and
+// reject the same lists, each error under its own prefix. NAME and OPT
+// stand for each parser's valid name and option.
+func TestSpecGrammarShared(t *testing.T) {
+	cases := []struct {
+		what, in string
+		specs    int // -1: rejected
+	}{
+		{"empty", "", 0},
+		{"empty parts", " ;;; ", 0},
+		{"empty parts around a spec", ";;NAME:OPT;;", 1},
+		{"stray whitespace", "  NAME : OPT ;\tNAME:\tOPT\t", 2},
+		{"space inside an option", "NAME:OPT,task = a", -1},
+		{"key without =", "NAME:OPT,task", -1},
+		{"trailing ,", "NAME:OPT,", -1},
+		{"trailing ;", "NAME:OPT;", 1},
+		{"unknown key", "NAME:OPT,frobnicate=1", -1},
+		{"unknown name", "nosuchname:OPT", -1},
+		{"one valid spec", "NAME:OPT", 1},
+	}
+	parsers := []struct {
+		prefix, name, opt string
+		parse             func(string) (int, error)
+	}{
+		{"fault: ", "kc_kill", "nth=3", func(s string) (int, error) {
+			specs, err := ParseSpecs(s)
+			return len(specs), err
+		}},
+		{"probe: ", "slo", "p99_us=5", func(s string) (int, error) {
+			specs, err := probe.ParseSpecs(s)
+			return len(specs), err
+		}},
+	}
+	for _, c := range cases {
+		for _, p := range parsers {
+			in := strings.NewReplacer("NAME", p.name, "OPT", p.opt).Replace(c.in)
+			n, err := p.parse(in)
+			switch {
+			case c.specs >= 0 && (err != nil || n != c.specs):
+				t.Errorf("%s: %s%q = %d specs, %v; want %d specs", c.what, p.prefix, in, n, err, c.specs)
+			case c.specs < 0 && err == nil:
+				t.Errorf("%s: %s%q accepted, want an error", c.what, p.prefix, in)
+			case c.specs < 0 && !strings.HasPrefix(err.Error(), p.prefix):
+				t.Errorf("%s: %q: error %q lacks the prefix %q", c.what, in, err, p.prefix)
+			}
+		}
+	}
+}
+
 func TestNthAndEveryAndCount(t *testing.T) {
 	p := NewPlane(1, []Spec{
-		{Site: SiteOpen, Nth: 3, Err: "enospc"},
-		{Site: SiteWrite, Every: 2, Count: 2, Err: "eagain"},
+		{Site: probe.SiteOpen, Nth: 3, Err: "enospc"},
+		{Site: probe.SiteWrite, Every: 2, Count: 2, Err: "eagain"},
 	})
 	var openErrs, writeErrs []error
 	for i := 0; i < 6; i++ {
@@ -116,11 +166,11 @@ func TestNthAndEveryAndCount(t *testing.T) {
 
 func TestProbDeterminismAndIndependence(t *testing.T) {
 	run := func(extra bool) []bool {
-		specs := []Spec{{Site: SiteFutexLostWake, Prob: 0.5}}
+		specs := []Spec{{Site: probe.SiteFutexLostWake, Prob: 0.5}}
 		if extra {
 			// A second spec at a different site must not shift the first
 			// spec's schedule: streams are per-spec.
-			specs = append(specs, Spec{Site: SiteOpen, Prob: 0.9})
+			specs = append(specs, Spec{Site: probe.SiteOpen, Prob: 0.9})
 		}
 		p := NewPlane(42, specs)
 		var fires []bool
@@ -147,7 +197,7 @@ func TestProbDeterminismAndIndependence(t *testing.T) {
 	}
 	// A different seed gives a different schedule (overwhelmingly likely
 	// over 64 draws at p=0.5).
-	p2 := NewPlane(43, []Spec{{Site: SiteFutexLostWake, Prob: 0.5}})
+	p2 := NewPlane(43, []Spec{{Site: probe.SiteFutexLostWake, Prob: 0.5}})
 	diff := false
 	for i := 0; i < 64; i++ {
 		if p2.boolSite(nil, probe.SiteFutexLostWake) != a[i] {
@@ -160,8 +210,8 @@ func TestProbDeterminismAndIndependence(t *testing.T) {
 }
 
 func TestArmedConsumesNoRandomness(t *testing.T) {
-	p := NewPlane(7, []Spec{{Site: SiteFutexLostWake, Prob: 0.5}})
-	q := NewPlane(7, []Spec{{Site: SiteFutexLostWake, Prob: 0.5}})
+	p := NewPlane(7, []Spec{{Site: probe.SiteFutexLostWake, Prob: 0.5}})
+	q := NewPlane(7, []Spec{{Site: probe.SiteFutexLostWake, Prob: 0.5}})
 	for i := 0; i < 32; i++ {
 		// Interleave armed queries on p only; schedules must stay equal.
 		p.isArmed(nil, probe.SiteFutexLostWake)
@@ -179,7 +229,7 @@ func TestArmedConsumesNoRandomness(t *testing.T) {
 }
 
 func TestIOScale(t *testing.T) {
-	p := NewPlane(1, []Spec{{Site: SiteFSSlow, Factor: 4}})
+	p := NewPlane(1, []Spec{{Site: probe.SiteFSSlow, Factor: 4}})
 	if f := p.ioScale(nil, probe.SiteFSSlow); f != 4 {
 		t.Errorf("IOScale = %v, want 4", f)
 	}
@@ -206,7 +256,7 @@ func TestIODelay(t *testing.T) {
 	} {
 		var specs []Spec
 		for _, f := range c.factors {
-			specs = append(specs, Spec{Site: SiteFSSlow, Factor: f})
+			specs = append(specs, Spec{Site: probe.SiteFSSlow, Factor: f})
 		}
 		r := probe.NewRegistry()
 		NewPlane(1, specs).Attach(r)
@@ -224,18 +274,8 @@ func TestIODelay(t *testing.T) {
 	}
 }
 
-// TestSitesHaveIDs pins every injection site to the probe site table,
-// which the plane files its specs by.
-func TestSitesHaveIDs(t *testing.T) {
-	for _, name := range Sites {
-		if id := probe.SiteByName(name); id == 0 || id.String() != name {
-			t.Errorf("site %q has no probe.SiteID (got %v)", name, id)
-		}
-	}
-}
-
 func TestExtraDelay(t *testing.T) {
-	p := NewPlane(1, []Spec{{Site: SiteSchedDelay, Every: 2, DelayUS: 50}})
+	p := NewPlane(1, []Spec{{Site: probe.SiteSchedDelay, Every: 2, DelayUS: 50}})
 	d1 := p.extraDelay(nil, probe.SiteSchedDelay)
 	d2 := p.extraDelay(nil, probe.SiteSchedDelay)
 	if d1 != 0 {
@@ -260,8 +300,8 @@ func TestDelayAndFactorLimits(t *testing.T) {
 		t.Errorf("delay = %d ps, want %d", d, 9223372036854*sim.Microsecond)
 	}
 	huge := NewPlane(1, []Spec{
-		{Site: SiteSchedDelay, Every: 1, DelayUS: math.MaxUint64},
-		{Site: SiteSchedDelay, Every: 1, DelayUS: maxDelayUS},
+		{Site: probe.SiteSchedDelay, Every: 1, DelayUS: math.MaxUint64},
+		{Site: probe.SiteSchedDelay, Every: 1, DelayUS: maxDelayUS},
 	})
 	if d := huge.extraDelay(nil, probe.SiteSchedDelay); d != math.MaxInt64 {
 		t.Errorf("overflowing delay sum = %d, want saturation at %d", d, int64(math.MaxInt64))
@@ -316,10 +356,10 @@ func FuzzParseSpecs(f *testing.F) {
 		for _, sp := range specs {
 			task := namedTask(sp.TaskPrefix)
 			for i := 0; i < 3; i++ {
-				if d := p.extraDelay(task, probe.SiteByName(sp.Site)); d < 0 {
+				if d := p.extraDelay(task, sp.Site); d < 0 {
 					t.Fatalf("%q: negative delay %d", in, d)
 				}
-				if f := p.ioScale(task, probe.SiteByName(sp.Site)); !(f >= 1) {
+				if f := p.ioScale(task, sp.Site); !(f >= 1) {
 					t.Fatalf("%q: scale %v below 1", in, f)
 				}
 				if d := p.ioDelay(task, sim.Duration(i)*sim.Millisecond); d < 0 {

@@ -23,9 +23,10 @@ var (
 )
 
 // Fault injection is a probe program at fault:site / fault:armed (the
-// seeded plane in internal/fault attaches there). The sites the runtime
-// stack fires, by their probe.SiteID (so lower layers need not import
-// internal/fault):
+// seeded plane in internal/fault attaches there). A site is a row of the
+// probe site table (probe.SiteID), so lower layers need not import
+// internal/fault. The sites the runtime stack fires, and the verdict
+// each applies:
 //
 //	open, write, read, futex_wait  — transient syscall errors (Err)
 //	futex_spurious  — a futex wait returns EAGAIN without sleeping (Drop)
@@ -40,16 +41,28 @@ var (
 // program driven by a seeded RNG reproduces the same fault schedule for
 // the same seed. With nothing attached each site costs one length check.
 
+// faultCtx leases the context of a fault:site, fault:armed or
+// fault:fired fire (p) at site id on behalf of t, which may be nil at a
+// site with no task. Every fault fire leases through here. The caller
+// checks Attached(p) first: with the check inside, the helper would not
+// inline (cost 82 against the inliner's budget of 80), so an unattached
+// site would pay a call on top of its one length check.
+func (k *Kernel) faultCtx(p probe.Point, t *Task, id probe.SiteID) *probe.Ctx {
+	c := k.probes.Begin(p, k.engine.Now())
+	c.SetSite(id)
+	if t != nil {
+		c.Task = t
+	}
+	return c
+}
+
 // faultSyscall consults fault:site at a syscall site; nil when nothing
 // is attached or no program vetoes.
 func (k *Kernel) faultSyscall(t *Task, id probe.SiteID) error {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return nil
 	}
-	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.SetSite(id)
-	c.Task = t
-	err := k.probes.Fire(c).Err
+	err := k.probes.Fire(k.faultCtx(probe.PFaultSite, t, id)).Err
 	if err != nil {
 		if k.Tracing() {
 			k.Emit(t, "fault", "%s: %v", id, err)
@@ -66,9 +79,7 @@ func (k *Kernel) faultIOScale(t *Task, cost sim.Duration) sim.Duration {
 	if !k.probes.Attached(probe.PFaultSite) {
 		return cost
 	}
-	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.SetSite(probe.SiteFSSlow)
-	c.Task = t
+	c := k.faultCtx(probe.PFaultSite, t, probe.SiteFSSlow)
 	c.Dur = cost
 	if d := k.probes.Fire(c).Delay; d > 0 {
 		if cost > math.MaxInt64-d {
@@ -77,4 +88,42 @@ func (k *Kernel) faultIOScale(t *Task, cost sim.Duration) sim.Duration {
 		return cost + d
 	}
 	return cost
+}
+
+// FaultShouldDie consults fault:site at a kill site (SiteKCKill,
+// SiteSchedKill, SiteAIOHelperKill): true means the task visiting the
+// site dies now. Any program attached to fault:site can kill.
+func (k *Kernel) FaultShouldDie(t *Task, id probe.SiteID) bool {
+	return k.probes.Attached(probe.PFaultSite) &&
+		k.probes.Fire(k.faultCtx(probe.PFaultSite, t, id)).Drop
+}
+
+// FaultDelay consults fault:site for extra latency at site id
+// (SiteSchedDelay); the caller charges the returned duration.
+func (k *Kernel) FaultDelay(t *Task, id probe.SiteID) sim.Duration {
+	if !k.probes.Attached(probe.PFaultSite) {
+		return 0
+	}
+	return k.probes.Fire(k.faultCtx(probe.PFaultSite, t, id)).Delay
+}
+
+// faultArmed consults fault:armed: whether any program could ever fire
+// for (task, site), without consuming randomness. FutexSleep uses it to
+// decide whether to arm a timed wait.
+func (k *Kernel) faultArmed(t *Task, id probe.SiteID) bool {
+	return k.probes.Attached(probe.PFaultArmed) &&
+		k.probes.Fire(k.faultCtx(probe.PFaultArmed, t, id)).Drop
+}
+
+// faultFired announces an injection that fired: it fires fault:fired
+// with the site and the injected error (syscall sites), which the stock
+// metrics program counts. Each caller records its "fault" instant
+// first, under a Tracing() check, so that an untraced injection boxes
+// no trace arguments.
+func (k *Kernel) faultFired(t *Task, id probe.SiteID, err error) {
+	if k.probes.Attached(probe.PFaultFired) {
+		c := k.faultCtx(probe.PFaultFired, t, id)
+		c.Err = err
+		k.probes.Fire(c)
+	}
 }

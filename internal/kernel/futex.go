@@ -179,9 +179,7 @@ func (t *Task) futexWait(addr uint64, expected uint64, timeout sim.Duration) err
 		return ErrFutexAgain
 	}
 	if k.probes.Attached(probe.PFaultSite) {
-		c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-		c.SetSite(probe.SiteFutexSpurious)
-		c.Task = t
+		c := k.faultCtx(probe.PFaultSite, t, probe.SiteFutexSpurious)
 		c.Addr = addr
 		if k.probes.Fire(c).Drop {
 			// A spurious wakeup: the caller observes EAGAIN without having
@@ -292,9 +290,7 @@ func (t *Task) FutexWake(addr uint64, n int) int {
 // ledger see requeue wakes exactly as they see plain wakes.
 func (k *Kernel) futexWakeOne(waker *Task, q *WaitQueue, w *Task, addr uint64) bool {
 	if k.probes.Attached(probe.PFaultSite) {
-		c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-		c.SetSite(probe.SiteFutexLostWake)
-		c.Task = waker
+		c := k.faultCtx(probe.PFaultSite, waker, probe.SiteFutexLostWake)
 		c.Waiter = w
 		c.Addr = addr
 		if k.probes.Fire(c).Drop {

@@ -70,8 +70,8 @@ type Kernel struct {
 	sleepers WaitQueue
 
 	// policy, when set, is the pluggable dispatch plane (see policy.go):
-	// core placement, enqueue position and pick-next order route through
-	// it; nil is the built-in FIFO scheduler.
+	// it decides the core a waking task is placed on; run queues stay
+	// FIFO. nil is the built-in placement.
 	policy SchedPolicy
 
 	// metrics, when set, is the registry the kernel publishes into. The

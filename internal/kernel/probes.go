@@ -3,7 +3,6 @@ package kernel
 import (
 	"repro/internal/metrics"
 	"repro/internal/probe"
-	"repro/internal/sim"
 )
 
 // The kernel owns one stock probe program, metrics, attached by
@@ -32,50 +31,6 @@ func (k *Kernel) noteSwitch(t *Task) {
 	k.probes.Fire(c)
 }
 
-// FaultShouldDie consults fault:site at a kill site (SiteKCKill,
-// SiteSchedKill, SiteAIOHelperKill): true means the task visiting the
-// site dies now. Any program attached to fault:site can kill.
-func (k *Kernel) FaultShouldDie(t *Task, id probe.SiteID) bool {
-	if !k.probes.Attached(probe.PFaultSite) {
-		return false
-	}
-	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.SetSite(id)
-	if t != nil {
-		c.Task = t
-	}
-	return k.probes.Fire(c).Drop
-}
-
-// FaultDelay consults fault:site for extra latency at site id
-// (SiteSchedDelay); the caller charges the returned duration.
-func (k *Kernel) FaultDelay(t *Task, id probe.SiteID) sim.Duration {
-	if !k.probes.Attached(probe.PFaultSite) {
-		return 0
-	}
-	c := k.probes.Begin(probe.PFaultSite, k.engine.Now())
-	c.SetSite(id)
-	if t != nil {
-		c.Task = t
-	}
-	return k.probes.Fire(c).Delay
-}
-
-// faultArmed consults fault:armed: whether any program could ever fire
-// for (task, site), without consuming randomness. FutexSleep uses it to
-// decide whether to arm a timed wait.
-func (k *Kernel) faultArmed(t *Task, id probe.SiteID) bool {
-	if !k.probes.Attached(probe.PFaultArmed) {
-		return false
-	}
-	c := k.probes.Begin(probe.PFaultArmed, k.engine.Now())
-	c.SetSite(id)
-	if t != nil {
-		c.Task = t
-	}
-	return k.probes.Fire(c).Drop
-}
-
 // RestartVerdict consults task:restart for the entity named name
 // ("kc.<name>", "aio.<owner>"), on behalf of task t, reporting failures
 // new failures (1 when it was fault-killed, 0 to register it): Drop
@@ -93,24 +48,6 @@ func (k *Kernel) RestartVerdict(t *Task, name string, failures int) probe.Verdic
 		c.Task = t
 	}
 	return k.probes.Fire(c)
-}
-
-// faultFired announces an injection that fired: it fires fault:fired
-// with the site and the injected error (syscall sites), which the stock
-// metrics program counts. Each caller records its "fault" instant
-// first, under a Tracing() check, so that an untraced injection boxes
-// no trace arguments.
-func (k *Kernel) faultFired(t *Task, id probe.SiteID, err error) {
-	if !k.probes.Attached(probe.PFaultFired) {
-		return
-	}
-	c := k.probes.Begin(probe.PFaultFired, k.engine.Now())
-	c.SetSite(id)
-	if t != nil {
-		c.Task = t
-	}
-	c.Err = err
-	k.probes.Fire(c)
 }
 
 // stockMetricsPoints are the attach points the metrics probe watches.

@@ -224,8 +224,8 @@ func TestWaitsGolden(t *testing.T) {
 	// one of its switch-ins to the next draw counts the charges alone.
 	const killNth = 13
 	specs := []fault.Spec{
-		{Site: fault.SiteSchedKill, Nth: killNth, TaskPrefix: "sched.c0"},
-		{Site: fault.SiteSchedDelay, Prob: 0.3, DelayUS: 2, TaskPrefix: "sched.c1"},
+		{Site: probe.SiteSchedKill, Nth: killNth, TaskPrefix: "sched.c0"},
+		{Site: probe.SiteSchedDelay, Prob: 0.3, DelayUS: 2, TaskPrefix: "sched.c1"},
 	}
 	k := kernel.New(sim.New(), arch.Wallaby())
 	plane := fault.NewPlane(7, specs)
@@ -241,10 +241,10 @@ func TestWaitsGolden(t *testing.T) {
 			return probe.Verdict{}
 		}
 		now := k.Engine().Now()
-		if c.Site == fault.SiteSchedDelay {
+		if c.ID == probe.SiteSchedDelay {
 			switched = now
 		}
-		if c.Site != fault.SiteSchedKill {
+		if c.ID != probe.SiteSchedKill {
 			return probe.Verdict{}
 		}
 		v := killVisit{tail: -1, loaded: -1, sinceSwitch: now.Sub(switched)}

@@ -20,8 +20,8 @@ import (
 // Tracing is not a program: the kernel writes trace records straight to
 // the engine's sim.Tracer.
 //
-// Spec syntax mirrors -faults: semicolon-separated probes, each
-// "name:key=val,key=val,...". Example:
+// Spec syntax is the grammar -faults shares (ParseList): semicolon-
+// separated probes, each "name:key=val,key=val,...". Example:
 //
 //	throttle:task=t2.,interval_us=50,burst=4;slo:syscall=open,p99_us=800
 
@@ -74,51 +74,70 @@ func ListStock() string {
 	return b.String()
 }
 
-// SpecsString renders specs back in the -probe flag syntax.
-func SpecsString(specs []Spec) string {
+// SpecsString renders a spec list in the grammar ParseList reads: each
+// spec's String, joined by ";". Both -probe and -faults specs render
+// through it.
+func SpecsString[S fmt.Stringer](specs []S) string {
 	var b strings.Builder
 	for i, sp := range specs {
 		if i > 0 {
-			b.WriteString(";")
+			b.WriteByte(';')
 		}
 		b.WriteString(sp.String())
 	}
 	return b.String()
 }
 
-// ParseSpecs parses the -probe flag syntax.
-func ParseSpecs(s string) ([]Spec, error) {
-	var specs []Spec
+// ParseList parses the spec-list grammar -probe and -faults share:
+// semicolon-separated specs, each "name:key=val,key=val,...". An empty
+// spec is skipped, and space around a spec, its name and each option is
+// ignored. open turns a spec's name into a fresh spec (text is the
+// spec as written), set applies one option and check validates the
+// finished spec; every error comes back prefixed with what.
+func ParseList[S any](what, s string, open func(name, text string) (S, error),
+	set func(sp *S, key, val string) error, check func(*S) error) ([]S, error) {
+	var specs []S
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		name, opts, _ := strings.Cut(part, ":")
-		name = strings.TrimSpace(name)
-		sp := Spec{Name: name, Burst: 1, raw: part}
-		switch name {
-		case "throttle", "slo", "count":
-		default:
-			return nil, fmt.Errorf("probe: unknown stock probe %q (valid: throttle slo count)", name)
+		sp, err := open(strings.TrimSpace(name), part)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
 		}
 		if opts != "" {
 			for _, kv := range strings.Split(opts, ",") {
 				key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 				if !ok {
-					return nil, fmt.Errorf("probe: bad option %q in spec %q (want key=val)", kv, part)
+					return nil, fmt.Errorf("%s: bad option %q in spec %q (want key=val)", what, kv, part)
 				}
-				if err := sp.setOption(key, val); err != nil {
-					return nil, fmt.Errorf("probe: spec %q: %w", part, err)
+				if err := set(&sp, key, val); err != nil {
+					return nil, fmt.Errorf("%s: spec %q: %w", what, part, err)
 				}
 			}
 		}
-		if err := sp.validate(); err != nil {
-			return nil, fmt.Errorf("probe: spec %q: %w", part, err)
+		if err := check(&sp); err != nil {
+			return nil, fmt.Errorf("%s: spec %q: %w", what, part, err)
 		}
 		specs = append(specs, sp)
 	}
 	return specs, nil
+}
+
+// ParseSpecs parses the -probe flag syntax.
+func ParseSpecs(s string) ([]Spec, error) {
+	return ParseList("probe", s, openSpec, (*Spec).setOption, (*Spec).validate)
+}
+
+// openSpec starts a spec for the stock probe name.
+func openSpec(name, text string) (Spec, error) {
+	switch name {
+	case "throttle", "slo", "count":
+		return Spec{Name: name, Burst: 1, raw: text}, nil
+	}
+	return Spec{}, fmt.Errorf("unknown stock probe %q (valid: throttle slo count)", name)
 }
 
 func (s *Spec) setOption(key, val string) error {
@@ -234,13 +253,16 @@ func attachSpec(r *Registry, sp Spec) *Attachment {
 	panic("probe: unreachable: specs are validated at parse time")
 }
 
-// taskMatches implements the shared task-prefix scoping rule (same
-// semantics as fault.Spec.TaskPrefix): empty prefix matches everything,
-// including task-less sites; a non-empty prefix requires a task.
-func taskMatches(prefix string, t Task) bool {
-	if prefix == "" {
-		return true
-	}
+// TaskMatches is the task-prefix scoping rule every program shares (the
+// stock probes' task= and the fault plane's): an empty prefix matches
+// everything, including task-less sites; a non-empty prefix requires a
+// task whose name starts with it. The unscoped test inlines, so the
+// common empty prefix costs a fire no call.
+func TaskMatches(prefix string, t Task) bool {
+	return prefix == "" || namePrefixed(t, prefix)
+}
+
+func namePrefixed(t Task, prefix string) bool {
 	return t != nil && strings.HasPrefix(t.Name(), prefix)
 }
 
@@ -291,7 +313,7 @@ func syscallID(name string) SiteID {
 
 // Fire is the probe program. Attach at PSyscallEnter.
 func (th *Throttle) Fire(c *Ctx) Verdict {
-	if c.Point != PSyscallEnter || !taskMatches(th.task, c.Task) {
+	if c.Point != PSyscallEnter || !TaskMatches(th.task, c.Task) {
 		return Verdict{}
 	}
 	if th.syscall != siteNone && c.ID != th.syscall {
@@ -355,7 +377,7 @@ func NewSLO(taskPrefix, syscall string, p99 sim.Duration) *SLO {
 
 // Fire is the probe program. Attach at PSyscallExit.
 func (s *SLO) Fire(c *Ctx) Verdict {
-	if c.Point != PSyscallExit || !taskMatches(s.task, c.Task) {
+	if c.Point != PSyscallExit || !TaskMatches(s.task, c.Task) {
 		return Verdict{}
 	}
 	if s.syscall != siteNone && c.ID != s.syscall {
@@ -427,7 +449,7 @@ type counter struct {
 }
 
 func (c *counter) fire(ctx *Ctx) Verdict {
-	if taskMatches(c.task, ctx.Task) {
+	if TaskMatches(c.task, ctx.Task) {
 		n := c.fires[ctx.Point]
 		if n == nil {
 			n = c.prog.Agg().Counter("fires." + ctx.Point.String())

@@ -8,13 +8,26 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is SplitMix64's increment: 2^64 divided by the golden ratio.
+const gamma = 0x9e3779b97f4a7c15
+
 // NewRNG creates a generator from a seed. Equal seeds yield equal streams.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += gamma
+	return SplitMix(r.state, 0)
+}
+
+// SplitMix is the SplitMix64 finalizer over seed + lane·gamma: output
+// number lane of NewRNG(seed), computed directly. It derives the seeds of
+// independent sub-streams of one run seed, one lane each, so a stream's
+// draws never shift another's: the fault plane's per-spec streams, the
+// chaos fuzzer's per-rank and signal streams and the supervisor's
+// per-entity restart jitter.
+func SplitMix(seed, lane uint64) uint64 {
+	z := seed + lane*gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

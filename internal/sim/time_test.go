@@ -66,6 +66,23 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestSplitMixIsStreamOutput pins the lane mixer every seeded plane
+// derives its streams from: lane k of a seed is the k-th output of
+// NewRNG(seed), and seed 0's first output is SplitMix64's reference value.
+func TestSplitMixIsStreamOutput(t *testing.T) {
+	if got := SplitMix(0, 1); got != 0xe220a8397b1dcdaf {
+		t.Errorf("SplitMix(0, 1) = %#x, want the SplitMix64 reference 0xe220a8397b1dcdaf", got)
+	}
+	for _, seed := range []uint64{0, 1, 42, 0xc4a05, 1 << 63} {
+		r := NewRNG(seed)
+		for lane := uint64(1); lane <= 8; lane++ {
+			if got, want := SplitMix(seed, lane), r.Uint64(); got != want {
+				t.Errorf("SplitMix(%d, %d) = %#x, want output %d of NewRNG(%d) = %#x", seed, lane, got, lane, seed, want)
+			}
+		}
+	}
+}
+
 func TestRNGIntnBounds(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		m := int(n%1000) + 1

@@ -41,7 +41,7 @@ func (p *Plane) restarter(name string) *Restarter {
 	}
 	r := &Restarter{
 		plane: p,
-		rng:   sim.NewRNG(mixSeed(p.cfg.Seed, fnv64(name))),
+		rng:   sim.NewRNG(sim.SplitMix(p.cfg.Seed, fnv64(name))),
 		name:  name,
 	}
 	p.restarts[name] = r
@@ -98,13 +98,4 @@ func fnv64(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// mixSeed combines the plane seed with a lane (SplitMix64 finalizer), so
-// per-entity streams are independent, as internal/fault does per spec.
-func mixSeed(seed, lane uint64) uint64 {
-	z := seed + lane*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	usync "repro/internal/sync"
 )
@@ -17,7 +18,7 @@ import (
 // Run would report a deadlock.
 func TestMutexRecoversLostUnlockWakeAfterLongHold(t *testing.T) {
 	e, k := newKernel(t)
-	fault.NewPlane(1, []fault.Spec{{Site: fault.SiteFutexLostWake, Nth: 1}}).Attach(k.Probes())
+	fault.NewPlane(1, []fault.Spec{{Site: probe.SiteFutexLostWake, Nth: 1}}).Attach(k.Probes())
 	const hold = 100 * sim.Millisecond
 	var acquired sim.Time
 	root := k.NewTask("root", k.NewAddressSpace(), func(rt *kernel.Task) int {

@@ -45,6 +45,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/pip"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/tasking"
 	"repro/internal/timeline"
@@ -285,17 +286,17 @@ var ParseFaultSpecs = fault.ParseSpecs
 
 // Fault-injection sites.
 const (
-	FaultOpen          = fault.SiteOpen
-	FaultWrite         = fault.SiteWrite
-	FaultRead          = fault.SiteRead
-	FaultFutexWait     = fault.SiteFutexWait
-	FaultFutexSpurious = fault.SiteFutexSpurious
-	FaultFutexLostWake = fault.SiteFutexLostWake
-	FaultKCKill        = fault.SiteKCKill
-	FaultSchedKill     = fault.SiteSchedKill
-	FaultAIOHelperKill = fault.SiteAIOHelperKill
-	FaultSchedDelay    = fault.SiteSchedDelay
-	FaultFSSlow        = fault.SiteFSSlow
+	FaultOpen          = probe.SiteOpen
+	FaultWrite         = probe.SiteWrite
+	FaultRead          = probe.SiteRead
+	FaultFutexWait     = probe.SiteFutexWait
+	FaultFutexSpurious = probe.SiteFutexSpurious
+	FaultFutexLostWake = probe.SiteFutexLostWake
+	FaultKCKill        = probe.SiteKCKill
+	FaultSchedKill     = probe.SiteSchedKill
+	FaultAIOHelperKill = probe.SiteAIOHelperKill
+	FaultSchedDelay    = probe.SiteSchedDelay
+	FaultFSSlow        = probe.SiteFSSlow
 )
 
 // Deterministic metrics plane (install with Kernel.SetMetrics; see
