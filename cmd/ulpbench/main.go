@@ -49,6 +49,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/hostprof"
 	"repro/internal/metrics"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/schedpolicy"
 )
@@ -86,27 +87,24 @@ func ulpbench() (err error) {
 	jsonOut := flag.Bool("json", false, "also write machine-readable results to "+jsonPath)
 	metricsJSON := flag.Bool("metrics-json", false, "aggregate kernel metrics over every run into the JSON report (implies -json)")
 	reportPath := flag.String("report", "", "write a full markdown report to this file (runs everything)")
-	probeStr := flag.String("probe", "", "with -scale: attach stock probes to every row's kernel (e.g. 'slo:p99_us=500'); a failing SLO check fails the row")
+	probeStr := flag.String("probe", "", "attach stock probes to every benchmark kernel (e.g. 'slo:p99_us=500'); a failing SLO check fails the run")
 	schedPolicy := flag.String("sched-policy", "", "scheduler policy for every benchmark kernel: "+strings.Join(schedpolicy.Names(), "|")+" (empty = stock dispatch)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this file after the run (go tool pprof)")
 	flag.Parse()
 	bench.Runs = *runs
-	if *probeStr != "" {
-		specs, err := probe.ParseSpecs(*probeStr)
-		if err != nil {
-			return err
-		}
-		bench.ProbeSpecs = specs
+	specs, err := probe.ParseSpecs(*probeStr)
+	if err != nil {
+		return err
 	}
 	if *schedPolicy != "" {
-		// Validate the spec once up front; bench parses a fresh instance
-		// per kernel so stateful policies never leak state across runs.
+		// Validate the spec once up front; every kernel installs a fresh
+		// instance, so stateful policies never leak state across runs.
 		if _, err := schedpolicy.New(*schedPolicy); err != nil {
 			return err
 		}
-		bench.SchedPolicy = *schedPolicy
 	}
+	bench.Planes = planes.Options{Policy: *schedPolicy, Probes: specs}
 	bench.Parallelism = *parallel
 	if *metricsJSON {
 		*jsonOut = true

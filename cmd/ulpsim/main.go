@@ -44,87 +44,136 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/loader"
 	"repro/internal/metrics"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/schedpolicy"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 	"repro/internal/timeline"
 )
 
 func main() {
-	var (
-		machineName  = flag.String("machine", "Wallaby", "Wallaby (x86_64) or Albireo (aarch64)")
-		ulps         = flag.Int("ulps", 4, "number of ULPs to spawn")
-		progCores    = flag.Int("prog-cores", 2, "cores running user code (schedulers)")
-		syscallCores = flag.Int("syscall-cores", 2, "cores dedicated to system-calls")
-		ops          = flag.Int("ops", 8, "bracketed open-write-close operations per ULP")
-		computeUS    = flag.Float64("compute-us", 5, "computation between operations [us]")
-		writeSize    = flag.Int("write-size", 4096, "write buffer size [bytes]")
-		idle         = flag.String("idle", "busywait", "KC idle policy: busywait or blocking")
-		signals      = flag.String("signals", "fcontext", "context switch style: fcontext or ucontext")
-		tracePath    = flag.String("trace", "", "write the event trace to this file")
-		traceCap     = flag.Int("trace-cap", 4096, "max retained trace events")
-		traceFormat  = flag.String("trace-format", "text", "trace file format: text or chrome (Perfetto-loadable JSON)")
-		showMetrics  = flag.Bool("metrics", false, "print the deterministic metrics dump after the run")
-		workSteal    = flag.Bool("workstealing", false, "idle schedulers steal ready UCs from peers")
-		showTimeline = flag.Bool("timeline", false, "print per-core utilization and an ASCII Gantt chart")
-		preemptUS    = flag.Float64("preempt-us", 0, "Shinjuku-style ULT preemption quantum [us], 0 = off")
-		superviseOn  = flag.Bool("supervise", false, "install the supervision plane (stall/deadlock watchdog, restart budgets)")
-		stallUS      = flag.Float64("stall-horizon", 0, "supervision stall horizon [us], 0 = default")
-		chaosMode    = flag.Bool("chaos", false, "run the seeded chaos fuzzer instead of the scenario workload")
-		seed         = flag.Uint64("seed", 1, "fault plane / chaos / exploration seed")
-		faults       = flag.String("faults", "", "fault specs, e.g. 'futex_lost_wake:prob=0.01;kc_kill:nth=3,task=kc.t2' (in -chaos mode, empty means the default mix)")
-		exploreMode  = flag.Bool("explore", false, "run the schedule explorer instead of the scenario workload")
-		exploreScen  = flag.String("explore-scenario", "pingpong", "exploration scenario: "+strings.Join(explore.ScenarioNames(), ", "))
-		explorePol   = flag.String("explore-policy", "random", "exploration policy: random (seeded walks) or dfs (bounded exhaustive)")
-		exploreRuns  = flag.Int("explore-runs", 64, "number of walks (random) or run budget (dfs, 0 = unbounded)")
-		exploreDepth = flag.Int("explore-depth", 4, "dfs decision-depth cap")
-		exploreTrace = flag.String("explore-trace", "", "replay this comma-separated decision trace instead of exploring")
-		probeStr     = flag.String("probe", "", "stock probe specs, e.g. 'throttle:task=worker,interval_us=50;slo:p99_us=800' (see -probe-list)")
-		probeList    = flag.Bool("probe-list", false, "list attach points and stock probes, then exit")
-		schedPolicy  = flag.String("sched-policy", "", "scheduler policy: "+strings.Join(schedpolicy.Names(), "|")+" (with optional :params; empty = stock dispatch)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write a host heap profile to this file after the run (go tool pprof)")
-	)
-	flag.Parse()
-	if *probeList {
-		fmt.Print(probe.ListStock())
-		return
+	c, _ := parseFlags(os.Args[1:], flag.ExitOnError)
+	if err := c.exec(); err != nil {
+		fmt.Fprintln(os.Stderr, "ulpsim:", err)
+		os.Exit(1)
 	}
-	if *schedPolicy != "" {
-		// Validate once up front; each run mode parses its own fresh
-		// instance so stateful policies never span simulations.
-		if _, perr := schedpolicy.New(*schedPolicy); perr != nil {
-			fmt.Fprintln(os.Stderr, "ulpsim:", perr)
-			os.Exit(1)
+}
+
+// cli holds ulpsim's flag values.
+type cli struct {
+	machine, idle, signals                        string
+	ulps, progCores, syscallCores, ops, writeSize int
+	computeUS, preemptUS, stallUS                 float64
+	tracePath, traceFormat                        string
+	traceCap                                      int
+	metrics, workSteal, timeline, supervise       bool
+	chaos, explore, probeList                     bool
+	seed                                          uint64
+	faults, probes, schedPolicy                   string
+	faultsSet                                     bool // -faults was given, even empty
+	exploreScen, explorePol, exploreTrace         string
+	exploreRuns, exploreDepth                     int
+	cpuProfile, memProfile                        string
+}
+
+// parseFlags parses args with ulpsim's flag set.
+func parseFlags(args []string, handling flag.ErrorHandling) (*cli, error) {
+	set := flag.NewFlagSet("ulpsim", handling)
+	c := &cli{}
+	set.StringVar(&c.machine, "machine", "Wallaby", "Wallaby (x86_64) or Albireo (aarch64)")
+	set.IntVar(&c.ulps, "ulps", 4, "number of ULPs to spawn")
+	set.IntVar(&c.progCores, "prog-cores", 2, "cores running user code (schedulers)")
+	set.IntVar(&c.syscallCores, "syscall-cores", 2, "cores dedicated to system-calls")
+	set.IntVar(&c.ops, "ops", 8, "bracketed open-write-close operations per ULP")
+	set.Float64Var(&c.computeUS, "compute-us", 5, "computation between operations [us]")
+	set.IntVar(&c.writeSize, "write-size", 4096, "write buffer size [bytes]")
+	set.StringVar(&c.idle, "idle", "busywait", "KC idle policy: busywait or blocking")
+	set.StringVar(&c.signals, "signals", "fcontext", "context switch style: fcontext or ucontext")
+	set.StringVar(&c.tracePath, "trace", "", "write the event trace to this file")
+	set.IntVar(&c.traceCap, "trace-cap", 4096, "max retained trace events")
+	set.StringVar(&c.traceFormat, "trace-format", "text", "trace file format: text or chrome (Perfetto-loadable JSON)")
+	set.BoolVar(&c.metrics, "metrics", false, "print the deterministic metrics dump after the run")
+	set.BoolVar(&c.workSteal, "workstealing", false, "idle schedulers steal ready UCs from peers")
+	set.BoolVar(&c.timeline, "timeline", false, "print per-core utilization and an ASCII Gantt chart")
+	set.Float64Var(&c.preemptUS, "preempt-us", 0, "Shinjuku-style ULT preemption quantum [us], 0 = off")
+	set.BoolVar(&c.supervise, "supervise", false, "install the supervision plane (stall/deadlock watchdog, restart budgets)")
+	set.Float64Var(&c.stallUS, "stall-horizon", 0, "supervision stall horizon [us], 0 = default")
+	set.BoolVar(&c.chaos, "chaos", false, "run the seeded chaos fuzzer instead of the scenario workload")
+	set.Uint64Var(&c.seed, "seed", 1, "fault plane / chaos / exploration seed")
+	set.StringVar(&c.faults, "faults", "", "fault specs, e.g. 'futex_lost_wake:prob=0.01;kc_kill:nth=3,task=kc.t2' (in -chaos mode, absent means the default mix and empty means no faults)")
+	set.BoolVar(&c.explore, "explore", false, "run the schedule explorer instead of the scenario workload")
+	set.StringVar(&c.exploreScen, "explore-scenario", "pingpong", "exploration scenario: "+strings.Join(explore.ScenarioNames(), ", "))
+	set.StringVar(&c.explorePol, "explore-policy", "random", "exploration policy: random (seeded walks) or dfs (bounded exhaustive)")
+	set.IntVar(&c.exploreRuns, "explore-runs", 64, "number of walks (random) or run budget (dfs, 0 = unbounded)")
+	set.IntVar(&c.exploreDepth, "explore-depth", 4, "dfs decision-depth cap")
+	set.StringVar(&c.exploreTrace, "explore-trace", "", "replay this comma-separated decision trace instead of exploring")
+	set.StringVar(&c.probes, "probe", "", "stock probe specs, e.g. 'throttle:task=worker,interval_us=50;slo:p99_us=800' (see -probe-list)")
+	set.BoolVar(&c.probeList, "probe-list", false, "list attach points and stock probes, then exit")
+	set.StringVar(&c.schedPolicy, "sched-policy", "", "scheduler policy: "+strings.Join(schedpolicy.Names(), "|")+" (with optional :params; empty = stock dispatch)")
+	set.StringVar(&c.cpuProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	set.StringVar(&c.memProfile, "memprofile", "", "write a host heap profile to this file after the run (go tool pprof)")
+	if err := set.Parse(args); err != nil {
+		return nil, err
+	}
+	set.Visit(func(f *flag.Flag) { c.faultsSet = c.faultsSet || f.Name == "faults" })
+	return c, nil
+}
+
+// planeOptions turns the plane flags every mode shares into one
+// planes.Options. An absent -faults leaves Faults nil, the mode's
+// default (none, or the chaos mix); a given one, even empty, is the
+// whole fault set.
+func (c *cli) planeOptions() (planes.Options, error) {
+	o := planes.Options{Policy: c.schedPolicy, Supervise: c.supervise,
+		StallHorizon: sim.FromUS(c.stallUS), Seed: c.seed}
+	if c.schedPolicy != "" {
+		// Validate once up front; each run installs a fresh instance,
+		// so stateful policies never span simulations.
+		if _, err := schedpolicy.New(c.schedPolicy); err != nil {
+			return o, err
 		}
 	}
-	stop, err := hostprof.Start(*cpuProfile, *memProfile)
+	var err error
+	if c.faultsSet {
+		if o.Faults, err = fault.ParseSpecs(c.faults); err != nil {
+			return o, err
+		}
+		if o.Faults == nil {
+			o.Faults = []fault.Spec{}
+		}
+	}
+	o.Probes, err = probe.ParseSpecs(c.probes)
+	return o, err
+}
+
+// exec runs the mode the flags select.
+func (c *cli) exec() (err error) {
+	if c.probeList {
+		fmt.Print(probe.ListStock())
+		return nil
+	}
+	o, err := c.planeOptions()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ulpsim:", err)
-		os.Exit(1)
+		return err
 	}
-	if *traceFormat != "text" && *traceFormat != "chrome" {
-		err = fmt.Errorf("unknown trace format %q (want text or chrome)", *traceFormat)
-	} else if *chaosMode {
-		err = runChaos(*machineName, *ulps, *ops, *idle, *signals, *seed, *faults,
-			*tracePath, *traceCap, *traceFormat, *showMetrics, *superviseOn, *stallUS, *probeStr, *schedPolicy)
-	} else if *exploreMode {
-		err = runExplore(*machineName, *idle, *exploreScen, *explorePol,
-			*exploreRuns, *exploreDepth, *seed, *exploreTrace, *probeStr, *schedPolicy)
-	} else {
-		err = run(*machineName, *ulps, *progCores, *syscallCores, *ops,
-			*computeUS, *writeSize, *idle, *signals, *tracePath, *traceCap,
-			*traceFormat, *showMetrics, *workSteal, *preemptUS, *showTimeline,
-			*seed, *faults, *superviseOn, *stallUS, *probeStr, *schedPolicy)
-	}
-	if perr := stop(); err == nil {
-		err = perr
-	}
+	stop, err := hostprof.Start(c.cpuProfile, c.memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ulpsim:", err)
-		os.Exit(1)
+		return err
 	}
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
+	switch {
+	case c.traceFormat != "text" && c.traceFormat != "chrome":
+		return fmt.Errorf("unknown trace format %q (want text or chrome)", c.traceFormat)
+	case c.chaos:
+		return c.runChaos(o)
+	case c.explore:
+		return c.runExplore(o)
+	}
+	return c.run(o)
 }
 
 // writeTrace renders the tracer to path in the selected format and
@@ -163,51 +212,33 @@ func dumpMetrics(reg *metrics.Registry) error {
 // metrics registry attach to the first run only — neither charges
 // virtual time, so the second (bare) run must still produce the same
 // digest.
-func runChaos(machineName string, ulps, ops int, idle, signals string, seed uint64, faultsStr string,
-	tracePath string, traceCap int, traceFormat string, showMetrics bool,
-	superviseOn bool, stallUS float64, probeStr, schedPolicy string) error {
-	if err := checkNonNegative(numFlag{"ulps", float64(ulps)}, numFlag{"ops", float64(ops)},
-		numFlag{"trace-cap", float64(traceCap)}, numFlag{"stall-horizon", stallUS}); err != nil {
+func (c *cli) runChaos(o planes.Options) error {
+	if err := checkNonNegative(numFlag{"ulps", float64(c.ulps)}, numFlag{"ops", float64(c.ops)},
+		numFlag{"trace-cap", float64(c.traceCap)}, numFlag{"stall-horizon", c.stallUS}); err != nil {
 		return err
 	}
-	m := arch.ByName(machineName)
+	m := arch.ByName(c.machine)
 	if m == nil {
-		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", machineName)
+		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
-	idlePolicy, sigMode, err := parseModes(idle, signals)
+	idlePolicy, sigMode, err := parseModes(c.idle, c.signals)
 	if err != nil {
 		return err
 	}
-	specs := chaos.DefaultSpecs()
-	if faultsStr != "" {
-		if specs, err = fault.ParseSpecs(faultsStr); err != nil {
-			return err
-		}
-	}
-	var probes []probe.Spec
-	if probeStr != "" {
-		if probes, err = probe.ParseSpecs(probeStr); err != nil {
-			return err
-		}
-	}
 	cfg := chaos.Config{
-		Machine: m, Seed: seed, Specs: specs,
-		ULPs: ulps, Ops: ops, Idle: idlePolicy, SigMode: sigMode,
-		Supervise: superviseOn, StallHorizon: sim.FromUS(stallUS),
-		Probes: probes, SchedPolicy: schedPolicy,
+		Machine: m, Seed: o.Seed, Specs: o.Faults,
+		ULPs: c.ulps, Ops: c.ops, Idle: idlePolicy, SigMode: sigMode,
+		Supervise: o.Supervise, StallHorizon: o.StallHorizon,
+		Probes: o.Probes, SchedPolicy: o.Policy,
 	}
 	cfg1 := cfg
-	var tracer *sim.Tracer
-	if tracePath != "" {
-		tracer = sim.NewTracer(traceCap)
-		cfg1.Trace = tracer
+	if c.tracePath != "" {
+		cfg1.Trace = sim.NewTracer(c.traceCap)
 	}
-	var reg *metrics.Registry
-	if showMetrics {
-		reg = metrics.NewRegistry()
-		cfg1.Metrics = reg
+	if c.metrics {
+		cfg1.Metrics = metrics.NewRegistry()
 	}
-	d1, stats, err := chaos.RunWithStats(cfg1)
+	d1, r, err := chaos.RunWithStats(cfg1)
 	if err != nil {
 		return err
 	}
@@ -216,14 +247,13 @@ func runChaos(machineName string, ulps, ops int, idle, signals string, seed uint
 		return fmt.Errorf("rerun: %w", err)
 	}
 	fmt.Printf("machine        %s (%s), idle=%s, signals=%s\n", m.Name, m.Arch, idlePolicy, sigMode)
-	fmt.Printf("workload       %d ULPs x %d ops, seed %d\n", ulps, ops, seed)
+	fmt.Printf("workload       %d ULPs x %d ops, seed %d\n", c.ulps, c.ops, o.Seed)
 	fmt.Printf("digest         %s\n", d1)
-	for _, line := range stats {
-		if rest, ok := strings.CutPrefix(line, "probe "); ok {
-			fmt.Printf("probe          %s\n", rest)
-		} else {
-			fmt.Printf("fault          %s\n", line)
-		}
+	for _, line := range r.Faults {
+		fmt.Printf("fault          %s\n", line)
+	}
+	for _, line := range r.Probes {
+		fmt.Printf("probe          %s\n", line)
 	}
 	if !d1.Equal(d2) {
 		return fmt.Errorf("NONDETERMINISTIC:\n  run1: %s\n  run2: %s\nrepro: %s",
@@ -231,13 +261,13 @@ func runChaos(machineName string, ulps, ops int, idle, signals string, seed uint
 	}
 	fmt.Printf("determinism    rerun digest identical\n")
 	fmt.Printf("repro          %s\n", chaos.ReproCommand(cfg))
-	if tracer != nil {
-		if err := writeTrace(tracer, tracePath, traceFormat, "chaos "+m.Name); err != nil {
+	if cfg1.Trace != nil {
+		if err := writeTrace(cfg1.Trace, c.tracePath, c.traceFormat, "chaos "+m.Name); err != nil {
 			return err
 		}
 	}
-	if reg != nil {
-		return dumpMetrics(reg)
+	if cfg1.Metrics != nil {
+		return dumpMetrics(cfg1.Metrics)
 	}
 	return nil
 }
@@ -247,40 +277,35 @@ func runChaos(machineName string, ulps, ops int, idle, signals string, seed uint
 // invariant oracles. A failing schedule is shrunk to its minimal
 // decision prefix and printed with the exact replay command; -explore-trace
 // replays such a prefix deterministically.
-func runExplore(machineName, idle, scenario, policyStr string,
-	runs, depth int, seed uint64, traceStr, probeStr, schedPolicy string) error {
-	if err := checkNonNegative(numFlag{"explore-runs", float64(runs)},
-		numFlag{"explore-depth", float64(depth)}); err != nil {
+func (c *cli) runExplore(o planes.Options) error {
+	if err := checkNonNegative(numFlag{"explore-runs", float64(c.exploreRuns)},
+		numFlag{"explore-depth", float64(c.exploreDepth)}); err != nil {
 		return err
 	}
-	if probeStr != "" {
-		specs, err := probe.ParseSpecs(probeStr)
-		if err != nil {
-			return err
-		}
-		explore.ProbeSpecs = specs
-	}
-	explore.PolicySpec = schedPolicy
 	var mk func() *arch.Machine
-	switch strings.ToLower(machineName) {
+	switch strings.ToLower(c.machine) {
 	case "wallaby":
 		mk = arch.Wallaby
 	case "albireo":
 		mk = arch.Albireo
 	default:
-		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", machineName)
+		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
-	idlePolicy, _, err := parseModes(idle, "fcontext")
+	idlePolicy, _, err := parseModes(c.idle, "fcontext")
 	if err != nil {
 		return err
 	}
-	s, err := explore.ByName(scenario, mk, idlePolicy)
+	s, err := explore.ByName(c.exploreScen, mk, idlePolicy)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario       %s on %s, idle=%s\n", s.Name, machineName, idlePolicy)
-	if traceStr != "" {
-		prefix, err := explore.ParseTrace(traceStr)
+	// The explorer takes the policy and the probes from the flags; a
+	// scenario brings its own faults and supervision.
+	o = planes.Options{Policy: o.Policy, Probes: o.Probes}
+	s.Planes.Policy, s.Planes.Probes = o.Policy, o.Probes
+	fmt.Printf("scenario       %s on %s, idle=%s\n", s.Name, c.machine, idlePolicy)
+	if c.exploreTrace != "" {
+		prefix, err := explore.ParseTrace(c.exploreTrace)
 		if err != nil {
 			return err
 		}
@@ -292,12 +317,12 @@ func runExplore(machineName, idle, scenario, policyStr string,
 		fmt.Printf("verdict        all oracles hold on the replayed schedule\n")
 		return nil
 	}
-	pol, err := explore.ParsePolicy(policyStr)
+	pol, err := explore.ParsePolicy(c.explorePol)
 	if err != nil {
 		return err
 	}
-	res := explore.Explore(s, explore.Config{Policy: pol, Runs: runs, Depth: depth, Seed: seed})
-	fmt.Printf("policy         %s (runs=%d depth=%d seed=%d)\n", pol, runs, depth, seed)
+	res := explore.Explore(s, explore.Config{Policy: pol, Runs: c.exploreRuns, Depth: c.exploreDepth, Seed: c.seed})
+	fmt.Printf("policy         %s (runs=%d depth=%d seed=%d)\n", pol, c.exploreRuns, c.exploreDepth, c.seed)
 	fmt.Printf("explored       %d runs, %d decision points, max branching %d\n",
 		res.Runs, res.Decisions, res.MaxWidth)
 	if pol == explore.DFS {
@@ -311,12 +336,23 @@ func runExplore(machineName, idle, scenario, policyStr string,
 		fmt.Printf("FAILURE        %s\n", f.Err)
 		fmt.Printf("trace          %s (run %d, seed %d)\n", explore.TraceString(f.Trace), f.Run, f.Seed)
 		fmt.Printf("shrunk         %s\n", explore.TraceString(f.Shrunk))
-		fmt.Printf("repro          ulpsim -explore -explore-scenario %s -machine %s -idle %s -explore-trace %s\n",
-			s.Name, machineName, idlePolicy, explore.TraceString(f.Shrunk))
+		fmt.Printf("repro          %s\n", exploreRepro(s.Name, c.machine, idlePolicy, f.Shrunk, o))
 		return fmt.Errorf("oracle violation after %d runs", res.Runs)
 	}
 	fmt.Printf("verdict        all oracles hold on every explored schedule\n")
 	return nil
+}
+
+// exploreRepro is the command that replays an explored schedule under
+// the planes it ran with. An empty trace prints as "0", the same FIFO
+// schedule: an empty -explore-trace would explore instead of replaying.
+func exploreRepro(scenario, machine string, idle blt.IdlePolicy, trace []int, o planes.Options) string {
+	t := explore.TraceString(trace)
+	if t == "" {
+		t = "0"
+	}
+	return fmt.Sprintf("ulpsim -explore -explore-scenario %s -machine %s -idle %s -explore-trace %s",
+		scenario, machine, idle, t) + o.Flags()
 }
 
 // parseModes maps the -idle and -signals flag values. Case-insensitive,
@@ -342,84 +378,54 @@ func parseModes(idle, signals string) (blt.IdlePolicy, core.SignalMode, error) {
 	return idlePolicy, sigMode, nil
 }
 
-func run(machineName string, ulps, progCores, syscallCores, ops int,
-	computeUS float64, writeSize int, idle, signals, tracePath string, traceCap int,
-	traceFormat string, showMetrics bool,
-	workSteal bool, preemptUS float64, showTimeline bool, seed uint64, faultsStr string,
-	superviseOn bool, stallUS float64, probeStr, schedPolicy string) error {
-	if err := checkNonNegative(numFlag{"ulps", float64(ulps)}, numFlag{"ops", float64(ops)},
-		numFlag{"prog-cores", float64(progCores)}, numFlag{"syscall-cores", float64(syscallCores)},
-		numFlag{"compute-us", computeUS}, numFlag{"write-size", float64(writeSize)},
-		numFlag{"trace-cap", float64(traceCap)}, numFlag{"preempt-us", preemptUS},
-		numFlag{"stall-horizon", stallUS}); err != nil {
+// run is the scenario mode: ULPs run open-write-close brackets on a
+// booted runtime, with the planes o selects.
+func (c *cli) run(o planes.Options) error {
+	if err := checkNonNegative(numFlag{"ulps", float64(c.ulps)}, numFlag{"ops", float64(c.ops)},
+		numFlag{"prog-cores", float64(c.progCores)}, numFlag{"syscall-cores", float64(c.syscallCores)},
+		numFlag{"compute-us", c.computeUS}, numFlag{"write-size", float64(c.writeSize)},
+		numFlag{"trace-cap", float64(c.traceCap)}, numFlag{"preempt-us", c.preemptUS},
+		numFlag{"stall-horizon", c.stallUS}); err != nil {
 		return err
 	}
-	m := arch.ByName(machineName)
+	m := arch.ByName(c.machine)
 	if m == nil {
-		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", machineName)
+		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
-	if progCores+syscallCores > m.Cores() {
-		return fmt.Errorf("%d cores requested, machine has %d", progCores+syscallCores, m.Cores())
+	if c.progCores+c.syscallCores > m.Cores() {
+		return fmt.Errorf("%d cores requested, machine has %d", c.progCores+c.syscallCores, m.Cores())
 	}
-	idlePolicy, sigMode, err := parseModes(idle, signals)
+	idlePolicy, sigMode, err := parseModes(c.idle, c.signals)
 	if err != nil {
 		return err
 	}
 
-	e := sim.New()
-	var tracer *sim.Tracer
-	if tracePath != "" {
-		tracer = sim.NewTracer(traceCap)
-		e.SetTracer(tracer)
+	if c.tracePath != "" {
+		o.Trace = sim.NewTracer(c.traceCap)
 	}
+	if c.metrics {
+		o.Metrics = metrics.NewRegistry()
+	}
+	e := sim.New()
 	k := kernel.New(e, m)
-	if err := schedpolicy.Install(k, schedPolicy); err != nil {
+	pl, err := planes.Install(k, o)
+	if err != nil {
 		return err
 	}
-	var reg *metrics.Registry
-	if showMetrics {
-		reg = metrics.NewRegistry()
-		k.SetMetrics(reg)
-	}
-	var plane *fault.Plane
-	if faultsStr != "" {
-		specs, err := fault.ParseSpecs(faultsStr)
-		if err != nil {
-			return err
-		}
-		plane = fault.NewPlane(seed, specs)
-		plane.Attach(k.Probes())
-	}
-	var atts []*probe.Attachment
-	if probeStr != "" {
-		specs, err := probe.ParseSpecs(probeStr)
-		if err != nil {
-			return err
-		}
-		atts = probe.AttachSpecs(k.Probes(), specs)
-	}
 	var rec *timeline.Recorder
-	if showTimeline {
+	if c.timeline {
 		rec = timeline.New()
 		rec.Attach(k.Probes())
 	}
-	var sup *supervise.Plane
-	if superviseOn {
-		sup = supervise.New(k, supervise.Config{
-			StallHorizon: sim.FromUS(stallUS),
-			Seed:         seed,
-		})
-		sup.Install()
-	}
 
 	cfg := core.Config{
-		ProgCores:      seq(0, progCores),
-		SyscallCores:   seq(progCores, syscallCores),
+		ProgCores:      seq(0, c.progCores),
+		SyscallCores:   seq(c.progCores, c.syscallCores),
 		Idle:           idlePolicy,
 		Signals:        sigMode,
 		Audit:          true,
-		WorkStealing:   workSteal,
-		PreemptQuantum: sim.FromUS(preemptUS),
+		WorkStealing:   c.workSteal,
+		PreemptQuantum: sim.FromUS(c.preemptUS),
 	}
 
 	worker := &loader.Image{
@@ -430,9 +436,9 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 		},
 		Main: func(envI interface{}) int {
 			env := envI.(*core.Env)
-			buf := make([]byte, writeSize)
-			for i := 0; i < ops; i++ {
-				env.Compute(sim.FromUS(computeUS))
+			buf := make([]byte, c.writeSize)
+			for i := 0; i < c.ops; i++ {
+				env.Compute(sim.FromUS(c.computeUS))
 				env.Exec(func(kc *kernel.Task) {
 					fd, err := kc.Open(fmt.Sprintf("/out.%d", env.U.Rank),
 						fs.OCreate|fs.OWrOnly|fs.OTrunc)
@@ -455,7 +461,7 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 	if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
 		rtRef = rt
 		start := e.Now()
-		for i := 0; i < ulps; i++ {
+		for i := 0; i < c.ulps; i++ {
 			if _, err := rt.Spawn(worker, core.SpawnOpts{Scheduler: -1, StartDecoupled: true}); err != nil {
 				panic(err)
 			}
@@ -475,39 +481,31 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 	if err := e.Run(); err != nil {
 		return err
 	}
+	r := pl.Finish()
 
 	fmt.Printf("machine        %s (%s, %d cores @ %.1f GHz)\n", m.Name, m.Arch, m.Cores(), m.ClockGHz)
 	fmt.Printf("deployment     %d prog + %d syscall cores, idle=%s, signals=%s, preempt=%v\n",
-		progCores, syscallCores, idlePolicy, sigMode, sim.FromUS(preemptUS))
+		c.progCores, c.syscallCores, idlePolicy, sigMode, sim.FromUS(c.preemptUS))
 	fmt.Printf("workload       %d ULPs x %d ops (%d B writes, %.1f us compute)\n",
-		ulps, ops, writeSize, computeUS)
+		c.ulps, c.ops, c.writeSize, c.computeUS)
 	fmt.Printf("makespan       %v\n", makespan)
-	totalOps := float64(ulps * ops)
+	totalOps := float64(c.ulps * c.ops)
 	fmt.Printf("throughput     %.1f ops/ms\n", totalOps/(float64(makespan)/1e9))
 	fmt.Printf("exit statuses  %v\n", statuses)
 	fmt.Printf("consistency    %d violations (audited)\n", violations)
 	fmt.Printf("kernel         %d syscalls, %d kernel context switches\n",
 		k.Syscalls(), k.ContextSwitches())
-	if plane != nil {
-		fmt.Printf("injections     %d (seed %d)\n", plane.Injections(), seed)
-		for _, line := range plane.Stats() {
+	if pl.Fault != nil {
+		fmt.Printf("injections     %d (seed %d)\n", r.Injections, o.Seed)
+		for _, line := range r.Faults {
 			fmt.Printf("fault          %s\n", line)
 		}
 	}
-	if sup != nil {
-		fmt.Printf("supervision    %s\n", sup.Summary())
+	if pl.Sup != nil {
+		fmt.Printf("supervision    %s\n", pl.Sup.Summary())
 	}
-	var sloErr error
-	for _, a := range atts {
-		if a.Report != nil {
-			fmt.Printf("probe          %s\n", a.Report())
-		}
-		if a.Check != nil {
-			if err := a.Check(); err != nil {
-				fmt.Printf("probe          CHECK FAILED: %v\n", err)
-				sloErr = err
-			}
-		}
+	for _, line := range r.Probes {
+		fmt.Printf("probe          %s\n", line)
 	}
 	for _, s := range rtRef.Pool().Schedulers() {
 		fmt.Printf("scheduler c%-2d  %d dispatches, %d steals, %v spun idle\n",
@@ -520,28 +518,24 @@ func run(machineName string, ulps, progCores, syscallCores, ops int,
 		}
 	}
 
-	if showTimeline {
+	if rec != nil {
 		fmt.Println()
 		rec.Report(os.Stdout)
 		fmt.Println()
 		rec.Gantt(os.Stdout, 72)
 	}
 
-	if tracePath != "" {
-		if err := writeTrace(tracer, tracePath, traceFormat, m.Name); err != nil {
+	if o.Trace != nil {
+		if err := writeTrace(o.Trace, c.tracePath, c.traceFormat, m.Name); err != nil {
 			return err
 		}
 	}
-	if reg != nil {
-		k.FinalizeMetrics()
-		if plane != nil {
-			plane.PublishMetrics(reg)
-		}
-		if err := dumpMetrics(reg); err != nil {
+	if o.Metrics != nil {
+		if err := dumpMetrics(o.Metrics); err != nil {
 			return err
 		}
 	}
-	return sloErr
+	return r.Err
 }
 
 // numFlag is a numeric flag's name and value.

@@ -1,39 +1,38 @@
 package main
 
 import (
+	"flag"
 	"io"
-	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/blt"
+	"repro/internal/chaos"
+	"repro/internal/fault"
+	"repro/internal/planes"
+	"repro/internal/probe"
+	"repro/internal/sim"
 )
 
-// flags holds the numeric flag values run, runChaos and runExplore
-// check.
-type flags struct {
-	ulps, ops, progCores, syscallCores, writeSize, traceCap int
-	computeUS, preemptUS, stallUS                           float64
-	exploreRuns, exploreDepth                               int
+// exec parses args with ulpsim's flag set and runs the mode they
+// select.
+func exec(t *testing.T, args ...string) error {
+	t.Helper()
+	c, err := parseFlags(args, flag.ContinueOnError)
+	if err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	return c.exec()
 }
 
-// defaults are the flag defaults, which run as they are.
-var defaults = flags{ulps: 4, ops: 8, progCores: 2, syscallCores: 2, writeSize: 4096,
-	traceCap: 4096, computeUS: 5, exploreRuns: 64, exploreDepth: 4}
-
-func (f flags) run() error {
-	return run("Wallaby", f.ulps, f.progCores, f.syscallCores, f.ops, f.computeUS, f.writeSize,
-		"busywait", "fcontext", "", f.traceCap, "text", false, false, f.preemptUS, false, 1, "",
-		true, f.stallUS, "", "")
-}
-
-func (f flags) chaos() error {
-	return runChaos("Wallaby", f.ulps, f.ops, "busywait", "fcontext", 1, "",
-		"", f.traceCap, "text", false, true, f.stallUS, "", "")
-}
-
-func (f flags) explore() error {
-	return runExplore("Wallaby", "busywait", "pingpong", "random", f.exploreRuns, f.exploreDepth,
-		1, "", "", "")
+// modes are the flags that select each mode, with the supervisor on in
+// the two that install it.
+var modes = map[string][]string{
+	"run":     {"-supervise"},
+	"chaos":   {"-chaos", "-supervise"},
+	"explore": {"-explore"},
 }
 
 // captureStdout runs fn and returns what it printed to stdout.
@@ -63,49 +62,147 @@ func captureStdout(t *testing.T, fn func()) string {
 // -stall-horizon -5 and -explore-runs -1 ran as if valid.
 func TestNegativeFlagsRejected(t *testing.T) {
 	cases := []struct {
-		mode string
-		flag string
-		set  func(*flags)
+		mode, flag, val string
 	}{
-		{"run", "-ulps", func(f *flags) { f.ulps = -1 }},
-		{"run", "-ops", func(f *flags) { f.ops = -2 }},
-		{"run", "-prog-cores", func(f *flags) { f.progCores = -1 }},
-		{"run", "-syscall-cores", func(f *flags) { f.syscallCores = -1 }},
-		{"run", "-compute-us", func(f *flags) { f.computeUS = -1 }},
-		{"run", "-compute-us", func(f *flags) { f.computeUS = math.NaN() }},
-		{"run", "-write-size", func(f *flags) { f.writeSize = -1 }},
-		{"run", "-trace-cap", func(f *flags) { f.traceCap = -1 }},
-		{"run", "-preempt-us", func(f *flags) { f.preemptUS = -1 }},
-		{"run", "-stall-horizon", func(f *flags) { f.stallUS = -5 }},
-		{"chaos", "-ulps", func(f *flags) { f.ulps = -1 }},
-		{"chaos", "-ops", func(f *flags) { f.ops = -2 }},
-		{"chaos", "-trace-cap", func(f *flags) { f.traceCap = -1 }},
-		{"chaos", "-stall-horizon", func(f *flags) { f.stallUS = -5 }},
-		{"explore", "-explore-runs", func(f *flags) { f.exploreRuns = -1 }},
-		{"explore", "-explore-depth", func(f *flags) { f.exploreDepth = -1 }},
+		{"run", "-ulps", "-1"},
+		{"run", "-ops", "-2"},
+		{"run", "-prog-cores", "-1"},
+		{"run", "-syscall-cores", "-1"},
+		{"run", "-compute-us", "-1"},
+		{"run", "-compute-us", "NaN"},
+		{"run", "-write-size", "-1"},
+		{"run", "-trace-cap", "-1"},
+		{"run", "-preempt-us", "-1"},
+		{"run", "-stall-horizon", "-5"},
+		{"chaos", "-ulps", "-1"},
+		{"chaos", "-ops", "-2"},
+		{"chaos", "-trace-cap", "-1"},
+		{"chaos", "-stall-horizon", "-5"},
+		{"explore", "-explore-runs", "-1"},
+		{"explore", "-explore-depth", "-1"},
 	}
 	for _, c := range cases {
-		f := defaults
-		c.set(&f)
-		call := map[string]func() error{"run": f.run, "chaos": f.chaos, "explore": f.explore}[c.mode]
+		args := append(append([]string(nil), modes[c.mode]...), c.flag, c.val)
 		var err error
-		out := captureStdout(t, func() { err = call() })
+		out := captureStdout(t, func() { err = exec(t, args...) })
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
-			t.Errorf("%s %+v: err = %v, want one naming %s", c.mode, f, err, c.flag)
+			t.Errorf("%s %v: err = %v, want one naming %s", c.mode, args, err, c.flag)
 		}
 		if out != "" {
-			t.Errorf("%s %+v ran before failing:\n%s", c.mode, f, out)
+			t.Errorf("%s %v ran before failing:\n%s", c.mode, args, out)
 		}
 	}
 }
 
 // TestDefaultFlagsRun: the defaults pass the check and run.
 func TestDefaultFlagsRun(t *testing.T) {
-	for _, call := range []func() error{defaults.run, defaults.chaos, defaults.explore} {
+	for _, mode := range []string{"run", "chaos", "explore"} {
 		var err error
-		out := captureStdout(t, func() { err = call() })
+		out := captureStdout(t, func() { err = exec(t, modes[mode]...) })
 		if err != nil || out == "" {
-			t.Errorf("defaults: err = %v, output:\n%s", err, out)
+			t.Errorf("%s defaults: err = %v, output:\n%s", mode, err, out)
 		}
+	}
+}
+
+// shellArgs splits a printed repro line into its arguments the way a
+// POSIX shell does with the quoting these lines use (single quotes
+// group), and drops the leading "ulpsim".
+func shellArgs(t *testing.T, line string) []string {
+	t.Helper()
+	var args []string
+	var word strings.Builder
+	inWord, quoted := false, false
+	for _, r := range line {
+		switch {
+		case r == '\'':
+			quoted, inWord = !quoted, true
+		case r == ' ' && !quoted:
+			if inWord {
+				args = append(args, word.String())
+				word.Reset()
+				inWord = false
+			}
+		default:
+			word.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		args = append(args, word.String())
+	}
+	if quoted || len(args) == 0 || args[0] != "ulpsim" {
+		t.Fatalf("not a ulpsim command line: %q", line)
+	}
+	return args[1:]
+}
+
+// TestReproLinesParseBack: the plane flags each repro line prints, the
+// chaos line and the explorer's, parse back through ulpsim's own flag
+// set to the options the run had. The explorer's line used to drop
+// -sched-policy and -probe, so a failure found under a policy or a
+// throttle replayed under stock dispatch.
+func TestReproLinesParseBack(t *testing.T) {
+	parse := func(line string) planes.Options {
+		c, err := parseFlags(shellArgs(t, line), flag.ContinueOnError)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		o, err := c.planeOptions()
+		if err != nil {
+			t.Fatalf("options of %q: %v", line, err)
+		}
+		return o
+	}
+	probes, err := probe.ParseSpecs("count:points=syscall:enter+fault:site;slo:syscall=open,p99_us=800")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := fault.ParseSpecs("kc_kill:nth=3,task=kc.chaos;sched_delay:prob=0.1,delay_us=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []planes.Options{
+		{Seed: 1, Faults: chaos.DefaultSpecs()},
+		{Seed: 42, Faults: []fault.Spec{}},
+		{Seed: 7, Faults: faults, Supervise: true, StallHorizon: 12500 * sim.Nanosecond,
+			Probes: probes, Policy: "tenant:weights=kc.u0.0:3"},
+		{Seed: 9, Faults: chaos.DefaultSpecs(), Supervise: true, Policy: "fifo"},
+	} {
+		line := chaos.ReproCommand(chaos.Config{Seed: o.Seed, Specs: o.Faults,
+			Supervise: o.Supervise, StallHorizon: o.StallHorizon, Probes: o.Probes, SchedPolicy: o.Policy})
+		if got := parse(line); !reflect.DeepEqual(got, o) {
+			t.Errorf("%s\nparses back to %+v, want %+v", line, got, o)
+		}
+	}
+	for _, o := range []planes.Options{{}, {Policy: "cosched"}, {Probes: probes, Policy: "locality"}} {
+		for _, trace := range [][]int{{1, 0, 2}, nil} {
+			line := exploreRepro("blt-mn", "Albireo", blt.Blocking, trace, o)
+			if c, err := parseFlags(shellArgs(t, line), flag.ContinueOnError); err != nil || c.exploreTrace == "" {
+				t.Errorf("%s: no -explore-trace to replay (%v)", line, err)
+			}
+			if got := parse(line); got.Policy != o.Policy || !reflect.DeepEqual(got.Probes, o.Probes) {
+				t.Errorf("%s\nparses back to %+v, want %+v", line, got, o)
+			}
+		}
+	}
+}
+
+// TestChaosFaultFreeReproDigest: the repro of a fault-free chaos run,
+// run through ulpsim, gives that run's digest. An explicitly empty
+// -faults used to mean the default mix, so it replayed a faulted run.
+func TestChaosFaultFreeReproDigest(t *testing.T) {
+	cfg := chaos.Config{Seed: 42, Specs: []fault.Spec{}, Idle: blt.BusyWait}
+	d, err := chaos.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := chaos.ReproCommand(cfg)
+	out := captureStdout(t, func() { err = exec(t, shellArgs(t, line)...) })
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	if want := "digest         " + d.String() + "\n"; !strings.Contains(out, want) {
+		t.Errorf("%s printed\n%s\nwant the line %q", line, out, want)
 	}
 }

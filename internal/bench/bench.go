@@ -9,46 +9,81 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/kernel"
-	"repro/internal/schedpolicy"
+	"repro/internal/metrics"
+	"repro/internal/planes"
 	"repro/internal/sim"
 )
 
 // Runs is the number of repetitions per measurement (paper: 10).
 var Runs = 3
 
-// SchedPolicy selects the scheduler policy for every benchmark kernel
-// (empty = stock dispatch). The CLI validates the spec before setting
-// this; a fresh policy instance is parsed per kernel so stateful
-// policies (cosched, tenant) never leak pass/gang state across runs.
-var SchedPolicy string
+// Planes are the optional planes every benchmark kernel installs
+// (ulpbench -sched-policy and -probe, the policy validated by the CLI);
+// a run may add its own, as the chaos-at-scale rows do.
+var Planes planes.Options
 
-// applyPolicy installs the selected policy on k, before any BLT pool is
-// built on it. The spec was validated at flag-parse time, so a parse
-// failure here is a programming error.
-func applyPolicy(k *kernel.Kernel) {
-	if err := schedpolicy.Install(k, SchedPolicy); err != nil {
-		panic(fmt.Sprintf("bench: invalid sched policy %q: %v", SchedPolicy, err))
+// Metrics, when non-nil, aggregates the metric registries of every
+// simulated kernel the harness builds (ulpbench -metrics-json). Each run
+// gets its own private registry — the parallel sweeps share nothing hot —
+// and finish folds it in here under metricsMu. Merge is commutative, so
+// the aggregate is byte-identical at any -parallel width. With metrics
+// off no run gets a registry, so the measured workloads stay untouched.
+var Metrics *metrics.Registry
+
+var metricsMu sync.Mutex
+
+// newKernel builds an engine and a kernel for machine m and installs o:
+// Planes plus whatever the run adds, and a fresh registry when Metrics
+// is set and the run brings none. The policy spec was validated at
+// flag-parse time, so a parse failure here is a programming error.
+func newKernel(m *arch.Machine, o planes.Options) (*kernel.Kernel, planes.Planes) {
+	if o.Metrics == nil && Metrics != nil {
+		o.Metrics = metrics.NewRegistry()
 	}
+	k := kernel.New(sim.New(), m)
+	p, err := planes.Install(k, o)
+	if err != nil {
+		panic(fmt.Sprintf("bench: invalid sched policy %q: %v", o.Policy, err))
+	}
+	return k, p
 }
 
-// RunKernel builds an engine and kernel for machine m, starts body as
-// the initial task, and drives the simulation to completion.
+// finish ends a run newKernel built, once its engine has drained with
+// err: it publishes the run's end-of-run metrics, folds its registry
+// into Metrics, and returns err or else the verdict of its probe checks.
+func finish(k *kernel.Kernel, p planes.Planes, err error) error {
+	r := p.Finish()
+	if Metrics != nil {
+		metricsMu.Lock()
+		Metrics.Merge(k.Metrics())
+		metricsMu.Unlock()
+	}
+	if err != nil {
+		return err
+	}
+	return r.Err
+}
+
+// RunKernel builds a benchmark kernel for machine m, starts body as the
+// initial task, and drives the simulation to completion.
 func RunKernel(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) error {
-	e := sim.New()
-	k := kernel.New(e, m)
-	applyPolicy(k)
-	finish := instrument(k)
+	return runKernel(m, Planes, func(k *kernel.Kernel, root *kernel.Task, _ planes.Planes) { body(k, root) })
+}
+
+// runKernel is RunKernel with the run's own planes o, which body sees
+// installed.
+func runKernel(m *arch.Machine, o planes.Options, body func(k *kernel.Kernel, root *kernel.Task, p planes.Planes)) error {
+	k, p := newKernel(m, o)
 	root := k.NewTask("bench-root", k.NewAddressSpace(), func(t *kernel.Task) int {
-		body(k, t)
+		body(k, t, p)
 		return 0
 	})
 	k.Start(root, 0)
-	err := e.Run()
-	finish()
-	return err
+	return finish(k, p, k.Engine().Run())
 }
 
 // timeLoop runs op(i) for i in [0, warm+n) and returns the mean virtual

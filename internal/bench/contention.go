@@ -117,10 +117,11 @@ func contentionRow(m *arch.Machine, lock string, threads, ratio, iters int) (Con
 		cores = m.Cores()
 	}
 	row := ContentionRow{Lock: lock, Threads: threads, Ratio: ratio, Cores: cores}
-	e := sim.New()
-	k := kernel.New(e, m)
+	o := Planes
 	reg := metrics.NewRegistry()
-	k.SetMetrics(reg)
+	o.Metrics = reg
+	k, p := newKernel(m, o)
+	e := k.Engine()
 	ops := iters / threads
 	var rowErr error
 	root := k.NewTask("contention-root", k.NewAddressSpace(), func(rt *kernel.Task) int {
@@ -163,7 +164,7 @@ func contentionRow(m *arch.Machine, lock string, threads, ratio, iters int) (Con
 		return bad
 	})
 	k.Start(root, 0)
-	if err := e.Run(); err != nil {
+	if err := finish(k, p, e.Run()); err != nil {
 		return row, fmt.Errorf("contention %s/%s t=%d r=%d: %v", m.Name, lock, threads, ratio, err)
 	}
 	if rowErr != nil {

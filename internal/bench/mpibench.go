@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/blt"
-	"repro/internal/kernel"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -33,10 +32,8 @@ func MPIOversubscription(m *arch.Machine, rankCounts []int) ([]MPIPoint, error) 
 	var out []MPIPoint
 	var baselinePerRank float64
 	for _, ranks := range rankCounts {
-		e := sim.New()
-		k := kernel.New(e, m)
-		applyPolicy(k)
-		finish := instrument(k)
+		k, pl := newKernel(m, Planes)
+		e := k.Engine()
 		var makespan sim.Duration
 		program := func(r *mpi.Rank) int {
 			right := (r.Rank() + 1) % r.Size()
@@ -70,10 +67,9 @@ func MPIOversubscription(m *arch.Machine, rankCounts []int) ([]MPIPoint, error) 
 			SyscallCores: []int{2, 3},
 			Idle:         blt.BusyWait,
 		}, ranks, program)
-		if err != nil {
+		if err := finish(k, pl, err); err != nil {
 			return nil, err
 		}
-		finish()
 		for i, s := range statuses {
 			if s != 0 {
 				return nil, fmt.Errorf("mpi bench: rank %d exited %d", i, s)

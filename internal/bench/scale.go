@@ -9,18 +9,9 @@ import (
 	"repro/internal/arch"
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/probe"
+	"repro/internal/planes"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 )
-
-// ProbeSpecs, when non-empty (ulpbench -probe), attaches the stock
-// probes to every scale-suite kernel and runs their checks after each
-// row's workload — the SLO probe as a scale oracle. Observe-only probes
-// leave the virtual columns untouched, so minInto's exact-repeat
-// assertion doubles as the probes-don't-perturb guard; a throttle probe
-// shifts them deterministically, and repeats still match.
-var ProbeSpecs []probe.Spec
 
 // The scale suite stresses the paths that must stay cheap when the
 // simulated machine serves very large task counts: task create/exit/join
@@ -191,9 +182,9 @@ func minInto(best *ScaleRow, f func() (ScaleRow, error)) error {
 	return nil
 }
 
-// scaleRun wraps RunKernel with host-side wall-clock and allocation
+// scaleRun wraps runKernel with host-side wall-clock and allocation
 // accounting.
-func scaleRun(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) (time.Duration, uint64, error) {
+func scaleRun(m *arch.Machine, o planes.Options, body func(k *kernel.Kernel, root *kernel.Task, p planes.Planes)) (time.Duration, uint64, error) {
 	// Settle the heap first: rows run back to back in one process, and
 	// without the barrier a row pays the GC debt of whatever ran before
 	// it, which colours its wall and alloc columns.
@@ -201,24 +192,9 @@ func scaleRun(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) (
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	var probeErr error
-	err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-		atts := probe.AttachSpecs(k.Probes(), ProbeSpecs)
-		body(k, root)
-		for _, a := range atts {
-			if a.Check == nil {
-				continue
-			}
-			if cerr := a.Check(); cerr != nil && probeErr == nil {
-				probeErr = fmt.Errorf("probe %s: %w", a.Spec, cerr)
-			}
-		}
-	})
+	err := runKernel(m, o, body)
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		err = probeErr
-	}
 	return wall, after.Mallocs - before.Mallocs, err
 }
 
@@ -233,17 +209,14 @@ func scaleRun(m *arch.Machine, body func(k *kernel.Kernel, root *kernel.Task)) (
 // clone/block/unblock/exit fast paths.
 func scaleSpawnJoin(m *arch.Machine, n int, supervised bool) (ScaleRow, error) {
 	row := ScaleRow{Series: "spawn-join", N: n}
+	o := Planes
 	if supervised {
 		row.Series = "spawn-join-supervised"
+		o.Supervise, o.Seed = true, chaosScaleSeed
 	}
 	var bodyErr error
-	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
+	wall, allocs, err := scaleRun(m, o, func(k *kernel.Kernel, root *kernel.Task, p planes.Planes) {
 		e := k.Engine()
-		var sup *supervise.Plane
-		if supervised {
-			sup = supervise.New(k, supervise.Config{Seed: chaosScaleSeed})
-			sup.Install()
-		}
 		const wave = 256
 		kids := make([]*kernel.Task, 0, wave)
 		t0 := e.Now()
@@ -263,7 +236,7 @@ func scaleSpawnJoin(m *arch.Machine, n int, supervised bool) (ScaleRow, error) {
 		}
 		row.Virt = e.Now().Sub(t0)
 		row.TableEnd = k.FutexTableSize()
-		if sup != nil {
+		if sup := p.Sup; sup != nil {
 			if sup.Ticks() == 0 {
 				bodyErr = fmt.Errorf("%s: the supervisor's watchdog never ticked", row.Series)
 			} else if dl := sup.Deadlocks(); len(dl) != 0 {
@@ -305,7 +278,7 @@ func delta(a, b uint64) uint64 {
 func scaleFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 	row := ScaleRow{Series: "fanin-wakeall", N: n}
 	var bodyErr error
-	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
+	wall, allocs, err := scaleRun(m, Planes, func(k *kernel.Kernel, root *kernel.Task, _ planes.Planes) {
 		e := k.Engine()
 		space := root.Space()
 		addr, merr := space.Mmap(8, mem.ProtRead|mem.ProtWrite, "fanin-word", true, nil)
@@ -367,7 +340,7 @@ func scaleFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 func scaleChurn(m *arch.Machine, words int) (ScaleRow, error) {
 	row := ScaleRow{Series: "futex-churn", N: words}
 	var bodyErr error
-	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
+	wall, allocs, err := scaleRun(m, Planes, func(k *kernel.Kernel, root *kernel.Task, _ planes.Planes) {
 		e := k.Engine()
 		space := root.Space()
 		base, merr := space.Mmap(uint64(8*words), mem.ProtRead|mem.ProtWrite, "churn-words", true, nil)

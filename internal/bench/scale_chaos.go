@@ -7,9 +7,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 )
 
 // The chaos-at-scale suite (ulpbench -scale -chaos) proves the
@@ -142,16 +142,15 @@ func chaosFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 	fail := func(format string, args ...interface{}) {
 		bodyErr = fmt.Errorf("chaos-fanin n=%d: "+format, append([]interface{}{n}, args...)...)
 	}
-	wall, allocs, err := scaleRun(m, func(k *kernel.Kernel, root *kernel.Task) {
+	o := Planes
+	o.Faults = []fault.Spec{
+		{Site: probe.SiteFutexLostWake, Prob: 0.05, TaskPrefix: "cfw"},
+		{Site: probe.SiteFutexSpurious, Prob: 0.05, TaskPrefix: "cfw"},
+		{Site: probe.SiteFutexWait, Prob: 0.02, Err: "eintr", TaskPrefix: "cfw"},
+	}
+	o.Supervise, o.Seed = true, chaosScaleSeed
+	wall, allocs, err := scaleRun(m, o, func(k *kernel.Kernel, root *kernel.Task, p planes.Planes) {
 		e := k.Engine()
-		plane := fault.NewPlane(chaosScaleSeed, []fault.Spec{
-			{Site: probe.SiteFutexLostWake, Prob: 0.05, TaskPrefix: "cfw"},
-			{Site: probe.SiteFutexSpurious, Prob: 0.05, TaskPrefix: "cfw"},
-			{Site: probe.SiteFutexWait, Prob: 0.02, Err: "eintr", TaskPrefix: "cfw"},
-		})
-		plane.Attach(k.Probes())
-		sup := supervise.New(k, supervise.Config{Seed: chaosScaleSeed})
-		sup.Install()
 		space := root.Space()
 		addr, merr := space.Mmap(8, mem.ProtRead|mem.ProtWrite, "chaos-fanin-word", true, nil)
 		if merr != nil {
@@ -188,14 +187,14 @@ func chaosFanIn(m *arch.Machine, n int) (ScaleRow, error) {
 		switch {
 		case recovery > chaosRecoveryBound(n):
 			fail("recovery took %v, bound %v", recovery, chaosRecoveryBound(n))
-		case plane.Injections() == 0:
+		case p.Fault.Injections() == 0:
 			fail("fault plane fired nothing — the row proved nothing")
 		case row.TableEnd != 0:
 			fail("futex table retains %d entries at quiescence", row.TableEnd)
-		case len(sup.Deadlocks()) != 0:
-			fail("watchdog reported %d deadlock(s)", len(sup.Deadlocks()))
-		case sup.Quarantines() != 0:
-			fail("%d tenant(s) quarantined; the restart budget must not exhaust here", sup.Quarantines())
+		case len(p.Sup.Deadlocks()) != 0:
+			fail("watchdog reported %d deadlock(s)", len(p.Sup.Deadlocks()))
+		case p.Sup.Quarantines() != 0:
+			fail("%d tenant(s) quarantined; the restart budget must not exhaust here", p.Sup.Quarantines())
 		}
 	})
 	if err == nil {

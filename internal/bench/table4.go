@@ -42,10 +42,7 @@ func benchImage(name string, fn loader.MainFunc) *loader.Image {
 // runULP boots a ULP-PiP runtime with cfg on m, runs setup inside the
 // root and shuts the runtime down.
 func runULP(m *arch.Machine, cfg core.Config, setup func(rt *core.Runtime)) error {
-	e := sim.New()
-	k := kernel.New(e, m)
-	applyPolicy(k)
-	finish := instrument(k)
+	k, p := newKernel(m, Planes)
 	if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
 		setup(rt)
 		rt.Shutdown()
@@ -53,9 +50,7 @@ func runULP(m *arch.Machine, cfg core.Config, setup func(rt *core.Runtime)) erro
 	}); err != nil {
 		return err
 	}
-	err := e.Run()
-	finish()
-	return err
+	return finish(k, p, k.Engine().Run())
 }
 
 // ulpYieldTime measures the steady-state per-yield time of two ULPs

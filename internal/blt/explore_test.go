@@ -20,6 +20,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/loader"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -62,13 +63,10 @@ func exploreImg(name string, main loader.MainFunc) *loader.Image {
 func decoupleVsStealScenario() explore.Scenario {
 	const ranks = 3
 	return explore.Scenario{
-		Name: "decouple-vs-steal",
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := kernel.New(e, arch.Wallaby())
+		Name:    "decouple-vs-steal",
+		Machine: arch.Wallaby,
+		Run: func(k *kernel.Kernel, _ planes.Planes) error {
+			e := k.Engine()
 			img := exploreImg("dvs", func(envI interface{}) int {
 				env := envI.(*core.Env)
 				rank := env.U.Rank
@@ -166,16 +164,13 @@ func TestExploreDecoupleVsSteal(t *testing.T) {
 // syscall on the wrong KC, and never take the bystander down with it.
 func coupleVsHostDeathScenario() explore.Scenario {
 	return explore.Scenario{
-		Name: "couple-vs-host-death",
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := kernel.New(e, arch.Wallaby())
-			fault.NewPlane(7, []fault.Spec{
-				{Site: probe.SiteKCKill, Nth: 1, TaskPrefix: "kc.victim"},
-			}).Attach(k.Probes())
+		Name:    "couple-vs-host-death",
+		Machine: arch.Wallaby,
+		Planes: planes.Options{Seed: 7, Faults: []fault.Spec{
+			{Site: probe.SiteKCKill, Nth: 1, TaskPrefix: "kc.victim"},
+		}},
+		Run: func(k *kernel.Kernel, _ planes.Planes) error {
+			e := k.Engine()
 			prog := func(bystander bool) *loader.Image {
 				name := "victim"
 				if bystander {

@@ -29,10 +29,9 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/loader"
 	"repro/internal/metrics"
+	"repro/internal/planes"
 	"repro/internal/probe"
-	"repro/internal/schedpolicy"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 )
 
 // Config parameterizes one chaos run.
@@ -48,39 +47,16 @@ type Config struct {
 	Idle    blt.IdlePolicy
 	SigMode core.SignalMode
 
-	// Trace, when set, receives the run's events (ulpsim -chaos -trace).
-	// Tracing charges no virtual time, so the digest is unchanged.
-	Trace *sim.Tracer
-	// Metrics, when set, receives the run's metrics (ulpsim -chaos
-	// -metrics); like Trace it never perturbs the schedule.
-	Metrics *metrics.Registry
-
-	// Probes attaches stock probe programs (parsed from the -probe
-	// syntax; see probe.ParseSpecs) to the run's kernel. Observe-only
-	// probes (count, slo) never perturb the schedule, so the digest is
-	// unchanged; a throttle delays syscalls by design, and its digests
-	// are comparable only among runs with the same probe set. An SLO
-	// probe's post-run check failing fails the run like any other
-	// invariant violation.
-	Probes []probe.Spec
-
-	// SchedPolicy, when non-empty, installs the named scheduler policy
-	// (see internal/schedpolicy) on the run's kernel and BLT pool — a
-	// fresh instance per run, so the digest stays a pure function of
-	// (seed, specs, policy). The fifo policy must reproduce the bare
-	// run's digest byte-identically; other policies reorder the
-	// schedule by design and their digests are comparable only among
-	// runs with the same policy.
-	SchedPolicy string
-
-	// Supervise installs the supervision plane: the stall/deadlock
-	// watchdog plus restart budgets for fault-killed KCs and AIO helpers.
-	// It perturbs the schedule (watchdog ticks, budgeted respawns), so
-	// digests are comparable only among runs with the same setting. A run
-	// whose watchdog finds a wait-for cycle fails: under this fault mix
-	// the protocol must never deadlock.
-	Supervise bool
-	// StallHorizon overrides the watchdog's stall horizon (0 = default).
+	// The planes (see planeOptions). Traces, metrics, observe-only probes
+	// and the fifo policy leave the digest as it is; a throttle, another
+	// policy or Supervise change it by design. A failing probe check or a
+	// watchdog wait-for cycle fails the run: under this fault mix the
+	// protocol must never deadlock.
+	Trace        *sim.Tracer
+	Metrics      *metrics.Registry
+	Probes       []probe.Spec
+	SchedPolicy  string
+	Supervise    bool
 	StallHorizon sim.Duration
 }
 
@@ -138,21 +114,18 @@ func DefaultSpecs() []fault.Spec {
 // with the defaults a run fills in spelled out.
 func ReproCommand(cfg Config) string {
 	cfg = cfg.withDefaults()
-	s := fmt.Sprintf("ulpsim -chaos -machine %s -idle %s -signals %s -ulps %d -ops %d -seed %d -faults '%s'",
-		cfg.Machine.Name, cfg.Idle, cfg.SigMode, cfg.ULPs, cfg.Ops, cfg.Seed, probe.SpecsString(cfg.Specs))
-	if cfg.Supervise {
-		s += " -supervise"
-		if cfg.StallHorizon > 0 {
-			s += fmt.Sprintf(" -stall-horizon %g", cfg.StallHorizon.Microseconds())
-		}
+	return fmt.Sprintf("ulpsim -chaos -machine %s -idle %s -signals %s -ulps %d -ops %d -seed %d",
+		cfg.Machine.Name, cfg.Idle, cfg.SigMode, cfg.ULPs, cfg.Ops, cfg.Seed) + cfg.planeOptions().Flags()
+}
+
+// planeOptions is the one place the run's plane fields become the
+// options planes.Install takes.
+func (cfg Config) planeOptions() planes.Options {
+	return planes.Options{
+		Policy: cfg.SchedPolicy, Faults: cfg.Specs, Probes: cfg.Probes,
+		Supervise: cfg.Supervise, StallHorizon: cfg.StallHorizon, Seed: cfg.Seed,
+		Metrics: cfg.Metrics, Trace: cfg.Trace,
 	}
-	if len(cfg.Probes) > 0 {
-		s += fmt.Sprintf(" -probe '%s'", probe.SpecsString(cfg.Probes))
-	}
-	if cfg.SchedPolicy != "" {
-		s += fmt.Sprintf(" -sched-policy '%s'", cfg.SchedPolicy)
-	}
-	return s
 }
 
 // expectedStatus is the exit status rank's program returns; a run loses a
@@ -187,31 +160,15 @@ func Run(cfg Config) (Digest, error) {
 	return d, err
 }
 
-// RunWithStats is Run plus the fault plane's per-spec hit/fire counters,
-// for the ulpsim -chaos report.
-func RunWithStats(cfg Config) (Digest, []string, error) {
+// RunWithStats is Run plus the planes' report (per-spec fault counters,
+// probe reports), for the ulpsim -chaos report.
+func RunWithStats(cfg Config) (Digest, planes.Report, error) {
 	cfg = cfg.withDefaults()
 	e := sim.New()
-	if cfg.Trace != nil {
-		e.SetTracer(cfg.Trace)
-	}
 	k := kernel.New(e, cfg.Machine)
-	if err := schedpolicy.Install(k, cfg.SchedPolicy); err != nil {
-		return Digest{}, nil, err
-	}
-	if cfg.Metrics != nil {
-		k.SetMetrics(cfg.Metrics)
-	}
-	plane := fault.NewPlane(cfg.Seed, cfg.Specs)
-	plane.Attach(k.Probes())
-	atts := probe.AttachSpecs(k.Probes(), cfg.Probes)
-	var sup *supervise.Plane
-	if cfg.Supervise {
-		sup = supervise.New(k, supervise.Config{
-			StallHorizon: cfg.StallHorizon,
-			Seed:         cfg.Seed,
-		})
-		sup.Install()
+	pl, err := planes.Install(k, cfg.planeOptions())
+	if err != nil {
+		return Digest{}, planes.Report{}, err
 	}
 
 	img := &loader.Image{
@@ -278,14 +235,12 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 		return 0
 	})
 	if bootErr != nil {
-		return Digest{}, nil, bootErr
+		return Digest{}, planes.Report{}, bootErr
 	}
-	if err := e.Run(); err != nil {
-		return Digest{}, plane.Stats(), fmt.Errorf("engine: %w\nrepro: %s", err, ReproCommand(cfg))
-	}
-	if cfg.Metrics != nil {
-		k.FinalizeMetrics()
-		plane.PublishMetrics(cfg.Metrics)
+	runErr := e.Run()
+	r := pl.Finish()
+	if runErr != nil {
+		return Digest{}, r, fmt.Errorf("engine: %w\nrepro: %s", runErr, ReproCommand(cfg))
 	}
 
 	d := Digest{
@@ -293,17 +248,11 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 		Statuses:   statuses,
 		Syscalls:   k.Syscalls(),
 		CtxSwitch:  k.ContextSwitches(),
-		Injections: plane.Injections(),
+		Injections: r.Injections,
 		Orphans:    orphans,
 	}
-	stats := plane.Stats()
-	for _, a := range atts {
-		if a.Report != nil {
-			stats = append(stats, "probe "+a.Report())
-		}
-	}
-	fail := func(format string, args ...interface{}) (Digest, []string, error) {
-		return d, stats, fmt.Errorf(format+"\nrepro: %s", append(args, ReproCommand(cfg))...)
+	fail := func(format string, args ...interface{}) (Digest, planes.Report, error) {
+		return d, r, fmt.Errorf(format+"\nrepro: %s", append(args, ReproCommand(cfg))...)
 	}
 	if waitErr != nil {
 		return fail("WaitAll: %v", waitErr)
@@ -322,19 +271,15 @@ func RunWithStats(cfg Config) (Digest, []string, error) {
 	if mismatches != 0 {
 		return fail("%d coupled getpid mismatches", mismatches)
 	}
-	if sup != nil {
-		if dl := sup.Deadlocks(); len(dl) != 0 {
+	if pl.Sup != nil {
+		if dl := pl.Sup.Deadlocks(); len(dl) != 0 {
 			return fail("supervision watchdog found %d wait-for cycle(s), first %v", len(dl), dl[0])
 		}
 	}
-	for _, a := range atts {
-		if a.Check != nil {
-			if err := a.Check(); err != nil {
-				return fail("%v", err)
-			}
-		}
+	if r.Err != nil {
+		return fail("%v", r.Err)
 	}
-	return d, stats, nil
+	return d, r, nil
 }
 
 // rankArg carries one rank's seeded op stream into chaosMain.

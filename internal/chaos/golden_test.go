@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
 	"repro/internal/metrics"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	usync "repro/internal/sync"
@@ -60,6 +61,17 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// writeStats writes a run's plane report as the goldens pin it: a
+// "stat" line per fault spec, then one per probe line.
+func writeStats(b *bytes.Buffer, r planes.Report) {
+	for _, line := range r.Faults {
+		fmt.Fprintf(b, "stat %s\n", line)
+	}
+	for _, line := range r.Probes {
+		fmt.Fprintf(b, "stat probe %s\n", line)
+	}
+}
+
 // leakBaseline warms up with one small chaos run and returns the
 // goroutine count that every later run must return to: each run's
 // tasks, proc runners and UCs are goroutines, and a run that leaves one
@@ -101,9 +113,7 @@ func TestChaosGolden(t *testing.T) {
 				leakcheck.Check(t, base)
 				fmt.Fprintf(&b, "== %s/%s seed=%d\ndigest end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d\n",
 					m.Name, idle, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans)
-				for _, s := range stats {
-					fmt.Fprintf(&b, "stat %s\n", s)
-				}
+				writeStats(&b, stats)
 				if err := reg.Dump(&b); err != nil {
 					t.Fatal(err)
 				}
@@ -204,9 +214,7 @@ func TestChaosThrottleGolden(t *testing.T) {
 			leakcheck.Check(t, base)
 			fmt.Fprintf(&b, "== %s seed=%d\ndigest end=%d statuses=%v syscalls=%d ctxsw=%d injections=%d orphans=%d\n",
 				m.Name, seed, int64(d.EndTime), d.Statuses, d.Syscalls, d.CtxSwitch, d.Injections, d.Orphans)
-			for _, s := range stats {
-				fmt.Fprintf(&b, "stat %s\n", s)
-			}
+			writeStats(&b, stats)
 			if err := reg.Dump(&b); err != nil {
 				t.Fatal(err)
 			}

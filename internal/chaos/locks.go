@@ -13,6 +13,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	usync "repro/internal/sync"
@@ -87,8 +88,7 @@ func RunLock(cfg LockConfig) (LockDigest, error) {
 	cfg = cfg.withDefaults()
 	e := sim.New()
 	k := kernel.New(e, cfg.Machine)
-	plane := fault.NewPlane(cfg.Seed, cfg.Specs)
-	plane.Attach(k.Probes())
+	pl, _ := planes.Install(k, planes.Options{Seed: cfg.Seed, Faults: cfg.Specs}) // no policy, so no error
 
 	var counter uint64
 	var setupErr error
@@ -179,7 +179,7 @@ func RunLock(cfg LockConfig) (LockDigest, error) {
 		Counter:    counter,
 		Syscalls:   k.Syscalls(),
 		CtxSwitch:  k.ContextSwitches(),
-		Injections: plane.Injections(),
+		Injections: pl.Finish().Injections,
 		Futex:      st,
 	}, nil
 }

@@ -21,16 +21,25 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/arch"
+	"repro/internal/kernel"
+	"repro/internal/planes"
 	"repro/internal/sim"
 )
 
-// Scenario is one explorable workload: Run must build a fresh engine,
-// install the given chooser on it (plus SetTrapPanics(true) so
-// protocol-violation panics become failing runs), drive the workload,
-// and return nil only if every invariant oracle holds.
+// Scenario is one explorable workload. For every run the explorer
+// builds a fresh engine under its chooser (panics trapped, so protocol
+// violations fail the run) and a kernel on a fresh Machine() with Planes
+// installed, and shuts the engine down after Run. Run drives the
+// workload and returns nil only if every oracle holds; the planes'
+// probe checks must pass too.
 type Scenario struct {
-	Name string
-	Run  func(ch sim.Chooser) error
+	Name    string
+	Machine func() *arch.Machine
+	// Planes are the scenario's own (the deadlock scenario's watchdog)
+	// plus the caller's, such as ulpsim -explore's -sched-policy, -probe.
+	Planes planes.Options
+	Run    func(k *kernel.Kernel, p planes.Planes) error
 }
 
 // Decision records one decision point of a run: the branching factor
@@ -143,7 +152,18 @@ func runOne(s Scenario, pick func(k, n int) int) (ds []Decision, err error) {
 			err = fmt.Errorf("explore: scenario panic: %v", r)
 		}
 	}()
-	err = s.Run(rec)
+	e := sim.New()
+	e.SetChooser(rec)
+	e.SetTrapPanics(true)
+	defer e.Shutdown()
+	k := kernel.New(e, s.Machine())
+	p, err := planes.Install(k, s.Planes)
+	if err == nil {
+		err = s.Run(k, p)
+	}
+	if err == nil {
+		err = p.Finish().Err // a failing probe check fails the run like an oracle
+	}
 	return ds, err
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/blt"
 	"repro/internal/kernel"
+	"repro/internal/planes"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -60,13 +61,10 @@ func TestRandomWalksBLTNNBlocking(t *testing.T) {
 // schedule, shrink it, and replay it byte-identically.
 func lostWakeBugScenario() Scenario {
 	return Scenario{
-		Name: "lostwake-bug",
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := kernel.New(e, arch.Wallaby())
+		Name:    "lostwake-bug",
+		Machine: arch.Wallaby,
+		Run: func(k *kernel.Kernel, _ planes.Planes) error {
+			e := k.Engine()
 			root := k.NewTask("root", k.NewAddressSpace(), func(t *kernel.Task) int {
 				w, err := t.Mmap(8, true)
 				if err != nil {
@@ -278,11 +276,9 @@ func TestProbesDoNotPerturbExploration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		ProbeSpecs = nil
 		bare, bareErr := Replay(s, nil)
-		ProbeSpecs = specs
+		s.Planes.Probes = specs
 		probed, probedErr := Replay(s, nil)
-		ProbeSpecs = nil
 		if (bareErr == nil) != (probedErr == nil) ||
 			(bareErr != nil && bareErr.Error() != probedErr.Error()) {
 			t.Errorf("%s: probes changed the verdict: bare %v, probed %v", name, bareErr, probedErr)
@@ -291,6 +287,21 @@ func TestProbesDoNotPerturbExploration(t *testing.T) {
 			t.Errorf("%s: observe probes perturbed the decision digest:\n  bare:   %v\n  probed: %v",
 				name, bare, probed)
 		}
+	}
+}
+
+// TestProbeCheckFailsExploredRun: a failing SLO check fails the
+// explored run like any oracle. The explorer used to attach the probes
+// and never run their checks, so an SLO no schedule met passed.
+func TestProbeCheckFailsExploredRun(t *testing.T) {
+	specs, err := probe.ParseSpecs("slo:p99_us=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := PingPong(arch.Wallaby, 2)
+	s.Planes.Probes = specs
+	if _, err := Replay(s, nil); err == nil || !strings.Contains(err.Error(), "SLO violated") {
+		t.Errorf("replay under a 1us p99 bound = %v, want the SLO violation", err)
 	}
 }
 

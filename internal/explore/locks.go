@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/kernel"
+	"repro/internal/planes"
 	"repro/internal/sim"
 	usync "repro/internal/sync"
 )
@@ -29,13 +30,10 @@ const (
 // and the futex ledger is conserved at quiescence.
 func LockScenario(mk func() *arch.Machine, algo string) Scenario {
 	return Scenario{
-		Name: "lock-" + algo,
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := newKernel(e, mk())
+		Name:    "lock-" + algo,
+		Machine: mk,
+		Run: func(k *kernel.Kernel, _ planes.Planes) error {
+			e := k.Engine()
 			var fair usync.Fairness
 			var counter uint64
 			var mkErr error

@@ -21,18 +21,17 @@ import (
 // policy: the verdict (oracle pass/fail) must match the bare run's, and
 // repeated replays must produce identical decision traces.
 func TestPoliciesPassOraclesOnStockScenarios(t *testing.T) {
-	defer func() { PolicySpec = "" }()
 	specs := []string{"fifo", "locality", "cosched", "tenant", "tenant:weights=kc.u0.0:3"}
 	for _, name := range ScenarioNames() {
-		s, err := ByName(name, arch.Wallaby, blt.BusyWait)
+		bare, err := ByName(name, arch.Wallaby, blt.BusyWait)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		PolicySpec = ""
-		_, bareErr := Replay(s, nil)
-		bareRes := Explore(s, Config{Policy: RandomWalk, Runs: 4, Seed: 0xd16e57})
+		_, bareErr := Replay(bare, nil)
+		bareRes := Explore(bare, Config{Policy: RandomWalk, Runs: 4, Seed: 0xd16e57})
 		for _, spec := range specs {
-			PolicySpec = spec
+			s := bare
+			s.Planes.Policy = spec
 			ds1, err1 := Replay(s, nil)
 			ds2, err2 := Replay(s, nil)
 			if (err1 == nil) != (bareErr == nil) {
@@ -60,7 +59,6 @@ func TestPoliciesPassOraclesOnStockScenarios(t *testing.T) {
 // with the fifo policy installed, over both machines and both idle
 // policies.
 func TestFIFOPolicyTraceByteIdentical(t *testing.T) {
-	defer func() { PolicySpec = "" }()
 	for _, mk := range []func() *arch.Machine{arch.Wallaby, arch.Albireo} {
 		for _, idle := range []blt.IdlePolicy{blt.BusyWait, blt.Blocking} {
 			for _, name := range ScenarioNames() {
@@ -68,11 +66,9 @@ func TestFIFOPolicyTraceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ByName(%q): %v", name, err)
 				}
-				PolicySpec = ""
 				bare, bareErr := Replay(s, nil)
-				PolicySpec = "fifo"
+				s.Planes.Policy = "fifo"
 				fifo, fifoErr := Replay(s, nil)
-				PolicySpec = ""
 				if (bareErr == nil) != (fifoErr == nil) ||
 					(bareErr != nil && bareErr.Error() != fifoErr.Error()) {
 					t.Errorf("%s/%s/%s: fifo changed the verdict: bare %v, fifo %v",

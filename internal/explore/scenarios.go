@@ -9,43 +9,10 @@ import (
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/loader"
-	"repro/internal/probe"
-	"repro/internal/schedpolicy"
+	"repro/internal/planes"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 	"repro/internal/timeline"
 )
-
-// ProbeSpecs, when non-empty (ulpsim -explore -probe), attaches the
-// stock probes to every scenario kernel the explorer builds. Probes run
-// under controlled scheduling like everything else: observe-only probes
-// must leave the decision digest of every schedule untouched (pinned by
-// TestProbesDoNotPerturbExploration), and a perturbing probe (throttle)
-// shifts schedules deterministically, so replay commands stay exact.
-var ProbeSpecs []probe.Spec
-
-// PolicySpec, when non-empty (ulpsim -explore -sched-policy), installs
-// the named scheduler policy on every scenario kernel — a *fresh*
-// instance per run, since policies carry per-run state. Every policy
-// thereby inherits the scenarios' invariant oracles (futex and timeline
-// conservation, syscall consistency, deadlock detection) over every
-// explored schedule. The FIFO policy must additionally leave every
-// decision trace byte-identical to a policy-less run. The spec must
-// parse (the CLI validates before exploring); a bad spec panics here.
-var PolicySpec string
-
-// newKernel is kernel.New plus the exploration-wide probe attachments
-// and the scheduler policy. Every scenario builds its kernel through
-// here so -probe and -sched-policy cover the whole stock suite; BLT
-// scenarios' pools take the policy's ULT half from the kernel.
-func newKernel(e *sim.Engine, m *arch.Machine) *kernel.Kernel {
-	k := kernel.New(e, m)
-	probe.AttachSpecs(k.Probes(), ProbeSpecs)
-	if err := schedpolicy.Install(k, PolicySpec); err != nil {
-		panic(err)
-	}
-	return k
-}
 
 // horizon bounds each explored run in virtual time: an adversarial
 // schedule that livelocks the protocol (busy-waiting schedulers keep
@@ -103,13 +70,10 @@ func ByName(name string, mk func() *arch.Machine, idle blt.IdlePolicy) (Scenario
 // ErrTimedOut, futex conservation, timeline conservation.
 func PingPong(mk func() *arch.Machine, rounds int) Scenario {
 	return Scenario{
-		Name: "pingpong",
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := newKernel(e, mk())
+		Name:    "pingpong",
+		Machine: mk,
+		Run: func(k *kernel.Kernel, _ planes.Planes) error {
+			e := k.Engine()
 			tl := timeline.New()
 			tl.Attach(k.Probes())
 			handoffs := 0
@@ -184,15 +148,12 @@ func PingPong(mk func() *arch.Machine, rounds int) Scenario {
 // before the engine drained into deadlock.
 func DeadlockScenario(mk func() *arch.Machine) Scenario {
 	return Scenario{
-		Name: "deadlock",
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := newKernel(e, mk())
-			sup := supervise.New(k, supervise.Config{StallHorizon: 200 * sim.Microsecond})
-			sup.Install()
+		Name:    "deadlock",
+		Machine: mk,
+		Planes:  planes.Options{Supervise: true, StallHorizon: 200 * sim.Microsecond},
+		Run: func(k *kernel.Kernel, p planes.Planes) error {
+			e := k.Engine()
+			sup := p.Sup
 			var aPID, bPID int
 			root := k.NewTask("dl-root", k.NewAddressSpace(), func(t *kernel.Task) int {
 				wordA, err := t.Mmap(8, true)
@@ -275,13 +236,10 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 		name = "blt-mn"
 	}
 	return Scenario{
-		Name: name,
-		Run: func(ch sim.Chooser) error {
-			e := sim.New()
-			e.SetChooser(ch)
-			e.SetTrapPanics(true)
-			defer e.Shutdown()
-			k := newKernel(e, mk())
+		Name:    name,
+		Machine: mk,
+		Run: func(k *kernel.Kernel, _ planes.Planes) error {
+			e := k.Engine()
 			tl := timeline.New()
 			tl.Attach(k.Probes())
 			// Ranks hold at a start gate until every Spawn has returned:

@@ -93,7 +93,7 @@ func TestSpecGrammarShared(t *testing.T) {
 		{"empty parts", " ;;; ", 0},
 		{"empty parts around a spec", ";;NAME:OPT;;", 1},
 		{"stray whitespace", "  NAME : OPT ;\tNAME:\tOPT\t", 2},
-		{"space inside an option", "NAME:OPT,task = a", -1},
+		{"space inside an option", "NAME:OPT,task = a", 1},
 		{"key without =", "NAME:OPT,task", -1},
 		{"trailing ,", "NAME:OPT,", -1},
 		{"trailing ;", "NAME:OPT;", 1},
@@ -328,6 +328,7 @@ func FuzzParseSpecs(f *testing.F) {
 		"sched_delay:every=1,delay_us=9223372036854;sched_delay:nth=1,delay_us=9223372036854",
 		"futex_lost_wake:prob=0.25;kc_kill:nth=3,task=kc.t2;fs_slow:factor=8;sched_delay:every=2,delay_us=50",
 		"open:prob=0.5,err=enospc,count=3;fs_slow:factor=1e18,task=a;fs_slow:factor=1e18",
+		"kc_kill:nth = 3",
 	} {
 		f.Add(s)
 	}

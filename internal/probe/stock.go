@@ -13,10 +13,10 @@ import (
 
 // This file holds the user-facing stock probes — the programs `ulpsim
 // -probe` can attach by name — and the spec syntax that configures them.
-// The other planes are programs too, each attached by its own package:
-// faults (fault.Plane.Attach), metrics (kernel.SetMetrics), the
-// consistency audit (core, with Config.Audit), timelines
-// (timeline.Recorder.Attach) and supervision (supervise.Plane.Install).
+// The other planes are programs too: planes.Install attaches them with
+// the stock probes (faults, metrics, supervision), while the
+// consistency audit (core, with Config.Audit) and timelines
+// (timeline.Recorder.Attach) attach themselves.
 // Tracing is not a program: the kernel writes trace records straight to
 // the engine's sim.Tracer.
 //
@@ -90,8 +90,8 @@ func SpecsString[S fmt.Stringer](specs []S) string {
 
 // ParseList parses the spec-list grammar -probe and -faults share:
 // semicolon-separated specs, each "name:key=val,key=val,...". An empty
-// spec is skipped, and space around a spec, its name and each option is
-// ignored. open turns a spec's name into a fresh spec (text is the
+// spec is skipped, and space around a spec, its name, each option and
+// each option's key and value is ignored. open turns a spec's name into a fresh spec (text is the
 // spec as written), set applies one option and check validates the
 // finished spec; every error comes back prefixed with what.
 func ParseList[S any](what, s string, open func(name, text string) (S, error),
@@ -113,7 +113,7 @@ func ParseList[S any](what, s string, open func(name, text string) (S, error),
 				if !ok {
 					return nil, fmt.Errorf("%s: bad option %q in spec %q (want key=val)", what, kv, part)
 				}
-				if err := set(&sp, key, val); err != nil {
+				if err := set(&sp, strings.TrimSpace(key), strings.TrimSpace(val)); err != nil {
 					return nil, fmt.Errorf("%s: spec %q: %w", what, part, err)
 				}
 			}
@@ -207,7 +207,6 @@ func (s *Spec) validate() error {
 // Attachment is one spec attached to a registry: the program handle plus
 // an optional post-run check (the SLO oracle).
 type Attachment struct {
-	Spec Spec
 	Prog *Program
 	// Check, when non-nil, validates the probe's aggregate after the run
 	// (nil error = within bounds). Chaos and scale harnesses treat a
@@ -232,7 +231,7 @@ func attachSpec(r *Registry, sp Spec) *Attachment {
 	case "throttle":
 		th := NewThrottle(sp.Task, sp.Syscall,
 			sim.Duration(sp.IntervalUS)*sim.Microsecond, int64(sp.Burst))
-		return &Attachment{Spec: sp, Prog: r.Attach(sp.raw, th.Fire, PSyscallEnter),
+		return &Attachment{Prog: r.Attach(sp.raw, th.Fire, PSyscallEnter),
 			Report: func() string {
 				total, delayed := th.Stats()
 				return fmt.Sprintf("%s: %d matched, %d delayed", sp.raw, total, delayed)
@@ -241,13 +240,13 @@ func attachSpec(r *Registry, sp Spec) *Attachment {
 		slo := NewSLO(sp.Task, sp.Syscall, sim.Duration(sp.P99US)*sim.Microsecond)
 		pr := r.Attach(sp.raw, slo.Fire, PSyscallExit)
 		slo.prog = pr
-		return &Attachment{Spec: sp, Prog: pr, Check: slo.Check,
+		return &Attachment{Prog: pr, Check: slo.Check,
 			Report: func() string { return sp.raw + ": " + slo.Summary() }}
 	case "count":
 		cnt := &counter{task: sp.Task}
 		pr := r.Attach(sp.raw, cnt.fire, sp.Points...)
 		cnt.prog = pr
-		return &Attachment{Spec: sp, Prog: pr,
+		return &Attachment{Prog: pr,
 			Report: func() string { return sp.raw + ": " + cnt.summary() }}
 	}
 	panic("probe: unreachable: specs are validated at parse time")

@@ -7,10 +7,10 @@
 // One Policy implements both halves of the plane: kernel.SchedPolicy
 // (kernel tasks and cores) and blt.ULTPolicy (decoupled UCs on
 // scheduler BLTs). It is installed in one place, the kernel
-// (Kernel.SetSchedPolicy, or Install from a spec): every BLT pool built
-// on that kernel afterwards takes the ULT half when it is created.
-// Instances are stateful and single-run: Install parses a fresh one per
-// simulation, so repeated runs of one seed stay byte-identical.
+// (Kernel.SetSchedPolicy; planes.Install from a spec): every BLT pool
+// built on that kernel afterwards takes the ULT half when it is created.
+// Instances are stateful and single-run: planes.Install parses a fresh
+// one per simulation, so repeated runs of one seed stay byte-identical.
 //
 // Stock policies, selected by spec string (ulpsim/ulpbench
 // -sched-policy):
@@ -76,22 +76,6 @@ func New(spec string) (Policy, error) {
 
 // Names lists the stock policy names in selection order.
 func Names() []string { return []string{"fifo", "locality", "cosched", "tenant"} }
-
-// Install parses spec into a fresh policy and installs it on k, where
-// both halves take effect: the kernel dispatches through it, and every
-// BLT pool created on k afterwards takes its ULT half. An empty spec
-// installs nothing, so callers can pass an optional spec unconditionally.
-func Install(k *kernel.Kernel, spec string) error {
-	if spec == "" {
-		return nil
-	}
-	p, err := New(spec)
-	if err != nil {
-		return err
-	}
-	k.SetSchedPolicy(p)
-	return nil
-}
 
 // base supplies declining defaults for every hook of both interfaces;
 // each stock policy embeds it and overrides only the decisions it makes.

@@ -98,9 +98,7 @@ func runWorkload(t *testing.T, m *arch.Machine, idle blt.IdlePolicy, spec string
 	t.Helper()
 	e := sim.New()
 	k := kernel.New(e, m)
-	if err := Install(k, spec); err != nil {
-		t.Fatal(err)
-	}
+	install(t, k, spec)
 	cfg := core.Config{
 		ProgCores:    []int{0, 1},
 		SyscallCores: []int{2, 3},
@@ -197,9 +195,7 @@ func TestPoliciesDeterministic(t *testing.T) {
 func TestLocalityReturnsToLastCore(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
-	if err := Install(k, "locality"); err != nil {
-		t.Fatal(err)
-	}
+	install(t, k, "locality")
 	space := k.NewAddressSpace()
 	// Two pinned spinners occupy cores 0 and 1 until 50us, so the
 	// unpinned sleeper's first placement lands on core 2.
@@ -248,9 +244,7 @@ func spawnRecorder(order *[]string, tag string, yields int) *loader.Image {
 func TestCoschedDrainsGangsBackToBack(t *testing.T) {
 	e := sim.New()
 	k := kernel.New(e, arch.Wallaby())
-	if err := Install(k, "cosched"); err != nil {
-		t.Fatal(err)
-	}
+	install(t, k, "cosched")
 	cfg := core.Config{
 		ProgCores:    []int{0},
 		SyscallCores: []int{1},
@@ -309,9 +303,7 @@ func TestTenantWeightsShiftShare(t *testing.T) {
 	run := func(spec string) []string {
 		e := sim.New()
 		k := kernel.New(e, arch.Wallaby())
-		if err := Install(k, spec); err != nil {
-			t.Fatal(err)
-		}
+		install(t, k, spec)
 		cfg := core.Config{
 			ProgCores:    []int{0},
 			SyscallCores: []int{1},
@@ -414,4 +406,18 @@ func TestPoolBuiltDirectlyTakesKernelPolicy(t *testing.T) {
 	if pol.picks == 0 {
 		t.Error("two decoupled BLTs yielding 4 times each reached the kernel's policy with no picks")
 	}
+}
+
+// install sets a fresh policy parsed from spec on k, as planes.Install
+// does; an empty spec keeps stock dispatch.
+func install(t *testing.T, k *kernel.Kernel, spec string) {
+	t.Helper()
+	if spec == "" {
+		return
+	}
+	p, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetSchedPolicy(p)
 }
