@@ -242,7 +242,13 @@ func run(w io.Writer, exp, csvPrefix string, recs *[]bench.Record) error {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		rows, err := x.Run(w, csvPrefix)
+		var curves bench.Curves
+		if csvPrefix != "" {
+			curves = func(machine string, series []bench.Series) error {
+				return writeCSV(fmt.Sprintf("%s-%s-%s.csv", csvPrefix, x.Name, machine), series)
+			}
+		}
+		rows, err := x.Run(w, curves)
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&after)
 		if recs != nil {
@@ -270,4 +276,17 @@ func expNames() string {
 		names = append(names, x.Name)
 	}
 	return strings.Join(append(names, "all"), "|")
+}
+
+// writeCSV writes series to a new file at path (see bench.WriteSeriesCSV).
+func writeCSV(path string, series []bench.Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := bench.WriteSeriesCSV(f, series); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

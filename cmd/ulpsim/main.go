@@ -1,5 +1,9 @@
 // ulpsim runs a configurable ULP-PiP scenario on a simulated machine and
 // reports scheduling statistics — optionally with a full event trace.
+// The scenario is ablation A5, the Fig. 6 deployment, with its sizes as
+// flags: each ULP runs bench.Fig6Worker, so
+// `ulpsim -idle blocking -ulps 2` prints the makespan of A5's
+// 2-syscall-core, O=0 row on Wallaby.
 //
 // Usage:
 //
@@ -23,26 +27,30 @@
 //	ulpsim -explore -explore-scenario blt-mn -explore-policy dfs \
 //	       -explore-depth 4 -explore-runs 256
 //
+// A flag that the selected mode does not read is an error, and so are
+// -chaos and -explore together. -machine takes a name in any case.
+//
 // -cpuprofile and -memprofile write host-time profiles of the run (a CPU
 // profile over it, a heap profile after it) for go tool pprof.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/blt"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/fs"
 	"repro/internal/hostprof"
 	"repro/internal/kernel"
-	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/planes"
 	"repro/internal/probe"
@@ -70,7 +78,7 @@ type cli struct {
 	chaos, explore, probeList                     bool
 	seed                                          uint64
 	faults, probes, schedPolicy                   string
-	faultsSet                                     bool // -faults was given, even empty
+	given                                         []string // flags on the command line, even at their defaults
 	exploreScen, explorePol, exploreTrace         string
 	exploreRuns, exploreDepth                     int
 	cpuProfile, memProfile                        string
@@ -78,9 +86,19 @@ type cli struct {
 
 // parseFlags parses args with ulpsim's flag set.
 func parseFlags(args []string, handling flag.ErrorHandling) (*cli, error) {
-	set := flag.NewFlagSet("ulpsim", handling)
 	c := &cli{}
-	set.StringVar(&c.machine, "machine", "Wallaby", "Wallaby (x86_64) or Albireo (aarch64)")
+	set := c.flagSet(handling)
+	if err := set.Parse(args); err != nil {
+		return nil, err
+	}
+	set.Visit(func(f *flag.Flag) { c.given = append(c.given, f.Name) })
+	return c, nil
+}
+
+// flagSet defines ulpsim's flags over c's fields.
+func (c *cli) flagSet(handling flag.ErrorHandling) *flag.FlagSet {
+	set := flag.NewFlagSet("ulpsim", handling)
+	set.StringVar(&c.machine, "machine", "Wallaby", "Wallaby (x86_64) or Albireo (aarch64), in any case")
 	set.IntVar(&c.ulps, "ulps", 4, "number of ULPs to spawn")
 	set.IntVar(&c.progCores, "prog-cores", 2, "cores running user code (schedulers)")
 	set.IntVar(&c.syscallCores, "syscall-cores", 2, "cores dedicated to system-calls")
@@ -112,11 +130,75 @@ func parseFlags(args []string, handling flag.ErrorHandling) (*cli, error) {
 	set.StringVar(&c.schedPolicy, "sched-policy", "", "scheduler policy: "+strings.Join(schedpolicy.Names(), "|")+" (with optional :params; empty = stock dispatch)")
 	set.StringVar(&c.cpuProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 	set.StringVar(&c.memProfile, "memprofile", "", "write a host heap profile to this file after the run (go tool pprof)")
-	if err := set.Parse(args); err != nil {
-		return nil, err
+	return set
+}
+
+// mode is what one ulpsim run does. Modes are bits, so that one entry
+// of reads can name several.
+type mode uint8
+
+const (
+	scenarioMode mode = 1 << iota
+	chaosMode
+	exploreMode
+	anyMode = scenarioMode | chaosMode | exploreMode
+)
+
+func (m mode) String() string {
+	switch m {
+	case chaosMode:
+		return "-chaos"
+	case exploreMode:
+		return "-explore"
 	}
-	set.Visit(func(f *flag.Flag) { c.faultsSet = c.faultsSet || f.Name == "faults" })
-	return c, nil
+	return "scenario"
+}
+
+// reads maps each flag to the modes that read it. A flag given on the
+// command line that the selected mode does not read is an error, so no
+// run quietly drops a setting its user asked for.
+var reads = []struct {
+	modes mode
+	flags []string
+}{
+	{anyMode, []string{"machine", "idle", "seed", "probe", "sched-policy", "probe-list",
+		"chaos", "explore", "cpuprofile", "memprofile"}},
+	{scenarioMode | chaosMode, []string{"ulps", "ops", "signals", "trace", "trace-cap",
+		"trace-format", "metrics", "supervise", "stall-horizon", "faults"}},
+	{scenarioMode, []string{"prog-cores", "syscall-cores", "compute-us", "write-size",
+		"workstealing", "timeline", "preempt-us"}},
+	{exploreMode, []string{"explore-scenario", "explore-policy", "explore-runs",
+		"explore-depth", "explore-trace"}},
+}
+
+// modesReading returns the modes that read the named flag.
+func modesReading(name string) mode {
+	for _, r := range reads {
+		if slices.Contains(r.flags, name) {
+			return r.modes
+		}
+	}
+	return 0
+}
+
+// mode returns the mode the flags select. It fails on -chaos together
+// with -explore, and on a given flag that the mode does not read.
+func (c *cli) mode() (mode, error) {
+	m := scenarioMode
+	switch {
+	case c.chaos && c.explore:
+		return 0, errors.New("-chaos and -explore select two modes: give one")
+	case c.chaos:
+		m = chaosMode
+	case c.explore:
+		m = exploreMode
+	}
+	for _, name := range c.given {
+		if modesReading(name)&m == 0 {
+			return 0, fmt.Errorf("-%s is not read in %s mode", name, m)
+		}
+	}
+	return m, nil
 }
 
 // planeOptions turns the plane flags every mode shares into one
@@ -134,7 +216,7 @@ func (c *cli) planeOptions() (planes.Options, error) {
 		}
 	}
 	var err error
-	if c.faultsSet {
+	if slices.Contains(c.given, "faults") {
 		if o.Faults, err = fault.ParseSpecs(c.faults); err != nil {
 			return o, err
 		}
@@ -148,6 +230,10 @@ func (c *cli) planeOptions() (planes.Options, error) {
 
 // exec runs the mode the flags select.
 func (c *cli) exec() (err error) {
+	md, err := c.mode()
+	if err != nil {
+		return err
+	}
 	if c.probeList {
 		fmt.Print(probe.ListStock())
 		return nil
@@ -155,6 +241,10 @@ func (c *cli) exec() (err error) {
 	o, err := c.planeOptions()
 	if err != nil {
 		return err
+	}
+	m := arch.ByName(c.machine)
+	if m == nil {
+		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
 	stop, err := hostprof.Start(c.cpuProfile, c.memProfile)
 	if err != nil {
@@ -168,12 +258,12 @@ func (c *cli) exec() (err error) {
 	switch {
 	case c.traceFormat != "text" && c.traceFormat != "chrome":
 		return fmt.Errorf("unknown trace format %q (want text or chrome)", c.traceFormat)
-	case c.chaos:
-		return c.runChaos(o)
-	case c.explore:
-		return c.runExplore(o)
+	case md == chaosMode:
+		return c.runChaos(o, m)
+	case md == exploreMode:
+		return c.runExplore(o, m)
 	}
-	return c.run(o)
+	return c.run(o, m)
 }
 
 // writeTrace renders the tracer to path in the selected format and
@@ -212,14 +302,10 @@ func dumpMetrics(reg *metrics.Registry) error {
 // metrics registry attach to the first run only — neither charges
 // virtual time, so the second (bare) run must still produce the same
 // digest.
-func (c *cli) runChaos(o planes.Options) error {
+func (c *cli) runChaos(o planes.Options, m *arch.Machine) error {
 	if err := checkNonNegative(numFlag{"ulps", float64(c.ulps)}, numFlag{"ops", float64(c.ops)},
 		numFlag{"trace-cap", float64(c.traceCap)}, numFlag{"stall-horizon", c.stallUS}); err != nil {
 		return err
-	}
-	m := arch.ByName(c.machine)
-	if m == nil {
-		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
 	idlePolicy, sigMode, err := parseModes(c.idle, c.signals)
 	if err != nil {
@@ -277,24 +363,17 @@ func (c *cli) runChaos(o planes.Options) error {
 // invariant oracles. A failing schedule is shrunk to its minimal
 // decision prefix and printed with the exact replay command; -explore-trace
 // replays such a prefix deterministically.
-func (c *cli) runExplore(o planes.Options) error {
+func (c *cli) runExplore(o planes.Options, m *arch.Machine) error {
 	if err := checkNonNegative(numFlag{"explore-runs", float64(c.exploreRuns)},
 		numFlag{"explore-depth", float64(c.exploreDepth)}); err != nil {
 		return err
-	}
-	var mk func() *arch.Machine
-	switch strings.ToLower(c.machine) {
-	case "wallaby":
-		mk = arch.Wallaby
-	case "albireo":
-		mk = arch.Albireo
-	default:
-		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
 	idlePolicy, _, err := parseModes(c.idle, "fcontext")
 	if err != nil {
 		return err
 	}
+	// Each explored run gets a fresh machine.
+	mk := func() *arch.Machine { return arch.ByName(m.Name) }
 	s, err := explore.ByName(c.exploreScen, mk, idlePolicy)
 	if err != nil {
 		return err
@@ -378,19 +457,15 @@ func parseModes(idle, signals string) (blt.IdlePolicy, core.SignalMode, error) {
 	return idlePolicy, sigMode, nil
 }
 
-// run is the scenario mode: ULPs run open-write-close brackets on a
-// booted runtime, with the planes o selects.
-func (c *cli) run(o planes.Options) error {
+// run is the scenario mode: ULPs run A5's program (bench.Fig6Worker)
+// on a booted runtime, with the planes o selects.
+func (c *cli) run(o planes.Options, m *arch.Machine) error {
 	if err := checkNonNegative(numFlag{"ulps", float64(c.ulps)}, numFlag{"ops", float64(c.ops)},
 		numFlag{"prog-cores", float64(c.progCores)}, numFlag{"syscall-cores", float64(c.syscallCores)},
 		numFlag{"compute-us", c.computeUS}, numFlag{"write-size", float64(c.writeSize)},
 		numFlag{"trace-cap", float64(c.traceCap)}, numFlag{"preempt-us", c.preemptUS},
 		numFlag{"stall-horizon", c.stallUS}); err != nil {
 		return err
-	}
-	m := arch.ByName(c.machine)
-	if m == nil {
-		return fmt.Errorf("unknown machine %q (want Wallaby or Albireo)", c.machine)
 	}
 	if c.progCores+c.syscallCores > m.Cores() {
 		return fmt.Errorf("%d cores requested, machine has %d", c.progCores+c.syscallCores, m.Cores())
@@ -428,31 +503,7 @@ func (c *cli) run(o planes.Options) error {
 		PreemptQuantum: sim.FromUS(c.preemptUS),
 	}
 
-	worker := &loader.Image{
-		Name: "worker", PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{
-			{Name: "progress", Size: 8},
-			{Name: "errno", Size: 8, TLS: true},
-		},
-		Main: func(envI interface{}) int {
-			env := envI.(*core.Env)
-			buf := make([]byte, c.writeSize)
-			for i := 0; i < c.ops; i++ {
-				env.Compute(sim.FromUS(c.computeUS))
-				env.Exec(func(kc *kernel.Task) {
-					fd, err := kc.Open(fmt.Sprintf("/out.%d", env.U.Rank),
-						fs.OCreate|fs.OWrOnly|fs.OTrunc)
-					if err != nil {
-						return // injected fault: skip this op
-					}
-					kc.Write(fd, buf, true)
-					kc.Close(fd)
-				})
-				env.Yield()
-			}
-			return 0
-		},
-	}
+	worker := bench.Fig6Worker(c.ops, sim.FromUS(c.computeUS), c.writeSize)
 
 	var makespan sim.Duration
 	var statuses []int
@@ -462,7 +513,7 @@ func (c *cli) run(o planes.Options) error {
 		rtRef = rt
 		start := e.Now()
 		for i := 0; i < c.ulps; i++ {
-			if _, err := rt.Spawn(worker, core.SpawnOpts{Scheduler: -1, StartDecoupled: true}); err != nil {
+			if _, err := rt.Spawn(worker, core.SpawnOpts{Scheduler: -1}); err != nil {
 				panic(err)
 			}
 		}

@@ -2,12 +2,16 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/blt"
 	"repro/internal/chaos"
 	"repro/internal/fault"
@@ -204,5 +208,90 @@ func TestChaosFaultFreeReproDigest(t *testing.T) {
 	}
 	if want := "digest         " + d.String() + "\n"; !strings.Contains(out, want) {
 		t.Errorf("%s printed\n%s\nwant the line %q", line, out, want)
+	}
+}
+
+// ignored lists, per mode, every flag that mode does not read.
+var ignored = map[string][]string{
+	"run": {"explore-scenario", "explore-policy", "explore-runs", "explore-depth", "explore-trace"},
+	"chaos": {"prog-cores", "syscall-cores", "compute-us", "write-size", "workstealing", "timeline",
+		"preempt-us", "explore-scenario", "explore-policy", "explore-runs", "explore-depth", "explore-trace"},
+	"explore": {"ulps", "ops", "signals", "trace", "trace-cap", "trace-format", "metrics", "supervise",
+		"stall-horizon", "faults", "prog-cores", "syscall-cores", "compute-us", "write-size",
+		"workstealing", "timeline", "preempt-us"},
+}
+
+// TestIgnoredFlagsRejected: in each mode, every flag, given at its
+// default value, passes the mode check exactly when the mode reads it.
+// An ignored one is an error naming the flag and the mode before
+// anything runs. Unchecked, -explore -faults 'kc_kill:nth=1' -supervise
+// explored with neither plane and reported that all oracles held.
+func TestIgnoredFlagsRejected(t *testing.T) {
+	for mode, sel := range modes {
+		modeName := map[string]string{"run": "scenario", "chaos": "-chaos", "explore": "-explore"}[mode]
+		(&cli{}).flagSet(flag.ContinueOnError).VisitAll(func(f *flag.Flag) {
+			args := append(append([]string(nil), sel...), "-"+f.Name+"="+f.DefValue)
+			c, err := parseFlags(args, flag.ContinueOnError)
+			if err != nil {
+				t.Fatalf("parse %q: %v", args, err)
+			}
+			if !slices.Contains(ignored[mode], f.Name) {
+				if _, err := c.mode(); err != nil {
+					t.Errorf("%s mode rejects -%s, which it reads: %v", mode, f.Name, err)
+				}
+				return
+			}
+			out := captureStdout(t, func() { err = c.exec() })
+			if err == nil || !strings.Contains(err.Error(), "-"+f.Name+" ") || !strings.Contains(err.Error(), " "+modeName+" mode") {
+				t.Errorf("%q: err = %v, want one naming -%s and %s", args, err, f.Name, modeName)
+			}
+			if out != "" {
+				t.Errorf("%q ran before failing:\n%s", args, out)
+			}
+		})
+	}
+	if err := exec(t, "-chaos", "-explore"); err == nil || !strings.Contains(err.Error(), "-chaos and -explore") {
+		t.Errorf("-chaos -explore: err = %v", err)
+	}
+}
+
+// TestMachineAnyCase: every mode takes -machine in any case. Only
+// -explore used to; the scenario and chaos modes rejected "wallaby".
+func TestMachineAnyCase(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-machine", "wallaby"}, "machine        Wallaby (x86_64, 16 cores"},
+		{[]string{"-chaos", "-machine", "ALBIREO"}, "machine        Albireo (aarch64), idle="},
+		{[]string{"-explore", "-machine", "albireo"}, "verdict        all oracles hold"},
+	} {
+		var err error
+		out := captureStdout(t, func() { err = exec(t, c.args...) })
+		if err != nil || !strings.Contains(out, c.want) {
+			t.Errorf("%q: err = %v, output lacks %q:\n%s", c.args, err, c.want, out)
+		}
+	}
+}
+
+// TestScenarioIsA5: the scenario mode runs A5's program, so with A5's
+// deployment (2 program cores, 2 system-call cores, blocking idle, O=0)
+// it prints the makespan of that row of results/ulpbench.txt, 548.4us.
+// Its own image, with an 8-B data symbol, printed 548.3us.
+func TestScenarioIsA5(t *testing.T) {
+	pts, err := bench.Fig6Scenario(arch.Wallaby(), []int{2}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() {
+		err = exec(t, "-idle", "blocking", "-ulps", "2", "-prog-cores", "2", "-syscall-cores", "2")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{fmt.Sprintf("makespan       %v\n", pts[0].Makespan), "makespan       548.4us\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }

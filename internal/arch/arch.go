@@ -14,7 +14,11 @@
 // aggregate numbers in those tables (see DESIGN.md section 2).
 package arch
 
-import "repro/internal/sim"
+import (
+	"strings"
+
+	"repro/internal/sim"
+)
 
 // CPUArch enumerates the modeled instruction-set architectures.
 type CPUArch int
@@ -305,11 +309,11 @@ func Albireo() *Machine {
 // Machines returns the two evaluation platforms in paper order.
 func Machines() []*Machine { return []*Machine{Wallaby(), Albireo()} }
 
-// ByName returns the machine model with the given name (case-sensitive),
-// or nil if unknown.
+// ByName returns the machine model with the given name in any case, or
+// nil if unknown.
 func ByName(name string) *Machine {
 	for _, m := range Machines() {
-		if m.Name == name {
+		if strings.EqualFold(m.Name, name) {
 			return m
 		}
 	}

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -96,15 +97,21 @@ func TestRemotePenaltyLargerOnAlbireo(t *testing.T) {
 	}
 }
 
+// TestByName: a machine name resolves in any case, to the model of
+// that name.
 func TestByName(t *testing.T) {
-	if m := ByName("Wallaby"); m == nil || m.Arch != X8664 {
-		t.Error("ByName(Wallaby) wrong")
+	for name, arch := range map[string]CPUArch{
+		"Wallaby": X8664, "wallaby": X8664, "WALLABY": X8664,
+		"Albireo": AArch64, "albireo": AArch64, "aLBIREO": AArch64,
+	} {
+		if m := ByName(name); m == nil || m.Arch != arch || !strings.EqualFold(m.Name, name) {
+			t.Errorf("ByName(%q) = %v", name, m)
+		}
 	}
-	if m := ByName("Albireo"); m == nil || m.Arch != AArch64 {
-		t.Error("ByName(Albireo) wrong")
-	}
-	if m := ByName("nope"); m != nil {
-		t.Error("ByName(nope) should be nil")
+	for _, name := range []string{"nope", "", "wallaby "} {
+		if m := ByName(name); m != nil {
+			t.Errorf("ByName(%q) = %s, want nil", name, m.Name)
+		}
 	}
 }
 

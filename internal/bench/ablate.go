@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/kernel"
+	"repro/internal/loader"
 	"repro/internal/sim"
 )
 
@@ -164,7 +165,8 @@ type Fig6Point struct {
 }
 
 // Fig6Scenario runs the workload for each (NCsyscall, O) combination:
-// every ULP alternates computation with a bracketed open-write-close.
+// NB ULPs of Fig6Worker, each running 8 brackets of 4 KiB with 5 µs of
+// computation before each.
 func Fig6Scenario(m *arch.Machine, syscallCores []int, oversubs []int) ([]Fig6Point, error) {
 	var out []Fig6Point
 	const progCores = 2
@@ -181,25 +183,7 @@ func Fig6Scenario(m *arch.Machine, syscallCores []int, oversubs []int) ([]Fig6Po
 			err := runULP(m, cfg, func(rt *core.Runtime) {
 				e := rt.Kernel().Engine()
 				start := e.Now()
-				prog := benchImage("fig6", func(envI interface{}) int {
-					env := envI.(*core.Env)
-					env.Decouple()
-					buf := make([]byte, 4096)
-					for i := 0; i < opsPerULP; i++ {
-						env.Compute(5 * sim.Microsecond)
-						env.Exec(func(kc *kernel.Task) {
-							fd, err := kc.Open(fmt.Sprintf("/f%d", env.U.Rank), fs.OCreate|fs.OWrOnly|fs.OTrunc)
-							if err != nil {
-								panic(err)
-							}
-							kc.Write(fd, buf, true)
-							kc.Close(fd)
-						})
-						env.Yield()
-					}
-					env.Couple()
-					return 0
-				})
+				prog := Fig6Worker(opsPerULP, 5*sim.Microsecond, 4096)
 				for i := 0; i < numULPs; i++ {
 					if _, err := rt.Spawn(prog, core.SpawnOpts{Scheduler: -1}); err != nil {
 						panic(err)
@@ -220,6 +204,35 @@ func Fig6Scenario(m *arch.Machine, syscallCores []int, oversubs []int) ([]Fig6Po
 		}
 	}
 	return out, nil
+}
+
+// Fig6Worker is the program of A5's ULPs, which ulpsim's scenario mode
+// also runs: decoupled from its KC, a ULP repeats ops times a compute
+// burst, one open-write-close of writeSize bytes inside a
+// couple()/decouple() bracket (served by a system-call core, which
+// streams the buffer remotely) and a yield. An open that fails under
+// an injected fault skips that bracket's write and close. The image is
+// named worker, so its KCs are kc.worker.<rank>.
+func Fig6Worker(ops int, compute sim.Duration, writeSize int) *loader.Image {
+	return benchImage("worker", func(envI interface{}) int {
+		env := envI.(*core.Env)
+		env.Decouple()
+		buf := writeSource(writeSize)
+		path := fmt.Sprintf("/out.%d", env.U.Rank)
+		for i := 0; i < ops; i++ {
+			env.Compute(compute)
+			env.Exec(func(kc *kernel.Task) {
+				fd, err := kc.Open(path, fs.OCreate|fs.OWrOnly|fs.OTrunc)
+				if err != nil {
+					return
+				}
+				kc.Write(fd, buf, true)
+				kc.Close(fd)
+			})
+			env.Yield()
+		}
+		return 0
+	})
 }
 
 // PrintFig6 renders A5.

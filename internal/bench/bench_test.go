@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,8 +108,8 @@ func TestFig7WallabyULPWinsEverywhere(t *testing.T) {
 		}
 		ulpB, _ := owcULP(m, size, blt.BusyWait)
 		ulpK, _ := owcULP(m, size, blt.Blocking)
-		aioR, _ := owcAIO(m, size, false)
-		aioS, _ := owcAIO(m, size, true)
+		aioR, _ := owcAIO(m, size, 0, false, 4, 16)
+		aioS, _ := owcAIO(m, size, 0, true, 4, 16)
 		if ulpB >= aioR {
 			t.Errorf("size %d: ULP-busywait (%v) >= AIO-return (%v)", size, ulpB, aioR)
 		}
@@ -131,9 +132,9 @@ func TestFig7AlbireoCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aioSmall, _ := owcAIO(m, small, false)
+	aioSmall, _ := owcAIO(m, small, 0, false, 4, 16)
 	ulpLarge, _ := owcULP(m, large, blt.BusyWait)
-	aioLarge, _ := owcAIO(m, large, false)
+	aioLarge, _ := owcAIO(m, large, 0, false, 4, 16)
 	if ulpSmall >= aioSmall {
 		t.Errorf("small size: ULP (%v) should beat AIO (%v)", ulpSmall, aioSmall)
 	}
@@ -183,7 +184,7 @@ func TestFig8PaperClaims(t *testing.T) {
 				}
 			}
 			for _, suspend := range []bool{false, true} {
-				d, err := overlapAIO(m, size, tCPU, suspend)
+				d, err := owcAIO(m, size, tCPU, suspend, 2, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -483,6 +484,50 @@ func TestWriteSeriesMarkdown(t *testing.T) {
 	for _, want := range []string{"| x | a | b |", "| 64 | 1.500 | 2.250 |"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestReportCoversEveryExperiment: the report has one "## <name>"
+// section per Experiments entry, in order, each fencing that
+// experiment's -exp text, and the fig7 and fig8 sections draw one chart
+// per machine. The report used to format six experiments by hand and
+// left out ablate-idle, fig6-scenario, huge-pages and mpi-oversub.
+func TestReportCoversEveryExperiment(t *testing.T) {
+	var b bytes.Buffer
+	if err := Report(&b); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	sections := map[string]string{}
+	for _, sec := range strings.Split(b.String(), "\n## ")[1:] {
+		name, body, _ := strings.Cut(sec, "\n")
+		names = append(names, name)
+		sections[name] = body
+	}
+	var want []string
+	for _, x := range Experiments {
+		want = append(want, x.Name)
+		var text bytes.Buffer
+		if _, err := x.Run(&text, nil); err != nil {
+			t.Fatal(err)
+		}
+		fenced := "```\n" + strings.TrimRight(text.String(), "\n") + "\n```\n"
+		if !strings.Contains(sections[x.Name], fenced) {
+			t.Errorf("section %s does not fence the -exp %s text", x.Name, x.Name)
+		}
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("report sections %v, want %v", names, want)
+	}
+	for _, fig := range []string{"fig7", "fig8"} {
+		if n := strings.Count(sections[fig], "┤─"); n != len(MachineOrder) {
+			t.Errorf("section %s draws %d charts, want %d", fig, n, len(MachineOrder))
+		}
+		for _, m := range MachineOrder {
+			if _, chart, ok := strings.Cut(sections[fig], "### "+m+"\n"); !ok || !strings.Contains(chart, "┤─") {
+				t.Errorf("section %s has no chart under %q", fig, "### "+m)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/planes"
 	"repro/internal/sim"
 	usync "repro/internal/sync"
 )
@@ -108,75 +109,34 @@ func Contention(m *arch.Machine, cfg ContentionConfig) (ContentionResult, error)
 	return res, nil
 }
 
+// contentionRow runs one cell: sync.Hammer on a fresh kernel whose
+// metrics registry yields the acquisition-latency columns.
 func contentionRow(m *arch.Machine, lock string, threads, ratio, iters int) (ContentionRow, error) {
-	cores := threads / ratio
-	if cores < 1 {
-		cores = 1
-	}
-	if cores > m.Cores() {
-		cores = m.Cores()
-	}
+	cores := min(max(threads/ratio, 1), m.Cores())
 	row := ContentionRow{Lock: lock, Threads: threads, Ratio: ratio, Cores: cores}
 	o := Planes
 	reg := metrics.NewRegistry()
 	o.Metrics = reg
-	k, p := newKernel(m, o)
-	e := k.Engine()
 	ops := iters / threads
-	var rowErr error
-	root := k.NewTask("contention-root", k.NewAddressSpace(), func(rt *kernel.Task) int {
-		l, err := usync.New(rt, lock, usync.Config{})
-		if err != nil {
-			rowErr = err
-			return 1
+	var e *sim.Engine
+	var hammerErr error
+	err := runKernel(m, o, func(k *kernel.Kernel, root *kernel.Task, _ planes.Planes) {
+		e = k.Engine()
+		l, err := usync.New(root, lock, usync.Config{})
+		if err == nil {
+			err = usync.Hammer(root, l, threads, cores, ops)
 		}
-		ctr, err := rt.Mmap(8, true)
-		if err != nil {
-			rowErr = err
-			return 1
-		}
-		space := rt.Space()
-		kids := make([]*kernel.Task, threads)
-		for i := range kids {
-			kids[i] = rt.ClonePinned(fmt.Sprintf("c%d", i), kernel.PThreadFlags, i%cores,
-				func(t *kernel.Task) int {
-					for op := 0; op < ops; op++ {
-						l.Lock(t)
-						v, _ := space.ReadU64(ctr, nil)
-						t.Compute(300 * sim.Nanosecond)
-						space.WriteU64(ctr, v+1, nil)
-						l.Unlock(t)
-						t.Compute(100 * sim.Nanosecond)
-					}
-					return 0
-				})
-		}
-		bad := 0
-		for _, kid := range kids {
-			if rt.Join(kid) != 0 {
-				bad++
-			}
-		}
-		if got, _ := space.ReadU64(ctr, nil); got != uint64(threads*ops) {
-			rowErr = fmt.Errorf("contention %s/%s t=%d r=%d: counter=%d want %d — mutual exclusion violated",
-				m.Name, lock, threads, ratio, got, threads*ops)
-		}
-		return bad
+		hammerErr = err
 	})
-	k.Start(root, 0)
-	if err := finish(k, p, e.Run()); err != nil {
-		return row, fmt.Errorf("contention %s/%s t=%d r=%d: %v", m.Name, lock, threads, ratio, err)
-	}
-	if rowErr != nil {
-		return row, rowErr
-	}
-	if !root.Exited() || root.ExitCode() != 0 {
-		return row, fmt.Errorf("contention %s/%s t=%d r=%d: root exit %d", m.Name, lock, threads, ratio, root.ExitCode())
+	if err == nil {
+		err = hammerErr
 	}
 	h := reg.Histogram("sync." + lock + ".acquire_ps")
-	if got := h.Count(); got != uint64(threads*ops) {
-		return row, fmt.Errorf("contention %s/%s t=%d r=%d: histogram saw %d acquisitions, want %d",
-			m.Name, lock, threads, ratio, got, threads*ops)
+	if err == nil && h.Count() != uint64(threads*ops) {
+		err = fmt.Errorf("histogram saw %d acquisitions, want %d", h.Count(), threads*ops)
+	}
+	if err != nil {
+		return row, fmt.Errorf("contention %s/%s t=%d r=%d: %v", m.Name, lock, threads, ratio, err)
 	}
 	row.Virt = e.Now().Sub(sim.Time(0))
 	row.AcqP50 = sim.Duration(h.Quantile(0.50))

@@ -3,19 +3,21 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/arch"
 )
 
 // Experiment is one entry of `ulpbench -exp`. Run renders it to w
-// exactly as the CLI prints it and returns its JSON records; figures
-// also write their curves to <csvPrefix>-<name>-<machine>.csv when
-// csvPrefix is set.
+// exactly as the CLI prints it and returns its JSON records. A figure
+// also hands each machine's curves to curves, when that is non-nil:
+// `-csv` writes them to files, and Report draws them.
 type Experiment struct {
 	Name string
-	Run  func(w io.Writer, csvPrefix string) ([]Record, error)
+	Run  func(w io.Writer, curves Curves) ([]Record, error)
 }
+
+// Curves receives one machine's curves of a figure.
+type Curves func(machine string, series []Series) error
 
 // Experiments is the evaluation `ulpbench -exp all` runs, in output
 // order: the paper's §VI Tables III–V and Figs. 7–8, then the §VII
@@ -25,8 +27,8 @@ var Experiments = []Experiment{
 	{"table3", table(Table3, PrintTable3, Table3Records)},
 	{"table4", table(Table4, PrintTable4, Table4Records)},
 	{"table5", table(Table5, PrintTable5, Table5Records)},
-	{"fig7", figure("fig7", Fig7, PrintFig7, Fig7Records)},
-	{"fig8", figure("fig8", Fig8, PrintFig8, Fig8Records)},
+	{"fig7", figure(Fig7, PrintFig7, Fig7Records)},
+	{"fig8", figure(Fig8, PrintFig8, Fig8Records)},
 	{"ablate-idle", perMachine(AblateIdlePolicy, PrintIdleAblation)},
 	{"ablate-tls", table(AblateTLS, PrintTLSAblation, nil)},
 	{"fig6-scenario", perMachine(func(m *arch.Machine) ([]Fig6Point, error) {
@@ -41,8 +43,8 @@ var Experiments = []Experiment{
 // table is an experiment printed as one table over both machines, run
 // on the sweep pool by MachineResults. A nil records emits none.
 func table[T any](run func(*arch.Machine) (T, error), print func(io.Writer, map[string]T),
-	records func(map[string]T) []Record) func(io.Writer, string) ([]Record, error) {
-	return func(w io.Writer, _ string) ([]Record, error) {
+	records func(map[string]T) []Record) func(io.Writer, Curves) ([]Record, error) {
+	return func(w io.Writer, _ Curves) ([]Record, error) {
 		r, err := MachineResults(run)
 		if err != nil {
 			return nil, err
@@ -57,10 +59,10 @@ func table[T any](run func(*arch.Machine) (T, error), print func(io.Writer, map[
 }
 
 // figure is an experiment printed as one block per machine, in
-// MachineOrder, whose curves can also go to CSV files.
-func figure[T interface{ Series() []Series }](name string, run func(*arch.Machine) (T, error),
-	print func(io.Writer, T), records func(map[string]T) []Record) func(io.Writer, string) ([]Record, error) {
-	return func(w io.Writer, csvPrefix string) ([]Record, error) {
+// MachineOrder, that hands each block's curves to curves.
+func figure[T interface{ Series() []Series }](run func(*arch.Machine) (T, error),
+	print func(io.Writer, T), records func(map[string]T) []Record) func(io.Writer, Curves) ([]Record, error) {
+	return func(w io.Writer, curves Curves) ([]Record, error) {
 		r, err := MachineResults(run)
 		if err != nil {
 			return nil, err
@@ -68,8 +70,8 @@ func figure[T interface{ Series() []Series }](name string, run func(*arch.Machin
 		for _, m := range MachineOrder {
 			print(w, r[m])
 			fmt.Fprintln(w)
-			if csvPrefix != "" {
-				if err := writeCSV(fmt.Sprintf("%s-%s-%s.csv", csvPrefix, name, m), r[m].Series()); err != nil {
+			if curves != nil {
+				if err := curves(m, r[m].Series()); err != nil {
 					return nil, err
 				}
 			}
@@ -80,8 +82,8 @@ func figure[T interface{ Series() []Series }](name string, run func(*arch.Machin
 
 // perMachine is an experiment run and printed machine by machine,
 // serially, with no records.
-func perMachine[T any](run func(*arch.Machine) (T, error), print func(io.Writer, T)) func(io.Writer, string) ([]Record, error) {
-	return func(w io.Writer, _ string) ([]Record, error) {
+func perMachine[T any](run func(*arch.Machine) (T, error), print func(io.Writer, T)) func(io.Writer, Curves) ([]Record, error) {
+	return func(w io.Writer, _ Curves) ([]Record, error) {
 		for _, m := range arch.Machines() {
 			r, err := run(m)
 			if err != nil {
@@ -92,17 +94,4 @@ func perMachine[T any](run func(*arch.Machine) (T, error), print func(io.Writer,
 		}
 		return nil, nil
 	}
-}
-
-// writeCSV writes series to a new file at path (see WriteSeriesCSV).
-func writeCSV(path string, series []Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSeriesCSV(f, series); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"errors"
-
-	"repro/internal/aio"
 	"repro/internal/arch"
 	"repro/internal/blt"
 	"repro/internal/core"
@@ -33,46 +30,6 @@ func (r Fig8Result) Series() []Series {
 		out = append(out, s)
 	}
 	return out
-}
-
-// overlapAIO measures t_ovrl for AIO: the submitter overlaps its own
-// computation with the asynchronous write; open and close remain
-// synchronous (AIO covers only read/write).
-func overlapAIO(m *arch.Machine, size int, tCPU sim.Duration, suspend bool) (sim.Duration, error) {
-	return MinOf(func() (sim.Duration, error) {
-		var per sim.Duration
-		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
-			buf := writeSource(size)
-			ctx, err := aio.New(root)
-			if err != nil {
-				panic(err)
-			}
-			per = timeLoop(k.Engine(), 2, 8, func(int) {
-				fd, err := root.Open("/ovl", fs.OCreate|fs.OWrOnly|fs.OTrunc)
-				if err != nil {
-					panic(err)
-				}
-				r, err := ctx.WriteAsync(root, fd, buf)
-				if err != nil {
-					panic(err)
-				}
-				root.Compute(tCPU)
-				if suspend {
-					r.Suspend(root)
-				} else {
-					for {
-						if _, err := r.Return(root); !errors.Is(err, aio.ErrInProgress) {
-							break
-						}
-						root.SchedYield()
-					}
-				}
-				root.Close(fd)
-			})
-			ctx.Close(root)
-		})
-		return per, err
-	})
 }
 
 // overlapULP measures t_ovrl for ULP-PiP: two ULPs share one program
@@ -173,13 +130,13 @@ func Fig8(m *arch.Machine) (Fig8Result, error) {
 		}
 		record("ULP-BLOCKING", d)
 
-		d, err = overlapAIO(m, size, tCPU, false)
+		d, err = owcAIO(m, size, tCPU, false, 2, 8)
 		if err != nil {
 			return err
 		}
 		record("AIO-return", d)
 
-		d, err = overlapAIO(m, size, tCPU, true)
+		d, err = owcAIO(m, size, tCPU, true, 2, 8)
 		if err != nil {
 			return err
 		}

@@ -1,104 +1,37 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// Report runs the complete evaluation and writes a self-contained
-// markdown report: every table in the paper's layout, every figure as a
-// markdown table plus an ASCII chart, and the ablations.
+// Report runs every experiment and writes a self-contained markdown
+// report: one section per Experiments entry, in order, that fences the
+// experiment's `ulpbench -exp` text and follows a figure's text with
+// each machine's curves as a markdown table and an ASCII chart.
 func Report(w io.Writer) error {
 	fmt.Fprintln(w, "# ULP-PiP evaluation report")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Generated by `ulpbench -report`; all numbers are virtual time on the")
 	fmt.Fprintln(w, "simulated Wallaby (x86_64) and Albireo (AArch64) machines.")
 	fmt.Fprintln(w)
-
-	r3, err := MachineResults(Table3)
-	if err != nil {
-		return err
+	for _, x := range Experiments {
+		var text, charts bytes.Buffer
+		if _, err := x.Run(&text, func(machine string, series []Series) error {
+			fmt.Fprintf(&charts, "### %s\n\n", machine)
+			writeSeriesMarkdown(&charts, "size [B]", series)
+			fmt.Fprintf(&charts, "```\n%s```\n\n", AsciiChart(series, 52, 12))
+			return nil
+		}); err != nil {
+			return fmt.Errorf("%s: %w", x.Name, err)
+		}
+		fmt.Fprintf(w, "## %s\n\n```\n%s\n```\n\n", x.Name, bytes.TrimRight(text.Bytes(), "\n"))
+		if _, err := charts.WriteTo(w); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintln(w, "## Table III — context switch and TLS load")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Primitive | Wallaby [s] | Wallaby [cyc] | Albireo [s] |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	fmt.Fprintf(w, "| Context Sw. | %s | %s | %s |\n",
-		r3["Wallaby"].CtxSwitch.TimeSec(), r3["Wallaby"].CtxSwitch.CyclesStr(), r3["Albireo"].CtxSwitch.TimeSec())
-	fmt.Fprintf(w, "| Load TLS | %s | %s | %s |\n",
-		r3["Wallaby"].LoadTLS.TimeSec(), r3["Wallaby"].LoadTLS.CyclesStr(), r3["Albireo"].LoadTLS.TimeSec())
-	fmt.Fprintln(w)
-
-	r4, err := MachineResults(Table4)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "## Table IV — yielding time (per yield)")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Mechanism | Wallaby [s] | Albireo [s] |")
-	fmt.Fprintln(w, "|---|---|---|")
-	fmt.Fprintf(w, "| ULP-PiP yield | %s | %s |\n", r4["Wallaby"].ULPYield.TimeSec(), r4["Albireo"].ULPYield.TimeSec())
-	fmt.Fprintf(w, "| sched_yield, 1 core | %s | %s |\n", r4["Wallaby"].SchedYield1Core.TimeSec(), r4["Albireo"].SchedYield1Core.TimeSec())
-	fmt.Fprintf(w, "| sched_yield, 2 cores | %s | %s |\n", r4["Wallaby"].SchedYield2Core.TimeSec(), r4["Albireo"].SchedYield2Core.TimeSec())
-	fmt.Fprintln(w)
-
-	r5, err := MachineResults(Table5)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "## Table V — getpid()")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Mechanism | Wallaby [s] | Albireo [s] |")
-	fmt.Fprintln(w, "|---|---|---|")
-	fmt.Fprintf(w, "| Linux | %s | %s |\n", r5["Wallaby"].Linux.TimeSec(), r5["Albireo"].Linux.TimeSec())
-	fmt.Fprintf(w, "| ULP-PiP BUSYWAIT | %s | %s |\n", r5["Wallaby"].BusyWait.TimeSec(), r5["Albireo"].BusyWait.TimeSec())
-	fmt.Fprintf(w, "| ULP-PiP BLOCKING | %s | %s |\n", r5["Wallaby"].Blocking.TimeSec(), r5["Albireo"].Blocking.TimeSec())
-	fmt.Fprintln(w)
-
-	f7, err := MachineResults(Fig7)
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{"Wallaby", "Albireo"} {
-		r := f7[name]
-		fmt.Fprintf(w, "## Figure 7 — open-write-close slowdown (%s)\n\n", name)
-		writeSeriesMarkdown(w, "size [B]", r.Series())
-		fmt.Fprintln(w, "```")
-		fmt.Fprint(w, AsciiChart(r.Series(), 52, 12))
-		fmt.Fprintln(w, "```")
-		fmt.Fprintln(w)
-	}
-
-	f8, err := MachineResults(Fig8)
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{"Wallaby", "Albireo"} {
-		r := f8[name]
-		fmt.Fprintf(w, "## Figure 8 — overlap ratio %% (%s)\n\n", name)
-		writeSeriesMarkdown(w, "size [B]", r.Series())
-		fmt.Fprintln(w, "```")
-		fmt.Fprint(w, AsciiChart(r.Series(), 52, 12))
-		fmt.Fprintln(w, "```")
-		fmt.Fprintln(w)
-	}
-
-	fmt.Fprintln(w, "## Ablations")
-	fmt.Fprintln(w)
-	tl, err := MachineResults(AblateTLS)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "| Machine | ULP yield [ns] | ULT yield (no TLS) [ns] | TLS share |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, name := range []string{"Wallaby", "Albireo"} {
-		r := tl[name]
-		share := 1 - float64(r.NoTLS)/float64(r.WithTLS)
-		fmt.Fprintf(w, "| %s | %.1f | %.1f | %.0f%% |\n",
-			name, r.WithTLS.Nanoseconds(), r.NoTLS.Nanoseconds(), share*100)
-	}
-	fmt.Fprintln(w)
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/kernel"
 	"repro/internal/planes"
-	"repro/internal/sim"
 	usync "repro/internal/sync"
 )
 
@@ -20,10 +19,10 @@ const (
 )
 
 // LockScenario is the contention-lab exploration scenario for one lock
-// algorithm: lockTasks tasks on lockCores cores hammer a racy counter
-// under the lock while the chooser perturbs every scheduling decision.
-// Oracles, per explored schedule: the counter is exact (mutual
-// exclusion under every interleaving), the fairness discipline holds —
+// algorithm: sync.Hammer with lockTasks tasks on lockCores cores, while
+// the chooser perturbs every scheduling decision. Oracles, per explored
+// schedule: the hammer's counter is exact (mutual exclusion under every
+// interleaving), the fairness discipline holds —
 // strict handoff-in-queueing-order for the FIFO algorithms (ticket,
 // MCS, CLH), and for the unfair ones no waiter that reached the
 // queueing point is ever passed over unboundedly or left unserved —
@@ -33,59 +32,23 @@ func LockScenario(mk func() *arch.Machine, algo string) Scenario {
 		Name:    "lock-" + algo,
 		Machine: mk,
 		Run: func(k *kernel.Kernel, _ planes.Planes) error {
-			e := k.Engine()
 			var fair usync.Fairness
-			var counter uint64
-			var mkErr error
+			var runErr error
 			root := k.NewTask("lock-root", k.NewAddressSpace(), func(rt *kernel.Task) int {
 				l, err := usync.New(rt, algo, usync.Config{})
-				if err != nil {
-					mkErr = err
-					return 1
+				if err == nil {
+					l.SetFairness(&fair)
+					err = usync.Hammer(rt, l, lockTasks, lockCores, lockOps)
 				}
-				l.SetFairness(&fair)
-				ctr, err := rt.Mmap(8, true)
-				if err != nil {
-					mkErr = err
-					return 1
-				}
-				space := rt.Space()
-				kids := make([]*kernel.Task, lockTasks)
-				for i := range kids {
-					kids[i] = rt.ClonePinned(fmt.Sprintf("lk%d", i), kernel.PThreadFlags, i%lockCores,
-						func(t *kernel.Task) int {
-							for op := 0; op < lockOps; op++ {
-								l.Lock(t)
-								v, _ := space.ReadU64(ctr, nil)
-								t.Compute(300 * sim.Nanosecond)
-								space.WriteU64(ctr, v+1, nil)
-								l.Unlock(t)
-								t.Compute(100 * sim.Nanosecond)
-							}
-							return 0
-						})
-				}
-				bad := 0
-				for _, kid := range kids {
-					if rt.Join(kid) != 0 {
-						bad++
-					}
-				}
-				counter, _ = space.ReadU64(ctr, nil)
-				return bad
+				runErr = err
+				return 0
 			})
 			k.Start(root, 0)
-			if err := drain(e, "lock-"+algo); err != nil {
+			if err := drain(k.Engine(), "lock-"+algo); err != nil {
 				return err
 			}
-			if mkErr != nil {
-				return mkErr
-			}
-			if !root.Exited() || root.ExitCode() != 0 {
-				return fmt.Errorf("lock-%s: root exit %d (exited=%v)", algo, root.ExitCode(), root.Exited())
-			}
-			if want := uint64(lockTasks * lockOps); counter != want {
-				return fmt.Errorf("lock-%s: counter=%d want %d — mutual exclusion violated", algo, counter, want)
+			if runErr != nil {
+				return fmt.Errorf("lock-%s: %v", algo, runErr)
 			}
 			if got, want := fair.Acquisitions(), lockTasks*lockOps; got != want {
 				return fmt.Errorf("lock-%s: %d recorded acquisitions, want %d", algo, got, want)

@@ -3,6 +3,7 @@ package sync_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -18,48 +19,41 @@ func newKernel(t *testing.T) (*sim.Engine, *kernel.Kernel) {
 	return e, kernel.New(e, arch.Wallaby())
 }
 
-// hammer runs tasks×ops racy read-compute-write increments under l,
-// with tasks pinned round-robin to the first cores cores (cores <
-// tasks oversubscribes, forcing spinner yields to matter). Returns the
-// final counter.
+// hammer runs sync.Hammer on k over the lock mk builds, with tasks
+// threads pinned round-robin onto the first cores cores (cores < tasks
+// oversubscribes, forcing spinner yields to matter), and returns its
+// verdict.
 func hammer(t *testing.T, e *sim.Engine, k *kernel.Kernel, mk func(root *kernel.Task) usync.Lock,
-	tasks, ops, cores int) uint64 {
+	tasks, ops, cores int) error {
 	t.Helper()
-	var counter uint64
+	var err error
 	root := k.NewTask("root", k.NewAddressSpace(), func(rt *kernel.Task) int {
-		l := mk(rt)
-		ctr, err := rt.Mmap(8, true)
-		if err != nil {
-			t.Errorf("mmap: %v", err)
-			return 1
-		}
-		space := rt.Space()
-		kids := make([]*kernel.Task, tasks)
-		for i := range kids {
-			kids[i] = rt.ClonePinned(fmt.Sprintf("w%d", i), kernel.PThreadFlags, i%cores,
-				func(t *kernel.Task) int {
-					for op := 0; op < ops; op++ {
-						l.Lock(t)
-						v, _ := space.ReadU64(ctr, nil)
-						t.Compute(300 * sim.Nanosecond)
-						space.WriteU64(ctr, v+1, nil)
-						l.Unlock(t)
-						t.Compute(100 * sim.Nanosecond)
-					}
-					return 0
-				})
-		}
-		for _, kid := range kids {
-			rt.Join(kid)
-		}
-		counter, _ = space.ReadU64(ctr, nil)
+		err = usync.Hammer(rt, mk(rt), tasks, cores, ops)
 		return 0
 	})
 	k.Start(root, 0)
-	if err := e.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+	if rerr := e.Run(); rerr != nil {
+		t.Fatalf("run: %v", rerr)
 	}
-	return counter
+	return err
+}
+
+// nopLock excludes nothing.
+type nopLock struct{}
+
+func (nopLock) Name() string                { return "nop" }
+func (nopLock) Lock(*kernel.Task)           {}
+func (nopLock) Unlock(*kernel.Task)         {}
+func (nopLock) SetFairness(*usync.Fairness) {}
+
+// TestHammerCatchesLostIncrements: the hammer's counter check fails a
+// lock that excludes nothing once its threads run on two cores.
+func TestHammerCatchesLostIncrements(t *testing.T) {
+	e, k := newKernel(t)
+	err := hammer(t, e, k, func(*kernel.Task) usync.Lock { return nopLock{} }, 2, 4, 2)
+	if err == nil || !strings.Contains(err.Error(), "mutual exclusion violated") {
+		t.Fatalf("hammer over no lock: err = %v, want a lost increment", err)
+	}
 }
 
 // TestMutualExclusion drives every algorithm with more contenders than
@@ -70,15 +64,14 @@ func TestMutualExclusion(t *testing.T) {
 	for _, name := range usync.Names() {
 		t.Run(name, func(t *testing.T) {
 			e, k := newKernel(t)
-			got := hammer(t, e, k, func(rt *kernel.Task) usync.Lock {
+			if err := hammer(t, e, k, func(rt *kernel.Task) usync.Lock {
 				l, err := usync.New(rt, name, usync.Config{})
 				if err != nil {
 					t.Fatalf("New(%s): %v", name, err)
 				}
 				return l
-			}, tasks, ops, cores)
-			if want := uint64(tasks * ops); got != want {
-				t.Fatalf("%s: counter=%d want %d — mutual exclusion violated", name, got, want)
+			}, tasks, ops, cores); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		})
 	}
@@ -94,14 +87,16 @@ func TestFairness(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e, k := newKernel(t)
 			var fair usync.Fairness
-			hammer(t, e, k, func(rt *kernel.Task) usync.Lock {
+			if err := hammer(t, e, k, func(rt *kernel.Task) usync.Lock {
 				l, err := usync.New(rt, name, usync.Config{})
 				if err != nil {
 					t.Fatalf("New(%s): %v", name, err)
 				}
 				l.SetFairness(&fair)
 				return l
-			}, tasks, ops, cores)
+			}, tasks, ops, cores); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if got, want := fair.Acquisitions(), tasks*ops; got != want {
 				t.Fatalf("%s: recorded %d acquisitions, want %d", name, got, want)
 			}
@@ -120,13 +115,15 @@ func TestMetrics(t *testing.T) {
 	e, k := newKernel(t)
 	reg := metrics.NewRegistry()
 	k.SetMetrics(reg)
-	hammer(t, e, k, func(rt *kernel.Task) usync.Lock {
+	if err := hammer(t, e, k, func(rt *kernel.Task) usync.Lock {
 		l, err := usync.New(rt, "ticket", usync.Config{})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 		return l
-	}, tasks, ops, cores)
+	}, tasks, ops, cores); err != nil {
+		t.Fatal(err)
+	}
 	if got := reg.Counter("sync.ticket.acquisitions").Value(); got != uint64(tasks*ops) {
 		t.Fatalf("acquisitions counter = %d, want %d", got, tasks*ops)
 	}
