@@ -47,7 +47,7 @@ func programs() map[string]*loader.Image {
 			Main: func(envI interface{}) int {
 				env := envI.(*pip.Env)
 				fmt.Printf("  hello from PiP task %d (pid %d)\n",
-					env.Proc.Rank, env.Task().Getpid())
+					env.Rank, env.Task().Getpid())
 				return 0
 			},
 		},
@@ -70,7 +70,7 @@ func programs() map[string]*loader.Image {
 					env.Task().SchedYield()
 				}
 				v, _ := env.Task().Space().ReadU64(addr, nil)
-				fmt.Printf("  task %d: &count=%#x count=%d\n", env.Proc.Rank, addr, v)
+				fmt.Printf("  task %d: &count=%#x count=%d\n", env.Rank, addr, v)
 				return int(v)
 			},
 		},
@@ -82,7 +82,7 @@ func programs() map[string]*loader.Image {
 				t := env.Task()
 				data := make([]byte, 4096)
 				for i := 0; i < 4; i++ {
-					fd, err := t.Open(fmt.Sprintf("/blast.%d.%d", env.Proc.Rank, i),
+					fd, err := t.Open(fmt.Sprintf("/blast.%d.%d", env.Rank, i),
 						fs.OCreate|fs.OWrOnly)
 					if err != nil {
 						return 1

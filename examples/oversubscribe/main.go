@@ -46,11 +46,12 @@ func run(oversub int) ulppip.Duration {
 		Symbols: []ulppip.Symbol{{Name: "x", Size: 8}},
 		Main: func(envI interface{}) int {
 			env := envI.(*ulppip.Env)
+			env.Decouple() // Fig. 6: BLTs run decoupled
 			buf := make([]byte, 4096)
 			for i := 0; i < opsPerULP; i++ {
 				env.Compute(computeUS * ulppip.Microsecond)
 				env.Exec(func(kc *ulppip.Task) {
-					fd, err := kc.Open(fmt.Sprintf("/out%d", env.U.Rank),
+					fd, err := kc.Open(fmt.Sprintf("/out%d", env.Rank),
 						ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
 					if err != nil {
 						panic(err)
@@ -72,10 +73,7 @@ func run(oversub int) ulppip.Duration {
 	}, func(rt *ulppip.Runtime) int {
 		start := s.Now()
 		for i := 0; i < numULPs; i++ {
-			if _, err := rt.Spawn(worker, ulppip.ULPSpawnOpts{
-				Scheduler:      -1,
-				StartDecoupled: true, // Fig. 6: BLTs run decoupled
-			}); err != nil {
+			if _, err := rt.Spawn(worker, ulppip.ULPSpawnOpts{Scheduler: -1}); err != nil {
 				log.Fatal(err)
 			}
 		}

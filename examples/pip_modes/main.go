@@ -47,7 +47,7 @@ func runMode(processMode bool) {
 		},
 		Main: func(envI interface{}) int {
 			env := envI.(*ulppip.PiPEnv)
-			r := env.Proc.Rank
+			r := env.Rank
 			pids[r] = env.Task().Getpid()
 			addr, err := env.SymbolAddr("rank_data")
 			if err != nil {

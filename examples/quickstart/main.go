@@ -36,7 +36,7 @@ func main() {
 			raw := env.GetpidRaw() // whoever carries us right now
 			good := env.Getpid()   // couple();getpid();decouple()
 			fmt.Printf("  ULP %d: raw getpid=%d (scheduler!), bracketed getpid=%d (mine)\n",
-				env.U.Rank, raw, good)
+				env.Rank, raw, good)
 
 			// Record our PID in our own privatized variable.
 			addr, err := env.SymbolAddr("my_pid")

@@ -8,7 +8,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/blt"
 	"repro/internal/core"
-	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/loader"
 	"repro/internal/sim"
@@ -34,8 +33,7 @@ func AblateIdlePolicy(m *arch.Machine) ([]IdleAblationResult, error) {
 		res := IdleAblationResult{Machine: m, Policy: idle}
 		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
-			rt.Spawn(benchImage("idle", func(envI interface{}) int {
-				env := envI.(*core.Env)
+			rt.Spawn(core.Program("idle", func(env *core.Env) int {
 				env.Decouple()
 				res.GetpidLatency = timeLoop(e, 8, 64, func(int) {
 					env.Getpid()
@@ -48,7 +46,7 @@ func AblateIdlePolicy(m *arch.Machine) ([]IdleAblationResult, error) {
 			}), core.SpawnOpts{Scheduler: 0})
 			rt.WaitAll()
 			for _, u := range rt.ULPs() {
-				res.SpunKC += u.BLT().Host().SpunIdle()
+				res.SpunKC += u.Host().SpunIdle()
 			}
 			for _, s := range rt.Pool().Schedulers() {
 				res.SpunScheds += s.SpunIdle()
@@ -214,21 +212,13 @@ func Fig6Scenario(m *arch.Machine, syscallCores []int, oversubs []int) ([]Fig6Po
 // an injected fault skips that bracket's write and close. The image is
 // named worker, so its KCs are kc.worker.<rank>.
 func Fig6Worker(ops int, compute sim.Duration, writeSize int) *loader.Image {
-	return benchImage("worker", func(envI interface{}) int {
-		env := envI.(*core.Env)
+	return core.Program("worker", func(env *core.Env) int {
 		env.Decouple()
 		buf := writeSource(writeSize)
-		path := fmt.Sprintf("/out.%d", env.U.Rank)
+		path := fmt.Sprintf("/out.%d", env.Rank)
 		for i := 0; i < ops; i++ {
 			env.Compute(compute)
-			env.Exec(func(kc *kernel.Task) {
-				fd, err := kc.Open(path, fs.OCreate|fs.OWrOnly|fs.OTrunc)
-				if err != nil {
-					return
-				}
-				kc.Write(fd, buf, true)
-				kc.Close(fd)
-			})
+			env.Exec(func(kc *kernel.Task) { openWriteClose(kc, path, buf, true) })
 			env.Yield()
 		}
 		return 0

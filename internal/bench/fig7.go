@@ -64,6 +64,21 @@ func writeSource(size int) []byte {
 	return make([]byte, size)
 }
 
+// openWriteClose is the operation Figs. 6-8 time, run by task t: open
+// path for writing (created, truncated), write buf and close. remote
+// streams buf from the program core's cache, as when a system-call core
+// serves the write. It returns open's error, in which case nothing is
+// written.
+func openWriteClose(t *kernel.Task, path string, buf []byte, remote bool) error {
+	fd, err := t.Open(path, fs.OCreate|fs.OWrOnly|fs.OTrunc)
+	if err != nil {
+		return err
+	}
+	t.Write(fd, buf, remote)
+	t.Close(fd)
+	return nil
+}
+
 // owcBaseline measures one plain synchronous open-write-close of size
 // bytes on tmpfs (the Fig. 7 denominator).
 func owcBaseline(m *arch.Machine, size int) (sim.Duration, error) {
@@ -72,12 +87,9 @@ func owcBaseline(m *arch.Machine, size int) (sim.Duration, error) {
 		err := RunKernel(m, func(k *kernel.Kernel, root *kernel.Task) {
 			buf := writeSource(size)
 			per = timeLoop(k.Engine(), 4, 16, func(int) {
-				fd, err := root.Open("/bench", fs.OCreate|fs.OWrOnly|fs.OTrunc)
-				if err != nil {
+				if err := openWriteClose(root, "/bench", buf, false); err != nil {
 					panic(err)
 				}
-				root.Write(fd, buf, false)
-				root.Close(fd)
 			})
 		})
 		return per, err
@@ -142,17 +154,13 @@ func owcULP(m *arch.Machine, size int, idle blt.IdlePolicy) (sim.Duration, error
 		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
 			buf := writeSource(size)
-			rt.Spawn(benchImage("owc", func(envI interface{}) int {
-				env := envI.(*core.Env)
+			rt.Spawn(core.Program("owc", func(env *core.Env) int {
 				env.Decouple()
 				per = timeLoop(e, 4, 16, func(int) {
 					env.Exec(func(kc *kernel.Task) {
-						fd, err := kc.Open("/bench", fs.OCreate|fs.OWrOnly|fs.OTrunc)
-						if err != nil {
+						if err := openWriteClose(kc, "/bench", buf, true); err != nil {
 							panic(err)
 						}
-						kc.Write(fd, buf, true)
-						kc.Close(fd)
 					})
 				})
 				env.Couple()

@@ -4,7 +4,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/blt"
 	"repro/internal/core"
-	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -52,27 +51,22 @@ func overlapULP(m *arch.Machine, size int, tCPU sim.Duration, idle blt.IdlePolic
 				phase[self] = iter + 1
 				env.YieldUntil(func(*kernel.Task) bool { return phase[1-self] >= iter+1 })
 			}
-			ioULP := benchImage("io", func(envI interface{}) int {
-				env := envI.(*core.Env)
+			ioULP := core.Program("io", func(env *core.Env) int {
 				env.Decouple()
 				ready++
 				env.YieldUntil(started)
 				per = timeLoop(e, warm, n, func(i int) {
 					env.Exec(func(kc *kernel.Task) {
-						fd, err := kc.Open("/ovl", fs.OCreate|fs.OWrOnly|fs.OTrunc)
-						if err != nil {
+						if err := openWriteClose(kc, "/ovl", buf, true); err != nil {
 							panic(err)
 						}
-						kc.Write(fd, buf, true)
-						kc.Close(fd)
 					})
 					barrier(env, 0, i)
 				})
 				env.Couple()
 				return 0
 			})
-			cpuULP := benchImage("cpu", func(envI interface{}) int {
-				env := envI.(*core.Env)
+			cpuULP := core.Program("cpu", func(env *core.Env) int {
 				env.Decouple()
 				ready++
 				env.YieldUntil(started)

@@ -27,18 +27,6 @@ func ulpConfig(idle blt.IdlePolicy) core.Config {
 	}
 }
 
-// benchImage builds a minimal PIE image whose Main is fn.
-func benchImage(name string, fn loader.MainFunc) *loader.Image {
-	return &loader.Image{
-		Name: name, PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{
-			{Name: "state", Size: 64},
-			{Name: "errno", Size: 8, TLS: true},
-		},
-		Main: fn,
-	}
-}
-
 // runULP boots a ULP-PiP runtime with cfg on m, runs setup inside the
 // root and shuts the runtime down.
 func runULP(m *arch.Machine, cfg core.Config, setup func(rt *core.Runtime)) error {
@@ -64,8 +52,7 @@ func ulpYieldTime(m *arch.Machine) (sim.Duration, error) {
 			started := func(*kernel.Task) bool { return ready >= 2 }
 			finished := func(*kernel.Task) bool { return done }
 			prog := func(measuring bool) *loader.Image {
-				return benchImage("yield", func(envI interface{}) int {
-					env := envI.(*core.Env)
+				return core.Program("yield", func(env *core.Env) int {
 					env.Decouple()
 					ready++
 					env.YieldUntil(started)

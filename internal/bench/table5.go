@@ -34,8 +34,7 @@ func ulpGetpidTime(m *arch.Machine, idle blt.IdlePolicy) (sim.Duration, error) {
 		var per sim.Duration
 		err := runULP(m, ulpConfig(idle), func(rt *core.Runtime) {
 			e := rt.Kernel().Engine()
-			rt.Spawn(benchImage("getpid", func(envI interface{}) int {
-				env := envI.(*core.Env)
+			rt.Spawn(core.Program("getpid", func(env *core.Env) int {
 				env.Decouple()
 				per = timeLoop(e, 16, 128, func(int) {
 					env.Getpid() // couple(); getpid(); decouple()

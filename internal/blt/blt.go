@@ -135,10 +135,6 @@ func (b *BLT) ExitStatus() int { return b.exitStatus }
 // visible here but not through wait(2) on its (dead) KC.
 func (b *BLT) Orphaned() bool { return b.orphaned }
 
-// TLSBase returns the address of the BLT's thread descriptor (the TLS
-// register value its carrier holds while running it).
-func (b *BLT) TLSBase() uint64 { return b.tlsBase }
-
 // Stack returns the UC stack reservation (address, size) in the shared
 // address space.
 func (b *BLT) Stack() (addr, size uint64) { return b.stackAddr, DefaultStackBytes }

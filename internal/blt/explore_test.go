@@ -69,8 +69,8 @@ func decoupleVsStealScenario() explore.Scenario {
 			e := k.Engine()
 			img := exploreImg("dvs", func(envI interface{}) int {
 				env := envI.(*core.Env)
-				rank := env.U.Rank
-				kcPID := env.U.KC().TGID()
+				rank := env.Rank
+				kcPID := env.KC().TGID()
 				env.Decouple()
 				for i := 0; i < 4; i++ {
 					if err := env.Couple(); err != nil {
@@ -178,7 +178,7 @@ func coupleVsHostDeathScenario() explore.Scenario {
 				}
 				return exploreImg(name, func(envI interface{}) int {
 					env := envI.(*core.Env)
-					kcPID := env.U.KC().TGID()
+					kcPID := env.KC().TGID()
 					env.Decouple()
 					for i := 0; i < 4; i++ {
 						if err := env.Couple(); err != nil {

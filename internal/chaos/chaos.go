@@ -27,7 +27,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fs"
 	"repro/internal/kernel"
-	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/planes"
 	"repro/internal/probe"
@@ -171,14 +170,7 @@ func RunWithStats(cfg Config) (Digest, planes.Report, error) {
 		return Digest{}, planes.Report{}, err
 	}
 
-	img := &loader.Image{
-		Name: "chaos", PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{
-			{Name: "state", Size: 64},
-			{Name: "errno", Size: 8, TLS: true},
-		},
-		Main: chaosMain,
-	}
+	img := core.Program("chaos", chaosMain)
 
 	mismatches := 0
 	var statuses []int
@@ -295,11 +287,10 @@ type rankArg struct {
 // is tolerated the way a robust application would: transient failures
 // were already retried by the Env wrappers, terminal ones (dead KC,
 // ENOSPC) skip the operation.
-func chaosMain(envI interface{}) int {
-	env := envI.(*core.Env)
+func chaosMain(env *core.Env) int {
 	a := env.Arg.(*rankArg)
 	r := a.rng
-	rank := env.U.Rank
+	rank := env.Rank
 	rbuf := make([]byte, len(a.buf))
 	env.Decouple()
 	for i := 0; i < a.ops; i++ {
@@ -334,7 +325,7 @@ func chaosMain(envI interface{}) int {
 			// now means. If coupling is impossible (KC dead for good) the
 			// probe is skipped — Exec guarantees fn never ran elsewhere.
 			var pid int
-			if err := env.Exec(func(kc *kernel.Task) { pid = kc.Getpid() }); err == nil && pid != env.U.KC().TGID() {
+			if err := env.Exec(func(kc *kernel.Task) { pid = kc.Getpid() }); err == nil && pid != env.KC().TGID() {
 				a.mismatch()
 			}
 		case 9:

@@ -1,12 +1,14 @@
 // Package core is the ULP-PiP runtime — the paper's primary
 // contribution assembled from its substrates: User-Level Processes built
-// by combining Bi-Level Threads (internal/blt) with PiP-style
-// address-space sharing (internal/pip, internal/loader).
+// from PiP address-space sharing (internal/pip) and Bi-Level Threads
+// (internal/blt).
 //
-// A ULP is a PiP process (own PID, FD table, signal disposition, TLS
-// block, privatized variables in the shared address space) whose
-// execution context is a BLT: it is scheduled at user level like a ULT,
-// and it preserves system-call consistency by coupling with its original
+// A ULP is a PiP process whose execution context is a BLT. Boot starts a
+// pip.Root; each ULP embeds the pip.Namespace the root loads for it
+// (privatized variables, TLS block, exports) and the blt.BLT that runs
+// it, whose original kernel context holds its PID, FD table and signal
+// disposition. It is scheduled at user level like a ULT, and it
+// preserves system-call consistency by coupling with its original
 // kernel context around system-calls. The runtime also provides the
 // consistency *auditor* that proves the property: every audited
 // system-call issued inside a Consistent()/Exec() bracket is executed by
@@ -21,6 +23,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/loader"
+	"repro/internal/pip"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -80,15 +83,12 @@ type Violation struct {
 
 // Runtime is a live ULP-PiP instance inside a PiP root process.
 type Runtime struct {
-	kern    *kernel.Kernel
-	rootTsk *kernel.Task
-	ld      *loader.Loader
-	pool    *blt.Pool
-	cfg     Config
+	root *pip.Root
+	pool *blt.Pool
+	cfg  Config
 
 	ulps       []*ULP
 	violations []Violation
-	exports    map[string]uint64
 }
 
 // BootFailedExitStatus is the root task's exit status when the BLT pool
@@ -130,13 +130,10 @@ func Boot(k *kernel.Kernel, cfg Config, main func(rt *Runtime) int) (*kernel.Tas
 	if err := validateConfig(k, cfg); err != nil {
 		return nil, err
 	}
-	space := k.NewAddressSpace()
-	c := k.Machine().Costs
-	ld := loader.New(space, loader.Costs{DlmopenBase: c.DlmopenBase, DlmopenPerSym: c.DlmopenPerSym})
-	rt := &Runtime{kern: k, ld: ld, cfg: cfg, exports: make(map[string]uint64)}
-	task := k.NewTask("ulp-root", space, func(t *kernel.Task) int {
-		rt.rootTsk = t
-		pool, err := blt.NewPool(t, blt.Config{
+	rt := &Runtime{cfg: cfg}
+	return pip.Launch(k, "ulp-root", func(r *pip.Root) int {
+		rt.root = r
+		pool, err := blt.NewPool(r.Task(), blt.Config{
 			ProgCores:     cfg.ProgCores,
 			SyscallCores:  cfg.SyscallCores,
 			Idle:          cfg.Idle,
@@ -152,16 +149,14 @@ func Boot(k *kernel.Kernel, cfg Config, main func(rt *Runtime) int) (*kernel.Tas
 			defer k.Probes().Detach(rt.attachAuditor())
 		}
 		return main(rt)
-	})
-	k.Start(task, 0)
-	return task, nil
+	}), nil
 }
 
 // Kernel returns the kernel the runtime runs on.
-func (rt *Runtime) Kernel() *kernel.Kernel { return rt.kern }
+func (rt *Runtime) Kernel() *kernel.Kernel { return rt.root.Kernel() }
 
 // RootTask returns the PiP root's kernel task.
-func (rt *Runtime) RootTask() *kernel.Task { return rt.rootTsk }
+func (rt *Runtime) RootTask() *kernel.Task { return rt.root.Task() }
 
 // Pool returns the underlying BLT pool.
 func (rt *Runtime) Pool() *blt.Pool { return rt.pool }
@@ -199,7 +194,7 @@ var auditedSyscalls = [probe.NumSites]bool{
 // kernel state, not the ULP's).
 func (rt *Runtime) attachAuditor() *probe.Program {
 	scheds := rt.pool.Schedulers()
-	return rt.kern.Probes().Attach("audit", func(c *probe.Ctx) probe.Verdict {
+	return rt.Kernel().Probes().Attach("audit", func(c *probe.Ctx) probe.Verdict {
 		if !auditedSyscalls[c.ID] {
 			return probe.Verdict{}
 		}
@@ -215,33 +210,14 @@ func (rt *Runtime) attachAuditor() *probe.Program {
 	}, probe.PSyscallEnter)
 }
 
-// ULP is one user-level process.
+// ULP is one user-level process: the PiP namespace its image was
+// loaded into and the BLT that runs it. The BLT's methods (KC, Name,
+// Done, ExitStatus, Orphaned, ...) are the ULP's.
 type ULP struct {
-	rt      *Runtime
-	Rank    int
-	Linked  *loader.Linked
-	TLSBase uint64
-	b       *blt.BLT
+	pip.Namespace
+	*blt.BLT
+	rt *Runtime
 }
-
-// BLT returns the ULP's bi-level thread.
-func (u *ULP) BLT() *blt.BLT { return u.b }
-
-// KC returns the ULP's original kernel context.
-func (u *ULP) KC() *kernel.Task { return u.b.KC() }
-
-// Name returns the ULP's diagnostic name.
-func (u *ULP) Name() string { return u.b.Name() }
-
-// Done reports whether the ULP terminated.
-func (u *ULP) Done() bool { return u.b.Done() }
-
-// ExitStatus returns the ULP's exit status (valid once Done).
-func (u *ULP) ExitStatus() int { return u.b.ExitStatus() }
-
-// Orphaned reports whether the ULP finished decoupled because its
-// original KC was killed by fault injection (see blt.BLT.Orphaned).
-func (u *ULP) Orphaned() bool { return u.b.Orphaned() }
 
 // SpawnOpts parameterizes Spawn.
 type SpawnOpts struct {
@@ -251,48 +227,39 @@ type SpawnOpts struct {
 	// ShareKCWith attaches this ULP to an existing ULP's original KC
 	// (the §VII M:N extension); they then share kernel state.
 	ShareKCWith *ULP
-	// StartDecoupled decouples before Main runs (Fig. 6 deployment).
-	StartDecoupled bool
 }
 
-// Spawn loads img under a fresh dlmopen namespace (privatizing its
-// variables), allocates its TLS block, and starts it as a ULP: a BLT
-// whose original KC is a PiP process-mode clone of the root. Must be
-// called from the root task's context.
+// Spawn loads img into a fresh namespace of the PiP root (pip.Root.Load
+// privatizes its variables and allocates its TLS block) and starts it as
+// a ULP: a BLT whose original KC is a PiP process-mode clone of the
+// root. Must be called from the root task's context.
 func (rt *Runtime) Spawn(img *loader.Image, opts SpawnOpts) (*ULP, error) {
-	linked, err := rt.ld.Dlmopen(img, rt.rootTsk)
+	ns, err := rt.root.Load(img)
 	if err != nil {
 		return nil, err
 	}
-	tlsBase, err := rt.ld.AllocTLSBlock(linked, rt.rootTsk)
-	if err != nil {
-		return nil, err
-	}
-	u := &ULP{rt: rt, Rank: len(rt.ulps), Linked: linked, TLSBase: tlsBase}
+	u := &ULP{Namespace: ns, rt: rt}
 	if opts.Name == "" {
 		opts.Name = fmt.Sprintf("%s.%d", img.Name, u.Rank)
 	}
 	var host *blt.KCHost
 	if opts.ShareKCWith != nil {
-		host = opts.ShareKCWith.b.Host()
+		host = opts.ShareKCWith.Host()
 	}
 	b, err := rt.pool.Spawn(func(b *blt.BLT) int {
 		// The body may start before Spawn's caller resumes; bind the
 		// BLT handle here so Env methods work from the first line.
-		u.b = b
+		u.BLT = b
 		// "TLS register content is saved at the time of creation of a
 		// ULP": the original KC points at this ULP's descriptor once,
 		// up front, while coupled.
-		b.Carrier().LoadTLS(tlsBase)
-		if opts.StartDecoupled {
-			b.Decouple()
-		}
-		return img.Main(&Env{U: u, Arg: opts.Arg})
-	}, blt.SpawnOpts{Name: opts.Name, TLSBase: tlsBase, Host: host, Scheduler: opts.Scheduler})
+		b.Carrier().LoadTLS(u.TLSBase())
+		return img.Main(&Env{ULP: u, U: u, Arg: opts.Arg})
+	}, blt.SpawnOpts{Name: opts.Name, TLSBase: u.TLSBase(), Host: host, Scheduler: opts.Scheduler})
 	if err != nil {
 		return nil, err
 	}
-	u.b = b
+	u.BLT = b
 	rt.ulps = append(rt.ulps, u)
 	return u, nil
 }
@@ -306,11 +273,11 @@ func (rt *Runtime) Spawn(img *loader.Image, opts SpawnOpts) (*ULP, error) {
 func (rt *Runtime) WaitAll() ([]int, error) {
 	hosts := map[*blt.KCHost]bool{}
 	for _, u := range rt.ulps {
-		hosts[u.b.Host()] = true
+		hosts[u.Host()] = true
 	}
 	for range hosts {
 		for {
-			_, _, err := rt.rootTsk.Wait()
+			_, _, err := rt.RootTask().Wait()
 			if err == kernel.ErrInterrupted {
 				continue
 			}
@@ -324,8 +291,8 @@ func (rt *Runtime) WaitAll() ([]int, error) {
 	// decoupled on the schedulers; wait for them so the statuses below
 	// are final. Fault-free runs never enter the sleep.
 	for _, u := range rt.ulps {
-		for !u.b.Done() {
-			rt.rootTsk.Nanosleep(10 * sim.Microsecond)
+		for !u.Done() {
+			rt.RootTask().Nanosleep(10 * sim.Microsecond)
 		}
 	}
 	statuses := make([]int, len(rt.ulps))
@@ -336,42 +303,32 @@ func (rt *Runtime) WaitAll() ([]int, error) {
 }
 
 // Shutdown stops the pool's schedulers. Call after WaitAll.
-func (rt *Runtime) Shutdown() { rt.pool.Shutdown(rt.rootTsk) }
+func (rt *Runtime) Shutdown() { rt.pool.Shutdown(rt.RootTask()) }
 
 // Env is the environment handle a ULP program's Main receives (as its
-// loader.MainFunc argument; type-assert to *core.Env).
+// loader.MainFunc argument; Program does the type assertion). It embeds
+// the ULP, so the namespace's lookups (SymbolAddr, TLSAddr, Export,
+// Import) and the BLT's primitives (Carrier, Couple, Decouple, Coupled,
+// Yield, YieldUntil, Exec) are its methods. U is the same ULP.
 type Env struct {
+	*ULP
 	U   *ULP
 	Arg interface{}
 }
 
-// Carrier returns the kernel context currently executing the ULP —
-// the original KC while coupled, a scheduler KC while decoupled.
-func (e *Env) Carrier() *kernel.Task { return e.U.b.Carrier() }
-
-// Couple attaches the ULP to its original KC (see blt.BLT.Couple). It
-// returns blt.ErrHostDead when the KC died under fault injection.
-func (e *Env) Couple() error { return e.U.b.Couple() }
-
-// Decouple detaches the ULP from its original KC (see blt.BLT.Decouple).
-func (e *Env) Decouple() { e.U.b.Decouple() }
-
-// Coupled reports whether the ULP currently runs on its original KC.
-func (e *Env) Coupled() bool { return e.U.b.Coupled() }
-
-// Yield is the user-level yield between ULPs.
-func (e *Env) Yield() { e.U.b.Yield() }
-
-// YieldUntil yields until poll reports true (see blt.BLT.YieldUntil for
-// the poll contract: poll runs on the carrier it is handed and must not
-// yield, couple or exec).
-func (e *Env) YieldUntil(poll func(t *kernel.Task) bool) { e.U.b.YieldUntil(poll) }
-
-// Exec runs fn coupled to the original KC — the couple()/decouple()
-// bracket for a system-call or a series of system-calls. When coupling
-// is impossible (dead KC), fn does not run and Exec returns
-// blt.ErrNotCoupled wrapping blt.ErrHostDead.
-func (e *Env) Exec(fn func(kc *kernel.Task)) error { return e.U.b.Exec(fn) }
+// Program builds the image of a ULP program whose Main is main: 4 KiB
+// of PIE text, one privatized 64-byte variable named state and a
+// thread-local errno.
+func Program(name string, main func(env *Env) int) *loader.Image {
+	return &loader.Image{
+		Name: name, PIE: true, TextSize: 4096,
+		Symbols: []loader.Symbol{
+			{Name: "state", Size: 64},
+			{Name: "errno", Size: 8, TLS: true},
+		},
+		Main: func(env interface{}) int { return main(env.(*Env)) },
+	}
+}
 
 // Transient-retry parameters for the Env system-call wrappers: an
 // injected EINTR or EAGAIN is retried up to syscallRetries times with
@@ -461,42 +418,6 @@ func (e *Env) Close(fd int) (err error) {
 	return err
 }
 
-// SymbolAddr resolves one of this ULP's privatized variables.
-func (e *Env) SymbolAddr(name string) (uint64, error) {
-	return e.U.Linked.SymbolAddr(name)
-}
-
-// Export publishes the address of one of this ULP's variables under a
-// global name (pip_export): everything in the shared address space is
-// "not shared but shareable", so another ULP can Import the address and
-// dereference it directly.
-func (e *Env) Export(global, symbol string) error {
-	addr, err := e.SymbolAddr(symbol)
-	if err != nil {
-		return err
-	}
-	e.U.rt.exports[global] = addr
-	return nil
-}
-
-// Import resolves an address another ULP exported (pip_import).
-func (e *Env) Import(global string) (uint64, error) {
-	addr, ok := e.U.rt.exports[global]
-	if !ok {
-		return 0, fmt.Errorf("core: no export named %q", global)
-	}
-	return addr, nil
-}
-
-// TLSAddr resolves one of this ULP's thread-local variables.
-func (e *Env) TLSAddr(name string) (uint64, error) {
-	off, ok := e.U.Linked.TLS().Offsets[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: TLS %s", loader.ErrNoSuchSymbol, name)
-	}
-	return e.U.TLSBase + off, nil
-}
-
 // MemRead reads the shared address space without a system-call.
 func (e *Env) MemRead(va uint64, buf []byte) error { return e.Carrier().MemRead(va, buf) }
 
@@ -510,7 +431,7 @@ func (e *Env) MemWrite(va uint64, data []byte) error { return e.Carrier().MemWri
 // preemption of Config.PreemptQuantum). Coupled code is never preempted
 // — it is a KLT, subject only to the kernel.
 func (e *Env) Compute(d sim.Duration) {
-	q := e.U.rt.cfg.PreemptQuantum
+	q := e.rt.cfg.PreemptQuantum
 	if q <= 0 || e.Coupled() {
 		e.Carrier().Compute(d)
 		return
@@ -523,7 +444,7 @@ func (e *Env) Compute(d sim.Duration) {
 		e.Carrier().Compute(slice)
 		d -= slice
 		if d > 0 {
-			e.U.b.Yield() // preemption point
+			e.Yield() // preemption point
 		}
 	}
 }
@@ -532,8 +453,8 @@ func (e *Env) Compute(d sim.Duration) {
 // the mask follows the UC between kernel contexts; under fcontext it
 // only applies while coupled.
 func (e *Env) SetSigMask(mask uint64) {
-	e.U.b.SetSigMask(mask)
-	if e.Coupled() || e.U.rt.cfg.Signals == UcontextMode {
+	e.BLT.SetSigMask(mask)
+	if e.Coupled() || e.rt.cfg.Signals == UcontextMode {
 		e.Carrier().SetSigmaskRaw(mask)
 	}
 }
@@ -544,13 +465,13 @@ func (e *Env) SetSigMask(mask uint64) {
 // (the §VII caveat). The sender task pays the kill(2) cost.
 func (rt *Runtime) SignalULP(sender *kernel.Task, u *ULP, sig int) error {
 	target := u.KC()
-	if !u.b.Coupled() {
+	if !u.Coupled() {
 		// Decoupled: the signal goes to the carrier, the scheduler
 		// running the UC. A queued UC has none, so the signal stays on
 		// its KC: a terminal-originated signal to the "process" still
 		// reaches the KC's disposition; that part is safe.
 		for _, s := range rt.pool.Schedulers() {
-			if s.Running() == u.b {
+			if s.Running() == u.BLT {
 				target = s.Task()
 				break
 			}

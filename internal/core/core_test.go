@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/arch"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/loader"
+	"repro/internal/pip"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
@@ -18,17 +20,6 @@ func testConfig(idle blt.IdlePolicy) Config {
 		SyscallCores: []int{2, 3},
 		Idle:         idle,
 		Audit:        true,
-	}
-}
-
-func img(name string, main loader.MainFunc) *loader.Image {
-	return &loader.Image{
-		Name: name, PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{
-			{Name: "data", Size: 64},
-			{Name: "errno", Size: 8, TLS: true},
-		},
-		Main: main,
 	}
 }
 
@@ -66,8 +57,7 @@ func TestULPSyscallConsistency(t *testing.T) {
 		t.Run(idle.String(), func(t *testing.T) {
 			boot(t, arch.Wallaby(), testConfig(idle), func(rt *Runtime) int {
 				var myPID, consistent1, consistent2, rawWhileDecoupled int
-				u, err := rt.Spawn(img("prog", func(envI interface{}) int {
-					env := envI.(*Env)
+				u, err := rt.Spawn(Program("prog", func(env *Env) int {
 					myPID = env.Getpid() // coupled bracket
 					env.Decouple()
 					consistent1 = env.Getpid()          // Exec bracket couples
@@ -104,8 +94,7 @@ func TestULPFileConsistencyAcrossScheduling(t *testing.T) {
 	// all three syscalls must hit the same (original) KC's fd table.
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
 		ok := false
-		u, _ := rt.Spawn(img("io", func(envI interface{}) int {
-			env := envI.(*Env)
+		u, _ := rt.Spawn(Program("io", func(env *Env) int {
 			env.Decouple()
 			fd, err := env.Open("/t", fs.OCreate|fs.OWrOnly)
 			if err != nil {
@@ -145,20 +134,19 @@ func TestULPFileConsistencyAcrossScheduling(t *testing.T) {
 
 func TestPrivatizationAcrossULPs(t *testing.T) {
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
-		program := img("var", func(envI interface{}) int {
-			env := envI.(*Env)
-			addr, _ := env.SymbolAddr("data")
+		program := Program("var", func(env *Env) int {
+			addr, _ := env.SymbolAddr("state")
 			return int(addr % 251) // report something address-derived
 		})
 		u1, _ := rt.Spawn(program, SpawnOpts{Scheduler: -1})
 		u2, _ := rt.Spawn(program, SpawnOpts{Scheduler: -1})
 		rt.WaitAll()
-		a1, _ := u1.Linked.SymbolAddr("data")
-		a2, _ := u2.Linked.SymbolAddr("data")
+		a1, _ := u1.Linked.SymbolAddr("state")
+		a2, _ := u2.Linked.SymbolAddr("state")
 		if a1 == a2 {
 			t.Error("ULPs share a privatized variable address")
 		}
-		if u1.TLSBase == u2.TLSBase {
+		if u1.TLSBase() == u2.TLSBase() {
 			t.Error("ULPs share a TLS block")
 		}
 		return 0
@@ -174,8 +162,7 @@ func TestGetpidCoupleDecoupleCostTableV(t *testing.T) {
 		var per float64
 		boot(t, m, testConfig(idle), func(rt *Runtime) int {
 			e := rt.Kernel().Engine()
-			rt.Spawn(img("bench", func(envI interface{}) int {
-				env := envI.(*Env)
+			rt.Spawn(Program("bench", func(env *Env) int {
 				env.Decouple()
 				const warm, n = 10, 100
 				var t0 sim.Time
@@ -211,8 +198,7 @@ func TestGetpidCoupleDecoupleCostTableV(t *testing.T) {
 func TestMNSharedKCULPs(t *testing.T) {
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
 		pids := map[int]bool{}
-		prog := img("mn", func(envI interface{}) int {
-			env := envI.(*Env)
+		prog := Program("mn", func(env *Env) int {
 			env.Decouple()
 			pids[env.Getpid()] = true
 			env.Couple()
@@ -238,37 +224,13 @@ func TestMNSharedKCULPs(t *testing.T) {
 	})
 }
 
-// TestSpawnStartDecoupled: a ULP spawned with StartDecoupled runs its
-// Main on its home scheduler from the first line, not on its original
-// KC (the Fig. 6 deployment).
-func TestSpawnStartDecoupled(t *testing.T) {
-	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
-		var first *kernel.Task
-		u, err := rt.Spawn(img("sd", func(envI interface{}) int {
-			first = envI.(*Env).Carrier()
-			return 0
-		}), SpawnOpts{Scheduler: 0, StartDecoupled: true})
-		if err != nil {
-			t.Error(err)
-			return 1
-		}
-		rt.WaitAll()
-		if sched := rt.Pool().Schedulers()[0].Task(); first != sched {
-			t.Errorf("StartDecoupled Main began on %s (KC %s), want scheduler %s",
-				first.Name(), u.KC().Name(), sched.Name())
-		}
-		return 0
-	})
-}
-
 func TestSignalLandsOnSchedulingKCInFcontextMode(t *testing.T) {
 	// §VII: "if one tries to send a signal to a UC, then the signal is
 	// delivered to the scheduling KC".
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
 		deliveries := countDeliveries(rt.Kernel())
 		spin := true
-		u, _ := rt.Spawn(img("victim", func(envI interface{}) int {
-			env := envI.(*Env)
+		u, _ := rt.Spawn(Program("victim", func(env *Env) int {
 			env.Decouple()
 			for spin {
 				env.Compute(sim.Microsecond)
@@ -307,8 +269,7 @@ func TestUcontextModeCostsMorePerYield(t *testing.T) {
 			e := rt.Kernel().Engine()
 			ready, done := 0, false
 			prog := func(measureIt bool) *loader.Image {
-				return img("y", func(envI interface{}) int {
-					env := envI.(*Env)
+				return Program("y", func(env *Env) int {
 					env.Decouple()
 					ready++
 					for ready < 2 {
@@ -351,9 +312,8 @@ func TestUcontextModeCostsMorePerYield(t *testing.T) {
 
 func TestWaitAllStatuses(t *testing.T) {
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
-		prog := img("st", func(envI interface{}) int {
-			env := envI.(*Env)
-			return env.U.Rank * 10
+		prog := Program("st", func(env *Env) int {
+			return env.Rank * 10
 		})
 		for i := 0; i < 3; i++ {
 			rt.Spawn(prog, SpawnOpts{Scheduler: -1})
@@ -374,11 +334,10 @@ func TestWaitAllStatuses(t *testing.T) {
 func TestTLSRegisterFollowsULP(t *testing.T) {
 	boot(t, arch.Albireo(), testConfig(blt.BusyWait), func(rt *Runtime) int {
 		okCoupled, okDecoupled := false, false
-		u, _ := rt.Spawn(img("tls", func(envI interface{}) int {
-			env := envI.(*Env)
-			okCoupled = env.Carrier().TLSReg() == env.U.TLSBase
+		u, _ := rt.Spawn(Program("tls", func(env *Env) int {
+			okCoupled = env.Carrier().TLSReg() == env.TLSBase()
 			env.Decouple()
-			okDecoupled = env.Carrier().TLSReg() == env.U.TLSBase
+			okDecoupled = env.Carrier().TLSReg() == env.TLSBase()
 			env.Couple()
 			return 0
 		}), SpawnOpts{Scheduler: -1})
@@ -396,13 +355,12 @@ func TestTLSRegisterFollowsULP(t *testing.T) {
 
 func TestEnvTLSAddrIsolation(t *testing.T) {
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
-		prog := img("errno", func(envI interface{}) int {
-			env := envI.(*Env)
+		prog := Program("errno", func(env *Env) int {
 			addr, err := env.TLSAddr("errno")
 			if err != nil {
 				return 1
 			}
-			if err := env.MemWrite(addr, []byte{byte(env.U.Rank + 5)}); err != nil {
+			if err := env.MemWrite(addr, []byte{byte(env.Rank + 5)}); err != nil {
 				return 2
 			}
 			return 0
@@ -412,11 +370,11 @@ func TestEnvTLSAddrIsolation(t *testing.T) {
 		rt.WaitAll()
 		b := make([]byte, 1)
 		off := u0.Linked.TLS().Offsets["errno"]
-		rt.RootTask().MemRead(u0.TLSBase+off, b)
+		rt.RootTask().MemRead(u0.TLSBase()+off, b)
 		if b[0] != 5 {
 			t.Errorf("ULP0 errno = %d, want 5", b[0])
 		}
-		rt.RootTask().MemRead(u1.TLSBase+off, b)
+		rt.RootTask().MemRead(u1.TLSBase()+off, b)
 		if b[0] != 6 {
 			t.Errorf("ULP1 errno = %d, want 6", b[0])
 		}
@@ -426,11 +384,10 @@ func TestEnvTLSAddrIsolation(t *testing.T) {
 
 func TestEnvExportImportAndRead(t *testing.T) {
 	boot(t, arch.Wallaby(), testConfig(blt.BusyWait), func(rt *Runtime) int {
-		producer := img("prod", func(envI interface{}) int {
-			env := envI.(*Env)
-			addr, _ := env.SymbolAddr("data")
+		producer := Program("prod", func(env *Env) int {
+			addr, _ := env.SymbolAddr("state")
 			env.MemWrite(addr, []byte("exported!"))
-			if err := env.Export("blob", "data"); err != nil {
+			if err := env.Export("blob", "state"); err != nil {
 				return 1
 			}
 			if err := env.Export("blob2", "missing-symbol"); err == nil {
@@ -438,8 +395,7 @@ func TestEnvExportImportAndRead(t *testing.T) {
 			}
 			return 0
 		})
-		consumer := img("cons", func(envI interface{}) int {
-			env := envI.(*Env)
+		consumer := Program("cons", func(env *Env) int {
 			addr, err := env.Import("blob")
 			if err != nil {
 				return 1
@@ -448,7 +404,7 @@ func TestEnvExportImportAndRead(t *testing.T) {
 			if err := env.MemRead(addr, buf); err != nil || string(buf) != "exported!" {
 				return 2
 			}
-			if _, err := env.Import("nope"); err == nil {
+			if _, err := env.Import("nope"); !errors.Is(err, pip.ErrNoExport) {
 				return 3
 			}
 			// Consistent file read path.
@@ -488,8 +444,7 @@ func TestEnvSetSigMaskWhileDecoupled(t *testing.T) {
 	cfg.Signals = UcontextMode
 	boot(t, arch.Wallaby(), cfg, func(rt *Runtime) int {
 		maskSeen := uint64(0)
-		u, _ := rt.Spawn(img("masker", func(envI interface{}) int {
-			env := envI.(*Env)
+		u, _ := rt.Spawn(Program("masker", func(env *Env) int {
 			env.Decouple()
 			env.SetSigMask(1 << kernel.SIGUSR1)
 			env.Yield() // cross a context switch: mask must follow the UC
@@ -501,7 +456,7 @@ func TestEnvSetSigMaskWhileDecoupled(t *testing.T) {
 		if maskSeen != 1<<kernel.SIGUSR1 {
 			t.Errorf("mask after switch = %#x, want %#x", maskSeen, 1<<kernel.SIGUSR1)
 		}
-		if u.BLT().SigMask() != 1<<kernel.SIGUSR1 {
+		if u.SigMask() != 1<<kernel.SIGUSR1 {
 			t.Error("BLT mask not recorded")
 		}
 		if FcontextMode.String() != "fcontext" || UcontextMode.String() != "ucontext" {
@@ -532,7 +487,7 @@ func TestLibcErrnoPrivatizedViaSharedObjectDep(t *testing.T) {
 			if err != nil {
 				return 1
 			}
-			if err := env.MemWrite(addr, []byte{byte(env.U.Rank + 40)}); err != nil {
+			if err := env.MemWrite(addr, []byte{byte(env.Rank + 40)}); err != nil {
 				return 2
 			}
 			return 0
@@ -549,11 +504,11 @@ func TestLibcErrnoPrivatizedViaSharedObjectDep(t *testing.T) {
 		off0 := u0.Linked.TLS().Offsets["errno"]
 		off1 := u1.Linked.TLS().Offsets["errno"]
 		b := make([]byte, 1)
-		rt.RootTask().MemRead(u0.TLSBase+off0, b)
+		rt.RootTask().MemRead(u0.TLSBase()+off0, b)
 		if b[0] != 40 {
 			t.Errorf("ULP0 errno = %d, want 40", b[0])
 		}
-		rt.RootTask().MemRead(u1.TLSBase+off1, b)
+		rt.RootTask().MemRead(u1.TLSBase()+off1, b)
 		if b[0] != 41 {
 			t.Errorf("ULP1 errno = %d, want 41", b[0])
 		}

@@ -70,8 +70,7 @@ func TestEnvExecErrNotCoupledAfterKCKill(t *testing.T) {
 		[]fault.Spec{{Site: probe.SiteKCKill, Nth: 3, TaskPrefix: "kc.victim"}},
 		func(rt *Runtime) int {
 			var err error
-			u, err = rt.Spawn(img("victim", func(envI interface{}) int {
-				env := envI.(*Env)
+			u, err = rt.Spawn(Program("victim", func(env *Env) int {
 				env.Decouple()
 				coupleErr = env.Couple()
 				execErr = env.Exec(func(kc *kernel.Task) { execRan = true })
@@ -117,8 +116,7 @@ func TestSignalMidDecoupleLandsOnOriginalKC(t *testing.T) {
 		func(rt *Runtime) int {
 			deliveries := countDeliveries(rt.Kernel())
 			spin := true
-			u, err := rt.Spawn(img("victim", func(envI interface{}) int {
-				env := envI.(*Env)
+			u, err := rt.Spawn(Program("victim", func(env *Env) int {
 				env.Decouple()
 				for spin {
 					env.Compute(sim.Microsecond)
@@ -135,7 +133,7 @@ func TestSignalMidDecoupleLandsOnOriginalKC(t *testing.T) {
 			// Every dispatch is delayed 1ms while the workload computes
 			// ~1us per slice: at t+300us the UC is parked mid-decouple.
 			root.Nanosleep(300 * sim.Microsecond)
-			if u.BLT().Coupled() {
+			if u.Coupled() {
 				t.Error("victim unexpectedly coupled; test needs a mid-decouple window")
 			}
 			if err := rt.SignalULP(root, u, kernel.SIGUSR1); err != nil {
@@ -167,8 +165,7 @@ func TestEnvRetriesTransientInjectedFaults(t *testing.T) {
 			{Site: probe.SiteOpen, Nth: 1, Err: "eagain"},
 		},
 		func(rt *Runtime) int {
-			if _, err := rt.Spawn(img("io", func(envI interface{}) int {
-				env := envI.(*Env)
+			if _, err := rt.Spawn(Program("io", func(env *Env) int {
 				env.Decouple()
 				fd, err := env.Open("/r", fs.OCreate|fs.OWrOnly)
 				if err != nil {
@@ -215,8 +212,7 @@ func TestEnvSurfacesNonTransientFault(t *testing.T) {
 	bootFaults(t, testConfig(blt.BusyWait), 8,
 		[]fault.Spec{{Site: probe.SiteWrite, Nth: 1, Err: "enospc"}},
 		func(rt *Runtime) int {
-			if _, err := rt.Spawn(img("nospace", func(envI interface{}) int {
-				env := envI.(*Env)
+			if _, err := rt.Spawn(Program("nospace", func(env *Env) int {
 				env.Decouple()
 				fd, err := env.Open("/n", fs.OCreate|fs.OWrOnly)
 				if err != nil {

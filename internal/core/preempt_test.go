@@ -23,16 +23,14 @@ func TestPreemptionBoundsLatency(t *testing.T) {
 		var shortDone sim.Duration
 		var submit sim.Time
 		started := false
-		longProg := img("hog", func(envI interface{}) int {
-			env := envI.(*Env)
+		longProg := Program("hog", func(env *Env) int {
 			env.Decouple()
 			started = true
 			env.Compute(longBurst)
 			env.Couple()
 			return 0
 		})
-		shortProg := img("short", func(envI interface{}) int {
-			env := envI.(*Env)
+		shortProg := Program("short", func(env *Env) int {
 			env.Decouple()
 			env.Compute(sim.Microsecond)
 			// Turnaround from submission: includes the queueing delay
@@ -93,8 +91,7 @@ func TestPreemptionDoesNotSliceCoupledCode(t *testing.T) {
 		PreemptQuantum: 5 * sim.Microsecond,
 	}
 	Boot(k, cfg, func(rt *Runtime) int {
-		u, _ := rt.Spawn(img("c", func(envI interface{}) int {
-			env := envI.(*Env)
+		u, _ := rt.Spawn(Program("c", func(env *Env) int {
 			env.Decouple()
 			env.Couple()
 			env.Compute(100 * sim.Microsecond) // coupled: no slicing
@@ -103,7 +100,7 @@ func TestPreemptionDoesNotSliceCoupledCode(t *testing.T) {
 			return 0
 		}), SpawnOpts{Scheduler: -1})
 		rt.WaitAll()
-		_, _, yields := u.BLT().Stats()
+		_, _, yields := u.Stats()
 		if yields != 0 {
 			t.Errorf("coupled compute yielded %d times; preemption must not apply", yields)
 		}

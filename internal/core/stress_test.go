@@ -71,7 +71,7 @@ func runRandomSchedule(t *testing.T, m *arch.Machine, idle blt.IdlePolicy, seed 
 			Main: func(envI interface{}) int {
 				env := envI.(*Env)
 				env.Decouple()
-				myPID := env.U.KC().TGID()
+				myPID := env.KC().TGID()
 				for _, op := range plans[rank] {
 					switch op {
 					case 0:

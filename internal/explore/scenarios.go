@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/kernel"
-	"repro/internal/loader"
 	"repro/internal/planes"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -249,19 +248,11 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 			// coupling TOCTOU fix added).
 			released := false
 			isReleased := func(*kernel.Task) bool { return released }
-			img := &loader.Image{
-				Name: "xplr", PIE: true, TextSize: 4096,
-				Symbols: []loader.Symbol{
-					{Name: "data", Size: 64},
-					{Name: "errno", Size: 8, TLS: true},
-				},
-				Main: func(envI interface{}) int {
-					env := envI.(*core.Env)
-					env.Decouple()
-					env.YieldUntil(isReleased)
-					return exploreMain(env)
-				},
-			}
+			img := core.Program("xplr", func(env *core.Env) int {
+				env.Decouple()
+				env.YieldUntil(isReleased)
+				return exploreMain(env)
+			})
 			var statuses []int
 			var waitErr error
 			violations, orphans := 0, 0
@@ -337,8 +328,8 @@ func BLT(mk func() *arch.Machine, idle blt.IdlePolicy, mn bool) Scenario {
 // decouple() hands the UC back to the scheduler (sync point 2), a
 // consistent getpid must still observe the owner KC's PID.
 func exploreMain(env *core.Env) int {
-	rank := env.U.Rank
-	kcPID := env.U.KC().TGID()
+	rank := env.Rank
+	kcPID := env.KC().TGID()
 	buf := []byte("explore-op-payload")
 	for i := 0; i < 6; i++ {
 		switch (rank + i) % 4 {

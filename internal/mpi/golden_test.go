@@ -160,7 +160,7 @@ func wavesRun(t *testing.T, k *kernel.Kernel, cfg Config, tr *sim.Tracer, progra
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		_, _, yields := u.BLT().Stats()
+		_, _, yields := u.Stats()
 		fmt.Fprintf(&b, "%d", yields)
 	}
 	if tr != nil {
@@ -230,9 +230,10 @@ func TestWaitsGolden(t *testing.T) {
 	k := kernel.New(sim.New(), arch.Wallaby())
 	plane := fault.NewPlane(7, specs)
 	plane.Attach(k.Probes())
-	// rankOf maps a rank's TLS base to its rank; the observer reads it
-	// at every sched_kill draw on sched.c0.
+	// rankOf maps a rank's TLS base, and rankOfBLT its BLT, to its rank;
+	// the observer reads them at every sched_kill draw on sched.c0.
 	rankOf := map[uint64]int{}
+	rankOfBLT := map[*blt.BLT]int{}
 	var sched0 *blt.Scheduler
 	var visits []killVisit
 	var switched sim.Time
@@ -249,7 +250,7 @@ func TestWaitsGolden(t *testing.T) {
 		}
 		v := killVisit{tail: -1, loaded: -1, sinceSwitch: now.Sub(switched)}
 		if sched0 != nil && sched0.QueueLen() > 0 {
-			if rank, ok := rankOf[sched0.ReadyAt(sched0.QueueLen()-1).TLSBase()]; ok {
+			if rank, ok := rankOfBLT[sched0.ReadyAt(sched0.QueueLen()-1)]; ok {
 				v.tail = rank
 			}
 		}
@@ -260,7 +261,8 @@ func TestWaitsGolden(t *testing.T) {
 		return probe.Verdict{}
 	}, probe.PFaultSite)
 	program := func(r *Rank) int {
-		rankOf[r.Env().U.TLSBase] = r.Rank()
+		rankOf[r.Env().TLSBase()] = r.Rank()
+		rankOfBLT[r.Env().BLT] = r.Rank()
 		if sched0 == nil {
 			sched0 = r.world.Runtime().Pool().SchedulerAt(0)
 		}

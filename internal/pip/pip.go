@@ -14,6 +14,11 @@
 //   - ThreadMode uses pthread_create(): PiP tasks are threads in the
 //     root's process in the kernel's eyes (for systems without clone()),
 //     while variable privatization still holds.
+//
+// Root.Load is the first half of every spawn: it loads an image into a
+// Namespace (rank, privatized variables, TLS block, export/import).
+// Spawn runs the namespace on a new kernel task; ULP-PiP (internal/core)
+// embeds the same Namespace in each ULP and runs it on a BLT instead.
 package pip
 
 import (
@@ -61,6 +66,7 @@ type Root struct {
 	space *mem.AddressSpace
 	ld    *loader.Loader
 
+	loaded  int // namespaces loaded so far; the next one's rank
 	procs   []*Process
 	exports map[string]uint64
 }
@@ -102,70 +108,90 @@ func (r *Root) Processes() []*Process {
 	return out
 }
 
+// Namespace is one program image loaded into the root's address space:
+// its dlmopen namespace, its rank among the root's namespaces and its
+// TLS block. A PiP process and a ULP each embed one.
+type Namespace struct {
+	Rank    int
+	Linked  *loader.Linked
+	root    *Root
+	tlsBase uint64
+}
+
+// Load loads img under a fresh dlmopen namespace, privatizing its
+// variables, and allocates its TLS block. The root task pays for both,
+// as the real pip_spawn does before it creates the task.
+func (r *Root) Load(img *loader.Image) (Namespace, error) {
+	linked, err := r.ld.Dlmopen(img, r.task)
+	if err != nil {
+		return Namespace{}, err
+	}
+	tlsBase, err := r.ld.AllocTLSBlock(linked, r.task)
+	if err != nil {
+		return Namespace{}, err
+	}
+	ns := Namespace{Rank: r.loaded, Linked: linked, root: r, tlsBase: tlsBase}
+	r.loaded++
+	return ns, nil
+}
+
+// TLSBase returns the address of the namespace's TLS block (the value
+// its task's TLS register holds while it runs).
+func (ns *Namespace) TLSBase() uint64 { return ns.tlsBase }
+
+// SymbolAddr resolves one of the namespace's privatized variables.
+func (ns *Namespace) SymbolAddr(name string) (uint64, error) {
+	return ns.Linked.SymbolAddr(name)
+}
+
+// TLSAddr resolves one of the namespace's thread-local variables
+// relative to its TLS block.
+func (ns *Namespace) TLSAddr(name string) (uint64, error) {
+	off, ok := ns.Linked.TLS().Offsets[name]
+	if !ok {
+		return 0, fmt.Errorf("%w: TLS %s", loader.ErrNoSuchSymbol, name)
+	}
+	return ns.tlsBase + off, nil
+}
+
+// Export publishes the address of one of the namespace's variables under
+// a global name, modeling pip_export: any other task of the root may
+// Import it and dereference the pointer as-is (same address space).
+func (ns *Namespace) Export(global, symbol string) error {
+	addr, err := ns.SymbolAddr(symbol)
+	if err != nil {
+		return err
+	}
+	ns.root.exports[global] = addr
+	return nil
+}
+
+// Import resolves a previously exported address, modeling pip_import.
+func (ns *Namespace) Import(global string) (uint64, error) {
+	addr, ok := ns.root.exports[global]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoExport, global)
+	}
+	return addr, nil
+}
+
 // Process is one PiP task: a program image loaded into the shared space
 // plus the kernel task executing it.
 type Process struct {
-	Rank    int
-	Mode    Mode
-	Linked  *loader.Linked
-	root    *Root
-	task    *kernel.Task
-	tlsBase uint64
+	Namespace
+	Mode Mode
+	task *kernel.Task
 }
 
 // Task returns the kernel task executing this PiP process. A
 // thread-mode task is invalid once Join has returned.
 func (p *Process) Task() *kernel.Task { return p.task }
 
-// TLSBase returns the address of the process's TLS block (the value its
-// TLS register holds while it runs).
-func (p *Process) TLSBase() uint64 { return p.tlsBase }
-
 // Env is the environment handle passed to a PiP program's Main. It is
 // delivered as the loader.MainFunc argument (type-assert to *pip.Env).
 type Env struct {
-	Proc *Process
-	Arg  interface{} // spawn argument
-}
-
-// Task returns the kernel task running the program.
-func (e *Env) Task() *kernel.Task { return e.Proc.task }
-
-// SymbolAddr resolves a privatized variable of this process's own
-// namespace.
-func (e *Env) SymbolAddr(name string) (uint64, error) {
-	return e.Proc.Linked.SymbolAddr(name)
-}
-
-// TLSAddr resolves a thread-local variable of this process relative to
-// its TLS block.
-func (e *Env) TLSAddr(name string) (uint64, error) {
-	off, ok := e.Proc.Linked.TLS().Offsets[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: TLS %s", loader.ErrNoSuchSymbol, name)
-	}
-	return e.Proc.tlsBase + off, nil
-}
-
-// Export publishes the address of one of this process's variables under
-// a global name, modeling pip_export: any other PiP task may Import it
-// and dereference the pointer as-is (same address space).
-func (e *Env) Export(global, symbol string) error {
-	addr, err := e.SymbolAddr(symbol)
-	if err != nil {
-		return err
-	}
-	e.Proc.root.exports[global] = addr
-	return nil
-}
-
-// Import resolves a previously exported address, modeling pip_import.
-func (e *Env) Import(global string) (uint64, error) {
-	addr, ok := e.Proc.root.exports[global]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoExport, global)
-	}
-	return addr, nil
+	*Process
+	Arg interface{} // spawn argument
 }
 
 // Spawn loads img under a new namespace and starts it as a PiP task of
@@ -175,21 +201,11 @@ func (r *Root) Spawn(img *loader.Image, mode Mode, arg interface{}) (*Process, e
 	if len(r.procs) >= MaxTasks {
 		return nil, fmt.Errorf("%w: limit %d", ErrTooManyTasks, MaxTasks)
 	}
-	linked, err := r.ld.Dlmopen(img, r.task)
+	ns, err := r.Load(img)
 	if err != nil {
 		return nil, err
 	}
-	tlsBase, err := r.ld.AllocTLSBlock(linked, r.task)
-	if err != nil {
-		return nil, err
-	}
-	p := &Process{
-		Rank:    len(r.procs),
-		Mode:    mode,
-		Linked:  linked,
-		root:    r,
-		tlsBase: tlsBase,
-	}
+	p := &Process{Namespace: ns, Mode: mode}
 	flags := kernel.PiPProcessFlags
 	if mode == ThreadMode {
 		flags = kernel.PThreadFlags
@@ -200,7 +216,7 @@ func (r *Root) Spawn(img *loader.Image, mode Mode, arg interface{}) (*Process, e
 		// TLS block before user code runs (the paper: "TLS register
 		// content is saved at the time of creation of a ULP").
 		t.LoadTLS(p.tlsBase)
-		return img.Main(&Env{Proc: p, Arg: arg})
+		return img.Main(&Env{Process: p, Arg: arg})
 	})
 	r.procs = append(r.procs, p)
 	return p, nil

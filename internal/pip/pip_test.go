@@ -30,7 +30,7 @@ func counterImage(name string) *loader.Image {
 			if err != nil {
 				return 1
 			}
-			rank := env.Proc.Rank
+			rank := env.Rank
 			// Each process writes its rank+100 into its own counter.
 			if err := env.Task().MemWrite(addr, []byte{byte(rank + 100)}); err != nil {
 				return 2
@@ -172,14 +172,14 @@ func TestTLSBlocksPerProcess(t *testing.T) {
 		Main: func(envI interface{}) int {
 			env := envI.(*Env)
 			// The task's TLS register must point at this process's block.
-			if env.Task().TLSReg() != env.Proc.TLSBase() {
+			if env.Task().TLSReg() != env.TLSBase() {
 				return 1
 			}
 			addr, err := env.TLSAddr("errno")
 			if err != nil {
 				return 2
 			}
-			if err := env.Task().MemWrite(addr, []byte{byte(env.Proc.Rank + 1)}); err != nil {
+			if err := env.Task().MemWrite(addr, []byte{byte(env.Rank + 1)}); err != nil {
 				return 3
 			}
 			return 0
@@ -316,7 +316,7 @@ func TestBarrierSynchronizesTasks(t *testing.T) {
 		Symbols: []loader.Symbol{{Name: "x", Size: 8}},
 		Main: func(envI interface{}) int {
 			env := envI.(*Env)
-			env.Task().Nanosleep(sim.Duration(env.Proc.Rank+1) * sim.Microsecond)
+			env.Task().Nanosleep(sim.Duration(env.Rank+1) * sim.Microsecond)
 			arrived++
 			if err := bar.Wait(env.Task()); err != nil {
 				t.Errorf("barrier: %v", err)

@@ -70,17 +70,6 @@ func FuzzNew(f *testing.F) {
 	})
 }
 
-func ulpImage(name string, main loader.MainFunc) *loader.Image {
-	return &loader.Image{
-		Name: name, PIE: true, TextSize: 4096,
-		Symbols: []loader.Symbol{
-			{Name: "data", Size: 64},
-			{Name: "errno", Size: 8, TLS: true},
-		},
-		Main: main,
-	}
-}
-
 // fingerprint is everything a run exposes that a scheduling decision
 // could perturb: virtual end time, syscall and context-switch totals,
 // and the per-scheduler dispatch/steal counters.
@@ -106,14 +95,13 @@ func runWorkload(t *testing.T, m *arch.Machine, idle blt.IdlePolicy, spec string
 		WorkStealing: true,
 	}
 	var fp fingerprint
-	worker := ulpImage("w", func(envI interface{}) int {
-		env := envI.(*core.Env)
+	worker := core.Program("w", func(env *core.Env) int {
 		buf := make([]byte, 512)
 		env.Decouple()
 		for i := 0; i < 4; i++ {
 			env.Compute(3 * sim.Microsecond)
 			env.Exec(func(kc *kernel.Task) {
-				fd, err := kc.Open(fmt.Sprintf("/f%d", env.U.Rank), fs.OCreate|fs.OWrOnly|fs.OTrunc)
+				fd, err := kc.Open(fmt.Sprintf("/f%d", env.Rank), fs.OCreate|fs.OWrOnly|fs.OTrunc)
 				if err != nil {
 					panic(err)
 				}
@@ -224,11 +212,11 @@ func TestLocalityReturnsToLastCore(t *testing.T) {
 	}
 }
 
-// spawnRecorder builds a yield-loop image whose every dispatch slot
-// appends its tag to order.
+// spawnRecorder builds a decoupled yield-loop image whose every
+// dispatch slot appends its tag to order.
 func spawnRecorder(order *[]string, tag string, yields int) *loader.Image {
-	return ulpImage("w", func(envI interface{}) int {
-		env := envI.(*core.Env)
+	return core.Program("w", func(env *core.Env) int {
+		env.Decouple()
 		for i := 0; i < yields; i++ {
 			*order = append(*order, tag)
 			env.Yield()
@@ -253,18 +241,18 @@ func TestCoschedDrainsGangsBackToBack(t *testing.T) {
 	var order []string
 	if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
 		const yields = 3
-		a0, err := rt.Spawn(spawnRecorder(&order, "A", yields), core.SpawnOpts{Scheduler: 0, StartDecoupled: true})
+		a0, err := rt.Spawn(spawnRecorder(&order, "A", yields), core.SpawnOpts{Scheduler: 0})
 		if err != nil {
 			panic(err)
 		}
-		if _, err := rt.Spawn(spawnRecorder(&order, "A", yields), core.SpawnOpts{Scheduler: 0, StartDecoupled: true, ShareKCWith: a0}); err != nil {
+		if _, err := rt.Spawn(spawnRecorder(&order, "A", yields), core.SpawnOpts{Scheduler: 0, ShareKCWith: a0}); err != nil {
 			panic(err)
 		}
-		b0, err := rt.Spawn(spawnRecorder(&order, "B", yields), core.SpawnOpts{Scheduler: 0, StartDecoupled: true})
+		b0, err := rt.Spawn(spawnRecorder(&order, "B", yields), core.SpawnOpts{Scheduler: 0})
 		if err != nil {
 			panic(err)
 		}
-		if _, err := rt.Spawn(spawnRecorder(&order, "B", yields), core.SpawnOpts{Scheduler: 0, StartDecoupled: true, ShareKCWith: b0}); err != nil {
+		if _, err := rt.Spawn(spawnRecorder(&order, "B", yields), core.SpawnOpts{Scheduler: 0, ShareKCWith: b0}); err != nil {
 			panic(err)
 		}
 		rt.WaitAll()
@@ -312,10 +300,10 @@ func TestTenantWeightsShiftShare(t *testing.T) {
 		var order []string
 		if _, err := core.Boot(k, cfg, func(rt *core.Runtime) int {
 			const yields = 6
-			if _, err := rt.Spawn(spawnRecorder(&order, "t0", yields), core.SpawnOpts{Scheduler: 0, StartDecoupled: true}); err != nil {
+			if _, err := rt.Spawn(spawnRecorder(&order, "t0", yields), core.SpawnOpts{Scheduler: 0}); err != nil {
 				panic(err)
 			}
-			if _, err := rt.Spawn(spawnRecorder(&order, "t1", yields), core.SpawnOpts{Scheduler: 0, StartDecoupled: true}); err != nil {
+			if _, err := rt.Spawn(spawnRecorder(&order, "t1", yields), core.SpawnOpts{Scheduler: 0}); err != nil {
 				panic(err)
 			}
 			rt.WaitAll()

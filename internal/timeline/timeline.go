@@ -131,7 +131,15 @@ func (r *Recorder) Report(w io.Writer) {
 	for n := range res {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool { return res[names[i]].Busy > res[names[j]].Busy })
+	// Busiest first; equal busy times in name order, so the report does
+	// not depend on map iteration.
+	sort.Slice(names, func(i, j int) bool {
+		bi, bj := res[names[i]].Busy, res[names[j]].Busy
+		if bi != bj {
+			return bi > bj
+		}
+		return names[i] < names[j]
+	})
 	for _, n := range names {
 		e := res[n]
 		cs := make([]int, 0, len(e.Cores))

@@ -164,7 +164,7 @@ func TestSpansMatchMetricsUnderStealingAndPreemption(t *testing.T) {
 			// Rank-skewed bursts, each several quanta long, so stealing
 			// rebalances and preemption splits the bursts.
 			for i := 0; i < 3; i++ {
-				env.Compute(sim.Duration(20+10*env.U.Rank) * sim.Microsecond)
+				env.Compute(sim.Duration(20+10*env.Rank) * sim.Microsecond)
 				env.Getpid()
 				env.Yield()
 			}
@@ -230,5 +230,31 @@ func TestEmptyTimeline(t *testing.T) {
 	}
 	if u := r.CoreUtilization(); len(u) != 0 {
 		t.Error("utilization of empty recorder")
+	}
+}
+
+// TestReportOrdersEqualBusyTasksByName: tasks with equal busy time print
+// in name order, after busier ones, on every render (the residency map
+// alone would order them by map iteration).
+func TestReportOrdersEqualBusyTasksByName(t *testing.T) {
+	r := New()
+	r.RecordSpan(0, "busiest", 1, 0, sim.Time(200*sim.Nanosecond))
+	for i, n := range []int{5, 2, 7, 0, 3, 6, 1, 4} {
+		start := sim.Time(i) * sim.Time(100*sim.Nanosecond)
+		r.RecordSpan(1+i%2, fmt.Sprintf("w.%d", n), 2+n, start, start.Add(50*sim.Nanosecond))
+	}
+	want := []string{"busiest", "w.0", "w.1", "w.2", "w.3", "w.4", "w.5", "w.6", "w.7"}
+	for render := 0; render < 20; render++ {
+		var buf bytes.Buffer
+		r.Report(&buf)
+		var got []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "task" {
+				got = append(got, f[1])
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("render %d: task lines %v, want %v", render, got, want)
+		}
 	}
 }

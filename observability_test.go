@@ -35,7 +35,7 @@ func runObservable(t *testing.T, reg *ulppip.MetricsRegistry, tr *ulppip.Tracer)
 		for i := 0; i < 4; i++ {
 			env.Compute(2 * ulppip.Microsecond)
 			env.Exec(func(kc *ulppip.Task) {
-				fd, err := kc.Open(fmt.Sprintf("/obs%d", env.U.Rank), ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
+				fd, err := kc.Open(fmt.Sprintf("/obs%d", env.Rank), ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
 				if err != nil {
 					panic(err)
 				}

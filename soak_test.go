@@ -88,12 +88,12 @@ func runMultiTenant(t *testing.T, specs []ulppip.FaultSpec) soakResult {
 			env := envI.(*ulppip.Env)
 			buf := make([]byte, 2048)
 			for j := range buf {
-				buf[j] = byte(env.U.Rank*7 + j)
+				buf[j] = byte(env.Rank*7 + j)
 			}
 			env.Decouple()
 			for i := 0; i < 4; i++ {
 				env.Exec(func(kc *ulppip.Task) {
-					fd, err := kc.Open(fmt.Sprintf("/t2.%d", env.U.Rank), ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
+					fd, err := kc.Open(fmt.Sprintf("/t2.%d", env.Rank), ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
 					if err != nil {
 						panic(err)
 					}
@@ -213,11 +213,11 @@ func runMultiTenant(t *testing.T, specs []ulppip.FaultSpec) soakResult {
 			env := envI.(*ulppip.Env)
 			buf := make([]byte, 1024)
 			for j := range buf {
-				buf[j] = byte(env.U.Rank + j)
+				buf[j] = byte(env.Rank + j)
 			}
 			env.Decouple()
 			for i := 0; i < 4; i++ {
-				fd, err := env.Open(fmt.Sprintf("/t4.%d", env.U.Rank), ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
+				fd, err := env.Open(fmt.Sprintf("/t4.%d", env.Rank), ulppip.OCreate|ulppip.OWrOnly|ulppip.OTrunc)
 				if err != nil {
 					return 1
 				}

@@ -39,11 +39,11 @@ func TestFacadeULPLifecycle(t *testing.T) {
 	prog := ulpProg("p", func(envI interface{}) int {
 		env := envI.(*ulppip.Env)
 		env.Decouple()
-		if env.Getpid() != env.U.KC().TGID() {
+		if env.Getpid() != env.KC().TGID() {
 			consistent = false
 		}
 		env.Couple()
-		return env.U.Rank
+		return env.Rank
 	})
 	ulppip.Boot(s.Kernel, stdConfig(), func(rt *ulppip.Runtime) int {
 		for i := 0; i < 4; i++ {
@@ -146,7 +146,7 @@ func TestFacadePiPAndAIO(t *testing.T) {
 		if err != nil {
 			return 1
 		}
-		fd, err := task.Open(fmt.Sprintf("/aio.%d", env.Proc.Rank), ulppip.OCreate|ulppip.OWrOnly)
+		fd, err := task.Open(fmt.Sprintf("/aio.%d", env.Rank), ulppip.OCreate|ulppip.OWrOnly)
 		if err != nil {
 			return 2
 		}
